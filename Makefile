@@ -51,12 +51,11 @@ serve:
 # bench runs the Go microbenchmarks, then measures the tracing engines,
 # the full collector grid, the stop-the-world vs incremental pause
 # distributions, and the sharded server-simulation latency grid, and writes
-# the machine-readable report (the file checked in as BENCH_PR10.json),
-# after the workers=1 parity smoke. The rdgc-bench/8 schema adds the
+# the machine-readable report (the file checked in as BENCH_PR10.json).
+# The rdgc-bench/8 schema adds the
 # replay-throughput section: synth-op cost, raw vs block-compressed replay,
 # and the sharded replay driver at 1/4/16 shards.
 bench:
-	$(GO) run ./cmd/benchreport -smoke
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/benchreport -out $(BENCH_OUT)
 

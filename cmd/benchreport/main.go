@@ -1170,11 +1170,11 @@ func shardedReplayRow(corpus []byte, total, n int) ReplayBenchResult {
 
 func run() *Report {
 	collectors := collectorGrid(0)
-	for _, w := range []int{1, 2, 4, 8} {
+	for _, w := range []int{2, 4, 8} {
 		collectors = append(collectors, collectorGrid(w)...)
 	}
-	parallel := parallelBenchmarks([]int{0, 1, 2, 4, 8})
-	parallel = append(parallel, sweepBenchmarks([]int{0, 1, 2, 4, 8})...)
+	parallel := parallelBenchmarks([]int{0, 2, 4, 8})
+	parallel = append(parallel, sweepBenchmarks([]int{0, 2, 4, 8})...)
 	return &Report{
 		Schema:     "rdgc-bench/8",
 		GoVersion:  runtime.Version(),
@@ -1387,51 +1387,13 @@ func driftNote(sp map[string]float64) string {
 		len(sp), geo)
 }
 
-// smoke is the CI parity gate: the workers=1 parallel engines must stay
-// within noise of the sequential engines on the same forest (the inline
-// worker loop adds no goroutines, so a large gap means the parallel drain
-// grew a per-object cost). The 1.75x bound is deliberately loose — it
-// catches algorithmic regressions, not scheduler jitter.
-func smoke() error {
-	const maxRatio = 1.75
-	rows := parallelBenchmarks([]int{0, 1})
-	rows = append(rows, sweepBenchmarks([]int{0, 1})...)
-	byKey := make(map[string]ParallelResult)
-	for _, r := range rows {
-		byKey[fmt.Sprintf("%s/%d", r.Engine, r.GCWorkers)] = r
-	}
-	var failed bool
-	for _, engine := range []string{"mark", "evacuate", "sweep"} {
-		seq, par := byKey[engine+"/0"], byKey[engine+"/1"]
-		ratio := par.NsPerOp / seq.NsPerOp
-		fmt.Printf("smoke: %-9s sequential %.0f ns/op, workers=1 parallel %.0f ns/op (%.2fx)\n",
-			engine, seq.NsPerOp, par.NsPerOp, ratio)
-		if ratio > maxRatio {
-			failed = true
-		}
-	}
-	if failed {
-		return fmt.Errorf("workers=1 parallel engine exceeds %.2fx of sequential", maxRatio)
-	}
-	return nil
-}
-
 func main() {
 	out := flag.String("out", "-", "write the report JSON here (- for stdout)")
 	before := flag.String("before", "", "embed this prior report as the before run and compute speedups")
 	cmp := flag.Bool("compare", false, "compare two BENCH_*.json files given as arguments instead of measuring")
-	smokeOnly := flag.Bool("smoke", false, "only check workers=1 parallel-engine parity with the sequential engines")
 	tenureOnly := flag.Bool("tenure", false, "only run the fixed-vs-adaptive tenuring grid and emit it as JSON")
 	serveOnly := flag.Bool("serve", false, "only run the server-simulation latency grid and emit it as JSON")
 	flag.Parse()
-
-	if *smokeOnly {
-		if err := smoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "benchreport:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *tenureOnly {
 		if err := writeJSON(*out, tenureBenchmarks()); err != nil {

@@ -45,7 +45,7 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced-scale benchmark instances")
 	withHybrid := flag.Bool("hybrid", false, "also measure the hybrid (non-predictive) collector")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	gcworkers := flag.Int("gcworkers", -1, "parallel tracing workers per heap (0 = sequential engines; -1 = $RDGC_GC_WORKERS)")
+	gcworkers := flag.Int("gcworkers", -1, "parallel tracing workers per heap (0 or 1 = sequential engines; -1 = $RDGC_GC_WORKERS)")
 	gclab := flag.Bool("gclab", heap.GCLABFromEnv(), "per-worker allocation buffers during parallel evacuation (default $RDGC_GC_LAB)")
 	gcincr := flag.Bool("gcincr", heap.GCIncrFromEnv(), "incremental collection (mark slices + lazy sweep) on the collectors that support it (default $RDGC_GC_INCR)")
 	gcslice := flag.Int("gcslice", 0, "incremental mark slice budget in words (0 = $RDGC_GC_SLICE, or the built-in default)")

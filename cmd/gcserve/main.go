@@ -44,7 +44,7 @@ func main() {
 	burstTicks := flag.Float64("burst-ticks", 2500, "mmpp: mean burst dwell, ticks")
 
 	parallel := flag.Int("parallel", 0, "worker goroutines for shard execution (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	gcworkers := flag.Int("gcworkers", -1, "parallel tracing workers per shard heap (0 = sequential engines; -1 = $RDGC_GC_WORKERS)")
+	gcworkers := flag.Int("gcworkers", -1, "parallel tracing workers per shard heap (0 or 1 = sequential engines; -1 = $RDGC_GC_WORKERS)")
 	gclab := flag.Bool("gclab", heap.GCLABFromEnv(), "per-worker allocation buffers during parallel evacuation (default $RDGC_GC_LAB)")
 	gcincr := flag.Bool("gcincr", heap.GCIncrFromEnv(), "incremental collection (mark slices + lazy sweep) on the collectors that support it (default $RDGC_GC_INCR)")
 	gcslice := flag.Int("gcslice", 0, "incremental mark slice budget in words (0 = $RDGC_GC_SLICE, or the built-in default)")

@@ -335,7 +335,7 @@ func cmdReplay(args []string) error {
 	verify := fs.Bool("verify", false, "run the deep heap-invariant verifier after every collection")
 	shards := fs.Int("shards", 0, "split a multi-session corpus into N per-collector replay cells (session s -> shard s mod N)")
 	parallel := fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	gcworkers := fs.Int("gcworkers", -1, "parallel tracing workers per heap (0 = sequential engines; -1 = $RDGC_GC_WORKERS); marking parallelizes, evacuation stays sequential under the replayer's move hook")
+	gcworkers := fs.Int("gcworkers", -1, "parallel tracing workers per heap (0 or 1 = sequential engines; -1 = $RDGC_GC_WORKERS); marking parallelizes, evacuation stays sequential under the replayer's move hook")
 	gclab := fs.Bool("gclab", heap.GCLABFromEnv(), "per-worker allocation buffers during parallel evacuation (default $RDGC_GC_LAB)")
 	gcincr := fs.Bool("gcincr", heap.GCIncrFromEnv(), "incremental collection (mark slices + lazy sweep) on the collectors that support it (default $RDGC_GC_INCR)")
 	gcslice := fs.Int("gcslice", 0, "incremental mark slice budget in words (0 = $RDGC_GC_SLICE, or the built-in default)")

@@ -127,8 +127,8 @@ func TestLABShadowModel(t *testing.T) {
 	}
 }
 
-// TestLABInertBelowTwoWorkers: at workers <= 1 the solo and sequential
-// engines ignore the LAB setting entirely, so whole-run images match the
+// TestLABInertBelowTwoWorkers: at workers <= 1 the sequential engines run
+// and ignore the LAB setting entirely, so whole-run images match the
 // exact-fit baseline bit for bit.
 func TestLABInertBelowTwoWorkers(t *testing.T) {
 	for _, name := range []string{"semispace", "marksweep", "generational"} {

@@ -4,7 +4,8 @@
 //  1. Mark-only collectors: the parallel marker's CAS claims make the mark
 //     set — and therefore the sweep, the free lists, and every subsequent
 //     allocation — bit-identical to sequential. Whole-run heap images are
-//     compared word for word at every worker count.
+//     compared word for word at every worker count (and, for every
+//     configuration, at workers=1, which is the sequential engines).
 //  2. Single-target copiers: exact-fit reservation means the same words
 //     land in the same target (in racy order), so whole-run mutator Stats,
 //     GCStats, and every space's Top are identical; images are not.
@@ -54,16 +55,21 @@ func captureRunAt(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64
 	return img
 }
 
-// TestParallelMarkImagesIdentical is the strictest tier: the mark-only
-// collectors must produce bit-identical whole-run heap images at every
-// worker count, because marking is idempotent and order-free.
+// TestParallelMarkImagesIdentical is the strictest tier: bit-identical
+// whole-run heap images against workers=0. The mark-only collectors must
+// produce them at every worker count, because marking is idempotent and
+// order-free; every other configuration must produce them at workers=1,
+// which selects the same sequential engines as 0.
 func TestParallelMarkImagesIdentical(t *testing.T) {
-	all := collectors()
-	for _, name := range []string{"marksweep", "npms-nocompact"} {
-		mk := all[name]
+	markOnly := map[string]bool{"marksweep": true, "npms-nocompact": true}
+	for name, mk := range collectors() {
+		counts := []int{1}
+		if markOnly[name] {
+			counts = parallelWorkerCounts
+		}
 		for _, census := range []bool{false, true} {
 			seq := captureRunAt(t, mk, 11, census, 0)
-			for _, workers := range parallelWorkerCounts {
+			for _, workers := range counts {
 				t.Run(fmt.Sprintf("%s/census=%v/workers=%d", name, census, workers), func(t *testing.T) {
 					par := captureRunAt(t, mk, 11, census, workers)
 					compareImages(t, par, seq)
@@ -182,14 +188,20 @@ func TestParallelCollectionIdentity(t *testing.T) {
 							opts = append(opts, heap.WithCensus())
 						}
 						h := heap.New(opts...)
+						// Pin the history to the sequential engines whatever
+						// RDGC_GC_WORKERS seeded (ci.sh runs this package at
+						// 4): a parallel history packs multi-target copies by
+						// schedule, and the two heaps would part before the
+						// collection under test.
+						h.SetGCWorkers(0)
 						c := mk(h)
 						src := rand.New(rand.NewSource(31))
 						m := gctest.NewMutator(h, src)
 						for i := 0; i < identityOps; i++ {
 							m.Op(src.Intn(10))
 						}
-						// The history above ran fully sequentially; only the
-						// final forced collection differs between the heaps.
+						// Only the final forced collection differs between
+						// the heaps.
 						h.SetGCWorkers(gcWorkers)
 						c.Collect()
 						return h, c, m

@@ -41,15 +41,14 @@ type Collector struct {
 	// effective nursery size (cap, unless the adaptive controller moves
 	// it), carry the survivor words retained at the last flip, and ctrl
 	// the -gcadapt policy controller.
-	threshold     int
-	trigger       int
-	carry         int
-	nurseryTo     *heap.Space
-	youngBuf      []*heap.Space
-	keepBuf       []heap.Word
-	remsetRootTen func(heap.Word)
-	ctrl          *policy.Controller
-	adaptOn       bool
+	threshold int
+	trigger   int
+	carry     int
+	nurseryTo *heap.Space
+	youngBuf  []*heap.Space
+	keepBuf   []heap.Word
+	ctrl      *policy.Controller
+	adaptOn   bool
 }
 
 // Option configures the collector.
@@ -120,10 +119,6 @@ func New(h *heap.Heap, nurseryWords, oldWords int, opts ...Option) *Collector {
 		c.nursery.EnsureAgeTable()
 		c.nurseryTo.EnsureAgeTable()
 		c.youngBuf = []*heap.Space{c.nurseryTo}
-		c.remsetRootTen = func(w heap.Word) {
-			c.stats.RemsetScanned++
-			heap.ScanObject(c.h.SpaceOf(w), heap.PtrOff(w), c.evac.SlotTenured())
-		}
 	}
 	h.SetAllocator(c)
 	h.SetBarrier(c)
@@ -280,9 +275,9 @@ func (c *Collector) minorTenured() {
 	e := c.evac
 	e.SetFrom(c.nursery)
 	e.BeginTenured(c.threshold, c.youngBuf, c.oldFrom)
-	e.EvacuateRootsTenured()
-	c.rs.ForEach(c.remsetRootTen)
-	e.DrainTenured()
+	e.EvacuateRoots()
+	c.scanRemset()
+	e.Drain()
 	c.nursery.Reset()
 	c.nursery, c.nurseryTo = c.nurseryTo, c.nursery
 	c.youngBuf[0] = c.nurseryTo
@@ -298,7 +293,9 @@ func (c *Collector) minorTenured() {
 	c.h.AddPause(&c.stats, e.WordsCopied)
 	c.stats.NoteLive(c.oldFrom.Used() + c.nursery.Used())
 	c.notePeak()
-	c.adapt(fresh, e)
+	if c.ctrl != nil {
+		c.threshold, c.trigger = c.ctrl.Adapt(e, fresh, c.nursery, &c.stats)
+	}
 	c.h.AfterGC()
 }
 
@@ -351,41 +348,6 @@ func (c *Collector) rememberPromoted() {
 			}
 		}
 	})
-}
-
-// adapt feeds the policy controller one tenured minor collection and
-// applies its decision to the threshold and trigger knobs.
-func (c *Collector) adapt(fresh int, e *heap.Evacuator) {
-	if c.ctrl == nil {
-		return
-	}
-	if fresh < 0 {
-		fresh = 0
-	}
-	surv, retained := e.SurvivorsByAge()
-	d := c.ctrl.Observe(policy.Observation{
-		FreshWords:    uint64(fresh),
-		SurvByAge:     *surv,
-		RetainedByAge: *retained,
-		PromotedWords: e.WordsPromoted,
-		NurseryCap:    c.nursery.Cap(),
-	})
-	c.threshold = d.Threshold
-	trigger := d.TriggerWords
-	if trigger <= 0 || trigger > c.nursery.Cap() {
-		trigger = c.nursery.Cap()
-	}
-	// Never set the trigger below what is already retained plus working
-	// headroom, or allocation would collect on every request.
-	if floor := c.nursery.Top + c.nursery.Cap()/8; trigger < floor {
-		trigger = floor
-		if trigger > c.nursery.Cap() {
-			trigger = c.nursery.Cap()
-		}
-	}
-	c.trigger = trigger
-	c.stats.PolicyAdaptations = c.ctrl.Adaptations()
-	c.stats.TenureThreshold = c.threshold
 }
 
 // scanRemset treats every remembered object's fields as roots for a minor

@@ -66,7 +66,6 @@ type Collector struct {
 	nurseryTo *heap.Space
 	youngBuf  []*heap.Space
 	keepBuf   []heap.Word
-	rsARootTen func(obj heap.Word)
 	ctrl      *policy.Controller
 	adaptOn   bool
 }
@@ -183,10 +182,6 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 		c.nursery.EnsureAgeTable()
 		c.nurseryTo.EnsureAgeTable()
 		c.youngBuf = []*heap.Space{c.nurseryTo}
-		c.rsARootTen = func(obj heap.Word) {
-			c.stats.RemsetScanned++
-			heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.SlotTenured())
-		}
 	}
 	h.SetAllocator(c)
 	h.SetBarrier(c)
@@ -408,9 +403,9 @@ func (c *Collector) minorTenured() {
 	e := c.evac
 	e.SetFrom(c.nursery)
 	e.BeginTenured(c.threshold, c.youngBuf, targets...)
-	e.EvacuateRootsTenured()
-	c.rsA.ForEach(c.rsARootTen)
-	e.DrainTenured()
+	e.EvacuateRoots()
+	c.rsA.ForEach(c.rsARoot)
+	e.Drain()
 
 	// Promotion turned some nursery pointers held by set-A entries into
 	// step pointers; migrate the entries set B must now cover (the §8.4
@@ -438,7 +433,9 @@ func (c *Collector) minorTenured() {
 	c.stats.TenureThreshold = c.threshold
 	c.h.AddPause(&c.stats, e.WordsCopied)
 	c.notePeaks()
-	c.adapt(fresh, e)
+	if c.ctrl != nil {
+		c.threshold, c.trigger = c.ctrl.Adapt(e, fresh, c.nursery, &c.stats)
+	}
 	c.h.AfterGC()
 }
 
@@ -495,39 +492,6 @@ func (c *Collector) rememberPromoted() {
 			off += heap.ObjWords(hdr)
 		}
 	})
-}
-
-// adapt feeds the policy controller one tenured promoting collection and
-// applies its decision.
-func (c *Collector) adapt(fresh int, e *heap.Evacuator) {
-	if c.ctrl == nil {
-		return
-	}
-	if fresh < 0 {
-		fresh = 0
-	}
-	surv, retained := e.SurvivorsByAge()
-	d := c.ctrl.Observe(policy.Observation{
-		FreshWords:    uint64(fresh),
-		SurvByAge:     *surv,
-		RetainedByAge: *retained,
-		PromotedWords: e.WordsPromoted,
-		NurseryCap:    c.nursery.Cap(),
-	})
-	c.threshold = d.Threshold
-	trigger := d.TriggerWords
-	if trigger <= 0 || trigger > c.nursery.Cap() {
-		trigger = c.nursery.Cap()
-	}
-	if floor := c.nursery.Top + c.nursery.Cap()/8; trigger < floor {
-		trigger = floor
-		if trigger > c.nursery.Cap() {
-			trigger = c.nursery.Cap()
-		}
-	}
-	c.trigger = trigger
-	c.stats.PolicyAdaptations = c.ctrl.Adaptations()
-	c.stats.TenureThreshold = c.threshold
 }
 
 // regionFree sums free words in logical step positions [lo, hi).

@@ -51,14 +51,13 @@ type Collector struct {
 	// gen0To shadow instead of promoting them to generation 1. Wider
 	// windows keep their wholesale one-generation-per-collection aging.
 	// All nil/zero under the default threshold of 1.
-	threshold     int
-	trigger       int
-	carry         int
-	gen0To        *heap.Space
-	youngBuf      []*heap.Space
-	windowRootTen func(obj heap.Word)
-	ctrl          *policy.Controller
-	adaptOn       bool
+	threshold int
+	trigger   int
+	carry     int
+	gen0To    *heap.Space
+	youngBuf  []*heap.Space
+	ctrl      *policy.Controller
+	adaptOn   bool
 }
 
 // Option configures the collector.
@@ -128,13 +127,6 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		c.gens[0].EnsureAgeTable()
 		c.gen0To.EnsureAgeTable()
 		c.youngBuf = []*heap.Space{c.gen0To}
-		c.windowRootTen = func(obj heap.Word) {
-			if g := c.genIdx(obj); g >= 0 && g <= c.window {
-				return
-			}
-			c.stats.RemsetScanned++
-			heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.SlotTenured())
-		}
 	}
 	c.rebuildGenOf()
 	h.SetAllocator(c)
@@ -332,10 +324,10 @@ func (c *Collector) minorTenured() {
 	e := c.evac
 	e.SetFrom(nursery)
 	e.BeginTenured(c.threshold, c.youngBuf, c.gens[1])
-	e.EvacuateRootsTenured()
+	e.EvacuateRoots()
 	c.window = 0
-	c.rs.ForEach(c.windowRootTen)
-	e.DrainTenured()
+	c.rs.ForEach(c.windowRoot)
+	e.Drain()
 	nursery.Reset()
 	c.gens[0], c.gen0To = c.gen0To, c.gens[0]
 	c.youngBuf[0] = c.gen0To
@@ -351,7 +343,9 @@ func (c *Collector) minorTenured() {
 	c.stats.TenureThreshold = c.threshold
 	c.h.AddPause(&c.stats, e.WordsCopied)
 	c.notePeak()
-	c.adapt(fresh, e)
+	if c.ctrl != nil {
+		c.threshold, c.trigger = c.ctrl.Adapt(e, fresh, c.gens[0], &c.stats)
+	}
 	c.h.AfterGC()
 }
 
@@ -380,39 +374,6 @@ func (c *Collector) rememberPromoted() {
 			}
 		}
 	})
-}
-
-// adapt feeds the policy controller one tenured nursery collection and
-// applies its decision.
-func (c *Collector) adapt(fresh int, e *heap.Evacuator) {
-	if c.ctrl == nil {
-		return
-	}
-	if fresh < 0 {
-		fresh = 0
-	}
-	surv, retained := e.SurvivorsByAge()
-	d := c.ctrl.Observe(policy.Observation{
-		FreshWords:    uint64(fresh),
-		SurvByAge:     *surv,
-		RetainedByAge: *retained,
-		PromotedWords: e.WordsPromoted,
-		NurseryCap:    c.gens[0].Cap(),
-	})
-	c.threshold = d.Threshold
-	trigger := d.TriggerWords
-	if trigger <= 0 || trigger > c.gens[0].Cap() {
-		trigger = c.gens[0].Cap()
-	}
-	if floor := c.gens[0].Top + c.gens[0].Cap()/8; trigger < floor {
-		trigger = floor
-		if trigger > c.gens[0].Cap() {
-			trigger = c.gens[0].Cap()
-		}
-	}
-	c.trigger = trigger
-	c.stats.PolicyAdaptations = c.ctrl.Adaptations()
-	c.stats.TenureThreshold = c.threshold
 }
 
 // major collects every generation into the old to-space and flips.

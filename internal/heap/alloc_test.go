@@ -75,31 +75,6 @@ func TestEvacuatorSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEvacuatorEscapeHatchZeroAllocs keeps the InFrom callback path honest
-// too: collectors that need a predicate the bitset cannot express must not
-// pay per-flip allocations either.
-func TestEvacuatorEscapeHatchZeroAllocs(t *testing.T) {
-	h := New()
-	from := h.NewSpace("flip-A", 4096)
-	to := h.NewSpace("flip-B", 4096)
-	h.GlobalWord(buildChain(t, h, from, 500))
-
-	e := NewEvacuator(h, nil)
-	e.InFrom = func(w Word) bool { return PtrSpace(w) == from.ID }
-	flip := func() {
-		e.Begin(to)
-		e.Run()
-		from.Reset()
-		from, to = to, from
-	}
-	flip() // warmup
-
-	allocs := testing.AllocsPerRun(20, flip)
-	if allocs != 0 {
-		t.Errorf("steady-state escape-hatch evacuation allocates %.0f objects/run, want 0", allocs)
-	}
-}
-
 // TestMarkerBoundedRegionZeroAllocs guards the bounded mark hot path: a
 // persistent marker re-armed with SetRegion each cycle (the marksweep and
 // npms pattern, since their space lists grow) must not allocate in steady

@@ -12,9 +12,7 @@ import "fmt"
 // backing arrays, so steady-state collections allocate nothing.
 //
 // The from-region is declared as a set of spaces (SetFrom / From), so the
-// per-slot membership test is a bit test rather than an indirect call. The
-// InFrom predicate remains as a slow-path escape hatch for oddball
-// from-regions that are not a union of spaces.
+// per-slot membership test is a bit test rather than an indirect call.
 //
 // Usage: configure H and the from-region; call Begin with the collection's
 // targets; call Evacuate on every root slot (and remembered-set slot); then
@@ -23,11 +21,6 @@ import "fmt"
 // been updated.
 type Evacuator struct {
 	H *Heap
-
-	// InFrom, when non-nil, overrides the from-set: it is consulted per
-	// pointer instead of the bitset. This is the slow-path escape hatch;
-	// collectors on the hot path use SetFrom.
-	InFrom func(w Word) bool
 
 	// Targets are filled in order; an object is copied into the first
 	// target with room. Collectors must provide enough total room for the
@@ -39,7 +32,7 @@ type Evacuator struct {
 	// request, which is appended to Targets. When nil, overflow panics.
 	Overflow func(need int) *Space
 
-	// from is the fast-path from-region: a bitset of SpaceIDs.
+	// from is the from-region: a bitset of SpaceIDs.
 	from SpaceSet
 
 	// spaces caches H.Spaces for the duration of a run, saving a pointer
@@ -64,15 +57,17 @@ type Evacuator struct {
 	// persistent so steady-state parallel drains allocate nothing.
 	par *parEvac
 
-	// evacSlot is the stored slot-visitor closure, created once so passing
-	// it to VisitRoots/ScanObject never allocates.
+	// evacSlot is the Evacuate method value, bound once so passing it to
+	// VisitRoots/ScanObject never allocates.
 	evacSlot func(slot *Word)
 
-	// ten is the lazily created age-routing machinery (tenure.go),
-	// persistent so steady-state tenured collections allocate nothing. It
-	// is only consulted by the BeginTenured/DrainTenured entry points; the
-	// wholesale paths above never touch it.
-	ten *tenureState
+	// tenured is set by BeginTenured and cleared by Begin: while it is on,
+	// forward reserves by side-table age (tenure.go) and Drain also scans
+	// the survivor targets in ten. ten is created on the first BeginTenured
+	// and reused, so steady-state tenured collections allocate nothing;
+	// wholesale runs never read it.
+	tenured bool
+	ten     *tenureState
 
 	WordsCopied   uint64
 	ObjectsCopied int
@@ -86,21 +81,24 @@ type Evacuator struct {
 }
 
 // NewEvacuator prepares an engine whose copies land in targets, recording
-// the current tops so only newly copied objects are scanned. inFrom may be
-// nil; hot-path collectors declare their from-region with SetFrom instead.
+// the current tops so only newly copied objects are scanned; collectors
+// declare the from-region with SetFrom. inFrom must be nil: the parameter is
+// what remains of a removed predicate from-region, kept only until every
+// caller drops the argument.
 func NewEvacuator(h *Heap, inFrom func(w Word) bool, targets ...*Space) *Evacuator {
-	e := &Evacuator{H: h, InFrom: inFrom}
+	if inFrom != nil {
+		panic("heap: NewEvacuator no longer takes a from-region predicate; declare the region with SetFrom")
+	}
+	e := &Evacuator{H: h}
 	e.evacSlot = e.Evacuate
 	e.Begin(targets...)
 	return e
 }
 
-// SetFrom declares the from-region as exactly the given spaces, routing the
-// per-slot test through the bitset fast path (any InFrom predicate is
-// cleared). The set's backing array is reused, so re-arming between
-// collections allocates nothing.
+// SetFrom declares the from-region as exactly the given spaces. The set's
+// backing array is reused, so re-arming between collections allocates
+// nothing.
 func (e *Evacuator) SetFrom(spaces ...*Space) {
-	e.InFrom = nil
 	e.from.Clear()
 	for _, s := range spaces {
 		e.from.Add(s.ID)
@@ -108,15 +106,15 @@ func (e *Evacuator) SetFrom(spaces ...*Space) {
 }
 
 // From exposes the from-set for incremental population (e.g. the step
-// machinery adding steps j+1..k one by one). The set is only consulted
-// while InFrom is nil. Member spaces must exist before the run begins.
+// machinery adding steps j+1..k one by one). Member spaces must exist
+// before the run begins.
 func (e *Evacuator) From() *SpaceSet { return &e.from }
 
 // Begin re-arms the evacuator for a new collection whose copies land in
 // targets: the work counters reset, the current target tops are recorded as
 // scan bases, the space cache refreshes, and all internal slices reuse
 // their backing arrays. The from-region and Overflow are left as
-// configured.
+// configured; age routing is switched off (BeginTenured switches it on).
 func (e *Evacuator) Begin(targets ...*Space) {
 	e.Targets = append(e.Targets[:0], targets...)
 	e.scanBase = e.scanBase[:0]
@@ -132,9 +130,7 @@ func (e *Evacuator) Begin(targets ...*Space) {
 	e.ObjectsCopied = 0
 	e.WordsPromoted = 0
 	e.WordsRetained = 0
-	if e.ten != nil {
-		e.ten.armed = false
-	}
+	e.tenured = false
 }
 
 // Slot returns the evacuator's stored slot-visitor function. Passing it to
@@ -142,43 +138,36 @@ func (e *Evacuator) Begin(targets ...*Space) {
 // a fresh bound-method closure at every collection.
 func (e *Evacuator) Slot() func(slot *Word) { return e.evacSlot }
 
-// inFrom reports whether pointer w targets the from-region: the bitset on
-// the fast path, the InFrom predicate when the escape hatch is armed.
-func (e *Evacuator) inFrom(w Word) bool {
-	if e.InFrom != nil {
-		return e.InFrom(w)
-	}
-	return e.from.HasPtr(w)
-}
-
 // Evacuate processes one slot: if it holds a pointer into the from-region,
 // the target object is copied (or its existing forwarding followed) and the
 // slot updated.
 func (e *Evacuator) Evacuate(slot *Word) {
 	w := *slot
-	if !IsPtr(w) || !e.inFrom(w) {
+	if !IsPtr(w) || !e.from.HasPtr(w) {
 		return
 	}
 	*slot = e.forward(w)
 }
 
 // forward copies the object w points to out of the from-region (or follows
-// its existing forwarding pointer) and returns its new address.
+// its existing forwarding pointer) and returns its new address. This is the
+// sequential engine's one copy-and-install path; a tenured run differs only
+// in where the copy's space is reserved.
 func (e *Evacuator) forward(w Word) Word {
-	id := PtrSpace(w)
-	if int(id) >= len(e.spaces) {
-		// Only an InFrom escape-hatch predicate can admit a space created
-		// after Begin; refresh the cache rather than mis-index it.
-		e.spaces = e.H.Spaces
-	}
-	s := e.spaces[id]
+	s := e.spaces[PtrSpace(w)] // from-spaces all predate Begin
 	off := PtrOff(w)
 	hdr := s.Mem[off]
 	if IsPtr(hdr) { // already forwarded: header slot holds the new address
 		return hdr
 	}
 	n := ObjWords(hdr)
-	toSpace, toOff := e.reserve(n)
+	var toSpace *Space
+	var toOff int
+	if e.tenured {
+		toSpace, toOff = e.reserveByAge(s, off, n)
+	} else {
+		toSpace, toOff = e.reserve(n)
+	}
 	copy(toSpace.Mem[toOff:toOff+n], s.Mem[off:off+n])
 	fwd := PtrWord(toSpace.ID, toOff)
 	s.Mem[off] = fwd
@@ -219,67 +208,80 @@ func (e *Evacuator) reserve(n int) (*Space, int) {
 }
 
 // Drain scans the gray region of every target, evacuating whatever the
-// copied objects reference, until no gray objects remain. The scan is fused
-// with evacuation: payload words are iterated directly over the target's
-// Mem slice — no per-object visitor call, no per-slot closure — with
-// raw-payload objects and the hidden census word skipped by header
-// inspection. SetReferenceTracer reroutes this through the retained
+// copied objects reference, until no gray objects remain: on the caller
+// through cheney's loop, or over N worker goroutines (parevac.go) at N >= 2.
+// SetReferenceTracer reroutes wholesale runs through the retained
 // callback-based reference implementation, which produces bit-identical
-// heaps and identical work counters.
+// heaps and identical work counters; it knows only the promotion targets,
+// so tenured runs always take the fused loop.
 func (e *Evacuator) Drain() {
-	if refTracer {
+	if refTracer && !e.tenured {
 		e.drainReference()
 		return
 	}
-	// The parallel engine requires the fast from-bitset (no InFrom escape
-	// hatch) and no move hook: per-object hooks would fire concurrently and
-	// out of allocation order, so instrumented runs (trace recording) fall
-	// back to the sequential drain.
-	if w := e.H.gcWorkers; w > 0 && e.InFrom == nil && e.moved == nil {
+	// The parallel engine cannot run per-object move hooks (they would fire
+	// concurrently and out of allocation order) or age routing (it orders
+	// copies by age, which the workers' schedule would not preserve), so
+	// instrumented and tenured runs drain sequentially at any worker count.
+	if w := e.H.gcWorkers; w > 1 && e.moved == nil && !e.tenured {
 		e.drainParallel(w)
 		return
 	}
-	// Hoist the from-region dispatch out of the per-slot loop: fastFrom
-	// selects the bitset test once, so the escape hatch costs nothing when
-	// unarmed.
-	fastFrom := e.InFrom == nil
 	for {
 		progress := false
 		// Targets appended by Overflow mid-pass are picked up on the next
 		// pass, exactly as the reference tracer's range does, so both
 		// tracers forward objects in the same order.
 		for i, nT := 0, len(e.Targets); i < nT; i++ {
-			t := e.Targets[i]
-			mem := t.Mem
-			scan := e.scan[i]
-			for scan < t.Top {
+			if t := e.Targets[i]; e.scan[i] < t.Top {
 				progress = true
-				hdr := mem[scan]
-				n := ObjWords(hdr)
-				if !RawPayload(HeaderType(hdr)) {
-					for si, end := scan+1+e.extra, scan+n; si < end; si++ {
-						w := mem[si]
-						if !IsPtr(w) {
-							continue
-						}
-						if fastFrom {
-							if !e.from.Has(PtrSpace(w)) {
-								continue
-							}
-						} else if !e.InFrom(w) {
-							continue
-						}
-						mem[si] = e.forward(w)
-					}
-				}
-				scan += n
+				// Two statements: Overflow may reallocate e.scan mid-scan,
+				// so it is indexed only after cheney returns.
+				scan := e.cheney(t, e.scan[i])
+				e.scan[i] = scan
 			}
-			e.scan[i] = scan
+		}
+		if e.tenured {
+			// Survivor targets are scanned after the promotion targets in
+			// every pass.
+			ten := e.ten
+			for i, y := range ten.young {
+				if ten.youngScan[i] < y.Top {
+					progress = true
+					ten.youngScan[i] = e.cheney(y, ten.youngScan[i])
+				}
+			}
 		}
 		if !progress {
 			return
 		}
 	}
+}
+
+// cheney scans target t from offset scan up to its (moving) Top and returns
+// the new scan cursor. This is the sequential engine's one loop. The scan
+// is fused with evacuation: payload words are iterated directly over the
+// target's Mem slice — no per-object visitor call, no per-slot closure —
+// with raw-payload objects and the hidden census word skipped by header
+// inspection.
+func (e *Evacuator) cheney(t *Space, scan int) int {
+	mem := t.Mem
+	extra := e.extra
+	for scan < t.Top {
+		hdr := mem[scan]
+		n := ObjWords(hdr)
+		if !RawPayload(HeaderType(hdr)) {
+			for si, end := scan+1+extra, scan+n; si < end; si++ {
+				w := mem[si]
+				if !IsPtr(w) || !e.from.Has(PtrSpace(w)) {
+					continue
+				}
+				mem[si] = e.forward(w)
+			}
+		}
+		scan += n
+	}
+	return scan
 }
 
 // drainReference is the retained callback-per-slot tracer: one ScanObject

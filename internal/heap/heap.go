@@ -139,8 +139,8 @@ type Heap struct {
 	// word after each header, else 0. It is fixed at heap creation.
 	extraWords int
 
-	// gcWorkers is the tracing-worker count: 0 selects the sequential
-	// engines, N >= 1 the parallel drains with N workers. New seeds it
+	// gcWorkers is the tracing-worker count: N <= 1 selects the sequential
+	// engines, N >= 2 the parallel drains with N workers. New seeds it
 	// from the package default; SetGCWorkers overrides per heap.
 	gcWorkers int
 

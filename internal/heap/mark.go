@@ -1,5 +1,7 @@
 package heap
 
+import "math"
+
 // Marker is a generic tracing engine that sets side-bitmap mark bits
 // (block.go) without moving anything — headers are never written during a
 // mark. The mark/sweep collectors and the lifetime census all use it; they
@@ -11,19 +13,12 @@ package heap
 // steady-state collections allocate nothing.
 //
 // The region is declared as a set of spaces (SetRegion / SetWholeHeap), so
-// the per-slot bound check is a bit test rather than an indirect call. The
-// InRegion predicate remains as a slow-path escape hatch for bounds that
-// are not a union of spaces.
+// the per-slot bound check is a bit test rather than an indirect call.
 type Marker struct {
 	H *Heap
 
-	// InRegion, when non-nil, overrides the region set: pointers it rejects
-	// are treated as leaves. This is the slow-path escape hatch; hot-path
-	// collectors use SetRegion.
-	InRegion func(w Word) bool
-
-	// region is the fast-path bound: a bitset of SpaceIDs, consulted only
-	// when bounded is true and InRegion is nil.
+	// region is the trace bound: a bitset of SpaceIDs, consulted only when
+	// bounded is true. Pointers outside it are treated as leaves.
 	region  SpaceSet
 	bounded bool
 
@@ -46,21 +41,21 @@ type Marker struct {
 	par *parMark
 }
 
-// NewMarker prepares a whole-heap marker when inRegion is nil, or a
-// predicate-bounded one otherwise; hot-path collectors bound the trace with
-// SetRegion instead.
+// NewMarker prepares a whole-heap marker; collectors bound the trace with
+// SetRegion. inRegion must be nil: the parameter is what remains of a
+// removed predicate bound, kept only until every caller drops the argument.
 func NewMarker(h *Heap, inRegion func(w Word) bool) *Marker {
-	m := &Marker{H: h, InRegion: inRegion, spaces: h.Spaces}
+	if inRegion != nil {
+		panic("heap: NewMarker no longer takes a region predicate; bound the trace with SetRegion")
+	}
+	m := &Marker{H: h, spaces: h.Spaces}
 	m.markSlot = func(slot *Word) { m.MarkWord(*slot) }
 	return m
 }
 
-// SetRegion bounds the trace to exactly the given spaces, routing the
-// per-slot check through the bitset fast path (any InRegion predicate is
-// cleared). The set's backing array is reused, so re-arming between
-// collections allocates nothing.
+// SetRegion bounds the trace to exactly the given spaces. The set's backing
+// array is reused, so re-arming between collections allocates nothing.
 func (m *Marker) SetRegion(spaces ...*Space) {
-	m.InRegion = nil
 	m.bounded = true
 	m.region.Clear()
 	for _, s := range spaces {
@@ -74,10 +69,7 @@ func (m *Marker) SetRegion(spaces ...*Space) {
 func (m *Marker) Region() *SpaceSet { return &m.region }
 
 // SetWholeHeap removes any region bound: every pointer is traced.
-func (m *Marker) SetWholeHeap() {
-	m.InRegion = nil
-	m.bounded = false
-}
+func (m *Marker) SetWholeHeap() { m.bounded = false }
 
 // Slot returns the marker's stored slot-visitor function, for root
 // iterators that need a callback without allocating a fresh closure.
@@ -93,18 +85,9 @@ func (m *Marker) Begin() {
 	m.ObjectsMarked = 0
 }
 
-// inRegion reports whether pointer w is inside the trace bound: the bitset
-// on the fast path, the InRegion predicate when the escape hatch is armed.
-func (m *Marker) inRegion(w Word) bool {
-	if m.InRegion != nil {
-		return m.InRegion(w)
-	}
-	return !m.bounded || m.region.HasPtr(w)
-}
-
 // MarkWord marks the object w points to (if any) and queues it for scanning.
 func (m *Marker) MarkWord(w Word) {
-	if !IsPtr(w) || !m.inRegion(w) {
+	if !IsPtr(w) || (m.bounded && !m.region.HasPtr(w)) {
 		return
 	}
 	m.mark(w)
@@ -130,83 +113,21 @@ func (m *Marker) mark(w Word) {
 	m.stack = append(m.stack, w)
 }
 
-// Drain scans queued objects until the mark stack is empty. The scan is
-// fused with marking: payload words are iterated directly over the owning
-// space's Mem slice — no per-object visitor call, no per-slot closure —
-// with raw-payload objects and the hidden census word skipped by header
-// inspection. SetReferenceTracer reroutes this through the retained
-// callback-based reference implementation, which marks the same objects in
-// the same order and reports identical work counters.
+// Drain scans queued objects until the mark stack is empty: on the caller
+// through DrainBudget's loop at 0 or 1 workers, over N worker goroutines
+// (parmark.go) at N >= 2. SetReferenceTracer reroutes it through the
+// retained callback-based reference implementation, which marks the same
+// objects in the same order and reports identical work counters.
 func (m *Marker) Drain() {
 	if refTracer {
 		m.drainReference()
 		return
 	}
-	if m.InRegion != nil {
-		m.drainPredicate()
-		return
-	}
-	if w := m.H.gcWorkers; w > 0 {
+	if w := m.H.gcWorkers; w > 1 {
 		m.drainParallel(w)
 		return
 	}
-	extra := m.H.extraWords
-	bounded := m.bounded
-	// One-entry space cache: traces overwhelmingly stay within one space
-	// (and a depth-first pop revisits the space just pushed), so caching
-	// the last space elides a spaces-table load per object. curS stays nil
-	// until the first lookup so SpaceID 0 is not spuriously "cached".
-	var (
-		curID SpaceID
-		curS  *Space
-	)
-	lookup := func(id SpaceID) *Space {
-		if int(id) >= len(m.spaces) {
-			m.spaces = m.H.Spaces
-		}
-		curID = id
-		curS = m.spaces[id]
-		return curS
-	}
-	for len(m.stack) > 0 {
-		w := m.stack[len(m.stack)-1]
-		m.stack = m.stack[:len(m.stack)-1]
-		id := PtrSpace(w)
-		s := curS
-		if id != curID || s == nil {
-			s = lookup(id)
-		}
-		mem := s.Mem
-		off := PtrOff(w)
-		hdr := mem[off]
-		if RawPayload(HeaderType(hdr)) {
-			continue
-		}
-		for si, end := off+1+extra, off+ObjWords(hdr); si < end; si++ {
-			v := mem[si]
-			if !IsPtr(v) {
-				continue
-			}
-			vid := PtrSpace(v)
-			if bounded && !m.region.Has(vid) {
-				continue
-			}
-			// m.mark inlined: the bit probe and set are the whole per-slot
-			// cost, so they must not be a call.
-			vs := curS
-			if vid != curID || vs == nil {
-				vs = lookup(vid)
-			}
-			voff := PtrOff(v)
-			if vs.MarkedAt(voff) {
-				continue
-			}
-			vs.SetMarkAt(voff)
-			m.WordsMarked += uint64(ObjWords(vs.Mem[voff]))
-			m.ObjectsMarked++
-			m.stack = append(m.stack, v)
-		}
-	}
+	m.DrainBudget(math.MaxInt)
 }
 
 // DrainBudget scans queued objects until at least budget words have been
@@ -216,15 +137,24 @@ func (m *Marker) Drain() {
 // plus the termination drain — reproduces WordsMarked exactly: each marked
 // object is pushed once and popped once.
 //
-// This is the incremental engine's only drain. It always runs sequentially
-// on the caller, whatever the heap's worker count: a slice's cost must equal
-// the words it reports, and the parallel engines' work counters cannot
-// promise that. Incremental marking trades tracing parallelism for bounded
-// pauses; the parallel engines still serve the stop-the-world collections.
+// This is the sequential engine's one loop. The scan is fused with marking:
+// payload words are iterated directly over the owning space's Mem slice — no
+// per-object visitor call, no per-slot closure — with raw-payload objects
+// and the hidden census word skipped by header inspection.
+//
+// It is also the incremental engine's only drain, and there it runs on the
+// caller whatever the heap's worker count: a slice's cost must equal the
+// words it reports, and the parallel engine's work counters cannot promise
+// that. Incremental marking trades tracing parallelism for bounded pauses;
+// the parallel engine still serves the stop-the-world collections.
 func (m *Marker) DrainBudget(budget int) int {
 	extra := m.H.extraWords
 	bounded := m.bounded
 	scanned := 0
+	// One-entry space cache: traces overwhelmingly stay within one space
+	// (and a depth-first pop revisits the space just pushed), so caching
+	// the last space elides a spaces-table load per object. curS stays nil
+	// until the first lookup so SpaceID 0 is not spuriously "cached".
 	var (
 		curID SpaceID
 		curS  *Space
@@ -261,6 +191,8 @@ func (m *Marker) DrainBudget(budget int) int {
 			if bounded && !m.region.Has(vid) {
 				continue
 			}
+			// m.mark inlined: the bit probe and set are the whole per-slot
+			// cost, so they must not be a call.
 			vs := curS
 			if vid != curID || vs == nil {
 				vs = lookup(vid)
@@ -280,34 +212,6 @@ func (m *Marker) DrainBudget(budget int) int {
 
 // StackEmpty reports whether no gray objects remain queued.
 func (m *Marker) StackEmpty() bool { return len(m.stack) == 0 }
-
-// drainPredicate is the fused scan with the bound routed through the
-// InRegion escape hatch; the per-slot indirect call makes it slower than
-// Drain's bitset path, which is why SetRegion is the hot-path API.
-func (m *Marker) drainPredicate() {
-	extra := m.H.extraWords
-	for len(m.stack) > 0 {
-		w := m.stack[len(m.stack)-1]
-		m.stack = m.stack[:len(m.stack)-1]
-		id := PtrSpace(w)
-		if int(id) >= len(m.spaces) {
-			m.spaces = m.H.Spaces
-		}
-		mem := m.spaces[id].Mem
-		off := PtrOff(w)
-		hdr := mem[off]
-		if RawPayload(HeaderType(hdr)) {
-			continue
-		}
-		for si, end := off+1+extra, off+ObjWords(hdr); si < end; si++ {
-			v := mem[si]
-			if !IsPtr(v) || !m.InRegion(v) {
-				continue
-			}
-			m.mark(v)
-		}
-	}
-}
 
 // drainReference is the retained callback-per-slot tracer: one ScanObject
 // visitor invocation per popped object, one closure call per slot. The

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -113,7 +114,8 @@ func TestEvacuatorOverflowCallback(t *testing.T) {
 	}
 
 	overflowed := 0
-	e := NewEvacuator(h, func(w Word) bool { return PtrSpace(w) == from.ID }, small)
+	e := NewEvacuator(h, nil, small)
+	e.SetFrom(from)
 	e.Overflow = func(need int) *Space {
 		overflowed++
 		return h.NewSpace("spill", 256)
@@ -147,7 +149,34 @@ func TestEvacuatorOverflowPanicsWithoutCallback(t *testing.T) {
 			t.Error("overflow without callback did not panic")
 		}
 	}()
-	NewEvacuator(h, func(w Word) bool { return PtrSpace(w) == from.ID }, small).Run()
+	e := NewEvacuator(h, nil, small)
+	e.SetFrom(from)
+	e.Run()
+}
+
+// TestEngineConstructorsRejectPredicates pins what is left of the removed
+// predicate bounds: the constructors keep the parameter, and a non-nil
+// argument panics with the name of the setter that replaced it.
+func TestEngineConstructorsRejectPredicates(t *testing.T) {
+	h := New()
+	pred := func(Word) bool { return true }
+	for _, tc := range []struct {
+		setter string
+		build  func()
+	}{
+		{"SetRegion", func() { NewMarker(h, pred) }},
+		{"SetFrom", func() { NewEvacuator(h, pred) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.setter) {
+					t.Errorf("non-nil predicate: recovered %q, want a panic naming %s", msg, tc.setter)
+				}
+			}()
+			tc.build()
+		}()
+	}
 }
 
 func TestCheckDetectsCorruption(t *testing.T) {

@@ -11,12 +11,12 @@ import (
 // used by the parallel drains in parmark.go and parevac.go.
 //
 // Parallelism is an opt-in, per-heap engine configuration: a heap with
-// GCWorkers() == 0 (the default) drains every trace on the calling
-// goroutine through the fused sequential loops, exactly as before. Setting
-// N >= 1 routes Marker.Drain and Evacuator.Drain through the parallel
-// engines with N workers; N == 1 runs the parallel algorithm inline on the
-// caller (no goroutines, no allocation), which is the configuration the
-// noise-parity benchmarks and the AllocsPerRun guards pin.
+// GCWorkers() <= 1 (0 is the default) drains every trace on the calling
+// goroutine through the fused sequential loops. Setting N >= 2 routes
+// Marker.Drain, Evacuator.Drain and Sweeper.Sweep through the parallel
+// engines with N worker goroutines. The worker count selects between the
+// two loops of each engine because they differ in protocol, not in policy:
+// plain bitmap and header accesses on one goroutine, atomic claims on many.
 
 // EnvGCWorkers is the environment variable the drivers consult when their
 // -gcworkers flag is left at its default: a positive integer enables the
@@ -29,8 +29,8 @@ const EnvGCWorkers = "RDGC_GC_WORKERS"
 var defaultGCWorkers atomic.Int32
 
 // SetDefaultGCWorkers sets the tracing-worker count inherited by heaps
-// subsequently created with New. Values below zero are treated as zero
-// (sequential engines).
+// subsequently created with New. Values below zero are treated as zero;
+// N <= 1 selects the sequential engines.
 func SetDefaultGCWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -54,8 +54,8 @@ func GCWorkersFromEnv() int {
 }
 
 // ResolveGCWorkers implements the drivers' flag/env precedence: a flag value
-// >= 0 is explicit and wins (0 = sequential), while the default sentinel -1
-// defers to RDGC_GC_WORKERS.
+// >= 0 is explicit and wins (N <= 1 = sequential engines), while the default
+// sentinel -1 defers to RDGC_GC_WORKERS.
 func ResolveGCWorkers(flagValue int) int {
 	if flagValue >= 0 {
 		return flagValue
@@ -63,8 +63,8 @@ func ResolveGCWorkers(flagValue int) int {
 	return GCWorkersFromEnv()
 }
 
-// SetGCWorkers configures this heap's tracing-worker count: 0 selects the
-// sequential engines, N >= 1 the parallel engines with N workers.
+// SetGCWorkers configures this heap's tracing-worker count: N <= 1 selects
+// the sequential engines, N >= 2 the parallel engines with N workers.
 func (h *Heap) SetGCWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -102,9 +102,8 @@ func GCLABFromEnv() bool {
 }
 
 // SetGCLAB opts this heap's parallel evacuator into (or out of) per-worker
-// block-sized allocation buffers. The setting is inert below 2 workers: the
-// solo and sequential engines are contention-free, so exact-fit reservation
-// is strictly better there.
+// block-sized allocation buffers. The setting is inert below 2 workers,
+// where the sequential engine copies.
 func (h *Heap) SetGCLAB(on bool) { h.gcLAB = on }
 
 // GCLAB reports whether the parallel evacuator uses per-worker allocation

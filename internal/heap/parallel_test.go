@@ -364,9 +364,9 @@ func TestSpaceSetConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelMarkSteadyStateZeroAllocs guards the workers=1 parallel mark
-// path: the inline worker loop reuses the persistent parMark state, so
-// steady-state drains allocate nothing.
+// TestParallelMarkSteadyStateZeroAllocs guards the workers=1 setting: it
+// takes the sequential drain, never the goroutine engine, so steady-state
+// drains allocate nothing.
 func TestParallelMarkSteadyStateZeroAllocs(t *testing.T) {
 	h := New()
 	s := h.NewSpace("par-mark-arena", 4096)
@@ -374,7 +374,7 @@ func TestParallelMarkSteadyStateZeroAllocs(t *testing.T) {
 	h.SetGCWorkers(1)
 
 	m := NewMarker(h, nil)
-	m.Run() // warmup: worker stack and parMark state grow once
+	m.Run() // warmup: the mark stack grows once
 	ClearMarks(s)
 
 	allocs := testing.AllocsPerRun(20, func() {
@@ -383,15 +383,15 @@ func TestParallelMarkSteadyStateZeroAllocs(t *testing.T) {
 		ClearMarks(s)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state parallel mark (workers=1) allocates %.0f objects/run, want 0", allocs)
+		t.Errorf("steady-state mark at workers=1 allocates %.0f objects/run, want 0", allocs)
 	}
 	if m.ObjectsMarked != 500 {
 		t.Fatalf("marked %d objects, want 500 (the guard must measure real work)", m.ObjectsMarked)
 	}
 }
 
-// TestParallelEvacSteadyStateZeroAllocs guards the workers=1 parallel copy
-// path the same way: persistent snapshot, cursors, and worker stack.
+// TestParallelEvacSteadyStateZeroAllocs guards the workers=1 setting of the
+// evacuator the same way.
 func TestParallelEvacSteadyStateZeroAllocs(t *testing.T) {
 	h := New()
 	from := h.NewSpace("par-flip-A", 4096)
@@ -411,7 +411,7 @@ func TestParallelEvacSteadyStateZeroAllocs(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(20, flip)
 	if allocs != 0 {
-		t.Errorf("steady-state parallel evacuation (workers=1) allocates %.0f objects/run, want 0", allocs)
+		t.Errorf("steady-state evacuation at workers=1 allocates %.0f objects/run, want 0", allocs)
 	}
 	if e.ObjectsCopied != 500 {
 		t.Fatalf("copied %d objects, want 500 (the guard must measure real work)", e.ObjectsCopied)
@@ -507,9 +507,7 @@ func benchParallelEvac(b *testing.B, workers int) {
 	b.SetBytes(int64(e.WordsCopied) * 8)
 }
 
-func BenchmarkParallelMark1(b *testing.B) { benchParallelMark(b, 1) }
 func BenchmarkParallelMark2(b *testing.B) { benchParallelMark(b, 2) }
 func BenchmarkParallelMark4(b *testing.B) { benchParallelMark(b, 4) }
-func BenchmarkParallelEvac1(b *testing.B) { benchParallelEvac(b, 1) }
 func BenchmarkParallelEvac2(b *testing.B) { benchParallelEvac(b, 2) }
 func BenchmarkParallelEvac4(b *testing.B) { benchParallelEvac(b, 4) }

@@ -10,8 +10,8 @@ import (
 )
 
 // Parallel copying: Evacuator.Drain dispatches here when the heap is
-// configured with GCWorkers >= 1 (and neither the InFrom escape hatch nor a
-// move hook is armed). Reservation has two modes:
+// configured with GCWorkers >= 2 (and neither a move hook nor age routing is
+// armed). Reservation has two modes:
 //
 //   - Exact-fit (the default): workers carve copy space per object directly
 //     out of the shared targets with an atomic CAS bump on a per-target
@@ -20,8 +20,7 @@ import (
 //     collections) the final Top are identical to the sequential engine for
 //     every worker count — at the price of one contended CAS per copied
 //     object.
-//   - Per-worker allocation buffers (Heap.SetGCLAB / RDGC_GC_LAB, active at
-//     2+ workers): each worker claims whole BlockWords-sized buffers from
+//   - Per-worker allocation buffers (Heap.SetGCLAB / RDGC_GC_LAB): each worker claims whole BlockWords-sized buffers from
 //     the shared cursors and bump-allocates copies inside its buffer with
 //     plain stores, cutting cursor contention by ~BlockWords/avg-object.
 //     Retiring a buffer writes its unused tail as a TFree filler block (the
@@ -108,9 +107,8 @@ type parEvac struct {
 	lab     bool // this drain reserves through per-worker buffers
 }
 
-// drainParallel scans the gray regions of every target with the configured
-// worker count and blocks until no gray object remains. workers == 1 runs
-// the worker loop inline on the caller.
+// drainParallel scans the gray regions of every target over workers (>= 2)
+// goroutines and blocks until no gray object remains.
 func (e *Evacuator) drainParallel(workers int) {
 	if e.par == nil {
 		e.par = &parEvac{}
@@ -143,33 +141,23 @@ func (e *Evacuator) drainParallel(workers int) {
 	e.spaces = e.H.Spaces
 	t.spaces = e.spaces
 	p.tgt.Store(t)
-	// Buffered reservation only pays off under contention; solo keeps the
-	// exact-fit path (and with it full Top parity with sequential).
-	p.lab = e.H.gcLAB && workers >= 2
+	p.lab = e.H.gcLAB
 
-	if workers == 1 {
-		// Solo configuration: the parallel algorithm inline on the caller,
-		// with no goroutines and — since nothing races — no atomics.
-		w0 := &p.ws[0]
-		w0.stack = e.seedGray(w0.stack[:0])
-		e.evacWorkerLoopSolo(w0)
-	} else {
-		p.queue.reset(workers)
-		p.queue.buf = e.seedGray(p.queue.buf)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			ws := &p.ws[i]
-			labels := e.H.workerLabels(i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pprof.Do(context.Background(), labels, func(context.Context) {
-					e.evacWorkerLoop(ws, &p.queue)
-				})
-			}()
-		}
-		wg.Wait()
+	p.queue.reset(workers)
+	p.queue.buf = e.seedGray(p.queue.buf)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		ws := &p.ws[i]
+		labels := e.H.workerLabels(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pprof.Do(context.Background(), labels, func(context.Context) {
+				e.evacWorkerLoop(ws, &p.queue)
+			})
+		}()
 	}
+	wg.Wait()
 
 	// Retire every worker's open allocation buffer (workers are done, so
 	// writing the TFree filler tails is race-free) and apply the logged
@@ -219,8 +207,7 @@ func (e *Evacuator) seedGray(dst []Word) []Word {
 }
 
 // evacWorkerLoop is one worker's drain: pop a gray to-space object, scan
-// its payload, forward every from-region pointer. With q == nil it runs the
-// whole gray set inline (the workers=1 configuration).
+// its payload, forward every from-region pointer.
 //
 // A gray object is scanned only by the worker that copied it (its CAS
 // winner published it exactly once), so its header and payload are read and
@@ -233,9 +220,6 @@ func (e *Evacuator) evacWorkerLoop(ws *evacWorker, q *parQueue) {
 	local := ws.stack
 	for {
 		if len(local) == 0 {
-			if q == nil {
-				break
-			}
 			var ok bool
 			local, ok = q.take(local, parTakeBatch)
 			if !ok {
@@ -267,7 +251,7 @@ func (e *Evacuator) evacWorkerLoop(ws *evacWorker, q *parQueue) {
 				local = append(local, fwd)
 			}
 		}
-		if q != nil && len(local) >= parSpillHigh {
+		if len(local) >= parSpillHigh {
 			half := len(local) / 2
 			q.put(local[:half])
 			n := copy(local, local[half:])
@@ -275,73 +259,6 @@ func (e *Evacuator) evacWorkerLoop(ws *evacWorker, q *parQueue) {
 		}
 	}
 	ws.stack = local[:0]
-}
-
-// evacWorkerLoopSolo is evacWorkerLoop for the single-worker configuration:
-// the same gray-stack drain over the same shared-cursor state, but with
-// plain header accesses and unsynchronized cursor bumps — one worker cannot
-// race itself, and the claim protocol is pure overhead without contention.
-func (e *Evacuator) evacWorkerLoopSolo(ws *evacWorker) {
-	p := e.par
-	t := p.tgt.Load()
-	extra := e.extra
-	local := ws.stack
-	for len(local) > 0 {
-		g := local[len(local)-1]
-		local = local[:len(local)-1]
-		if int(PtrSpace(g)) >= len(t.spaces) {
-			t = p.tgt.Load()
-		}
-		mem := t.spaces[PtrSpace(g)].Mem
-		off := PtrOff(g)
-		hdr := mem[off]
-		if RawPayload(HeaderType(hdr)) {
-			continue
-		}
-		for si, end := off+1+extra, off+ObjWords(hdr); si < end; si++ {
-			w := mem[si]
-			if !IsPtr(w) || !e.from.Has(PtrSpace(w)) {
-				continue
-			}
-			s := t.spaces[PtrSpace(w)]
-			soff := PtrOff(w)
-			shdr := s.Mem[soff]
-			if IsPtr(shdr) { // already forwarded
-				mem[si] = shdr
-				continue
-			}
-			n := ObjWords(shdr)
-			var dst *Space
-			var doff int
-			dst, doff, t = e.soloReserve(n, t)
-			dmem := dst.Mem[doff : doff+n]
-			dmem[0] = shdr
-			copy(dmem[1:], s.Mem[soff+1:soff+n])
-			fwd := PtrWord(dst.ID, doff)
-			s.Mem[soff] = fwd
-			ws.words += uint64(n)
-			ws.objs++
-			mem[si] = fwd
-			local = append(local, fwd)
-		}
-	}
-	ws.stack = local[:0]
-}
-
-// soloReserve is parReserve without the CAS loop: plain first-fit bumps on
-// the shared cursors, safe because exactly one worker exists.
-func (e *Evacuator) soloReserve(n int, t *evacTargets) (*Space, int, *evacTargets) {
-	for {
-		for i, tg := range t.targets {
-			c := t.cursors[i]
-			if c.top <= int64(len(tg.Mem)-n) {
-				off := int(c.top)
-				c.top += int64(n)
-				return tg, off, t
-			}
-		}
-		t = e.growTargets(n, t)
-	}
 }
 
 // parForward returns the to-space address of the from-object w points to,

@@ -8,7 +8,7 @@ import (
 )
 
 // Parallel marking: Marker.Drain dispatches here when the heap is
-// configured with GCWorkers >= 1. The roots have already been marked (and
+// configured with GCWorkers >= 2. The roots have already been marked (and
 // counted) sequentially by MarkWord, so the engine's mark stack holds the
 // initial gray set; workers pop gray objects onto per-worker local stacks,
 // claim children by CASing their bit into the side mark bitmap
@@ -29,15 +29,14 @@ type markWorker struct {
 }
 
 // parMark is the Marker's persistent parallel machinery, created on first
-// use and reused across collections so steady-state drains at workers=1
-// allocate nothing.
+// use and reused across collections.
 type parMark struct {
 	queue parQueue
 	ws    []markWorker
 }
 
-// drainParallel distributes the current mark stack over workers and blocks
-// until the trace is complete. workers == 1 runs the worker loop inline.
+// drainParallel distributes the current mark stack over workers (>= 2)
+// goroutines and blocks until the trace is complete.
 func (m *Marker) drainParallel(workers int) {
 	if m.par == nil {
 		m.par = &parMark{}
@@ -53,30 +52,22 @@ func (m *Marker) drainParallel(workers int) {
 	// drain; workers index it without the sequential path's lazy refresh.
 	m.spaces = m.H.Spaces
 
-	if workers == 1 {
-		// Solo configuration: the parallel algorithm inline on the caller,
-		// with no goroutines and — since nothing races — no atomics.
-		w0 := &p.ws[0]
-		w0.stack, m.stack = m.stack, w0.stack[:0]
-		m.markWorkerLoopSolo(w0)
-	} else {
-		p.queue.reset(workers)
-		p.queue.buf = append(p.queue.buf, m.stack...)
-		m.stack = m.stack[:0]
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			ws := &p.ws[i]
-			labels := m.H.workerLabels(i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pprof.Do(context.Background(), labels, func(context.Context) {
-					m.markWorkerLoop(ws, &p.queue)
-				})
-			}()
-		}
-		wg.Wait()
+	p.queue.reset(workers)
+	p.queue.buf = append(p.queue.buf, m.stack...)
+	m.stack = m.stack[:0]
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		ws := &p.ws[i]
+		labels := m.H.workerLabels(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pprof.Do(context.Background(), labels, func(context.Context) {
+				m.markWorkerLoop(ws, &p.queue)
+			})
+		}()
 	}
+	wg.Wait()
 	for i := 0; i < workers; i++ {
 		m.WordsMarked += p.ws[i].words
 		m.ObjectsMarked += p.ws[i].objs
@@ -84,8 +75,7 @@ func (m *Marker) drainParallel(workers int) {
 }
 
 // markWorkerLoop is one worker's drain: pop a marked gray object, scan its
-// payload, CAS-claim unmarked children in the bitmap. With q == nil it runs
-// the whole stack inline (the workers=1 configuration).
+// payload, CAS-claim unmarked children in the bitmap.
 //
 // Mark state lives entirely in the side bitmap: a cheap atomic pre-probe
 // (MarkedAtAtomic) filters already-claimed children, and TryMarkAtomic's
@@ -99,9 +89,6 @@ func (m *Marker) markWorkerLoop(ws *markWorker, q *parQueue) {
 	extra := m.H.extraWords
 	for {
 		if len(local) == 0 {
-			if q == nil {
-				break
-			}
 			var ok bool
 			local, ok = q.take(local, parTakeBatch)
 			if !ok {
@@ -137,53 +124,11 @@ func (m *Marker) markWorkerLoop(ws *markWorker, q *parQueue) {
 			ws.objs++
 			local = append(local, v)
 		}
-		if q != nil && len(local) >= parSpillHigh {
+		if len(local) >= parSpillHigh {
 			half := len(local) / 2
 			q.put(local[:half])
 			n := copy(local, local[half:])
 			local = local[:n]
-		}
-	}
-	ws.stack = local[:0]
-}
-
-// markWorkerLoopSolo is markWorkerLoop for the single-worker configuration:
-// the same local-stack drain over the same state, but with plain bitmap
-// accesses — one worker cannot race itself, and the atomic protocol is the
-// difference between parity with the sequential engine and a 2x tax.
-func (m *Marker) markWorkerLoopSolo(ws *markWorker) {
-	local := ws.stack
-	spaces := m.spaces
-	bounded := m.bounded
-	region := &m.region
-	extra := m.H.extraWords
-	for len(local) > 0 {
-		w := local[len(local)-1]
-		local = local[:len(local)-1]
-		mem := spaces[PtrSpace(w)].Mem
-		off := PtrOff(w)
-		hdr := mem[off]
-		if RawPayload(HeaderType(hdr)) {
-			continue
-		}
-		for si, end := off+1+extra, off+ObjWords(hdr); si < end; si++ {
-			v := mem[si]
-			if !IsPtr(v) {
-				continue
-			}
-			vid := PtrSpace(v)
-			if bounded && !region.Has(vid) {
-				continue
-			}
-			vs := spaces[vid]
-			voff := PtrOff(v)
-			if vs.MarkedAt(voff) {
-				continue
-			}
-			vs.SetMarkAt(voff)
-			ws.words += uint64(ObjWords(vs.Mem[voff]))
-			ws.objs++
-			local = append(local, v)
 		}
 	}
 	ws.stack = local[:0]

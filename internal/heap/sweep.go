@@ -23,8 +23,7 @@ import (
 // guarantee than the mark and copy engines need machinery for.
 //
 // A Sweeper is built once per collector and reused: the flattening buffers
-// keep their capacity, so steady-state sequential (and solo, workers=1)
-// sweeps allocate nothing.
+// keep their capacity, so steady-state sequential sweeps allocate nothing.
 type Sweeper struct {
 	H *Heap
 
@@ -72,8 +71,8 @@ func (sw *Sweeper) Sweep(spaces ...*Space) uint64 {
 
 	workers := sw.H.gcWorkers
 	if workers <= 1 {
-		// Sequential and solo configurations: the same per-block routine in
-		// flat address order on the caller — no goroutines, no atomics
+		// Sequential configuration: the same per-block routine in flat
+		// address order on the caller — no goroutines, no atomics
 		// beyond the (uncontended) dirty-summary clears.
 		var swept uint64
 		for _, s := range sw.spaces {

@@ -156,8 +156,9 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepSteadyStateZeroAllocs guards the sequential and solo sweep paths:
-// a reused Sweeper must not allocate per collection.
+// TestSweepSteadyStateZeroAllocs guards the sequential sweep path at both
+// worker counts that select it: a reused Sweeper must not allocate per
+// collection.
 func TestSweepSteadyStateZeroAllocs(t *testing.T) {
 	for _, workers := range []int{0, 1} {
 		h, spaces := buildSweepFixture(47, workers)

@@ -19,7 +19,8 @@ func (a *movingAlloc) AllocRaw(t Type, payload int) Word {
 }
 
 func (a *movingAlloc) flip() {
-	e := NewEvacuator(a.h, func(w Word) bool { return PtrSpace(w) == a.from.ID }, a.to)
+	e := NewEvacuator(a.h, nil, a.to)
+	e.SetFrom(a.from)
 	e.Run()
 	a.from.Reset()
 	a.from, a.to = a.to, a.from

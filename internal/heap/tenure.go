@@ -7,12 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// Age-based tenuring configuration and the tenured evacuation engine.
+// Age-based tenuring configuration and the Evacuator's age routing.
 //
 // Tenuring is an opt-in, per-heap configuration mirroring the parallel and
 // incremental knobs (parallel.go, incr.go): a heap with GCTenure() == 1
-// (the default) promotes nursery survivors wholesale exactly as before,
-// running code paths untouched by this file. A threshold of n >= 2 makes
+// (the default) promotes nursery survivors wholesale, through plain Begin
+// runs that read nothing in this file. A threshold of n >= 2 makes
 // supporting collectors evacuate a nursery survivor *within* the nursery
 // (into a survivor shadow space) until the side age table says it has
 // survived n collections, and only then promote it. GCAdaptive() hands the
@@ -173,7 +173,6 @@ type Tenurer interface {
 // first BeginTenured and reused so steady-state tenured collections
 // allocate nothing.
 type tenureState struct {
-	armed     bool
 	threshold int
 
 	// young are the survivor targets: copies that stay below the threshold
@@ -189,38 +188,29 @@ type tenureState struct {
 	// classes >= 1 next round).
 	survByAge     [TenureAgeClasses]uint64
 	retainedByAge [TenureAgeClasses]uint64
-
-	// slot is the stored tenured slot visitor, created once (like
-	// Evacuator.evacSlot) so root scans under tenuring never allocate.
-	slot func(slot *Word)
 }
 
 // BeginTenured re-arms the evacuator for an age-aware nursery collection:
 // survivors whose incremented age stays below threshold are copied into
 // the young targets (age advanced in the side table), everyone else — and
 // any survivor the full young targets cannot hold — is promoted into the
-// old targets. threshold should be >= 2: threshold 1 is wholesale
-// promotion, which collectors run through the untouched Begin/Drain path
-// (the adaptive harness may still drive threshold 1 through here to keep
-// its survival counters flowing; the copy order and images are identical
-// either way, since every survivor takes the old-target reserve path).
+// old targets. The run then goes through the ordinary Slot / EvacuateRoots
+// / Drain entry points, which route by age until the next Begin.
+// threshold should be >= 2: threshold 1 is wholesale promotion, which
+// collectors run through plain Begin (the adaptive harness may still drive
+// threshold 1 through here to keep its survival counters flowing; the copy
+// order and images are identical either way, since every survivor takes
+// the old-target reserve path).
 //
-// The tenured engine is sequential and requires the from-bitset fast path
-// (SetFrom); it honors the heap's move hook.
+// A tenured run drains sequentially at any worker count; it honors the
+// heap's move hook.
 func (e *Evacuator) BeginTenured(threshold int, young []*Space, old ...*Space) {
 	e.Begin(old...)
 	if e.ten == nil {
 		e.ten = &tenureState{}
-		e.ten.slot = func(slot *Word) {
-			w := *slot
-			if !IsPtr(w) || !e.from.HasPtr(w) {
-				return
-			}
-			*slot = e.forwardTenured(w)
-		}
 	}
+	e.tenured = true
 	t := e.ten
-	t.armed = true
 	t.threshold = threshold
 	t.young = append(t.young[:0], young...)
 	t.youngScan = t.youngScan[:0]
@@ -232,135 +222,46 @@ func (e *Evacuator) BeginTenured(threshold int, young []*Space, old ...*Space) {
 	t.retainedByAge = [TenureAgeClasses]uint64{}
 }
 
-// SlotTenured returns the stored tenured slot visitor, the age-routing
-// counterpart of Slot. Valid between BeginTenured and the end of
-// DrainTenured.
-func (e *Evacuator) SlotTenured() func(slot *Word) { return e.ten.slot }
-
-// EvacuateRootsTenured evacuates every heap root slot through the tenured
-// engine without draining; callers evacuate their remembered sets next,
-// then call DrainTenured.
-func (e *Evacuator) EvacuateRootsTenured() { e.H.VisitRoots(e.ten.slot) }
-
-// SurvivorsByAge returns this run's surviving words by pre-collection age
-// class and the retained subset by post-increment age class. Valid until
-// the next Begin/BeginTenured.
+// SurvivorsByAge returns the last tenured run's surviving words by
+// pre-collection age class and the retained subset by post-increment age
+// class. Valid until the next BeginTenured.
 func (e *Evacuator) SurvivorsByAge() (surv, retained *[TenureAgeClasses]uint64) {
 	return &e.ten.survByAge, &e.ten.retainedByAge
 }
 
-// forwardTenured is forward with age routing: the survivor's age is read
-// from the from-space side table, incremented, and compared against the
-// threshold to pick the survivor shadow or the promotion targets.
-func (e *Evacuator) forwardTenured(w Word) Word {
+// reserveByAge is a tenured run's reserve: the survivor's age is read from
+// the from-space side table, incremented, and compared against the
+// threshold to pick the survivor shadow or the promotion targets for the
+// n-word object at s[off].
+func (e *Evacuator) reserveByAge(s *Space, off, n int) (*Space, int) {
 	t := e.ten
-	s := e.spaces[PtrSpace(w)]
-	off := PtrOff(w)
-	hdr := s.Mem[off]
-	if IsPtr(hdr) { // already forwarded
-		return hdr
-	}
-	n := ObjWords(hdr)
 	age := s.AgeAt(off)
 	newAge := age + 1
 	if newAge > MaxObjectAge {
 		newAge = MaxObjectAge
 	}
-	cls := age
-	if cls >= TenureAgeClasses {
-		cls = TenureAgeClasses - 1
-	}
-	t.survByAge[cls] += uint64(n)
-
-	var toSpace *Space
-	var toOff int
+	t.survByAge[ageClass(age)] += uint64(n)
 	if newAge < t.threshold {
-		if ts, to, ok := e.reserveYoung(n); ok {
-			toSpace, toOff = ts, to
-			toSpace.SetAgeAt(toOff, newAge)
-			e.WordsRetained += uint64(n)
-			rcls := newAge
-			if rcls >= TenureAgeClasses {
-				rcls = TenureAgeClasses - 1
+		for _, y := range t.young {
+			if toOff, ok := y.Bump(n); ok {
+				y.SetAgeAt(toOff, newAge)
+				e.WordsRetained += uint64(n)
+				t.retainedByAge[ageClass(newAge)] += uint64(n)
+				return y, toOff
 			}
-			t.retainedByAge[rcls] += uint64(n)
 		}
 	}
-	if toSpace == nil {
-		// At or past the threshold — or the survivor shadow is full, in
-		// which case the survivor is promoted prematurely (the standard
-		// overflow-tenuring safety valve).
-		toSpace, toOff = e.reserve(n)
-		e.WordsPromoted += uint64(n)
-	}
-	copy(toSpace.Mem[toOff:toOff+n], s.Mem[off:off+n])
-	fwd := PtrWord(toSpace.ID, toOff)
-	s.Mem[off] = fwd
-	e.WordsCopied += uint64(n)
-	e.ObjectsCopied++
-	if e.moved != nil {
-		e.moved(w, fwd)
-	}
-	return fwd
+	// At or past the threshold — or the survivor shadow is full, in which
+	// case the survivor is promoted prematurely (the standard
+	// overflow-tenuring safety valve).
+	e.WordsPromoted += uint64(n)
+	return e.reserve(n)
 }
 
-// reserveYoung reserves n words in the survivor targets, reporting failure
-// (rather than panicking or overflowing) so forwardTenured can fall back
-// to promotion.
-func (e *Evacuator) reserveYoung(n int) (*Space, int, bool) {
-	for _, y := range e.ten.young {
-		if off, ok := y.Bump(n); ok {
-			return y, off, true
-		}
+// ageClass pools ages beyond the resolved classes into the last one.
+func ageClass(age int) int {
+	if age >= TenureAgeClasses {
+		return TenureAgeClasses - 1
 	}
-	return nil, 0, false
-}
-
-// DrainTenured scans the gray regions of the old targets and the survivor
-// targets, evacuating whatever the copied objects reference through the
-// age-routing forward, until no gray objects remain. Like the fused Drain,
-// payload words are iterated directly over each target's Mem; unlike it,
-// the engine is sequential regardless of the heap's worker count (age
-// routing orders copies by age, which the parallel drains cannot preserve
-// deterministically).
-func (e *Evacuator) DrainTenured() {
-	t := e.ten
-	for {
-		progress := e.drainTenuredList(e.Targets, e.scan)
-		if e.drainTenuredList(t.young, t.youngScan) {
-			progress = true
-		}
-		if !progress {
-			t.armed = false
-			return
-		}
-	}
-}
-
-func (e *Evacuator) drainTenuredList(targets []*Space, scans []int) bool {
-	progress := false
-	// Targets appended by Overflow mid-pass are picked up on the caller's
-	// next pass, as in Drain.
-	for i, nT := 0, len(targets); i < nT; i++ {
-		tsp := targets[i]
-		mem := tsp.Mem
-		scan := scans[i]
-		for scan < tsp.Top {
-			progress = true
-			hdr := mem[scan]
-			n := ObjWords(hdr)
-			if !RawPayload(HeaderType(hdr)) {
-				for si, end := scan+1+e.extra, scan+n; si < end; si++ {
-					w := mem[si]
-					if !IsPtr(w) || !e.from.Has(PtrSpace(w)) {
-						continue
-					}
-					mem[si] = e.forwardTenured(w)
-				}
-			}
-			scan += n
-		}
-		scans[i] = scan
-	}
-	return progress
+	return age
 }

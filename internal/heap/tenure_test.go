@@ -144,6 +144,9 @@ type tenureRig struct {
 	nursery *Space
 	shadow  *Space
 	old     *Space
+	// evac is one persistent engine, as in the collectors, so consecutive
+	// runs would expose state that bleeds from one mode into the next.
+	evac *Evacuator
 }
 
 func newTenureRig(t *testing.T, nurseryWords, shadowWords, oldWords int) *tenureRig {
@@ -157,6 +160,7 @@ func newTenureRig(t *testing.T, nurseryWords, shadowWords, oldWords int) *tenure
 	}
 	r.nursery.EnsureAgeTable()
 	r.shadow.EnsureAgeTable()
+	r.evac = NewEvacuator(h, nil)
 	h.SetAllocator(r)
 	return r
 }
@@ -171,13 +175,17 @@ func (r *tenureRig) AllocRaw(t Type, payload int) Word {
 }
 
 // collect runs one tenured collection of r.nursery into the shadow/old
-// pair and returns the evacuator for counter inspection.
-func (r *tenureRig) collect(threshold int) *Evacuator {
-	e := NewEvacuator(r.h, nil)
+// pair and returns the evacuator for counter inspection. extra slots are
+// visited through Slot(), the way collectors feed remembered-set roots.
+func (r *tenureRig) collect(threshold int, extra ...*Word) *Evacuator {
+	e := r.evac
 	e.SetFrom(r.nursery)
 	e.BeginTenured(threshold, []*Space{r.shadow}, r.old)
-	e.EvacuateRootsTenured()
-	e.DrainTenured()
+	e.EvacuateRoots()
+	for _, slot := range extra {
+		e.Slot()(slot)
+	}
+	e.Drain()
 	r.nursery.Reset()
 	r.nursery, r.shadow = r.shadow, r.nursery
 	return e
@@ -192,14 +200,21 @@ func TestTenuredEvacuatorRetainsUnderThreshold(t *testing.T) {
 	live := h.Cons(h.Fix(1), h.Cons(h.Fix(2), h.Null()))
 	inner := h.Scope()
 	h.Cons(h.Fix(99), h.Null()) // garbage once the inner scope closes
+	side := h.Get(h.Cons(h.Fix(3), h.Null()))
 	inner.Close()
 
-	e := r.collect(2)
+	// side is reachable only from a slot visited through Slot(): it must be
+	// age-routed exactly like a heap root.
+	e := r.collect(2, &side)
+	if PtrSpace(side) != r.nursery.ID || r.nursery.AgeAt(PtrOff(side)) != 1 {
+		t.Fatalf("Slot() root landed in space %d at age %d, want the flipped nursery at age 1",
+			PtrSpace(side), r.nursery.AgeAt(PtrOff(side)))
+	}
 	if e.WordsPromoted != 0 {
 		t.Fatalf("first collection promoted %d words, want 0", e.WordsPromoted)
 	}
-	if e.WordsRetained != 6 { // two pairs, 3 words each
-		t.Fatalf("retained %d words, want 6", e.WordsRetained)
+	if e.WordsRetained != 9 { // three pairs, 3 words each
+		t.Fatalf("retained %d words, want 9", e.WordsRetained)
 	}
 	if e.WordsCopied != e.WordsRetained {
 		t.Fatalf("copied %d != retained %d", e.WordsCopied, e.WordsRetained)
@@ -218,12 +233,13 @@ func TestTenuredEvacuatorRetainsUnderThreshold(t *testing.T) {
 		t.Fatalf("survivor corrupted: car = %d", got)
 	}
 	surv, retained := e.SurvivorsByAge()
-	if surv[0] != 6 || retained[1] != 6 {
-		t.Fatalf("SurvivorsByAge: surv=%v retained=%v, want 6 in class 0 / class 1",
+	if surv[0] != 9 || retained[1] != 9 {
+		t.Fatalf("SurvivorsByAge: surv=%v retained=%v, want 9 in class 0 / class 1",
 			surv[0], retained[1])
 	}
 
-	// Second collection: ages hit the threshold, everything promotes.
+	// Second collection: ages hit the threshold, everything still rooted
+	// promotes (side's slot is not visited again, so it is garbage now).
 	e = r.collect(2)
 	if e.WordsRetained != 0 || e.WordsPromoted != 6 {
 		t.Fatalf("second collection: retained %d promoted %d, want 0/6",
@@ -279,6 +295,26 @@ func TestTenuredEvacuatorNeverPromotes(t *testing.T) {
 	if got := r.nursery.AgeAt(PtrOff(w)); got != 5 {
 		t.Fatalf("age after 5 rounds = %d, want 5", got)
 	}
+
+	// A plain Begin on the same engine is a wholesale run: the survivor is
+	// promoted whatever its age, and neither the stale survivor targets nor
+	// the age tallies of the tenured run before it are touched.
+	e := r.evac
+	surv, retained := e.SurvivorsByAge()
+	wantSurv, wantRetained := *surv, *retained
+	e.SetFrom(r.nursery)
+	e.Begin(r.old)
+	e.Run()
+	if PtrSpace(h.Get(live)) != r.old.ID {
+		t.Fatal("wholesale run after a tenured one did not promote the survivor")
+	}
+	if e.WordsCopied != 3 || e.WordsRetained != 0 || e.WordsPromoted != 0 || r.shadow.Top != 0 {
+		t.Fatalf("wholesale run after a tenured one: copied %d retained %d promoted %d shadow top %d, want 3/0/0/0",
+			e.WordsCopied, e.WordsRetained, e.WordsPromoted, r.shadow.Top)
+	}
+	if *surv != wantSurv || *retained != wantRetained {
+		t.Fatal("wholesale run after a tenured one moved the age tallies")
+	}
 }
 
 func TestTenuredEvacuatorShadowOverflowPromotes(t *testing.T) {
@@ -291,11 +327,10 @@ func TestTenuredEvacuatorShadowOverflowPromotes(t *testing.T) {
 	a := h.Cons(h.Fix(1), h.Null())
 	b := h.Cons(h.Fix(2), h.Null())
 
-	e := NewEvacuator(r.h, nil)
+	e := r.evac
 	e.SetFrom(r.nursery)
 	e.BeginTenured(4, []*Space{r.shadow}, r.old)
-	e.EvacuateRootsTenured()
-	e.DrainTenured()
+	e.Run()
 	if e.WordsRetained != 3 || e.WordsPromoted != 3 {
 		t.Fatalf("retained %d promoted %d, want 3/3", e.WordsRetained, e.WordsPromoted)
 	}

@@ -244,6 +244,40 @@ func (c *Controller) Observe(o Observation) Decision {
 	return Decision{Threshold: c.threshold, TriggerWords: c.trigger, Changed: changed}
 }
 
+// Adapt feeds the controller the tenured nursery collection e just ran and
+// returns the promotion threshold and the collection trigger for the next
+// one, recording the decision in stats. fresh is the nursery words born
+// since the previous minor collection; nursery is the (post-flip) nursery,
+// whose capacity caps the trigger and whose retained survivors floor it.
+func (c *Controller) Adapt(e *heap.Evacuator, fresh int, nursery *heap.Space, stats *heap.GCStats) (threshold, trigger int) {
+	if fresh < 0 {
+		fresh = 0
+	}
+	surv, retained := e.SurvivorsByAge()
+	d := c.Observe(Observation{
+		FreshWords:    uint64(fresh),
+		SurvByAge:     *surv,
+		RetainedByAge: *retained,
+		PromotedWords: e.WordsPromoted,
+		NurseryCap:    nursery.Cap(),
+	})
+	trigger = d.TriggerWords
+	if trigger <= 0 || trigger > nursery.Cap() {
+		trigger = nursery.Cap()
+	}
+	// Never set the trigger below what is already retained plus working
+	// headroom, or allocation would collect on every request.
+	if floor := nursery.Top + nursery.Cap()/8; trigger < floor {
+		trigger = floor
+		if trigger > nursery.Cap() {
+			trigger = nursery.Cap()
+		}
+	}
+	stats.PolicyAdaptations = c.adaptations
+	stats.TenureThreshold = d.Threshold
+	return d.Threshold, trigger
+}
+
 // fhat estimates class a's survival fraction, falling back to the oldest
 // measured class when a has never existed under the thresholds run so far
 // (age-invariance is the natural prior: it is exactly the decay model).

@@ -308,3 +308,115 @@ func TestSmallSamplesTeachNothing(t *testing.T) {
 		t.Fatalf("threshold moved on no evidence: %d", got)
 	}
 }
+
+// nurseryRig is the least a tenuring collector has — a nursery, its
+// survivor shadow, an old target, one persistent evacuator — for driving
+// Adapt with the evidence of real tenured collections.
+type nurseryRig struct {
+	h                    *heap.Heap
+	nursery, shadow, old *heap.Space
+	evac                 *heap.Evacuator
+}
+
+func newNurseryRig(words int) *nurseryRig {
+	h := heap.New()
+	r := &nurseryRig{
+		h:       h,
+		nursery: h.NewSpace("nursery", words),
+		shadow:  h.NewSpace("shadow", words),
+		old:     h.NewSpace("old", 4*words),
+	}
+	r.evac = heap.NewEvacuator(h, nil)
+	h.SetAllocator(r)
+	return r
+}
+
+func (r *nurseryRig) AllocRaw(t heap.Type, payload int) heap.Word {
+	off, ok := r.nursery.Bump(1 + payload + r.h.ExtraWords())
+	if !ok {
+		panic("nurseryRig: nursery full")
+	}
+	return r.h.InitObject(r.nursery, off, t, payload)
+}
+
+// minor allocates garbage pairs plus one rooted list of live pairs, runs a
+// tenured collection at the controller's threshold, flips, and returns the
+// nursery words that were fresh.
+func (r *nurseryRig) minor(threshold, garbage, live int) int {
+	carry := r.nursery.Top
+	sc := r.h.Scope()
+	for i := 0; i < garbage; i++ {
+		r.h.Cons(r.h.Fix(int64(i)), r.h.Null())
+	}
+	sc.Close()
+	list := r.h.Null()
+	for i := 0; i < live; i++ {
+		list = r.h.Cons(r.h.Fix(int64(i)), list)
+	}
+	r.h.GlobalWord(r.h.Get(list))
+	fresh := r.nursery.Top - carry
+	r.evac.SetFrom(r.nursery)
+	r.evac.BeginTenured(threshold, []*heap.Space{r.shadow}, r.old)
+	r.evac.Run()
+	r.nursery.Reset()
+	r.nursery, r.shadow = r.shadow, r.nursery
+	return fresh
+}
+
+// TestAdaptAppliesTheDecision: Adapt is Observe on the evacuator's tallies
+// plus the clamps every tenuring collector applied by hand — an unset or
+// oversized trigger means the nursery cap, retained survivors plus an
+// eighth of the cap floor it, and the decision lands in GCStats.
+func TestAdaptAppliesTheDecision(t *testing.T) {
+	const words = 4096
+	r := newNurseryRig(words)
+	c, twin := New(Config{}), New(Config{})
+	var stats heap.GCStats
+	// observe feeds the twin what Adapt must have fed c.
+	observe := func(fresh int) Decision {
+		surv, retained := r.evac.SurvivorsByAge()
+		return twin.Observe(Observation{
+			FreshWords:    uint64(fresh),
+			SurvByAge:     *surv,
+			RetainedByAge: *retained,
+			PromotedWords: r.evac.WordsPromoted,
+			NurseryCap:    words,
+		})
+	}
+
+	// Too small a sample to teach anything (and a negative fresh count,
+	// which reads as zero): no trigger yet, so the cap.
+	fresh := r.minor(c.Threshold(), 2, 1)
+	observe(0)
+	threshold, trigger := c.Adapt(r.evac, -fresh, r.nursery, &stats)
+	if threshold != 1 || trigger != words {
+		t.Fatalf("no evidence: threshold %d trigger %d, want 1 and the cap %d", threshold, trigger, words)
+	}
+
+	// Real evidence: the decision must be Observe's on the same tallies.
+	for round := 0; round < 6; round++ {
+		fresh = r.minor(threshold, 600, 40)
+		want := observe(fresh)
+		threshold, trigger = c.Adapt(r.evac, fresh, r.nursery, &stats)
+		if threshold != want.Threshold {
+			t.Fatalf("round %d: threshold %d, Observe decided %d", round, threshold, want.Threshold)
+		}
+		if floor := r.nursery.Top + words/8; trigger < floor || trigger > words || trigger < want.TriggerWords {
+			t.Fatalf("round %d: trigger %d outside [max(floor %d, decided %d), cap %d]",
+				round, trigger, floor, want.TriggerWords, words)
+		}
+		if stats.TenureThreshold != threshold || stats.PolicyAdaptations != c.Adaptations() {
+			t.Fatalf("round %d: stats record threshold %d adaptations %d, want %d and %d",
+				round, stats.TenureThreshold, stats.PolicyAdaptations, threshold, c.Adaptations())
+		}
+	}
+	if c.Adaptations() == 0 {
+		t.Fatal("six rounds of 6% survival moved no knob; the test exercises nothing")
+	}
+
+	// A nursery nearly full of retained survivors floors the trigger at the cap.
+	r.nursery.Top = words - 8
+	if _, trigger = c.Adapt(r.evac, 0, r.nursery, &stats); trigger != words {
+		t.Fatalf("full nursery: trigger %d, want the cap %d", trigger, words)
+	}
+}

@@ -94,7 +94,7 @@ func DefaultWorkers() int {
 // README/DESIGN): -gcworkers wins — the requested cell count is reduced so
 // that cells × gcworkers <= GOMAXPROCS, with a floor of one cell. A
 // requested count < 1 means DefaultWorkers(). gcPerCell <= 1 (sequential
-// tracing, or the inline workers=1 engine) leaves the request untouched.
+// tracing) leaves the request untouched.
 func ClampedWorkers(requested, gcPerCell int) int {
 	if requested < 1 {
 		requested = DefaultWorkers()

@@ -156,8 +156,8 @@ func TestClampedWorkers(t *testing.T) {
 	cases := []struct {
 		requested, gcPerCell, want int
 	}{
-		// Sequential tracing (or the inline workers=1 engine) leaves the
-		// requested pool untouched.
+		// Sequential tracing (0 or 1 workers) leaves the requested pool
+		// untouched.
 		{4, 0, 4},
 		{4, 1, 4},
 		// -gcworkers wins: the pool shrinks so cells x gcworkers stays
