@@ -33,25 +33,32 @@ check_cover ./internal/trace 85
 check_cover ./internal/policy 96
 check_cover ./internal/serve 88
 
-# Parallel tracing and sweeping: the conformance suite (which parameterizes
-# worker counts itself) and the heap engines re-run under the race detector
-# with RDGC_GC_WORKERS pinned to 4 for the env-sensitive paths — including
-# the mark/sweep collector, whose sweep phase claims blocks concurrently at
-# that setting — then again with per-worker allocation buffers switched on.
+# Env-pinned passes. Every package named on a line below seeds its process
+# default with heap.SetDefaultConfig(heap.ConfigFromEnv()) in TestMain and
+# carries a TestEnvReachesHeaps guard that fails if a bare heap.New() does not
+# report the configuration the line's variables name, so none of these runs
+# can measure the defaults in silence. Tests that assert a property of one
+# mode pin it with heap.WithConfig; everything else inherits the line's mode.
+#
+# Parallel tracing and sweeping: the heap engines, the conformance suite
+# (which also parameterizes worker counts itself) and the mark/sweep
+# collector, whose sweep phase claims blocks concurrently, under the race
+# detector at four workers — then mark/sweep and the fuzz harness's seed
+# corpus again with per-worker allocation buffers switched on.
 RDGC_GC_WORKERS=4 go test -race -count=1 ./internal/heap ./internal/gc/conformance ./internal/gc/marksweep
 RDGC_GC_WORKERS=4 RDGC_GC_LAB=1 go test -race -count=1 ./internal/gc/marksweep ./internal/gc/gcfuzz
 
 # Incremental collection: the heap engines, both mark/sweep collectors, and
 # the conformance suite (whose incremental tests pin the surviving object
-# set to the stop-the-world one) re-run under the race detector with
-# RDGC_GC_INCR pinned on, so the barrier, the mark slices, and the lazy
-# sweep all run their env-sensitive paths.
+# set to the stop-the-world one) with RDGC_GC_INCR on, so the barrier, the
+# mark slices, and the lazy sweep run under every test that does not pin a
+# mode.
 RDGC_GC_INCR=1 go test -race -count=1 ./internal/heap ./internal/gc/marksweep ./internal/gc/npms ./internal/gc/conformance
 
-# Tenuring and the adaptive policy controller: the generational collectors
-# and the conformance suite (age oracle, threshold-1 ≡ wholesale identity,
-# never-promote) re-run under the race detector with RDGC_GC_ADAPT pinned
-# on, so every heap the tests build routes survivors through the tenured
+# Tenuring and the adaptive policy controller: the heap engines, the three
+# tenuring collectors and the conformance suite (age oracle, threshold-1 ≡
+# wholesale identity, never-promote) with RDGC_GC_ADAPT on, so every heap a
+# test builds without pinning a mode routes survivors through the tenured
 # evacuation path with the feedback controller live.
 RDGC_GC_ADAPT=1 go test -race -count=1 ./internal/heap ./internal/gc/generational ./internal/gc/multigen ./internal/gc/hybrid ./internal/gc/conformance
 
@@ -110,20 +117,22 @@ cmp "$trace_tmp/s-a.txt" "$trace_tmp/s-b.txt"
 cmp "$trace_tmp/s-a.txt" "$trace_tmp/s-c.txt"
 
 # Fuzz smoke: a bounded mutation run of the cross-collector byte-program
-# harness (the seed corpus replays first), under the race detector with the
-# parallel tracing engines at four workers so every fuzz input also drives
-# the concurrent drains — and, with RDGC_GC_LAB=1, the buffered evacuation
-# path and the four-worker block sweep. Every fuzz input already replays in
-# incremental mode too (FuzzCollectors runs RunAllIncr on each program); the
-# third run pins a small slice budget so mark slices and lazy sweeps
-# interleave as finely as possible. Real campaigns: make fuzz.
-RDGC_GC_WORKERS=4 go test -race -run '^$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
-RDGC_GC_WORKERS=4 RDGC_GC_LAB=1 go test -race -run '^$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
-RDGC_GC_SLICE=64 go test -race -run '^$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
-# The fourth run pins the tenured replay passes to threshold 6, so the
-# age-routing evacuation and the age oracle see every fuzz input at a
-# mid-grid threshold (unpinned runs derive the threshold from the program).
-RDGC_GC_TENURE=6 go test -race -run '^$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
+# harness (the seed corpus replays first) under the race detector. Every
+# input is replayed under each entry of gcfuzz.Modes — the process default,
+# then parallel, incremental, tenured and adaptive, one knob turned at a
+# time — and the environment below seeds that default (-run selects the
+# package's TestEnvReachesHeaps guard, which holds it to that before the
+# fuzzing starts), so each run pins one more knob
+# in every mode: four workers on the concurrent drains; those plus the
+# buffered evacuation path and the four-worker block sweep; a 64-word slice
+# budget, so mark slices and lazy sweeps interleave as finely as possible;
+# and promotion threshold 6, so the age-routing evacuation and the age oracle
+# see every input at a mid-grid threshold (unpinned runs derive the worker
+# count and the threshold from the program's bytes). Real campaigns: make fuzz.
+RDGC_GC_WORKERS=4 go test -race -run '^TestEnvReachesHeaps$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
+RDGC_GC_WORKERS=4 RDGC_GC_LAB=1 go test -race -run '^TestEnvReachesHeaps$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
+RDGC_GC_SLICE=64 go test -race -run '^TestEnvReachesHeaps$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
+RDGC_GC_TENURE=6 go test -race -run '^TestEnvReachesHeaps$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
 
 # Wire-format fuzz smoke: arbitrary bytes against the trace reader, seeded
 # with both wire versions, compressed blocks, and the checked-in synthesized

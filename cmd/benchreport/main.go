@@ -354,10 +354,9 @@ func parallelBenchmarks(workerCounts []int) []ParallelResult {
 		words := uint64(3 * forestChains * forestLen)
 
 		mark := bestOf(3, func(b *testing.B) {
-			h := heap.New()
+			h := heap.New(heap.WithConfig(heap.Config{Workers: workers}))
 			s := h.NewSpace("forest", 1<<18)
 			buildForest(h, s)
-			h.SetGCWorkers(workers)
 			m := heap.NewMarker(h, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -367,11 +366,10 @@ func parallelBenchmarks(workerCounts []int) []ParallelResult {
 			}
 		})
 		evac := bestOf(3, func(b *testing.B) {
-			h := heap.New()
+			h := heap.New(heap.WithConfig(heap.Config{Workers: workers}))
 			from := h.NewSpace("forest-A", 1<<18)
 			to := h.NewSpace("forest-B", 1<<18)
 			buildForest(h, from)
-			h.SetGCWorkers(workers)
 			e := heap.NewEvacuator(h, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -413,7 +411,7 @@ func sweepBenchmarks(workerCounts []int) []ParallelResult {
 	for _, workers := range workerCounts {
 		workers := workers
 		r := bestOf(3, func(b *testing.B) {
-			h := heap.New()
+			h := heap.New(heap.WithConfig(heap.Config{Workers: workers}))
 			s := h.NewBlockedSpace("sweep-arena", sweepArenaWords)
 			var offs []int
 			for blk := 0; blk < s.NumBlocks(); blk++ {
@@ -426,7 +424,6 @@ func sweepBenchmarks(workerCounts []int) []ParallelResult {
 					offs = append(offs, off)
 				}
 			}
-			h.SetGCWorkers(workers)
 			sw := heap.NewSweeper(h)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -565,8 +562,7 @@ func collectorGrid(gcWorkers int) []CollectorResult {
 		// deterministic, so the fastest wall clock is the least-disturbed
 		// measurement of the same work.
 		for round := 0; round < 3; round++ {
-			h := heap.New()
-			h.SetGCWorkers(gcWorkers)
+			h := heap.New(heap.WithConfig(heap.Config{Workers: gcWorkers}))
 			c := ct.mk(h)
 			w := decay.NewWorkload(h, 768, 1)
 			w.Warmup(10)
@@ -617,9 +613,7 @@ var tenurePolicies = []struct {
 // workload body, returning the copy-work decomposition.
 func tenureCell(workload, policy string, threshold int, adaptive bool,
 	mk func(h *heap.Heap) *generational.Collector, body func(h *heap.Heap) error) TenureResult {
-	h := heap.New()
-	h.SetGCTenure(threshold)
-	h.SetGCAdaptive(adaptive)
+	h := heap.New(heap.WithConfig(heap.Config{Tenure: threshold, Adaptive: adaptive}))
 	c := mk(h)
 	start := time.Now()
 	err := body(h)

@@ -45,12 +45,7 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced-scale benchmark instances")
 	withHybrid := flag.Bool("hybrid", false, "also measure the hybrid (non-predictive) collector")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	gcworkers := flag.Int("gcworkers", -1, "parallel tracing workers per heap (0 or 1 = sequential engines; -1 = $RDGC_GC_WORKERS)")
-	gclab := flag.Bool("gclab", heap.GCLABFromEnv(), "per-worker allocation buffers during parallel evacuation (default $RDGC_GC_LAB)")
-	gcincr := flag.Bool("gcincr", heap.GCIncrFromEnv(), "incremental collection (mark slices + lazy sweep) on the collectors that support it (default $RDGC_GC_INCR)")
-	gcslice := flag.Int("gcslice", 0, "incremental mark slice budget in words (0 = $RDGC_GC_SLICE, or the built-in default)")
-	gctenure := flag.Int("gctenure", 0, "promotion threshold for the tenuring collectors, in collections survived (0 = $RDGC_GC_TENURE, 1 = wholesale promotion, \"never\" via env)")
-	gcadapt := flag.Bool("gcadapt", heap.GCAdaptFromEnv(), "adapt nursery trigger and promotion threshold online from survival statistics (default $RDGC_GC_ADAPT)")
+	gcConfig := heap.ConfigFlags(flag.CommandLine)
 	pauselog := flag.String("pauselog", "", "run each benchmark under the incremental-capable collectors and dump every mutator-visible pause as CSV to `file` (- for stdout); honors -gcincr/-gcslice")
 	progress := flag.Bool("progress", false, "report per-cell completion and wall-clock to stderr")
 	jsonOut := flag.Bool("json", false, "emit per-cell measurements as JSON instead of the table")
@@ -70,19 +65,13 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	gw := heap.ResolveGCWorkers(*gcworkers)
-	heap.SetDefaultGCWorkers(gw)
-	heap.SetDefaultGCLAB(*gclab)
-	heap.SetDefaultGCIncremental(*gcincr)
-	gs := heap.ResolveGCSlice(*gcslice)
-	heap.SetDefaultGCSliceBudget(gs)
-	heap.SetDefaultGCTenure(heap.ResolveGCTenure(*gctenure))
-	heap.SetDefaultGCAdaptive(*gcadapt)
+	gc := gcConfig()
+	heap.SetDefaultConfig(gc)
 	// run holds the early-returning body so the profile teardown below
 	// covers every exit path.
-	run(*table2, *quick, *withHybrid, *parallel, gw, *progress, *jsonOut, *record)
+	run(*table2, *quick, *withHybrid, *parallel, gc.Workers, *progress, *jsonOut, *record)
 	if *pauselog != "" {
-		if err := dumpPauseLog(*pauselog, *quick, *gcincr, gs); err != nil {
+		if err := dumpPauseLog(*pauselog, *quick, gc.Incremental, gc.SliceBudget); err != nil {
 			fmt.Fprintln(os.Stderr, "gcbench:", err)
 			os.Exit(1)
 		}

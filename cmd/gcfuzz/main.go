@@ -4,7 +4,13 @@
 // bytes, and it reruns the program against every collector, printing each
 // collector's mutator statistics and the first property violation.
 //
-//	gcfuzz [-census=auto|on|off] [-collector NAME] [-gcincr] [-minimize] [-emit-trace FILE] [-compress] FILE...
+//	gcfuzz [-census=auto|on|off] [-collector NAME] [-gc*] [-minimize] [-emit-trace FILE] [-compress] FILE...
+//
+// The six -gc* flags (heap.ConfigFlags, defaulting to the RDGC_GC_*
+// environment) set the configuration the statistics table is run under, and
+// the properties are then checked under every entry of gcfuzz.Modes, exactly
+// as the fuzz target does: a crasher CI found under RDGC_GC_WORKERS=4
+// RDGC_GC_LAB=1 replays with the same environment or with -gcworkers 4 -gclab.
 //
 // With -minimize, a failing program is shrunk to a minimal reproducer
 // (printed as a go-fuzz corpus file, ready to check in as a regression
@@ -28,15 +34,12 @@ import (
 func main() {
 	censusMode := flag.String("census", "auto", "census tracking: auto (derived from the program), on, or off")
 	collector := flag.String("collector", "", "run only the named collector (default: all, with cross-collector stats check)")
-	gcincr := flag.Bool("gcincr", heap.GCIncrFromEnv(), "replay with incremental collection (mark slices + lazy sweep) where supported (default $RDGC_GC_INCR)")
-	gctenure := flag.Int("gctenure", 0, "promotion threshold for the tenuring collectors, in collections survived (0 = $RDGC_GC_TENURE, 1 = wholesale promotion)")
-	gcadapt := flag.Bool("gcadapt", heap.GCAdaptFromEnv(), "adapt nursery trigger and promotion threshold online from survival statistics (default $RDGC_GC_ADAPT)")
+	gcConfig := heap.ConfigFlags(flag.CommandLine)
 	minimize := flag.Bool("minimize", false, "shrink a failing program to a minimal reproducer")
 	emitTrace := flag.String("emit-trace", "", "export the (single) program as an allocation-event trace to `file`")
 	compress := flag.Bool("compress", false, "write the -emit-trace output with per-block compression")
 	flag.Parse()
-	heap.SetDefaultGCTenure(heap.ResolveGCTenure(*gctenure))
-	heap.SetDefaultGCAdaptive(*gcadapt)
+	heap.SetDefaultConfig(gcConfig())
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
@@ -48,7 +51,7 @@ func main() {
 
 	exit := 0
 	for _, path := range flag.Args() {
-		if err := replay(path, *censusMode, *collector, *gcincr, *minimize, *emitTrace, *compress); err != nil {
+		if err := replay(path, *censusMode, *collector, *minimize, *emitTrace, *compress); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			exit = 1
 		}
@@ -57,9 +60,11 @@ func main() {
 }
 
 // emit records the byte program as an allocation-event trace. The recording
-// collector is immaterial to the trace bytes; the fixed-size fuzz grid's
-// first collector drives the run. The trace carries no heap_words metadata,
-// which tells gctrace replay to use the same fuzz-sized grid.
+// collector and its configuration are immaterial to the trace bytes; the
+// fixed-size fuzz grid's first collector drives the run under the zero
+// Config (the recorder needs the heap's move hook, which a tenuring run
+// gives to the age oracle). The trace carries no heap_words metadata, which
+// tells gctrace replay to use the same fuzz-sized grid.
 func emit(path string, prog []byte, census, compress bool) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -75,7 +80,7 @@ func emit(path string, prog []byte, census, compress bool) error {
 	}
 	var rec *trace.Recorder
 	var wrapErr error
-	_, runErr := gcfuzz.RunWith(prog, gcfuzz.Collectors()[0].New, census,
+	_, runErr := gcfuzz.Run(prog, gcfuzz.Collectors()[0].New, census, heap.Config{},
 		func(h *heap.Heap, c heap.Collector) heap.Collector {
 			w, err := trace.NewWriter(f, trace.Header{Census: census, Meta: meta}, wopts...)
 			if err != nil {
@@ -107,7 +112,7 @@ func emit(path string, prog []byte, census, compress bool) error {
 	return nil
 }
 
-func replay(path, censusMode, collector string, gcincr, minimize bool, emitTrace string, compress bool) error {
+func replay(path, censusMode, collector string, minimize bool, emitTrace string, compress bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -134,42 +139,48 @@ func replay(path, censusMode, collector string, gcincr, minimize bool, emitTrace
 		}
 	}
 
-	runOne := gcfuzz.Run
-	runAll := gcfuzz.RunAll
-	if gcincr {
-		runOne = gcfuzz.RunIncr
-		runAll = gcfuzz.RunAllIncr
-	}
-	run := func(p []byte) error {
-		if collector != "" {
-			for _, nc := range gcfuzz.Collectors() {
-				if nc.Name == collector {
-					_, err := runOne(p, nc.New, census)
-					return err
-				}
+	grid := gcfuzz.Collectors()
+	if collector != "" {
+		grid = nil
+		for _, nc := range gcfuzz.Collectors() {
+			if nc.Name == collector {
+				grid = []gcfuzz.NamedCollector{nc}
 			}
+		}
+		if grid == nil {
 			return fmt.Errorf("unknown collector %q", collector)
 		}
-		return runAll(p, census)
+	}
+
+	// run checks p the way the fuzz target does, under every mode: all
+	// collectors with the cross-collector statistics check, or the named one.
+	run := func(p []byte) error {
+		for _, m := range gcfuzz.Modes(p) {
+			var err error
+			if collector == "" {
+				err = gcfuzz.RunAll(p, census, m.Config)
+			} else {
+				_, err = gcfuzz.Run(p, grid[0].New, census, m.Config, nil)
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", m.Name, err)
+			}
+		}
+		return nil
 	}
 
 	var firstStats heap.Stats
-	for i, nc := range gcfuzz.Collectors() {
-		if collector != "" && nc.Name != collector {
-			continue
-		}
-		stats, err := runOne(prog, nc.New, census)
+	for i, nc := range grid {
+		stats, err := gcfuzz.Run(prog, nc.New, census, heap.DefaultConfig(), nil)
 		status := "ok"
 		if err != nil {
 			status = err.Error()
 		}
 		note := ""
-		if collector == "" {
-			if i == 0 {
-				firstStats = stats
-			} else if stats != firstStats {
-				note = "  <-- stats diverged"
-			}
+		if i == 0 {
+			firstStats = stats
+		} else if stats != firstStats {
+			note = "  <-- stats diverged"
 		}
 		fmt.Printf("  %-14s %d words, %d objects: %s%s\n",
 			nc.Name, stats.WordsAllocated, stats.ObjectsAllocated, status, note)

@@ -44,12 +44,7 @@ func main() {
 	burstTicks := flag.Float64("burst-ticks", 2500, "mmpp: mean burst dwell, ticks")
 
 	parallel := flag.Int("parallel", 0, "worker goroutines for shard execution (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	gcworkers := flag.Int("gcworkers", -1, "parallel tracing workers per shard heap (0 or 1 = sequential engines; -1 = $RDGC_GC_WORKERS)")
-	gclab := flag.Bool("gclab", heap.GCLABFromEnv(), "per-worker allocation buffers during parallel evacuation (default $RDGC_GC_LAB)")
-	gcincr := flag.Bool("gcincr", heap.GCIncrFromEnv(), "incremental collection (mark slices + lazy sweep) on the collectors that support it (default $RDGC_GC_INCR)")
-	gcslice := flag.Int("gcslice", 0, "incremental mark slice budget in words (0 = $RDGC_GC_SLICE, or the built-in default)")
-	gctenure := flag.Int("gctenure", 0, "promotion threshold for the tenuring collectors, in collections survived (0 = $RDGC_GC_TENURE)")
-	gcadapt := flag.Bool("gcadapt", heap.GCAdaptFromEnv(), "adapt nursery trigger and promotion threshold online from survival statistics (default $RDGC_GC_ADAPT)")
+	gcConfig := heap.ConfigFlags(flag.CommandLine)
 	progress := flag.Bool("progress", false, "report per-shard completion and wall-clock to stderr")
 	jsonOut := flag.Bool("json", false, "emit the full result as JSON instead of the table")
 	flag.Parse()
@@ -62,6 +57,7 @@ func main() {
 	if *progress {
 		prog = os.Stderr
 	}
+	gc := gcConfig()
 	cfg := serve.Config{
 		Load: serve.LoadConfig{
 			Seed:            *seed,
@@ -83,12 +79,12 @@ func main() {
 		Shards:       *shards,
 		HeapWords:    *heapWords,
 		WordsPerTick: *wpt,
-		GCWorkers:    heap.ResolveGCWorkers(*gcworkers),
-		GCLAB:        *gclab,
-		Incremental:  *gcincr,
-		SliceBudget:  heap.ResolveGCSlice(*gcslice),
-		Tenure:       heap.ResolveGCTenure(*gctenure),
-		Adaptive:     *gcadapt,
+		GCWorkers:    gc.Workers,
+		GCLAB:        gc.LAB,
+		Incremental:  gc.Incremental,
+		SliceBudget:  gc.SliceBudget,
+		Tenure:       gc.Tenure,
+		Adaptive:     gc.Adaptive,
 		Parallel:     *parallel,
 		Progress:     prog,
 	}

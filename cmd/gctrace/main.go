@@ -5,7 +5,7 @@
 // event stream, the way the paper's trace-driven comparisons do.
 //
 //	gctrace record [-quick] [-census] [-collector NAME] [-o FILE] WORKLOAD
-//	gctrace replay [-collector NAME|all] [-verify] [-shards N] [-parallel N] [-progress] FILE
+//	gctrace replay [-collector NAME|all] [-verify] [-shards N] [-parallel N] [-progress] [-gc*] FILE
 //	gctrace synth -op OP [-o FILE] [-compress] [-seed N] [-chunk N] [-n N] [-scale NUM/DEN] FILE...
 //	gctrace stat FILE...
 //	gctrace cat [-n N] FILE
@@ -23,7 +23,9 @@
 // trace's recorded statistics. -shards N splits a synthesized multi-session
 // corpus by session into N independent replay cells per collector and
 // reports per-collector aggregates; the aggregate is identical at any
-// -parallel count.
+// -parallel count. The six -gc* flags (heap.ConfigFlags) configure every
+// replay heap; with -gcworkers N marking parallelizes while evacuation stays
+// sequential under the replayer's move hook.
 //
 // synth composes traces: splice concatenates, interleave merges K traces as
 // independent sessions of one corpus, amplify self-interleaves N salted
@@ -335,21 +337,11 @@ func cmdReplay(args []string) error {
 	verify := fs.Bool("verify", false, "run the deep heap-invariant verifier after every collection")
 	shards := fs.Int("shards", 0, "split a multi-session corpus into N per-collector replay cells (session s -> shard s mod N)")
 	parallel := fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	gcworkers := fs.Int("gcworkers", -1, "parallel tracing workers per heap (0 or 1 = sequential engines; -1 = $RDGC_GC_WORKERS); marking parallelizes, evacuation stays sequential under the replayer's move hook")
-	gclab := fs.Bool("gclab", heap.GCLABFromEnv(), "per-worker allocation buffers during parallel evacuation (default $RDGC_GC_LAB)")
-	gcincr := fs.Bool("gcincr", heap.GCIncrFromEnv(), "incremental collection (mark slices + lazy sweep) on the collectors that support it (default $RDGC_GC_INCR)")
-	gcslice := fs.Int("gcslice", 0, "incremental mark slice budget in words (0 = $RDGC_GC_SLICE, or the built-in default)")
-	gctenure := fs.Int("gctenure", 0, "promotion threshold for the tenuring collectors, in collections survived (0 = $RDGC_GC_TENURE, 1 = wholesale promotion)")
-	gcadapt := fs.Bool("gcadapt", heap.GCAdaptFromEnv(), "adapt nursery trigger and promotion threshold online from survival statistics (default $RDGC_GC_ADAPT)")
+	gcConfig := heap.ConfigFlags(fs)
 	progress := fs.Bool("progress", false, "report per-cell completion and wall-clock to stderr")
 	fs.Parse(args)
-	gw := heap.ResolveGCWorkers(*gcworkers)
-	heap.SetDefaultGCWorkers(gw)
-	heap.SetDefaultGCLAB(*gclab)
-	heap.SetDefaultGCIncremental(*gcincr)
-	heap.SetDefaultGCSliceBudget(heap.ResolveGCSlice(*gcslice))
-	heap.SetDefaultGCTenure(heap.ResolveGCTenure(*gctenure))
-	heap.SetDefaultGCAdaptive(*gcadapt)
+	gc := gcConfig()
+	heap.SetDefaultConfig(gc)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay needs exactly one trace file")
 	}
@@ -386,7 +378,7 @@ func cmdReplay(args []string) error {
 	}
 	if *shards > 1 {
 		return replaySharded(path, grid, *shards, *verify,
-			runner.Options{Workers: *parallel, Progress: pw, GCWorkersPerCell: gw})
+			runner.Options{Workers: *parallel, Progress: pw, GCWorkersPerCell: gc.Workers})
 	}
 
 	specs := make([]runner.Spec[replayCell], len(grid))
@@ -400,7 +392,7 @@ func cmdReplay(args []string) error {
 			},
 		}
 	}
-	results := runner.Run(specs, runner.Options{Workers: *parallel, Progress: pw, GCWorkersPerCell: gw})
+	results := runner.Run(specs, runner.Options{Workers: *parallel, Progress: pw, GCWorkersPerCell: gc.Workers})
 
 	exit := error(nil)
 	for _, r := range results {

@@ -35,14 +35,15 @@ type PauseRun struct {
 	Err             error
 }
 
-// pauseHeap builds a heap configured for the requested collection mode.
+// pauseHeap builds a heap under the process default with the requested
+// collection mode; sliceBudget 0 keeps the default's budget.
 func pauseHeap(incremental bool, sliceBudget int) *heap.Heap {
-	h := heap.New()
-	h.SetGCIncremental(incremental)
+	cfg := heap.DefaultConfig()
+	cfg.Incremental = incremental
 	if sliceBudget > 0 {
-		h.SetGCSliceBudget(sliceBudget)
+		cfg.SliceBudget = sliceBudget
 	}
-	return h
+	return heap.New(heap.WithConfig(cfg))
 }
 
 // pauseCollector constructs the named incremental-capable collector on h,

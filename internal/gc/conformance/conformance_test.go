@@ -65,6 +65,14 @@ func collectors() map[string]func(h *heap.Heap) heap.Collector {
 	}
 }
 
+// censusOpts is the heap options of a run with or without birth stamps.
+func censusOpts(census bool) []heap.Option {
+	if census {
+		return []heap.Option{heap.WithCensus()}
+	}
+	return nil
+}
+
 func TestShadowModel(t *testing.T) {
 	for name, mk := range collectors() {
 		for seed := int64(1); seed <= 3; seed++ {

@@ -31,17 +31,13 @@ type heapImage struct {
 // currently selected tracer and snapshots the final state.
 func captureRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, census bool) heapImage {
 	t.Helper()
-	var opts []heap.Option
-	if census {
-		opts = append(opts, heap.WithCensus())
-	}
-	h := heap.New(opts...)
-	// Pin the sequential engines regardless of RDGC_GC_WORKERS: the reference
-	// tracer is sequential-only, and parallel copy placement is scheduling-
-	// dependent, so a word-for-word image comparison is only meaningful with
-	// both runs on the sequential engines. (Parallel-vs-sequential identity
-	// has its own tiered contract in parallel_test.go.)
-	h.SetGCWorkers(0)
+	// Pin the zero Config regardless of the RDGC_GC_* environment: the
+	// reference tracer is sequential-only and serves wholesale runs only, and
+	// parallel copy placement is scheduling-dependent, so a word-for-word
+	// image comparison is only meaningful with both runs on the sequential
+	// stop-the-world engines. (Parallel-vs-sequential identity has its own
+	// tiered contract in parallel_test.go.)
+	h := heap.New(append(censusOpts(census), heap.WithConfig(heap.Config{}))...)
 	c := mk(h)
 	gctest.RandomOps(t, h, c, ops, seed)
 	c.Collect() // end on a forced collection so the last trace is compared too

@@ -17,19 +17,16 @@ import (
 	"rdgc/internal/heap"
 )
 
-// TestMain seeds the engine defaults from the environment, the way the
-// drivers do, so CI can replay the whole conformance suite under
-// RDGC_GC_WORKERS, RDGC_GC_LAB, and RDGC_GC_INCR (with RDGC_GC_SLICE
-// optionally shrinking the slice budget to sharpen interleavings).
+// TestMain seeds the process default from the environment, the way the
+// drivers do, so CI can replay the whole conformance suite under any
+// RDGC_GC_* setting (RDGC_GC_SLICE shrinking the slice budget sharpens
+// interleavings).
 func TestMain(m *testing.M) {
-	heap.SetDefaultGCWorkers(heap.GCWorkersFromEnv())
-	heap.SetDefaultGCLAB(heap.GCLABFromEnv())
-	heap.SetDefaultGCIncremental(heap.GCIncrFromEnv())
-	heap.SetDefaultGCSliceBudget(heap.GCSliceFromEnv())
-	heap.SetDefaultGCTenure(heap.GCTenureFromEnv())
-	heap.SetDefaultGCAdaptive(heap.GCAdaptFromEnv())
+	heap.SetDefaultConfig(heap.ConfigFromEnv())
 	os.Exit(m.Run())
 }
+
+func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 // incrementalRun plays the seeded workload with incremental collection
 // enabled (and the given tracing-worker count for the stop-the-world
@@ -37,13 +34,7 @@ func TestMain(m *testing.M) {
 // collection so the heap is fully swept and quiescent.
 func incrementalRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, census bool, workers int) (*heap.Heap, heap.Collector) {
 	t.Helper()
-	var opts []heap.Option
-	if census {
-		opts = append(opts, heap.WithCensus())
-	}
-	h := heap.New(opts...)
-	h.SetGCWorkers(workers)
-	h.SetGCIncremental(true)
+	h := gctest.NewHeap(func(c *heap.Config) { c.Workers, c.Incremental = workers, true }, censusOpts(census)...)
 	c := mk(h)
 	gctest.RandomOps(t, h, c, ops, seed)
 	synchronize(c)
@@ -69,8 +60,7 @@ func synchronize(c heap.Collector) {
 func TestIncrementalShadowModel(t *testing.T) {
 	for name, mk := range collectors() {
 		t.Run(name, func(t *testing.T) {
-			h := heap.New()
-			h.SetGCIncremental(true)
+			h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = true })
 			c := mk(h)
 			gctest.RandomOps(t, h, c, ops, 23)
 		})
@@ -86,12 +76,7 @@ func TestIncrementalShadowModel(t *testing.T) {
 func TestIncrementalMatchesStopTheWorld(t *testing.T) {
 	for name, mk := range collectors() {
 		for _, census := range []bool{false, true} {
-			var opts []heap.Option
-			if census {
-				opts = append(opts, heap.WithCensus())
-			}
-			hs := heap.New(opts...)
-			hs.SetGCIncremental(false)
+			hs := gctest.NewHeap(func(c *heap.Config) { c.Incremental = false }, censusOpts(census)...)
 			cs := mk(hs)
 			gctest.RandomOps(t, hs, cs, ops, 23)
 			synchronize(cs)

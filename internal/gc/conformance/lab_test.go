@@ -1,5 +1,5 @@
 // Differential tests for the parallel evacuator's block-granular allocation
-// buffers (LAB mode, heap.SetGCLAB). Buffered reservation trades the
+// buffers (LAB mode, heap.Config.LAB). Buffered reservation trades the
 // exact-fit engine's Top identity for per-worker bump allocation: Top
 // becomes schedule-dependent (whole blocks are claimed, tails are retired as
 // TFree filler), but the filler is accounted in Space.Waste, so Used(),
@@ -38,15 +38,18 @@ func TestLABCollectionIdentity(t *testing.T) {
 		for _, workers := range parallelWorkerCounts {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				run := func(gcWorkers int, lab bool) (*heap.Heap, heap.Collector, *gctest.Mutator) {
-					h := heap.New()
+					// The history runs on the sequential engines, as in
+					// TestParallelCollectionIdentity.
+					h := gctest.NewHeap(func(c *heap.Config) { c.Workers, c.LAB = 0, false })
 					c := mk(h)
 					src := rand.New(rand.NewSource(53))
 					m := gctest.NewMutator(h, src)
 					for i := 0; i < identityOps; i++ {
 						m.Op(src.Intn(10))
 					}
-					h.SetGCWorkers(gcWorkers)
-					h.SetGCLAB(lab)
+					cfg := h.Config()
+					cfg.Workers, cfg.LAB = gcWorkers, lab
+					h.SetConfig(cfg)
 					c.Collect()
 					return h, c, m
 				}
@@ -117,9 +120,7 @@ func TestLABShadowModel(t *testing.T) {
 	for name, mk := range collectors() {
 		for _, workers := range parallelWorkerCounts {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				h := heap.New()
-				h.SetGCWorkers(workers)
-				h.SetGCLAB(true)
+				h := gctest.NewHeap(func(c *heap.Config) { c.Workers, c.LAB = workers, true })
 				c := mk(h)
 				gctest.RandomOps(t, h, c, ops, 19)
 			})
@@ -134,10 +135,8 @@ func TestLABInertBelowTwoWorkers(t *testing.T) {
 	for _, name := range []string{"semispace", "marksweep", "generational"} {
 		mk := collectors()[name]
 		t.Run(name, func(t *testing.T) {
-			base := captureRunAt(t, mk, 23, false, 1)
-			h := heap.New()
-			h.SetGCWorkers(1)
-			h.SetGCLAB(true)
+			base := captureAt(t, mk, 23, false, 1)
+			h := gctest.NewHeap(func(c *heap.Config) { c.Workers, c.LAB = 1, true })
 			c := mk(h)
 			gctest.RandomOps(t, h, c, ops, 23)
 			c.Collect()

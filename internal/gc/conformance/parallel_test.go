@@ -31,16 +31,12 @@ import (
 
 var parallelWorkerCounts = []int{1, 2, 4, 8}
 
-// captureRunAt is captureRun with a tracing-worker count applied to the
-// heap for the whole workload.
-func captureRunAt(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, census bool, workers int) heapImage {
+// captureAt is captureRun with a tracing-worker count applied to the
+// heap for the whole workload, on the exact-fit engines: every caller pins
+// an identity allocation buffers do not promise (lab_test.go has theirs).
+func captureAt(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, census bool, workers int) heapImage {
 	t.Helper()
-	var opts []heap.Option
-	if census {
-		opts = append(opts, heap.WithCensus())
-	}
-	h := heap.New(opts...)
-	h.SetGCWorkers(workers)
+	h := gctest.NewHeap(func(c *heap.Config) { c.Workers, c.LAB = workers, false }, censusOpts(census)...)
 	c := mk(h)
 	gctest.RandomOps(t, h, c, ops, seed)
 	c.Collect()
@@ -68,10 +64,10 @@ func TestParallelMarkImagesIdentical(t *testing.T) {
 			counts = parallelWorkerCounts
 		}
 		for _, census := range []bool{false, true} {
-			seq := captureRunAt(t, mk, 11, census, 0)
+			seq := captureAt(t, mk, 11, census, 0)
 			for _, workers := range counts {
 				t.Run(fmt.Sprintf("%s/census=%v/workers=%d", name, census, workers), func(t *testing.T) {
-					par := captureRunAt(t, mk, 11, census, workers)
+					par := captureAt(t, mk, 11, census, workers)
 					compareImages(t, par, seq)
 				})
 			}
@@ -88,10 +84,10 @@ func TestParallelSingleTargetStatsIdentical(t *testing.T) {
 	for _, name := range []string{"semispace", "generational", "generational-ssb"} {
 		mk := all[name]
 		for _, census := range []bool{false, true} {
-			seq := captureRunAt(t, mk, 17, census, 0)
+			seq := captureAt(t, mk, 17, census, 0)
 			for _, workers := range parallelWorkerCounts {
 				t.Run(fmt.Sprintf("%s/census=%v/workers=%d", name, census, workers), func(t *testing.T) {
-					par := captureRunAt(t, mk, 17, census, workers)
+					par := captureAt(t, mk, 17, census, workers)
 					if par.stats != seq.stats {
 						t.Errorf("mutator stats diverge: parallel %+v, sequential %+v", par.stats, seq.stats)
 					}
@@ -121,8 +117,7 @@ func TestParallelShadowModel(t *testing.T) {
 	for name, mk := range collectors() {
 		for _, workers := range parallelWorkerCounts {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				h := heap.New()
-				h.SetGCWorkers(workers)
+				h := gctest.NewHeap(func(c *heap.Config) { c.Workers = workers })
 				c := mk(h)
 				gctest.RandomOps(t, h, c, ops, 7)
 			})
@@ -183,17 +178,12 @@ func TestParallelCollectionIdentity(t *testing.T) {
 			for _, workers := range parallelWorkerCounts {
 				t.Run(fmt.Sprintf("%s/census=%v/workers=%d", name, census, workers), func(t *testing.T) {
 					run := func(gcWorkers int) (*heap.Heap, heap.Collector, *gctest.Mutator) {
-						var opts []heap.Option
-						if census {
-							opts = append(opts, heap.WithCensus())
-						}
-						h := heap.New(opts...)
 						// Pin the history to the sequential engines whatever
 						// RDGC_GC_WORKERS seeded (ci.sh runs this package at
 						// 4): a parallel history packs multi-target copies by
 						// schedule, and the two heaps would part before the
 						// collection under test.
-						h.SetGCWorkers(0)
+						h := gctest.NewHeap(func(c *heap.Config) { c.Workers = 0 }, censusOpts(census)...)
 						c := mk(h)
 						src := rand.New(rand.NewSource(31))
 						m := gctest.NewMutator(h, src)
@@ -202,7 +192,9 @@ func TestParallelCollectionIdentity(t *testing.T) {
 						}
 						// Only the final forced collection differs between
 						// the heaps.
-						h.SetGCWorkers(gcWorkers)
+						cfg := h.Config()
+						cfg.Workers = gcWorkers
+						h.SetConfig(cfg)
 						c.Collect()
 						return h, c, m
 					}

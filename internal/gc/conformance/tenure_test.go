@@ -18,51 +18,35 @@ import (
 	"rdgc/internal/heap"
 )
 
-// tenuringCollectors builds each tenuring-capable collector at an explicit
-// promotion threshold (0 = adaptive).
-func tenuringCollectors(threshold int) map[string]func(h *heap.Heap) heap.Collector {
-	genOpt := func() generational.Option {
-		if threshold == 0 {
-			return generational.WithAdaptive()
-		}
-		return generational.WithTenure(threshold)
-	}
-	mgOpt := func() multigen.Option {
-		if threshold == 0 {
-			return multigen.WithAdaptive()
-		}
-		return multigen.WithTenure(threshold)
-	}
-	hyOpt := func() hybrid.Option {
-		if threshold == 0 {
-			return hybrid.WithAdaptive()
-		}
-		return hybrid.WithTenure(threshold)
-	}
+// tenuringCollectors builds each tenuring-capable collector; the heap's
+// Config decides how it tenures.
+func tenuringCollectors() map[string]func(h *heap.Heap) heap.Collector {
 	return map[string]func(h *heap.Heap) heap.Collector{
 		"generational": func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024, 16384, generational.WithExpansion(2), genOpt())
+			return generational.New(h, 1024, 16384, generational.WithExpansion(2))
 		},
 		"multigen": func(h *heap.Heap) heap.Collector {
-			return multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2), mgOpt())
+			return multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
 		},
 		"hybrid": func(h *heap.Heap) heap.Collector {
-			return hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth(), hyOpt())
+			return hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth())
 		},
 	}
 }
 
-// runWithAgeOracle drives the randomized workload with the move-hook age
-// oracle attached, checking the side tables against the oracle after every
+// tenureAt pins the tenuring policy of a Config: a fixed promotion
+// threshold, or the adaptive controller for threshold 0.
+func tenureAt(threshold int) func(c *heap.Config) {
+	return func(c *heap.Config) { c.Tenure, c.Adaptive = threshold, threshold == 0 }
+}
+
+// runWithAgeOracle drives the randomized workload at the given threshold
+// (0 = adaptive) with the move-hook age oracle attached, checking the side tables against the oracle after every
 // collection and at the end. It returns the peak number of nonzero-age
 // objects observed, so callers can assert retention actually happened.
-func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, census bool, nOps int) int {
+func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, threshold int, seed int64, census bool, nOps int) int {
 	t.Helper()
-	var opts []heap.Option
-	if census {
-		opts = append(opts, heap.WithCensus())
-	}
-	h := heap.New(opts...)
+	h := gctest.NewHeap(tenureAt(threshold), censusOpts(census)...)
 	c := mk(h)
 	ten, ok := c.(heap.Tenurer)
 	if !ok {
@@ -115,12 +99,12 @@ func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed i
 func TestAgeOracle(t *testing.T) {
 	const oracleOps = 2500
 	for _, threshold := range []int{2, 3, heap.TenureNever, 0 /* adaptive */} {
-		for name, mk := range tenuringCollectors(threshold) {
+		for name, mk := range tenuringCollectors() {
 			for _, census := range []bool{false, true} {
 				for seed := int64(1); seed <= 2; seed++ {
 					label := fmt.Sprintf("%s/threshold=%d/census=%v/seed%d", name, threshold, census, seed)
 					t.Run(label, func(t *testing.T) {
-						peak := runWithAgeOracle(t, mk, seed, census, oracleOps)
+						peak := runWithAgeOracle(t, mk, threshold, seed, census, oracleOps)
 						if threshold != 0 && peak == 0 {
 							t.Error("workload never retained a survivor; the oracle proved nothing")
 						}
@@ -134,8 +118,8 @@ func TestAgeOracle(t *testing.T) {
 // TestAgeOracleDetectsCorruption is the regression guard for the oracle
 // itself: corrupting one live object's side-table age must fail Check.
 func TestAgeOracleDetectsCorruption(t *testing.T) {
-	h := heap.New()
-	c := generational.New(h, 1024, 16384, generational.WithTenure(heap.TenureNever))
+	h := heap.New(heap.WithConfig(heap.Config{Tenure: heap.TenureNever}))
+	c := generational.New(h, 1024, 16384)
 	o := gctest.InstallAgeOracle(h, c)
 
 	sc := h.Scope()
@@ -165,14 +149,11 @@ func TestAgeOracleDetectsCorruption(t *testing.T) {
 	}
 }
 
-// captureTenureRun plays the randomized workload on a fresh heap whose
-// tenuring knobs are pinned by configure, and snapshots the final state.
-func captureTenureRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, workers int, incr bool, configure func(h *heap.Heap)) heapImage {
+// captureTenureRun plays the randomized workload on a fresh heap pinned to
+// cfg, and snapshots the final state.
+func captureTenureRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, cfg heap.Config) heapImage {
 	t.Helper()
-	h := heap.New()
-	h.SetGCWorkers(workers)
-	h.SetGCIncremental(incr)
-	configure(h)
+	h := heap.New(heap.WithConfig(cfg))
 	c := mk(h)
 	gctest.RandomOps(t, h, c, ops, seed)
 	c.Collect()
@@ -192,31 +173,14 @@ func captureTenureRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed i
 // wholesale collector bit for bit — same heap images, same mutator stats,
 // same GCStats (including the new tenuring fields staying zero) — at
 // sequential and parallel worker counts and under incremental mode. Both
-// sides pin the heap knobs explicitly so an RDGC_GC_TENURE/RDGC_GC_ADAPT
-// environment cannot skew the baseline.
+// sides pin a whole Config, so no RDGC_GC_* environment can skew either.
 func TestTenureThresholdOneIsWholesale(t *testing.T) {
-	wholesale := func(h *heap.Heap) {
-		h.SetGCTenure(1)
-		h.SetGCAdaptive(false)
-	}
-	base := map[string]func(h *heap.Heap) heap.Collector{
-		"generational": func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024, 16384, generational.WithExpansion(2))
-		},
-		"multigen": func(h *heap.Heap) heap.Collector {
-			return multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
-		},
-		"hybrid": func(h *heap.Heap) heap.Collector {
-			return hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth())
-		},
-	}
-	one := tenuringCollectors(1)
-	for name := range base {
+	for name, mk := range tenuringCollectors() {
 		for _, workers := range []int{0, 4} {
 			for _, incr := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/workers=%d/incr=%v", name, workers, incr), func(t *testing.T) {
-					ref := captureTenureRun(t, base[name], 41, workers, incr, wholesale)
-					got := captureTenureRun(t, one[name], 41, workers, incr, wholesale)
+					ref := captureTenureRun(t, mk, 41, heap.Config{Workers: workers, Incremental: incr})
+					got := captureTenureRun(t, mk, 41, heap.Config{Workers: workers, Incremental: incr, Tenure: 1})
 					if workers == 0 {
 						compareImages(t, got, ref)
 						return
@@ -243,34 +207,26 @@ func TestTenureThresholdOneIsWholesale(t *testing.T) {
 // with nursery-to-nursery pointer writes flowing through the barrier.
 func TestTenureNeverPromotesNothing(t *testing.T) {
 	for _, workers := range []int{0, 4} {
+		never := func(c *heap.Config) { c.Workers, c.Tenure, c.Adaptive = workers, heap.TenureNever, false }
 		t.Run(fmt.Sprintf("generational/workers=%d", workers), func(t *testing.T) {
-			h := heap.New()
-			h.SetGCWorkers(workers)
-			h.SetGCAdaptive(false)
-			c := generational.New(h, 1024, 16384,
-				generational.WithExpansion(2), generational.WithTenure(heap.TenureNever))
+			h := gctest.NewHeap(never)
+			c := generational.New(h, 1024, 16384, generational.WithExpansion(2))
 			exerciseTenureNever(t, h, c)
 			if n := c.RemsetLen(); n != 0 {
 				t.Errorf("remembered set has %d entries, want 0", n)
 			}
 		})
 		t.Run(fmt.Sprintf("multigen/workers=%d", workers), func(t *testing.T) {
-			h := heap.New()
-			h.SetGCWorkers(workers)
-			h.SetGCAdaptive(false)
-			c := multigen.New(h, []int{1024, 2048, 16384},
-				multigen.WithExpansion(2), multigen.WithTenure(heap.TenureNever))
+			h := gctest.NewHeap(never)
+			c := multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
 			exerciseTenureNever(t, h, c)
 			if n := c.RemsetLen(); n != 0 {
 				t.Errorf("remembered set has %d entries, want 0", n)
 			}
 		})
 		t.Run(fmt.Sprintf("hybrid/workers=%d", workers), func(t *testing.T) {
-			h := heap.New()
-			h.SetGCWorkers(workers)
-			h.SetGCAdaptive(false)
-			c := hybrid.New(h, 512, 8, 1024,
-				hybrid.WithGrowth(), hybrid.WithTenure(heap.TenureNever))
+			h := gctest.NewHeap(never)
+			c := hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth())
 			exerciseTenureNever(t, h, c)
 			if a, b := c.RemsetLens(); a != 0 || b != 0 {
 				t.Errorf("remembered sets have %d+%d entries, want 0", a, b)

@@ -6,18 +6,20 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rdgc/internal/gc/gctest"
 	"rdgc/internal/gc/generational"
 	"rdgc/internal/heap"
 )
 
-// TestMain seeds the allocation-buffer default from the environment, the
-// way the drivers do, so CI's RDGC_GC_LAB=1 fuzz pass drives the buffered
-// evacuation path on every heap the harness builds. (Worker counts flow
-// through fuzzGCWorkers instead, which lets the fuzzer explore them.)
+// TestMain seeds the process default from the environment, the way the
+// drivers do, so each of CI's RDGC_GC_* fuzz passes reaches every heap the
+// harness builds (through Modes, which starts from that default).
 func TestMain(m *testing.M) {
-	heap.SetDefaultGCLAB(heap.GCLABFromEnv())
+	heap.SetDefaultConfig(heap.ConfigFromEnv())
 	os.Exit(m.Run())
 }
+
+func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 // seedPrograms are the hand-written corpus: each stresses a different slice
 // of the op space. The same programs are checked in under
@@ -63,51 +65,12 @@ func FuzzCollectors(f *testing.F) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		census := censusFor(prog)
-		if err := RunAll(prog, census); err != nil {
-			t.Fatal(err)
-		}
-		if err := RunAllAt(prog, census, fuzzGCWorkers(prog)); err != nil {
-			t.Fatalf("parallel tracing: %v", err)
-		}
-		if err := RunAllIncr(prog, census); err != nil {
-			t.Fatalf("incremental: %v", err)
-		}
-		if err := RunAllTenured(prog, census, fuzzTenure(prog)); err != nil {
-			t.Fatalf("tenured: %v", err)
-		}
-		if err := RunAllAdaptive(prog, census); err != nil {
-			t.Fatalf("adaptive: %v", err)
+		for _, m := range Modes(prog) {
+			if err := RunAll(prog, censusFor(prog), m.Config); err != nil {
+				t.Fatalf("%s: %v", m.Name, err)
+			}
 		}
 	})
-}
-
-// fuzzTenure picks the tenured pass's promotion threshold: RDGC_GC_TENURE
-// when set (so CI can pin one), else derived from the program bytes so the
-// fuzzer explores the interesting thresholds including never-promote.
-func fuzzTenure(prog []byte) int {
-	if n := heap.GCTenureFromEnv(); n > 1 {
-		return n
-	}
-	choices := [5]int{2, 3, 6, 15, heap.TenureNever}
-	if len(prog) < 3 {
-		return choices[0]
-	}
-	return choices[prog[2]%5]
-}
-
-// fuzzGCWorkers picks the parallel pass's worker count: RDGC_GC_WORKERS
-// when set (so CI can pin gcworkers=4 under -race), else derived from the
-// program bytes so the fuzzer itself explores {1, 2, 4, 8}.
-func fuzzGCWorkers(prog []byte) int {
-	if n := heap.GCWorkersFromEnv(); n > 0 {
-		return n
-	}
-	counts := [4]int{1, 2, 4, 8}
-	if len(prog) < 2 {
-		return counts[0]
-	}
-	return counts[prog[1]%4]
 }
 
 // TestSeedCorpus replays every checked-in corpus file through every
@@ -131,20 +94,10 @@ func TestSeedCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
 		for _, census := range []bool{false, true} {
-			if err := RunAll(prog, census); err != nil {
-				t.Errorf("%s (census=%v): %v", e.Name(), census, err)
-			}
-			if err := RunAllAt(prog, census, 4); err != nil {
-				t.Errorf("%s (census=%v, gcworkers=4): %v", e.Name(), census, err)
-			}
-			if err := RunAllIncr(prog, census); err != nil {
-				t.Errorf("%s (census=%v, incremental): %v", e.Name(), census, err)
-			}
-			if err := RunAllTenured(prog, census, 6); err != nil {
-				t.Errorf("%s (census=%v, tenure=6): %v", e.Name(), census, err)
-			}
-			if err := RunAllAdaptive(prog, census); err != nil {
-				t.Errorf("%s (census=%v, adaptive): %v", e.Name(), census, err)
+			for _, m := range Modes(prog) {
+				if err := RunAll(prog, census, m.Config); err != nil {
+					t.Errorf("%s (census=%v, %s): %v", e.Name(), census, m.Name, err)
+				}
 			}
 		}
 	}
@@ -231,9 +184,7 @@ func TestTenuredRunDetectsBadAge(t *testing.T) {
 		corr.ten = c.(heap.Tenurer)
 		return corr
 	}
-	_, err := runWith(prog, mk, false, wrap, 0, false, func(h *heap.Heap) {
-		h.SetGCTenure(heap.TenureNever)
-	})
+	_, err := Run(prog, mk, false, heap.Config{Tenure: heap.TenureNever}, wrap)
 	if !corr.done {
 		t.Fatal("the program never retained an aged object to corrupt")
 	}
@@ -246,11 +197,11 @@ func TestTenuredRunDetectsBadAge(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	prog := seedPrograms()[5]
 	for _, nc := range Collectors() {
-		a, err := Run(prog, nc.New, true)
+		a, err := Run(prog, nc.New, true, heap.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", nc.Name, err)
 		}
-		b, err := Run(prog, nc.New, true)
+		b, err := Run(prog, nc.New, true, heap.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", nc.Name, err)
 		}

@@ -167,72 +167,34 @@ func CollectorsSized(total int) []NamedCollector {
 // collectors expose.
 type fullCollector interface{ FullCollect() }
 
-// Run interprets prog against a fresh heap managed by mk's collector and
-// returns the mutator statistics plus the first property violation found.
-// census turns on per-object birth stamps, doubling as a check that the
-// hidden census word never confuses a collector.
-func Run(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool) (heap.Stats, error) {
-	return runWith(prog, mk, census, nil, 0, false, nil)
-}
-
-// RunAt is Run with the heap configured for gcWorkers parallel tracing
-// workers (0 = the sequential engines). The property set is unchanged:
-// parallel tracing must be invisible to every invariant checked here.
-func RunAt(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, gcWorkers int) (heap.Stats, error) {
-	return runWith(prog, mk, census, nil, gcWorkers, false, nil)
-}
-
-// RunIncr is Run with the heap in incremental collection mode (insertion
-// barrier, mark slices, lazy sweeping) for the collectors that support it;
-// the others ignore the flag. The property set is unchanged — in particular
-// the shadow-model comparison and the final whole-heap Check must hold with
-// collection interleaved into the mutator at slice granularity.
-func RunIncr(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool) (heap.Stats, error) {
-	return runWith(prog, mk, census, nil, 0, true, nil)
-}
-
-// RunWith is Run with an instrumentation hook: when wrap is non-nil, the
-// freshly constructed collector is passed through it and the returned
-// wrapper receives the program's collect operations (allocations still
-// flow through the heap's installed allocator). The trace recorder hooks
-// in here — cmd/gcfuzz -emit-trace exports a byte program as a trace —
-// without this package importing the trace codec.
-func RunWith(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, wrap func(h *heap.Heap, c heap.Collector) heap.Collector) (heap.Stats, error) {
-	return runWith(prog, mk, census, wrap, 0, false, nil)
-}
-
-// RunTenured is Run with the heap's promotion threshold pinned (so the
-// tenuring-capable collectors retain survivors in the nursery until they
-// age out; heap.TenureNever and adaptive mode via threshold 0 are both
-// meaningful) and, on collectors that implement heap.Tenurer, the gctest
-// age oracle attached: every retained object's side-table age must match a
-// move-hook shadow count throughout the run.
-func RunTenured(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, threshold int) (heap.Stats, error) {
-	return runWith(prog, mk, census, nil, 0, false, func(h *heap.Heap) {
-		if threshold == 0 {
-			h.SetGCAdaptive(true)
-		} else {
-			h.SetGCTenure(threshold)
-			h.SetGCAdaptive(false)
-		}
-	})
-}
-
-func runWith(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, wrap func(h *heap.Heap, c heap.Collector) heap.Collector, gcWorkers int, incremental bool, configure func(h *heap.Heap)) (heap.Stats, error) {
+// Run interprets prog against a fresh heap built under cfg and managed by
+// mk's collector, and returns the mutator statistics plus the first property
+// violation found. census turns on per-object birth stamps, doubling as a
+// check that the hidden census word never confuses a collector. No
+// configuration may be visible to the properties checked here: parallel
+// tracing, incremental collection (the shadow-model comparison and the final
+// whole-heap Check hold with collection interleaved into the mutator at slice
+// granularity) and tenuring all leave them as they are.
+//
+// When cfg tenures or adapts and the collector implements heap.Tenurer, the
+// gctest age oracle is attached: every retained object's side-table age must
+// match a move-hook shadow count throughout the run. (A heap has one move
+// hook, so a wrap that installs its own needs a cfg that does neither.)
+//
+// When wrap is non-nil, the freshly constructed collector is passed through
+// it and the returned wrapper receives the program's collect operations
+// (allocations still flow through the heap's installed allocator). The trace
+// recorder hooks in here — cmd/gcfuzz -emit-trace exports a byte program as a
+// trace — without this package importing the trace codec.
+func Run(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, cfg heap.Config, wrap func(h *heap.Heap, c heap.Collector) heap.Collector) (heap.Stats, error) {
 	if len(prog) > MaxProgram {
 		prog = prog[:MaxProgram]
 	}
-	var opts []heap.Option
+	opts := []heap.Option{heap.WithConfig(cfg)}
 	if census {
 		opts = append(opts, heap.WithCensus())
 	}
 	h := heap.New(opts...)
-	h.SetGCWorkers(gcWorkers)
-	h.SetGCIncremental(incremental)
-	tenured := configure != nil
-	if tenured {
-		configure(h)
-	}
 	c := mk(h)
 	drive := c
 	if wrap != nil {
@@ -242,7 +204,7 @@ func runWith(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, wra
 	// Tenured runs carry the age oracle: the collector's side age tables
 	// are held to a move-hook shadow count for the whole program.
 	var oracle *gctest.AgeOracle
-	if ten, ok := c.(heap.Tenurer); tenured && ok {
+	if ten, ok := c.(heap.Tenurer); ok && (cfg.Tenure > 1 || cfg.Adaptive) {
 		oracle = gctest.InstallAgeOracle(h, ten)
 	}
 
@@ -313,83 +275,74 @@ func runWith(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, wra
 	return h.Stats, nil
 }
 
-// RunAll runs prog against every collector from Collectors and checks that
-// the mutator statistics agree across all of them. It returns the first
-// violation, naming the collector that produced it.
-func RunAll(prog []byte, census bool) error {
-	return RunAllAt(prog, census, 0)
-}
-
-// RunAllAt is RunAll with every heap configured for gcWorkers parallel
-// tracing workers: the mutator statistics depend only on the program, so
-// they must also agree across worker counts.
-func RunAllAt(prog []byte, census bool, gcWorkers int) error {
-	var first heap.Stats
-	for i, nc := range Collectors() {
-		stats, err := RunAt(prog, nc.New, census, gcWorkers)
+// RunAll runs prog against every collector from Collectors under cfg and
+// checks that each one's mutator statistics equal those of a run under the
+// zero Config: the mutator alone decides what is allocated, so they must
+// agree across collectors, across worker counts, between incremental and
+// stop-the-world collection, and between a tenuring policy and wholesale
+// promotion. It returns the first violation, naming the collector that
+// produced it.
+func RunAll(prog []byte, census bool, cfg heap.Config) error {
+	ref := Collectors()[0]
+	base, err := Run(prog, ref.New, census, heap.Config{}, nil)
+	if err != nil {
+		return fmt.Errorf("%s (zero Config): %w", ref.Name, err)
+	}
+	for _, nc := range Collectors() {
+		stats, err := Run(prog, nc.New, census, cfg, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", nc.Name, err)
 		}
-		if i == 0 {
-			first = stats
-		} else if stats != first {
-			return fmt.Errorf("%s: mutator stats diverged: %+v, %s got %+v",
-				nc.Name, first, Collectors()[0].Name, stats)
-		}
-	}
-	return nil
-}
-
-// RunAllTenured runs prog against every collector with the promotion
-// threshold pinned (0 = adaptive) and the age oracle attached to the
-// tenuring-capable ones, and checks the mutator statistics agree across
-// collectors — and against the wholesale run of the same program, since
-// the mutator alone decides what is allocated, a tenuring policy must not
-// perturb its statistics either.
-func RunAllTenured(prog []byte, census bool, threshold int) error {
-	base, err := Run(prog, Collectors()[0].New, census)
-	if err != nil {
-		return fmt.Errorf("%s (wholesale): %w", Collectors()[0].Name, err)
-	}
-	for _, nc := range Collectors() {
-		stats, err := RunTenured(prog, nc.New, census, threshold)
-		if err != nil {
-			return fmt.Errorf("%s (threshold=%d): %w", nc.Name, threshold, err)
-		}
 		if stats != base {
-			return fmt.Errorf("%s (threshold=%d): mutator stats diverged from wholesale: %+v vs %+v",
-				nc.Name, threshold, stats, base)
+			return fmt.Errorf("%s: mutator stats diverged: %+v, %s under the zero Config got %+v",
+				nc.Name, stats, ref.Name, base)
 		}
 	}
 	return nil
 }
 
-// RunAllAdaptive is RunAllTenured with the policy controller driving the
-// knobs instead of a fixed threshold.
-func RunAllAdaptive(prog []byte, census bool) error {
-	return RunAllTenured(prog, census, 0)
+// Mode is one configuration a program is replayed under.
+type Mode struct {
+	Name   string
+	Config heap.Config
 }
 
-// RunAllIncr runs prog against every collector in incremental mode and
-// additionally pins the mutator statistics identical to the stop-the-world
-// run of the same program on the same collector: incremental collection must
-// be invisible to the mutator.
-func RunAllIncr(prog []byte, census bool) error {
-	for _, nc := range Collectors() {
-		stw, err := Run(prog, nc.New, census)
-		if err != nil {
-			return fmt.Errorf("%s (stw): %w", nc.Name, err)
+// Modes lists the configurations the fuzz target, the seed-corpus test and
+// cmd/gcfuzz replay prog under: the process default (so an RDGC_GC_*
+// environment or a -gc* flag flows through every entry) and, starting from
+// it, one knob turned at a time. The worker count and the promotion
+// threshold come from the program's bytes, so the fuzzer explores them
+// (including never-promote), unless the process default already pins one.
+// Entries that come out equal to an earlier one are dropped.
+func Modes(prog []byte) []Mode {
+	at := func(i int) byte {
+		if i < len(prog) {
+			return prog[i]
 		}
-		incr, err := RunIncr(prog, nc.New, census)
-		if err != nil {
-			return fmt.Errorf("%s (incremental): %w", nc.Name, err)
-		}
-		if stw != incr {
-			return fmt.Errorf("%s: incremental mutator stats diverged from stop-the-world: %+v vs %+v",
-				nc.Name, incr, stw)
-		}
+		return 0
 	}
-	return nil
+	base := heap.DefaultConfig()
+	par, incr, ten, adapt := base, base, base, base
+	if par.Workers == 0 {
+		par.Workers = [4]int{1, 2, 4, 8}[at(1)%4]
+	}
+	incr.Incremental = true
+	if ten.Tenure == 1 {
+		ten.Tenure = [5]int{2, 3, 6, 15, heap.TenureNever}[at(2)%5]
+	}
+	ten.Adaptive = false
+	adapt.Adaptive = true
+	var modes []Mode
+next:
+	for _, m := range []Mode{{"default", base}, {"parallel", par}, {"incremental", incr}, {"tenured", ten}, {"adaptive", adapt}} {
+		for _, seen := range modes {
+			if seen.Config == m.Config {
+				continue next
+			}
+		}
+		modes = append(modes, m)
+	}
+	return modes
 }
 
 // Minimize shrinks a failing program while fails keeps reporting true. It

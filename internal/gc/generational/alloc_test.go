@@ -28,7 +28,7 @@ func fillNursery(tb testing.TB, c *Collector, h *heap.Heap, n int) heap.Word {
 // promoting collection that evacuates roots, scans a remembered set, and
 // clears it must not allocate any Go objects once warmed up.
 func TestMinorSteadyStateZeroAllocs(t *testing.T) {
-	h := heap.New()
+	h := heap.New(heap.WithConfig(heap.Config{})) // the sequential engine promoting wholesale, whatever the environment pins
 	c := New(h, 2048, 1<<16)
 
 	// One permanently live old object whose car will point into the nursery,

@@ -48,7 +48,6 @@ type Collector struct {
 	youngBuf  []*heap.Space
 	keepBuf   []heap.Word
 	ctrl      *policy.Controller
-	adaptOn   bool
 }
 
 // Option configures the collector.
@@ -68,24 +67,6 @@ func WithRemset(rs remset.Set) Option {
 	return func(c *Collector) { c.rs = rs }
 }
 
-// WithTenure sets the promotion threshold explicitly, overriding the
-// heap's GCTenure setting: survivors are evacuated within the nursery
-// until they have survived threshold collections (1 = wholesale
-// promotion, heap.TenureNever = never promote).
-func WithTenure(threshold int) Option {
-	if threshold < 1 {
-		panic("generational: tenure threshold must be at least 1")
-	}
-	return func(c *Collector) { c.threshold = threshold }
-}
-
-// WithAdaptive puts the promotion threshold and nursery trigger under the
-// internal/policy feedback controller, overriding the heap's GCAdaptive
-// setting.
-func WithAdaptive() Option {
-	return func(c *Collector) { c.adaptOn = true }
-}
-
 // New creates a conventional generational collector with the given nursery
 // and old-semispace sizes in words, installing itself as h's allocator and
 // write barrier.
@@ -102,13 +83,12 @@ func New(h *heap.Heap, nurseryWords, oldWords int, opts ...Option) *Collector {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(w), heap.PtrOff(w), c.evac.Slot())
 	}
-	c.threshold = h.GCTenure()
-	c.adaptOn = h.GCAdaptive()
+	c.threshold = h.Config().Tenure
 	c.trigger = nurseryWords
 	for _, o := range opts {
 		o(c)
 	}
-	if c.adaptOn {
+	if h.Config().Adaptive {
 		c.ctrl = policy.New(policy.Config{})
 	}
 	if c.threshold > 1 || c.ctrl != nil {

@@ -1,12 +1,23 @@
 package generational
 
 import (
+	"os"
 	"testing"
 
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 	"rdgc/internal/remset"
 )
+
+// TestMain seeds the process default from the environment, the way the
+// drivers do, so CI's RDGC_GC_ADAPT=1 pass reaches every heap these tests
+// build with a bare heap.New.
+func TestMain(m *testing.M) {
+	heap.SetDefaultConfig(heap.ConfigFromEnv())
+	os.Exit(m.Run())
+}
+
+func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 func TestStress(t *testing.T) {
 	h := heap.New()
@@ -27,7 +38,7 @@ func TestStressSSB(t *testing.T) {
 }
 
 func TestMinorPromotesAllSurvivors(t *testing.T) {
-	h := heap.New()
+	h := heap.New(heap.WithConfig(heap.Config{})) // asserts wholesale promotion
 	c := New(h, 512, 8192)
 	s := h.Scope()
 	defer s.Close()

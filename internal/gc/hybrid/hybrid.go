@@ -67,7 +67,6 @@ type Collector struct {
 	youngBuf  []*heap.Space
 	keepBuf   []heap.Word
 	ctrl      *policy.Controller
-	adaptOn   bool
 }
 
 // Option configures the collector.
@@ -84,22 +83,6 @@ func WithRemsets(a, b remset.Set) Option {
 // WithGrowth permits the dynamic area to grow (by whole steps) when
 // survivors overflow a non-predictive collection or promotion cannot fit.
 func WithGrowth() Option { return func(c *Collector) { c.allowGrow = true } }
-
-// WithTenure sets the promotion threshold explicitly, overriding the
-// heap's GCTenure setting (1 = wholesale, heap.TenureNever = never).
-func WithTenure(threshold int) Option {
-	if threshold < 1 {
-		panic("hybrid: tenure threshold must be at least 1")
-	}
-	return func(c *Collector) { c.threshold = threshold }
-}
-
-// WithAdaptive puts the threshold and nursery trigger under the
-// internal/policy feedback controller, overriding the heap's GCAdaptive
-// setting.
-func WithAdaptive() Option {
-	return func(c *Collector) { c.adaptOn = true }
-}
 
 // New creates a hybrid collector with the given nursery size and k dynamic
 // steps of stepWords each, installing itself as h's allocator and barrier.
@@ -167,14 +150,9 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 		}
 	}
 	c.st.SetJ(c.policy.ChooseJ(k, k))
-	if c.threshold == 0 {
-		c.threshold = h.GCTenure()
-	}
-	if !c.adaptOn {
-		c.adaptOn = h.GCAdaptive()
-	}
+	c.threshold = h.Config().Tenure
 	c.trigger = nurseryWords
-	if c.adaptOn {
+	if h.Config().Adaptive {
 		c.ctrl = policy.New(policy.Config{})
 	}
 	if c.threshold > 1 || c.ctrl != nil {

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"os"
 	"testing"
 
 	"rdgc/internal/core"
@@ -8,6 +9,16 @@ import (
 	"rdgc/internal/heap"
 	"rdgc/internal/remset"
 )
+
+// TestMain seeds the process default from the environment, the way the
+// drivers do, so CI's RDGC_GC_ADAPT=1 pass reaches every heap these tests
+// build with a bare heap.New.
+func TestMain(m *testing.M) {
+	heap.SetDefaultConfig(heap.ConfigFromEnv())
+	os.Exit(m.Run())
+}
+
+func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 func TestStress(t *testing.T) {
 	h := heap.New()
@@ -40,7 +51,7 @@ func TestStressWithGrowth(t *testing.T) {
 }
 
 func TestPromotionMovesEverythingOutOfNursery(t *testing.T) {
-	h := heap.New()
+	h := heap.New(heap.WithConfig(heap.Config{})) // asserts wholesale promotion
 	c := New(h, 256, 8, 1024)
 	s := h.Scope()
 	defer s.Close()
@@ -108,7 +119,7 @@ func TestSituation5EntersRemsetB(t *testing.T) {
 	// the promotion scan must put it in remembered set B, which must keep
 	// its referent alive across the next non-predictive collection even
 	// after every direct root to the referent is dropped.
-	h := heap.New()
+	h := heap.New(heap.WithConfig(heap.Config{})) // asserts wholesale promotion (its fill loop never ends once an adaptive controller stops promoting)
 	c := New(h, 256, 6, 512, WithPolicy(core.FixedJ(2)), WithGrowth())
 	s := h.Scope()
 	defer s.Close()
@@ -204,7 +215,7 @@ func TestGrowthUnderLiveLoad(t *testing.T) {
 // young-step objects pointing into steps j+1..k — exactly what set B must
 // cover, or the next non-predictive collection leaves their slots dangling.
 func TestPromotionIntoOldStepsMigratesSetAToSetB(t *testing.T) {
-	h := heap.New()
+	h := heap.New(heap.WithConfig(heap.Config{})) // asserts wholesale promotion
 	c := New(h, 512, 8, 1024, WithGrowth(), WithPolicy(core.FixedJ(2)))
 	s := h.Scope()
 	defer s.Close()

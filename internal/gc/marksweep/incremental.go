@@ -6,7 +6,7 @@ import (
 	"rdgc/internal/heap"
 )
 
-// Incremental mode (heap.SetGCIncremental / -gcincr): the same mark/sweep
+// Incremental mode (heap.Config.Incremental / -gcincr): the same mark/sweep
 // algorithm with its two monolithic pauses split into bounded pieces.
 //
 // Marking runs in slices of at most the heap's slice budget, interleaved

@@ -7,10 +7,15 @@ import (
 	"rdgc/internal/heap"
 )
 
+// incrHeap builds a heap with incremental collection forced on or off and
+// every other knob from the process default.
+func incrHeap(on bool) *heap.Heap {
+	return gctest.NewHeap(func(c *heap.Config) { c.Incremental = on })
+}
+
 func newIncremental(t *testing.T, words int, opts ...Option) (*heap.Heap, *Collector) {
 	t.Helper()
-	h := heap.New()
-	h.SetGCIncremental(true)
+	h := incrHeap(true)
 	c := New(h, words, opts...)
 	if c.incr == nil {
 		t.Fatal("incremental mode did not arm")
@@ -19,8 +24,7 @@ func newIncremental(t *testing.T, words int, opts ...Option) (*heap.Heap, *Colle
 }
 
 func TestIncrementalStress(t *testing.T) {
-	h := heap.New()
-	h.SetGCIncremental(true)
+	h := incrHeap(true)
 	c := New(h, 8192)
 	gctest.StressCollector(t, h, c)
 }
@@ -30,8 +34,7 @@ func TestIncrementalStress(t *testing.T) {
 // collection is incremental or stop-the-world.
 func TestIncrementalSurvivors(t *testing.T) {
 	run := func(incremental bool) []int64 {
-		h := heap.New()
-		h.SetGCIncremental(incremental)
+		h := incrHeap(incremental)
 		c := New(h, 8192)
 		s := h.Scope()
 		defer s.Close()
@@ -61,8 +64,7 @@ func TestIncrementalSurvivors(t *testing.T) {
 // same program.
 func TestIncrementalBoundsPauses(t *testing.T) {
 	run := func(incremental bool) *heap.GCStats {
-		h := heap.New()
-		h.SetGCIncremental(incremental)
+		h := incrHeap(incremental)
 		c := New(h, 65536)
 		s := h.Scope()
 		defer s.Close()

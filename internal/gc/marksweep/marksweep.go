@@ -86,7 +86,7 @@ func New(h *heap.Heap, words int, opts ...Option) *Collector {
 	}
 	c.addSpace(words)
 	h.SetAllocator(c)
-	if h.GCIncremental() {
+	if h.Config().Incremental {
 		c.incrInit()
 	}
 	return c

@@ -8,19 +8,18 @@ import (
 	"rdgc/internal/heap"
 )
 
-// TestMain seeds the parallel-engine and incremental defaults from the
-// environment, the same way the drivers do, so CI can re-run this
-// package's whole suite with the 4-worker mark and block sweep under the
-// race detector (RDGC_GC_WORKERS=4) and again with incremental collection
-// (RDGC_GC_INCR=1): the determinism contract says every test must pass
-// unchanged under any engine configuration.
+// TestMain seeds the process default from the environment, the same way the
+// drivers do, so CI can re-run this package's whole suite with the 4-worker
+// mark and block sweep under the race detector (RDGC_GC_WORKERS=4, and again
+// with RDGC_GC_LAB=1) and with incremental collection (RDGC_GC_INCR=1): the
+// determinism contract says every test must pass unchanged under any engine
+// configuration.
 func TestMain(m *testing.M) {
-	heap.SetDefaultGCWorkers(heap.GCWorkersFromEnv())
-	heap.SetDefaultGCLAB(heap.GCLABFromEnv())
-	heap.SetDefaultGCIncremental(heap.GCIncrFromEnv())
-	heap.SetDefaultGCSliceBudget(heap.GCSliceFromEnv())
+	heap.SetDefaultConfig(heap.ConfigFromEnv())
 	os.Exit(m.Run())
 }
+
+func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 func TestStress(t *testing.T) {
 	h := heap.New()

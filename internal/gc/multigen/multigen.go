@@ -57,7 +57,6 @@ type Collector struct {
 	gen0To    *heap.Space
 	youngBuf  []*heap.Space
 	ctrl      *policy.Controller
-	adaptOn   bool
 }
 
 // Option configures the collector.
@@ -75,22 +74,6 @@ func WithExpansion(invLoad float64) Option {
 // WithRemset substitutes the remembered-set representation.
 func WithRemset(rs remset.Set) Option { return func(c *Collector) { c.rs = rs } }
 
-// WithTenure sets the nursery promotion threshold explicitly, overriding
-// the heap's GCTenure setting (1 = wholesale, heap.TenureNever = never).
-func WithTenure(threshold int) Option {
-	if threshold < 1 {
-		panic("multigen: tenure threshold must be at least 1")
-	}
-	return func(c *Collector) { c.threshold = threshold }
-}
-
-// WithAdaptive puts the threshold and nursery trigger under the
-// internal/policy feedback controller, overriding the heap's GCAdaptive
-// setting.
-func WithAdaptive() Option {
-	return func(c *Collector) { c.adaptOn = true }
-}
-
 // New creates a collector whose generation sizes (in words, youngest
 // first) are given explicitly; the last size is the old-semispace size.
 // len(sizes) >= 2.
@@ -99,8 +82,7 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		panic("multigen: need at least 2 generations")
 	}
 	c := &Collector{h: h, rs: remset.NewHashSet()}
-	c.threshold = h.GCTenure()
-	c.adaptOn = h.GCAdaptive()
+	c.threshold = h.Config().Tenure
 	for _, o := range opts {
 		o(c)
 	}
@@ -119,7 +101,7 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.Slot())
 	}
-	if c.adaptOn {
+	if h.Config().Adaptive {
 		c.ctrl = policy.New(policy.Config{})
 	}
 	if c.threshold > 1 || c.ctrl != nil {

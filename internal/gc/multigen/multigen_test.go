@@ -1,12 +1,23 @@
 package multigen
 
 import (
+	"os"
 	"testing"
 
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 	"rdgc/internal/remset"
 )
+
+// TestMain seeds the process default from the environment, the way the
+// drivers do, so CI's RDGC_GC_ADAPT=1 pass reaches every heap these tests
+// build with a bare heap.New.
+func TestMain(m *testing.M) {
+	heap.SetDefaultConfig(heap.ConfigFromEnv())
+	os.Exit(m.Run())
+}
+
+func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 // Generations must grow geometrically: each one needs room for the
 // worst-case survivors of everything younger, or promotion skips it.
@@ -37,7 +48,7 @@ func TestStressSSB(t *testing.T) {
 }
 
 func TestObjectsAgeThroughGenerations(t *testing.T) {
-	h := heap.New()
+	h := heap.New(heap.WithConfig(heap.Config{})) // asserts wholesale promotion
 	c := New(h, []int{512, 1024, 2048, 8192}, WithExpansion(2))
 	s := h.Scope()
 	defer s.Close()
@@ -103,7 +114,7 @@ func TestOlderToYoungerPointerIsRemembered(t *testing.T) {
 func TestRemsetRefilterDropsStaleEntries(t *testing.T) {
 	// §8.4's refinement: once a remembered object's referent has been
 	// promoted alongside it, rescanning removes the entry.
-	h := heap.New()
+	h := heap.New(heap.WithConfig(heap.Config{})) // asserts wholesale promotion
 	c := New(h, []int{512, 8192})
 	s := h.Scope()
 	defer s.Close()

@@ -6,7 +6,7 @@ import (
 	"rdgc/internal/heap"
 )
 
-// Incremental mode (heap.SetGCIncremental / -gcincr) for the non-predictive
+// Incremental mode (heap.Config.Incremental / -gcincr) for the non-predictive
 // mark/sweep collector: the mark of steps j+1..k runs in bounded slices
 // behind the insertion barrier, and the per-step sweeps are deferred and
 // run one step at a time — on demand when allocation descends into a

@@ -8,28 +8,30 @@ import (
 	"rdgc/internal/heap"
 )
 
-// TestMain seeds the engine defaults from the environment, the way the
-// drivers do, so CI can re-run this package's whole suite with parallel
-// tracing (RDGC_GC_WORKERS) and with incremental collection
-// (RDGC_GC_INCR=1).
+// TestMain seeds the process default from the environment, the way the
+// drivers do, so CI can re-run this package's whole suite with incremental
+// collection (RDGC_GC_INCR=1) or under any other RDGC_GC_* setting.
 func TestMain(m *testing.M) {
-	heap.SetDefaultGCWorkers(heap.GCWorkersFromEnv())
-	heap.SetDefaultGCLAB(heap.GCLABFromEnv())
-	heap.SetDefaultGCIncremental(heap.GCIncrFromEnv())
-	heap.SetDefaultGCSliceBudget(heap.GCSliceFromEnv())
+	heap.SetDefaultConfig(heap.ConfigFromEnv())
 	os.Exit(m.Run())
 }
 
+func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
+
+// incrHeap builds a heap with incremental collection forced on or off and
+// every other knob from the process default.
+func incrHeap(on bool) *heap.Heap {
+	return gctest.NewHeap(func(c *heap.Config) { c.Incremental = on })
+}
+
 func TestIncrementalStress(t *testing.T) {
-	h := heap.New()
-	h.SetGCIncremental(true)
+	h := incrHeap(true)
 	c := New(h, 8, 2048)
 	gctest.StressCollector(t, h, c)
 }
 
 func TestIncrementalStressNoCompaction(t *testing.T) {
-	h := heap.New()
-	h.SetGCIncremental(true)
+	h := incrHeap(true)
 	c := New(h, 8, 2048, WithCompactEvery(0))
 	gctest.StressCollector(t, h, c)
 }
@@ -38,8 +40,7 @@ func TestIncrementalStressNoCompaction(t *testing.T) {
 // data under incremental and stop-the-world collection.
 func TestIncrementalSurvivors(t *testing.T) {
 	run := func(incremental bool) []int64 {
-		h := heap.New()
-		h.SetGCIncremental(incremental)
+		h := incrHeap(incremental)
 		c := New(h, 16, 4096)
 		s := h.Scope()
 		defer s.Close()
@@ -69,8 +70,7 @@ func TestIncrementalSurvivors(t *testing.T) {
 // engages (phases traversed, slices run, pauses recorded) on a churn
 // workload, with the verifier clean at every phase.
 func TestIncrementalCyclesRun(t *testing.T) {
-	h := heap.New()
-	h.SetGCIncremental(true)
+	h := incrHeap(true)
 	c := New(h, 16, 4096, WithCompactEvery(0))
 	h.SetAfterGC(func() {
 		if err := heap.VerifyCollector(h, c); err != nil {
@@ -115,8 +115,7 @@ func TestIncrementalCyclesRun(t *testing.T) {
 // and leaves a verifier-clean heap.
 func TestIncrementalCompactMidCycle(t *testing.T) {
 	for _, target := range []int{npMarking, npSweeping} {
-		h := heap.New()
-		h.SetGCIncremental(true)
+		h := incrHeap(true)
 		c := New(h, 16, 4096, WithCompactEvery(0))
 		s := h.Scope()
 		list := gctest.BuildList(h, 500)

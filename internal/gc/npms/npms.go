@@ -123,7 +123,7 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 	}
 	h.SetAllocator(c)
 	h.SetBarrier(c)
-	if h.GCIncremental() {
+	if h.Config().Incremental {
 		c.incrInit()
 	}
 	return c

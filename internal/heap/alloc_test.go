@@ -24,7 +24,7 @@ func buildChain(t testing.TB, h *Heap, s *Space, n int) Word {
 // stack has grown to the workload's depth, re-arming with Begin and marking
 // the same live graph must not allocate.
 func TestMarkerSteadyStateZeroAllocs(t *testing.T) {
-	h := New()
+	h := New(WithConfig(Config{})) // the sequential engine, whatever the environment pins
 	s := h.NewSpace("mark-arena", 4096)
 	h.GlobalWord(buildChain(t, h, s, 500))
 
@@ -51,7 +51,7 @@ func TestMarkerSteadyStateZeroAllocs(t *testing.T) {
 // re-arm (SetFrom clears and refills the from-set every cycle) and the
 // fused drain's cached space table.
 func TestEvacuatorSteadyStateZeroAllocs(t *testing.T) {
-	h := New()
+	h := New(WithConfig(Config{})) // the sequential engine, whatever the environment pins
 	from := h.NewSpace("flip-A", 4096)
 	to := h.NewSpace("flip-B", 4096)
 	h.GlobalWord(buildChain(t, h, from, 500))
@@ -80,7 +80,7 @@ func TestEvacuatorSteadyStateZeroAllocs(t *testing.T) {
 // npms pattern, since their space lists grow) must not allocate in steady
 // state.
 func TestMarkerBoundedRegionZeroAllocs(t *testing.T) {
-	h := New()
+	h := New(WithConfig(Config{})) // the sequential engine, whatever the environment pins
 	s := h.NewSpace("mark-arena", 4096)
 	other := h.NewSpace("outside", 16)
 	h.GlobalWord(buildChain(t, h, s, 500))
@@ -107,7 +107,7 @@ func TestMarkerBoundedRegionZeroAllocs(t *testing.T) {
 // BenchmarkMarkerSteadyState reports the per-collection cost (and allocs)
 // of marking a live chain with a reused Marker.
 func BenchmarkMarkerSteadyState(b *testing.B) {
-	h := New()
+	h := New(WithConfig(Config{})) // the sequential engine, whatever the environment pins
 	s := h.NewSpace("mark-arena", 1<<16)
 	h.GlobalWord(buildChain(b, h, s, 8000))
 	m := NewMarker(h, nil)
@@ -123,7 +123,7 @@ func BenchmarkMarkerSteadyState(b *testing.B) {
 // BenchmarkEvacuatorSteadyState reports the per-collection cost (and
 // allocs) of a semispace flip with a reused Evacuator.
 func BenchmarkEvacuatorSteadyState(b *testing.B) {
-	h := New()
+	h := New(WithConfig(Config{})) // the sequential engine, whatever the environment pins
 	from := h.NewSpace("flip-A", 1<<16)
 	to := h.NewSpace("flip-B", 1<<16)
 	h.GlobalWord(buildChain(b, h, from, 8000))

@@ -223,7 +223,7 @@ func (e *Evacuator) Drain() {
 	// concurrently and out of allocation order) or age routing (it orders
 	// copies by age, which the workers' schedule would not preserve), so
 	// instrumented and tenured runs drain sequentially at any worker count.
-	if w := e.H.gcWorkers; w > 1 && e.moved == nil && !e.tenured {
+	if w := e.H.cfg.Workers; w > 1 && e.moved == nil && !e.tenured {
 		e.drainParallel(w)
 		return
 	}

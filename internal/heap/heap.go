@@ -139,31 +139,9 @@ type Heap struct {
 	// word after each header, else 0. It is fixed at heap creation.
 	extraWords int
 
-	// gcWorkers is the tracing-worker count: N <= 1 selects the sequential
-	// engines, N >= 2 the parallel drains with N workers. New seeds it
-	// from the package default; SetGCWorkers overrides per heap.
-	gcWorkers int
-
-	// gcLAB opts the parallel evacuator into per-worker allocation buffers
-	// sized in whole blocks (parevac.go); it has no effect below 2 workers.
-	// New seeds it from the package default; SetGCLAB overrides per heap.
-	gcLAB bool
-
-	// gcIncr opts collectors that support it into incremental collection:
-	// marking proceeds in bounded slices between mutator operations behind a
-	// Dijkstra insertion barrier, and sweeping happens block-by-block on the
-	// allocation path. gcSlice is the per-slice mark budget in words. New
-	// seeds both from the package defaults; SetGCIncremental overrides per
-	// heap.
-	gcIncr  bool
-	gcSlice int
-
-	// gcTenure is the promotion threshold supporting collectors read at
-	// construction (1 = wholesale promotion; tenure.go); gcAdapt hands the
-	// threshold and nursery trigger to the internal/policy controller. New
-	// seeds both from the package defaults.
-	gcTenure int
-	gcAdapt  bool
+	// cfg is the collector configuration, normalized: New takes it from
+	// WithConfig or the process default, SetConfig replaces it.
+	cfg Config
 
 	// pauseLog, when non-nil, receives the raw words-of-work of every pause
 	// recorded through Heap.AddPause (the -pauselog stream).
@@ -207,14 +185,9 @@ func WithCensus() Option { return func(h *Heap) { h.extraWords = 1 } }
 // with SetAllocator.
 func New(opts ...Option) *Heap {
 	h := &Heap{
-		barrier:   nopBarrier{},
-		symtab:    make(map[string]int),
-		gcWorkers: int(defaultGCWorkers.Load()),
-		gcLAB:     defaultGCLAB.Load(),
-		gcIncr:    defaultGCIncr.Load(),
-		gcSlice:   DefaultGCSliceBudget(),
-		gcTenure:  DefaultGCTenure(),
-		gcAdapt:   defaultGCAdapt.Load(),
+		barrier: nopBarrier{},
+		symtab:  make(map[string]int),
+		cfg:     DefaultConfig(),
 	}
 	for _, o := range opts {
 		o(h)

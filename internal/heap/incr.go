@@ -1,128 +1,9 @@
 package heap
 
-import (
-	"math"
-	"os"
-	"strconv"
-	"sync/atomic"
-)
+import "math"
 
-// Incremental collection configuration and the shared slice-scheduling
-// engine used by the incremental mark/sweep collectors.
-//
-// Incremental mode is an opt-in, per-heap configuration, mirroring the
-// parallel-tracing knobs in parallel.go: a heap with GCIncremental() ==
-// false (the default) collects stop-the-world exactly as before, and heaps
-// built by collectors that do not support incremental mode ignore the
-// setting. When enabled, a supporting collector splits each mark phase into
-// bounded slices interleaved with mutator allocation, keeps the tricolor
-// invariant with a Dijkstra-style insertion barrier on the heap store
-// paths, and sweeps blocks on demand from the allocation path — so every
-// mutator-visible pause is a slice, a termination phase, or a single-block
-// sweep instead of a whole-heap walk.
-
-// EnvGCIncr is the environment variable the drivers consult when their
-// -gcincr flag is left at its default: a truthy strconv.ParseBool value
-// enables incremental collection on supporting collectors.
-const EnvGCIncr = "RDGC_GC_INCR"
-
-// EnvGCSlice is the environment variable the drivers consult when their
-// -gcslice flag is left at its default: a positive integer sets the
-// words-per-slice mark budget.
-const EnvGCSlice = "RDGC_GC_SLICE"
-
-// DefaultSliceBudget is the words-per-slice mark budget used when neither
-// the flag nor the environment picks one: four blocks of mark work per
-// slice, small enough that slices undercut whole-heap pauses by orders of
-// magnitude on the benchmark heaps, large enough that slice scheduling
-// overhead stays invisible next to the marking itself.
-const DefaultSliceBudget = 4 * BlockWords
-
-// defaultGCIncr and defaultGCSlice seed every heap created by New,
-// mirroring defaultGCWorkers. A zero defaultGCSlice means "unset" and
-// resolves to DefaultSliceBudget.
-var (
-	defaultGCIncr  atomic.Bool
-	defaultGCSlice atomic.Int64
-)
-
-// SetDefaultGCIncremental sets the incremental-collection mode inherited by
-// heaps subsequently created with New.
-func SetDefaultGCIncremental(on bool) { defaultGCIncr.Store(on) }
-
-// DefaultGCIncremental returns the incremental mode New currently hands to
-// fresh heaps.
-func DefaultGCIncremental() bool { return defaultGCIncr.Load() }
-
-// SetDefaultGCSliceBudget sets the words-per-slice mark budget inherited by
-// heaps subsequently created with New. Values below 1 restore
-// DefaultSliceBudget.
-func SetDefaultGCSliceBudget(words int) {
-	if words < 1 {
-		words = 0
-	}
-	defaultGCSlice.Store(int64(words))
-}
-
-// DefaultGCSliceBudget returns the slice budget New currently hands to
-// fresh heaps.
-func DefaultGCSliceBudget() int {
-	if v := defaultGCSlice.Load(); v > 0 {
-		return int(v)
-	}
-	return DefaultSliceBudget
-}
-
-// GCIncrFromEnv reports whether RDGC_GC_INCR requests incremental
-// collection.
-func GCIncrFromEnv() bool {
-	if s := os.Getenv(EnvGCIncr); s != "" {
-		if on, err := strconv.ParseBool(s); err == nil {
-			return on
-		}
-	}
-	return false
-}
-
-// GCSliceFromEnv returns the slice budget requested by RDGC_GC_SLICE, or
-// DefaultSliceBudget when the variable is unset or not a positive integer.
-func GCSliceFromEnv() int {
-	if s := os.Getenv(EnvGCSlice); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return DefaultSliceBudget
-}
-
-// ResolveGCSlice implements the drivers' flag/env precedence for the slice
-// budget: a flag value >= 1 is explicit and wins, while the default
-// sentinel 0 defers to RDGC_GC_SLICE (which itself falls back to
-// DefaultSliceBudget).
-func ResolveGCSlice(flagValue int) int {
-	if flagValue >= 1 {
-		return flagValue
-	}
-	return GCSliceFromEnv()
-}
-
-// SetGCIncremental configures this heap's incremental-collection mode.
-func (h *Heap) SetGCIncremental(on bool) { h.gcIncr = on }
-
-// GCIncremental reports whether this heap requests incremental collection.
-func (h *Heap) GCIncremental() bool { return h.gcIncr }
-
-// SetGCSliceBudget configures this heap's words-per-slice mark budget.
-// Values below 1 restore DefaultSliceBudget.
-func (h *Heap) SetGCSliceBudget(words int) {
-	if words < 1 {
-		words = DefaultSliceBudget
-	}
-	h.gcSlice = words
-}
-
-// GCSliceBudget reports this heap's words-per-slice mark budget.
-func (h *Heap) GCSliceBudget() int { return h.gcSlice }
+// The shared slice-scheduling engine of the incremental mark/sweep
+// collectors, which run it when Config.Incremental is set.
 
 // incrMarkRatio is how many words of marking each slice retires per word
 // the mutator allocated since the previous slice: with budget B, a slice of
@@ -153,7 +34,7 @@ type IncrMarker struct {
 	Active bool
 
 	// Budget is the words-per-slice mark budget, captured from the heap at
-	// StartRoots so a mid-cycle SetGCSliceBudget cannot starve termination.
+	// StartRoots so a mid-cycle SetConfig cannot starve termination.
 	Budget int
 
 	// debt is the mutator allocation (in words) not yet paid for with
@@ -190,7 +71,7 @@ func NewIncrMarker(h *Heap, m *Marker) *IncrMarker {
 // barrier must Shade every pointer stored into the heap.
 func (im *IncrMarker) StartRoots() uint64 {
 	im.Active = true
-	im.Budget = im.H.gcSlice
+	im.Budget = im.H.cfg.SliceBudget
 	im.debt = 0
 	im.Slices = 0
 	im.SliceWords = 0

@@ -21,85 +21,13 @@ func buildIncrChain(h *Heap, s *Space, n int) Word {
 	return prev
 }
 
-func TestGCIncrementalConfig(t *testing.T) {
-	t.Cleanup(func() {
-		SetDefaultGCIncremental(false)
-		SetDefaultGCSliceBudget(0)
-	})
-
-	if DefaultGCIncremental() {
-		t.Fatal("incremental mode must default off")
-	}
-	if DefaultGCSliceBudget() != DefaultSliceBudget {
-		t.Fatalf("DefaultGCSliceBudget() = %d, want %d", DefaultGCSliceBudget(), DefaultSliceBudget)
-	}
-
-	SetDefaultGCIncremental(true)
-	SetDefaultGCSliceBudget(512)
-	h := New()
-	if !h.GCIncremental() || h.GCSliceBudget() != 512 {
-		t.Fatalf("New() inherited (incr=%v, slice=%d), want (true, 512)",
-			h.GCIncremental(), h.GCSliceBudget())
-	}
-
-	h.SetGCIncremental(false)
-	if h.GCIncremental() {
-		t.Fatal("SetGCIncremental(false) did not stick")
-	}
-	h.SetGCSliceBudget(0)
-	if h.GCSliceBudget() != DefaultSliceBudget {
-		t.Fatalf("SetGCSliceBudget(0) left %d, want the default %d",
-			h.GCSliceBudget(), DefaultSliceBudget)
-	}
-
-	SetDefaultGCSliceBudget(-3)
-	if DefaultGCSliceBudget() != DefaultSliceBudget {
-		t.Fatal("a negative default budget must restore DefaultSliceBudget")
-	}
-}
-
-func TestGCIncrementalEnv(t *testing.T) {
-	t.Setenv(EnvGCIncr, "")
-	t.Setenv(EnvGCSlice, "")
-	if GCIncrFromEnv() {
-		t.Fatal("GCIncrFromEnv() with the variable unset")
-	}
-	if GCSliceFromEnv() != DefaultSliceBudget {
-		t.Fatalf("GCSliceFromEnv() unset = %d, want %d", GCSliceFromEnv(), DefaultSliceBudget)
-	}
-
-	t.Setenv(EnvGCIncr, "1")
-	t.Setenv(EnvGCSlice, "777")
-	if !GCIncrFromEnv() {
-		t.Fatal("RDGC_GC_INCR=1 not honored")
-	}
-	if GCSliceFromEnv() != 777 {
-		t.Fatalf("RDGC_GC_SLICE=777 read back %d", GCSliceFromEnv())
-	}
-	if got := ResolveGCSlice(0); got != 777 {
-		t.Fatalf("ResolveGCSlice(0) = %d, want the env's 777", got)
-	}
-	if got := ResolveGCSlice(64); got != 64 {
-		t.Fatalf("ResolveGCSlice(64) = %d, want the explicit flag to win", got)
-	}
-
-	t.Setenv(EnvGCIncr, "nonsense")
-	t.Setenv(EnvGCSlice, "-9")
-	if GCIncrFromEnv() {
-		t.Fatal("an unparsable RDGC_GC_INCR must read as off")
-	}
-	if GCSliceFromEnv() != DefaultSliceBudget {
-		t.Fatal("a non-positive RDGC_GC_SLICE must fall back to the default")
-	}
-}
-
 // TestIncrMarkerSlices drives a full incremental cycle by hand: root scan,
 // debt-paced bounded slices, termination — and checks the result against
 // what a stop-the-world mark of the same graph finds.
 func TestIncrMarkerSlices(t *testing.T) {
 	const pairs = 500
 	h := New()
-	h.SetGCSliceBudget(64)
+	h.cfg.SliceBudget = 64
 	s := h.NewSpace("incr-arena", 1<<14)
 	h.GlobalWord(buildIncrChain(h, s, pairs))
 
@@ -210,7 +138,7 @@ func TestIncrMarkerShade(t *testing.T) {
 
 func TestIncrMarkerCancel(t *testing.T) {
 	h := New()
-	h.SetGCSliceBudget(8)
+	h.cfg.SliceBudget = 8
 	s := h.NewSpace("cancel-arena", 1<<13)
 	h.GlobalWord(buildIncrChain(h, s, 200))
 

@@ -123,7 +123,7 @@ func (m *Marker) Drain() {
 		m.drainReference()
 		return
 	}
-	if w := m.H.gcWorkers; w > 1 {
+	if w := m.H.cfg.Workers; w > 1 {
 		m.drainParallel(w)
 		return
 	}

@@ -28,7 +28,7 @@ func snapshot(s *Space) []Word {
 // word of the heap), WordsMarked, and ObjectsMarked are bit-identical to
 // the sequential drain.
 func TestParallelMarkMatchesSequential(t *testing.T) {
-	h := New()
+	h := New(WithConfig(Config{})) // the reference run is the sequential engine
 	s := h.NewSpace("forest", 1<<17)
 	buildForest(t, h, s, 64, 100)
 
@@ -39,7 +39,7 @@ func TestParallelMarkMatchesSequential(t *testing.T) {
 	ClearMarks(s)
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		h.SetGCWorkers(workers)
+		h.cfg.Workers = workers
 		m.Begin()
 		m.Run()
 		if m.WordsMarked != wantWords || m.ObjectsMarked != wantObjs {
@@ -56,14 +56,14 @@ func TestParallelMarkMatchesSequential(t *testing.T) {
 		}
 		ClearMarks(s)
 	}
-	h.SetGCWorkers(0)
+	h.cfg.Workers = 0
 }
 
 // TestParallelMarkBoundedRegion checks the region bitset bound is honored
 // by parallel workers: pointers out of the region are leaves, exactly as in
 // the sequential drain.
 func TestParallelMarkBoundedRegion(t *testing.T) {
-	h := New()
+	h := New(WithConfig(Config{})) // the reference run is the sequential engine
 	in := h.NewSpace("in-region", 1<<14)
 	out := h.NewSpace("out-region", 1<<14)
 
@@ -84,7 +84,7 @@ func TestParallelMarkBoundedRegion(t *testing.T) {
 	ClearMarks(in, out)
 
 	for _, workers := range []int{1, 4} {
-		h.SetGCWorkers(workers)
+		h.cfg.Workers = workers
 		m.Begin()
 		m.SetRegion(in)
 		m.Run()
@@ -99,7 +99,7 @@ func TestParallelMarkBoundedRegion(t *testing.T) {
 		}
 		ClearMarks(in, out)
 	}
-	h.SetGCWorkers(0)
+	h.cfg.Workers = 0
 }
 
 // chainCars walks a pair chain from head and returns the fixnum car of
@@ -131,7 +131,7 @@ func chainCars(t *testing.T, h *Heap, head Word) []int64 {
 // of the contract (workers race for reservations).
 func TestParallelEvacMatchesSequential(t *testing.T) {
 	const chains, chainLen = 32, 100
-	h := New()
+	h := New(WithConfig(Config{})) // the reference run is the sequential engine
 	from := h.NewSpace("flip-A", 1<<16)
 	to := h.NewSpace("flip-B", 1<<16)
 	roots := buildForest(t, h, from, chains, chainLen)
@@ -150,7 +150,7 @@ func TestParallelEvacMatchesSequential(t *testing.T) {
 	wantCars := censusCars(h, from)
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		h.SetGCWorkers(workers)
+		h.cfg.Workers = workers
 		flip()
 		if e.WordsCopied != wantWords || e.ObjectsCopied != wantObjs {
 			t.Errorf("workers=%d: copied %d words / %d objects, sequential copied %d / %d",
@@ -175,7 +175,7 @@ func TestParallelEvacMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	h.SetGCWorkers(0)
+	h.cfg.Workers = 0
 }
 
 // censusCars returns the sorted multiset of pair cars in a space — an
@@ -232,11 +232,11 @@ func TestParallelEvacOverflowContention(t *testing.T) {
 
 	e := NewEvacuator(h, nil)
 	e.Overflow = overflow
-	h.SetGCWorkers(4)
+	h.cfg.Workers = 4
 	e.SetFrom(from)
 	e.Begin(t0, t1)
 	e.Run()
-	h.SetGCWorkers(0)
+	h.cfg.Workers = 0
 
 	wantObjs := chains * chainLen
 	if e.ObjectsCopied != wantObjs {
@@ -274,7 +274,7 @@ func TestParallelEvacOverflowContention(t *testing.T) {
 // continue into it in Cheney order, and its gray region is drained.
 func TestEvacuatorOverflowOrderSequential(t *testing.T) {
 	const pairs = 40
-	h := New()
+	h := New(WithConfig(Config{})) // the reference run is the sequential engine
 	from := h.NewSpace("seq-from", 1<<12)
 	h.GlobalWord(buildChain(t, h, from, pairs))
 
@@ -371,7 +371,7 @@ func TestParallelMarkSteadyStateZeroAllocs(t *testing.T) {
 	h := New()
 	s := h.NewSpace("par-mark-arena", 4096)
 	h.GlobalWord(buildChain(t, h, s, 500))
-	h.SetGCWorkers(1)
+	h.cfg.Workers = 1
 
 	m := NewMarker(h, nil)
 	m.Run() // warmup: the mark stack grows once
@@ -397,7 +397,7 @@ func TestParallelEvacSteadyStateZeroAllocs(t *testing.T) {
 	from := h.NewSpace("par-flip-A", 4096)
 	to := h.NewSpace("par-flip-B", 4096)
 	h.GlobalWord(buildChain(t, h, from, 500))
-	h.SetGCWorkers(1)
+	h.cfg.Workers = 1
 
 	e := NewEvacuator(h, nil)
 	flip := func() {
@@ -418,59 +418,13 @@ func TestParallelEvacSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestGCWorkersConfig covers the configuration plumbing: package default
-// inherited by New, per-heap override, negative clamping, and the
-// flag/env resolution precedence.
-func TestGCWorkersConfig(t *testing.T) {
-	defer SetDefaultGCWorkers(0)
-
-	SetDefaultGCWorkers(3)
-	if DefaultGCWorkers() != 3 {
-		t.Fatalf("DefaultGCWorkers() = %d, want 3", DefaultGCWorkers())
-	}
-	h := New()
-	if h.GCWorkers() != 3 {
-		t.Errorf("New heap inherited %d workers, want the package default 3", h.GCWorkers())
-	}
-	h.SetGCWorkers(5)
-	if h.GCWorkers() != 5 {
-		t.Errorf("SetGCWorkers(5): GCWorkers() = %d", h.GCWorkers())
-	}
-	h.SetGCWorkers(-2)
-	if h.GCWorkers() != 0 {
-		t.Errorf("SetGCWorkers(-2) must clamp to 0, got %d", h.GCWorkers())
-	}
-	SetDefaultGCWorkers(-1)
-	if DefaultGCWorkers() != 0 {
-		t.Errorf("SetDefaultGCWorkers(-1) must clamp to 0, got %d", DefaultGCWorkers())
-	}
-
-	t.Setenv(EnvGCWorkers, "6")
-	if got := GCWorkersFromEnv(); got != 6 {
-		t.Errorf("GCWorkersFromEnv() = %d with %s=6", got, EnvGCWorkers)
-	}
-	if got := ResolveGCWorkers(-1); got != 6 {
-		t.Errorf("ResolveGCWorkers(-1) = %d, want env value 6", got)
-	}
-	if got := ResolveGCWorkers(2); got != 2 {
-		t.Errorf("ResolveGCWorkers(2) = %d, explicit flag must win over env", got)
-	}
-	if got := ResolveGCWorkers(0); got != 0 {
-		t.Errorf("ResolveGCWorkers(0) = %d, explicit 0 (sequential) must win over env", got)
-	}
-	t.Setenv(EnvGCWorkers, "not-a-number")
-	if got := GCWorkersFromEnv(); got != 0 {
-		t.Errorf("GCWorkersFromEnv() = %d for a malformed value, want 0", got)
-	}
-}
-
 // benchForest sizes match the sequential steady-state benchmarks so the
 // parallel rows are directly comparable.
 func benchParallelMark(b *testing.B, workers int) {
 	h := New()
 	s := h.NewSpace("bench-forest", 1<<18)
 	buildForest(b, h, s, 256, 96)
-	h.SetGCWorkers(workers)
+	h.cfg.Workers = workers
 
 	m := NewMarker(h, nil)
 	m.Run()
@@ -489,7 +443,7 @@ func benchParallelEvac(b *testing.B, workers int) {
 	from := h.NewSpace("bench-flip-A", 1<<18)
 	to := h.NewSpace("bench-flip-B", 1<<18)
 	buildForest(b, h, from, 256, 96)
-	h.SetGCWorkers(workers)
+	h.cfg.Workers = workers
 
 	e := NewEvacuator(h, nil)
 	flip := func() {

@@ -20,8 +20,8 @@ import (
 //     collections) the final Top are identical to the sequential engine for
 //     every worker count — at the price of one contended CAS per copied
 //     object.
-//   - Per-worker allocation buffers (Heap.SetGCLAB / RDGC_GC_LAB): each worker claims whole BlockWords-sized buffers from
-//     the shared cursors and bump-allocates copies inside its buffer with
+//   - Per-worker allocation buffers (Config.LAB / RDGC_GC_LAB): each worker
+//     claims whole BlockWords-sized buffers from the shared cursors and bump-allocates copies inside its buffer with
 //     plain stores, cutting cursor contention by ~BlockWords/avg-object.
 //     Retiring a buffer writes its unused tail as a TFree filler block (the
 //     space stays linearly parsable) and adds the tail to Space.Waste, so
@@ -141,7 +141,7 @@ func (e *Evacuator) drainParallel(workers int) {
 	e.spaces = e.H.Spaces
 	t.spaces = e.spaces
 	p.tgt.Store(t)
-	p.lab = e.H.gcLAB
+	p.lab = e.H.cfg.LAB
 
 	p.queue.reset(workers)
 	p.queue.buf = e.seedGray(p.queue.buf)

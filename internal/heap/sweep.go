@@ -69,7 +69,7 @@ func (sw *Sweeper) Sweep(spaces ...*Space) uint64 {
 	}
 	sw.prefix = append(sw.prefix, total)
 
-	workers := sw.H.gcWorkers
+	workers := sw.H.cfg.Workers
 	if workers <= 1 {
 		// Sequential configuration: the same per-block routine in flat
 		// address order on the caller — no goroutines, no atomics

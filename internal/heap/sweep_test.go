@@ -13,7 +13,7 @@ import (
 // different worker counts word for word.
 func buildSweepFixture(seed int64, workers int) (*Heap, []*Space) {
 	h := New()
-	h.SetGCWorkers(workers)
+	h.cfg.Workers = workers
 	rng := rand.New(rand.NewSource(seed))
 	spaces := []*Space{
 		h.NewBlockedSpace("sw-a", 16*BlockWords),

@@ -1,156 +1,15 @@
 package heap
 
-import (
-	"os"
-	"strconv"
-	"strings"
-	"sync/atomic"
-)
-
-// Age-based tenuring configuration and the Evacuator's age routing.
-//
-// Tenuring is an opt-in, per-heap configuration mirroring the parallel and
-// incremental knobs (parallel.go, incr.go): a heap with GCTenure() == 1
-// (the default) promotes nursery survivors wholesale, through plain Begin
-// runs that read nothing in this file. A threshold of n >= 2 makes
-// supporting collectors evacuate a nursery survivor *within* the nursery
-// (into a survivor shadow space) until the side age table says it has
-// survived n collections, and only then promote it. GCAdaptive() hands the
-// threshold — plus the nursery's effective size and collection trigger —
-// to the feedback controller in internal/policy, fed by the per-age-class
-// survival counters the tenured evacuator collects below.
-
-// EnvGCTenure is the environment variable the drivers consult when their
-// -gctenure flag is left at its default: a positive integer sets the
-// promotion threshold (1 = wholesale promotion), and the word "never"
-// selects TenureNever.
-const EnvGCTenure = "RDGC_GC_TENURE"
-
-// EnvGCAdapt is the environment variable the drivers consult when their
-// -gcadapt flag is left at its default: a truthy strconv.ParseBool value
-// puts supporting collectors under the adaptive policy controller.
-const EnvGCAdapt = "RDGC_GC_ADAPT"
-
-// TenureNever is a promotion threshold no survivor can reach: the side age
-// table saturates at MaxObjectAge, far below it, so collectors configured
-// with it never promote out of the nursery (survivors overflow to the old
-// area only when the survivor shadow runs out of room).
-const TenureNever = 1 << 20
+// The Evacuator's age routing, which the tenuring collectors arm when
+// Config.Tenure >= 2 or Config.Adaptive is set. With neither, survivors are
+// promoted wholesale through plain Begin runs that read nothing in this file.
+// The per-age-class survival counters collected below feed the adaptive
+// controller.
 
 // TenureAgeClasses is the number of age classes the tenured evacuator
 // resolves in its per-collection survival counters (the last class pools
 // everything older). internal/policy sizes its EWMA tables to match.
 const TenureAgeClasses = 16
-
-// defaultGCTenure and defaultGCAdapt seed every heap created by New,
-// mirroring defaultGCWorkers. A zero defaultGCTenure means "unset" and
-// resolves to 1 (wholesale promotion).
-var (
-	defaultGCTenure atomic.Int32
-	defaultGCAdapt  atomic.Bool
-)
-
-// SetDefaultGCTenure sets the promotion threshold inherited by heaps
-// subsequently created with New. Values below 1 restore the unset state
-// (wholesale promotion).
-func SetDefaultGCTenure(n int) {
-	if n < 1 {
-		n = 0
-	}
-	if n > TenureNever {
-		n = TenureNever
-	}
-	defaultGCTenure.Store(int32(n))
-}
-
-// DefaultGCTenure returns the promotion threshold New currently hands to
-// fresh heaps (1 = wholesale promotion).
-func DefaultGCTenure() int {
-	if v := defaultGCTenure.Load(); v > 0 {
-		return int(v)
-	}
-	return 1
-}
-
-// SetDefaultGCAdaptive sets the adaptive-policy mode inherited by heaps
-// subsequently created with New.
-func SetDefaultGCAdaptive(on bool) { defaultGCAdapt.Store(on) }
-
-// DefaultGCAdaptive returns the adaptive mode New currently hands to fresh
-// heaps.
-func DefaultGCAdaptive() bool { return defaultGCAdapt.Load() }
-
-// GCTenureFromEnv returns the promotion threshold requested by
-// RDGC_GC_TENURE, or 1 (wholesale) when the variable is unset or not a
-// positive integer. The value "never" selects TenureNever.
-func GCTenureFromEnv() int {
-	if s := os.Getenv(EnvGCTenure); s != "" {
-		if strings.EqualFold(s, "never") {
-			return TenureNever
-		}
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			if n > TenureNever {
-				return TenureNever
-			}
-			return n
-		}
-	}
-	return 1
-}
-
-// GCAdaptFromEnv reports whether RDGC_GC_ADAPT requests the adaptive
-// policy controller.
-func GCAdaptFromEnv() bool {
-	if s := os.Getenv(EnvGCAdapt); s != "" {
-		if on, err := strconv.ParseBool(s); err == nil {
-			return on
-		}
-	}
-	return false
-}
-
-// ResolveGCTenure implements the drivers' flag/env precedence for the
-// promotion threshold: a flag value >= 1 is explicit and wins, while the
-// default sentinel 0 defers to RDGC_GC_TENURE (which itself falls back to
-// wholesale promotion).
-func ResolveGCTenure(flagValue int) int {
-	if flagValue >= 1 {
-		if flagValue > TenureNever {
-			return TenureNever
-		}
-		return flagValue
-	}
-	return GCTenureFromEnv()
-}
-
-// SetGCTenure configures this heap's promotion threshold. Values below 1
-// restore wholesale promotion. Collectors read the setting at construction
-// time, so it must be set before the collector's New.
-func (h *Heap) SetGCTenure(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > TenureNever {
-		n = TenureNever
-	}
-	h.gcTenure = n
-}
-
-// GCTenure reports this heap's promotion threshold (1 = wholesale).
-func (h *Heap) GCTenure() int {
-	if h.gcTenure < 1 {
-		return 1
-	}
-	return h.gcTenure
-}
-
-// SetGCAdaptive configures this heap's adaptive-policy mode. Collectors
-// read the setting at construction time, like SetGCTenure.
-func (h *Heap) SetGCAdaptive(on bool) { h.gcAdapt = on }
-
-// GCAdaptive reports whether this heap requests the adaptive policy
-// controller.
-func (h *Heap) GCAdaptive() bool { return h.gcAdapt }
 
 // Tenurer is implemented by collectors that support age-based nursery
 // tenuring; tests and the age oracle use it to reach the age-carrying

@@ -56,87 +56,6 @@ func TestSetAgeAtWithoutTablePanics(t *testing.T) {
 	s.SetAgeAt(0, 1)
 }
 
-func TestTenureConfigDefaultsAndEnv(t *testing.T) {
-	defer SetDefaultGCTenure(0)
-	defer SetDefaultGCAdaptive(false)
-
-	if DefaultGCTenure() != 1 {
-		t.Fatalf("unset DefaultGCTenure = %d, want 1", DefaultGCTenure())
-	}
-	SetDefaultGCTenure(6)
-	if DefaultGCTenure() != 6 {
-		t.Fatalf("DefaultGCTenure = %d, want 6", DefaultGCTenure())
-	}
-	SetDefaultGCTenure(0)
-	if DefaultGCTenure() != 1 {
-		t.Fatal("SetDefaultGCTenure(0) did not restore the unset state")
-	}
-
-	SetDefaultGCAdaptive(true)
-	if !DefaultGCAdaptive() {
-		t.Fatal("SetDefaultGCAdaptive(true) not reflected")
-	}
-	SetDefaultGCAdaptive(false)
-
-	t.Setenv(EnvGCTenure, "15")
-	if got := GCTenureFromEnv(); got != 15 {
-		t.Fatalf("GCTenureFromEnv = %d, want 15", got)
-	}
-	t.Setenv(EnvGCTenure, "never")
-	if got := GCTenureFromEnv(); got != TenureNever {
-		t.Fatalf("GCTenureFromEnv(never) = %d, want TenureNever", got)
-	}
-	t.Setenv(EnvGCTenure, "bogus")
-	if got := GCTenureFromEnv(); got != 1 {
-		t.Fatalf("GCTenureFromEnv(bogus) = %d, want 1", got)
-	}
-	t.Setenv(EnvGCTenure, "8")
-	if got := ResolveGCTenure(0); got != 8 {
-		t.Fatalf("ResolveGCTenure(sentinel) = %d, want env's 8", got)
-	}
-	if got := ResolveGCTenure(3); got != 3 {
-		t.Fatalf("ResolveGCTenure(3) = %d: explicit flag must win", got)
-	}
-
-	t.Setenv(EnvGCAdapt, "1")
-	if !GCAdaptFromEnv() {
-		t.Fatal("GCAdaptFromEnv(1) = false")
-	}
-	t.Setenv(EnvGCAdapt, "junk")
-	if GCAdaptFromEnv() {
-		t.Fatal("GCAdaptFromEnv(junk) = true")
-	}
-}
-
-func TestHeapTenureSettings(t *testing.T) {
-	h := New()
-	if h.GCTenure() != 1 || h.GCAdaptive() {
-		t.Fatal("fresh heap not at wholesale defaults")
-	}
-	h.SetGCTenure(4)
-	if h.GCTenure() != 4 {
-		t.Fatalf("GCTenure = %d, want 4", h.GCTenure())
-	}
-	h.SetGCTenure(0)
-	if h.GCTenure() != 1 {
-		t.Fatal("SetGCTenure(0) did not restore wholesale")
-	}
-	h.SetGCAdaptive(true)
-	if !h.GCAdaptive() {
-		t.Fatal("SetGCAdaptive not reflected")
-	}
-
-	SetDefaultGCTenure(7)
-	SetDefaultGCAdaptive(true)
-	defer SetDefaultGCTenure(0)
-	defer SetDefaultGCAdaptive(false)
-	h2 := New()
-	if h2.GCTenure() != 7 || !h2.GCAdaptive() {
-		t.Fatalf("New did not inherit defaults: tenure %d adaptive %v",
-			h2.GCTenure(), h2.GCAdaptive())
-	}
-}
-
 // tenureRig is a nursery + survivor shadow + old target with a bump
 // allocator over the nursery, for driving the tenured evacuator directly.
 type tenureRig struct {

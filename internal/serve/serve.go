@@ -32,8 +32,8 @@ type Config struct {
 	// assumption the latency numbers rest on.
 	WordsPerTick int
 
-	// Per-shard heap knobs, mirroring the drivers' -gcworkers, -gclab,
-	// -gcincr, -gcslice, -gctenure, -gcadapt.
+	// The heap.Config of every shard heap, field by field (flat, because
+	// the JSON report prints these names).
 	GCWorkers   int
 	GCLAB       bool
 	Incremental bool

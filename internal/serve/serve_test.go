@@ -120,11 +120,11 @@ func TestRunShardCountsPartitionWork(t *testing.T) {
 	}
 }
 
-// TestRunIncrementalModes runs the incremental-capable and tenuring
+// TestModesEngage runs the incremental-capable and tenuring
 // collectors with their modes on, checking the knobs engage (incremental
 // marking multiplies pause count; the adaptive controller reports
 // adaptations) rather than merely not crashing.
-func TestRunIncrementalModes(t *testing.T) {
+func TestModesEngage(t *testing.T) {
 	stw := smallConfig()
 	stw.Collector = "marksweep"
 	base, err := Run(stw)

@@ -51,15 +51,14 @@ type shard struct {
 // times. It is the unit the runner parallelizes; everything it touches is
 // shard-local, so shards share no mutable state.
 func runShard(cfg Config, idx int, reqs []Request, profiles []*Profile) (ShardResult, error) {
-	h := heap.New()
-	h.SetGCWorkers(cfg.GCWorkers)
-	h.SetGCLAB(cfg.GCLAB)
-	h.SetGCIncremental(cfg.Incremental)
-	if cfg.SliceBudget > 0 {
-		h.SetGCSliceBudget(cfg.SliceBudget)
-	}
-	h.SetGCTenure(cfg.Tenure)
-	h.SetGCAdaptive(cfg.Adaptive)
+	h := heap.New(heap.WithConfig(heap.Config{
+		Workers:     cfg.GCWorkers,
+		LAB:         cfg.GCLAB,
+		Incremental: cfg.Incremental,
+		SliceBudget: cfg.SliceBudget,
+		Tenure:      cfg.Tenure,
+		Adaptive:    cfg.Adaptive,
+	}))
 	col, err := collectorByName(h, cfg.Collector, cfg.HeapWords)
 	if err != nil {
 		return ShardResult{}, err

@@ -32,7 +32,7 @@ func buildCorpus(t *testing.T) []corpusEntry {
 		return raw
 	}
 
-	// A fixed byte program through the fuzz harness's RunWith hook — the
+	// A fixed byte program through the fuzz harness's wrap hook — the
 	// same wiring cmd/gcfuzz -emit-trace (and -compress) uses.
 	fuzzProg := func(wopts ...trace.WriterOption) []byte {
 		prog := make([]byte, 300)
@@ -41,7 +41,7 @@ func buildCorpus(t *testing.T) []corpusEntry {
 		}
 		var buf bytes.Buffer
 		var rec *trace.Recorder
-		_, err := gcfuzz.RunWith(prog, gcfuzz.Collectors()[0].New, false,
+		_, err := gcfuzz.Run(prog, gcfuzz.Collectors()[0].New, false, heap.Config{},
 			func(h *heap.Heap, c heap.Collector) heap.Collector {
 				w, werr := trace.NewWriter(&buf, trace.Header{Meta: []trace.MetaEntry{
 					{Key: "workload", Value: "gcfuzz:corpus"},
