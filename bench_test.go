@@ -22,6 +22,9 @@ import (
 	"rdgc/internal/core"
 	"rdgc/internal/decay"
 	"rdgc/internal/experiments"
+	"rdgc/internal/gc/gctest"
+	"rdgc/internal/gc/marksweep"
+	"rdgc/internal/gc/npms"
 	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 	"rdgc/internal/remset"
@@ -412,6 +415,35 @@ func BenchmarkHeapAllocation(b *testing.B) {
 		g := h.Scope()
 		h.Cons(h.Fix(int64(i)), h.Null())
 		g.Close()
+	}
+}
+
+// BenchmarkMarkSweepAllocFragmented measures mark/sweep's first-fit search
+// where it is hardest: a thousand blocks swept to leave only two-word holes
+// — free lists non-empty, nothing a 3-to-8-word request can use — ahead of
+// the free tail the requests are served from. Each collection (one per tail's
+// worth of garbage) refills the lists and restarts the search.
+func BenchmarkMarkSweepAllocFragmented(b *testing.B) {
+	const fragmented, tail = 1000, 1000 // blocks
+	h := heap.New()
+	c := marksweep.New(h, (fragmented+tail)*heap.BlockWords)
+	gctest.FragmentBlocks(h, fragmented)
+	c.Collect()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AllocRaw(heap.TVector, 2+i%6)
+	}
+}
+
+// BenchmarkNPMSAlloc measures the non-predictive mark/sweep collector's
+// allocation path (descending steps, one free list per step) on garbage
+// pairs, collections included.
+func BenchmarkNPMSAlloc(b *testing.B) {
+	h := heap.New()
+	c := npms.New(h, 8, 1<<16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AllocRaw(heap.TPair, 2)
 	}
 }
 

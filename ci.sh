@@ -32,6 +32,11 @@ check_cover ./internal/remset 96
 check_cover ./internal/trace 85
 check_cover ./internal/policy 96
 check_cover ./internal/serve 88
+# The two free-list collectors: their allocation paths carry every mark/sweep
+# and npms cell of every grid, and only the reference-allocator differential
+# and the cursor tests in their own packages hold those paths to first-fit.
+check_cover ./internal/gc/marksweep 96
+check_cover ./internal/gc/npms 93
 
 # Env-pinned passes. Every package named on a line below seeds its process
 # default with heap.SetDefaultConfig(heap.ConfigFromEnv()) in TestMain and

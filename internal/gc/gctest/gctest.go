@@ -71,6 +71,24 @@ func Churn(h *heap.Heap, n int) {
 	}
 }
 
+// FragmentBlocks fills the next n blocks of a block-structured heap with
+// two-word boxes and roots every other one, so the collection the caller runs
+// next leaves those blocks holding nothing but two-word holes: free lists
+// non-empty, no run a request of three words or more can use. The heap must
+// be otherwise empty and at least n blocks large; the rooting table is a
+// large object, outside the blocks.
+func FragmentBlocks(h *heap.Heap, n int) {
+	boxes := n * heap.BlockWords / 2
+	keep := h.Global(h.MakeVector(boxes/2, h.Null()))
+	for i := 0; i < boxes; i++ {
+		s := h.Scope()
+		if box := h.Box(h.Fix(int64(i))); i%2 == 0 {
+			h.VectorSet(keep, i/2, box)
+		}
+		s.Close()
+	}
+}
+
 // StressCollector exercises a freshly configured heap/collector pair with
 // live data pinned across heavy garbage churn, shared-structure updates,
 // and explicit collections.

@@ -68,21 +68,21 @@ func (c *Collector) allocRawIncr(t heap.Type, payload, total int) heap.Word {
 	if total > heap.LargeObjectWords {
 		return c.allocLargeIncr(t, payload, total)
 	}
-	s, off, ok := c.tryAllocIncr(total)
+	s, off, ok := c.tryAlloc(total)
 	if !ok && c.phase == msMarking {
 		// Allocation pressure beat the mark pacing: terminate the cycle now
 		// — the termination pause is only the remaining gray work, where the
 		// stop-the-world fallback below would re-mark everything — then
 		// retry with every block lazily sweepable.
 		c.finishMark()
-		s, off, ok = c.tryAllocIncr(total)
+		s, off, ok = c.tryAlloc(total)
 	}
 	if !ok {
 		c.Collect()
-		s, off, ok = c.tryAllocIncr(total)
+		s, off, ok = c.tryAlloc(total)
 		if !ok && c.expand > 0 {
 			c.grow(total)
-			s, off, ok = c.tryAllocIncr(total)
+			s, off, ok = c.tryAlloc(total)
 		}
 		if !ok {
 			panic(fmt.Sprintf("marksweep: out of memory: need %d words", total))
@@ -155,9 +155,7 @@ func (c *Collector) finishMark() {
 	losSwept := c.los.Sweep()
 	c.stats.WordsSwept += losSwept
 	c.sweeper.BeginLazy(c.spaces...)
-	for i := range c.hint {
-		c.hint[i] = 0
-	}
+	c.resetHints()
 	c.lastLive = m.WordsMarked
 	c.phase = msSweeping
 	c.sweepDebt = 0
@@ -216,33 +214,17 @@ func (c *Collector) stwReset() uint64 {
 	return 0
 }
 
-// tryAllocIncr is the first-fit scan with on-demand sweeping: a block's
-// free list (and the emptiness check behind the hint advance) can only be
-// trusted after its lazy sweep, so any pending block is swept — its own
-// recorded pause — the moment the scan reaches it.
-func (c *Collector) tryAllocIncr(n int) (*heap.Space, int, bool) {
-	for i, s := range c.spaces {
-		fh := s.Blocks.FreeHead
-		for b := c.hint[i]; b < len(fh); b++ {
-			if words := c.sweeper.EnsureSwept(s, b); words > 0 {
-				c.stats.WordsSwept += uint64(words)
-				c.h.AddPause(&c.stats, uint64(words))
-				if c.sweeper.LazyPending() == 0 && c.phase == msSweeping {
-					c.finishCycle()
-				}
-			}
-			if fh[b] == heap.NoFreeBlock {
-				if b == c.hint[i] {
-					c.hint[i] = b + 1
-				}
-				continue
-			}
-			if off, ok := s.AllocFromBlock(b, n); ok {
-				return s, off, true
-			}
+// ensureSwept is the first-fit scan's on-demand sweep: if block b of s still
+// awaits its lazy sweep it is swept now, as its own recorded pause, and the
+// cycle closes when it was the last one pending.
+func (c *Collector) ensureSwept(s *heap.Space, b int) {
+	if words := c.sweeper.EnsureSwept(s, b); words > 0 {
+		c.stats.WordsSwept += uint64(words)
+		c.h.AddPause(&c.stats, uint64(words))
+		if c.sweeper.LazyPending() == 0 && c.phase == msSweeping {
+			c.finishCycle()
 		}
 	}
-	return nil, 0, false
 }
 
 // allocLargeIncr places a large object during incremental operation. Unlike

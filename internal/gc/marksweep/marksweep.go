@@ -27,13 +27,23 @@ import (
 type Collector struct {
 	h      *heap.Heap
 	spaces []*heap.Space
-	// hint[i] is the first block of spaces[i] that might still have free
-	// storage. Within a mutator phase a block's free list only shrinks, so
-	// once a block's list empties every later request can skip it; sweep
-	// refills lists and resets the hints. Skipping only completely full
-	// blocks keeps placement identical to a plain first-fit scan.
-	hint []int
-	los  *heap.LargeObjectSpace
+	// hint[i][n] is the first block of spaces[i] that can still hold an
+	// n-word request (n <= heap.LargeObjectWords): every block before it has
+	// an empty free list or MaxRun < n. Free runs only shrink between sweeps
+	// — the invariant MaxRun rests on too — so a block rejected for n stays
+	// rejected until a sweep refills it, and the scan for n resumes where the
+	// last one stopped: a mutator phase costs O(blocks + allocations) per
+	// size instead of O(blocks) per allocation. The rejected blocks are the
+	// ones a plain first-fit scan would pass over without side effects, so
+	// placement is identical to it. resetHints clears the cursors wherever
+	// lists are refilled wholesale (Collect, finishMark); the lazy sweep
+	// refills only blocks no cursor has passed, because tryAlloc sweeps a
+	// pending block before judging it.
+	hint [][]int32
+	// visited counts the blocks tryAlloc has examined; only the cost test
+	// reads it.
+	visited uint64
+	los     *heap.LargeObjectSpace
 
 	stats heap.GCStats
 
@@ -95,7 +105,15 @@ func New(h *heap.Heap, words int, opts ...Option) *Collector {
 func (c *Collector) addSpace(words int) {
 	s := c.h.NewBlockedSpace(fmt.Sprintf("markswept-%d", len(c.spaces)), words)
 	c.spaces = append(c.spaces, s)
-	c.hint = append(c.hint, 0)
+	c.hint = append(c.hint, make([]int32, heap.LargeObjectWords+1))
+}
+
+// resetHints rewinds every cursor to block 0: the free lists were (or are
+// about to be) rebuilt, so no block's rejection stands.
+func (c *Collector) resetHints() {
+	for _, cur := range c.hint {
+		clear(cur)
+	}
 }
 
 // Name implements heap.Collector.
@@ -194,21 +212,31 @@ func (c *Collector) grow(need int) {
 }
 
 // tryAlloc finds the first free block of at least n words across all blocked
-// spaces, scanning each space's blocks first-fit from its hint.
+// spaces, scanning each space's blocks first-fit from its cursor for n and
+// leaving the cursor on the block that served the request (or past the last
+// block when none can). In incremental mode a block's free list and MaxRun
+// can only be trusted after its lazy sweep, so a pending block is swept — its
+// own recorded pause — the moment the scan reaches it, before the cursor can
+// pass it.
 func (c *Collector) tryAlloc(n int) (*heap.Space, int, bool) {
 	for i, s := range c.spaces {
 		fh := s.Blocks.FreeHead
-		for b := c.hint[i]; b < len(fh); b++ {
+		cur := c.hint[i]
+		b := int(cur[n])
+		for ; b < len(fh); b++ {
+			c.visited++
+			if c.incr != nil {
+				c.ensureSwept(s, b)
+			}
 			if fh[b] == heap.NoFreeBlock {
-				if b == c.hint[i] {
-					c.hint[i] = b + 1
-				}
 				continue
 			}
 			if off, ok := s.AllocFromBlock(b, n); ok {
+				cur[n] = int32(b)
 				return s, off, true
 			}
 		}
+		cur[n] = int32(b)
 	}
 	return nil, 0, false
 }
@@ -238,9 +266,7 @@ func (c *Collector) Collect() {
 	swept += c.los.Sweep()
 	c.stats.WordsSwept += swept
 	c.h.AddPause(&c.stats, pause+m.WordsMarked+swept)
-	for i := range c.hint {
-		c.hint[i] = 0
-	}
+	c.resetHints()
 	if c.incr != nil {
 		c.lastLive = m.WordsMarked
 		c.scheduleNext()

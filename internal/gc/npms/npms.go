@@ -22,7 +22,7 @@ import (
 	"rdgc/internal/remset"
 )
 
-const noBlock = -1
+const noBlock = heap.NoFreeBlock
 
 // Collector is the mark/sweep non-predictive collector.
 type Collector struct {
@@ -33,7 +33,7 @@ type Collector struct {
 	// per physical space, indexed by SpaceID.
 	steps    []*heap.Space
 	shadows  []*heap.Space
-	freeHead map[heap.SpaceID]int
+	freeHead []int   // SpaceID -> first free block, or noBlock
 	pos      []int32 // SpaceID -> logical position, or -1
 
 	j        int
@@ -92,7 +92,6 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 	c := &Collector{
 		h:            h,
 		stepWords:    stepWords,
-		freeHead:     make(map[heap.SpaceID]int),
 		rs:           remset.NewHashSet(),
 		g:            0.25,
 		compactEvery: 8,
@@ -101,12 +100,19 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 		o(c)
 	}
 	for i := 0; i < k; i++ {
-		s := h.NewSpace(fmt.Sprintf("npms-step-%d", i), stepWords)
-		c.initFree(s)
-		c.steps = append(c.steps, s)
+		c.steps = append(c.steps, h.NewSpace(fmt.Sprintf("npms-step-%d", i), stepWords))
 	}
 	for i := 0; i < k; i++ {
 		c.shadows = append(c.shadows, h.NewSpace(fmt.Sprintf("npms-shadow-%d", i), stepWords))
+	}
+	// Steps and shadows trade places at every compaction, so the free heads
+	// (like pos) are sized over both.
+	c.freeHead = make([]int, len(h.Spaces))
+	for i := range c.freeHead {
+		c.freeHead[i] = noBlock
+	}
+	for _, s := range c.steps {
+		c.initFree(s)
 	}
 	c.rebuildPos()
 	c.allocIdx = k - 1
@@ -134,7 +140,7 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 func (c *Collector) initFree(s *heap.Space) {
 	s.Top = s.Cap()
 	s.Mem[0] = heap.HeaderWord(heap.TFree, s.Cap()-1)
-	c.setNextFree(s, 0, noBlock)
+	heap.SetFreeNext(s, 0, noBlock)
 	c.freeHead[s.ID] = 0
 }
 
@@ -233,21 +239,9 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 	}
 }
 
-// Free-list plumbing, shared shape with the plain mark/sweep collector.
-
-func (c *Collector) nextFree(s *heap.Space, off int) int {
-	if heap.HeaderSize(s.Mem[off]) == 0 {
-		return noBlock
-	}
-	return int(heap.FixnumVal(s.Mem[off+1]))
-}
-
-func (c *Collector) setNextFree(s *heap.Space, off, next int) {
-	if heap.HeaderSize(s.Mem[off]) > 0 {
-		s.Mem[off+1] = heap.FixnumWord(int64(next))
-	}
-}
-
+// tryAllocIn carves n words first-fit out of s's free list, with the block
+// links and split rule of the plain mark/sweep collector's
+// heap.Space.AllocFromBlock.
 func (c *Collector) tryAllocIn(s *heap.Space, n int) (int, bool) {
 	if c.incr != nil && c.pend[s.ID] {
 		// The step's free list is stale until its deferred sweep runs.
@@ -257,13 +251,13 @@ func (c *Collector) tryAllocIn(s *heap.Space, n int) (int, bool) {
 	for off := c.freeHead[s.ID]; off != noBlock; {
 		hdr := s.Mem[off]
 		blockWords := heap.ObjWords(hdr)
-		next := c.nextFree(s, off)
+		next := heap.FreeNext(s, off)
 		if blockWords >= n {
 			replacement := next
 			if rem := blockWords - n; rem > 1 {
 				remOff := off + n
 				s.Mem[remOff] = heap.HeaderWord(heap.TFree, rem-1)
-				c.setNextFree(s, remOff, next)
+				heap.SetFreeNext(s, remOff, next)
 				replacement = remOff
 			} else if rem == 1 {
 				s.Mem[off+n] = heap.HeaderWord(heap.TFree, 0)
@@ -271,7 +265,7 @@ func (c *Collector) tryAllocIn(s *heap.Space, n int) (int, bool) {
 			if prev == noBlock {
 				c.freeHead[s.ID] = replacement
 			} else {
-				c.setNextFree(s, prev, replacement)
+				heap.SetFreeNext(s, prev, replacement)
 			}
 			return off, true
 		}
@@ -392,7 +386,7 @@ func (c *Collector) compact() {
 				c.freeHead[t.ID] = noBlock
 			} else {
 				t.Mem[used] = heap.HeaderWord(heap.TFree, t.Cap()-used-1)
-				c.setNextFree(t, used, noBlock)
+				heap.SetFreeNext(t, used, noBlock)
 				c.freeHead[t.ID] = used
 			}
 		} else {
@@ -408,7 +402,7 @@ func (c *Collector) compact() {
 	c.shadows = collected
 	for _, s := range c.shadows {
 		s.Reset()
-		delete(c.freeHead, s.ID)
+		c.freeHead[s.ID] = noBlock
 	}
 	c.rebuildPos()
 
@@ -481,11 +475,11 @@ func (c *Collector) sweep(s *heap.Space) int {
 		if heap.HeaderSize(s.Mem[off]) == 0 {
 			return
 		}
-		c.setNextFree(s, off, noBlock)
+		heap.SetFreeNext(s, off, noBlock)
 		if c.freeHead[s.ID] == noBlock {
 			c.freeHead[s.ID] = off
 		} else {
-			c.setNextFree(s, tail, off)
+			heap.SetFreeNext(s, tail, off)
 		}
 		tail = off
 	}
@@ -500,7 +494,7 @@ func (c *Collector) sweep(s *heap.Space) int {
 			grown := heap.ObjWords(s.Mem[lastFree]) + n
 			wasUnlinked := heap.HeaderSize(s.Mem[lastFree]) == 0
 			s.Mem[lastFree] = heap.HeaderWord(heap.TFree, grown-1)
-			c.setNextFree(s, lastFree, noBlock)
+			heap.SetFreeNext(s, lastFree, noBlock)
 			if wasUnlinked {
 				link(lastFree)
 			}

@@ -163,3 +163,29 @@ func TestMarkConsComparableToCopyingVariant(t *testing.T) {
 		t.Errorf("mark/cons = %.3f out of plausible range", mcRatio)
 	}
 }
+
+// TestAllocRawDoesNotAllocate: between collections the allocation path —
+// free heads and positions indexed by SpaceID, the descending step cursor —
+// runs without touching the Go heap, in both modes. The window starts on a
+// freshly collected heap and is shorter than one step, so no collection (and
+// no incremental cycle, which allocates its rename buffers) falls inside it.
+func TestAllocRawDoesNotAllocate(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = incremental })
+		c := New(h, 8, 16384)
+		gctest.Churn(h, 200000)
+		c.Collect()
+		collections := c.stats.Collections
+		allocs := testing.AllocsPerRun(20, func() {
+			for i := 0; i < 100; i++ {
+				c.AllocRaw(heap.TPair, 2)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("incremental=%v: AllocRaw allocates %.1f Go objects per 100 calls", incremental, allocs)
+		}
+		if c.stats.Collections != collections {
+			t.Errorf("incremental=%v: a collection ran inside the measured window", incremental)
+		}
+	}
+}

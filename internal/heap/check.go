@@ -4,8 +4,9 @@ import "fmt"
 
 // Check validates the heap's structural invariants: every space below its
 // bump pointer parses as a sequence of well-formed blocks, no block carries
-// a stale mark bit, and every pointer reachable from the roots targets a
-// valid object header. Tests call it after collections; it is too slow for
+// a stale mark bit, every swept block of a blocked space has a sound free
+// list, and every pointer reachable from the roots targets a valid object
+// header. Tests call it after collections; it is too slow for
 // production paths.
 func Check(h *Heap) error {
 	for _, s := range h.Spaces {
@@ -32,6 +33,9 @@ func Check(h *Heap) error {
 		}
 		if off != s.Top {
 			return fmt.Errorf("heap.Check: %v: parse ended at %d, top %d", s, off, s.Top)
+		}
+		if fault := s.blockTableFault(); fault != "" {
+			return fmt.Errorf("heap.Check: %w: %v %s", ErrBadBlockTable, s, fault)
 		}
 	}
 

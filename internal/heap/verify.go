@@ -21,6 +21,9 @@ import (
 //   5. Remembered-set completeness: for every rule a collector declares,
 //      every object whose fields demand an entry is actually in the set
 //      (§8.4's six situations reduce to these per-collector rules).
+//   6. Every swept block of a blocked space has a free list the first-fit
+//      allocator can trust: in-block, address-ordered, linking exactly the
+//      block's free runs of two or more words, none longer than MaxRun.
 //
 // Verification is opt-in: collectors fire Heap.AfterGC at the end of every
 // collection, and the hook is nil unless a test (or the fuzz harness)
@@ -37,6 +40,7 @@ var (
 	ErrDanglingPointer = errors.New("dangling pointer")
 	ErrBadCensusWord   = errors.New("bad census word")
 	ErrRemsetMissing   = errors.New("remembered-set entry missing")
+	ErrBadBlockTable   = errors.New("bad block table")
 )
 
 // RemsetRule is one remembered-set completeness contract: whenever a live
@@ -139,6 +143,7 @@ func Verify(h *Heap, spec VerifySpec) error {
 		v.scanObjects()
 		v.scanRoots()
 		v.checkRemsets()
+		v.checkBlockTables()
 	}
 	return errors.Join(v.errs...)
 }
@@ -326,4 +331,85 @@ func (v *verifier) checkRemsets() {
 			}
 		}
 	}
+}
+
+// checkBlockTables enforces invariant 6 over every live blocked space,
+// reporting the first faulty block of each.
+func (v *verifier) checkBlockTables() {
+	for _, s := range v.h.Spaces {
+		if !v.live[s.ID] {
+			continue
+		}
+		if fault := s.blockTableFault(); fault != "" && !v.errorf(ErrBadBlockTable, "%v %s", s, fault) {
+			return
+		}
+	}
+}
+
+// blockTableFault names the first block of s whose free list is unsound and
+// what is wrong with it, or returns "" for a sound (or unblocked) space.
+func (s *Space) blockTableFault() string {
+	if s.Blocks == nil {
+		return ""
+	}
+	for b := range s.Blocks.FreeHead {
+		if fault := s.blockFault(b); fault != "" {
+			return fmt.Sprintf("block %d: %s", b, fault)
+		}
+	}
+	return ""
+}
+
+// blockFault describes what is wrong with block b's free list, or returns ""
+// for a sound block. Placement leans on these properties: the allocator
+// follows the links without bounds checks, and skips a block for good once a
+// request exceeds MaxRun[b]. A block awaiting its lazy sweep has a stale list
+// by design and is not inspected. The space must parse (parseSpaces found no
+// fault), so the walk below can step from header to header.
+func (s *Space) blockFault(b int) string {
+	bt := s.Blocks
+	if bt.UnsweptAt(b) {
+		return ""
+	}
+	lo := b << BlockShift
+	hi := min(lo+BlockWords, s.Top)
+	// The list is address-ordered, so one walk over the block's objects meets
+	// its entries in order: next is the entry the walk has yet to reach.
+	next := int(bt.FreeHead[b])
+	if next != NoFreeBlock && (next < lo || next >= hi) {
+		return fmt.Sprintf("free list leaves the block (head %d outside [%d, %d))", next, lo, hi)
+	}
+	off := lo
+	for off < hi {
+		hdr := s.Mem[off]
+		n := ObjWords(hdr)
+		switch {
+		case next != NoFreeBlock && next < off:
+			return fmt.Sprintf("free list links word %d, which is not a block start", next)
+		case off == next:
+			if HeaderType(hdr) != TFree {
+				return fmt.Sprintf("free list links a non-free %v object at %d", HeaderType(hdr), off)
+			}
+			if n > int(bt.MaxRun[b]) {
+				return fmt.Sprintf("free run of %d words at %d exceeds MaxRun %d", n, off, bt.MaxRun[b])
+			}
+			next = FreeNext(s, off)
+			if next != NoFreeBlock && next <= off {
+				return fmt.Sprintf("free list not address-ordered (%d links back to %d)", off, next)
+			}
+			if next >= hi {
+				return fmt.Sprintf("free list leaves the block (%d links to %d, block ends at %d)", off, next, hi)
+			}
+		case HeaderType(hdr) == TFree && n >= 2:
+			return fmt.Sprintf("free run of %d words at %d is not on the free list", n, off)
+		}
+		off += n
+	}
+	if off != hi {
+		return fmt.Sprintf("object ending at %d straddles the block boundary %d", off, hi)
+	}
+	if next != NoFreeBlock {
+		return fmt.Sprintf("free list links word %d, which is not a block start", next)
+	}
+	return ""
 }

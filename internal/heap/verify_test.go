@@ -163,6 +163,84 @@ func TestVerifyRemsetCompleteness(t *testing.T) {
 	}
 }
 
+// blockTableFixture is a heap whose one live space is blocked, with block 0
+// swept to leave three free runs — at offsets 3 and 9 (three words each,
+// between rooted pairs at 0, 6 and 12) and the tail from 15 — so its free
+// list has a head, a middle link and a last entry to corrupt. Block 1 is one
+// untouched maximal run.
+func blockTableFixture(t *testing.T) *verifyFixture {
+	t.Helper()
+	h := New()
+	s := h.NewBlockedSpace("blocked", 2*BlockWords)
+	for i := 0; i < 5; i++ {
+		off, ok := s.AllocFromBlock(0, 3)
+		if !ok {
+			t.Fatal("fixture block too small")
+		}
+		w := h.InitObject(s, off, TPair, 2)
+		s.Mem[off+1], s.Mem[off+2] = FixnumWord(int64(i)), NullWord
+		if i%2 == 0 {
+			h.GlobalWord(w)
+			s.SetMarkAt(off)
+		}
+	}
+	sweepBlock(s, 0)
+	if got := []int{int(s.Blocks.FreeHead[0]), FreeNext(s, 3), FreeNext(s, 9), FreeNext(s, 15)}; got[0] != 3 || got[1] != 9 || got[2] != 15 || got[3] != NoFreeBlock {
+		t.Fatalf("fixture free list is %v, want [3 9 15 -1]", got)
+	}
+	f := &verifyFixture{h: h, live: s, spec: VerifySpec{Live: []*Space{s}}}
+	if err := Verify(h, f.spec); err != nil {
+		t.Fatalf("fixture not clean: %v", err)
+	}
+	return f
+}
+
+// TestVerifyBadBlockTable: first-fit placement trusts a swept block's free
+// list and MaxRun without checking them, so each way they can be wrong is
+// its own diagnosis.
+func TestVerifyBadBlockTable(t *testing.T) {
+	cases := []struct {
+		name, fragment string
+		corrupt        func(s *Space)
+	}{
+		{"head leaves the block", "leaves the block", func(s *Space) { s.Blocks.FreeHead[0] = BlockWords }},
+		{"link leaves the block", "leaves the block", func(s *Space) { SetFreeNext(s, 15, BlockWords) }},
+		{"not address-ordered", "not address-ordered", func(s *Space) { SetFreeNext(s, 9, 3) }},
+		{"links a live object", "non-free", func(s *Space) { s.Blocks.FreeHead[0] = 0 }},
+		{"links an interior word", "not a block start", func(s *Space) { s.Blocks.FreeHead[0] = 1 }},
+		{"last link is an interior word", "not a block start", func(s *Space) { SetFreeNext(s, 15, 20) }},
+		{"omits a run", "not on the free list", func(s *Space) { s.Blocks.FreeHead[0] = 9 }},
+		{"run longer than MaxRun", "exceeds MaxRun", func(s *Space) { s.Blocks.MaxRun[0] = 3 }},
+		{"run straddles the boundary", "straddles", func(s *Space) {
+			// Grow block 0's tail run three words into block 1 and start
+			// block 1's run after it, so the space still parses.
+			s.Mem[15] = HeaderWord(TFree, BlockWords-15+3-1)
+			s.Mem[BlockWords+3] = HeaderWord(TFree, BlockWords-3-1)
+			SetFreeNext(s, BlockWords+3, NoFreeBlock)
+			s.Blocks.FreeHead[1] = BlockWords + 3
+			s.Blocks.MaxRun[0] = BlockWords
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := blockTableFixture(t)
+			tc.corrupt(f.live)
+			f.expect(t, ErrBadBlockTable, tc.fragment)
+			if err := Check(f.h); !errors.Is(err, ErrBadBlockTable) {
+				t.Errorf("Check diagnosed %v, want %v", err, ErrBadBlockTable)
+			}
+		})
+	}
+	t.Run("unswept block is exempt", func(t *testing.T) {
+		f := blockTableFixture(t)
+		f.live.Blocks.FreeHead[0] = 9
+		f.live.Blocks.setUnswept(0)
+		if err := Verify(f.h, f.spec); err != nil {
+			t.Fatalf("stale list of a block awaiting its sweep rejected: %v", err)
+		}
+	})
+}
+
 // TestVerifyEmptyLiveMeansAllSpaces: the default spec treats every space as
 // live, so a pointer into any registered space is fine.
 func TestVerifyEmptyLiveMeansAllSpaces(t *testing.T) {
