@@ -418,6 +418,21 @@ func BenchmarkHeapAllocation(b *testing.B) {
 	}
 }
 
+// BenchmarkDecayStep measures one step of the decay mutator at equilibrium —
+// expire the deaths due, allocate a pair, draw its lifetime, schedule it —
+// at the central experiment's h = 1024 on a stop-and-copy heap of inverse
+// load factor 3.5, collections included.
+func BenchmarkDecayStep(b *testing.B) {
+	cfg := experiments.DecayConfig{HalfLife: 1024, L: 3.5}
+	h := heap.New()
+	semispace.New(h, cfg.HeapWords())
+	w := decay.NewWorkload(h, cfg.HalfLife, 1)
+	w.Warmup(10)
+	b.ResetTimer()
+	w.Run(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
+}
+
 // BenchmarkMarkSweepAllocFragmented measures mark/sweep's first-fit search
 // where it is hardest: a thousand blocks swept to leave only two-word holes
 // — free lists non-empty, nothing a 3-to-8-word request can use — ahead of

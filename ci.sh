@@ -37,6 +37,10 @@ check_cover ./internal/serve 88
 # and the cursor tests in their own packages hold those paths to first-fit.
 check_cover ./internal/gc/marksweep 96
 check_cover ./internal/gc/npms 93
+# The decay mutator: its timing wheel and lifetime stream sit under every
+# cell of the central experiment and every recorded decay session, and only
+# this package's reference-queue differential and stream pin hold them.
+check_cover ./internal/decay 95
 
 # Env-pinned passes. Every package named on a line below seeds its process
 # default with heap.SetDefaultConfig(heap.ConfigFromEnv()) in TestMain and

@@ -13,9 +13,25 @@ import (
 	"os"
 
 	"rdgc/internal/analytic"
+	"rdgc/internal/decay"
 	"rdgc/internal/experiments"
 	"rdgc/internal/runner"
 )
+
+// checkLifetimes rejects the lifetime parameters decay.NewWorkload panics on,
+// which flag.Float64 parses happily ("NaN", "Inf", "-3").
+func checkLifetimes(h, infant, infantH float64) error {
+	if !decay.ValidHalfLife(h) {
+		return fmt.Errorf("-h %g: the half-life must be finite and positive", h)
+	}
+	if !(infant >= 0 && infant <= 1) {
+		return fmt.Errorf("-infant %g: the infant-mortality probability must lie in [0, 1]", infant)
+	}
+	if infant > 0 && !decay.ValidHalfLife(infantH) {
+		return fmt.Errorf("-infanth %g: the infant half-life must be finite and positive", infantH)
+	}
+	return nil
+}
 
 func main() {
 	h := flag.Float64("h", 1024, "half-life in objects")
@@ -34,6 +50,11 @@ func main() {
 
 	if *infant > 0 && *infantH == 0 {
 		*infantH = *h / 64
+	}
+	if err := checkLifetimes(*h, *infant, *infantH); err != nil {
+		fmt.Fprintln(os.Stderr, "rdmsim:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	cfg := experiments.DecayConfig{
 		HalfLife: *h, L: *l, G: *g, K: *k, Steps: *steps, Seed: *seed, Linking: *linking,

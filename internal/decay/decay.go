@@ -34,65 +34,164 @@ func (m Model) EquilibriumLive() float64 { return 1 / (1 - m.R()) }
 // Survival returns 2^(−t/h), the probability an object lives t more ticks.
 func (m Model) Survival(t float64) float64 { return math.Exp2(-t / m.H) }
 
+// ValidHalfLife reports whether h can parameterize the model: finite and
+// positive. NaN would make every lifetime uint64(NaN) — nothing ever dies —
+// and h ≤ 0 would give every object lifetime 1.
+func ValidHalfLife(h float64) bool { return h > 0 && !math.IsInf(h, 1) }
+
+// logR returns log r, the denominator of every lifetime draw.
+func (m Model) logR() float64 { return math.Log(m.R()) }
+
 // SampleLifetime draws a lifetime (in allocations) from the geometric
-// distribution with survival rate r: the smallest t ≥ 1 with U > r^t.
-func (m Model) SampleLifetime(rng *rand.Rand) uint64 {
+// distribution with survival rate r: the smallest t ≥ 1 with U > r^t. It is
+// the one-shot form; a Workload computes log r once and draws the same
+// stream through lifetime.
+func (m Model) SampleLifetime(rng *rand.Rand) uint64 { return lifetime(rng, m.logR()) }
+
+// lifetime draws a uniform U in (0, 1) and returns lifetimeOf it.
+func lifetime(rng *rand.Rand, logR float64) uint64 {
 	u := rng.Float64()
 	for u == 0 {
 		u = rng.Float64()
 	}
-	t := math.Ceil(math.Log(u) / math.Log(m.R()))
+	return lifetimeOf(u, logR)
+}
+
+// lifetimeOf returns max(1, ceil(log u / log r)). The division is by log r
+// itself, not a multiplication by a precomputed 1/log r: the reciprocal
+// rounds differently on rare uniforms, and the lifetime stream — hence every
+// allocation count and digest downstream — is pinned bit for bit
+// (TestLifetimeStream).
+func lifetimeOf(u, logR float64) uint64 {
+	t := math.Ceil(math.Log(u) / logR)
 	if t < 1 {
 		t = 1
 	}
 	return uint64(t)
 }
 
-// death is a scheduled root severing.
-type death struct {
-	at   uint64
-	slot int
+// wheel is a hashed timing wheel of scheduled root severings, keyed by death
+// tick. The model's clock advances by exactly one per allocation, so the
+// deaths due now are exactly those in bucket now&mask whose tick has arrived:
+// scheduling and expiry are O(1) where a priority queue pays O(log n) in
+// unpredictable compares. Every live object owns exactly one global slot, so
+// an entry is the slot's index threaded through next/at and nothing is
+// allocated per death. An entry whose tick lies a lap or more ahead (a
+// lifetime ≥ the span) simply stays in its bucket until its own lap comes
+// round; correctness never depends on the span, only the time spent walking
+// past such stragglers does.
+//
+// The span is a power of two kept at four or more buckets per entry held,
+// until maxSpan: a bucket then averages at most a quarter of an entry
+// whatever the lifetimes are, and under pure decay (1.44h live objects, so a
+// span of 5.8h to 11.5h) only lifetimes past 5.8 half-lives, under 2 % of
+// draws, outlast a lap. A wheel starts small and doubles as the population
+// grows, like the slot table beside it, so a new workload pays for no
+// buckets it may never fill.
+//
+// Buckets are FIFO, growth keeps their order, and an object is pushed once,
+// at birth, so deaths due at the same tick expire in birth order.
+type wheel struct {
+	mask    uint64
+	buckets []bucket
+	held    int     // entries in the wheel
+	maxSpan int     // growth stops here
+	next    []int32 // per slot: the entry after it in its bucket or due chain
+	at      []uint64
 }
 
-// deathQueue is a binary min-heap of deaths ordered by time.
-type deathQueue []death
+// bucket names the first and last entry of a FIFO list, -1 when empty.
+type bucket struct{ head, tail int32 }
 
-func (q *deathQueue) push(d death) {
-	*q = append(*q, d)
-	i := len(*q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*q)[parent].at <= (*q)[i].at {
-			break
-		}
-		(*q)[parent], (*q)[i] = (*q)[i], (*q)[parent]
-		i = parent
+// Wheel span bounds, in buckets (8 bytes each): where a workload's wheel
+// starts, and the 8 MB past which a larger population buys longer buckets
+// instead of more of them.
+const (
+	minWheelSpan = 1 << 6
+	maxWheelSpan = 1 << 20
+)
+
+// newWheel returns an empty wheel of span buckets that grows up to maxSpan;
+// both must be powers of two.
+func newWheel(span, maxSpan int) *wheel {
+	q := &wheel{maxSpan: maxSpan}
+	q.resize(span)
+	return q
+}
+
+// resize replaces the buckets with span empty ones.
+func (q *wheel) resize(span int) {
+	q.mask, q.buckets = uint64(span-1), make([]bucket, span)
+	for b := range q.buckets {
+		q.buckets[b] = bucket{-1, -1}
 	}
 }
 
-func (q *deathQueue) pop() death {
-	old := *q
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*q = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*q)[l].at < (*q)[small].at {
-			small = l
-		}
-		if r < n && (*q)[r].at < (*q)[small].at {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*q)[i], (*q)[small] = (*q)[small], (*q)[i]
-		i = small
+// push schedules slot to expire at tick at, which must lie after the last
+// tick expired. A slot holds at most one entry at a time.
+func (q *wheel) push(slot int32, at uint64) {
+	for int(slot) >= len(q.next) {
+		q.next = append(q.next, -1)
+		q.at = append(q.at, 0)
 	}
-	return top
+	q.at[slot] = at
+	q.link(slot)
+	q.held++
+	if span := len(q.buckets); q.held > span/4 && span < q.maxSpan {
+		// Double. A new bucket draws from one old bucket only, walked in
+		// order, so every list keeps its order.
+		old := q.buckets
+		q.resize(2 * span)
+		for _, b := range old {
+			for s := b.head; s >= 0; {
+				n := q.next[s]
+				q.link(s)
+				s = n
+			}
+		}
+	}
+}
+
+// link appends slot to the bucket of its tick.
+func (q *wheel) link(slot int32) {
+	q.next[slot] = -1
+	b := &q.buckets[q.at[slot]&q.mask]
+	if b.tail >= 0 {
+		q.next[b.tail] = slot
+	} else {
+		b.head = slot
+	}
+	b.tail = slot
+}
+
+// expire unlinks the entries due at tick now and returns the first of them,
+// or -1; the rest follow through next, in birth order, until the next push.
+// It must be called for every tick in turn.
+func (q *wheel) expire(now uint64) int32 {
+	b := &q.buckets[now&q.mask]
+	s := b.head
+	if s < 0 {
+		return -1
+	}
+	// Split the bucket into the due chain and the stragglers kept, each in
+	// its original order. dueLink and keepLink point at the field that names
+	// their chain's next entry: its head until the chain has one, then its
+	// last entry's next.
+	due, keep, keepTail := int32(-1), int32(-1), int32(-1)
+	dueLink, keepLink := &due, &keep
+	for s >= 0 {
+		n := q.next[s]
+		if q.at[s] <= now {
+			*dueLink, dueLink = s, &q.next[s]
+			q.held--
+		} else {
+			*keepLink, keepLink, keepTail = s, &q.next[s], s
+		}
+		s = n
+	}
+	*dueLink, *keepLink = -1, -1
+	b.head, b.tail = keep, keepTail
+	return due
 }
 
 // Workload drives a heap with radioactive-decay allocation. Each live
@@ -100,15 +199,16 @@ func (q *deathQueue) pop() death {
 // Objects are pairs (car = a fixnum serial, cdr = empty or a link), so each
 // object is ObjectWords words including its header.
 type Workload struct {
-	H     *heap.Heap
+	H *heap.Heap
+	// Model is read-only once NewWorkload returns: the lifetime draws divide
+	// by a log r computed from it there.
 	Model Model
 
-	rng   *rand.Rand
-	queue deathQueue
+	rng    *rand.Rand
+	deaths *wheel
 
 	slots     []heap.Ref // global slots, one per potentially-live object
-	freeSlots []int
-	liveCount int
+	freeSlots []int32
 
 	clock uint64 // objects allocated
 
@@ -131,6 +231,10 @@ type Workload struct {
 	// the survivors still decay memorylessly.
 	infantProb float64
 	infantH    float64
+
+	// logR and infantLogR are log r for Model.H and infantH, computed once
+	// in NewWorkload: every draw divides by one of them.
+	logR, infantLogR float64
 }
 
 // ObjectWords is the heap footprint of one workload object (header + car +
@@ -156,7 +260,7 @@ func WithSizes(min, max int) Option {
 // WithInfantMortality makes a fraction p of objects die with half-life
 // infantH (objects) instead of the model's H.
 func WithInfantMortality(p, infantH float64) Option {
-	if p < 0 || p > 1 || infantH <= 0 {
+	if !(p >= 0 && p <= 1) || !ValidHalfLife(infantH) {
 		panic("decay: bad infant mortality parameters")
 	}
 	return func(w *Workload) { w.infantProb, w.infantH = p, infantH }
@@ -184,21 +288,29 @@ func (w *Workload) ExpectedLive() float64 {
 
 func (w *Workload) sampleLifetime() uint64 {
 	if w.infantProb > 0 && w.rng.Float64() < w.infantProb {
-		return Model{H: w.infantH}.SampleLifetime(w.rng)
+		return lifetime(w.rng, w.infantLogR)
 	}
-	return w.Model.SampleLifetime(w.rng)
+	return lifetime(w.rng, w.logR)
 }
 
 // NewWorkload creates a decay workload over heap h with the given
-// half-life (in objects) and deterministic seed.
+// half-life (in objects, finite and positive) and deterministic seed.
 func NewWorkload(h *heap.Heap, halfLife float64, seed int64, opts ...Option) *Workload {
+	if !ValidHalfLife(halfLife) {
+		panic("decay: bad half-life")
+	}
 	w := &Workload{
-		H:     h,
-		Model: Model{H: halfLife},
-		rng:   rand.New(rand.NewSource(seed)),
+		H:      h,
+		Model:  Model{H: halfLife},
+		rng:    rand.New(rand.NewSource(seed)),
+		deaths: newWheel(minWheelSpan, maxWheelSpan),
 	}
 	for _, o := range opts {
 		o(w)
+	}
+	w.logR = w.Model.logR()
+	if w.infantProb > 0 {
+		w.infantLogR = Model{H: w.infantH}.logR()
 	}
 	return w
 }
@@ -207,21 +319,19 @@ func NewWorkload(h *heap.Heap, halfLife float64, seed int64, opts ...Option) *Wo
 func (w *Workload) Clock() uint64 { return w.clock }
 
 // LiveObjects returns the number of objects whose roots are still set.
-func (w *Workload) LiveObjects() int { return w.liveCount }
+func (w *Workload) LiveObjects() int { return w.deaths.held }
 
 // Step allocates one object with a sampled lifetime, after severing the
-// roots of every object whose death time has arrived.
+// roots of every object whose death time has arrived, in birth order.
 func (w *Workload) Step() {
-	for len(w.queue) > 0 && w.queue[0].at <= w.clock {
-		d := w.queue.pop()
-		w.H.Set(w.slots[d.slot], heap.NullWord)
-		w.freeSlots = append(w.freeSlots, d.slot)
-		w.liveCount--
+	for slot := w.deaths.expire(w.clock); slot >= 0; slot = w.deaths.next[slot] {
+		w.H.Set(w.slots[slot], heap.NullWord)
+		w.freeSlots = append(w.freeSlots, slot)
 	}
 
 	s := w.H.Scope()
 	cdr := w.H.Null()
-	if w.linkProb > 0 && w.liveCount > 0 && w.rng.Float64() < w.linkProb {
+	if w.linkProb > 0 && w.deaths.held > 0 && w.rng.Float64() < w.linkProb {
 		if slot := w.randomLiveSlot(); slot >= 0 {
 			cdr = w.H.Dup(w.slots[slot])
 		}
@@ -239,18 +349,17 @@ func (w *Workload) Step() {
 	s.Close()
 
 	w.clock++
-	w.liveCount++
-	w.queue.push(death{at: w.clock + w.sampleLifetime(), slot: slot})
+	w.deaths.push(slot, w.clock+w.sampleLifetime())
 }
 
-func (w *Workload) takeSlot() int {
+func (w *Workload) takeSlot() int32 {
 	if n := len(w.freeSlots); n > 0 {
 		slot := w.freeSlots[n-1]
 		w.freeSlots = w.freeSlots[:n-1]
 		return slot
 	}
 	w.slots = append(w.slots, w.H.GlobalWord(heap.NullWord))
-	return len(w.slots) - 1
+	return int32(len(w.slots) - 1)
 }
 
 // randomLiveSlot samples a uniformly random occupied slot, or -1 if the

@@ -3,9 +3,9 @@ package decay
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
@@ -45,20 +45,224 @@ func TestSurvivalMatchesHalfLife(t *testing.T) {
 	}
 }
 
-func TestDeathQueueOrdering(t *testing.T) {
-	f := func(times []uint16) bool {
-		var q deathQueue
-		for i, at := range times {
-			q.push(death{at: uint64(at), slot: i})
+// refQueue is the wheel's specification: pending deaths in a flat slice,
+// those due sorted by (tick, birth) at every expiry.
+type refQueue []refDeath
+
+type refDeath struct {
+	at, birth uint64
+	slot      int32
+}
+
+func (r *refQueue) expire(now uint64) []int32 {
+	var due, keep []refDeath
+	for _, d := range *r {
+		if d.at <= now {
+			due = append(due, d)
+		} else {
+			keep = append(keep, d)
 		}
-		var got []uint64
-		for len(q) > 0 {
-			got = append(got, q.pop().at)
-		}
-		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	*r = keep
+	sort.Slice(due, func(i, j int) bool {
+		if due[i].at != due[j].at {
+			return due[i].at < due[j].at
+		}
+		return due[i].birth < due[j].birth
+	})
+	slots := make([]int32, len(due))
+	for i, d := range due {
+		slots[i] = d.slot
+	}
+	return slots
+}
+
+func TestWheelMatchesReference(t *testing.T) {
+	geometric := func(h float64) func(*rand.Rand) uint64 {
+		logR := Model{H: h}.logR()
+		return func(rng *rand.Rand) uint64 { return lifetime(rng, logR) }
+	}
+	one := func(*rand.Rand) int { return 1 }
+	cases := []struct {
+		name   string
+		span   int // the wheel's first span
+		cap    int // and its last
+		ticks  int
+		pushes func(*rand.Rand) int // births this tick
+		life   func(*rand.Rand) uint64
+	}{
+		// As a Workload builds it: the wheel doubles three times on the way
+		// to equilibrium, relinking what it holds.
+		{"growing", minWheelSpan, maxWheelSpan, 40000, one, geometric(64)},
+		// Mean lifetime 369 ticks on a wheel held to 8 buckets: nearly every
+		// entry waits out dozens of laps in place.
+		{"all stragglers", 8, 8, 30000, one, geometric(256)},
+		// Few entries, so a small wheel, and a tenth of them long-lived:
+		// stragglers among the due on a wheel that is still growing.
+		{"infant mixture", 2, maxWheelSpan, 30000, one, func(rng *rand.Rand) uint64 {
+			if rng.Float64() < 0.9 {
+				return geometric(2)(rng)
+			}
+			return geometric(128)(rng)
+		}},
+		// Several births a tick, lifetimes from a handful of values one or
+		// more whole laps apart: long runs of equal ticks, due entries
+		// interleaved in their bucket with entries of later laps.
+		{"equal-tick bursts", 16, 16, 10000, func(rng *rand.Rand) int { return rng.Intn(6) },
+			func(rng *rand.Rand) uint64 { return []uint64{1, 5, 16, 21, 37, 64}[rng.Intn(6)] }},
+	}
+	pushes := 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.ticks + tc.span)))
+			q := newWheel(tc.span, tc.cap)
+			var ref refQueue
+			var free []int32
+			var slots int32
+			var birth uint64
+			for now := uint64(1); now <= uint64(tc.ticks) || len(ref) > 0; now++ {
+				var got []int32
+				for s := q.expire(now); s >= 0; s = q.next[s] {
+					got = append(got, s)
+				}
+				want := ref.expire(now)
+				if !slices.Equal(got, want) {
+					t.Fatalf("tick %d: wheel severed %v, reference %v", now, got, want)
+				}
+				free = append(free, got...)
+				if now > uint64(tc.ticks) {
+					continue // drain what is left
+				}
+				for n := tc.pushes(rng); n > 0; n-- {
+					var slot int32
+					if k := len(free); k > 0 {
+						slot, free = free[k-1], free[:k-1]
+					} else {
+						slot = slots
+						slots++
+					}
+					at := now + tc.life(rng)
+					q.push(slot, at)
+					ref = append(ref, refDeath{at: at, birth: birth, slot: slot})
+					birth++
+				}
+			}
+			for i, b := range q.buckets {
+				if b != (bucket{-1, -1}) {
+					t.Fatalf("bucket %d not empty after the last death", i)
+				}
+			}
+			if q.held != 0 {
+				t.Errorf("wheel counts %d entries after the last death", q.held)
+			}
+			if tc.cap > tc.span && len(q.buckets) == tc.span {
+				t.Errorf("wheel never grew from %d buckets", tc.span)
+			}
+			pushes += int(birth)
+		})
+	}
+	if pushes < 100000 {
+		t.Errorf("drove %d pushes, want at least 1e5", pushes)
+	}
+}
+
+func TestLifetimeStream(t *testing.T) {
+	// A Workload's draws, which divide by a log r computed once, must equal
+	// the definition draw for draw, infant coin flips included.
+	definition := func(u, h float64) uint64 {
+		return uint64(math.Max(1, math.Ceil(math.Log(u)/math.Log(math.Exp2(-1/h)))))
+	}
+	for _, tc := range []struct{ h, infantProb, infantH float64 }{
+		{h: 1}, {h: 3.5}, {h: 192}, {h: 768}, {h: 1024}, {h: 1e6},
+		{h: 1024, infantProb: 0.5, infantH: 16},
+		{h: 768, infantProb: 0.9, infantH: 3},
+	} {
+		var opts []Option
+		if tc.infantProb > 0 {
+			opts = append(opts, WithInfantMortality(tc.infantProb, tc.infantH))
+		}
+		w := NewWorkload(heap.New(), tc.h, 11, opts...)
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 100000; i++ {
+			h := tc.h
+			if tc.infantProb > 0 && rng.Float64() < tc.infantProb {
+				h = tc.infantH
+			}
+			u := rng.Float64()
+			for u == 0 {
+				u = rng.Float64()
+			}
+			if got, want := w.sampleLifetime(), definition(u, h); got != want {
+				t.Fatalf("%+v: draw %d = %d, want %d", tc, i, got, want)
+			}
+		}
+	}
+
+	// Multiplying by a precomputed 1/log r would be faster and is not the
+	// same function: the two roundings part only where log u / log r falls
+	// within an ulp of an integer, which none of the streams above meets, so
+	// pin a uniform where they do.
+	u, logR := math.Exp2(-29), Model{H: 1}.logR()
+	if recip := uint64(math.Ceil(math.Log(u) * (1 / logR))); recip == definition(u, 1) {
+		t.Fatalf("u = 2^-29 at h = 1 no longer separates division from reciprocal (both %d)", recip)
+	}
+	if got, want := lifetimeOf(u, logR), definition(u, 1); got != want {
+		t.Errorf("lifetimeOf(2^-29, log ½) = %d, want %d", got, want)
+	}
+}
+
+func TestExpectedLiveIsMeanLifetime(t *testing.T) {
+	// Little's law at one arrival a tick: the equilibrium population is the
+	// mean lifetime, for the pure model and for the infant mixture.
+	for _, opts := range [][]Option{nil, {WithInfantMortality(0.9, 4)}} {
+		w := NewWorkload(heap.New(), 256, 8, opts...)
+		var sum float64
+		const trials = 200000
+		for i := 0; i < trials; i++ {
+			sum += float64(w.sampleLifetime())
+		}
+		if mean, want := sum/trials, w.ExpectedLive(); math.Abs(mean-want)/want > 0.03 {
+			t.Errorf("%d options: mean lifetime %.1f, ExpectedLive %.1f", len(opts), mean, want)
+		}
+	}
+}
+
+func TestBadParametersPanic(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, f := range map[string]func(){
+		"h NaN":        func() { NewWorkload(heap.New(), nan, 1) },
+		"h +Inf":       func() { NewWorkload(heap.New(), inf, 1) },
+		"h zero":       func() { NewWorkload(heap.New(), 0, 1) },
+		"h negative":   func() { NewWorkload(heap.New(), -8, 1) },
+		"infant p NaN": func() { WithInfantMortality(nan, 4) },
+		"infant p > 1": func() { WithInfantMortality(1.5, 4) },
+		"infant h NaN": func() { WithInfantMortality(0.5, nan) },
+		"infant h Inf": func() { WithInfantMortality(0.5, inf) },
+		"infant h 0":   func() { WithInfantMortality(0.5, 0) },
+		"sizes empty":  func() { WithSizes(4, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestStepAllocatesNothing(t *testing.T) {
+	// At equilibrium the slot table, the free stack and the wheel's per-slot
+	// arrays have reached their sizes and a step, deaths and collections
+	// included, allocates no Go object.
+	const h = 256.0
+	heapObj := heap.New()
+	semispace.New(heapObj, int(3.5*Model{H: h}.EquilibriumLive()*ObjectWords))
+	w := NewWorkload(heapObj, h, 6)
+	w.Warmup(40)
+	if avg := testing.AllocsPerRun(20000, w.Step); avg != 0 {
+		t.Errorf("Step allocates %.2f Go objects at equilibrium, want 0", avg)
 	}
 }
 
