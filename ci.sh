@@ -99,6 +99,10 @@ trap 'rm -rf "$trace_tmp"' EXIT
 go run ./cmd/gctrace record -quick -o "$trace_tmp/lattice.trace" lattice
 go run ./cmd/gctrace replay -verify "$trace_tmp/lattice.trace"
 go run ./cmd/gctrace stat "$trace_tmp/lattice.trace" > /dev/null
+# The trace package's own benchmarks — decode, replay and record over an
+# amplified decay session, ns/event — one iteration each beside the smoke,
+# so the numbers EXPERIMENTS.md quotes stay regenerable.
+go test -run '^$' -bench 'ReaderNext|Replay|Recorder' -benchtime 1x ./internal/trace
 
 # Synth smoke: amplify the recording into an interleaved multi-session
 # corpus, raw and block-compressed, and drive the whole synth -> compress ->

@@ -160,8 +160,14 @@ func lzDecode(dst, src []byte) bool {
 		if ml > len(dst)-di {
 			return false
 		}
-		// Byte-at-a-time: offsets shorter than the match length replicate
-		// the just-written run, which copy() would get wrong.
+		if off >= ml {
+			// Source and destination do not overlap.
+			copy(dst[di:di+ml], dst[di-off:])
+			di += ml
+			continue
+		}
+		// Byte-at-a-time: an offset shorter than the match length
+		// replicates the just-written run, which copy() would get wrong.
 		for k := 0; k < ml; k++ {
 			dst[di] = dst[di-off]
 			di++

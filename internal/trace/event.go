@@ -30,7 +30,7 @@ const (
 	KindIntern
 	// KindPush pushes Val onto the handle stack.
 	KindPush
-	// KindPopTo truncates the handle stack to depth Slot.
+	// KindPopTo truncates the handle stack to depth Size.
 	KindPopTo
 	// KindSet overwrites the slot of Ref with Val.
 	KindSet

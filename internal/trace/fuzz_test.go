@@ -14,9 +14,11 @@ import (
 
 // FuzzTraceReader feeds arbitrary bytes to the trace reader: it must
 // either decode cleanly or fail with one of the package sentinels —
-// never panic, never return an unwrapped error. Seeds cover both wire
-// versions, compressed and uncompressed blocks, synthesized session
-// streams (via the checked-in corpus), and truncations.
+// never panic, never return an unwrapped error — and Next must agree with
+// the reference decoder (diffDecoders) on every event, on the sentinel
+// that ends the stream and on the event index where it ends. Seeds cover
+// both wire versions, compressed and uncompressed blocks, synthesized
+// session streams (via the checked-in corpus), and truncations.
 func FuzzTraceReader(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	small := func(compress bool) []byte {
@@ -47,6 +49,9 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(comp[:len(comp)/3])
 	f.Add([]byte{})
 	f.Add([]byte("rdgctrc\x00"))
+	// A bare event payload (alloc, store, raw, intern, push, set, collect)
+	// for the framed half of the fuzz function to mutate.
+	f.Add([]byte{1, 0, 2, 2, 0, 1, 1, 0, 4, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 5, 0, 2, 'a', 'b', 6, 0, 9, 8, 3, 1, 0, 10, 1})
 	corpus, _ := filepath.Glob(filepath.Join(corpusDir, "*.trace"))
 	for _, path := range corpus {
 		if data, err := os.ReadFile(path); err == nil {
@@ -58,21 +63,12 @@ func FuzzTraceReader(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		rd, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			checkSentinelErr(t, err)
-			return
-		}
-		var ev trace.Event
-		for {
-			err := rd.Next(&ev)
-			if errors.Is(err, io.EOF) {
-				rd.Trailer() // must be populated without panicking
-				return
-			}
-			if err != nil {
+		// Once as a whole trace, and once as the payload of an event block
+		// framed behind a valid checksum — the only way mutated bytes reach
+		// the event decoder rather than dying at the CRC.
+		for _, input := range [][]byte{data, craftTrace(trace.FormatVersion, data, 0)} {
+			if _, err := diffDecoders(t, input); err != io.EOF {
 				checkSentinelErr(t, err)
-				return
 			}
 		}
 	})

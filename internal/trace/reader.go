@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -19,10 +18,11 @@ type Reader struct {
 	br      *bufio.Reader
 	version uint64
 	hdr     Header
-	blk     []byte // current block payload (buffer reused across blocks)
-	cbuf    []byte // compressed-block staging buffer, likewise reused
-	pos     int    // decode cursor within blk
-	nextID  uint64 // mirrors the writer's allocation counter
+	blk     []byte  // current block payload (buffer reused across blocks)
+	cbuf    []byte  // compressed-block staging buffer, likewise reused
+	crc     [4]byte // checksum staging; a local would escape through io.ReadFull
+	pos     int     // decode cursor within blk
+	nextID  uint64  // mirrors the writer's allocation counter
 	events  uint64
 	stored  uint64 // payload bytes as framed on the wire
 	raw     uint64 // payload bytes after decompression
@@ -110,11 +110,10 @@ func (r *Reader) readBlock() error {
 	if n > maxBlock {
 		return r.fail(ErrCorrupt, "block length %d exceeds limit", n)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.crc[:]); err != nil {
 		return r.fail(ErrTruncated, "reading block checksum: %v", err)
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
+	want := binary.LittleEndian.Uint32(r.crc[:])
 	dst := &r.blk
 	if compressed {
 		dst = &r.cbuf
@@ -173,11 +172,10 @@ func (r *Reader) readTrailer() error {
 		r.err = nil
 		return r.fail(ErrTruncated, "reading trailer: %v", err)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.crc[:]); err != nil {
 		return r.fail(ErrTruncated, "reading trailer checksum: %v", err)
 	}
-	if got := crc32.ChecksumIEEE(body[:n]); got != binary.LittleEndian.Uint32(crcBuf[:]) {
+	if got := crc32.ChecksumIEEE(body[:n]); got != binary.LittleEndian.Uint32(r.crc[:]) {
 		return r.fail(ErrCorrupt, "trailer checksum mismatch")
 	}
 	if r.tr.Events != r.events {
@@ -243,52 +241,76 @@ func (r *Reader) string() (string, error) {
 	return s, nil
 }
 
-// byte reads one raw byte from the current block.
-func (r *Reader) byte() (byte, error) {
-	if r.pos >= len(r.blk) {
-		return 0, r.fail(ErrCorrupt, "event overruns block")
+// fault names one way an event can fail to decode; Next routes every such
+// failure through corrupt, which turns it into the reader's sticky error.
+type fault uint8
+
+const (
+	faultOverrun   fault = iota // the block ends inside the event
+	faultVarint                 // arg: block offset of the bad varint
+	faultDelta                  // arg: the object delta
+	faultValueKind              // arg: the value discriminator
+	faultAllocSize              // arg: the size
+	faultAllocType              // arg: the type byte
+	faultRawBits                // fewer than 8 bytes left for KindRaw's bits
+	faultString                 // arg: the string length
+	faultSession                // arg: the session index
+	faultOpcode                 // arg: the opcode
+)
+
+// corrupt is Next's one failure exit, kept out of line so the decoder
+// carries no error formatting.
+//
+//go:noinline
+func (r *Reader) corrupt(f fault, arg uint64) error {
+	switch f {
+	case faultOverrun:
+		return r.fail(ErrCorrupt, "event overruns block")
+	case faultVarint:
+		return r.fail(ErrCorrupt, "bad varint at block offset %d", arg)
+	case faultDelta:
+		return r.fail(ErrCorrupt, "object delta %d references before the first allocation", arg)
+	case faultValueKind:
+		return r.fail(ErrCorrupt, "bad value discriminator %d", arg)
+	case faultAllocSize:
+		return r.fail(ErrCorrupt, "absurd allocation size %d", arg)
+	case faultAllocType:
+		// TFree marks dead blocks; no mutator allocates one.
+		return r.fail(ErrCorrupt, "bad allocation type %d", arg)
+	case faultRawBits:
+		return r.fail(ErrCorrupt, "raw bits overrun block")
+	case faultString:
+		return r.fail(ErrCorrupt, "string length %d overruns block", arg)
+	case faultSession:
+		return r.fail(ErrCorrupt, "absurd session index %d", arg)
 	}
-	b := r.blk[r.pos]
-	r.pos++
-	return b, nil
+	return r.fail(ErrCorrupt, "unknown event opcode %d", arg)
 }
 
-// obj decodes a delta-compressed target object ID.
-func (r *Reader) obj() (uint64, error) {
-	delta, err := r.uvarint()
-	if err != nil {
-		return 0, err
+// uvarint1 decodes the varint at blk[pos:] when it is a single byte (three
+// in four are, in a recorded decay session) and is small enough to inline
+// into Next; n is 0 when the varint is longer or the block has ended, and
+// uvarintLong must decide.
+func uvarint1(blk []byte, pos int) (v uint64, n int) {
+	if pos < len(blk) && blk[pos] < 0x80 {
+		return uint64(blk[pos]), 1
 	}
-	if r.nextID == 0 || delta >= r.nextID {
-		return 0, r.fail(ErrCorrupt, "object delta %d references before the first allocation", delta)
-	}
-	return r.nextID - 1 - delta, nil
+	return 0, 0
 }
 
-func (r *Reader) value() (Value, error) {
-	kind, err := r.byte()
-	if err != nil {
-		return Value{}, err
-	}
-	switch kind {
-	case 0:
-		u, err := r.uvarint()
-		if err != nil {
-			return Value{}, err
-		}
-		return Value{Bits: uint64(zdec(u))}, nil
-	case 1:
-		id, err := r.obj()
-		if err != nil {
-			return Value{}, err
-		}
-		return Value{IsObj: true, Bits: id}, nil
-	}
-	return Value{}, r.fail(ErrCorrupt, "bad value discriminator %d", kind)
-}
+// uvarintLong is binary.Uvarint at blk[pos:], kept out of line so each of
+// Next's decode sites is a call and not a copy of the loop: n <= 0 means a
+// malformed varint or one that runs off the block.
+//
+//go:noinline
+func uvarintLong(blk []byte, pos int) (v uint64, n int) { return binary.Uvarint(blk[pos:]) }
 
 // Next decodes the next event into *ev. It returns io.EOF — and only then
 // — after the whole trace, trailer included, has been read and verified.
+//
+// The decoder is one pass over a local copy of the block cursor: every
+// bounds and range check of the format is made in line, a failed one
+// leaves through corrupt, and the cursor is written back once.
 func (r *Reader) Next(ev *Event) error {
 	if r.err != nil {
 		return r.err
@@ -301,109 +323,152 @@ func (r *Reader) Next(ev *Event) error {
 			return err
 		}
 	}
-	op, err := r.byte()
-	if err != nil {
-		return err
-	}
-	*ev = Event{Kind: Kind(op)}
-	switch ev.Kind {
+	blk, pos, nextID := r.blk, r.pos, r.nextID
+	kind := Kind(blk[pos])
+	pos++
+	*ev = Event{Kind: kind}
+	hasVal := false // the event ends with a Value operand
+	switch kind {
 	case KindAlloc:
-		t, err := r.byte()
-		if err != nil {
-			return err
+		if pos >= len(blk) {
+			return r.corrupt(faultOverrun, 0)
 		}
-		size, err := r.uvarint()
-		if err != nil {
-			return err
+		t := blk[pos]
+		pos++
+		size, n := uvarint1(blk, pos)
+		if n == 0 {
+			if size, n = uvarintLong(blk, pos); n <= 0 {
+				return r.corrupt(faultVarint, uint64(pos))
+			}
 		}
+		pos += n
 		if size > maxBlock {
-			return r.fail(ErrCorrupt, "absurd allocation size %d", size)
+			return r.corrupt(faultAllocSize, size)
 		}
 		if heap.Type(t) >= heap.TFree {
-			// TFree marks dead blocks; no mutator allocates one.
-			return r.fail(ErrCorrupt, "bad allocation type %d", t)
+			return r.corrupt(faultAllocType, uint64(t))
 		}
-		ev.Type = heap.Type(t)
-		ev.Size = int(size)
-		ev.Obj = r.nextID
-		r.nextID++
-	case KindStore:
-		if ev.Obj, err = r.obj(); err != nil {
-			return err
+		ev.Type, ev.Size, ev.Obj = heap.Type(t), int(size), nextID
+		r.nextID = nextID + 1
+	case KindStore, KindFill, KindRaw, KindIntern:
+		// All four lead with the target object, delta-coded against the
+		// most recent allocation.
+		delta, n := uvarint1(blk, pos)
+		if n == 0 {
+			if delta, n = uvarintLong(blk, pos); n <= 0 {
+				return r.corrupt(faultVarint, uint64(pos))
+			}
 		}
-		slot, err := r.uvarint()
-		if err != nil {
-			return err
+		if delta >= nextID {
+			return r.corrupt(faultDelta, delta)
 		}
-		ev.Slot = int(slot)
-		if ev.Val, err = r.value(); err != nil {
-			return err
-		}
-	case KindFill:
-		if ev.Obj, err = r.obj(); err != nil {
-			return err
-		}
-		if ev.Val, err = r.value(); err != nil {
-			return err
-		}
-	case KindRaw:
-		if ev.Obj, err = r.obj(); err != nil {
-			return err
-		}
-		slot, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		ev.Slot = int(slot)
-		if r.pos+8 > len(r.blk) {
-			return r.fail(ErrCorrupt, "raw bits overrun block")
-		}
-		ev.Val.Bits = binary.LittleEndian.Uint64(r.blk[r.pos:])
-		r.pos += 8
-	case KindIntern:
-		if ev.Obj, err = r.obj(); err != nil {
-			return err
-		}
-		if ev.Name, err = r.string(); err != nil {
-			return err
+		pos += n
+		ev.Obj = nextID - 1 - delta
+		switch kind {
+		case KindStore, KindRaw:
+			slot, n := uvarint1(blk, pos)
+			if n == 0 {
+				if slot, n = uvarintLong(blk, pos); n <= 0 {
+					return r.corrupt(faultVarint, uint64(pos))
+				}
+			}
+			pos += n
+			ev.Slot = int(slot)
+			if kind == KindStore {
+				hasVal = true
+			} else {
+				if pos+8 > len(blk) {
+					return r.corrupt(faultRawBits, 0)
+				}
+				ev.Val.Bits = binary.LittleEndian.Uint64(blk[pos:])
+				pos += 8
+			}
+		case KindFill:
+			hasVal = true
+		case KindIntern:
+			size, n := uvarint1(blk, pos)
+			if n == 0 {
+				if size, n = uvarintLong(blk, pos); n <= 0 {
+					return r.corrupt(faultVarint, uint64(pos))
+				}
+			}
+			pos += n
+			if size > uint64(len(blk)-pos) {
+				return r.corrupt(faultString, size)
+			}
+			ev.Name = string(blk[pos : pos+int(size)])
+			pos += int(size)
 		}
 	case KindPush, KindGlobal:
-		if ev.Val, err = r.value(); err != nil {
-			return err
-		}
+		hasVal = true
 	case KindPopTo:
-		depth, err := r.uvarint()
-		if err != nil {
-			return err
+		depth, n := uvarint1(blk, pos)
+		if n == 0 {
+			if depth, n = uvarintLong(blk, pos); n <= 0 {
+				return r.corrupt(faultVarint, uint64(pos))
+			}
 		}
+		pos += n
 		ev.Size = int(depth)
 	case KindSet:
-		u, err := r.uvarint()
-		if err != nil {
-			return err
+		ref, n := uvarint1(blk, pos)
+		if n == 0 {
+			if ref, n = uvarintLong(blk, pos); n <= 0 {
+				return r.corrupt(faultVarint, uint64(pos))
+			}
 		}
-		ev.Ref = int32(zdec(u))
-		if ev.Val, err = r.value(); err != nil {
-			return err
-		}
+		pos += n
+		ev.Ref = int32(zdec(ref))
+		hasVal = true
 	case KindCollect:
-		full, err := r.byte()
-		if err != nil {
-			return err
+		if pos >= len(blk) {
+			return r.corrupt(faultOverrun, 0)
 		}
-		ev.Full = full != 0
+		ev.Full = blk[pos] != 0
+		pos++
 	case KindSession:
-		sess, err := r.uvarint()
-		if err != nil {
-			return err
+		sess, n := uvarint1(blk, pos)
+		if n == 0 {
+			if sess, n = uvarintLong(blk, pos); n <= 0 {
+				return r.corrupt(faultVarint, uint64(pos))
+			}
 		}
+		pos += n
 		if sess > maxBlock {
-			return r.fail(ErrCorrupt, "absurd session index %d", sess)
+			return r.corrupt(faultSession, sess)
 		}
 		ev.Size = int(sess)
 	default:
-		return r.fail(ErrCorrupt, "unknown event opcode %d", op)
+		return r.corrupt(faultOpcode, uint64(kind))
 	}
+	if hasVal {
+		// A Value is a discriminator byte, then a zigzag immediate (0) or a
+		// delta-coded object (1).
+		if pos >= len(blk) {
+			return r.corrupt(faultOverrun, 0)
+		}
+		d := blk[pos]
+		pos++
+		if d > 1 {
+			return r.corrupt(faultValueKind, uint64(d))
+		}
+		u, n := uvarint1(blk, pos)
+		if n == 0 {
+			if u, n = uvarintLong(blk, pos); n <= 0 {
+				return r.corrupt(faultVarint, uint64(pos))
+			}
+		}
+		pos += n
+		if d == 0 {
+			ev.Val.Bits = uint64(zdec(u))
+		} else {
+			if u >= nextID {
+				return r.corrupt(faultDelta, u)
+			}
+			ev.Val = Value{IsObj: true, Bits: nextID - 1 - u}
+		}
+	}
+	r.pos = pos
 	r.events++
 	return nil
 }
@@ -413,9 +478,9 @@ func (r *Reader) Next(ev *Event) error {
 func (r *Reader) Drain() (Trailer, error) {
 	var ev Event
 	for {
-		switch err := r.Next(&ev); {
-		case err == nil:
-		case errors.Is(err, io.EOF):
+		switch err := r.Next(&ev); err {
+		case nil:
+		case io.EOF: // Next returns it bare
 			return r.tr, nil
 		default:
 			return Trailer{}, err

@@ -36,8 +36,9 @@ func Record(out io.Writer, census bool, meta []MetaEntry, mk func(*heap.Heap) he
 
 // Recorder captures a heap's mutator events into a trace. It installs
 // itself as the heap's event sink and move hook; the move hook keeps a
-// current-address → allocation-order-ID map, so recorded traces are
-// independent of where any collector happens to place objects.
+// current-address → allocation-order-ID table (idTable: one 32-bit entry
+// per heap word of every space an object has lived in), so recorded traces
+// are independent of where any collector happens to place objects.
 //
 // Recording never perturbs the simulated run: the heap's words, roots,
 // statistics, and collection schedule are identical with and without a
@@ -46,9 +47,9 @@ func Record(out io.Writer, census bool, meta []MetaEntry, mk func(*heap.Heap) he
 type Recorder struct {
 	h        *heap.Heap
 	w        *Writer
-	ids      map[heap.Word]uint64 // live object address -> allocation ID
-	ev       Event                // scratch, re-encoded by every callback
-	err      error                // sticky first failure
+	ids      idTable // live object address -> allocation ID
+	ev       Event   // scratch, re-encoded by every callback
+	err      error   // sticky first failure
 	finished bool
 }
 
@@ -67,7 +68,7 @@ func NewRecorder(h *heap.Heap, w *Writer) (*Recorder, error) {
 		return nil, fmt.Errorf("%w: heap census=%v but trace header census=%v",
 			ErrInvalid, h.CensusEnabled(), w.Header().Census)
 	}
-	r := &Recorder{h: h, w: w, ids: make(map[heap.Word]uint64)}
+	r := &Recorder{h: h, w: w, ids: idTable{h: h}}
 	h.SetEventSink(r)
 	h.SetMoveHook(r.moved)
 	return r, nil
@@ -104,12 +105,7 @@ func (r *Recorder) failf(format string, args ...any) {
 
 // moved is the heap move hook: collectors relocating an object carry its
 // ID to the new address.
-func (r *Recorder) moved(old, new heap.Word) {
-	if id, ok := r.ids[old]; ok {
-		delete(r.ids, old)
-		r.ids[new] = id
-	}
-}
+func (r *Recorder) moved(old, new heap.Word) { r.ids.move(old, new) }
 
 // value translates a heap word into a trace operand: pointers become
 // allocation IDs, everything else travels as immediate bits.
@@ -117,7 +113,7 @@ func (r *Recorder) value(w heap.Word) Value {
 	if !heap.IsPtr(w) {
 		return Imm(w)
 	}
-	id, ok := r.ids[w]
+	id, ok := r.ids.lookup(w)
 	if !ok {
 		r.failf("pointer %#x does not resolve to a recorded object", uint64(w))
 		return Imm(0)
@@ -127,7 +123,7 @@ func (r *Recorder) value(w heap.Word) Value {
 
 // objID resolves the event's target object.
 func (r *Recorder) objID(w heap.Word) (uint64, bool) {
-	id, ok := r.ids[w]
+	id, ok := r.ids.lookup(w)
 	if !ok {
 		r.failf("event target %#x does not resolve to a recorded object", uint64(w))
 	}
@@ -147,10 +143,11 @@ func (r *Recorder) EvAlloc(w heap.Word, t heap.Type, payload int) {
 	}
 	r.ev = Event{Kind: KindAlloc, Type: t, Size: payload}
 	r.append()
-	// Append assigned the allocation its ID; dead objects whose address is
-	// being reused are overwritten here, which also bounds the map by the
-	// heap's total words.
-	r.ids[w] = r.ev.Obj
+	// Append assigned the allocation its ID; a dead object whose address is
+	// being reused is overwritten here.
+	if err := r.ids.set(w, r.ev.Obj); err != nil && r.err == nil {
+		r.err = err
+	}
 }
 
 // EvStore implements heap.EventSink.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -10,14 +9,16 @@ import (
 
 // Replayer applies trace events to a heap, driving any collector through
 // the identical allocation/store/root schedule the recording mutator
-// produced. Object identity is maintained the same way the recorder
-// maintains it: an ID → current-address table kept fresh by the heap's
-// move hook, costing one word per recorded object.
+// produced. Object identity is two tables kept fresh by the heap's move
+// hook: words resolves an event's object ID to the object's current
+// address (one address per allocation ID, never reclaimed), and ids — the
+// recorder's table — tells the hook which ID just moved (one 32-bit entry
+// per heap word of every space an object has lived in).
 type Replayer struct {
 	h     *heap.Heap
 	c     heap.Collector
-	words []heap.Word          // allocation ID -> current address
-	ids   map[heap.Word]uint64 // current address -> allocation ID
+	words []heap.Word // allocation ID -> current address
+	ids   idTable     // current address -> allocation ID
 }
 
 // NewReplayer attaches a replayer to a pristine heap whose collector c is
@@ -26,7 +27,7 @@ func NewReplayer(h *heap.Heap, c heap.Collector) (*Replayer, error) {
 	if h.Stats.ObjectsAllocated != 0 || h.LiveRefs() != 0 || h.GlobalRoots() != 0 {
 		return nil, fmt.Errorf("%w: replayer needs a pristine heap", ErrInvalid)
 	}
-	rp := &Replayer{h: h, c: c, ids: make(map[heap.Word]uint64)}
+	rp := &Replayer{h: h, c: c, ids: idTable{h: h}}
 	h.SetMoveHook(rp.moved)
 	return rp, nil
 }
@@ -35,9 +36,7 @@ func NewReplayer(h *heap.Heap, c heap.Collector) (*Replayer, error) {
 func (rp *Replayer) Close() { rp.h.SetMoveHook(nil) }
 
 func (rp *Replayer) moved(old, new heap.Word) {
-	if id, ok := rp.ids[old]; ok {
-		delete(rp.ids, old)
-		rp.ids[new] = id
+	if id, ok := rp.ids.move(old, new); ok {
 		rp.words[id] = new
 	}
 }
@@ -64,7 +63,9 @@ func (rp *Replayer) Apply(ev *Event) error {
 		// The allocation may trigger a collection; the move hook keeps the
 		// tables fresh while it runs.
 		w := rp.h.AllocObject(ev.Type, ev.Size)
-		rp.ids[w] = uint64(len(rp.words))
+		if err := rp.ids.set(w, uint64(len(rp.words))); err != nil {
+			return err
+		}
 		rp.words = append(rp.words, w)
 	case KindStore:
 		obj, err := rp.word(ev.Obj)
@@ -186,7 +187,7 @@ func Replay(rd *Reader, h *heap.Heap, c heap.Collector, opt ReplayOptions) (res 
 	var ev Event
 	for {
 		nerr := rd.Next(&ev)
-		if errors.Is(nerr, io.EOF) {
+		if nerr == io.EOF { // Next returns it bare
 			break
 		}
 		if nerr != nil {
