@@ -41,6 +41,14 @@ check_cover ./internal/gc/npms 93
 # cell of the central experiment and every recorded decay session, and only
 # this package's reference-queue differential and stream pin hold them.
 check_cover ./internal/decay 95
+# The shared young-generation step and the three collectors built on it:
+# the step's own tests are the wholesale-vs-tenured differential, the carry
+# bookkeeping and the allocation guards; each collector's floor covers what
+# is left to it (promotion targets, remembered-set rules, majors).
+check_cover ./internal/gc/young 90
+check_cover ./internal/gc/generational 90
+check_cover ./internal/gc/multigen 85
+check_cover ./internal/gc/hybrid 82
 
 # Env-pinned passes. Every package named on a line below seeds its process
 # default with heap.SetDefaultConfig(heap.ConfigFromEnv()) in TestMain and
@@ -64,12 +72,15 @@ RDGC_GC_WORKERS=4 RDGC_GC_LAB=1 go test -race -count=1 ./internal/gc/marksweep .
 # mode.
 RDGC_GC_INCR=1 go test -race -count=1 ./internal/heap ./internal/gc/marksweep ./internal/gc/npms ./internal/gc/conformance
 
-# Tenuring and the adaptive policy controller: the heap engines, the three
-# tenuring collectors and the conformance suite (age oracle, threshold-1 ≡
-# wholesale identity, never-promote) with RDGC_GC_ADAPT on, so every heap a
+# Tenuring and the adaptive policy controller: the heap engines, the shared
+# young-generation step, the three tenuring collectors and the conformance
+# suite (age oracle, never-promote) with RDGC_GC_ADAPT on, so every heap a
 # test builds without pinning a mode routes survivors through the tenured
-# evacuation path with the feedback controller live.
-RDGC_GC_ADAPT=1 go test -race -count=1 ./internal/heap ./internal/gc/generational ./internal/gc/multigen ./internal/gc/hybrid ./internal/gc/conformance
+# evacuation path with the feedback controller live — then the step, the
+# collectors and the suite again at a fixed mid-grid threshold, where
+# survivors age through six flips with no controller to move the knobs.
+RDGC_GC_ADAPT=1 go test -race -count=1 ./internal/heap ./internal/gc/young ./internal/gc/generational ./internal/gc/multigen ./internal/gc/hybrid ./internal/gc/conformance
+RDGC_GC_TENURE=6 go test -race -count=1 ./internal/gc/young ./internal/gc/generational ./internal/gc/multigen ./internal/gc/hybrid ./internal/gc/conformance
 
 # The benchmark is a module of its own (benchmark/go.mod), so the root
 # ./... passes above neither build nor test it: vet and test it here, which

@@ -58,6 +58,13 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 		o(c)
 	}
 	c.scanObj = func(obj heap.Word) {
+		// Entries lie in steps 1..j and their fields are roots — except under
+		// FullCollect, whose j = 0 puts every one of them inside the collected
+		// region: those are scanned when copied, and their old headers may
+		// already hold forwarding pointers.
+		if c.st.InOld(obj) {
+			return
+		}
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.scanEvac)
 	}

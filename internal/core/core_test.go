@@ -114,14 +114,12 @@ func TestUncollectedYoungStepsAreExchangedNotCopied(t *testing.T) {
 	}
 }
 
-func TestRemsetPreservesYoungToOldOnlyPath(t *testing.T) {
-	h := heap.New()
-	c := New(h, 6, 512, WithPolicy(FixedJ(2)))
-	s := h.Scope()
-	defer s.Close()
-
-	// Make an old object (position k-1), then a young holder (position < j)
-	// pointing at it, then drop every direct handle to the old object.
+// youngHolderOfOld makes an old object (position k-1) holding 123, then a
+// young holder (position < j) pointing at it — a remembered young-to-old
+// pointer — and drops every direct handle to the old object, so the holder
+// is the only path to it.
+func youngHolderOfOld(t *testing.T, h *heap.Heap, c *Collector) heap.Ref {
+	t.Helper()
 	old := h.Cons(h.Fix(123), h.Null())
 	if c.Steps().PosOf(h.Get(old)) != c.Steps().K()-1 {
 		t.Fatal("setup: object not in oldest step")
@@ -141,11 +139,47 @@ func TestRemsetPreservesYoungToOldOnlyPath(t *testing.T) {
 		t.Fatal("barrier missed young-to-old store")
 	}
 	h.Set(old, heap.NullWord) // drop the direct root
+	return holder
+}
+
+func TestRemsetPreservesYoungToOldOnlyPath(t *testing.T) {
+	h := heap.New()
+	c := New(h, 6, 512, WithPolicy(FixedJ(2)))
+	s := h.Scope()
+	defer s.Close()
+
+	holder := youngHolderOfOld(t, h, c)
 
 	c.Collect() // collects steps j+1..k; holder's step is only renamed
 	got := h.Car(holder)
 	if !h.IsPair(got) || h.FixVal(h.Car(got)) != 123 {
 		t.Error("old object reachable only through a young step was lost")
+	}
+}
+
+// TestFullCollectSkipsRememberedEntriesItCollects is the regression test for
+// the remembered-set root scan reading a forwarding pointer as a header: a
+// rooted, remembered young-step object is evacuated with the roots, and
+// FullCollect's j = 0 makes its old address from-space by the time the
+// remembered set is scanned (an index out of range in heap.ScanObject).
+func TestFullCollectSkipsRememberedEntriesItCollects(t *testing.T) {
+	h := heap.New()
+	c := New(h, 6, 512, WithPolicy(FixedJ(2)))
+	s := h.Scope()
+	defer s.Close()
+
+	holder := youngHolderOfOld(t, h, c)
+
+	scanned := c.GCStats().RemsetScanned
+	c.FullCollect()
+	if got := h.Car(holder); !h.IsPair(got) || h.FixVal(h.Car(got)) != 123 {
+		t.Error("object reachable only through a collected remembered entry was lost")
+	}
+	if n := c.GCStats().RemsetScanned - scanned; n != 0 {
+		t.Errorf("a full collection scanned %d remembered entries as roots; every entry is inside the collected region", n)
+	}
+	if err := heap.VerifyCollector(h, c); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Conformance tests for age-based tenuring (heap/tenure.go): the age
-// oracle pins the side age tables to a move-hook shadow model, and the
-// degenerate thresholds pin the two ends of the policy spectrum —
-// threshold 1 must be bit-for-bit the wholesale collector it replaces,
-// and threshold ∞ (heap.TenureNever) must never promote out of the
-// nursery nor remember nursery-to-nursery pointers.
+// oracle pins the side age tables to a move-hook shadow model, and
+// threshold ∞ (heap.TenureNever) must never promote out of the nursery nor
+// remember nursery-to-nursery pointers. The other end of the spectrum —
+// the tenured arm of the young step at threshold 1 is word for word the
+// wholesale arm — is young's TestShadowAtThresholdOneIsWholesale, which
+// needs that package's test seam to arm a shadow at threshold 1 at all.
 package conformance
 
 import (
@@ -149,58 +150,7 @@ func TestAgeOracleDetectsCorruption(t *testing.T) {
 	}
 }
 
-// captureTenureRun plays the randomized workload on a fresh heap pinned to
-// cfg, and snapshots the final state.
-func captureTenureRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, cfg heap.Config) heapImage {
-	t.Helper()
-	h := heap.New(heap.WithConfig(cfg))
-	c := mk(h)
-	gctest.RandomOps(t, h, c, ops, seed)
-	c.Collect()
-	img := heapImage{stats: h.Stats, gc: *c.GCStats()}
-	for _, s := range h.Spaces {
-		img.spaces = append(img.spaces, spaceImage{
-			name: s.Name,
-			top:  s.Top,
-			mem:  append([]heap.Word(nil), s.Mem[:s.Top]...),
-		})
-	}
-	return img
-}
-
-// TestTenureThresholdOneIsWholesale pins the degenerate identity the
-// tenuring design promises: an explicit threshold of 1 must reproduce the
-// wholesale collector bit for bit — same heap images, same mutator stats,
-// same GCStats (including the new tenuring fields staying zero) — at
-// sequential and parallel worker counts and under incremental mode. Both
-// sides pin a whole Config, so no RDGC_GC_* environment can skew either.
-func TestTenureThresholdOneIsWholesale(t *testing.T) {
-	for name, mk := range tenuringCollectors() {
-		for _, workers := range []int{0, 4} {
-			for _, incr := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/workers=%d/incr=%v", name, workers, incr), func(t *testing.T) {
-					ref := captureTenureRun(t, mk, 41, heap.Config{Workers: workers, Incremental: incr})
-					got := captureTenureRun(t, mk, 41, heap.Config{Workers: workers, Incremental: incr, Tenure: 1})
-					if workers == 0 {
-						compareImages(t, got, ref)
-						return
-					}
-					// Parallel copy order races run to run, so the parallel
-					// pin is the tier-2/3 contract: identical mutator stats
-					// and GCStats (images may legitimately differ).
-					if got.stats != ref.stats {
-						t.Errorf("mutator stats diverge: threshold-1 %+v, wholesale %+v", got.stats, ref.stats)
-					}
-					if got.gc != ref.gc {
-						t.Errorf("GCStats diverge:\n  threshold-1 %+v\n  wholesale   %+v", got.gc, ref.gc)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestTenureNeverPromotesNothing pins the other end of the spectrum: under
+// TestTenureNeverPromotesNothing pins the far end of the spectrum: under
 // heap.TenureNever, minor collections retain every survivor in the young
 // region — no words promoted, no major collections provoked, and (because
 // nothing old ever points at the nursery) an empty remembered set even

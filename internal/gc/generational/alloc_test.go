@@ -12,13 +12,13 @@ import (
 func fillNursery(tb testing.TB, c *Collector, h *heap.Heap, n int) heap.Word {
 	prev := heap.NullWord
 	for i := 0; i < n; i++ {
-		off, ok := c.nursery.Bump(3)
+		off, ok := c.young.Space().Bump(3)
 		if !ok {
 			tb.Fatalf("nursery too small for %d pairs", n)
 		}
-		w := h.InitObject(c.nursery, off, heap.TPair, 2)
-		c.nursery.Mem[off+1] = heap.FixnumWord(int64(i))
-		c.nursery.Mem[off+2] = prev
+		w := h.InitObject(c.young.Space(), off, heap.TPair, 2)
+		c.young.Space().Mem[off+1] = heap.FixnumWord(int64(i))
+		c.young.Space().Mem[off+2] = prev
 		prev = w
 	}
 	return prev

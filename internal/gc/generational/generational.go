@@ -13,15 +13,22 @@ package generational
 import (
 	"fmt"
 
+	"rdgc/internal/gc/young"
 	"rdgc/internal/heap"
-	"rdgc/internal/policy"
 	"rdgc/internal/remset"
 )
 
+// tenurer embeds heap.Tenurer under an unexported field name: the three
+// methods are promoted, the field is not assignable from outside.
+type tenurer = heap.Tenurer
+
 // Collector is a two-generation, youngest-first collector.
 type Collector struct {
-	h       *heap.Heap
-	nursery *heap.Space
+	h *heap.Heap
+	// young is the nursery and its tenuring state, the step shared with the
+	// other youngest-first collectors; it answers the embedded tenurer.
+	young young.Gen
+	tenurer
 	oldFrom *heap.Space
 	oldTo   *heap.Space
 	rs      remset.Set
@@ -34,20 +41,6 @@ type Collector struct {
 	remsetRoot func(heap.Word)
 
 	expand float64
-
-	// Age-based tenuring (heap/tenure.go). With threshold 1 (the default)
-	// none of this exists and every path above runs unchanged: nurseryTo
-	// is the survivor shadow the nursery flips against, trigger the
-	// effective nursery size (cap, unless the adaptive controller moves
-	// it), carry the survivor words retained at the last flip, and ctrl
-	// the -gcadapt policy controller.
-	threshold int
-	trigger   int
-	carry     int
-	nurseryTo *heap.Space
-	youngBuf  []*heap.Space
-	keepBuf   []heap.Word
-	ctrl      *policy.Controller
 }
 
 // Option configures the collector.
@@ -71,9 +64,9 @@ func WithRemset(rs remset.Set) Option {
 // and old-semispace sizes in words, installing itself as h's allocator and
 // write barrier.
 func New(h *heap.Heap, nurseryWords, oldWords int, opts ...Option) *Collector {
+	nursery := h.NewSpace("nursery", nurseryWords)
 	c := &Collector{
 		h:       h,
-		nursery: h.NewSpace("nursery", nurseryWords),
 		oldFrom: h.NewSpace("old-A", oldWords),
 		oldTo:   h.NewSpace("old-B", oldWords),
 		rs:      remset.NewHashSet(),
@@ -83,45 +76,15 @@ func New(h *heap.Heap, nurseryWords, oldWords int, opts ...Option) *Collector {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(w), heap.PtrOff(w), c.evac.Slot())
 	}
-	c.threshold = h.Config().Tenure
-	c.trigger = nurseryWords
 	for _, o := range opts {
 		o(c)
 	}
-	if h.Config().Adaptive {
-		c.ctrl = policy.New(policy.Config{})
-	}
-	if c.threshold > 1 || c.ctrl != nil {
-		// Tenuring needs a survivor shadow for within-nursery evacuation;
-		// the adaptive harness arms it even at threshold 1 so the survival
-		// counters flow from the first collection.
-		c.nurseryTo = h.NewSpace("nursery-to", nurseryWords)
-		c.nursery.EnsureAgeTable()
-		c.nurseryTo.EnsureAgeTable()
-		c.youngBuf = []*heap.Space{c.nurseryTo}
-	}
+	c.young.Init(h, nursery, c.evac, c.rs, &c.stats)
+	c.tenurer = &c.young
 	h.SetAllocator(c)
 	h.SetBarrier(c)
 	return c
 }
-
-// tenured reports whether minor collections run the age-routing engine.
-func (c *Collector) tenured() bool { return c.nurseryTo != nil }
-
-// TenureThreshold implements heap.Tenurer.
-func (c *Collector) TenureThreshold() int { return c.threshold }
-
-// YoungSpaces implements heap.Tenurer: the active nursery, then the
-// survivor shadow when tenuring is armed.
-func (c *Collector) YoungSpaces() []*heap.Space {
-	if c.nurseryTo == nil {
-		return []*heap.Space{c.nursery}
-	}
-	return []*heap.Space{c.nursery, c.nurseryTo}
-}
-
-// Adaptive implements heap.Tenurer.
-func (c *Collector) Adaptive() bool { return c.ctrl != nil }
 
 // Name implements heap.Collector.
 func (c *Collector) Name() string { return "generational" }
@@ -130,7 +93,7 @@ func (c *Collector) Name() string { return "generational" }
 func (c *Collector) GCStats() *heap.GCStats { return &c.stats }
 
 // Live returns the words in use across both generations.
-func (c *Collector) Live() int { return c.nursery.Used() + c.oldFrom.Used() }
+func (c *Collector) Live() int { return c.young.Space().Used() + c.oldFrom.Used() }
 
 // OldWords returns the current old-semispace capacity.
 func (c *Collector) OldWords() int { return c.oldFrom.Cap() }
@@ -142,12 +105,13 @@ func (c *Collector) RemsetLen() int { return c.rs.Len() }
 // semispace are live (the old to-space is scratch), and every object
 // outside the nursery that points into it must be remembered.
 func (c *Collector) VerifySpec() heap.VerifySpec {
+	nursery := c.young.Space()
 	return heap.VerifySpec{
-		Live: []*heap.Space{c.nursery, c.oldFrom},
+		Live: []*heap.Space{nursery, c.oldFrom},
 		Remsets: []heap.RemsetRule{{
 			Name: "old->nursery",
 			Needs: func(obj, val heap.Word) bool {
-				return heap.PtrSpace(obj) != c.nursery.ID && heap.PtrSpace(val) == c.nursery.ID
+				return heap.PtrSpace(obj) != nursery.ID && heap.PtrSpace(val) == nursery.ID
 			},
 			Has: c.rs.Contains,
 		}},
@@ -157,10 +121,10 @@ func (c *Collector) VerifySpec() heap.VerifySpec {
 // RecordWrite implements heap.Barrier: remember old objects that point
 // into the nursery.
 func (c *Collector) RecordWrite(obj, val heap.Word) {
-	if !heap.IsPtr(val) || heap.PtrSpace(val) != c.nursery.ID {
+	if !heap.IsPtr(val) || heap.PtrSpace(val) != c.young.Space().ID {
 		return
 	}
-	if heap.PtrSpace(obj) == c.nursery.ID {
+	if heap.PtrSpace(obj) == c.young.Space().ID {
 		return
 	}
 	c.rs.Remember(obj)
@@ -170,36 +134,23 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 // directly to the old area, as real generational systems do.
 func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 	total := 1 + payload + c.h.ExtraWords()
-	if total > c.nursery.Cap()/2 {
+	if total > c.young.Space().Cap()/2 {
 		return c.allocOld(t, payload, total)
 	}
-	if c.nursery.Top+total > c.trigger {
-		// Same condition as a failed Bump when the trigger sits at the
-		// nursery cap (the wholesale default); the adaptive controller may
-		// pull it lower.
-		c.collectNursery()
+	if c.young.Full(total) {
+		c.minor()
 	}
-	off, ok := c.nursery.Bump(total)
-	if !ok && c.tenured() {
+	off, ok := c.young.Space().Bump(total)
+	if !ok && c.young.Tenured() {
 		// Retained survivors can leave too little room even after a minor;
 		// a major empties the nursery wholesale and guarantees progress.
 		c.major(total)
-		off, ok = c.nursery.Bump(total)
+		off, ok = c.young.Space().Bump(total)
 	}
 	if !ok {
 		panic(fmt.Sprintf("generational: nursery cannot hold %d words", total))
 	}
-	return c.h.InitObject(c.nursery, off, t, payload)
-}
-
-// collectNursery dispatches a nursery collection to the wholesale or
-// age-routing implementation.
-func (c *Collector) collectNursery() {
-	if c.tenured() {
-		c.minorTenured()
-	} else {
-		c.minor()
-	}
+	return c.h.InitObject(c.young.Space(), off, t, payload)
 }
 
 func (c *Collector) allocOld(t heap.Type, payload, total int) heap.Word {
@@ -214,120 +165,27 @@ func (c *Collector) allocOld(t heap.Type, payload, total int) heap.Word {
 	return c.h.InitObject(c.oldFrom, off, t, payload)
 }
 
-// minor collects the nursery, promoting every survivor to the old area.
+// minor collects the nursery through the shared young step: survivors are
+// promoted to the old area, except those a tenuring nursery retains.
 func (c *Collector) minor() {
-	if c.oldFrom.Free() < c.nursery.Used() {
+	nursery := c.young.Space()
+	if c.oldFrom.Free() < nursery.Used() {
 		// Not enough headroom to promote the worst case: collect everything.
-		c.major(c.nursery.Used())
+		c.major(nursery.Used())
 		return
 	}
 	e := c.evac
-	e.SetFrom(c.nursery)
-	e.Begin(c.oldFrom)
+	c.young.Begin(c.oldFrom)
 	e.EvacuateRoots()
 	c.scanRemset()
 	e.Drain()
-	c.nursery.Reset()
-	// Promotion empties the nursery, so no old-to-young pointers remain.
-	c.rs.Clear()
+	c.young.Flip()
+	c.young.Refilter()
+	c.young.Finish()
 
-	c.stats.Collections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.stats.WordsPromoted += e.WordsCopied
-	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.stats.NoteLive(c.oldFrom.Used())
+	c.stats.NoteLive(c.oldFrom.Used() + c.young.Space().Used())
 	c.notePeak()
 	c.h.AfterGC()
-}
-
-// minorTenured collects the nursery with age routing: survivors younger
-// than the threshold are evacuated into the survivor shadow (their age
-// incremented in its side table), the rest are promoted to the old area,
-// and the semispaces flip. Because retained survivors stay young, the
-// remembered set must be refiltered rather than cleared.
-func (c *Collector) minorTenured() {
-	if c.oldFrom.Free() < c.nursery.Used() {
-		// Not enough headroom to promote the worst case: collect everything.
-		c.major(c.nursery.Used())
-		return
-	}
-	fresh := c.nursery.Top - c.carry
-	e := c.evac
-	e.SetFrom(c.nursery)
-	e.BeginTenured(c.threshold, c.youngBuf, c.oldFrom)
-	e.EvacuateRoots()
-	c.scanRemset()
-	e.Drain()
-	c.nursery.Reset()
-	c.nursery, c.nurseryTo = c.nurseryTo, c.nursery
-	c.youngBuf[0] = c.nurseryTo
-	c.carry = c.nursery.Top
-	c.refilterRemset()
-	c.rememberPromoted()
-
-	c.stats.Collections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.stats.WordsPromoted += e.WordsPromoted
-	c.stats.WordsTenured += e.WordsRetained
-	c.stats.TenureThreshold = c.threshold
-	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.stats.NoteLive(c.oldFrom.Used() + c.nursery.Used())
-	c.notePeak()
-	if c.ctrl != nil {
-		c.threshold, c.trigger = c.ctrl.Adapt(e, fresh, c.nursery, &c.stats)
-	}
-	c.h.AfterGC()
-}
-
-// refilterRemset drops remembered objects that no longer point into the
-// (post-flip) nursery. Old-area objects do not move in a minor collection,
-// so surviving entries keep their addresses; only entries whose nursery
-// referents were all promoted (or died) are dropped.
-func (c *Collector) refilterRemset() {
-	keep := c.keepBuf[:0]
-	nurseryID := c.nursery.ID
-	found := false
-	probe := func(slot *heap.Word) {
-		if !found && heap.IsPtr(*slot) && heap.PtrSpace(*slot) == nurseryID {
-			found = true
-		}
-	}
-	c.rs.ForEach(func(obj heap.Word) {
-		found = false
-		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), probe)
-		if found {
-			keep = append(keep, obj)
-		}
-	})
-	c.rs.Clear()
-	for _, w := range keep {
-		c.rs.Remember(w)
-	}
-	c.keepBuf = keep[:0]
-}
-
-// rememberPromoted scans the objects this minor promoted into the old
-// area: any that reference a retained survivor are old-to-young pointers
-// the barrier never saw (both ends moved during the collection), so they
-// enter the remembered set here. Must run after the nursery flip so the
-// probe sees the live nursery's ID.
-func (c *Collector) rememberPromoted() {
-	nurseryID := c.nursery.ID
-	found := false
-	probe := func(slot *heap.Word) {
-		if !found && heap.IsPtr(*slot) && heap.PtrSpace(*slot) == nurseryID {
-			found = true
-		}
-	}
-	c.evac.CopiedRegions(func(s *heap.Space, lo, hi int) {
-		for off := lo; off < hi; off += heap.ObjWords(s.Mem[off]) {
-			found = false
-			heap.ScanObject(s, off, probe)
-			if found {
-				c.rs.Remember(heap.PtrWord(s.ID, off))
-			}
-		}
-	})
 }
 
 // scanRemset treats every remembered object's fields as roots for a minor
@@ -341,16 +199,16 @@ func (c *Collector) scanRemset() {
 func (c *Collector) major(need int) {
 	if c.expand > 0 {
 		// Worst case: everything currently allocated survives.
-		worst := c.oldFrom.Used() + c.nursery.Used() + need
+		worst := c.oldFrom.Used() + c.young.Space().Used() + need
 		if worst > c.oldTo.Cap() {
 			c.oldTo.Resize(worst)
 		}
 	}
 	e := c.evac
-	e.SetFrom(c.nursery, c.oldFrom)
+	e.SetFrom(c.young.Space(), c.oldFrom)
 	e.Begin(c.oldTo)
 	e.Run()
-	c.nursery.Reset()
+	c.young.Space().Reset()
 	c.oldFrom.Reset()
 	c.oldFrom, c.oldTo = c.oldTo, c.oldFrom
 	c.rs.Clear()
@@ -362,13 +220,7 @@ func (c *Collector) major(need int) {
 	c.stats.NoteLive(c.oldFrom.Used())
 	c.notePeak()
 
-	if c.tenured() {
-		// The major promoted the whole nursery: no survivors are carried.
-		c.carry = 0
-		if c.ctrl != nil {
-			c.ctrl.ObserveMajor(e.WordsCopied)
-		}
-	}
+	c.young.AfterMajor(e.WordsCopied)
 
 	if c.expand > 0 {
 		live := c.oldFrom.Used()

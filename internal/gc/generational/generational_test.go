@@ -51,7 +51,7 @@ func TestMinorPromotesAllSurvivors(t *testing.T) {
 		t.Error("no words were promoted by minor collections")
 	}
 	// After churn, the survivors must reside in the old generation.
-	if w := h.Get(list); heap.PtrSpace(w) == c.nursery.ID {
+	if w := h.Get(list); heap.PtrSpace(w) == c.young.Space().ID {
 		t.Error("survivor still in nursery after minor collections")
 	}
 }
@@ -65,7 +65,7 @@ func TestRemsetCatchesOldToYoungPointer(t *testing.T) {
 	// Create an old object by promoting it.
 	oldObj := h.Cons(h.Fix(1), h.Null())
 	c.Collect()
-	if heap.PtrSpace(h.Get(oldObj)) == c.nursery.ID {
+	if heap.PtrSpace(h.Get(oldObj)) == c.young.Space().ID {
 		t.Fatal("object not promoted by major collection")
 	}
 
@@ -111,7 +111,7 @@ func TestLargeObjectGoesToOldArea(t *testing.T) {
 	s := h.Scope()
 	defer s.Close()
 	v := h.MakeVector(1000, h.Null())
-	if heap.PtrSpace(h.Get(v)) == c.nursery.ID {
+	if heap.PtrSpace(h.Get(v)) == c.young.Space().ID {
 		t.Error("large object was allocated in the nursery")
 	}
 	if h.VectorLen(v) != 1000 {

@@ -19,7 +19,7 @@ func TestVerifierCatchesDroppedRemsetEntry(t *testing.T) {
 
 	old := h.Cons(h.Fix(1), h.Null())
 	c.Collect() // a major collection moves the pair to the old area
-	if heap.PtrSpace(h.Get(old)) == c.nursery.ID {
+	if heap.PtrSpace(h.Get(old)) == c.young.Space().ID {
 		t.Fatal("pair did not leave the nursery")
 	}
 	young := h.Cons(h.Fix(2), h.Null())

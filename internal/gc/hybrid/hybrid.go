@@ -16,16 +16,24 @@ import (
 	"fmt"
 
 	"rdgc/internal/core"
+	"rdgc/internal/gc/young"
 	"rdgc/internal/heap"
-	"rdgc/internal/policy"
 	"rdgc/internal/remset"
 )
 
+// tenurer embeds heap.Tenurer under an unexported field name: the three
+// methods are promoted, the field is not assignable from outside.
+type tenurer = heap.Tenurer
+
 // Collector is the hybrid ephemeral + non-predictive collector.
 type Collector struct {
-	h       *heap.Heap
-	nursery *heap.Space
-	st      *core.Steps
+	h *heap.Heap
+	// young is the ephemeral area and its tenuring state, the step shared
+	// with the other youngest-first collectors; it answers the embedded
+	// tenurer. Remembered set A is its set.
+	young young.Gen
+	tenurer
+	st *core.Steps
 
 	rsA remset.Set // dynamic/static objects pointing into the nursery
 	rsB remset.Set // steps-1..j or static objects pointing into the steps
@@ -55,18 +63,6 @@ type Collector struct {
 	staticBuf   []heap.Word
 
 	stats heap.GCStats
-
-	// Age-based tenuring (heap/tenure.go): promoting collections retain
-	// under-threshold survivors in the nurseryTo shadow instead of moving
-	// them to the dynamic area. All nil/zero under the default threshold
-	// of 1, where minor() runs the wholesale §8.4 path unchanged.
-	threshold int
-	trigger   int
-	carry     int
-	nurseryTo *heap.Space
-	youngBuf  []*heap.Space
-	keepBuf   []heap.Word
-	ctrl      *policy.Controller
 }
 
 // Option configures the collector.
@@ -90,9 +86,9 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 	if nurseryWords/2 > stepWords {
 		panic("hybrid: step size must be at least half the nursery size so any promoted object fits a step")
 	}
+	nursery := h.NewSpace("nursery", nurseryWords)
 	c := &Collector{
 		h:        h,
-		nursery:  h.NewSpace("nursery", nurseryWords),
 		st:       core.NewSteps(h, k, stepWords),
 		rsA:      remset.NewHashSet(),
 		rsB:      remset.NewHashSet(),
@@ -114,7 +110,7 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 		// their fields are roots. Entries located inside the collected region
 		// must be skipped: they are scanned when copied, and their old
 		// headers may already hold forwarding pointers.
-		if c.st.InOld(obj) || heap.PtrSpace(obj) == c.nursery.ID {
+		if c.st.InOld(obj) || heap.PtrSpace(obj) == c.young.Space().ID {
 			return
 		}
 		c.stats.RemsetScanned++
@@ -150,39 +146,12 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 		}
 	}
 	c.st.SetJ(c.policy.ChooseJ(k, k))
-	c.threshold = h.Config().Tenure
-	c.trigger = nurseryWords
-	if h.Config().Adaptive {
-		c.ctrl = policy.New(policy.Config{})
-	}
-	if c.threshold > 1 || c.ctrl != nil {
-		c.nurseryTo = h.NewSpace("nursery-to", nurseryWords)
-		c.nursery.EnsureAgeTable()
-		c.nurseryTo.EnsureAgeTable()
-		c.youngBuf = []*heap.Space{c.nurseryTo}
-	}
+	c.young.Init(h, nursery, c.evac, c.rsA, &c.stats)
+	c.tenurer = &c.young
 	h.SetAllocator(c)
 	h.SetBarrier(c)
 	return c
 }
-
-// tenured reports whether promoting collections run the age-routing engine.
-func (c *Collector) tenured() bool { return c.nurseryTo != nil }
-
-// TenureThreshold implements heap.Tenurer.
-func (c *Collector) TenureThreshold() int { return c.threshold }
-
-// YoungSpaces implements heap.Tenurer: the nursery, then the survivor
-// shadow when tenuring is armed.
-func (c *Collector) YoungSpaces() []*heap.Space {
-	if c.nurseryTo == nil {
-		return []*heap.Space{c.nursery}
-	}
-	return []*heap.Space{c.nursery, c.nurseryTo}
-}
-
-// Adaptive implements heap.Tenurer.
-func (c *Collector) Adaptive() bool { return c.ctrl != nil }
 
 // Name implements heap.Collector.
 func (c *Collector) Name() string { return "hybrid (ephemeral + non-predictive)" }
@@ -196,7 +165,7 @@ func (c *Collector) Steps() *core.Steps { return c.st }
 // Live returns the words in use in the nursery, dynamic area, and static
 // area.
 func (c *Collector) Live() int {
-	return c.nursery.Used() + c.st.LiveStepWords() + c.StaticWords()
+	return c.young.Space().Used() + c.st.LiveStepWords() + c.StaticWords()
 }
 
 // RemsetLens returns the current sizes of remembered sets A and B.
@@ -208,7 +177,8 @@ func (c *Collector) RemsetLens() (a, b int) { return c.rsA.Len(), c.rsB.Len() }
 // pointers into the nursery from outside it, set B for young-step pointers
 // into the collected steps and static pointers into any step.
 func (c *Collector) VerifySpec() heap.VerifySpec {
-	live := []*heap.Space{c.nursery}
+	nursery := c.young.Space()
+	live := []*heap.Space{nursery}
 	for p := 0; p < c.st.K(); p++ {
 		live = append(live, c.st.Step(p))
 	}
@@ -218,7 +188,7 @@ func (c *Collector) VerifySpec() heap.VerifySpec {
 		Remsets: []heap.RemsetRule{{
 			Name: "A: outside->nursery",
 			Needs: func(obj, val heap.Word) bool {
-				return heap.PtrSpace(obj) != c.nursery.ID && heap.PtrSpace(val) == c.nursery.ID
+				return heap.PtrSpace(obj) != nursery.ID && heap.PtrSpace(val) == nursery.ID
 			},
 			Has: c.rsA.Contains,
 		}, {
@@ -243,8 +213,8 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 	if !heap.IsPtr(val) {
 		return
 	}
-	if heap.PtrSpace(val) == c.nursery.ID {
-		if heap.PtrSpace(obj) != c.nursery.ID {
+	if nursery := c.young.Space().ID; heap.PtrSpace(val) == nursery {
+		if heap.PtrSpace(obj) != nursery {
 			c.rsA.Remember(obj)
 		}
 		return
@@ -262,27 +232,24 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 // allocated directly in the dynamic area.
 func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 	total := 1 + payload + c.h.ExtraWords()
-	if total > c.nursery.Cap()/2 {
+	if total > c.young.Space().Cap()/2 {
 		return c.allocDynamic(t, payload, total)
 	}
-	if c.nursery.Top+total > c.trigger {
-		// Same condition as a failed Bump when the trigger sits at the
-		// nursery cap (the wholesale default); the adaptive controller may
-		// pull it lower.
+	if c.young.Full(total) {
 		c.minor()
 	}
-	off, ok := c.nursery.Bump(total)
-	if !ok && c.tenured() {
+	off, ok := c.young.Space().Bump(total)
+	if !ok && c.young.Tenured() {
 		// Retained survivors can leave too little room even after a
 		// promoting collection; a non-predictive collection empties the
 		// nursery wholesale and guarantees progress.
 		c.npCollect()
-		off, ok = c.nursery.Bump(total)
+		off, ok = c.young.Space().Bump(total)
 	}
 	if !ok {
 		panic(fmt.Sprintf("hybrid: nursery cannot hold %d words", total))
 	}
-	return c.h.InitObject(c.nursery, off, t, payload)
+	return c.h.InitObject(c.young.Space(), off, t, payload)
 }
 
 func (c *Collector) allocDynamic(t heap.Type, payload, total int) heap.Word {
@@ -305,23 +272,22 @@ func (c *Collector) allocDynamic(t heap.Type, payload, total int) heap.Word {
 	}
 }
 
-// minor runs a promoting collection. Following §8.4, Larceny decides up
-// front whether *all* survivors go into the generation comprising steps
-// j+1..k or all into steps 1..j — never some into each. The old region is
-// preferred; when it lacks worst-case headroom the survivors go to the
-// young steps (creating situation-5 remembered-set entries); when neither
-// region alone has room, a non-predictive collection (which itself empties
-// the nursery) runs instead.
+// minor runs a promoting collection through the shared young step.
+// Following §8.4, Larceny decides up front whether *all* promoted survivors
+// go into the generation comprising steps j+1..k or all into steps 1..j —
+// never some into each. The old region is preferred; when it lacks
+// worst-case headroom the survivors go to the young steps (creating
+// situation-5 remembered-set entries); when neither region alone has room,
+// a non-predictive collection (which itself empties the nursery) runs
+// instead. A tenuring nursery retains its under-threshold survivors and
+// promotes the rest under the same decision.
 func (c *Collector) minor() {
-	if c.tenured() {
-		c.minorTenured()
-		return
-	}
 	var targets []*heap.Space
 	intoYoung := false
-	if free := c.regionFree(c.st.J(), c.st.K()); free >= c.nursery.Used() {
+	worst := c.young.Space().Used()
+	if c.regionFree(c.st.J(), c.st.K()) >= worst {
 		targets = c.regionTargets(c.st.J(), c.st.K())
-	} else if free := c.regionFree(0, c.st.J()); free >= c.nursery.Used() {
+	} else if c.regionFree(0, c.st.J()) >= worst {
 		targets = c.regionTargets(0, c.st.J())
 		intoYoung = true
 	} else {
@@ -329,19 +295,20 @@ func (c *Collector) minor() {
 		return
 	}
 	e := c.evac
-	e.SetFrom(c.nursery)
-	e.Begin(targets...)
+	c.young.Begin(targets...)
 	e.EvacuateRoots()
 	c.rsA.ForEach(c.rsARoot)
 	e.Drain()
 
 	// Promotion turned nursery pointers held by set-A entries into step
-	// pointers; migrate the entries that set B must now cover before the
-	// set empties (the transition §8.4 calls situation 3 becoming 5 or 6).
+	// pointers; migrate the entries that set B must now cover before set A
+	// is refiltered (the transition §8.4 calls situation 3 becoming 5 or
+	// 6). Entries themselves never move.
 	c.rsA.ForEach(c.rsAPromoted)
 
-	c.nursery.Reset()
-	c.rsA.Clear() // the nursery is empty; no pointers into it remain
+	c.young.Flip()
+	c.young.Refilter()
+	c.young.Finish()
 	c.st.RecomputeAllocIdx()
 
 	if intoYoung {
@@ -350,126 +317,8 @@ func (c *Collector) minor() {
 		// and the paper notes the marginal cost of this test is small.
 		e.CopiedRegions(c.promoRegion)
 	}
-
-	c.stats.Collections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.stats.WordsPromoted += e.WordsCopied
-	c.h.AddPause(&c.stats, e.WordsCopied)
 	c.notePeaks()
 	c.h.AfterGC()
-}
-
-// minorTenured runs a promoting collection with age routing: survivors
-// younger than the threshold flip into the nursery shadow, the rest go to
-// the dynamic area under the same all-into-old / all-into-young region
-// decision the wholesale path makes. Because retained survivors stay in
-// the (new) nursery, remembered set A is refiltered rather than cleared,
-// and the freshly promoted regions are scanned for pointers back into it.
-func (c *Collector) minorTenured() {
-	var targets []*heap.Space
-	intoYoung := false
-	if free := c.regionFree(c.st.J(), c.st.K()); free >= c.nursery.Used() {
-		targets = c.regionTargets(c.st.J(), c.st.K())
-	} else if free := c.regionFree(0, c.st.J()); free >= c.nursery.Used() {
-		targets = c.regionTargets(0, c.st.J())
-		intoYoung = true
-	} else {
-		c.npCollect()
-		return
-	}
-	fresh := c.nursery.Top - c.carry
-	e := c.evac
-	e.SetFrom(c.nursery)
-	e.BeginTenured(c.threshold, c.youngBuf, targets...)
-	e.EvacuateRoots()
-	c.rsA.ForEach(c.rsARoot)
-	e.Drain()
-
-	// Promotion turned some nursery pointers held by set-A entries into
-	// step pointers; migrate the entries set B must now cover (the §8.4
-	// situation 3 becoming 5 or 6). Entries themselves never move.
-	c.rsA.ForEach(c.rsAPromoted)
-
-	c.nursery.Reset()
-	c.nursery, c.nurseryTo = c.nurseryTo, c.nursery
-	c.youngBuf[0] = c.nurseryTo
-	c.carry = c.nursery.Top
-	c.refilterRsA()
-	c.rememberPromoted()
-	c.st.RecomputeAllocIdx()
-
-	if intoYoung {
-		// Situation 5: promoted objects pointing into steps j+1..k enter
-		// remembered set B.
-		e.CopiedRegions(c.promoRegion)
-	}
-
-	c.stats.Collections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.stats.WordsPromoted += e.WordsPromoted
-	c.stats.WordsTenured += e.WordsRetained
-	c.stats.TenureThreshold = c.threshold
-	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.notePeaks()
-	if c.ctrl != nil {
-		c.threshold, c.trigger = c.ctrl.Adapt(e, fresh, c.nursery, &c.stats)
-	}
-	c.h.AfterGC()
-}
-
-// refilterRsA drops set-A entries that no longer point into the
-// (post-flip) nursery. Entries live outside the nursery and do not move
-// in a promoting collection, so survivors keep their addresses.
-func (c *Collector) refilterRsA() {
-	keep := c.keepBuf[:0]
-	nurseryID := c.nursery.ID
-	found := false
-	probe := func(slot *heap.Word) {
-		if !found && heap.IsPtr(*slot) && heap.PtrSpace(*slot) == nurseryID {
-			found = true
-		}
-	}
-	c.rsA.ForEach(func(obj heap.Word) {
-		found = false
-		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), probe)
-		if found {
-			keep = append(keep, obj)
-		}
-	})
-	c.rsA.Clear()
-	for _, w := range keep {
-		c.rsA.Remember(w)
-	}
-	c.keepBuf = keep[:0]
-}
-
-// rememberPromoted scans the objects this collection promoted into the
-// dynamic area: any that reference a retained nursery survivor are
-// outside-to-nursery pointers the barrier never saw (both ends moved
-// during the collection), so they enter set A. Must run after the flip.
-func (c *Collector) rememberPromoted() {
-	nurseryID := c.nursery.ID
-	found := false
-	probe := func(slot *heap.Word) {
-		if !found && heap.IsPtr(*slot) && heap.PtrSpace(*slot) == nurseryID {
-			found = true
-		}
-	}
-	c.evac.CopiedRegions(func(s *heap.Space, lo, hi int) {
-		for off := lo; off < hi; {
-			hdr := s.Mem[off]
-			if heap.HeaderType(hdr) == heap.TFree {
-				off += heap.ObjWords(hdr)
-				continue
-			}
-			found = false
-			heap.ScanObject(s, off, probe)
-			if found {
-				c.rsA.Remember(heap.PtrWord(s.ID, off))
-			}
-			off += heap.ObjWords(hdr)
-		}
-	})
 }
 
 // regionFree sums free words in logical step positions [lo, hi).
@@ -538,9 +387,9 @@ func (c *Collector) scanPromoted(s *heap.Space, from int) {
 // the nursery along with it ("a non-predictive collection always promotes
 // all live objects out of the ephemeral area", §8.4).
 func (c *Collector) npCollect() {
-	copied := c.st.Collect(c.nursery, c.npExtra, c.allowGrow)
+	copied := c.st.Collect(c.young.Space(), c.npExtra, c.allowGrow)
 
-	c.nursery.Reset()
+	c.young.Space().Reset()
 	c.rsA.Clear()
 	// ScanYoungForOldPointers below rebuilds only the young-step half of
 	// set B; static-area entries must survive the clear, since statics are
@@ -557,7 +406,7 @@ func (c *Collector) npCollect() {
 		// frees less than a third of the steps (or less than two nursery
 		// loads) would otherwise run again almost immediately.
 		for c.st.FreeWords() < c.st.K()*c.st.StepWords/3 ||
-			c.st.FreeWords() < 2*c.nursery.Cap() {
+			c.st.FreeWords() < 2*c.young.Space().Cap() {
 			c.st.AddSteps(1)
 		}
 	}
@@ -570,13 +419,7 @@ func (c *Collector) npCollect() {
 	c.h.AddPause(&c.stats, copied)
 	c.stats.NoteLive(c.st.LiveStepWords())
 	c.notePeaks()
-	if c.tenured() {
-		// The non-predictive collection emptied the nursery wholesale.
-		c.carry = 0
-		if c.ctrl != nil {
-			c.ctrl.ObserveMajor(copied)
-		}
-	}
+	c.young.AfterMajor(copied)
 	c.h.AfterGC()
 }
 
@@ -604,7 +447,7 @@ func (c *Collector) StaticWords() int {
 // static space that is never collected again, and the remembered sets
 // empty. Only the mutator requests this.
 func (c *Collector) PromoteAllToStatic() {
-	worst := c.nursery.Used() + c.st.LiveStepWords()
+	worst := c.young.Space().Used() + c.st.LiveStepWords()
 	if worst == 0 {
 		worst = 1
 	}
@@ -613,7 +456,7 @@ func (c *Collector) PromoteAllToStatic() {
 	c.inStatic[static.ID] = true
 
 	e := heap.NewEvacuator(c.h, nil, static)
-	e.SetFrom(c.nursery)
+	e.SetFrom(c.young.Space())
 	from := e.From()
 	for p := 0; p < c.st.K(); p++ {
 		from.AddSpace(c.st.Step(p))
@@ -630,7 +473,7 @@ func (c *Collector) PromoteAllToStatic() {
 	c.rsB.ForEach(scan)
 	e.Drain()
 
-	c.nursery.Reset()
+	c.young.Space().Reset()
 	c.st.ResetAll()
 	c.st.SetJ(c.policy.ChooseJ(c.st.K(), c.st.K()))
 	c.rsA.Clear()
@@ -641,7 +484,7 @@ func (c *Collector) PromoteAllToStatic() {
 	c.stats.WordsCopied += e.WordsCopied
 	c.h.AddPause(&c.stats, e.WordsCopied)
 	c.notePeaks()
-	c.carry = 0
+	c.young.Emptied()
 	c.h.AfterGC()
 }
 

@@ -58,7 +58,7 @@ func TestPromotionMovesEverythingOutOfNursery(t *testing.T) {
 	list := gctest.BuildList(h, 10)
 	gctest.Churn(h, 1000) // forces promoting collections
 	gctest.CheckList(t, h, list, 10)
-	if heap.PtrSpace(h.Get(list)) == c.nursery.ID {
+	if heap.PtrSpace(h.Get(list)) == c.young.Space().ID {
 		t.Error("survivor still in nursery")
 	}
 	if c.GCStats().WordsPromoted == 0 {
@@ -74,7 +74,7 @@ func TestRemsetAPreservesNurseryObject(t *testing.T) {
 
 	holder := h.Cons(h.Fix(1), h.Null())
 	c.Collect() // moves holder into the dynamic area, empties nursery
-	if heap.PtrSpace(h.Get(holder)) == c.nursery.ID {
+	if heap.PtrSpace(h.Get(holder)) == c.young.Space().ID {
 		t.Fatal("holder not promoted")
 	}
 	func() {
@@ -99,14 +99,14 @@ func TestNpCollectEmptiesNursery(t *testing.T) {
 	s := h.Scope()
 	defer s.Close()
 	keep := h.Cons(h.Fix(3), h.Null())
-	if heap.PtrSpace(h.Get(keep)) != c.nursery.ID {
+	if heap.PtrSpace(h.Get(keep)) != c.young.Space().ID {
 		t.Fatal("setup: object not in nursery")
 	}
 	c.Collect()
-	if c.nursery.Used() != 0 {
+	if c.young.Space().Used() != 0 {
 		t.Error("nursery not empty after non-predictive collection")
 	}
-	if heap.PtrSpace(h.Get(keep)) == c.nursery.ID {
+	if heap.PtrSpace(h.Get(keep)) == c.young.Space().ID {
 		t.Error("live nursery object not promoted by non-predictive collection")
 	}
 	if v := h.FixVal(h.Car(keep)); v != 3 {
@@ -154,7 +154,7 @@ func TestSituation5EntersRemsetB(t *testing.T) {
 	}
 	// Until the old region cannot absorb a full nursery, so the next
 	// promoting collection must choose the young steps.
-	for oldFree() >= c.nursery.Cap() {
+	for oldFree() >= c.young.Space().Cap() {
 		fill()
 		if c.GCStats().MajorCollections > majorsAtSetup {
 			t.Fatal("setup: non-predictive collection ran before steps 1..j were exercised")
@@ -165,7 +165,7 @@ func TestSituation5EntersRemsetB(t *testing.T) {
 	// collection: with all old-region steps full it must land in
 	// steps 1..j while pointing at old.
 	holder := h.Cons(old, h.Null())
-	for heap.PtrSpace(h.Get(holder)) == c.nursery.ID {
+	for heap.PtrSpace(h.Get(holder)) == c.young.Space().ID {
 		fill()
 	}
 	pos := c.st.PosOf(h.Get(holder))
@@ -190,7 +190,7 @@ func TestLargeObjectGoesToDynamicArea(t *testing.T) {
 	s := h.Scope()
 	defer s.Close()
 	v := h.MakeVector(300, h.Null())
-	if heap.PtrSpace(h.Get(v)) == c.nursery.ID {
+	if heap.PtrSpace(h.Get(v)) == c.young.Space().ID {
 		t.Error("large object in nursery")
 	}
 	if c.st.PosOf(h.Get(v)) < 0 {

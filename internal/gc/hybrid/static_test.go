@@ -19,7 +19,7 @@ func TestPromoteAllToStatic(t *testing.T) {
 
 	c.PromoteAllToStatic()
 
-	if c.nursery.Used() != 0 {
+	if c.young.Space().Used() != 0 {
 		t.Error("nursery not empty after full collection")
 	}
 	if c.st.LiveStepWords() != 0 {

@@ -19,10 +19,14 @@ package multigen
 import (
 	"fmt"
 
+	"rdgc/internal/gc/young"
 	"rdgc/internal/heap"
-	"rdgc/internal/policy"
 	"rdgc/internal/remset"
 )
+
+// tenurer embeds heap.Tenurer under an unexported field name: the three
+// methods are promoted, the field is not assignable from outside.
+type tenurer = heap.Tenurer
 
 // Collector is an n-generation youngest-first collector: generations
 // 0..n-2 are bump regions of aging objects and generation n-1 is a
@@ -46,17 +50,22 @@ type Collector struct {
 
 	expand float64
 
-	// Age-based tenuring (heap/tenure.go), applied to the nursery only:
-	// nursery-window collections retain under-threshold survivors in the
-	// gen0To shadow instead of promoting them to generation 1. Wider
-	// windows keep their wholesale one-generation-per-collection aging.
-	// All nil/zero under the default threshold of 1.
-	threshold int
-	trigger   int
-	carry     int
-	gen0To    *heap.Space
-	youngBuf  []*heap.Space
-	ctrl      *policy.Controller
+	// young is the nursery (gens[0], kept in step with it) and its tenuring
+	// state, the step shared with the other youngest-first collectors; it
+	// answers the embedded tenurer. Tenuring applies to nursery-alone
+	// collections only: wider windows keep their wholesale one-generation-
+	// per-collection aging.
+	young young.Gen
+	tenurer
+
+	// Scan state for refilterRemset, built once in New so a steady-state
+	// collection allocates nothing: younger reports through still whether a
+	// slot points into a generation younger than refilterGen.
+	keepBuf     []heap.Word
+	refilterGen int
+	still       bool
+	younger     func(slot *heap.Word)
+	keepEntry   func(obj heap.Word)
 }
 
 // Option configures the collector.
@@ -82,7 +91,6 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		panic("multigen: need at least 2 generations")
 	}
 	c := &Collector{h: h, rs: remset.NewHashSet()}
-	c.threshold = h.Config().Tenure
 	for _, o := range opts {
 		o(c)
 	}
@@ -90,7 +98,6 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		c.gens = append(c.gens, h.NewSpace(fmt.Sprintf("gen-%d", i), words))
 	}
 	c.oldTo = h.NewSpace("gen-old-B", sizes[len(sizes)-1])
-	c.trigger = sizes[0]
 	c.evac = heap.NewEvacuator(h, nil)
 	c.windowRoot = func(obj heap.Word) {
 		// Remembered objects in generations > window may hold the only
@@ -101,38 +108,22 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.Slot())
 	}
-	if h.Config().Adaptive {
-		c.ctrl = policy.New(policy.Config{})
+	c.younger = func(slot *heap.Word) {
+		if c.still || !heap.IsPtr(*slot) {
+			return
+		}
+		if gv := c.genIdx(*slot); gv >= 0 && gv < c.refilterGen {
+			c.still = true
+		}
 	}
-	if c.threshold > 1 || c.ctrl != nil {
-		c.gen0To = h.NewSpace("gen-0-to", sizes[0])
-		c.gens[0].EnsureAgeTable()
-		c.gen0To.EnsureAgeTable()
-		c.youngBuf = []*heap.Space{c.gen0To}
-	}
+	c.keepEntry = c.keepIfStillOlder
+	c.young.Init(h, c.gens[0], c.evac, c.rs, &c.stats)
+	c.tenurer = &c.young
 	c.rebuildGenOf()
 	h.SetAllocator(c)
 	h.SetBarrier(c)
 	return c
 }
-
-// tenured reports whether nursery collections run the age-routing engine.
-func (c *Collector) tenured() bool { return c.gen0To != nil }
-
-// TenureThreshold implements heap.Tenurer.
-func (c *Collector) TenureThreshold() int { return c.threshold }
-
-// YoungSpaces implements heap.Tenurer: the nursery, then the survivor
-// shadow when tenuring is armed.
-func (c *Collector) YoungSpaces() []*heap.Space {
-	if c.gen0To == nil {
-		return []*heap.Space{c.gens[0]}
-	}
-	return []*heap.Space{c.gens[0], c.gen0To}
-}
-
-// Adaptive implements heap.Tenurer.
-func (c *Collector) Adaptive() bool { return c.ctrl != nil }
 
 func (c *Collector) rebuildGenOf() {
 	if n := len(c.h.Spaces); n > len(c.genOf) {
@@ -210,14 +201,11 @@ func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 	if total > c.gens[0].Cap()/2 {
 		return c.allocOld(t, payload, total)
 	}
-	if c.gens[0].Top+total > c.trigger {
-		// Same condition as a failed Bump when the trigger sits at the
-		// nursery cap (the wholesale default); the adaptive controller may
-		// pull it lower.
+	if c.young.Full(total) {
 		c.collectUpTo(c.chooseWindow(total))
 	}
 	off, ok := c.gens[0].Bump(total)
-	if !ok && c.tenured() {
+	if !ok && c.young.Tenured() {
 		// Retained survivors can leave too little room even after a
 		// nursery collection; a major empties every generation.
 		c.major()
@@ -259,15 +247,15 @@ func (c *Collector) chooseWindow(need int) int {
 
 // collectUpTo collects generations 0..m, promoting every survivor into
 // generation m+1. m = len(gens)-1 is a full collection into the old
-// to-space.
+// to-space; m = 0 is the nursery alone, which may tenure.
 func (c *Collector) collectUpTo(m int) {
 	last := len(c.gens) - 1
 	if m >= last {
 		c.major()
 		return
 	}
-	if m == 0 && c.tenured() {
-		c.minorTenured()
+	if m == 0 {
+		c.minor()
 		return
 	}
 	target := c.gens[m+1]
@@ -288,74 +276,33 @@ func (c *Collector) collectUpTo(m int) {
 	c.stats.WordsPromoted += e.WordsCopied
 	c.h.AddPause(&c.stats, e.WordsCopied)
 	c.notePeak()
-	if c.tenured() {
-		// The window included the nursery and promoted it wholesale.
-		c.carry = 0
-	}
+	// The window included the nursery and promoted it wholesale.
+	c.young.Emptied()
 	c.h.AfterGC()
 }
 
-// minorTenured collects the nursery alone with age routing: survivors
-// younger than the threshold flip into the gen0To shadow with their side-
-// table ages incremented, the rest are promoted to generation 1. Only
-// reached when chooseWindow picked m == 0, which guarantees generation 1
-// has headroom for the worst case.
-func (c *Collector) minorTenured() {
-	nursery := c.gens[0]
-	fresh := nursery.Top - c.carry
+// minor collects the nursery alone through the shared young step:
+// survivors are promoted to generation 1, except those a tenuring nursery
+// retains. Only reached when chooseWindow picked m == 0, which guarantees
+// generation 1 has headroom for the worst case.
+func (c *Collector) minor() {
 	e := c.evac
-	e.SetFrom(nursery)
-	e.BeginTenured(c.threshold, c.youngBuf, c.gens[1])
+	c.young.Begin(c.gens[1])
 	e.EvacuateRoots()
 	c.window = 0
 	c.rs.ForEach(c.windowRoot)
 	e.Drain()
-	nursery.Reset()
-	c.gens[0], c.gen0To = c.gen0To, c.gens[0]
-	c.youngBuf[0] = c.gen0To
-	c.rebuildGenOf()
-	c.carry = c.gens[0].Top
+	c.young.Flip()
+	if c.gens[0] != c.young.Space() {
+		c.gens[0] = c.young.Space()
+		c.rebuildGenOf()
+	}
+	// Entries in generations 2 and up may point at generation 1, so the
+	// set keeps this collector's older-to-younger rule, not the nursery's.
 	c.refilterRemset()
-	c.rememberPromoted()
-
-	c.stats.Collections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.stats.WordsPromoted += e.WordsPromoted
-	c.stats.WordsTenured += e.WordsRetained
-	c.stats.TenureThreshold = c.threshold
-	c.h.AddPause(&c.stats, e.WordsCopied)
+	c.young.Finish()
 	c.notePeak()
-	if c.ctrl != nil {
-		c.threshold, c.trigger = c.ctrl.Adapt(e, fresh, c.gens[0], &c.stats)
-	}
 	c.h.AfterGC()
-}
-
-// rememberPromoted scans the objects this collection promoted into
-// generation 1: any that reference a retained nursery survivor are
-// older-to-younger pointers the barrier never saw (both ends moved during
-// the collection). Must run after the flip and rebuildGenOf.
-func (c *Collector) rememberPromoted() {
-	found := false
-	g := 0
-	probe := func(slot *heap.Word) {
-		if found || !heap.IsPtr(*slot) {
-			return
-		}
-		if gv := c.genIdx(*slot); gv >= 0 && gv < g {
-			found = true
-		}
-	}
-	c.evac.CopiedRegions(func(s *heap.Space, lo, hi int) {
-		for off := lo; off < hi; off += heap.ObjWords(s.Mem[off]) {
-			g = c.genIdx(heap.PtrWord(s.ID, off))
-			found = false
-			heap.ScanObject(s, off, probe)
-			if found {
-				c.rs.Remember(heap.PtrWord(s.ID, off))
-			}
-		}
-	})
 }
 
 // major collects every generation into the old to-space and flips.
@@ -388,12 +335,7 @@ func (c *Collector) major() {
 	c.stats.NoteLive(c.gens[last].Used())
 	c.notePeak()
 
-	if c.tenured() {
-		c.carry = 0
-		if c.ctrl != nil {
-			c.ctrl.ObserveMajor(e.WordsCopied)
-		}
-	}
+	c.young.AfterMajor(e.WordsCopied)
 
 	if c.expand > 0 {
 		live := c.gens[last].Used()
@@ -419,37 +361,31 @@ func (c *Collector) major() {
 // refinement. Entries that were themselves collected have forwarded or
 // died; forwarded entries re-enter under their new address.
 func (c *Collector) refilterRemset() {
-	var keep []heap.Word
-	c.rs.ForEach(func(obj heap.Word) {
-		w := obj
-		s := c.h.SpaceOf(w)
-		off := heap.PtrOff(w)
-		if off >= s.Top {
-			return // entry died with its reset space
-		}
-		hdr := s.Mem[off]
-		if heap.IsPtr(hdr) {
-			w = hdr // follow the forwarding left by the evacuation
-			s = c.h.SpaceOf(w)
-			off = heap.PtrOff(w)
-		}
-		g := c.genIdx(w)
-		still := false
-		heap.ScanObject(s, off, func(slot *heap.Word) {
-			if still || !heap.IsPtr(*slot) {
-				return
-			}
-			if gv := c.genIdx(*slot); gv >= 0 && gv < g {
-				still = true
-			}
-		})
-		if still {
-			keep = append(keep, w)
-		}
-	})
+	c.keepBuf = c.keepBuf[:0]
+	c.rs.ForEach(c.keepEntry)
 	c.rs.Clear()
-	for _, w := range keep {
+	for _, w := range c.keepBuf {
 		c.rs.Remember(w)
+	}
+}
+
+// keepIfStillOlder is refilterRemset's per-entry visitor (c.keepEntry).
+func (c *Collector) keepIfStillOlder(w heap.Word) {
+	s := c.h.SpaceOf(w)
+	off := heap.PtrOff(w)
+	if off >= s.Top {
+		return // entry died with its reset space
+	}
+	if hdr := s.Mem[off]; heap.IsPtr(hdr) {
+		w = hdr // follow the forwarding left by the evacuation
+		s = c.h.SpaceOf(w)
+		off = heap.PtrOff(w)
+	}
+	c.refilterGen = c.genIdx(w)
+	c.still = false
+	heap.ScanObject(s, off, c.younger)
+	if c.still {
+		c.keepBuf = append(c.keepBuf, w)
 	}
 }
 

@@ -1,0 +1,224 @@
+// Package young is the promoting collection of the paper's §8.4, written
+// once: evacuate the ephemeral area with the remembered set as extra roots
+// and promote the survivors. The generational, multigen and hybrid
+// collectors differ in where promoted objects go and in the rule their
+// remembered sets keep; what a tenuring nursery *is* — the space, its
+// survivor shadow, the promotion threshold and collection trigger, the
+// adaptive controller, the post-drain flip and the rescans that flip forces
+// — is the same in all three and lives here.
+//
+// A collector's minor collection reads
+//
+//	young.Begin(targets...) → roots → its remembered-set roots → Drain
+//	→ young.Flip → its remembered-set rule (young.Refilter, or its own)
+//	→ young.Finish
+//
+// Under the default threshold of 1 there is no shadow: Begin arms a plain
+// wholesale run, Flip resets the nursery, Refilter clears the set, and
+// nothing in heap/tenure.go is read.
+package young
+
+import (
+	"rdgc/internal/heap"
+	"rdgc/internal/policy"
+	"rdgc/internal/remset"
+)
+
+// shadowAtOne arms the survivor shadow even at threshold 1 with no
+// controller, so this package's tests can run the tenured arm of the step
+// against the wholesale arm on the configuration where the two must agree.
+// Nothing outside those tests sets it.
+var shadowAtOne bool
+
+// Gen is a nursery with age-based tenuring (heap/tenure.go). Collectors
+// hold one by value and prepare it with Init; it answers heap.Tenurer for
+// them. A collection calls Begin, Flip, the set rule and Finish in exactly
+// that order (the package comment has the whole sequence): Flip and Finish
+// are separate calls only so that multigen can run its generation-indexed
+// refilter between them, where the others call Refilter.
+type Gen struct {
+	h     *heap.Heap
+	evac  *heap.Evacuator
+	rs    remset.Set
+	stats *heap.GCStats
+
+	// space is the active nursery and shadow the survivor semispace it
+	// flips against (nil under wholesale promotion). trigger is the
+	// effective nursery size (the cap, unless the adaptive controller moves
+	// it), carry the survivor words retained at the last flip, fresh the
+	// words born since then as of the run in progress, and ctrl the
+	// -gcadapt policy controller.
+	space, shadow *heap.Space
+	threshold     int
+	trigger       int
+	carry, fresh  int
+	ctrl          *policy.Controller
+
+	// Scan machinery for Refilter and Finish, built once in Init so a
+	// steady-state collection allocates nothing: probe reports through
+	// found whether a slot points into the live nursery.
+	shadowBuf  []*heap.Space
+	keep       []heap.Word
+	found      bool
+	probe      func(slot *heap.Word)
+	keepEntry  func(obj heap.Word)
+	scanRegion func(s *heap.Space, lo, hi int)
+}
+
+// Init prepares g as the nursery `space` of a collector on h that evacuates
+// with e, records pointers into the nursery from outside it in rs, and
+// counts into stats. The heap's Config decides the policy: Tenure >= 2 or
+// Adaptive creates the survivor shadow (named after the nursery) and the
+// age tables; otherwise g stays wholesale and creates nothing.
+func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset.Set, stats *heap.GCStats) {
+	*g = Gen{h: h, evac: e, rs: rs, stats: stats, space: space}
+	g.threshold = h.Config().Tenure
+	g.trigger = space.Cap()
+	if h.Config().Adaptive {
+		g.ctrl = policy.New(policy.Config{})
+	}
+	if g.threshold <= 1 && g.ctrl == nil && !shadowAtOne {
+		return
+	}
+	// Tenuring needs a survivor shadow for within-nursery evacuation; the
+	// adaptive harness arms it even at threshold 1 so the survival counters
+	// flow from the first collection.
+	g.shadow = h.NewSpace(space.Name+"-to", space.Cap())
+	g.space.EnsureAgeTable()
+	g.shadow.EnsureAgeTable()
+	g.shadowBuf = []*heap.Space{g.shadow}
+	g.probe = func(slot *heap.Word) {
+		if !g.found && heap.IsPtr(*slot) && heap.PtrSpace(*slot) == g.space.ID {
+			g.found = true
+		}
+	}
+	g.keepEntry = func(obj heap.Word) {
+		if g.pointsIn(g.h.SpaceOf(obj), heap.PtrOff(obj)) {
+			g.keep = append(g.keep, obj)
+		}
+	}
+	g.scanRegion = func(s *heap.Space, lo, hi int) {
+		for off := lo; off < hi; off += heap.ObjWords(s.Mem[off]) {
+			// Allocation-buffer fillers are dead space, not promoted objects.
+			if heap.HeaderType(s.Mem[off]) != heap.TFree && g.pointsIn(s, off) {
+				g.rs.Remember(heap.PtrWord(s.ID, off))
+			}
+		}
+	}
+}
+
+// Space returns the active nursery: where the mutator allocates, and the
+// from-space of the next collection.
+func (g *Gen) Space() *heap.Space { return g.space }
+
+// Full reports whether a total-word allocation must collect first. With the
+// trigger at the nursery cap (the wholesale default) this is a failed Bump;
+// the adaptive controller may pull the trigger lower.
+func (g *Gen) Full(total int) bool { return g.space.Top+total > g.trigger }
+
+// Tenured reports whether collections run the age-routing engine and so may
+// keep survivors in the nursery — and finish without having made room.
+func (g *Gen) Tenured() bool { return g.shadow != nil }
+
+// TenureThreshold implements heap.Tenurer.
+func (g *Gen) TenureThreshold() int { return g.threshold }
+
+// YoungSpaces implements heap.Tenurer: the active nursery, then the
+// survivor shadow when tenuring is armed.
+func (g *Gen) YoungSpaces() []*heap.Space {
+	if g.shadow == nil {
+		return []*heap.Space{g.space}
+	}
+	return []*heap.Space{g.space, g.shadow}
+}
+
+// Adaptive implements heap.Tenurer.
+func (g *Gen) Adaptive() bool { return g.ctrl != nil }
+
+// Begin arms the evacuator for a collection of the nursery alone whose
+// promoted objects land in old, which the caller has checked can hold the
+// worst case. With a shadow, survivors younger than the threshold are
+// evacuated into it instead (their age incremented in its side table).
+func (g *Gen) Begin(old ...*heap.Space) {
+	g.evac.SetFrom(g.space)
+	if g.shadow == nil {
+		g.evac.Begin(old...)
+		return
+	}
+	g.fresh = g.space.Top - g.carry
+	g.evac.BeginTenured(g.threshold, g.shadowBuf, old...)
+}
+
+// Flip follows the drain: the evacuated nursery empties and, with a shadow,
+// the two trade places, so that Space is the live nursery — holding the
+// retained survivors — from here on.
+func (g *Gen) Flip() {
+	g.space.Reset()
+	if g.shadow == nil {
+		return
+	}
+	g.space, g.shadow = g.shadow, g.space
+	g.shadowBuf[0] = g.shadow
+	g.carry = g.space.Top
+}
+
+// Refilter drops from the remembered set every object that no longer points
+// into the (post-Flip) nursery. Entries lie outside the nursery and do not
+// move in a minor collection, so the ones kept keep their addresses. A
+// wholesale promotion emptied the nursery: no such pointer remains.
+func (g *Gen) Refilter() {
+	if g.shadow == nil {
+		g.rs.Clear()
+		return
+	}
+	g.keep = g.keep[:0]
+	g.rs.ForEach(g.keepEntry)
+	g.rs.Clear()
+	for _, w := range g.keep {
+		g.rs.Remember(w)
+	}
+}
+
+// Finish closes the collection after Flip and the collector's remembered-
+// set rule. The objects this run promoted are scanned: any that reference a
+// retained survivor are pointers into the nursery the barrier never saw
+// (both ends moved during the collection), so they enter the remembered set
+// here. Then the run is counted and the adaptive controller consulted.
+func (g *Gen) Finish() {
+	e, st := g.evac, g.stats
+	st.Collections++
+	st.WordsCopied += e.WordsCopied
+	g.h.AddPause(st, e.WordsCopied)
+	if g.shadow == nil {
+		st.WordsPromoted += e.WordsCopied
+		return
+	}
+	e.CopiedRegions(g.scanRegion)
+	st.WordsPromoted += e.WordsPromoted
+	st.WordsTenured += e.WordsRetained
+	st.TenureThreshold = g.threshold
+	if g.ctrl != nil {
+		g.threshold, g.trigger = g.ctrl.Adapt(e, g.fresh, g.space, st)
+	}
+}
+
+// Emptied records that a collection outside this step (a major, a wider
+// multigen window) promoted the whole nursery: no survivors are carried.
+func (g *Gen) Emptied() { g.carry = 0 }
+
+// AfterMajor is Emptied for a collection of the old area, whose copied
+// words refresh the controller's estimate of what a promoted word costs.
+func (g *Gen) AfterMajor(copied uint64) {
+	g.Emptied()
+	if g.ctrl != nil {
+		g.ctrl.ObserveMajor(copied)
+	}
+}
+
+// pointsIn reports whether the object at s[off] holds a pointer into the
+// live nursery.
+func (g *Gen) pointsIn(s *heap.Space, off int) bool {
+	g.found = false
+	heap.ScanObject(s, off, g.probe)
+	return g.found
+}

@@ -461,7 +461,12 @@ func benchParallelEvac(b *testing.B, workers int) {
 	b.SetBytes(int64(e.WordsCopied) * 8)
 }
 
+// The 0 rows are the sequential engines on the same forest: the baseline
+// the worker rows are read against (RDGC_GC_LAB=1 switches the evacuation
+// rows to allocation buffers; it is inert at 0).
+func BenchmarkParallelMark0(b *testing.B) { benchParallelMark(b, 0) }
 func BenchmarkParallelMark2(b *testing.B) { benchParallelMark(b, 2) }
 func BenchmarkParallelMark4(b *testing.B) { benchParallelMark(b, 4) }
+func BenchmarkParallelEvac0(b *testing.B) { benchParallelEvac(b, 0) }
 func BenchmarkParallelEvac2(b *testing.B) { benchParallelEvac(b, 2) }
 func BenchmarkParallelEvac4(b *testing.B) { benchParallelEvac(b, 4) }

@@ -40,6 +40,14 @@ func TestIdentityTablesFollowTheHeap(t *testing.T) {
 		}, func(h *heap.Heap, _ heap.Collector, spacesAtStart int) bool {
 			return len(h.Spaces) > spacesAtStart
 		}},
+		// k = 4 is the shape whose FullCollect read a forwarded header as a
+		// size (core's remembered-set root scan) until the scan learnt to skip
+		// entries inside the collected region.
+		{"nonpredictive grows from 4 steps", func(h *heap.Heap) heap.Collector {
+			return core.New(h, 4, 128, core.WithGrowth())
+		}, func(h *heap.Heap, _ heap.Collector, spacesAtStart int) bool {
+			return len(h.Spaces) > spacesAtStart
+		}},
 		{"marksweep reuses addresses", func(h *heap.Heap) heap.Collector {
 			return marksweep.New(h, 4096, marksweep.WithExpansion(2))
 		}, func(h *heap.Heap, c heap.Collector, _ int) bool {
