@@ -2,12 +2,9 @@
 # conformance pass that backs the parallel experiment runner.
 
 GO ?= go
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASE ?= BENCH_PR9.json
-BENCH_NOW ?= /tmp/rdgc-bench-now.json
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race tier1 ci bench bench-compare fuzz traces synth serve
+.PHONY: all build vet test race tier1 ci bench fuzz traces synth serve
 
 all: ci
 
@@ -48,22 +45,14 @@ synth:
 serve:
 	$(GO) run ./cmd/gcserve -collector generational -shards 4 -horizon 30000 -heap 16384
 
-# bench runs the Go microbenchmarks, then measures the tracing engines,
-# the full collector grid, the stop-the-world vs incremental pause
-# distributions, and the sharded server-simulation latency grid, and writes
-# the machine-readable report (the file checked in as BENCH_PR10.json).
-# The rdgc-bench/8 schema adds the
-# replay-throughput section: synth-op cost, raw vs block-compressed replay,
-# and the sharded replay driver at 1/4/16 shards.
+# bench runs the Go microbenchmarks, then the repository's one benchmark
+# harness (benchmark/, the contract in BENCHMARK.json): all six workloads,
+# one JSON line each. benchmark/README.md has the flags (--workload, --seed,
+# --seconds, --trace 1 for the per-layer budget table) and how to compare two
+# commits.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/benchreport -out $(BENCH_OUT)
-
-# bench-compare takes a fresh measurement and diffs it against the checked-in
-# baseline (override BENCH_BASE to diff against another BENCH_*.json).
-bench-compare:
-	$(GO) run ./cmd/benchreport -out $(BENCH_NOW)
-	$(GO) run ./cmd/benchreport -compare $(BENCH_BASE) $(BENCH_NOW)
+	bash benchmark/run.sh
 
 # fuzz mutates byte programs against all seven collectors, checking every
 # heap-invariant plus shadow-model agreement after each collection. Override

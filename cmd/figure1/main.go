@@ -13,14 +13,46 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"rdgc/internal/analytic"
+	"rdgc/internal/decay"
 	"rdgc/internal/experiments"
 	"rdgc/internal/runner"
 )
+
+// checkFlags parses -L and rejects the values the curves and the simulated
+// cells cannot run on, which the flag package parses happily ("NaN", "0",
+// "-3"): Figure1Series divides by L-1, SweepG allocates points samples, and
+// decay.NewWorkload panics on a half-life that is not finite and positive.
+func checkFlags(lsFlag string, points, simPoints, steps int, h float64) ([]float64, error) {
+	var ls []float64
+	for _, tok := range strings.Split(lsFlag, ",") {
+		l, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+		if err != nil {
+			return nil, fmt.Errorf("-L: %v", err)
+		}
+		if !(l > 1) || math.IsInf(l, 1) {
+			return nil, fmt.Errorf("-L %g: an inverse load factor must be finite and above 1", l)
+		}
+		ls = append(ls, l)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-points", points}, {"-simpoints", simPoints}, {"-steps", steps}} {
+		if f.v < 1 {
+			return nil, fmt.Errorf("%s %d: must be at least 1", f.name, f.v)
+		}
+	}
+	if !decay.ValidHalfLife(h) {
+		return nil, fmt.Errorf("-h %g: the half-life must be finite and positive", h)
+	}
+	return ls, nil
+}
 
 func main() {
 	lsFlag := flag.String("L", "1.5,2,3,4,6,8", "comma-separated inverse load factors")
@@ -33,14 +65,11 @@ func main() {
 	progress := flag.Bool("progress", false, "report per-cell completion to stderr")
 	flag.Parse()
 
-	var ls []float64
-	for _, tok := range strings.Split(*lsFlag, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil {
-			fmt.Println("bad -L:", err)
-			return
-		}
-		ls = append(ls, v)
+	ls, err := checkFlags(*lsFlag, *points, *simPoints, *steps, *halfLife)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figure1:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	fmt.Println("# analytic curves: relative overhead vs g (thin=exact, thick=lower bound)")
@@ -86,6 +115,12 @@ func main() {
 		pw = os.Stderr
 	}
 	results := runner.Run(specs, runner.Options{Workers: *parallel, Progress: pw})
+	for _, r := range results {
+		if r.Err != nil {
+			fmt.Fprintln(os.Stderr, "figure1:", r.Err)
+			os.Exit(1)
+		}
+	}
 
 	fmt.Println("# simulated points (non-predictive / mark-sweep, measured)")
 	fmt.Println("L,g,relative_overhead_measured")

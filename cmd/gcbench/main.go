@@ -282,14 +282,14 @@ func dumpPauseLog(path string, quick, incremental bool, sliceBudget int) error {
 	for _, p := range progs {
 		for _, collector := range []string{"marksweep", "npms"} {
 			seq := 0
-			r := experiments.RunBenchPausesLogged(p, collector, incremental, sliceBudget,
+			err := experiments.RunBenchPausesLogged(p, collector, incremental, sliceBudget,
 				func(words uint64) {
 					fmt.Fprintf(w, "%s,%s,%v,%d,%d,%d\n",
 						p.Name(), collector, incremental, sliceBudget, seq, words)
 					seq++
 				})
-			if r.Err != nil {
-				return fmt.Errorf("%s/%s: %w", p.Name(), collector, r.Err)
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", p.Name(), collector, err)
 			}
 		}
 	}

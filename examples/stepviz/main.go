@@ -9,6 +9,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
+	"os"
 	"strings"
 
 	"rdgc/internal/core"
@@ -17,12 +19,30 @@ import (
 	"rdgc/internal/heap"
 )
 
+// usage reports a bad flag value the way the flag package reports a bad
+// flag: the reason and the flag table on stderr, exit status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "stepviz: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
 func main() {
 	halfLife := flag.Float64("h", 512, "half-life in objects")
 	l := flag.Float64("L", 3.5, "inverse load factor")
 	k := flag.Int("k", 12, "step count")
 	frames := flag.Int("frames", 40, "snapshots to print")
 	flag.Parse()
+	// The flag package parses "NaN", "0" and "-3" happily; the heap sizing
+	// and core.New panic on them.
+	switch {
+	case !decay.ValidHalfLife(*halfLife):
+		usage("-h %g: the half-life must be finite and positive", *halfLife)
+	case !(*l > 1) || math.IsInf(*l, 1):
+		usage("-L %g: the inverse load factor must be finite and above 1", *l)
+	case *k < 2:
+		usage("-k %d: the collector needs at least 2 steps", *k)
+	}
 
 	cfg := experiments.DecayConfig{HalfLife: *halfLife, L: *l}
 	h := heap.New()

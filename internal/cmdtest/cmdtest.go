@@ -5,6 +5,7 @@ package cmdtest
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"slices"
@@ -29,6 +30,18 @@ func Main(m *testing.M, main func()) {
 // fails the test with the command's stderr.
 func Run(t *testing.T, env []string, args ...string) string {
 	t.Helper()
+	stdout, stderr, status := Exit(t, env, args...)
+	if status != 0 {
+		t.Fatalf("%v under %v: exit status %d\n%s", args, env, status, stderr)
+	}
+	return stdout
+}
+
+// Exit is Run for a command that is expected to fail: it returns stdout,
+// stderr and the exit status, and fails the test only if the command could
+// not be run at all.
+func Exit(t *testing.T, env []string, args ...string) (stdout, stderr string, status int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	for _, kv := range os.Environ() {
 		if !strings.HasPrefix(kv, "RDGC_GC_") {
@@ -36,12 +49,15 @@ func Run(t *testing.T, env []string, args ...string) string {
 		}
 	}
 	cmd.Env = append(append(cmd.Env, reexec+"=1"), env...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v under %v: %v\n%s", args, env, err, stderr.String())
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("%v under %v: %v", args, env, err)
+		}
 	}
-	return stdout.String()
+	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
 }
 
 // GCModes spells each collector mode both ways a driver takes it: as -gc*

@@ -159,6 +159,46 @@ func TestModesEngage(t *testing.T) {
 	}
 }
 
+// TestIncrementalCollapsesLatencyTail holds the headline of EXPERIMENTS.md
+// "GC pauses as request-latency tails" at the table's configuration
+// (gcserve -shards 4 -heap 65536 -wpt 256 -horizon 60000, seed 1): slicing
+// the mark/sweep collectors' pauses cuts request p99 several-fold and leaves
+// p50 where it was. Relations, not goldens — the benchmark's serve-grid
+// sim_digest pins the exact values.
+func TestIncrementalCollapsesLatencyTail(t *testing.T) {
+	for _, tc := range []struct {
+		collector string
+		factor    uint64 // stop-the-world p99 / incremental p99, at least
+	}{
+		{"marksweep", 5},
+		{"npms", 2},
+	} {
+		var p99 [2]uint64
+		for i, incremental := range []bool{false, true} {
+			res, err := Run(Config{
+				Load:         LoadConfig{Seed: 1, HorizonTicks: 60000},
+				Collector:    tc.collector,
+				Shards:       4,
+				HeapWords:    1 << 16,
+				WordsPerTick: 256,
+				Incremental:  incremental,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lat := &res.Agg.Latency
+			if lat.P50() > 7 {
+				t.Errorf("%s incremental=%v: p50 = %d ticks, want at most 7", tc.collector, incremental, lat.P50())
+			}
+			p99[i] = lat.P99()
+		}
+		if p99[1]*tc.factor > p99[0] {
+			t.Errorf("%s: incremental p99 = %d ticks against %d stop-the-world, want at most a %dth",
+				tc.collector, p99[1], p99[0], tc.factor)
+		}
+	}
+}
+
 // TestRunUnknownCollector pins the error path before any shard runs.
 func TestRunUnknownCollector(t *testing.T) {
 	cfg := smallConfig()
