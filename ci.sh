@@ -32,9 +32,14 @@ check_cover ./internal/remset 96
 check_cover ./internal/trace 85
 check_cover ./internal/policy 96
 check_cover ./internal/serve 88
-# The two free-list collectors: their allocation paths carry every mark/sweep
-# and npms cell of every grid, and only the reference-allocator differential
-# and the cursor tests in their own packages hold those paths to first-fit.
+# The two free-list collectors share one carve (heap.Space.AllocFromBlock)
+# and one sweep (heap.Sweeper) under every mark/sweep and npms cell of every
+# grid. What holds each allocation path to first-fit: marksweep's cursors are
+# run in lock-step with a cursor-less, MaxRun-less reference allocator
+# (cursor_test.go); npms's steps against the free-list substrate it used to
+# carry itself, kept verbatim as the reference (reference_test.go), after
+# every allocation and every collection; and the verifier's ErrBadBlockTable
+# rows (internal/heap) cover the lists of both.
 check_cover ./internal/gc/marksweep 96
 check_cover ./internal/gc/npms 93
 # The decay mutator: its timing wheel and lifetime stream sit under every
@@ -59,10 +64,11 @@ check_cover ./internal/gc/hybrid 82
 #
 # Parallel tracing and sweeping: the heap engines, the conformance suite
 # (which also parameterizes worker counts itself) and the mark/sweep
-# collector, whose sweep phase claims blocks concurrently, under the race
-# detector at four workers — then mark/sweep and the fuzz harness's seed
-# corpus again with per-worker allocation buffers switched on.
-RDGC_GC_WORKERS=4 go test -race -count=1 ./internal/heap ./internal/gc/conformance ./internal/gc/marksweep
+# and non-predictive mark/sweep collectors, whose sweep phases claim blocks
+# (npms: whole steps) concurrently, under the race detector at four workers —
+# then mark/sweep and the fuzz harness's seed corpus again with per-worker
+# allocation buffers switched on.
+RDGC_GC_WORKERS=4 go test -race -count=1 ./internal/heap ./internal/gc/conformance ./internal/gc/marksweep ./internal/gc/npms
 RDGC_GC_WORKERS=4 RDGC_GC_LAB=1 go test -race -count=1 ./internal/gc/marksweep ./internal/gc/gcfuzz
 
 # Incremental collection: the heap engines, both mark/sweep collectors, and

@@ -49,6 +49,18 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the full result as JSON instead of the table")
 	flag.Parse()
 
+	// serve.Run refuses these too; caught here they are a usage error.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shards", *shards}, {"heap", *heapWords}, {"wpt", *wpt}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "gcserve: -%s %d: must not be negative (0 selects the default)\n", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
+
 	var profileNames []string
 	if *profiles != "" {
 		profileNames = strings.Split(*profiles, ",")

@@ -28,3 +28,17 @@ func TestGCModeSpellings(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeSizingIsUsageError: not a makeslice panic out of serve.Run
+// (-shards), a report of zero latencies (-wpt), or a silently substituted
+// heap (-heap).
+func TestNegativeSizingIsUsageError(t *testing.T) {
+	for _, args := range [][]string{{"-shards", "-1"}, {"-wpt", "-3"}, {"-heap", "-5"}} {
+		stdout, stderr, status := cmdtest.Exit(t, nil, append(args, "-horizon", "2000")...)
+		want := "gcserve: " + args[0] + " " + args[1] + ": "
+		if status != 2 || stdout != "" || !strings.Contains(stderr, want) {
+			t.Errorf("%v: exit status %d, stdout %q, stderr %q; want status 2, no stdout, stderr naming %q",
+				args, status, stdout, stderr, want)
+		}
+	}
+}

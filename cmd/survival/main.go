@@ -36,6 +36,12 @@ func main() {
 	progress := flag.Bool("progress", false, "report per-cell completion to stderr")
 	flag.Parse()
 
+	if *ascii && *width < 1 {
+		fmt.Fprintf(os.Stderr, "survival: -width %d: a skyline needs at least one column\n", *width)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	var specs []runner.Spec[cell]
 	for _, e := range experiments.SurvivalExperiments() {
 		if *id != "all" && *id != e.ID {

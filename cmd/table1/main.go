@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"rdgc/internal/experiments"
 )
@@ -15,6 +16,12 @@ import (
 func main() {
 	cycles := flag.Int("cycles", 3, "steady cycles to run before reporting")
 	flag.Parse()
+
+	if *cycles < 0 {
+		fmt.Fprintf(os.Stderr, "table1: -cycles %d: must not be negative\n", *cycles)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	res := experiments.RunTable1(*cycles)
 

@@ -184,17 +184,6 @@ func (st *Steps) Bump(total int) (*heap.Space, int, bool) {
 	return nil, 0, false
 }
 
-// FillTargets returns the steps with free space in promotion order:
-// highest-numbered first. The hybrid collector promotes nursery survivors
-// into these.
-func (st *Steps) FillTargets() []*heap.Space {
-	var out []*heap.Space
-	for i := st.allocIdx; i >= 0; i-- {
-		out = append(out, st.steps[i])
-	}
-	return out
-}
-
 // Collect performs one non-predictive collection: steps j+1..k (plus
 // alsoFrom, if non-nil — e.g. the hybrid's nursery) are evacuated as a
 // single generation into shadow spaces, and the steps are renamed per

@@ -43,10 +43,6 @@ func (c *Collector) incrInit() {
 	c.incr = heap.NewIncrMarker(c.h, c.marker)
 	c.phase = msIdle
 	c.nextCycle = c.h.Now() + uint64(c.HeapWords()/2)
-	c.sweepPending = func(s *heap.Space, off int) bool {
-		bt := s.Blocks
-		return bt != nil && len(bt.Unswept) > 0 && bt.UnsweptAt(off>>heap.BlockShift)
-	}
 	c.h.SetBarrier(c)
 }
 

@@ -61,12 +61,11 @@ type Collector struct {
 	// Incremental-mode state (incremental.go); incr is nil in
 	// stop-the-world mode and every incremental hook is compiled out of the
 	// hot paths behind that one check.
-	incr         *heap.IncrMarker
-	phase        int
-	nextCycle    uint64
-	sweepDebt    int
-	lastLive     uint64
-	sweepPending func(s *heap.Space, off int) bool
+	incr      *heap.IncrMarker
+	phase     int
+	nextCycle uint64
+	sweepDebt int
+	lastLive  uint64
 }
 
 // Option configures the collector.
@@ -135,19 +134,12 @@ func (c *Collector) Live() int {
 // VerifySpec implements heap.Verifiable: every blocked space and every live
 // large-object space is live (the collector never moves objects). Pooled
 // large-object spaces are scratch and deliberately absent. There is no
-// remembered set. In incremental mode the spec also declares the current
-// phase: mid-mark bits are legitimate while marking, and during the lazy
-// sweep the marks on still-unswept blocks are authoritative.
+// remembered set. In incremental mode the spec also declares a mark in
+// progress, when mid-mark bits are legitimate; the lazy sweep needs no
+// declaring, the verifier reads the block tables' pending bits itself.
 func (c *Collector) VerifySpec() heap.VerifySpec {
 	c.liveBuf = c.los.AppendLive(append(c.liveBuf[:0], c.spaces...))
-	spec := heap.VerifySpec{Live: c.liveBuf}
-	switch c.phase {
-	case msMarking:
-		spec.MarkingActive = true
-	case msSweeping:
-		spec.SweepPending = c.sweepPending
-	}
-	return spec
+	return heap.VerifySpec{Live: c.liveBuf, MarkingActive: c.phase == msMarking}
 }
 
 // HeapWords returns the total capacity of the blocked spaces. Large-object

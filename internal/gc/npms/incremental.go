@@ -1,16 +1,13 @@
 package npms
 
-import (
-	"sort"
-
-	"rdgc/internal/heap"
-)
+import "rdgc/internal/heap"
 
 // Incremental mode (heap.Config.Incremental / -gcincr) for the non-predictive
 // mark/sweep collector: the mark of steps j+1..k runs in bounded slices
-// behind the insertion barrier, and the per-step sweeps are deferred and
-// run one step at a time — on demand when allocation descends into a
-// pending step, or paced off the allocation clock.
+// behind the insertion barrier, and the sweep is heap.Sweeper's lazy sweep —
+// one step at a time, because a step is one block of its table: on demand
+// when allocation descends into a pending step, or paced off the allocation
+// clock.
 //
 // The cycle's root set is the heap roots plus the remembered set, both
 // scanned when the cycle starts. The barrier keeps this complete while the
@@ -21,10 +18,8 @@ import (
 // barriered — are re-scanned by the termination phase.
 //
 // Renaming needs each collected step's surviving occupancy before any
-// sweep has run, so incremental termination orders steps by
-// Space.MarkedLiveWords, which equals the post-sweep LiveWords the
-// stop-the-world path sorts by: the renaming, and therefore the step
-// structure, is identical in both modes.
+// sweep has run; rename reads it off the marks in both modes, so the
+// renaming, and therefore the step structure, is identical in both.
 //
 // Compaction stays stop-the-world: an explicit or fallback collection
 // first resolves any in-progress cycle (stwReset), exactly like the plain
@@ -41,16 +36,12 @@ const (
 func (c *Collector) incrInit() {
 	c.incr = heap.NewIncrMarker(c.h, c.marker)
 	c.phase = npIdle
-	c.pend = make([]bool, len(c.h.Spaces))
 	c.incrMarkRemset = func(obj heap.Word) {
 		c.stats.RemsetScanned++
 		s := c.h.SpaceOf(obj)
 		off := heap.PtrOff(obj)
 		c.remsetScanWords += uint64(heap.ObjWords(s.Mem[off]))
 		heap.ScanObject(s, off, c.marker.Slot())
-	}
-	c.sweepPending = func(s *heap.Space, _ int) bool {
-		return int(s.ID) < len(c.pend) && c.pend[s.ID]
 	}
 }
 
@@ -84,35 +75,36 @@ func (c *Collector) incrTick(n int) {
 			c.sweepDebt = 0
 			c.lazySweepNext()
 		}
-		if c.pendCount > 0 && c.allocIdx <= c.idxTrigger() {
-			for c.pendCount > 0 {
+		if c.allocIdx <= c.idxTrigger() {
+			for c.sweeper.LazyPending() > 0 {
 				c.lazySweepNext()
 			}
 		}
-		if c.pendCount == 0 {
+		if c.sweeper.LazyPending() == 0 {
 			c.phase = npIdle
 		}
 	}
 }
 
-// lazySweepStep sweeps one pending step now (its own recorded pause) and
-// clears its pending flag.
-func (c *Collector) lazySweepStep(s *heap.Space) {
-	c.pend[s.ID] = false
-	c.pendCount--
-	words := uint64(c.sweep(s))
-	c.stats.WordsSwept += words
-	c.h.AddPause(&c.stats, words)
+// sweptPause records one step's deferred sweep as its own pause.
+func (c *Collector) sweptPause(words int) {
+	c.stats.WordsSwept += uint64(words)
+	c.h.AddPause(&c.stats, uint64(words))
+}
+
+// ensureSwept sweeps s now if its deferred sweep is still pending.
+func (c *Collector) ensureSwept(s *heap.Space) {
+	if words := c.sweeper.EnsureSwept(s, 0); words > 0 {
+		c.sweptPause(words)
+	}
 }
 
 // lazySweepNext sweeps the youngest (emptiest, last to be reached by the
-// descending allocation cursor) still-pending step.
+// descending allocation cursor) still-pending step: finishMark hands the
+// sweeper the collected steps youngest first, and that is its cursor order.
 func (c *Collector) lazySweepNext() {
-	for _, s := range c.steps {
-		if c.pend[s.ID] {
-			c.lazySweepStep(s)
-			return
-		}
+	if words, ok := c.sweeper.SweepPendingBlock(); ok {
+		c.sweptPause(words)
 	}
 }
 
@@ -133,7 +125,7 @@ func (c *Collector) startCycle() {
 
 // finishMark is the termination phase: re-scan the roots, drain the
 // remaining grays, rename the collected steps by their marked occupancy,
-// flag them for lazy sweeping, and rebuild the remembered set. The
+// arm their lazy sweep, and rebuild the remembered set. The
 // remembered-set rebuild walk skips unmarked objects in pending steps —
 // they are dead storage the lazy sweep will free, and remembering them
 // would leave the next cycle scanning freed (and possibly reallocated)
@@ -147,13 +139,8 @@ func (c *Collector) finishMark() {
 	for _, s := range c.steps[:j] {
 		live += heap.LiveWords(s)
 	}
-	collected := c.steps[j:]
-	for _, s := range collected {
-		live += s.MarkedLiveWords()
-		c.pend[s.ID] = true
-		c.pendCount++
-	}
-	c.renameByMarks(collected)
+	live += c.rename()
+	c.sweeper.BeginLazy(c.steps[:len(c.steps)-j]...)
 
 	c.stats.Collections++
 	c.stats.MajorCollections++
@@ -164,27 +151,6 @@ func (c *Collector) finishMark() {
 	c.finishCollection()
 	c.h.AddPause(&c.stats, pause)
 	c.h.AfterGC()
-}
-
-// renameByMarks is the incremental rename: ascending marked occupancy,
-// which equals the post-sweep occupancy the stop-the-world rename sorts
-// by, so both modes produce the same step order.
-func (c *Collector) renameByMarks(collected []*heap.Space) {
-	type occ struct {
-		s    *heap.Space
-		live int
-	}
-	byOcc := make([]occ, len(collected))
-	for i, s := range collected {
-		byOcc[i] = occ{s, s.MarkedLiveWords()}
-	}
-	sort.SliceStable(byOcc, func(a, b int) bool { return byOcc[a].live < byOcc[b].live })
-	renamed := make([]*heap.Space, 0, len(c.steps))
-	for _, o := range byOcc {
-		renamed = append(renamed, o.s)
-	}
-	c.steps = append(renamed, c.steps[:c.j]...)
-	c.rebuildPos()
 }
 
 // stwReset returns the collector to the between-cycles state a
@@ -200,14 +166,7 @@ func (c *Collector) stwReset() uint64 {
 		c.incr.Cancel()
 		heap.ClearMarks(c.steps[c.j:]...)
 	case npSweeping:
-		var flushed uint64
-		for _, s := range c.steps {
-			if c.pend[s.ID] {
-				c.pend[s.ID] = false
-				c.pendCount--
-				flushed += uint64(c.sweep(s))
-			}
-		}
+		flushed := c.sweeper.FinishLazy()
 		c.stats.WordsSwept += flushed
 		c.phase = npIdle
 		return flushed

@@ -5,7 +5,10 @@
 //
 // The step structure and renaming discipline are those of Section 4, but a
 // collection marks steps j+1..k in place and sweeps them onto per-step free
-// lists instead of copying survivors. Because survivors stay put, the
+// lists instead of copying survivors. The free lists are the plain mark/sweep
+// collector's: a step is a blocked space whose table is one block spanning
+// the step (heap.NewBlockedSpaceSpan), carved by heap.Space.AllocFromBlock
+// and rebuilt by heap.Sweeper. Because survivors stay put, the
 // renaming orders the collected steps by ascending occupancy — the emptiest
 // become the new youngest steps — and the paper's assumption that all
 // unavailable storage in steps 1..j is live holds exactly (a swept step
@@ -22,19 +25,17 @@ import (
 	"rdgc/internal/remset"
 )
 
-const noBlock = heap.NoFreeBlock
-
 // Collector is the mark/sweep non-predictive collector.
 type Collector struct {
 	h *heap.Heap
 
 	stepWords int
-	// steps in logical order (index 0 = step 1, youngest); free lists are
-	// per physical space, indexed by SpaceID.
-	steps    []*heap.Space
-	shadows  []*heap.Space
-	freeHead []int   // SpaceID -> first free block, or noBlock
-	pos      []int32 // SpaceID -> logical position, or -1
+	// steps in logical order (index 0 = step 1, youngest). Steps and shadows
+	// trade places at every compaction, so both carry a one-block table; a
+	// shadow's is empty (bump form) until evacuation has filled it.
+	steps   []*heap.Space
+	shadows []*heap.Space
+	pos     []int32 // SpaceID -> logical position, or -1
 
 	j        int
 	g        float64 // generation fraction: j = floor(g*k)
@@ -46,11 +47,12 @@ type Collector struct {
 	// collection; 0 disables compaction.
 	compactEvery int
 
-	// marker and evac are the persistent tracing engines, re-armed with
+	// marker, sweeper and evac are the persistent engines, re-armed with
 	// SetRegion/SetFrom per collection; the remembered-set root visitors
 	// and the target-list buffer are reused so steady-state collections
 	// allocate nothing in the tracing loops.
 	marker     *heap.Marker
+	sweeper    *heap.Sweeper
 	evac       *heap.Evacuator
 	markRemset func(obj heap.Word)
 	evacRemset func(obj heap.Word)
@@ -62,12 +64,9 @@ type Collector struct {
 	// stop-the-world mode.
 	incr            *heap.IncrMarker
 	phase           int
-	pend            []bool // SpaceID -> step sweep still pending
-	pendCount       int
 	sweepDebt       int
 	remsetScanWords uint64
 	incrMarkRemset  func(obj heap.Word)
-	sweepPending    func(s *heap.Space, off int) bool
 }
 
 // Option configures the collector.
@@ -100,24 +99,18 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 		o(c)
 	}
 	for i := 0; i < k; i++ {
-		c.steps = append(c.steps, h.NewSpace(fmt.Sprintf("npms-step-%d", i), stepWords))
+		c.steps = append(c.steps, h.NewBlockedSpaceSpan(fmt.Sprintf("npms-step-%d", i), stepWords, stepWords))
 	}
 	for i := 0; i < k; i++ {
-		c.shadows = append(c.shadows, h.NewSpace(fmt.Sprintf("npms-shadow-%d", i), stepWords))
-	}
-	// Steps and shadows trade places at every compaction, so the free heads
-	// (like pos) are sized over both.
-	c.freeHead = make([]int, len(h.Spaces))
-	for i := range c.freeHead {
-		c.freeHead[i] = noBlock
-	}
-	for _, s := range c.steps {
-		c.initFree(s)
+		s := h.NewBlockedSpaceSpan(fmt.Sprintf("npms-shadow-%d", i), stepWords, stepWords)
+		s.Reset()
+		c.shadows = append(c.shadows, s)
 	}
 	c.rebuildPos()
 	c.allocIdx = k - 1
 	c.setJ()
 	c.marker = heap.NewMarker(h, nil)
+	c.sweeper = heap.NewSweeper(h)
 	c.markRemset = func(obj heap.Word) {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.marker.Slot())
@@ -133,15 +126,6 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 		c.incrInit()
 	}
 	return c
-}
-
-// initFree makes the whole space one free block with Top at capacity, so
-// the space stays linearly parsable under free-list allocation.
-func (c *Collector) initFree(s *heap.Space) {
-	s.Top = s.Cap()
-	s.Mem[0] = heap.HeaderWord(heap.TFree, s.Cap()-1)
-	heap.SetFreeNext(s, 0, noBlock)
-	c.freeHead[s.ID] = 0
 }
 
 func (c *Collector) setJ() {
@@ -178,11 +162,11 @@ func (c *Collector) RemsetLen() int { return c.rs.Len() }
 
 // VerifySpec implements heap.Verifiable: the k steps are live (shadows are
 // scratch), and every object in steps 1..j pointing into steps j+1..k must
-// be remembered. In incremental mode the spec also declares the phase:
-// mid-mark bits are legitimate while marking, and marks on steps whose
-// sweep is still pending are authoritative (unmarked there means dead).
+// be remembered. In incremental mode the spec also declares a mark in
+// progress, when mid-mark bits are legitimate; a step whose sweep is still
+// pending says so in its block table, which the verifier reads itself.
 func (c *Collector) VerifySpec() heap.VerifySpec {
-	spec := heap.VerifySpec{
+	return heap.VerifySpec{
 		Live: c.steps,
 		Remsets: []heap.RemsetRule{{
 			Name: "young->old",
@@ -192,14 +176,8 @@ func (c *Collector) VerifySpec() heap.VerifySpec {
 			},
 			Has: c.rs.Contains,
 		}},
+		MarkingActive: c.phase == npMarking,
 	}
-	switch c.phase {
-	case npMarking:
-		spec.MarkingActive = true
-	case npSweeping:
-		spec.SweepPending = c.sweepPending
-	}
-	return spec
 }
 
 func (c *Collector) rebuildPos() {
@@ -239,42 +217,6 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 	}
 }
 
-// tryAllocIn carves n words first-fit out of s's free list, with the block
-// links and split rule of the plain mark/sweep collector's
-// heap.Space.AllocFromBlock.
-func (c *Collector) tryAllocIn(s *heap.Space, n int) (int, bool) {
-	if c.incr != nil && c.pend[s.ID] {
-		// The step's free list is stale until its deferred sweep runs.
-		c.lazySweepStep(s)
-	}
-	prev := noBlock
-	for off := c.freeHead[s.ID]; off != noBlock; {
-		hdr := s.Mem[off]
-		blockWords := heap.ObjWords(hdr)
-		next := heap.FreeNext(s, off)
-		if blockWords >= n {
-			replacement := next
-			if rem := blockWords - n; rem > 1 {
-				remOff := off + n
-				s.Mem[remOff] = heap.HeaderWord(heap.TFree, rem-1)
-				heap.SetFreeNext(s, remOff, next)
-				replacement = remOff
-			} else if rem == 1 {
-				s.Mem[off+n] = heap.HeaderWord(heap.TFree, 0)
-			}
-			if prev == noBlock {
-				c.freeHead[s.ID] = replacement
-			} else {
-				heap.SetFreeNext(s, prev, replacement)
-			}
-			return off, true
-		}
-		prev = off
-		off = next
-	}
-	return 0, false
-}
-
 // AllocRaw implements heap.Allocator: allocate in the highest-numbered step
 // with a fitting free block; when none fits anywhere, collect.
 func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
@@ -288,7 +230,11 @@ func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 	for attempt := 0; ; attempt++ {
 		for c.allocIdx >= 0 {
 			s := c.steps[c.allocIdx]
-			if off, ok := c.tryAllocIn(s, total); ok {
+			if c.incr != nil {
+				// A step's free list is stale until its deferred sweep runs.
+				c.ensureSwept(s)
+			}
+			if off, ok := s.AllocFromBlock(0, total); ok {
 				return c.h.InitObject(s, off, t, payload)
 			}
 			c.allocIdx--
@@ -334,12 +280,10 @@ func (c *Collector) markSweepCollect() {
 	c.rs.ForEach(c.markRemset)
 	m.Drain()
 
-	var swept uint64
-	for _, s := range c.steps[j:] {
-		swept += uint64(c.sweep(s))
-	}
-
-	c.rename(c.steps[j:], nil)
+	// The rename reads occupancy off the marks, so it precedes the sweep,
+	// which clears them.
+	c.rename()
+	swept := c.sweeper.Sweep(c.steps[:len(c.steps)-j]...)
 
 	c.stats.Collections++
 	c.stats.MajorCollections++
@@ -375,23 +319,10 @@ func (c *Collector) compact() {
 	c.rs.ForEach(c.evacRemset)
 	e.Drain()
 
-	// The compacted targets switch to free-list form: one block from the
+	// The compacted targets switch to free-list form: one run from the
 	// bump pointer to the end.
 	for _, t := range primary {
-		used := t.Top
-		t.Top = t.Cap()
-		if used < t.Cap() {
-			if t.Cap()-used == 1 {
-				t.Mem[used] = heap.HeaderWord(heap.TFree, 0)
-				c.freeHead[t.ID] = noBlock
-			} else {
-				t.Mem[used] = heap.HeaderWord(heap.TFree, t.Cap()-used-1)
-				heap.SetFreeNext(t, used, noBlock)
-				c.freeHead[t.ID] = used
-			}
-		} else {
-			c.freeHead[t.ID] = noBlock
-		}
+		t.FreeFrom(t.Top)
 	}
 
 	collected := append([]*heap.Space{}, c.steps[j:]...)
@@ -402,7 +333,6 @@ func (c *Collector) compact() {
 	c.shadows = collected
 	for _, s := range c.shadows {
 		s.Reset()
-		c.freeHead[s.ID] = noBlock
 	}
 	c.rebuildPos()
 
@@ -415,16 +345,24 @@ func (c *Collector) compact() {
 	c.h.AfterGC()
 }
 
-// rename reorders the collected steps by ascending occupancy (emptiest
-// first) to become the new steps 1..k-j, followed by the old steps 1..j as
-// the new oldest steps.
-func (c *Collector) rename(collected, _ []*heap.Space) {
-	byOccupancy := append([]*heap.Space{}, collected...)
-	sort.SliceStable(byOccupancy, func(a, b int) bool {
-		return heap.LiveWords(byOccupancy[a]) < heap.LiveWords(byOccupancy[b])
-	})
-	c.steps = append(byOccupancy, c.steps[:c.j]...)
+// rename reorders the collected steps j+1..k by ascending marked occupancy
+// (emptiest first) to become the new steps 1..k-j, followed by the old steps
+// 1..j as the new oldest steps. It runs between the mark and the sweep:
+// Space.MarkedLiveWords is what LiveWords will read once the step is swept,
+// and the incremental termination renames long before that. It returns the
+// marked words of the collected steps.
+func (c *Collector) rename() (marked int) {
+	live := make([]int, len(c.pos)) // by SpaceID
+	renamed := make([]*heap.Space, 0, len(c.steps))
+	for _, s := range c.steps[c.j:] {
+		live[s.ID] = s.MarkedLiveWords()
+		marked += live[s.ID]
+		renamed = append(renamed, s)
+	}
+	sort.SliceStable(renamed, func(a, b int) bool { return live[renamed[a].ID] < live[renamed[b].ID] })
+	c.steps = append(renamed, c.steps[:c.j]...)
 	c.rebuildPos()
+	return marked
 }
 
 // finishCollection re-establishes the allocation cursor, the tuning
@@ -440,7 +378,7 @@ func (c *Collector) finishCollection() {
 			if heap.HeaderType(hdr) == heap.TFree {
 				return true
 			}
-			if c.incr != nil && c.pend[s.ID] && !s.MarkedAt(off) {
+			if s.Blocks.UnsweptAt(0) && !s.MarkedAt(off) {
 				// Dead storage in a step whose sweep is still pending:
 				// remembering it would leave the next cycle scanning words
 				// the lazy sweep is about to free (and reallocation to
@@ -462,49 +400,4 @@ func (c *Collector) finishCollection() {
 	if p := c.rs.Peak(); p > c.stats.RemsetPeak {
 		c.stats.RemsetPeak = p
 	}
-}
-
-// sweep rebuilds one step's free list with coalescing, clearing marks.
-// It returns the words examined.
-func (c *Collector) sweep(s *heap.Space) int {
-	c.freeHead[s.ID] = noBlock
-	tail := noBlock
-	lastFree := noBlock
-	swept := 0
-	link := func(off int) {
-		if heap.HeaderSize(s.Mem[off]) == 0 {
-			return
-		}
-		heap.SetFreeNext(s, off, noBlock)
-		if c.freeHead[s.ID] == noBlock {
-			c.freeHead[s.ID] = off
-		} else {
-			heap.SetFreeNext(s, tail, off)
-		}
-		tail = off
-	}
-	heap.WalkSpace(s, func(off int, hdr heap.Word) bool {
-		swept += heap.ObjWords(hdr)
-		if heap.HeaderType(hdr) != heap.TFree && s.MarkedAt(off) {
-			lastFree = noBlock
-			return true
-		}
-		n := heap.ObjWords(hdr)
-		if lastFree != noBlock {
-			grown := heap.ObjWords(s.Mem[lastFree]) + n
-			wasUnlinked := heap.HeaderSize(s.Mem[lastFree]) == 0
-			s.Mem[lastFree] = heap.HeaderWord(heap.TFree, grown-1)
-			heap.SetFreeNext(s, lastFree, noBlock)
-			if wasUnlinked {
-				link(lastFree)
-			}
-			return true
-		}
-		s.Mem[off] = heap.HeaderWord(heap.TFree, n-1)
-		link(off)
-		lastFree = off
-		return true
-	})
-	heap.ClearMarks(s)
-	return swept
 }

@@ -22,7 +22,9 @@ import (
 // boundary (the final block may be partial), and each block carries its own
 // address-ordered free list. Block independence is what the
 // parallel sweep (sweep.go) exploits: any worker may sweep any block with no
-// synchronization beyond claiming it.
+// synchronization beyond claiming it. A table's blocks need not be
+// BlockWords long (BlockTable.Span): a step of the non-predictive
+// mark/sweep collector is one block spanning the whole space.
 //
 // BlockWords is 512 (4 KiB of simulated heap at 8 bytes per word): big
 // enough that per-block metadata (one free-list head, eight bitmap words)
@@ -60,6 +62,10 @@ const NoFreeBlock = -1
 // one-word free blocks cannot hold a link and stay unlinked until sweep
 // coalesces them into a neighbour.
 type BlockTable struct {
+	// Span is the length of one table block in words, fixed at construction:
+	// block b covers offsets [b*Span, (b+1)*Span). The mark bitmap's dirty
+	// summary keeps its BlockWords granularity whatever the span.
+	Span int
 	// FreeHead[b] is the offset of block b's first free block, or
 	// NoFreeBlock. Lists are address-ordered within the block.
 	FreeHead []int32
@@ -116,35 +122,81 @@ func (h *Heap) FootprintWords() int {
 	return n * BlockWords
 }
 
-// NewBlockedSpace creates a space managed as blocks: every block is
-// formatted as one maximal free block on its own free list, and Top sits at
-// capacity so the space is linearly parsable from the start (free blocks
-// tile the storage). The capacity is taken exactly as requested — the final
-// block may be partial; block boundaries, not block count, carry the
-// no-straddling invariant — but at least one header must fit.
+// NewBlockedSpace creates a space managed as blocks of BlockWords words:
+// every block is formatted as one maximal free block on its own free list,
+// and Top sits at capacity so the space is linearly parsable from the start
+// (free blocks tile the storage). The capacity is taken exactly as requested
+// — the final block may be partial; block boundaries, not block count, carry
+// the no-straddling invariant — but at least one header must fit.
 func (h *Heap) NewBlockedSpace(name string, words int) *Space {
+	return h.NewBlockedSpaceSpan(name, words, BlockWords)
+}
+
+// NewBlockedSpaceSpan is NewBlockedSpace with table blocks of span words. A
+// table of several blocks needs a span that is a multiple of BlockWords, so
+// that no two blocks share a word of the mark bitmap; one block spanning the
+// space (span >= words) may have any length.
+func (h *Heap) NewBlockedSpaceSpan(name string, words, span int) *Space {
 	if words <= 0 {
 		panic("heap: NewBlockedSpace with non-positive size")
 	}
+	if span < words && (span < BlockWords || span%BlockWords != 0) {
+		panic("heap: block span must be a multiple of BlockWords or cover the space")
+	}
 	s := h.NewSpace(name, words)
+	n := (words + span - 1) / span
 	s.Blocks = &BlockTable{
-		FreeHead: make([]int32, s.NumBlocks()),
-		MaxRun:   make([]int32, s.NumBlocks()),
-		Unswept:  make([]uint64, (s.NumBlocks()+63)/64),
+		Span:     span,
+		FreeHead: make([]int32, n),
+		MaxRun:   make([]int32, n),
+		Unswept:  make([]uint64, (n+63)/64),
 	}
-	s.Top = s.Cap()
-	for b := 0; b < s.NumBlocks(); b++ {
-		off := b << BlockShift
-		end := off + BlockWords
-		if end > s.Cap() {
-			end = s.Cap()
-		}
-		s.Mem[off] = HeaderWord(TFree, end-off-1)
-		SetFreeNext(s, off, NoFreeBlock)
-		s.Blocks.FreeHead[b] = int32(off)
-		s.Blocks.MaxRun[b] = int32(end - off)
-	}
+	s.FreeFrom(0)
 	return s
+}
+
+// FreeFrom puts a blocked space into free-list form with the words below
+// used allocated and the rest free: Top moves to capacity and every block's
+// list becomes the one maximal run of its words at or above used (none for a
+// block wholly below) — after any fillers that retired allocation buffers
+// left among the used words (Space.Waste), which are free runs like any
+// other. It formats a new space (used = 0) and turns a bump-filled
+// evacuation target back into a free-list space.
+func (s *Space) FreeFrom(used int) {
+	bt := s.Blocks
+	s.Top = s.Cap()
+	for b := range bt.FreeHead {
+		lo := b * bt.Span
+		hi := min(lo+bt.Span, s.Cap())
+		bt.FreeHead[b], bt.MaxRun[b] = NoFreeBlock, 0
+		tail := NoFreeBlock
+		off := max(lo, used)
+		if s.Waste > 0 {
+			off = lo
+		}
+		for off < hi {
+			n := hi - off
+			if off < used {
+				if n = ObjWords(s.Mem[off]); HeaderType(s.Mem[off]) != TFree {
+					off += n
+					continue
+				}
+			} else {
+				s.Mem[off] = HeaderWord(TFree, n-1)
+			}
+			if n > 1 {
+				SetFreeNext(s, off, NoFreeBlock)
+				if tail == NoFreeBlock {
+					bt.FreeHead[b] = int32(off)
+				} else {
+					SetFreeNext(s, tail, off)
+				}
+				tail = off
+			}
+			bt.MaxRun[b] = max(bt.MaxRun[b], int32(n))
+			off += n
+		}
+	}
 }
 
 // FreeNext returns the list successor of the free block at off, or
@@ -305,21 +357,17 @@ func (s *Space) ClearMarkBits() {
 	}
 }
 
-// clearBlockMarks clears the bitmap span of a single block with plain
-// stores (bitmap words never straddle blocks) and drops its dirty bit
-// atomically (dirty words summarize 64 blocks, which concurrent sweep
-// workers share).
+// clearBlockMarks clears the bitmap span of a single table block with plain
+// stores (bitmap words never straddle table blocks) and drops its dirty bits
+// atomically (dirty words summarize 64 BlockWords-sized blocks, which
+// concurrent sweep workers share).
 func (s *Space) clearBlockMarks(b int) {
-	lo := b * markWordsPerBlock
-	hi := lo + markWordsPerBlock
-	if hi > len(s.marks) {
-		hi = len(s.marks)
+	lo := b * s.Blocks.Span
+	hi := min(lo+s.Blocks.Span, len(s.Mem))
+	clear(s.marks[lo>>6 : (hi+63)>>6])
+	for d := lo >> BlockShift; d < (hi+BlockMask)>>BlockShift; d++ {
+		andNotUint64(&s.dirty[d>>6], 1<<(uint(d)&63))
 	}
-	mw := s.marks[lo:hi]
-	for i := range mw {
-		mw[i] = 0
-	}
-	andNotUint64(&s.dirty[b>>6], 1<<(uint(b)&63))
 }
 
 // MarkedLiveWords returns the total footprint (header plus payload words)

@@ -151,10 +151,6 @@ type Heap struct {
 	// pprof labels on parallel tracing workers.
 	collectorLabel string
 
-	// extraRoots lets collectors and instrumentation register additional
-	// root-slot visitors (e.g. remembered-set tables held outside spaces).
-	extraRoots []func(visit func(slot *Word))
-
 	// hook fires from InitObject once the allocation clock reaches
 	// hookNext; instrumentation (the lifetime census) uses it to sample at
 	// precise epoch boundaries.
@@ -233,24 +229,16 @@ func (h *Heap) AfterGC() {
 	}
 }
 
-// AddRootSet registers an extra set of root slots visited by every trace.
-func (h *Heap) AddRootSet(f func(visit func(slot *Word))) {
-	h.extraRoots = append(h.extraRoots, f)
-}
-
-// VisitRoots applies visit to every root slot: the handle stack, the global
-// table, and any collector-registered extras. Collectors call this at the
-// start of every trace; whatever they write back into the slots (forwarded
-// pointers) is what the mutator sees afterwards.
+// VisitRoots applies visit to every root slot: the handle stack and the
+// global table. Collectors call this at the start of every trace; whatever
+// they write back into the slots (forwarded pointers) is what the mutator
+// sees afterwards.
 func (h *Heap) VisitRoots(visit func(slot *Word)) {
 	for i := range h.refs {
 		visit(&h.refs[i])
 	}
 	for i := range h.globals {
 		visit(&h.globals[i])
-	}
-	for _, f := range h.extraRoots {
-		f(visit)
 	}
 }
 

@@ -101,13 +101,6 @@ func (l *LargeObjectSpace) Sweep() uint64 {
 	return swept
 }
 
-// AddToRegion adds every live large-object space to a marker's region set.
-func (l *LargeObjectSpace) AddToRegion(set *SpaceSet) {
-	for _, s := range l.live {
-		set.Add(s.ID)
-	}
-}
-
 // AppendLive appends the live large-object spaces to dst (for marker
 // regions and VerifySpec.Live lists) and returns it.
 func (l *LargeObjectSpace) AppendLive(dst []*Space) []*Space {

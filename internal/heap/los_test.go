@@ -93,9 +93,4 @@ func TestLOSAppendLive(t *testing.T) {
 	if len(live) != 1 || live[0] != a {
 		t.Fatalf("AppendLive = %v, want [%v]", live, a)
 	}
-	var set SpaceSet
-	l.AddToRegion(&set)
-	if !set.Has(a.ID) || set.Has(b.ID) {
-		t.Error("AddToRegion region membership wrong")
-	}
 }

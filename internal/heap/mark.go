@@ -12,8 +12,9 @@ import "math"
 // collection: the mark stack keeps its capacity across collections, so
 // steady-state collections allocate nothing.
 //
-// The region is declared as a set of spaces (SetRegion / SetWholeHeap), so
-// the per-slot bound check is a bit test rather than an indirect call.
+// The region is declared as a set of spaces (SetRegion; the whole heap until
+// then), so the per-slot bound check is a bit test rather than an indirect
+// call.
 type Marker struct {
 	H *Heap
 
@@ -67,9 +68,6 @@ func (m *Marker) SetRegion(spaces ...*Space) {
 // non-predictive mark/sweep adding steps j..k-1 one by one). Callers must
 // have armed the bound with SetRegion first.
 func (m *Marker) Region() *SpaceSet { return &m.region }
-
-// SetWholeHeap removes any region bound: every pointer is traced.
-func (m *Marker) SetWholeHeap() { m.bounded = false }
 
 // Slot returns the marker's stored slot-visitor function, for root
 // iterators that need a callback without allocating a fresh closure.

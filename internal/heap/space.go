@@ -47,12 +47,21 @@ func (s *Space) Used() int { return s.Top - s.Waste }
 
 // Reset empties the space for reuse. The contents are not zeroed; all
 // allocation paths initialize every word they hand out. Any mark bits are
-// dropped (in O(dirty blocks)) so a recycled space starts unmarked.
+// dropped (in O(dirty blocks)) so a recycled space starts unmarked. A blocked
+// space comes out in bump form, every free list empty, until FreeFrom returns
+// it to free-list form.
 func (s *Space) Reset() {
 	s.clearAges()
 	s.Top = 0
 	s.Waste = 0
 	s.ClearMarkBits()
+	if bt := s.Blocks; bt != nil {
+		for b := range bt.FreeHead {
+			bt.FreeHead[b] = NoFreeBlock
+			bt.MaxRun[b] = 0
+		}
+		clear(bt.Unswept)
+	}
 }
 
 // Bump allocates n words by bumping Top. It returns the offset of the first
@@ -113,9 +122,6 @@ func (h *Heap) SpaceOf(w Word) *Space { return h.Spaces[PtrSpace(w)] }
 
 // Header returns the header word of the object that w points to.
 func (h *Heap) Header(w Word) Word { return h.SpaceOf(w).Mem[PtrOff(w)] }
-
-// SetHeader overwrites the header word of the object that w points to.
-func (h *Heap) SetHeader(w, hdr Word) { h.SpaceOf(w).Mem[PtrOff(w)] = hdr }
 
 // Payload returns the payload words of the object that w points to,
 // excluding the hidden birth stamp when census tracking is enabled.

@@ -12,11 +12,12 @@ import (
 // runs of dead objects and old free blocks into maximal free blocks — and
 // clears the block's mark bits, in one pass per block.
 //
-// Blocks are the unit of parallelism. No object or free block straddles a
-// block boundary, every block's free-list head is its own table slot, and a
-// block's span of the mark bitmap is exclusively its own, so any worker can
-// sweep any block with no synchronization beyond claiming it: workers claim
-// blocks from a flattened (space, block) sequence via an atomic cursor.
+// Table blocks (BlockTable.Span words each) are the unit of parallelism. No
+// object or free block straddles a block boundary, every block's free-list
+// head is its own table slot, and a block's span of the mark bitmap is
+// exclusively its own, so any worker can sweep any block with no
+// synchronization beyond claiming it: workers claim blocks from a flattened
+// (space, block) sequence via an atomic cursor.
 // Because each block's result is a pure function of that block's contents
 // and marks, the swept heap image, the free lists, and WordsSwept are
 // bit-identical to the sequential sweep at every worker count — a stronger
@@ -65,7 +66,7 @@ func (sw *Sweeper) Sweep(spaces ...*Space) uint64 {
 			panic("heap: Sweeper.Sweep on a space without a block table")
 		}
 		sw.prefix = append(sw.prefix, total)
-		total += s.NumBlocks()
+		total += len(s.Blocks.FreeHead)
 	}
 	sw.prefix = append(sw.prefix, total)
 
@@ -76,7 +77,7 @@ func (sw *Sweeper) Sweep(spaces ...*Space) uint64 {
 		// beyond the (uncontended) dirty-summary clears.
 		var swept uint64
 		for _, s := range sw.spaces {
-			for b := 0; b < s.NumBlocks(); b++ {
+			for b := range s.Blocks.FreeHead {
 				swept += uint64(sweepBlock(s, b))
 			}
 		}
@@ -134,7 +135,7 @@ func (sw *Sweeper) BeginLazy(spaces ...*Space) {
 		if s.Blocks == nil {
 			panic("heap: Sweeper.BeginLazy on a space without a block table")
 		}
-		n := s.NumBlocks()
+		n := len(s.Blocks.FreeHead)
 		for b := 0; b < n; b++ {
 			s.Blocks.setUnswept(b)
 		}
@@ -146,7 +147,7 @@ func (sw *Sweeper) BeginLazy(spaces ...*Space) {
 // the words examined (0 when the block was already swept or no lazy sweep
 // is active). Allocation calls this before trusting a block's free list.
 func (sw *Sweeper) EnsureSwept(s *Space, b int) int {
-	if s.Blocks == nil || len(s.Blocks.Unswept) == 0 || !s.Blocks.UnsweptAt(b) {
+	if s.Blocks == nil || !s.Blocks.UnsweptAt(b) {
 		return 0
 	}
 	s.Blocks.clearUnswept(b)
@@ -165,7 +166,7 @@ func (sw *Sweeper) SweepPendingBlock() (words int, ok bool) {
 	}
 	flat := sw.lazyCursor
 	for _, s := range sw.lazySpaces {
-		n := s.NumBlocks()
+		n := len(s.Blocks.FreeHead)
 		if flat >= n {
 			flat -= n
 			continue
@@ -196,7 +197,7 @@ func (sw *Sweeper) FinishLazy() uint64 {
 		if sw.lazyPend == 0 {
 			break
 		}
-		for b := 0; b < s.NumBlocks(); b++ {
+		for b := range s.Blocks.FreeHead {
 			if s.Blocks.UnsweptAt(b) {
 				s.Blocks.clearUnswept(b)
 				sw.lazyPend--
@@ -220,11 +221,8 @@ func (sw *Sweeper) LazyPending() int { return sw.lazyPend }
 // sweep. The only shared word is the dirty summary (64 blocks per bit-word),
 // which clearBlockMarks clears atomically.
 func sweepBlock(s *Space, b int) int {
-	lo := b << BlockShift
-	hi := lo + BlockWords
-	if hi > s.Top {
-		hi = s.Top
-	}
+	lo := b * s.Blocks.Span
+	hi := min(lo+s.Blocks.Span, s.Top)
 	head := NoFreeBlock
 	tail := NoFreeBlock
 	lastFree := NoFreeBlock

@@ -201,3 +201,46 @@ func TestSweeperRejectsUnblockedSpace(t *testing.T) {
 	}()
 	NewSweeper(h).Sweep(s)
 }
+
+// TestFreeFromLinksBufferFillers: an evacuation target filled through
+// allocation buffers has TFree fillers among its objects; returned to
+// free-list form they are free runs the first-fit carve can reach (a one-word
+// filler cannot hold a link, as ever), ahead of the run from the old bump
+// pointer to the end, and the verifier accepts the table.
+func TestFreeFromLinksBufferFillers(t *testing.T) {
+	h := New()
+	s := h.NewBlockedSpaceSpan("target", 40, 40)
+	s.Reset()
+	put := func(ty Type, words int) int {
+		off, ok := s.Bump(words)
+		if !ok {
+			t.Fatal("fixture space too small")
+		}
+		s.Mem[off] = HeaderWord(ty, words-1)
+		for i := 1; i < words; i++ {
+			s.Mem[off+i] = NullWord
+		}
+		return off
+	}
+	put(TPair, 3)
+	filler := put(TFree, 5)
+	put(TPair, 3)
+	put(TFree, 1)
+	put(TPair, 3)
+	s.Waste = 6
+	used := s.Top
+
+	s.FreeFrom(used)
+	if got := []int{int(s.Blocks.FreeHead[0]), FreeNext(s, filler), FreeNext(s, used)}; got[0] != filler || got[1] != used || got[2] != NoFreeBlock {
+		t.Errorf("free list is %v, want [%d %d -1]", got, filler, used)
+	}
+	if got, want := int(s.Blocks.MaxRun[0]), s.Cap()-used; got != want {
+		t.Errorf("MaxRun = %d, want the tail run's %d", got, want)
+	}
+	if err := Verify(h, VerifySpec{Live: []*Space{s}}); err != nil {
+		t.Errorf("verifier rejects the formatted target: %v", err)
+	}
+	if off, ok := s.AllocFromBlock(0, 5); !ok || off != filler {
+		t.Errorf("a request the filler fits was placed at %d (%v), want %d", off, ok, filler)
+	}
+}

@@ -23,7 +23,9 @@ import (
 //      (§8.4's six situations reduce to these per-collector rules).
 //   6. Every swept block of a blocked space has a free list the first-fit
 //      allocator can trust: in-block, address-ordered, linking exactly the
-//      block's free runs of two or more words, none longer than MaxRun.
+//      block's free runs of two or more words, none longer than MaxRun —
+//      a mark/sweep space's BlockWords blocks and a non-predictive
+//      mark/sweep step's single block alike.
 //
 // Verification is opt-in: collectors fire Heap.AfterGC at the end of every
 // collection, and the hook is nil unless a test (or the fuzz harness)
@@ -69,17 +71,15 @@ type VerifySpec struct {
 	// bits are legitimately set on a prefix of the live graph, so the
 	// stale-mark bitmap check is skipped. Unmarked objects may still be
 	// live (not yet traced), so no reachability conclusions are drawn.
+	//
+	// The other incremental phase needs no declaration: a block whose lazy
+	// sweep is pending says so in its table (BlockTable.UnsweptAt). There the
+	// completed mark is authoritative — an unmarked object is dead storage
+	// awaiting its sweep — so the verifier skips such objects' payloads and
+	// census words (dead storage, like free-block interiors), treats
+	// pointers to them as dangling, and skips the stale-mark check on the
+	// space (survivors keep their marks until their block is swept).
 	MarkingActive bool
-
-	// SweepPending, when non-nil, reports that the object headed at off in
-	// s lies in a region whose sweep is still pending (incremental lazy
-	// sweeping): there, the completed mark is authoritative — an unmarked
-	// object is dead storage awaiting its sweep. The verifier skips such
-	// objects' payloads and census words (dead storage, like free-block
-	// interiors), treats pointers to them as dangling, and skips the
-	// stale-mark check (survivors keep their marks until their block is
-	// swept).
-	SweepPending func(s *Space, off int) bool
 }
 
 // Verifiable is implemented by collectors that can describe their current
@@ -162,7 +162,7 @@ func (v *verifier) parseSpaces() {
 		// anymore, so a set bit means corruption. Incremental phases are
 		// the exception: mid-mark bits and pending-sweep survivor bits are
 		// both legitimate.
-		if !v.spec.MarkingActive && v.spec.SweepPending == nil && !s.MarksClear() {
+		if !v.spec.MarkingActive && !s.sweepPending() && !s.MarksClear() {
 			if !v.errorf(ErrStaleMark, "%v: mark bitmap not clear after collection", s) {
 				return
 			}
@@ -235,10 +235,23 @@ func (v *verifier) checkPtr(w Word, what func() string) bool {
 }
 
 // deadPending reports whether the object headed at off is dead storage in a
-// pending-sweep region: the mark is authoritative there, so unmarked means
-// dead.
+// block awaiting its lazy sweep: the mark is authoritative there, so
+// unmarked means dead.
 func (v *verifier) deadPending(s *Space, off int) bool {
-	return v.spec.SweepPending != nil && v.spec.SweepPending(s, off) && !s.MarkedAt(off)
+	bt := s.Blocks
+	return bt != nil && bt.UnsweptAt(off/bt.Span) && !s.MarkedAt(off)
+}
+
+// sweepPending reports whether any block of s awaits its lazy sweep.
+func (s *Space) sweepPending() bool {
+	if s.Blocks != nil {
+		for _, w := range s.Blocks.Unswept {
+			if w != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // scanObjects validates the payloads of every non-free block in every live
@@ -287,8 +300,7 @@ func (v *verifier) scanObjects() {
 	}
 }
 
-// scanRoots validates every root slot: the handle stack, globals, and any
-// collector-registered extras.
+// scanRoots validates every root slot: the handle stack and globals.
 func (v *verifier) scanRoots() {
 	i := 0
 	v.h.VisitRoots(func(slot *Word) {
@@ -371,8 +383,8 @@ func (s *Space) blockFault(b int) string {
 	if bt.UnsweptAt(b) {
 		return ""
 	}
-	lo := b << BlockShift
-	hi := min(lo+BlockWords, s.Top)
+	lo := b * bt.Span
+	hi := min(lo+bt.Span, s.Top)
 	// The list is address-ordered, so one walk over the block's objects meets
 	// its entries in order: next is the entry the walk has yet to reach.
 	next := int(bt.FreeHead[b])

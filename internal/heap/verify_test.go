@@ -163,15 +163,16 @@ func TestVerifyRemsetCompleteness(t *testing.T) {
 	}
 }
 
-// blockTableFixture is a heap whose one live space is blocked, with block 0
-// swept to leave three free runs — at offsets 3 and 9 (three words each,
-// between rooted pairs at 0, 6 and 12) and the tail from 15 — so its free
-// list has a head, a middle link and a last entry to corrupt. Block 1 is one
+// blockTableFixture is a heap whose one live space is blocked (words long,
+// in table blocks of span words), with block 0 swept to leave three free
+// runs — at offsets 3 and 9 (three words each, between rooted pairs at 0, 6
+// and 12) and the tail from 15 — so its free list has a head, a middle link
+// and a last entry to corrupt. A block 1, where there is one, is one
 // untouched maximal run.
-func blockTableFixture(t *testing.T) *verifyFixture {
+func blockTableFixture(t *testing.T, words, span int) *verifyFixture {
 	t.Helper()
 	h := New()
-	s := h.NewBlockedSpace("blocked", 2*BlockWords)
+	s := h.NewBlockedSpaceSpan("blocked", words, span)
 	for i := 0; i < 5; i++ {
 		off, ok := s.AllocFromBlock(0, 3)
 		if !ok {
@@ -197,48 +198,66 @@ func blockTableFixture(t *testing.T) *verifyFixture {
 
 // TestVerifyBadBlockTable: first-fit placement trusts a swept block's free
 // list and MaxRun without checking them, so each way they can be wrong is
-// its own diagnosis.
+// its own diagnosis — in a mark/sweep space of BlockWords blocks, and in a
+// step of the non-predictive mark/sweep collector, whose table is one block
+// of the step's (here odd) size. end is where block 0 ends.
 func TestVerifyBadBlockTable(t *testing.T) {
 	cases := []struct {
 		name, fragment string
-		corrupt        func(s *Space)
+		corrupt        func(s *Space, end int)
 	}{
-		{"head leaves the block", "leaves the block", func(s *Space) { s.Blocks.FreeHead[0] = BlockWords }},
-		{"link leaves the block", "leaves the block", func(s *Space) { SetFreeNext(s, 15, BlockWords) }},
-		{"not address-ordered", "not address-ordered", func(s *Space) { SetFreeNext(s, 9, 3) }},
-		{"links a live object", "non-free", func(s *Space) { s.Blocks.FreeHead[0] = 0 }},
-		{"links an interior word", "not a block start", func(s *Space) { s.Blocks.FreeHead[0] = 1 }},
-		{"last link is an interior word", "not a block start", func(s *Space) { SetFreeNext(s, 15, 20) }},
-		{"omits a run", "not on the free list", func(s *Space) { s.Blocks.FreeHead[0] = 9 }},
-		{"run longer than MaxRun", "exceeds MaxRun", func(s *Space) { s.Blocks.MaxRun[0] = 3 }},
-		{"run straddles the boundary", "straddles", func(s *Space) {
+		{"head leaves the block", "leaves the block", func(s *Space, end int) { s.Blocks.FreeHead[0] = int32(end) }},
+		{"link leaves the block", "leaves the block", func(s *Space, end int) { SetFreeNext(s, 15, end) }},
+		{"not address-ordered", "not address-ordered", func(s *Space, _ int) { SetFreeNext(s, 9, 3) }},
+		{"links a live object", "non-free", func(s *Space, _ int) { s.Blocks.FreeHead[0] = 0 }},
+		{"links an interior word", "not a block start", func(s *Space, _ int) { s.Blocks.FreeHead[0] = 1 }},
+		{"last link is an interior word", "not a block start", func(s *Space, _ int) { SetFreeNext(s, 15, 20) }},
+		{"omits a run", "not on the free list", func(s *Space, _ int) { s.Blocks.FreeHead[0] = 9 }},
+		{"run longer than MaxRun", "exceeds MaxRun", func(s *Space, _ int) { s.Blocks.MaxRun[0] = 3 }},
+		{"run straddles the boundary", "straddles", func(s *Space, end int) {
 			// Grow block 0's tail run three words into block 1 and start
 			// block 1's run after it, so the space still parses.
-			s.Mem[15] = HeaderWord(TFree, BlockWords-15+3-1)
-			s.Mem[BlockWords+3] = HeaderWord(TFree, BlockWords-3-1)
-			SetFreeNext(s, BlockWords+3, NoFreeBlock)
-			s.Blocks.FreeHead[1] = BlockWords + 3
-			s.Blocks.MaxRun[0] = BlockWords
+			s.Mem[15] = HeaderWord(TFree, end-15+3-1)
+			s.Mem[end+3] = HeaderWord(TFree, end-3-1)
+			SetFreeNext(s, end+3, NoFreeBlock)
+			s.Blocks.FreeHead[1] = int32(end + 3)
+			s.Blocks.MaxRun[0] = int32(end)
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := blockTableFixture(t)
-			tc.corrupt(f.live)
-			f.expect(t, ErrBadBlockTable, tc.fragment)
-			if err := Check(f.h); !errors.Is(err, ErrBadBlockTable) {
-				t.Errorf("Check diagnosed %v, want %v", err, ErrBadBlockTable)
+	for _, table := range []struct {
+		name        string
+		words, span int
+	}{
+		{"blocks", 2 * BlockWords, BlockWords},
+		{"step", 2*BlockWords - 23, 2*BlockWords - 23},
+	} {
+		for _, tc := range cases {
+			if tc.fragment == "straddles" && table.span >= table.words {
+				continue // a one-block table has no boundary to straddle
+			}
+			t.Run(table.name+"/"+tc.name, func(t *testing.T) {
+				f := blockTableFixture(t, table.words, table.span)
+				tc.corrupt(f.live, table.span)
+				f.expect(t, ErrBadBlockTable, tc.fragment)
+				if err := Check(f.h); !errors.Is(err, ErrBadBlockTable) {
+					t.Errorf("Check diagnosed %v, want %v", err, ErrBadBlockTable)
+				}
+			})
+		}
+		t.Run(table.name+"/unswept block is exempt", func(t *testing.T) {
+			f := blockTableFixture(t, table.words, table.span)
+			f.live.Blocks.FreeHead[0] = 9
+			// A block awaits its sweep with the survivors' marks still set:
+			// the verifier reads the flag and takes unmarked for dead.
+			f.live.Blocks.setUnswept(0)
+			for _, off := range []int{0, 6, 12} {
+				f.live.SetMarkAt(off)
+			}
+			if err := Verify(f.h, f.spec); err != nil {
+				t.Fatalf("stale list of a block awaiting its sweep rejected: %v", err)
 			}
 		})
 	}
-	t.Run("unswept block is exempt", func(t *testing.T) {
-		f := blockTableFixture(t)
-		f.live.Blocks.FreeHead[0] = 9
-		f.live.Blocks.setUnswept(0)
-		if err := Verify(f.h, f.spec); err != nil {
-			t.Fatalf("stale list of a block awaiting its sweep rejected: %v", err)
-		}
-	})
 }
 
 // TestVerifyEmptyLiveMeansAllSpaces: the default spec treats every space as

@@ -31,9 +31,6 @@ const (
 	tagMask Word = 3
 )
 
-// TagOf returns the tag bits of w.
-func TagOf(w Word) Word { return w & tagMask }
-
 // IsFixnum reports whether w is a fixnum.
 func IsFixnum(w Word) bool { return w&tagMask == TagFixnum }
 

@@ -285,14 +285,3 @@ func (s *Schedule) ShardRequests(i, shards int) []Request {
 	}
 	return out
 }
-
-// ShardSessions returns shard i's session plans in arrival order.
-func (s *Schedule) ShardSessions(i, shards int) []SessionPlan {
-	var out []SessionPlan
-	for _, p := range s.Sessions {
-		if ShardOf(p.ID, shards) == i {
-			out = append(out, p)
-		}
-	}
-	return out
-}

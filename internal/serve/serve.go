@@ -134,6 +134,14 @@ type Result struct {
 // back in submission order.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shards", cfg.Shards}, {"heap words", cfg.HeapWords}, {"words per tick", cfg.WordsPerTick}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("serve: negative %s %d (0 selects the default)", f.name, f.v)
+		}
+	}
 	sched, err := Generate(cfg.Load)
 	if err != nil {
 		return nil, err

@@ -207,3 +207,30 @@ func TestRunUnknownCollector(t *testing.T) {
 		t.Fatal("unknown collector accepted")
 	}
 }
+
+// TestRunRejectsNegativeSizing: a negative shard count, heap size or service
+// clock is an error before anything runs — not a makeslice panic, a report
+// of zero latencies, or a silently substituted heap — and zero is still the
+// default.
+func TestRunRejectsNegativeSizing(t *testing.T) {
+	for _, edit := range []func(*Config){
+		func(c *Config) { c.Shards = -1 },
+		func(c *Config) { c.HeapWords = -5 },
+		func(c *Config) { c.WordsPerTick = -3 },
+	} {
+		cfg := smallConfig()
+		edit(&cfg)
+		if res, err := Run(cfg); err == nil {
+			t.Errorf("shards=%d heap=%d wpt=%d accepted", res.Cfg.Shards, res.Cfg.HeapWords, res.Cfg.WordsPerTick)
+		}
+	}
+	cfg := smallConfig()
+	cfg.Shards, cfg.WordsPerTick = 0, 0
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cfg.Shards != 4 || res.Cfg.WordsPerTick != 64 {
+		t.Errorf("zero sizing ran as shards=%d wpt=%d, want the defaults 4 and 64", res.Cfg.Shards, res.Cfg.WordsPerTick)
+	}
+}
