@@ -42,6 +42,13 @@ check_cover ./internal/serve 88
 # rows (internal/heap) cover the lists of both.
 check_cover ./internal/gc/marksweep 96
 check_cover ./internal/gc/npms 93
+# The step machine (core.Steps) sits under three collectors — the copying
+# non-predictive collector, the hybrid's dynamic area and npms — so its own
+# table tests (construction over bump and blocked-span spaces, the stable
+# rename-by-key, Collect into blocked shadows, the allocation cursor) carry a
+# floor; npms's stays where it was, so deleting its well-covered bookkeeping
+# cannot drag what is left under it.
+check_cover ./internal/core 91
 # The decay mutator: its timing wheel and lifetime stream sit under every
 # cell of the central experiment and every recorded decay session, and only
 # this package's reference-queue differential and stream pin hold them.

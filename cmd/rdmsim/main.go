@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"rdgc/internal/analytic"
@@ -33,6 +34,26 @@ func checkLifetimes(h, infant, infantH float64) error {
 	return nil
 }
 
+// checkGrid rejects the heap-shape parameters the cells cannot run on: a
+// heap of L times the live storage needs L above 1 (mark/sweep runs out of
+// memory at 1, and 1/(L-1) is the first analytic row), a step machine needs
+// two steps and a j below k, and a mark/cons ratio needs an allocation.
+func checkGrid(l, g float64, k, steps int) error {
+	if !(l > 1) || math.IsInf(l, 1) {
+		return fmt.Errorf("-L %g: the inverse load factor must be finite and above 1", l)
+	}
+	if !(g >= 0 && g < 1) {
+		return fmt.Errorf("-g %g: the generation fraction must lie in [0, 1)", g)
+	}
+	if k < 2 {
+		return fmt.Errorf("-k %d: the non-predictive step count must be at least 2", k)
+	}
+	if steps < 1 {
+		return fmt.Errorf("-steps %d: must be at least 1", steps)
+	}
+	return nil
+}
+
 func main() {
 	h := flag.Float64("h", 1024, "half-life in objects")
 	l := flag.Float64("L", 3.5, "inverse load factor")
@@ -51,7 +72,11 @@ func main() {
 	if *infant > 0 && *infantH == 0 {
 		*infantH = *h / 64
 	}
-	if err := checkLifetimes(*h, *infant, *infantH); err != nil {
+	err := checkLifetimes(*h, *infant, *infantH)
+	if err == nil {
+		err = checkGrid(*l, *g, *k, *steps)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rdmsim:", err)
 		flag.Usage()
 		os.Exit(2)

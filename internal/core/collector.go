@@ -106,12 +106,8 @@ func (c *Collector) RemsetLen() int { return c.rs.Len() }
 // retired spill spaces are scratch), and every young-step object pointing
 // into an old step must be remembered — the §8.3 barrier invariant.
 func (c *Collector) VerifySpec() heap.VerifySpec {
-	live := make([]*heap.Space, c.st.K())
-	for i := range live {
-		live[i] = c.st.Step(i)
-	}
 	return heap.VerifySpec{
-		Live: live,
+		Live: c.st.All(),
 		Remsets: []heap.RemsetRule{{
 			Name: "young->old",
 			Needs: func(obj, val heap.Word) bool {

@@ -20,12 +20,19 @@ import (
 )
 
 // Steps is the step machinery shared by the standalone non-predictive
-// collector and the Larceny-style hybrid collector: the ordered step list,
-// the shadow spaces that copying collections evacuate into, the logical
-// renaming, and the j bookkeeping.
+// collector, the Larceny-style hybrid collector and the mark/sweep variant
+// of internal/gc/npms: the ordered step list, the shadow spaces that copying
+// collections evacuate into, the logical renaming, the allocation cursor
+// and the j bookkeeping.
 type Steps struct {
 	H         *heap.Heap
 	StepWords int
+
+	// prefix names the spaces (prefix-step-0, prefix-shadow-0, ...) and
+	// newSpace makes one: a bump space for the copying collectors, a
+	// one-block free-list space for npms.
+	prefix   string
+	newSpace func(name string, words int) *heap.Space
 
 	// steps in logical order: index 0 is step 1 (youngest), index k-1 is
 	// step k (oldest).
@@ -40,36 +47,57 @@ type Steps struct {
 	// evac is the persistent Cheney engine, re-armed per collection with
 	// the from-set steps j+1..k (plus the caller's extra space). The
 	// remaining slices are reusable scratch for the target list and the
-	// renaming, so steady-state collections allocate nothing.
+	// renamings, so steady-state collections allocate nothing.
 	evac       *heap.Evacuator
 	overflow   func(int) *heap.Space
 	spares     []*heap.Space
 	targetsBuf []*heap.Space
 	stepsBuf   []*heap.Space
 	shadowsBuf []*heap.Space
+	keysBuf    []int
 }
 
-// NewSteps creates k steps (and k shadow spaces) of stepWords words each.
+// NewSteps creates k steps (and k shadow spaces) of stepWords words each:
+// bump spaces named np-step-i and np-shadow-i.
 func NewSteps(h *heap.Heap, k, stepWords int) *Steps {
+	return NewStepsOf(h, k, stepWords, "np", h.NewSpace)
+}
+
+// NewStepsOf is NewSteps over spaces that newSpace makes, named after
+// prefix. The k steps are created first, as newSpace returns them, then the
+// k shadows, each emptied into the bump form an evacuation fills.
+func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, newSpace func(name string, words int) *heap.Space) *Steps {
 	if k < 2 {
 		panic("core: need at least 2 steps")
 	}
-	st := &Steps{H: h, StepWords: stepWords}
+	st := &Steps{H: h, StepWords: stepWords, prefix: prefix, newSpace: newSpace}
 	for i := 0; i < k; i++ {
-		st.steps = append(st.steps, h.NewSpace(fmt.Sprintf("np-step-%d", i), stepWords))
+		st.steps = append(st.steps, st.space("step", i))
 	}
 	for i := 0; i < k; i++ {
-		st.shadows = append(st.shadows, h.NewSpace(fmt.Sprintf("np-shadow-%d", i), stepWords))
+		st.shadows = append(st.shadows, st.shadow("shadow", i))
 	}
 	st.evac = heap.NewEvacuator(h, nil)
 	st.overflow = func(int) *heap.Space {
-		sp := st.H.NewSpace(fmt.Sprintf("np-spill-%d", len(st.H.Spaces)), st.StepWords)
+		sp := st.shadow("spill", len(st.H.Spaces))
 		st.spares = append(st.spares, sp)
 		return sp
 	}
 	st.rebuildPos()
 	st.allocIdx = k - 1
 	return st
+}
+
+// space makes the step space prefix-kind-n.
+func (st *Steps) space(kind string, n int) *heap.Space {
+	return st.newSpace(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
+}
+
+// shadow makes an evacuation target: a step space, emptied.
+func (st *Steps) shadow(kind string, n int) *heap.Space {
+	s := st.space(kind, n)
+	s.Reset()
+	return s
 }
 
 // K returns the number of steps.
@@ -93,6 +121,10 @@ func (st *Steps) SetJ(j int) {
 
 // Step returns the space at logical position i (0-based: step i+1).
 func (st *Steps) Step(i int) *heap.Space { return st.steps[i] }
+
+// All returns the steps in logical order, youngest first. The slice is the
+// machinery's own, valid until the next renaming; callers only read it.
+func (st *Steps) All() []*heap.Space { return st.steps }
 
 func (st *Steps) rebuildPos() {
 	if n := len(st.H.Spaces); n > len(st.pos) {
@@ -157,6 +189,15 @@ func (st *Steps) EmptyYoungest() int {
 	}
 	return l
 }
+
+// AllocIdx returns the allocation cursor: the position of the
+// highest-numbered step not yet found full, or -1 when every step is.
+func (st *Steps) AllocIdx() int { return st.allocIdx }
+
+// SetAllocIdx moves the allocation cursor. Bump descends it by itself; a
+// collector that carves steps some other way descends it with this, and
+// puts it back on step k when a collection has refilled the free lists.
+func (st *Steps) SetAllocIdx(i int) { st.allocIdx = i }
 
 // RecomputeAllocIdx repositions the allocation cursor at the
 // highest-numbered step with free space.
@@ -257,8 +298,7 @@ func (st *Steps) Collect(alsoFrom *heap.Space, extraRoots func(evac func(slot *h
 	}
 	newShadows = append(newShadows, st.spares[used:]...)
 	for len(newShadows) < len(newSteps) {
-		newShadows = append(newShadows,
-			st.H.NewSpace(fmt.Sprintf("np-shadow-%d", len(newShadows)), st.StepWords))
+		newShadows = append(newShadows, st.shadow("shadow", len(newShadows)))
 	}
 
 	st.steps, st.stepsBuf = newSteps, st.steps
@@ -286,36 +326,46 @@ func (st *Steps) ResetAll() {
 func (st *Steps) AddSteps(n int) {
 	grown := make([]*heap.Space, 0, st.K()+n)
 	for i := 0; i < n; i++ {
-		grown = append(grown, st.H.NewSpace(fmt.Sprintf("np-step-grow-%d", len(st.H.Spaces)), st.StepWords))
-		st.shadows = append(st.shadows, st.H.NewSpace(fmt.Sprintf("np-shadow-grow-%d", len(st.H.Spaces)), st.StepWords))
+		grown = append(grown, st.space("step-grow", len(st.H.Spaces)))
+		st.shadows = append(st.shadows, st.shadow("shadow-grow", len(st.H.Spaces)))
 	}
 	st.steps = append(grown, st.steps...)
 	st.rebuildPos()
 	st.RecomputeAllocIdx()
 }
 
-// ScanYoungForOldPointers visits every object in steps 1..j and calls
-// remember on those containing a pointer into steps j+1..k. This rebuilds
-// the remembered set after a collection whose survivors landed in the young
-// steps (the paper's situation 4) — a no-op under the recommended j policy,
-// which keeps steps 1..j empty.
+// RenameOldBy is the renaming of a collection that left its survivors in
+// place (npms's mark/sweep): the collected steps j+1..k become the new steps
+// 1..k-j in ascending order of key, steps with equal keys keeping their
+// order, and the old steps 1..j become the new oldest steps.
+func (st *Steps) RenameOldBy(key func(s *heap.Space) int) {
+	renamed, keys := st.stepsBuf[:0], st.keysBuf[:0]
+	for _, s := range st.steps[st.j:] {
+		ks := key(s)
+		renamed, keys = append(renamed, s), append(keys, ks)
+		i := len(keys) - 1
+		for ; i > 0 && keys[i-1] > ks; i-- {
+			renamed[i], keys[i] = renamed[i-1], keys[i-1]
+		}
+		renamed[i], keys[i] = s, ks
+	}
+	renamed = append(renamed, st.steps[:st.j]...)
+	st.steps, st.stepsBuf, st.keysBuf = renamed, st.steps, keys
+	st.rebuildPos()
+}
+
+// ScanYoungForOldPointers calls remember on every object in steps 1..j that
+// contains a pointer into steps j+1..k. This rebuilds the remembered set
+// after a collection whose survivors landed in the young steps (the paper's
+// situation 4) — a no-op under the recommended j policy, which keeps steps
+// 1..j empty.
 func (st *Steps) ScanYoungForOldPointers(remember func(obj heap.Word)) {
-	for p := 0; p < st.j; p++ {
-		s := st.steps[p]
-		heap.WalkSpace(s, func(off int, hdr heap.Word) bool {
-			if heap.HeaderType(hdr) == heap.TFree {
-				return true
-			}
-			found := false
-			heap.ScanObject(s, off, func(slot *heap.Word) {
-				if !found && heap.IsPtr(*slot) && st.InOld(*slot) {
-					found = true
-				}
-			})
-			if found {
+	inOld := st.InOld // bound once per walk; it does not escape, so not on the Go heap
+	for _, s := range st.steps[:st.j] {
+		for off := 0; off < s.Top; off += heap.ObjWords(s.Mem[off]) {
+			if heap.PointsInto(s, off, inOld) {
 				remember(heap.PtrWord(s.ID, off))
 			}
-			return true
-		})
+		}
 	}
 }

@@ -165,3 +165,242 @@ func TestCollectSpillGrowsStepCount(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// blockedSteps builds the step machine the way npms does: every step and
+// shadow a free-list space whose table is one block spanning it.
+func blockedSteps(h *heap.Heap, k, stepWords int) *Steps {
+	return NewStepsOf(h, k, stepWords, "npms", func(name string, words int) *heap.Space {
+		return h.NewBlockedSpaceSpan(name, words, words)
+	})
+}
+
+// TestNewStepsOfOrderNamesAndForm: the constructor creates the k steps and
+// then the k shadows, in that order (so SpaceIDs are what each collector's
+// own loop used to hand out), names them after the prefix, leaves a step as
+// newSpace made it and empties a shadow into bump form.
+func TestNewStepsOfOrderNamesAndForm(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mk      func(h *heap.Heap) *Steps
+		prefix  string
+		blocked bool
+	}{
+		{"NewSteps", func(h *heap.Heap) *Steps { return NewSteps(h, 3, 64) }, "np", false},
+		{"blocked spans", func(h *heap.Heap) *Steps { return blockedSteps(h, 3, 64) }, "npms", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := heap.New()
+			h.NewSpace("earlier", 8) // a collector's own space created first keeps its ID
+			st := tc.mk(h)
+			want := []string{"earlier", "-step-0", "-step-1", "-step-2", "-shadow-0", "-shadow-1", "-shadow-2"}
+			if len(h.Spaces) != len(want) {
+				t.Fatalf("%d spaces, want %d", len(h.Spaces), len(want))
+			}
+			for i, s := range h.Spaces[1:] {
+				if s.Name != tc.prefix+want[i+1] || int(s.ID) != i+1 {
+					t.Errorf("space %d is %q (ID %d), want %q", i+1, s.Name, s.ID, tc.prefix+want[i+1])
+				}
+			}
+			for i, s := range st.All() {
+				if s != h.Spaces[1+i] || st.Step(i) != s || st.PosOf(heap.PtrWord(s.ID, 0)) != i {
+					t.Errorf("step %d is %v at position %d", i+1, s, st.PosOf(heap.PtrWord(s.ID, 0)))
+				}
+				if tc.blocked && (s.Top != s.Cap() || s.Blocks.FreeHead[0] != 0 || s.Blocks.MaxRun[0] != 64) {
+					t.Errorf("step %d is not one free run: Top %d, head %d, MaxRun %d", i+1, s.Top, s.Blocks.FreeHead[0], s.Blocks.MaxRun[0])
+				}
+			}
+			for i, s := range st.shadows {
+				if s != h.Spaces[4+i] || s.Top != 0 || st.PosOf(heap.PtrWord(s.ID, 0)) != -1 {
+					t.Errorf("shadow %d is %v, Top %d, position %d", i, s, s.Top, st.PosOf(heap.PtrWord(s.ID, 0)))
+				}
+				if tc.blocked && s.Blocks.FreeHead[0] != heap.NoFreeBlock {
+					t.Errorf("shadow %d is not in bump form: free head %d", i, s.Blocks.FreeHead[0])
+				}
+			}
+			if st.AllocIdx() != 2 || st.K() != 3 || st.StepWords != 64 {
+				t.Errorf("cursor %d, k %d, step size %d", st.AllocIdx(), st.K(), st.StepWords)
+			}
+		})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewStepsOf with k=1 did not panic")
+		}
+	}()
+	blockedSteps(heap.New(), 1, 64)
+}
+
+// TestRenameOldBy: steps j+1..k move to the young end in ascending key
+// order, equal keys keeping the order they had (sort.SliceStable's answer,
+// which npms's renaming was written with), steps 1..j follow as the new
+// oldest, and the position table is rebuilt to match. The steps are named by
+// their position before the renaming.
+func TestRenameOldBy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		j    int
+		keys []int // by original position; positions below j are never asked
+		want []int // original positions, in the new logical order
+	}{
+		{"already ascending", 1, []int{-1, 1, 2, 3, 4}, []int{1, 2, 3, 4, 0}},
+		{"descending", 1, []int{-1, 9, 7, 5, 3}, []int{4, 3, 2, 1, 0}},
+		{"ties keep their order", 2, []int{-1, -1, 5, 0, 5, 0, 5}, []int{3, 5, 2, 4, 6, 0, 1}},
+		{"all equal is the plain rotation", 2, []int{-1, -1, 7, 7, 7}, []int{2, 3, 4, 0, 1}},
+		{"tie with the smallest arriving last", 0, []int{4, 2, 4, 2, 1}, []int{4, 1, 3, 0, 2}},
+		{"one collected step", 3, []int{-1, -1, -1, 8}, []int{3, 0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := heap.New()
+			st := blockedSteps(h, len(tc.keys), 32)
+			st.SetJ(tc.j)
+			orig := append([]*heap.Space{}, st.All()...)
+			keyOf, origPos := map[*heap.Space]int{}, map[*heap.Space]int{}
+			for i, s := range orig {
+				keyOf[s], origPos[s] = tc.keys[i], i
+			}
+			asked := 0
+			key := func(s *heap.Space) int {
+				asked++
+				if keyOf[s] < 0 {
+					t.Errorf("key asked of %v, which is not collected", s)
+				}
+				return keyOf[s]
+			}
+			// Twice over the same keys: the second pass runs in the buffers
+			// the first one swapped out, and must undo nothing.
+			for pass := 0; pass < 2; pass++ {
+				if pass == 1 {
+					st.SetJ(0)
+					for _, s := range orig[:tc.j] {
+						keyOf[s] = 1 << 30 // the old young steps stay oldest
+					}
+				}
+				st.RenameOldBy(key)
+				for p, s := range st.All() {
+					if origPos[s] != tc.want[p] {
+						t.Errorf("pass %d: position %d holds the step from %d, want %d", pass, p, origPos[s], tc.want[p])
+					}
+					if got := st.PosOf(heap.PtrWord(s.ID, 5)); got != p {
+						t.Errorf("pass %d: PosOf says %d for the step at %d", pass, got, p)
+					}
+				}
+			}
+			if want := len(tc.keys) - tc.j + len(tc.keys); asked != want {
+				t.Errorf("key called %d times, want once per collected step (%d)", asked, want)
+			}
+			for _, s := range st.shadows {
+				if st.PosOf(heap.PtrWord(s.ID, 0)) != -1 {
+					t.Errorf("shadow %v got a position", s)
+				}
+			}
+			if st.K() != len(tc.keys) {
+				t.Errorf("k = %d after renaming", st.K())
+			}
+		})
+	}
+}
+
+// TestCollectIntoBlockedShadows is npms's compaction on the bare machine:
+// pairs carved first-fit out of free-list steps, half of them rooted, are
+// evacuated by Collect into the bump-form shadows — filled from the new step
+// k-j downward — which FreeFrom then returns to free-list form; the
+// collected steps come back as empty bump-form shadows.
+func TestCollectIntoBlockedShadows(t *testing.T) {
+	const k, j, stepWords, perStep = 4, 1, 30, 10
+	h := heap.New()
+	st := blockedSteps(h, k, stepWords)
+	st.SetJ(j)
+	collected := append([]*heap.Space{}, st.All()[j:]...)
+	kept := st.Step(0)
+	primary := append([]*heap.Space{}, st.shadows[:k-j]...)
+
+	var roots []heap.Ref
+	n := 0
+	for p := k - 1; p >= 0; p-- { // allocation order: step k first
+		for i := 0; i < perStep; i++ {
+			off, ok := st.Step(p).AllocFromBlock(0, 3)
+			if !ok {
+				t.Fatalf("step %d full after %d pairs", p+1, i)
+			}
+			w := h.InitObject(st.Step(p), off, heap.TPair, 2)
+			h.Payload(w)[0], h.Payload(w)[1] = heap.FixnumWord(int64(n)), heap.NullWord
+			if n%2 == 0 {
+				roots = append(roots, h.GlobalWord(w))
+			}
+			n++
+		}
+	}
+
+	copied := st.Collect(nil, nil, false)
+	if want := uint64((k - j) * perStep / 2 * 3); copied != want {
+		t.Errorf("copied %d words, want %d", copied, want)
+	}
+	// 15 survivors of 3 words: ten fill the new step k-j, five the one below.
+	for i, wantTop := range []int{0, 15, 30} {
+		s := st.Step(i)
+		if s != primary[i] || s.Top != wantTop {
+			t.Errorf("new step %d is %v, want %q filled to %d", i+1, s, primary[i].Name, wantTop)
+		}
+		s.FreeFrom(s.Top)
+		if s.Top != stepWords || heap.LiveWords(s) != wantTop {
+			t.Errorf("new step %d after FreeFrom: Top %d, %d live words", i+1, s.Top, heap.LiveWords(s))
+		}
+		if head, wantHead := int(s.Blocks.FreeHead[0]), wantTop; wantTop < stepWords && head != wantHead {
+			t.Errorf("new step %d: free list starts at %d, want %d", i+1, head, wantHead)
+		}
+	}
+	if st.Step(k-1) != kept || heap.LiveWords(kept) != perStep*3 {
+		t.Errorf("the uncollected step 1 is not the new step k, untouched")
+	}
+	for i, s := range st.shadows[:k-j] {
+		if s != collected[i] || s.Top != 0 || s.Blocks.FreeHead[0] != heap.NoFreeBlock {
+			t.Errorf("shadow %d is %v (free head %d), want the collected %q, emptied", i, s, s.Blocks.FreeHead[0], collected[i].Name)
+		}
+	}
+	for i, r := range roots {
+		if got := h.FixVal(h.Car(r)); got != int64(2*i) {
+			t.Errorf("root %d reads %d", i, got)
+		}
+		if pos := st.PosOf(h.Get(r)); pos < 0 {
+			t.Errorf("root %d points outside the steps", i)
+		}
+	}
+	if len(h.Spaces) != 2*k {
+		t.Errorf("%d spaces after a collection that fit, want %d", len(h.Spaces), 2*k)
+	}
+	if err := heap.Check(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllocationCursor: the cursor a collector descends by hand reads and
+// writes the position Bump descends, ResetAll puts it back on step k, and
+// AddSteps recomputes it over the grown list.
+func TestAllocationCursor(t *testing.T) {
+	h := heap.New()
+	st := NewSteps(h, 3, 8)
+	if st.AllocIdx() != 2 {
+		t.Fatalf("fresh cursor at %d, want 2", st.AllocIdx())
+	}
+	st.Bump(8)
+	st.Bump(8) // step 3 was full: the second bump moved down and filled step 2
+	if st.AllocIdx() != 1 {
+		t.Errorf("cursor at %d after filling steps 3 and 2, want 1", st.AllocIdx())
+	}
+	st.SetAllocIdx(0)
+	if s, _, ok := st.Bump(4); !ok || s != st.Step(0) {
+		t.Errorf("Bump ignored a cursor set to step 1")
+	}
+	st.SetAllocIdx(-1)
+	if _, _, ok := st.Bump(4); ok {
+		t.Error("Bump succeeded with the cursor past step 1")
+	}
+	st.AddSteps(2) // two empty young steps below the half-full old step 1, now at position 2
+	if st.AllocIdx() != 2 {
+		t.Errorf("cursor at %d after AddSteps, want 2 (the highest step with room)", st.AllocIdx())
+	}
+	st.ResetAll()
+	if st.AllocIdx() != 4 {
+		t.Errorf("cursor at %d after ResetAll, want k-1 = 4", st.AllocIdx())
+	}
+}

@@ -103,7 +103,20 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.Slot())
 	}
-	c.promoRegion = func(s *heap.Space, from, to int) { c.scanPromoted(s, from) }
+	inOld := c.st.InOld
+	inAnyStep := func(w heap.Word) bool { return c.st.PosOf(w) >= 0 }
+	pointsInto := func(obj heap.Word, in func(heap.Word) bool) bool {
+		return heap.PointsInto(c.h.SpaceOf(obj), heap.PtrOff(obj), in)
+	}
+	c.promoRegion = func(s *heap.Space, from, to int) {
+		// Allocation-buffer fillers left by a parallel copy are dead space:
+		// PointsInto finds nothing to remember in a free block.
+		for off := from; off < to; off += heap.ObjWords(s.Mem[off]) {
+			if heap.PointsInto(s, off, inOld) {
+				c.rsB.Remember(heap.PtrWord(s.ID, off))
+			}
+		}
+	}
 	c.npScan = func(obj heap.Word) {
 		// Remembered objects in the uncollected steps 1..j may hold the only
 		// pointers into the nursery (set A) or into steps j+1..k (set B);
@@ -131,17 +144,17 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 		// A records objects *outside* the nursery), so its updated slots can
 		// be rescanned in place.
 		if c.st.InYoung(obj) {
-			if c.pointsInto(obj, c.st.InOld) {
+			if pointsInto(obj, inOld) {
 				c.rsB.Remember(obj)
 			}
 			return
 		}
-		if c.inStatic[heap.PtrSpace(obj)] && c.pointsInto(obj, c.inAnyStep) {
+		if c.inStatic[heap.PtrSpace(obj)] && pointsInto(obj, inAnyStep) {
 			c.rsB.Remember(obj)
 		}
 	}
 	c.staticKeep = func(obj heap.Word) {
-		if c.inStatic[heap.PtrSpace(obj)] && c.pointsInto(obj, c.inAnyStep) {
+		if c.inStatic[heap.PtrSpace(obj)] && pointsInto(obj, inAnyStep) {
 			c.staticBuf = append(c.staticBuf, obj)
 		}
 	}
@@ -178,11 +191,7 @@ func (c *Collector) RemsetLens() (a, b int) { return c.rsA.Len(), c.rsB.Len() }
 // into the collected steps and static pointers into any step.
 func (c *Collector) VerifySpec() heap.VerifySpec {
 	nursery := c.young.Space()
-	live := []*heap.Space{nursery}
-	for p := 0; p < c.st.K(); p++ {
-		live = append(live, c.st.Step(p))
-	}
-	live = append(live, c.statics...)
+	live := append(append([]*heap.Space{nursery}, c.st.All()...), c.statics...)
 	return heap.VerifySpec{
 		Live: live,
 		Remsets: []heap.RemsetRule{{
@@ -342,45 +351,6 @@ func (c *Collector) regionTargets(lo, hi int) []*heap.Space {
 	}
 	c.targetsBuf = out
 	return out
-}
-
-// inAnyStep reports whether pointer w targets any dynamic-area step.
-func (c *Collector) inAnyStep(w heap.Word) bool { return c.st.PosOf(w) >= 0 }
-
-// pointsInto reports whether the object obj contains a pointer satisfying
-// the region predicate.
-func (c *Collector) pointsInto(obj heap.Word, in func(heap.Word) bool) bool {
-	found := false
-	heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), func(slot *heap.Word) {
-		if !found && heap.IsPtr(*slot) && in(*slot) {
-			found = true
-		}
-	})
-	return found
-}
-
-// scanPromoted adds to remembered set B the objects in s between offsets
-// from and s.Top that contain a pointer into steps j+1..k.
-func (c *Collector) scanPromoted(s *heap.Space, from int) {
-	for off := from; off < s.Top; {
-		hdr := s.Mem[off]
-		if heap.HeaderType(hdr) == heap.TFree {
-			// Allocation-buffer filler left by a parallel copy: dead space,
-			// nothing to remember.
-			off += heap.ObjWords(hdr)
-			continue
-		}
-		found := false
-		heap.ScanObject(s, off, func(slot *heap.Word) {
-			if !found && heap.IsPtr(*slot) && c.st.InOld(*slot) {
-				found = true
-			}
-		})
-		if found {
-			c.rsB.Remember(heap.PtrWord(s.ID, off))
-		}
-		off += heap.ObjWords(hdr)
-	}
 }
 
 // npCollect runs one non-predictive collection of steps j+1..k, evacuating

@@ -16,8 +16,8 @@ import (
 // point the free lists are refilled, and count blocks visited to pin the
 // cost the cursor exists to remove.
 
-// refAllocator is the reference: the collector's allocation policy (AllocRaw
-// and allocRawIncr, step for step) over a plain linear first-fit scan that
+// refAllocator is the reference: the collector's allocation policy (AllocRaw,
+// step for step, in both modes) over a plain linear first-fit scan that
 // starts at block 0 of space 0 on every request and walks every free list it
 // meets. Installed as the allocator of a second heap, it shares the real
 // collector's marking, sweeping, pacing and growth — everything but the
@@ -40,9 +40,6 @@ func (r *refAllocator) AllocRaw(t heap.Type, payload int) heap.Word {
 		c.incrTick(total)
 	}
 	if total > heap.LargeObjectWords {
-		if c.incr != nil {
-			return c.allocLargeIncr(t, payload, total)
-		}
 		return c.allocLarge(t, payload, total)
 	}
 	s, off, ok := r.scan(total)

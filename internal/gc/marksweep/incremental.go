@@ -1,10 +1,6 @@
 package marksweep
 
-import (
-	"fmt"
-
-	"rdgc/internal/heap"
-)
+import "rdgc/internal/heap"
 
 // Incremental mode (heap.Config.Incremental / -gcincr): the same mark/sweep
 // algorithm with its two monolithic pauses split into bounded pieces.
@@ -52,39 +48,6 @@ func (c *Collector) incrInit() {
 // hide a reference to an unmarked (white) one.
 func (c *Collector) RecordWrite(_, val heap.Word) {
 	c.incr.Shade(val, &c.stats)
-}
-
-// allocRawIncr is AllocRaw in incremental mode: collector work is paced off
-// the allocation clock (incrTick) rather than deferred to allocation
-// failure, and the first-fit scan sweeps blocks on demand. Allocation
-// failure still falls back to a stop-the-world collection (and growth),
-// preserving the out-of-memory semantics of the stop-the-world mode.
-func (c *Collector) allocRawIncr(t heap.Type, payload, total int) heap.Word {
-	c.incrTick(total)
-	if total > heap.LargeObjectWords {
-		return c.allocLargeIncr(t, payload, total)
-	}
-	s, off, ok := c.tryAlloc(total)
-	if !ok && c.phase == msMarking {
-		// Allocation pressure beat the mark pacing: terminate the cycle now
-		// — the termination pause is only the remaining gray work, where the
-		// stop-the-world fallback below would re-mark everything — then
-		// retry with every block lazily sweepable.
-		c.finishMark()
-		s, off, ok = c.tryAlloc(total)
-	}
-	if !ok {
-		c.Collect()
-		s, off, ok = c.tryAlloc(total)
-		if !ok && c.expand > 0 {
-			c.grow(total)
-			s, off, ok = c.tryAlloc(total)
-		}
-		if !ok {
-			panic(fmt.Sprintf("marksweep: out of memory: need %d words", total))
-		}
-	}
-	return c.h.InitObject(s, off, t, payload)
 }
 
 // incrTick advances the collector by one allocation of n words: it starts a
@@ -221,21 +184,4 @@ func (c *Collector) ensureSwept(s *heap.Space, b int) {
 			c.finishCycle()
 		}
 	}
-}
-
-// allocLargeIncr places a large object during incremental operation. Unlike
-// the stop-the-world path, a pool miss does not force a collection — that
-// would be exactly the unbounded pause incremental mode exists to avoid —
-// it just mints a fresh space. While a mark is in progress the object's
-// space is added to the cycle's region, so the termination root re-scan
-// can mark it and the large-object sweep will not free it if it is live.
-func (c *Collector) allocLargeIncr(t heap.Type, payload, total int) heap.Word {
-	s, ok := c.los.FromPool(total)
-	if !ok {
-		s = c.los.Alloc(total)
-	}
-	if c.phase == msMarking {
-		c.marker.Region().Add(s.ID)
-	}
-	return c.h.InitObject(s, 0, t, payload)
 }

@@ -153,16 +153,28 @@ func (c *Collector) HeapWords() int {
 	return n
 }
 
-// AllocRaw implements heap.Allocator.
+// AllocRaw implements heap.Allocator. In incremental mode collector work is
+// paced off the allocation clock (incrTick) rather than deferred to
+// allocation failure, and the first-fit scan sweeps blocks on demand;
+// allocation failure still falls back to a stop-the-world collection (and
+// growth), so out of memory means the same thing in both modes.
 func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 	total := 1 + payload + c.h.ExtraWords()
 	if c.incr != nil {
-		return c.allocRawIncr(t, payload, total)
+		c.incrTick(total)
 	}
 	if total > heap.LargeObjectWords {
 		return c.allocLarge(t, payload, total)
 	}
 	s, off, ok := c.tryAlloc(total)
+	if !ok && c.phase == msMarking {
+		// Allocation pressure beat the mark pacing: terminate the cycle now
+		// — the termination pause is only the remaining gray work, where the
+		// stop-the-world fallback below would re-mark everything — then
+		// retry with every block lazily sweepable.
+		c.finishMark()
+		s, off, ok = c.tryAlloc(total)
+	}
 	if !ok {
 		c.Collect()
 		s, off, ok = c.tryAlloc(total)
@@ -179,12 +191,22 @@ func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 
 // allocLarge places an object in the large-object space: reuse a pooled
 // space if one fits, otherwise collect (which may repopulate the pool), and
-// only then mint a fresh space.
+// only then mint a fresh space. In incremental mode a pool miss does not
+// force a collection — that would be exactly the unbounded pause the mode
+// exists to avoid — it just mints the space; and while a mark is in progress
+// the object's space is added to the cycle's region, so the termination root
+// re-scan can mark it and the large-object sweep will not free it if it is
+// live.
 func (c *Collector) allocLarge(t heap.Type, payload, total int) heap.Word {
 	s, ok := c.los.FromPool(total)
 	if !ok {
-		c.Collect()
+		if c.incr == nil {
+			c.Collect()
+		}
 		s = c.los.Alloc(total)
+	}
+	if c.phase == msMarking {
+		c.marker.Region().Add(s.ID)
 	}
 	return c.h.InitObject(s, 0, t, payload)
 }

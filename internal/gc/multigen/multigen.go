@@ -59,12 +59,11 @@ type Collector struct {
 	tenurer
 
 	// Scan state for refilterRemset, built once in New so a steady-state
-	// collection allocates nothing: younger reports through still whether a
-	// slot points into a generation younger than refilterGen.
+	// collection allocates nothing: younger is the heap.PointsInto predicate
+	// "points into a generation younger than refilterGen".
 	keepBuf     []heap.Word
 	refilterGen int
-	still       bool
-	younger     func(slot *heap.Word)
+	younger     func(w heap.Word) bool
 	keepEntry   func(obj heap.Word)
 }
 
@@ -108,13 +107,9 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.Slot())
 	}
-	c.younger = func(slot *heap.Word) {
-		if c.still || !heap.IsPtr(*slot) {
-			return
-		}
-		if gv := c.genIdx(*slot); gv >= 0 && gv < c.refilterGen {
-			c.still = true
-		}
+	c.younger = func(w heap.Word) bool {
+		gv := c.genIdx(w)
+		return gv >= 0 && gv < c.refilterGen
 	}
 	c.keepEntry = c.keepIfStillOlder
 	c.young.Init(h, c.gens[0], c.evac, c.rs, &c.stats)
@@ -382,9 +377,7 @@ func (c *Collector) keepIfStillOlder(w heap.Word) {
 		off = heap.PtrOff(w)
 	}
 	c.refilterGen = c.genIdx(w)
-	c.still = false
-	heap.ScanObject(s, off, c.younger)
-	if c.still {
+	if heap.PointsInto(s, off, c.younger) {
 		c.keepBuf = append(c.keepBuf, w)
 	}
 }

@@ -18,8 +18,9 @@ import "rdgc/internal/heap"
 // barriered — are re-scanned by the termination phase.
 //
 // Renaming needs each collected step's surviving occupancy before any
-// sweep has run; rename reads it off the marks in both modes, so the
-// renaming, and therefore the step structure, is identical in both.
+// sweep has run; the rename key (Space.MarkedLiveWords) reads it off the
+// marks in both modes, so the renaming, and therefore the step structure,
+// is identical in both.
 //
 // Compaction stays stop-the-world: an explicit or fallback collection
 // first resolves any in-progress cycle (stwReset), exactly like the plain
@@ -49,14 +50,14 @@ func (c *Collector) incrInit() {
 // once allocation has descended past the fuller half of the steps, the
 // emptier half remains as runway for the 4:1-paced mark to terminate.
 func (c *Collector) idxTrigger() int {
-	return (len(c.steps) - c.j) / 2
+	return (c.st.K() - c.st.J()) / 2
 }
 
 // incrTick advances the incremental cycle by one allocation of n words.
 func (c *Collector) incrTick(n int) {
 	switch c.phase {
 	case npIdle:
-		if c.allocIdx <= c.idxTrigger() {
+		if c.st.AllocIdx() <= c.idxTrigger() {
 			c.startCycle()
 		}
 	case npMarking:
@@ -71,11 +72,11 @@ func (c *Collector) incrTick(n int) {
 		// them entirely if the next cycle's trigger arrives first: a cycle
 		// may only start on a fully swept heap.
 		c.sweepDebt += n
-		if c.sweepDebt >= c.stepWords/2 {
+		if c.sweepDebt >= c.st.StepWords/2 {
 			c.sweepDebt = 0
 			c.lazySweepNext()
 		}
-		if c.allocIdx <= c.idxTrigger() {
+		if c.st.AllocIdx() <= c.idxTrigger() {
 			for c.sweeper.LazyPending() > 0 {
 				c.lazySweepNext()
 			}
@@ -114,7 +115,7 @@ func (c *Collector) lazySweepNext() {
 // remembered objects scanned.
 func (c *Collector) startCycle() {
 	m := c.marker
-	m.SetRegion(c.steps[c.j:]...)
+	m.SetRegion(c.old()...)
 	m.Begin()
 	c.phase = npMarking
 	roots := c.incr.StartRoots()
@@ -125,22 +126,20 @@ func (c *Collector) startCycle() {
 
 // finishMark is the termination phase: re-scan the roots, drain the
 // remaining grays, rename the collected steps by their marked occupancy,
-// arm their lazy sweep, and rebuild the remembered set. The
-// remembered-set rebuild walk skips unmarked objects in pending steps —
-// they are dead storage the lazy sweep will free, and remembering them
-// would leave the next cycle scanning freed (and possibly reallocated)
-// words.
+// arm their lazy sweep, and rebuild the remembered set (whose remember
+// callback is what keeps the pending steps' dead storage out of it).
 func (c *Collector) finishMark() {
-	j := c.j
 	m := c.marker
 	pause := c.incr.FinishDrain()
 
-	live := 0
-	for _, s := range c.steps[:j] {
+	// What is live now: the uncollected steps 1..j, whole, and the words
+	// this cycle marked in steps j+1..k.
+	live := int(m.WordsMarked)
+	for _, s := range c.st.All()[:c.st.J()] {
 		live += heap.LiveWords(s)
 	}
-	live += c.rename()
-	c.sweeper.BeginLazy(c.steps[:len(c.steps)-j]...)
+	c.st.RenameOldBy((*heap.Space).MarkedLiveWords)
+	c.sweeper.BeginLazy(c.renamed()...)
 
 	c.stats.Collections++
 	c.stats.MajorCollections++
@@ -164,7 +163,7 @@ func (c *Collector) stwReset() uint64 {
 	switch c.phase {
 	case npMarking:
 		c.incr.Cancel()
-		heap.ClearMarks(c.steps[c.j:]...)
+		heap.ClearMarks(c.old()...)
 	case npSweeping:
 		flushed := c.sweeper.FinishLazy()
 		c.stats.WordsSwept += flushed

@@ -3,7 +3,10 @@
 // non-predictive collector based on a mark/sweep algorithm with occasional
 // compaction.
 //
-// The step structure and renaming discipline are those of Section 4, but a
+// The step structure and renaming discipline are those of Section 4, and so
+// is the code: the steps, their shadows, j, the allocation cursor and the
+// renamings are a core.Steps, the one the copying non-predictive collector
+// and the hybrid run on. What this package adds is the algorithm. A
 // collection marks steps j+1..k in place and sweeps them onto per-step free
 // lists instead of copying survivors. The free lists are the plain mark/sweep
 // collector's: a step is a blocked space whose table is one block spanning
@@ -13,14 +16,14 @@
 // become the new youngest steps — and the paper's assumption that all
 // unavailable storage in steps 1..j is live holds exactly (a swept step
 // contains only live objects and free blocks). Every CompactEvery-th
-// collection evacuates the collected region into shadow spaces instead,
-// undoing fragmentation.
+// collection is the copying collector's instead — core.Steps.Collect into
+// the shadows, which then take free-list form — undoing fragmentation.
 package npms
 
 import (
 	"fmt"
-	"sort"
 
+	"rdgc/internal/core"
 	"rdgc/internal/heap"
 	"rdgc/internal/remset"
 )
@@ -28,18 +31,11 @@ import (
 // Collector is the mark/sweep non-predictive collector.
 type Collector struct {
 	h *heap.Heap
-
-	stepWords int
-	// steps in logical order (index 0 = step 1, youngest). Steps and shadows
-	// trade places at every compaction, so both carry a one-block table; a
-	// shadow's is empty (bump form) until evacuation has filled it.
-	steps   []*heap.Space
-	shadows []*heap.Space
-	pos     []int32 // SpaceID -> logical position, or -1
-
-	j        int
-	g        float64 // generation fraction: j = floor(g*k)
-	allocIdx int
+	// st is the step machinery. Steps and shadows trade places at every
+	// compaction, so both are one-block free-list spaces; a shadow's table
+	// is empty (bump form) until evacuation has filled it.
+	st *core.Steps
+	g  float64 // generation fraction: j = floor(g*k)
 
 	rs remset.Set
 
@@ -47,16 +43,17 @@ type Collector struct {
 	// collection; 0 disables compaction.
 	compactEvery int
 
-	// marker, sweeper and evac are the persistent engines, re-armed with
-	// SetRegion/SetFrom per collection; the remembered-set root visitors
-	// and the target-list buffer are reused so steady-state collections
-	// allocate nothing in the tracing loops.
+	// marker and sweeper are the persistent engines, re-armed per
+	// collection; the remembered-set root visitors and the rebuild callback
+	// are bound once, so steady-state collections allocate nothing. evacSlot is the compaction's evacuation function while its
+	// remembered-set roots are scanned.
 	marker     *heap.Marker
 	sweeper    *heap.Sweeper
-	evac       *heap.Evacuator
 	markRemset func(obj heap.Word)
 	evacRemset func(obj heap.Word)
-	targetsBuf []*heap.Space
+	evacRoots  func(evac func(slot *heap.Word))
+	evacSlot   func(slot *heap.Word)
+	remember   func(obj heap.Word)
 
 	stats heap.GCStats
 
@@ -85,12 +82,8 @@ func WithRemset(rs remset.Set) Option { return func(c *Collector) { c.rs = rs } 
 // New creates the collector with k steps of stepWords words each and
 // installs it as h's allocator and write barrier.
 func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
-	if k < 2 {
-		panic("npms: need at least 2 steps")
-	}
 	c := &Collector{
 		h:            h,
-		stepWords:    stepWords,
 		rs:           remset.NewHashSet(),
 		g:            0.25,
 		compactEvery: 8,
@@ -98,27 +91,31 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 	for _, o := range opts {
 		o(c)
 	}
-	for i := 0; i < k; i++ {
-		c.steps = append(c.steps, h.NewBlockedSpaceSpan(fmt.Sprintf("npms-step-%d", i), stepWords, stepWords))
-	}
-	for i := 0; i < k; i++ {
-		s := h.NewBlockedSpaceSpan(fmt.Sprintf("npms-shadow-%d", i), stepWords, stepWords)
-		s.Reset()
-		c.shadows = append(c.shadows, s)
-	}
-	c.rebuildPos()
-	c.allocIdx = k - 1
-	c.setJ()
+	c.st = core.NewStepsOf(h, k, stepWords, "npms", func(name string, words int) *heap.Space {
+		return h.NewBlockedSpaceSpan(name, words, words)
+	})
+	c.st.SetJ(int(c.g * float64(k)))
 	c.marker = heap.NewMarker(h, nil)
 	c.sweeper = heap.NewSweeper(h)
 	c.markRemset = func(obj heap.Word) {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.marker.Slot())
 	}
-	c.evac = heap.NewEvacuator(h, nil)
 	c.evacRemset = func(obj heap.Word) {
 		c.stats.RemsetScanned++
-		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.Slot())
+		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evacSlot)
+	}
+	c.evacRoots = func(evac func(slot *heap.Word)) {
+		c.evacSlot = evac
+		c.rs.ForEach(c.evacRemset)
+	}
+	c.remember = func(obj heap.Word) {
+		// Dead storage in a step whose sweep is still pending stays out:
+		// remembering it would leave the next cycle scanning words the lazy
+		// sweep is about to free (and reallocation to repurpose).
+		if s, off := c.h.SpaceOf(obj), heap.PtrOff(obj); !s.Blocks.UnsweptAt(0) || s.MarkedAt(off) {
+			c.rs.Remember(obj)
+		}
 	}
 	h.SetAllocator(c)
 	h.SetBarrier(c)
@@ -128,14 +125,6 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 	return c
 }
 
-func (c *Collector) setJ() {
-	j := int(c.g * float64(len(c.steps)))
-	if j > len(c.steps)-1 {
-		j = len(c.steps) - 1
-	}
-	c.j = j
-}
-
 // Name implements heap.Collector.
 func (c *Collector) Name() string { return "non-predictive mark/sweep" }
 
@@ -143,15 +132,15 @@ func (c *Collector) Name() string { return "non-predictive mark/sweep" }
 func (c *Collector) GCStats() *heap.GCStats { return &c.stats }
 
 // J returns the current tuning parameter.
-func (c *Collector) J() int { return c.j }
+func (c *Collector) J() int { return c.st.J() }
 
 // K returns the step count.
-func (c *Collector) K() int { return len(c.steps) }
+func (c *Collector) K() int { return c.st.K() }
 
 // Live returns the words occupied by non-free blocks across all steps.
 func (c *Collector) Live() int {
 	n := 0
-	for _, s := range c.steps {
+	for _, s := range c.st.All() {
 		n += heap.LiveWords(s)
 	}
 	return n
@@ -167,37 +156,16 @@ func (c *Collector) RemsetLen() int { return c.rs.Len() }
 // pending says so in its block table, which the verifier reads itself.
 func (c *Collector) VerifySpec() heap.VerifySpec {
 	return heap.VerifySpec{
-		Live: c.steps,
+		Live: c.st.All(),
 		Remsets: []heap.RemsetRule{{
 			Name: "young->old",
 			Needs: func(obj, val heap.Word) bool {
-				po := c.posOf(obj)
-				return po >= 0 && po < c.j && c.posOf(val) >= c.j
+				return c.st.InYoung(obj) && c.st.InOld(val)
 			},
 			Has: c.rs.Contains,
 		}},
 		MarkingActive: c.phase == npMarking,
 	}
-}
-
-func (c *Collector) rebuildPos() {
-	if n := len(c.h.Spaces); n > len(c.pos) {
-		c.pos = append(c.pos, make([]int32, n-len(c.pos))...)
-	}
-	for i := range c.pos {
-		c.pos[i] = -1
-	}
-	for i, s := range c.steps {
-		c.pos[s.ID] = int32(i)
-	}
-}
-
-func (c *Collector) posOf(w heap.Word) int {
-	id := heap.PtrSpace(w)
-	if int(id) >= len(c.pos) {
-		return -1
-	}
-	return int(c.pos[id])
 }
 
 // RecordWrite implements heap.Barrier: objects in steps 1..j that receive a
@@ -211,8 +179,7 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 	if c.incr != nil {
 		c.incr.Shade(val, &c.stats)
 	}
-	po := c.posOf(obj)
-	if po >= 0 && po < c.j && c.posOf(val) >= c.j {
+	if c.st.InYoung(obj) && c.st.InOld(val) {
 		c.rs.Remember(obj)
 	}
 }
@@ -221,15 +188,16 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 // with a fitting free block; when none fits anywhere, collect.
 func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 	total := 1 + payload + c.h.ExtraWords()
-	if total > c.stepWords {
-		panic(fmt.Sprintf("npms: object of %d words exceeds the step size %d", total, c.stepWords))
+	st := c.st
+	if total > st.StepWords {
+		panic(fmt.Sprintf("npms: object of %d words exceeds the step size %d", total, st.StepWords))
 	}
 	if c.incr != nil {
 		c.incrTick(total)
 	}
 	for attempt := 0; ; attempt++ {
-		for c.allocIdx >= 0 {
-			s := c.steps[c.allocIdx]
+		for ; st.AllocIdx() >= 0; st.SetAllocIdx(st.AllocIdx() - 1) {
+			s := st.Step(st.AllocIdx())
 			if c.incr != nil {
 				// A step's free list is stale until its deferred sweep runs.
 				c.ensureSwept(s)
@@ -237,7 +205,6 @@ func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 			if off, ok := s.AllocFromBlock(0, total); ok {
 				return c.h.InitObject(s, off, t, payload)
 			}
-			c.allocIdx--
 		}
 		if c.incr != nil && c.phase == npMarking {
 			// Allocation pressure beat the mark pacing: terminate the cycle
@@ -272,9 +239,8 @@ func (c *Collector) Collect() {
 
 func (c *Collector) markSweepCollect() {
 	reset := c.stwReset()
-	j := c.j
 	m := c.marker
-	m.SetRegion(c.steps[j:]...)
+	m.SetRegion(c.old()...)
 	m.Begin()
 	c.h.VisitRoots(m.Slot())
 	c.rs.ForEach(c.markRemset)
@@ -282,8 +248,8 @@ func (c *Collector) markSweepCollect() {
 
 	// The rename reads occupancy off the marks, so it precedes the sweep,
 	// which clears them.
-	c.rename()
-	swept := c.sweeper.Sweep(c.steps[:len(c.steps)-j]...)
+	c.st.RenameOldBy((*heap.Space).MarkedLiveWords)
+	swept := c.sweeper.Sweep(c.renamed()...)
 
 	c.stats.Collections++
 	c.stats.MajorCollections++
@@ -295,108 +261,39 @@ func (c *Collector) markSweepCollect() {
 	c.h.AfterGC()
 }
 
-// compact evacuates the live contents of steps j+1..k into shadow spaces
-// (filled from the new oldest position downward, as in the copying
-// collector), then renames.
+// old returns the collected generation, steps j+1..k; once a collection has
+// renamed them they are the new steps 1..k-j, which renamed returns.
+func (c *Collector) old() []*heap.Space { return c.st.All()[c.st.J():] }
+
+func (c *Collector) renamed() []*heap.Space { return c.st.All()[:c.st.K()-c.st.J()] }
+
+// compact is the copying collector's collection of steps j+1..k — their live
+// contents evacuated into the shadows, filled from the new oldest position
+// downward, and the steps renamed — after which the compacted targets
+// switch to free-list form: one run from the bump pointer to the end.
 func (c *Collector) compact() {
 	reset := c.stwReset()
-	j := c.j
-	k := len(c.steps)
-	nNew := k - j
-	primary := c.shadows[:nNew]
-	targets := c.targetsBuf[:0]
-	for i := nNew - 1; i >= 0; i-- {
-		t := primary[i]
-		t.Reset() // bump-fill during evacuation
-		targets = append(targets, t)
-	}
-	c.targetsBuf = targets
-
-	e := c.evac
-	e.SetFrom(c.steps[j:]...)
-	e.Begin(targets...)
-	c.h.VisitRoots(e.Slot())
-	c.rs.ForEach(c.evacRemset)
-	e.Drain()
-
-	// The compacted targets switch to free-list form: one run from the
-	// bump pointer to the end.
-	for _, t := range primary {
+	copied := c.st.Collect(nil, c.evacRoots, false)
+	for _, t := range c.renamed() {
 		t.FreeFrom(t.Top)
 	}
 
-	collected := append([]*heap.Space{}, c.steps[j:]...)
-	newYoung := make([]*heap.Space, nNew)
-	copy(newYoung, primary)
-	c.steps = append(append([]*heap.Space{}, newYoung...), c.steps[:j]...)
-	// The collected spaces become the new shadows, emptied.
-	c.shadows = collected
-	for _, s := range c.shadows {
-		s.Reset()
-	}
-	c.rebuildPos()
-
 	c.stats.Collections++
 	c.stats.MajorCollections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.h.AddPause(&c.stats, reset+e.WordsCopied)
+	c.stats.WordsCopied += copied
+	c.h.AddPause(&c.stats, reset+copied)
 	c.stats.NoteLive(c.Live())
 	c.finishCollection()
 	c.h.AfterGC()
 }
 
-// rename reorders the collected steps j+1..k by ascending marked occupancy
-// (emptiest first) to become the new steps 1..k-j, followed by the old steps
-// 1..j as the new oldest steps. It runs between the mark and the sweep:
-// Space.MarkedLiveWords is what LiveWords will read once the step is swept,
-// and the incremental termination renames long before that. It returns the
-// marked words of the collected steps.
-func (c *Collector) rename() (marked int) {
-	live := make([]int, len(c.pos)) // by SpaceID
-	renamed := make([]*heap.Space, 0, len(c.steps))
-	for _, s := range c.steps[c.j:] {
-		live[s.ID] = s.MarkedLiveWords()
-		marked += live[s.ID]
-		renamed = append(renamed, s)
-	}
-	sort.SliceStable(renamed, func(a, b int) bool { return live[renamed[a].ID] < live[renamed[b].ID] })
-	c.steps = append(renamed, c.steps[:c.j]...)
-	c.rebuildPos()
-	return marked
-}
-
-// finishCollection re-establishes the allocation cursor, the tuning
-// parameter, and the remembered set (situation 4: surviving objects now in
-// steps 1..j may point into steps j+1..k).
+// finishCollection puts the allocation cursor back on step k and rebuilds
+// the remembered set (situation 4: surviving objects now in steps 1..j may
+// point into steps j+1..k).
 func (c *Collector) finishCollection() {
-	c.allocIdx = len(c.steps) - 1
-	c.setJ()
+	c.st.SetAllocIdx(c.st.K() - 1)
 	c.rs.Clear()
-	for p := 0; p < c.j; p++ {
-		s := c.steps[p]
-		heap.WalkSpace(s, func(off int, hdr heap.Word) bool {
-			if heap.HeaderType(hdr) == heap.TFree {
-				return true
-			}
-			if s.Blocks.UnsweptAt(0) && !s.MarkedAt(off) {
-				// Dead storage in a step whose sweep is still pending:
-				// remembering it would leave the next cycle scanning words
-				// the lazy sweep is about to free (and reallocation to
-				// repurpose).
-				return true
-			}
-			found := false
-			heap.ScanObject(s, off, func(slot *heap.Word) {
-				if !found && heap.IsPtr(*slot) && c.posOf(*slot) >= c.j {
-					found = true
-				}
-			})
-			if found {
-				c.rs.Remember(heap.PtrWord(s.ID, off))
-			}
-			return true
-		})
-	}
+	c.st.ScanYoungForOldPointers(c.remember)
 	if p := c.rs.Peak(); p > c.stats.RemsetPeak {
 		c.stats.RemsetPeak = p
 	}

@@ -98,7 +98,7 @@ func TestRemsetPreservesYoungToOldOnlyPath(t *testing.T) {
 	defer s.Close()
 
 	old := h.Cons(h.Fix(55), h.Null())
-	if c.posOf(h.Get(old)) < c.J() {
+	if c.st.PosOf(h.Get(old)) < c.J() {
 		t.Fatal("setup: first allocation not in an old step")
 	}
 	// Steer a holder into the young steps.
@@ -106,7 +106,7 @@ func TestRemsetPreservesYoungToOldOnlyPath(t *testing.T) {
 	for {
 		s2 := h.Scope()
 		p := h.Cons(h.Null(), h.Null())
-		if pos := c.posOf(h.Get(p)); pos >= 0 && pos < c.J() {
+		if pos := c.st.PosOf(h.Get(p)); pos >= 0 && pos < c.J() {
 			holder = s2.Return(p)
 			break
 		}
@@ -164,11 +164,11 @@ func TestMarkConsComparableToCopyingVariant(t *testing.T) {
 	}
 }
 
-// TestAllocRawDoesNotAllocate: between collections the allocation path —
-// free heads and positions indexed by SpaceID, the descending step cursor —
-// runs without touching the Go heap, in both modes. The window starts on a
-// freshly collected heap and is shorter than one step, so no collection (and
-// no incremental cycle, which allocates its rename buffers) falls inside it.
+// TestAllocRawDoesNotAllocate: between collections the allocation path — one
+// free head per step, the step machine's position table and descending cursor
+// — runs without touching the Go heap, in both modes. The window starts on a
+// freshly collected heap and is shorter than one step, so no collection falls
+// inside it; TestCollectionsAllocateNothing measures those.
 func TestAllocRawDoesNotAllocate(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = incremental })
@@ -187,5 +187,71 @@ func TestAllocRawDoesNotAllocate(t *testing.T) {
 		if c.stats.Collections != collections {
 			t.Errorf("incremental=%v: a collection ran inside the measured window", incremental)
 		}
+	}
+}
+
+// TestCollectionsAllocateNothing: a steady-state collection runs on the step
+// machine's reusable buffers and the visitors bound once in New, whichever
+// kind it is — stop-the-world mark/sweep, stop-the-world compaction, or the
+// incremental cycle from its first slice to its termination. Each measured
+// run allocates until one collection has been counted, keeping in a rooted
+// table every sixteenth pair and, between those, a pair that points at one
+// kept a quarter of the table earlier — survivors, and pointers from the
+// steps filled last (1..j) into older ones for the remembered set to hold.
+func TestCollectionsAllocateNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		incremental  bool
+		compactEvery int
+	}{
+		{"mark-sweep", false, 0},
+		{"compacting", false, 1},
+		{"incremental", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Sequential engines: the goroutine engines allocate per collection.
+			h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = tc.incremental; c.Workers = 0 })
+			c := New(h, 8, 2048, WithCompactEvery(tc.compactEvery))
+			const slots = 256
+			table := h.Global(h.MakeVector(slots, h.Null()))
+			n := 0
+			cycle := func() {
+				for before := c.stats.Collections; c.stats.Collections == before; n++ {
+					s := h.Scope()
+					switch i := n / 16 % (slots / 2); n % 16 {
+					case 0:
+						h.VectorSet(table, 2*i, h.Cons(h.Fix(int64(n)), h.Null()))
+					case 8:
+						older := h.VectorRef(table, 2*((i+slots/8)%(slots/2)))
+						h.VectorSet(table, 2*i+1, h.Cons(older, h.Null()))
+					default:
+						h.Cons(h.Fix(int64(n)), h.Null())
+					}
+					s.Close()
+				}
+				if tc.incremental && c.phase != npSweeping {
+					t.Fatal("the collection was a stop-the-world fallback, not a termination")
+				}
+			}
+			for i := 0; i < 20; i++ {
+				cycle() // warm-up: the remembered set, mark stack and histograms size themselves
+			}
+			before := c.stats
+			if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+				t.Errorf("a steady-state collection allocates %.0f Go objects, want 0", allocs)
+			}
+			if got := c.stats.Collections - before.Collections; got != 21 {
+				t.Fatalf("measured %d collections, want 21", got)
+			}
+			if copied := c.stats.WordsCopied != before.WordsCopied; copied != (tc.compactEvery == 1) {
+				t.Fatalf("words copied in the window: %v", copied)
+			}
+			if c.stats.RemsetScanned == before.RemsetScanned {
+				t.Fatal("no remembered entry was scanned; the guard must measure collections that rebuild the set")
+			}
+			if err := heap.VerifyCollector(h, c); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -3,6 +3,8 @@ package npms
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"rdgc/internal/gc/gctest"
@@ -152,6 +154,7 @@ type lockstep struct {
 	ref      reference
 	mirror   []*heap.Space // SpaceID -> the reference's copy of the space
 	isStep   []bool        // SpaceID -> a step (not a shadow) as of the last collection
+	order    []*heap.Space // the steps, youngest first, as of the last collection
 	swept    uint64        // words the reference's sweeps examined
 	diverged bool
 }
@@ -173,10 +176,11 @@ func newLockstep(t *testing.T, h *heap.Heap, c *Collector) *lockstep {
 		l.mirror = append(l.mirror, mh.NewSpace(s.Name, s.Cap()))
 		l.ref.freeHead[s.ID] = noBlock
 	}
-	for _, s := range c.steps {
+	for _, s := range c.st.All() {
 		l.ref.initFree(l.mirror[s.ID])
 		l.isStep[s.ID] = true
 	}
+	l.order = slices.Clone(c.st.All())
 	l.compareSwept()
 	h.SetAllocator(l)
 	h.SetAfterGC(l.afterGC)
@@ -213,7 +217,7 @@ func (l *lockstep) AllocRaw(t heap.Type, payload int) heap.Word {
 
 func (l *lockstep) pendingSteps() []*heap.Space {
 	var out []*heap.Space
-	for _, s := range l.c.steps {
+	for _, s := range l.c.st.All() {
 		if s.Blocks.UnsweptAt(0) {
 			out = append(out, s)
 		}
@@ -227,13 +231,22 @@ func (l *lockstep) afterGC() {
 		return
 	}
 	c := l.c
-	collected := c.steps[:len(c.steps)-c.j]
+	collected := c.renamed()
 	switch {
 	case c.phase == npSweeping:
 		// Incremental termination: the collected steps are as the mark left
 		// them, marks and all, each awaiting its deferred sweep. The
 		// reference sweeps now; each step is compared once its own sweep
 		// has run.
+		l.checkRenamed(func(s *heap.Space) (marked int) {
+			heap.WalkSpace(s, func(off int, hdr heap.Word) bool {
+				if heap.HeaderType(hdr) != heap.TFree && s.MarkedAt(off) {
+					marked += heap.ObjWords(hdr)
+				}
+				return true
+			})
+			return marked
+		})
 		for _, s := range collected {
 			m := l.mirror[s.ID]
 			l.syncPayloads(s, m)
@@ -245,10 +258,22 @@ func (l *lockstep) afterGC() {
 			})
 			l.swept += uint64(l.ref.sweep(m))
 		}
-	case !l.isStep[c.steps[0].ID]:
+	case !l.isStep[c.st.Step(0).ID]:
 		// Compaction: the collected steps were evacuated into shadows, which
-		// are the new youngest steps. The evacuated objects are the
-		// engine's; the reference formats what lies behind them.
+		// are the new youngest steps, filled from the highest-numbered one
+		// down. The evacuated objects are the engine's; the reference
+		// formats what lies behind them.
+		for p, s := range collected {
+			if l.isStep[s.ID] {
+				l.failf("compaction left %v, a collected step, at position %d", s, p)
+			}
+			if p > 0 && heap.LiveWords(s) == 0 && heap.LiveWords(collected[p-1]) > 0 {
+				l.failf("compaction filled step %d and left step %d, above it, empty", p, p+1)
+			}
+		}
+		if !slices.Equal(c.st.All()[len(collected):], l.order[:c.st.J()]) {
+			l.failf("compaction did not keep steps 1..j, in order, as the new oldest steps")
+		}
 		for _, s := range collected {
 			m := l.mirror[s.ID]
 			used := heap.LiveWords(s)
@@ -256,19 +281,23 @@ func (l *lockstep) afterGC() {
 			m.Top = used
 			l.ref.freeTail(m)
 		}
-		for _, s := range c.shadows {
+		clear(l.isStep)
+		for _, s := range c.st.All() {
+			l.isStep[s.ID] = true
+		}
+		for _, s := range l.h.Spaces {
+			if l.isStep[s.ID] {
+				continue // every other space of this heap is a shadow
+			}
 			m := l.mirror[s.ID]
 			copy(m.Mem, s.Mem) // forwarding pointers and all: scratch from here on
 			m.Reset()
 			l.ref.freeHead[s.ID] = noBlock
 		}
-		clear(l.isStep)
-		for _, s := range c.steps {
-			l.isStep[s.ID] = true
-		}
 	default:
 		// Stop-the-world mark/sweep: the marks are gone, but the survivors
 		// are the objects the swept steps still hold.
+		l.checkRenamed(heap.LiveWords)
 		for _, s := range collected {
 			m := l.mirror[s.ID]
 			l.syncPayloads(s, m)
@@ -281,10 +310,31 @@ func (l *lockstep) afterGC() {
 			l.swept += uint64(l.ref.sweep(m))
 		}
 	}
+	l.order = slices.Clone(c.st.All())
 	l.compareSwept()
 	l.compareSweptWords()
 	if err := heap.VerifyCollector(l.h, c); err != nil {
 		l.failf("verify: %v", err)
+	}
+}
+
+// checkRenamed holds a mark/sweep collection's renaming to its definition,
+// written the way this package wrote it before the step machine was shared:
+// the collected steps j+1..k lead, stably sorted by ascending surviving
+// occupancy, and the old steps 1..j follow.
+func (l *lockstep) checkRenamed(occupancy func(s *heap.Space) int) {
+	j := l.c.st.J()
+	want := slices.Clone(l.order[j:])
+	sort.SliceStable(want, func(a, b int) bool { return occupancy(want[a]) < occupancy(want[b]) })
+	want = append(want, l.order[:j]...)
+	if !slices.Equal(l.c.st.All(), want) {
+		names := func(steps []*heap.Space) (out []string) {
+			for _, s := range steps {
+				out = append(out, s.Name)
+			}
+			return out
+		}
+		l.failf("steps renamed to %v, want %v", names(l.c.st.All()), names(want))
 	}
 }
 
@@ -325,7 +375,7 @@ func (l *lockstep) compare(s *heap.Space) {
 // compareSwept compares every step whose sweep is not pending.
 func (l *lockstep) compareSwept() {
 	l.t.Helper()
-	for _, s := range l.c.steps {
+	for _, s := range l.c.st.All() {
 		if !s.Blocks.UnsweptAt(0) {
 			l.compare(s)
 		}
@@ -452,7 +502,7 @@ func TestSubstrateMatchesReferenceFragmented(t *testing.T) {
 			h.Cons(h.Fix(int64(i)), h.Null())
 			push(i, h.Fix(int64(i)))
 			s.Close()
-			for _, st := range c.steps {
+			for _, st := range c.st.All() {
 				sawFull = sawFull || st.Blocks.FreeHead[0] == noBlock && heap.LiveWords(st) == stepWords
 			}
 		}
@@ -480,7 +530,7 @@ func TestSubstrateMatchesReferenceFragmented(t *testing.T) {
 
 		// A request of exactly the largest run any step holds.
 		largest := 0
-		for _, st := range c.steps {
+		for _, st := range c.st.All() {
 			for off := int(st.Blocks.FreeHead[0]); off != noBlock; off = heap.FreeNext(st, off) {
 				largest = max(largest, heap.ObjWords(st.Mem[off]))
 			}
@@ -528,7 +578,7 @@ func TestVerifierSeesStepFreeLists(t *testing.T) {
 				t.Fatalf("healthy heap rejected: %v", err)
 			}
 			var victim *heap.Space
-			for _, st := range c.steps {
+			for _, st := range c.st.All() {
 				if st.Blocks.FreeHead[0] != heap.NoFreeBlock {
 					victim = st
 				}

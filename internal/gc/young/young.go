@@ -55,12 +55,9 @@ type Gen struct {
 	ctrl          *policy.Controller
 
 	// Scan machinery for Refilter and Finish, built once in Init so a
-	// steady-state collection allocates nothing: probe reports through
-	// found whether a slot points into the live nursery.
+	// steady-state collection allocates nothing.
 	shadowBuf  []*heap.Space
 	keep       []heap.Word
-	found      bool
-	probe      func(slot *heap.Word)
 	keepEntry  func(obj heap.Word)
 	scanRegion func(s *heap.Space, lo, hi int)
 }
@@ -87,20 +84,18 @@ func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset
 	g.space.EnsureAgeTable()
 	g.shadow.EnsureAgeTable()
 	g.shadowBuf = []*heap.Space{g.shadow}
-	g.probe = func(slot *heap.Word) {
-		if !g.found && heap.IsPtr(*slot) && heap.PtrSpace(*slot) == g.space.ID {
-			g.found = true
-		}
-	}
+	// The heap.PointsInto predicate of both scans: into the live nursery.
+	inNursery := func(w heap.Word) bool { return heap.PtrSpace(w) == g.space.ID }
 	g.keepEntry = func(obj heap.Word) {
-		if g.pointsIn(g.h.SpaceOf(obj), heap.PtrOff(obj)) {
+		if heap.PointsInto(g.h.SpaceOf(obj), heap.PtrOff(obj), inNursery) {
 			g.keep = append(g.keep, obj)
 		}
 	}
 	g.scanRegion = func(s *heap.Space, lo, hi int) {
 		for off := lo; off < hi; off += heap.ObjWords(s.Mem[off]) {
-			// Allocation-buffer fillers are dead space, not promoted objects.
-			if heap.HeaderType(s.Mem[off]) != heap.TFree && g.pointsIn(s, off) {
+			// Allocation-buffer fillers are dead space, not promoted
+			// objects: PointsInto finds no pointer in a free block.
+			if heap.PointsInto(s, off, inNursery) {
 				g.rs.Remember(heap.PtrWord(s.ID, off))
 			}
 		}
@@ -213,12 +208,4 @@ func (g *Gen) AfterMajor(copied uint64) {
 	if g.ctrl != nil {
 		g.ctrl.ObserveMajor(copied)
 	}
-}
-
-// pointsIn reports whether the object at s[off] holds a pointer into the
-// live nursery.
-func (g *Gen) pointsIn(s *heap.Space, off int) bool {
-	g.found = false
-	heap.ScanObject(s, off, g.probe)
-	return g.found
 }

@@ -32,6 +32,25 @@ func ScanObject(s *Space, off int, visit func(slot *Word)) {
 	}
 }
 
+// PointsInto reports whether the object at offset off in space s holds a
+// pointer satisfying pred, stopping at the first that does. It is the
+// question every remembered-set rebuild asks of an object, with pred the
+// region ("into steps j+1..k", "into the nursery"). Raw-payload objects and
+// free blocks — whose words are not slots — hold none; the hidden census
+// word is a fixnum and is never offered to pred.
+func PointsInto(s *Space, off int, pred func(w Word) bool) bool {
+	hdr := s.Mem[off]
+	if t := HeaderType(hdr); RawPayload(t) || t == TFree {
+		return false
+	}
+	for _, w := range s.Mem[off+1 : off+ObjWords(hdr)] {
+		if IsPtr(w) && pred(w) {
+			return true
+		}
+	}
+	return false
+}
+
 // LiveWords sums the footprints of non-free blocks in s.
 func LiveWords(s *Space) int {
 	n := 0
