@@ -421,16 +421,65 @@ func BenchmarkHeapAllocation(b *testing.B) {
 // BenchmarkDecayStep measures one step of the decay mutator at equilibrium —
 // expire the deaths due, allocate a pair, draw its lifetime, schedule it —
 // at the central experiment's h = 1024 on a stop-and-copy heap of inverse
-// load factor 3.5, collections included.
+// load factor 3.5, collections included: pure decay, whose lifetimes are
+// drawn a batch ahead, and the linked workload of §8.3, which draws them one
+// at a time between its other draws.
 func BenchmarkDecayStep(b *testing.B) {
-	cfg := experiments.DecayConfig{HalfLife: 1024, L: 3.5}
-	h := heap.New()
-	semispace.New(h, cfg.HeapWords())
-	w := decay.NewWorkload(h, cfg.HalfLife, 1)
-	w.Warmup(10)
+	for _, c := range []struct {
+		name string
+		opts []decay.Option
+	}{
+		{"pure", nil},
+		{"linked", []decay.Option{decay.WithLinking(0.2)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := experiments.DecayConfig{HalfLife: 1024, L: 3.5}
+			h := heap.New()
+			semispace.New(h, cfg.HeapWords())
+			w := decay.NewWorkload(h, cfg.HalfLife, 1, c.opts...)
+			w.Warmup(10)
+			b.ResetTimer()
+			w.Run(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
+		})
+	}
+}
+
+// BenchmarkMinorCollection measures one nursery collection of the decay
+// cell's shape on the shared evacuator: 1500 global roots, a 2 Ki-word
+// nursery full of pairs each held by one of them (the other roots are empty
+// slots), every pair copied out — a root scan and 682 three-word copies. The
+// target of one collection is the nursery of the next, so nothing is rebuilt
+// between iterations.
+func BenchmarkMinorCollection(b *testing.B) {
+	const roots, nurseryWords = 1500, 2048
+	h := heap.New(heap.WithConfig(heap.Config{}))
+	nursery, target := h.NewSpace("nursery-A", nurseryWords), h.NewSpace("nursery-B", nurseryWords)
+	pairs := 0
+	for i := 0; i < roots; i++ {
+		// Full slots among empty ones, as deaths leave a slot table.
+		w := heap.NullWord
+		if i%2 == 0 {
+			if off, ok := nursery.Bump(decay.ObjectWords); ok {
+				w = h.InitObject(nursery, off, heap.TPair, 2)
+				pairs++
+			}
+		}
+		h.GlobalWord(w)
+	}
+	e := heap.NewEvacuator(h, nil)
 	b.ResetTimer()
-	w.Run(b.N)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
+	for i := 0; i < b.N; i++ {
+		e.SetFrom(nursery)
+		e.Begin(target)
+		e.Run()
+		nursery.Reset()
+		nursery, target = target, nursery
+	}
+	if e.ObjectsCopied != pairs {
+		b.Fatalf("the last collection copied %d pairs of %d", e.ObjectsCopied, pairs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/collection")
 }
 
 // BenchmarkMarkSweepAllocFragmented measures mark/sweep's first-fit search

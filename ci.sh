@@ -115,6 +115,26 @@ cmp "$serve_tmp/a.txt" "$serve_tmp/b.txt"
 cmp "$serve_tmp/a.txt" "$serve_tmp/c.txt"
 rm -rf "$serve_tmp"
 
+# Decay-grid determinism smoke, through the real driver: the mutator draws
+# its lifetimes a batch ahead, so the same seed must still print the same
+# bytes run to run and across runner worker counts — the whole grid (the
+# batched path), the infant-mortality mixture (the coin before each lifetime)
+# and the linked workload (the batch of one, which reads the heap between
+# draws).
+rdm_tmp=$(mktemp -d)
+rdm_flags="-steps 20000 -seed 42"
+go run ./cmd/rdmsim -all $rdm_flags > "$rdm_tmp/a.txt"
+go run ./cmd/rdmsim -all $rdm_flags > "$rdm_tmp/b.txt"
+go run ./cmd/rdmsim -all $rdm_flags -parallel 1 > "$rdm_tmp/c.txt"
+cmp "$rdm_tmp/a.txt" "$rdm_tmp/b.txt"
+cmp "$rdm_tmp/a.txt" "$rdm_tmp/c.txt"
+for mix in "-infant 0.5" "-link 0.2"; do
+    go run ./cmd/rdmsim $mix $rdm_flags > "$rdm_tmp/a.txt"
+    go run ./cmd/rdmsim $mix $rdm_flags > "$rdm_tmp/b.txt"
+    cmp "$rdm_tmp/a.txt" "$rdm_tmp/b.txt"
+done
+rm -rf "$rdm_tmp"
+
 # Trace smoke: record a small benchmark once, then replay the trace under
 # every collector with the deep heap-invariant verifier on. Exercises the
 # full record -> replay -> verify pipeline through the actual CLI.

@@ -44,8 +44,8 @@ func (m Model) logR() float64 { return math.Log(m.R()) }
 
 // SampleLifetime draws a lifetime (in allocations) from the geometric
 // distribution with survival rate r: the smallest t ≥ 1 with U > r^t. It is
-// the one-shot form; a Workload computes log r once and draws the same
-// stream through lifetime.
+// the one-shot form and the definition; a Workload computes log r once and
+// draws the same stream through lifetime, a batch at a time (refill).
 func (m Model) SampleLifetime(rng *rand.Rand) uint64 { return lifetime(rng, m.logR()) }
 
 // lifetime draws a uniform U in (0, 1) and returns lifetimeOf it.
@@ -235,6 +235,13 @@ type Workload struct {
 	// logR and infantLogR are log r for Model.H and infantH, computed once
 	// in NewWorkload: every draw divides by one of them.
 	logR, infantLogR float64
+
+	// ahead holds lifetimes drawn before the steps that will use them:
+	// ahead[aheadPos:batch] are still to be handed out. batch is how many
+	// refill draws at a time, fixed in NewWorkload.
+	ahead    [lifetimeBatch]uint64
+	aheadPos int
+	batch    int
 }
 
 // ObjectWords is the heap footprint of one workload object (header + car +
@@ -286,11 +293,34 @@ func (w *Workload) ExpectedLive() float64 {
 	return w.infantProb*short + (1-w.infantProb)*long
 }
 
+// lifetimeBatch is how many steps ahead a workload draws its lifetimes. A
+// draw is a logarithm and a division; taken one a step they sit on the
+// step's dependency chain between the root store and the wheel push, taken
+// together they overlap in the pipeline.
+const lifetimeBatch = 64
+
+// sampleLifetime hands out the next lifetime of the stream.
 func (w *Workload) sampleLifetime() uint64 {
-	if w.infantProb > 0 && w.rng.Float64() < w.infantProb {
-		return lifetime(w.rng, w.infantLogR)
+	if w.aheadPos == w.batch {
+		w.refill()
 	}
-	return lifetime(w.rng, w.logR)
+	t := w.ahead[w.aheadPos]
+	w.aheadPos++
+	return t
+}
+
+// refill draws the next batch lifetimes, consuming rng exactly as that many
+// one-at-a-time draws would — the infant-mortality coin before each lifetime
+// — so the stream does not depend on the batch length.
+func (w *Workload) refill() {
+	for i := range w.ahead[:w.batch] {
+		logR := w.logR
+		if w.infantProb > 0 && w.rng.Float64() < w.infantProb {
+			logR = w.infantLogR
+		}
+		w.ahead[i] = lifetime(w.rng, logR)
+	}
+	w.aheadPos = 0
 }
 
 // NewWorkload creates a decay workload over heap h with the given
@@ -312,6 +342,14 @@ func NewWorkload(h *heap.Heap, halfLife float64, seed int64, opts ...Option) *Wo
 	if w.infantProb > 0 {
 		w.infantLogR = Model{H: w.infantH}.logR()
 	}
+	// A step of a linked or sized workload draws from rng between two
+	// lifetimes (and linking reads the heap to do it), so drawing ahead would
+	// reorder the stream: those run the same loop a lifetime at a time.
+	w.batch = lifetimeBatch
+	if w.linkProb > 0 || w.sizeMax > 0 {
+		w.batch = 1
+	}
+	w.aheadPos = w.batch
 	return w
 }
 

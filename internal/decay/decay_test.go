@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"rdgc/internal/gc/generational"
 	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 )
@@ -404,5 +405,66 @@ func TestDeterminism(t *testing.T) {
 	a2, c2 := run()
 	if a1 != a2 || c1 != c2 {
 		t.Errorf("same seed diverged: (%d,%d) vs (%d,%d)", a1, c1, a2, c2)
+	}
+}
+
+// TestBatchLengthDoesNotShow: a workload that draws its lifetimes 64 ahead
+// and one forced to draw them one at a time are the same run — every slot's
+// death tick, the free-slot stack and the allocation clock in words equal
+// after every step, and the heaps word for word at the end, under a
+// collector that moves objects and keeps a remembered set. A sized or linked
+// workload draws from the same stream between two lifetimes, so NewWorkload
+// must have given it the batch of one itself: against the forced side it is
+// then the same run too, and with any longer batch it is not.
+func TestBatchLengthDoesNotShow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch int
+		opts  []Option
+	}{
+		{"pure decay", lifetimeBatch, nil},
+		{"infant mixture", lifetimeBatch, []Option{WithInfantMortality(0.5, 16)}},
+		{"sizes", 1, []Option{WithSizes(2, 10)}},
+		{"linking", 1, []Option{WithLinking(0.2)}},
+		{"sizes + infant", 1, []Option{WithSizes(1, 6), WithInfantMortality(0.9, 3)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*Workload, *generational.Collector) {
+				h := heap.New()
+				c := generational.New(h, 1<<10, 1<<14)
+				return NewWorkload(h, 128, 21, tc.opts...), c
+			}
+			batched, cb := build()
+			single, cs := build()
+			if batched.batch != tc.batch {
+				t.Fatalf("NewWorkload chose a batch of %d, want %d", batched.batch, tc.batch)
+			}
+			single.batch, single.aheadPos = 1, 1
+			for step := 0; step < 30000; step++ {
+				batched.Step()
+				single.Step()
+				if !slices.Equal(batched.deaths.at, single.deaths.at) {
+					t.Fatalf("step %d: death ticks by slot differ", step)
+				}
+				if !slices.Equal(batched.freeSlots, single.freeSlots) {
+					t.Fatalf("step %d: free slots differ", step)
+				}
+				if batched.H.Stats != single.H.Stats {
+					t.Fatalf("step %d: allocated %+v, one at a time %+v", step, batched.H.Stats, single.H.Stats)
+				}
+			}
+			if *cb.GCStats() != *cs.GCStats() {
+				t.Errorf("GCStats %+v, one at a time %+v", *cb.GCStats(), *cs.GCStats())
+			}
+			if cb.GCStats().Collections < 10 {
+				t.Errorf("%d collections: the heaps were hardly exercised", cb.GCStats().Collections)
+			}
+			for i, s := range batched.H.Spaces {
+				o := single.H.Spaces[i]
+				if s.Top != o.Top || !slices.Equal(s.Mem[:s.Top], o.Mem[:o.Top]) {
+					t.Errorf("%v differs from %v, one at a time", s, o)
+				}
+			}
+		})
 	}
 }

@@ -39,8 +39,16 @@ func captureRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, 
 	// tiered contract in parallel_test.go.)
 	h := heap.New(append(censusOpts(census), heap.WithConfig(heap.Config{}))...)
 	c := mk(h)
+	// The workload's own roots are globals and its handles are short-lived,
+	// so hold one structure from the handle stack throughout: the order the
+	// root loops walk (handle stack, then globals) then shows in where every
+	// copying collection puts it.
+	s := h.Scope()
+	defer s.Close()
+	held := gctest.BuildList(h, 16)
 	gctest.RandomOps(t, h, c, ops, seed)
 	c.Collect() // end on a forced collection so the last trace is compared too
+	gctest.CheckList(t, h, held, 16)
 	img := heapImage{stats: h.Stats, gc: *c.GCStats()}
 	for _, s := range h.Spaces {
 		img.spaces = append(img.spaces, spaceImage{

@@ -431,7 +431,7 @@ func (c *Collector) PromoteAllToStatic() {
 	for p := 0; p < c.st.K(); p++ {
 		from.AddSpace(c.st.Step(p))
 	}
-	c.h.VisitRoots(e.Evacuate)
+	e.EvacuateRoots()
 	scan := func(obj heap.Word) {
 		if from.HasPtr(obj) {
 			return // collected with the region; old headers may be forwarded

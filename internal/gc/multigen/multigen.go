@@ -257,7 +257,7 @@ func (c *Collector) collectUpTo(m int) {
 	e := c.evac
 	e.SetFrom(c.gens[:m+1]...)
 	e.Begin(target)
-	c.h.VisitRoots(e.Slot())
+	e.EvacuateRoots()
 	c.window = m
 	c.rs.ForEach(c.windowRoot)
 	e.Drain()

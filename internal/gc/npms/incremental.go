@@ -132,19 +132,15 @@ func (c *Collector) finishMark() {
 	m := c.marker
 	pause := c.incr.FinishDrain()
 
-	// What is live now: the uncollected steps 1..j, whole, and the words
-	// this cycle marked in steps j+1..k.
-	live := int(m.WordsMarked)
-	for _, s := range c.st.All()[:c.st.J()] {
-		live += heap.LiveWords(s)
-	}
 	c.st.RenameOldBy((*heap.Space).MarkedLiveWords)
 	c.sweeper.BeginLazy(c.renamed()...)
 
 	c.stats.Collections++
 	c.stats.MajorCollections++
 	c.stats.WordsMarked += m.WordsMarked
-	c.stats.NoteLive(live)
+	// The collected steps still hold their dead storage until the lazy
+	// sweep reaches them; what is live in them is what the cycle marked.
+	c.noteLive(m.WordsMarked)
 	c.phase = npSweeping
 	c.sweepDebt = 0
 	c.finishCollection()

@@ -242,7 +242,7 @@ func (c *Collector) markSweepCollect() {
 	m := c.marker
 	m.SetRegion(c.old()...)
 	m.Begin()
-	c.h.VisitRoots(m.Slot())
+	m.MarkRoots()
 	c.rs.ForEach(c.markRemset)
 	m.Drain()
 
@@ -256,9 +256,21 @@ func (c *Collector) markSweepCollect() {
 	c.stats.WordsMarked += m.WordsMarked
 	c.stats.WordsSwept += swept
 	c.h.AddPause(&c.stats, reset+m.WordsMarked+swept)
-	c.stats.NoteLive(c.Live())
+	c.noteLive(m.WordsMarked)
 	c.finishCollection()
 	c.h.AfterGC()
+}
+
+// noteLive records the occupancy a collection leaves behind, once it has
+// renamed the steps: the collected steps, now 1..k-j, hold exactly the words
+// it traced into them, so only steps it did not trace are walked. Live is
+// the whole walk, and what this must equal.
+func (c *Collector) noteLive(traced uint64) {
+	live := int(traced)
+	for _, s := range c.st.All()[c.st.K()-c.st.J():] {
+		live += heap.LiveWords(s)
+	}
+	c.stats.NoteLive(live)
 }
 
 // old returns the collected generation, steps j+1..k; once a collection has
@@ -282,7 +294,7 @@ func (c *Collector) compact() {
 	c.stats.MajorCollections++
 	c.stats.WordsCopied += copied
 	c.h.AddPause(&c.stats, reset+copied)
-	c.stats.NoteLive(c.Live())
+	c.noteLive(copied)
 	c.finishCollection()
 	c.h.AfterGC()
 }

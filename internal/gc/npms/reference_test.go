@@ -238,7 +238,7 @@ func (l *lockstep) afterGC() {
 		// them, marks and all, each awaiting its deferred sweep. The
 		// reference sweeps now; each step is compared once its own sweep
 		// has run.
-		l.checkRenamed(func(s *heap.Space) (marked int) {
+		markedWords := func(s *heap.Space) (marked int) {
 			heap.WalkSpace(s, func(off int, hdr heap.Word) bool {
 				if heap.HeaderType(hdr) != heap.TFree && s.MarkedAt(off) {
 					marked += heap.ObjWords(hdr)
@@ -246,7 +246,19 @@ func (l *lockstep) afterGC() {
 				return true
 			})
 			return marked
-		})
+		}
+		l.checkRenamed(markedWords)
+		// Live would count the dead storage the pending sweeps have yet to
+		// free: the survivors of a collected step are its marked objects.
+		live := 0
+		for p, s := range c.st.All() {
+			if p < len(collected) {
+				live += markedWords(s)
+			} else {
+				live += heap.LiveWords(s)
+			}
+		}
+		l.checkNotedLive(live)
 		for _, s := range collected {
 			m := l.mirror[s.ID]
 			l.syncPayloads(s, m)
@@ -263,6 +275,7 @@ func (l *lockstep) afterGC() {
 		// are the new youngest steps, filled from the highest-numbered one
 		// down. The evacuated objects are the engine's; the reference
 		// formats what lies behind them.
+		l.checkNotedLive(c.Live())
 		for p, s := range collected {
 			if l.isStep[s.ID] {
 				l.failf("compaction left %v, a collected step, at position %d", s, p)
@@ -298,6 +311,7 @@ func (l *lockstep) afterGC() {
 		// Stop-the-world mark/sweep: the marks are gone, but the survivors
 		// are the objects the swept steps still hold.
 		l.checkRenamed(heap.LiveWords)
+		l.checkNotedLive(c.Live())
 		for _, s := range collected {
 			m := l.mirror[s.ID]
 			l.syncPayloads(s, m)
@@ -316,6 +330,17 @@ func (l *lockstep) afterGC() {
 	if err := heap.VerifyCollector(l.h, c); err != nil {
 		l.failf("verify: %v", err)
 	}
+}
+
+// checkNotedLive holds the occupancy a collection noted in GCStats to the
+// walk over every step: a collection sums the words it traced and walks only
+// the steps it did not. PeakLive is a running maximum, so it is zeroed here
+// and reads, after the next collection, as what that collection noted.
+func (l *lockstep) checkNotedLive(walked int) {
+	if noted := l.c.stats.PeakLive; noted != walked {
+		l.failf("the collection noted %d live words; the steps hold %d", noted, walked)
+	}
+	l.c.stats.PeakLive = 0
 }
 
 // checkRenamed holds a mark/sweep collection's renaming to its definition,

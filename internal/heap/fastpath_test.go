@@ -1,0 +1,323 @@
+package heap
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// Tests for the call-free forms of the step → allocate → minor-collection
+// path: the root loops against VisitRoots with the slot functions, forward
+// against the copy-and-reserve form it had, InitObject's store loop against
+// a dirty arena.
+
+// rootRig is a from-space of leaf pairs and a heap whose handle stack and
+// globals name them in an order that shows in whatever walks the roots: odd
+// pairs from the handle stack and even ones from the globals, each table
+// salted with immediates, a repeat, and a pointer outside the region.
+type rootRig struct {
+	h             *Heap
+	from, to, out *Space
+}
+
+func newRootRig(t testing.TB, pairs int) *rootRig {
+	h := New(WithConfig(Config{}))
+	r := &rootRig{
+		h:    h,
+		from: h.NewSpace("from", 3*pairs),
+		to:   h.NewSpace("to", 3*pairs),
+		out:  h.NewSpace("outside", 8),
+	}
+	outside := buildChain(t, h, r.out, 1)
+	h.Scope()
+	for i := 0; i < pairs; i++ {
+		w := buildChain(t, h, r.from, 1)
+		if i%2 == 1 {
+			h.push(w)
+			h.push(FixnumWord(int64(i)))
+		} else {
+			h.GlobalWord(w)
+			h.GlobalWord(NullWord)
+		}
+		if i == pairs/2 {
+			h.push(outside)
+			h.GlobalWord(outside)
+			h.GlobalWord(w)
+		}
+	}
+	return r
+}
+
+// TestRootLoopsMatchVisitRoots: EvacuateRoots and MarkRoots leave what
+// VisitRoots with the engine's slot function leaves — the same copies at the
+// same addresses and the same slots, the same mark stack in the same order,
+// the same counters — with the marker bounded and not.
+func TestRootLoopsMatchVisitRoots(t *testing.T) {
+	defer SetReferenceTracer(false)
+	const pairs = 40
+
+	evacuate := func(reference bool) (*rootRig, *Evacuator) {
+		SetReferenceTracer(reference)
+		r := newRootRig(t, pairs)
+		e := NewEvacuator(r.h, nil, r.to)
+		e.SetFrom(r.from)
+		e.EvacuateRoots()
+		return r, e
+	}
+	fast, fe := evacuate(false)
+	ref, re := evacuate(true)
+	if fe.ObjectsCopied != pairs || fe.WordsCopied != re.WordsCopied || fe.ObjectsCopied != re.ObjectsCopied {
+		t.Errorf("EvacuateRoots copied %d objects (%d words), through VisitRoots %d (%d); the rig holds %d",
+			fe.ObjectsCopied, fe.WordsCopied, re.ObjectsCopied, re.WordsCopied, pairs)
+	}
+	for _, cmp := range []struct {
+		what      string
+		fast, ref []Word
+	}{
+		{"to-space", fast.to.Mem[:fast.to.Top], ref.to.Mem[:ref.to.Top]},
+		{"from-space", fast.from.Mem, ref.from.Mem},
+		{"handle stack", fast.h.refs, ref.h.refs},
+		{"globals", fast.h.globals, ref.h.globals},
+	} {
+		if !slices.Equal(cmp.fast, cmp.ref) {
+			t.Errorf("EvacuateRoots: %s differs from what VisitRoots leaves", cmp.what)
+		}
+	}
+
+	for _, bounded := range []bool{false, true} {
+		mark := func(reference bool) *Marker {
+			SetReferenceTracer(reference)
+			r := newRootRig(t, pairs)
+			m := NewMarker(r.h, nil)
+			if bounded {
+				m.SetRegion(r.from)
+			}
+			m.Begin()
+			m.MarkRoots()
+			return m
+		}
+		fm, rm := mark(false), mark(true)
+		want := pairs + 1
+		if bounded {
+			want = pairs
+		}
+		if fm.ObjectsMarked != want || fm.ObjectsMarked != rm.ObjectsMarked || fm.WordsMarked != rm.WordsMarked {
+			t.Errorf("bounded=%v: MarkRoots marked %d objects (%d words), through VisitRoots %d (%d), want %d",
+				bounded, fm.ObjectsMarked, fm.WordsMarked, rm.ObjectsMarked, rm.WordsMarked, want)
+		}
+		if !slices.Equal(fm.stack, rm.stack) {
+			t.Errorf("bounded=%v: MarkRoots queued the roots in another order than VisitRoots", bounded)
+		}
+	}
+}
+
+// TestRootLoopsAllocateNothing: a root scan is two loops over two slices.
+func TestRootLoopsAllocateNothing(t *testing.T) {
+	const pairs = 40
+	r := newRootRig(t, pairs)
+	e := NewEvacuator(r.h, nil)
+	from, to := r.from, r.to
+	flip := func() {
+		e.SetFrom(from)
+		e.Begin(to)
+		e.EvacuateRoots()
+		from.Reset()
+		from, to = to, from
+	}
+	flip()
+	if allocs := testing.AllocsPerRun(20, flip); allocs != 0 {
+		t.Errorf("EvacuateRoots allocates %.0f objects/run, want 0", allocs)
+	}
+	if e.ObjectsCopied != pairs {
+		t.Fatalf("copied %d objects, want %d (the guard must measure real work)", e.ObjectsCopied, pairs)
+	}
+
+	m := NewMarker(r.h, nil)
+	cycle := func() {
+		m.Begin()
+		m.MarkRoots()
+		m.Drain()
+		ClearMarks(from, r.out)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("MarkRoots allocates %.0f objects/run, want 0", allocs)
+	}
+	if m.ObjectsMarked != pairs+1 {
+		t.Fatalf("marked %d objects, want %d (the guard must measure real work)", m.ObjectsMarked, pairs+1)
+	}
+}
+
+// forwardReference is forward as it stood before it bumped the first target
+// itself and copied pairs with three stores: every reservation through
+// reserve's loop, every copy through copy.
+func (e *Evacuator) forwardReference(w Word) Word {
+	s := e.spaces[PtrSpace(w)]
+	off := PtrOff(w)
+	hdr := s.Mem[off]
+	if IsPtr(hdr) {
+		return hdr
+	}
+	n := ObjWords(hdr)
+	var toSpace *Space
+	var toOff int
+	if e.tenured {
+		toSpace, toOff = e.reserveByAge(s, off, n)
+	} else {
+		toSpace, toOff = e.reserve(n)
+	}
+	copy(toSpace.Mem[toOff:toOff+n], s.Mem[off:off+n])
+	fwd := PtrWord(toSpace.ID, toOff)
+	s.Mem[off] = fwd
+	e.WordsCopied += uint64(n)
+	e.ObjectsCopied++
+	if e.moved != nil {
+		e.moved(w, fwd)
+	}
+	return fwd
+}
+
+// TestForwardMatchesReference: objects of one to four words and of 300,
+// forwarded one by one (and once more, through their forwarding words) on
+// twin heaps, land at the same addresses holding the same words under
+// forward and under forwardReference — with room in the first target, with
+// the first target full, filled exactly by the first copies, and absent
+// with Overflow supplying every space; census on and off; wholesale and
+// age-routed, where every other object is old enough to be promoted.
+func TestForwardMatchesReference(t *testing.T) {
+	sizes := []int{3, 1, 2, 3, 4, 300, 3, 2, 300, 4, 1, 3}
+	type rig struct {
+		h     *Heap
+		e     *Evacuator
+		slots []Word
+	}
+	for _, census := range []bool{false, true} {
+		var opts []Option
+		if census {
+			opts = append(opts, WithCensus())
+		}
+		var objs []int // the sizes this heap can form: a census object is two words at least
+		total := 0
+		for _, n := range sizes {
+			if n >= 1+len(opts) {
+				objs = append(objs, n)
+				total += n
+			}
+		}
+		for _, targets := range []string{"room", "first full", "first exactly filled", "overflow only"} {
+			for _, tenured := range []bool{false, true} {
+				build := func() *rig {
+					h := New(append(opts, WithConfig(Config{}))...)
+					r := &rig{h: h}
+					from := h.NewSpace("from", total)
+					from.EnsureAgeTable()
+					for i, n := range objs {
+						off, _ := from.Bump(n)
+						payload := n - 1 - h.ExtraWords()
+						r.slots = append(r.slots, h.InitObject(from, off, TVector, payload))
+						for j := range h.Payload(r.slots[i]) {
+							h.Payload(r.slots[i])[j] = FixnumWord(int64(1000*i + j))
+						}
+						from.SetAgeAt(off, i%2)
+					}
+					first := h.NewSpace("first", total)
+					second := h.NewSpace("second", total)
+					switch targets {
+					case "first full":
+						first.Top = first.Cap()
+					case "first exactly filled":
+						first.Top = first.Cap() - objs[0] - objs[1]
+					}
+					r.e = NewEvacuator(h, nil)
+					r.e.SetFrom(from)
+					old := []*Space{first, second}
+					if targets == "overflow only" {
+						old = nil
+						r.e.Overflow = func(need int) *Space {
+							return h.NewSpace(fmt.Sprintf("overflow-%d", len(h.Spaces)), max(need, 16))
+						}
+					}
+					if tenured {
+						shadow := h.NewSpace("shadow", 2*objs[0])
+						r.e.BeginTenured(2, []*Space{shadow}, old...)
+					} else {
+						r.e.Begin(old...)
+					}
+					return r
+				}
+				name := fmt.Sprintf("census=%v/%s/tenured=%v", census, targets, tenured)
+				fast, ref := build(), build()
+				for round := 0; round < 2; round++ {
+					for i, w := range fast.slots {
+						if got, want := fast.e.forward(w), ref.e.forwardReference(w); got != want {
+							t.Errorf("%s: round %d: object %d forwarded to %#x, the reference's to %#x",
+								name, round, i, uint64(got), uint64(want))
+						}
+					}
+				}
+				fe, re := fast.e, ref.e
+				if fe.ObjectsCopied != len(objs) || fe.WordsCopied != uint64(total) {
+					t.Errorf("%s: copied %d objects, %d words, want %d, %d", name, fe.ObjectsCopied, fe.WordsCopied, len(objs), total)
+				}
+				if fe.ObjectsCopied != re.ObjectsCopied || fe.WordsCopied != re.WordsCopied ||
+					fe.WordsPromoted != re.WordsPromoted || fe.WordsRetained != re.WordsRetained {
+					t.Errorf("%s: counters differ from the reference's", name)
+				}
+				if len(fast.h.Spaces) != len(ref.h.Spaces) || len(fe.Targets) != len(re.Targets) {
+					t.Fatalf("%s: %d spaces and %d targets, the reference %d and %d", name,
+						len(fast.h.Spaces), len(fe.Targets), len(ref.h.Spaces), len(re.Targets))
+				}
+				for i, s := range fast.h.Spaces {
+					o := ref.h.Spaces[i]
+					// Whole arenas, not just the words below Top: a copy must
+					// not write past its object either.
+					if s.Top != o.Top || !slices.Equal(s.Mem, o.Mem) || !slices.Equal(s.ages, o.ages) {
+						t.Errorf("%s: %v differs from the reference's %v", name, s, o)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInitObjectZeroesPayload: whatever the arena held, a new object's
+// payload reads zero, short payloads (cleared by stores) and long ones
+// (cleared by clear) alike; the header and the census stamp are in place and
+// the word past the object is not touched.
+func TestInitObjectZeroesPayload(t *testing.T) {
+	const dirt = Word(0xdeadbeefdeadbeef)
+	for _, census := range []bool{false, true} {
+		var opts []Option
+		if census {
+			opts = append(opts, WithCensus())
+		}
+		h := New(opts...)
+		s := h.NewSpace("arena", 1024)
+		for _, payload := range []int{0, 1, 2, 3, 4, 5, 6, 300} {
+			for i := range s.Mem {
+				s.Mem[i] = dirt
+			}
+			s.Reset()
+			born := h.Stats.WordsAllocated
+			total := 1 + h.ExtraWords() + payload
+			off, _ := s.Bump(7) // not at the arena's edge
+			off, _ = s.Bump(total)
+			w := h.InitObject(s, off, TVector, payload)
+			if w != PtrWord(s.ID, off) || s.Mem[off] != HeaderWord(TVector, payload+h.ExtraWords()) {
+				t.Fatalf("census=%v payload %d: wrong pointer or header", census, payload)
+			}
+			if census && h.BirthStamp(w) != born {
+				t.Errorf("payload %d: birth stamp %d, want %d", payload, h.BirthStamp(w), born)
+			}
+			if p := h.Payload(w); len(p) != payload || slices.ContainsFunc(p, func(v Word) bool { return v != 0 }) {
+				t.Errorf("census=%v payload %d: payload of %d words not all zero", census, payload, len(p))
+			}
+			if s.Mem[off-1] != dirt || s.Mem[off+total] != dirt {
+				t.Errorf("census=%v payload %d: InitObject wrote outside the object", census, payload)
+			}
+			if h.Stats.WordsAllocated != born+uint64(total) {
+				t.Errorf("census=%v payload %d: clock advanced %d words, want %d", census, payload, h.Stats.WordsAllocated-born, total)
+			}
+		}
+	}
+}

@@ -372,7 +372,16 @@ func (h *Heap) InitObject(s *Space, off int, t Type, payload int) Word {
 	if h.extraWords == 1 {
 		s.Mem[off+1] = FixnumWord(int64(h.Stats.WordsAllocated))
 	}
-	clear(s.Mem[off+1+h.extraWords : off+1+size])
+	if p := s.Mem[off+1+h.extraWords : off+1+size]; len(p) <= 4 {
+		// Pairs, boxes, flonums, small vectors: a store a word, where clear
+		// would call the runtime's memclr for 8 to 32 bytes. Not a range
+		// loop, which the compiler turns back into that call.
+		for i := 0; i < len(p); i++ {
+			p[i] = 0
+		}
+	} else {
+		clear(p)
+	}
 	h.Stats.WordsAllocated += uint64(1 + size)
 	h.Stats.ObjectsAllocated++
 	w := PtrWord(s.ID, off)

@@ -224,9 +224,32 @@ func (m *Marker) drainReference() {
 	}
 }
 
+// MarkRoots marks the referent of every heap root slot without draining;
+// callers with extra roots (remembered sets) mark those next, then Drain. Like
+// Evacuator.EvacuateRoots it is VisitRoots' walk — handle stack, then globals:
+// the order roots are marked in is the order the mark stack pops them — as two
+// loops over the slices, and SetReferenceTracer reroutes it through VisitRoots
+// and the slot function.
+func (m *Marker) MarkRoots() {
+	if refTracer {
+		m.H.VisitRoots(m.markSlot)
+		return
+	}
+	m.markSlots(m.H.refs)
+	m.markSlots(m.H.globals)
+}
+
+func (m *Marker) markSlots(slots []Word) {
+	for _, w := range slots {
+		if IsPtr(w) && (!m.bounded || m.region.HasPtr(w)) {
+			m.mark(w)
+		}
+	}
+}
+
 // Run marks everything reachable from the heap's roots.
 func (m *Marker) Run() {
-	m.H.VisitRoots(m.markSlot)
+	m.MarkRoots()
 	m.Drain()
 }
 

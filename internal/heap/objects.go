@@ -24,14 +24,18 @@ func (h *Heap) Bool(b bool) Ref { return h.push(BoolWord(b)) }
 // however they arise (Section 8.4, situations 5 and 6).
 func (h *Heap) Cons(car, cdr Ref) Ref {
 	w := h.allocObject(TPair, 2)
-	p := h.Payload(w)
-	p[0] = h.Get(car)
-	p[1] = h.Get(cdr)
-	h.barrier.RecordWrite(w, p[0])
-	h.barrier.RecordWrite(w, p[1])
+	a, d := h.Get(car), h.Get(cdr)
+	// The two fields follow the header (and the census word): one space
+	// lookup and no Payload slice, whose bounds come from re-reading the
+	// header just written.
+	i := PtrOff(w) + 1 + h.extraWords
+	f := h.SpaceOf(w).Mem[i : i+2]
+	f[0], f[1] = a, d
+	h.barrier.RecordWrite(w, a)
+	h.barrier.RecordWrite(w, d)
 	if h.sink != nil {
-		h.sink.EvStore(w, 0, p[0])
-		h.sink.EvStore(w, 1, p[1])
+		h.sink.EvStore(w, 0, a)
+		h.sink.EvStore(w, 1, d)
 	}
 	return h.push(w)
 }

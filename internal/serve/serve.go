@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"rdgc/internal/gc/gcfuzz"
@@ -91,7 +92,11 @@ func collectorByName(h *heap.Heap, name string, total int) (heap.Collector, erro
 			return nc.New(h), nil
 		}
 	}
-	return nil, fmt.Errorf("serve: unknown collector %q (have %s)",
+	return nil, unknownCollector(name)
+}
+
+func unknownCollector(name string) error {
+	return fmt.Errorf("serve: unknown collector %q (have %s)",
 		name, strings.Join(CollectorNames(), ", "))
 }
 
@@ -147,8 +152,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.Load = sched.Cfg
-	if _, err := collectorByName(heap.New(), cfg.Collector, cfg.HeapWords); err != nil {
-		return nil, err
+	// The name alone: building a collector to check it would construct and
+	// zero a whole HeapWords heap that no shard uses.
+	if !slices.Contains(CollectorNames(), cfg.Collector) {
+		return nil, unknownCollector(cfg.Collector)
 	}
 	profiles, err := ResolveProfiles(cfg.Load.Profiles)
 	if err != nil {
