@@ -74,7 +74,10 @@ check_cover ./internal/gc/hybrid 82
 # and non-predictive mark/sweep collectors, whose sweep phases claim blocks
 # (npms: whole steps) concurrently, under the race detector at four workers —
 # then mark/sweep and the fuzz harness's seed corpus again with per-worker
-# allocation buffers switched on.
+# allocation buffers switched on. (The conformance suite's N-worker
+# record/replay and identity-carry tests pin their own worker counts, 2 and 4
+# exact-fit and 4 buffered, so the plain -race pass above already runs them
+# in full; the passes below repeat them less nboyer1.)
 RDGC_GC_WORKERS=4 go test -race -count=1 ./internal/heap ./internal/gc/conformance ./internal/gc/marksweep ./internal/gc/npms
 RDGC_GC_WORKERS=4 RDGC_GC_LAB=1 go test -race -count=1 ./internal/gc/marksweep ./internal/gc/gcfuzz
 
@@ -143,6 +146,21 @@ trap 'rm -rf "$trace_tmp"' EXIT
 go run ./cmd/gctrace record -quick -o "$trace_tmp/lattice.trace" lattice
 go run ./cmd/gctrace replay -verify "$trace_tmp/lattice.trace"
 go run ./cmd/gctrace stat "$trace_tmp/lattice.trace" > /dev/null
+# Identity smoke: a trace names allocation ordinals and the engines carry the
+# table the pipeline reads, so neither end cares about the configuration. A
+# recording with real copying in it (nboyer1: five to forty-six collections a
+# collector) replays, deep verifier on, to the same report on one evacuation
+# worker and on two; and gcfuzz writes the same trace bytes under the zero
+# Config and with promotion threshold 6.
+go run ./cmd/gctrace record -quick -o "$trace_tmp/nboyer1.trace" nboyer1
+go run ./cmd/gctrace replay -verify -gcworkers 1 "$trace_tmp/nboyer1.trace" > "$trace_tmp/w1.txt"
+go run ./cmd/gctrace replay -verify -gcworkers 2 "$trace_tmp/nboyer1.trace" > "$trace_tmp/w2.txt"
+cmp "$trace_tmp/w1.txt" "$trace_tmp/w2.txt"
+fuzz_seed=internal/gc/gcfuzz/testdata/fuzz/FuzzCollectors/seed-tenure-churn
+mkdir "$trace_tmp/t1" "$trace_tmp/t6" # the header names the output file
+go run ./cmd/gcfuzz -emit-trace "$trace_tmp/t1/f.trace" "$fuzz_seed" > /dev/null
+go run ./cmd/gcfuzz -gctenure 6 -emit-trace "$trace_tmp/t6/f.trace" "$fuzz_seed" > /dev/null
+cmp "$trace_tmp/t1/f.trace" "$trace_tmp/t6/f.trace"
 # The trace package's own benchmarks — decode, replay and record over an
 # amplified decay session, ns/event — one iteration each beside the smoke,
 # so the numbers EXPERIMENTS.md quotes stay regenerable.

@@ -60,10 +60,10 @@ func main() {
 }
 
 // emit records the byte program as an allocation-event trace. The recording
-// collector and its configuration are immaterial to the trace bytes; the
-// fixed-size fuzz grid's first collector drives the run under the zero
-// Config (the recorder needs the heap's move hook, which a tenuring run
-// gives to the age oracle). The trace carries no heap_words metadata, which
+// collector and its configuration are immaterial to the trace bytes — a
+// trace names allocation ordinals, never addresses — so the fixed-size fuzz
+// grid's first collector drives the run under the flags' configuration like
+// every other run here. The trace carries no heap_words metadata, which
 // tells gctrace replay to use the same fuzz-sized grid.
 func emit(path string, prog []byte, census, compress bool) error {
 	f, err := os.Create(path)
@@ -80,7 +80,7 @@ func emit(path string, prog []byte, census, compress bool) error {
 	}
 	var rec *trace.Recorder
 	var wrapErr error
-	_, runErr := gcfuzz.Run(prog, gcfuzz.Collectors()[0].New, census, heap.Config{},
+	_, runErr := gcfuzz.Run(prog, gcfuzz.Collectors()[0].New, census, heap.DefaultConfig(),
 		func(h *heap.Heap, c heap.Collector) heap.Collector {
 			w, err := trace.NewWriter(f, trace.Header{Census: census, Meta: meta}, wopts...)
 			if err != nil {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -41,6 +43,38 @@ func TestReplaysUnderEveryMode(t *testing.T) {
 			"-gctenure", fmt.Sprint(c.Tenure), fmt.Sprintf("-gcadapt=%v", c.Adaptive), seedFile)
 		if !strings.Contains(out, "all properties hold") {
 			t.Errorf("%s (%+v):\n%s", m.Name, c, out)
+		}
+	}
+}
+
+// TestEmitTraceUnderAnyConfig: a trace names allocation ordinals, never
+// addresses, and the recorder shares the heap's identity table with the age
+// oracle a tenuring run attaches, so -emit-trace writes the bytes of the
+// zero-Config run whatever the -gc* flags say — tenured, adaptive, on two
+// workers, raw and compressed.
+func TestEmitTraceUnderAnyConfig(t *testing.T) {
+	dir := t.TempDir()
+	emit := func(seed string, flags ...string) []byte {
+		t.Helper()
+		out := filepath.Join(dir, "t.trace")
+		args := append(flags, "-emit-trace", out, filepath.Join(filepath.Dir(seedFile), seed))
+		if stdout := cmdtest.Run(t, nil, args...); !strings.Contains(stdout, "trace written to") || !strings.Contains(stdout, "all properties hold") {
+			t.Fatalf("%v:\n%s", args, stdout)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for i, seed := range []string{"seed-tenure-churn", "seed-aging-wave", "seed-gc-heavy"} {
+		for _, compress := range [][]string{nil, {"-compress"}}[:2-min(i, 1)] { // compressed: the first program only
+			want := emit(seed, compress...)
+			for _, mode := range [][]string{{"-gctenure", "6"}, {"-gcadapt"}, {"-gcworkers", "2"}, {"-gcworkers", "4", "-gclab", "-gctenure", "3"}} {
+				if got := emit(seed, append(mode, compress...)...); !bytes.Equal(got, want) {
+					t.Errorf("%s %v %v: wrote %d bytes that differ from the zero Config's %d", seed, mode, compress, len(got), len(want))
+				}
+			}
 		}
 	}
 }

@@ -24,8 +24,9 @@
 // corpus by session into N independent replay cells per collector and
 // reports per-collector aggregates; the aggregate is identical at any
 // -parallel count. The six -gc* flags (heap.ConfigFlags) configure every
-// replay heap; with -gcworkers N marking parallelizes while evacuation stays
-// sequential under the replayer's move hook.
+// replay heap; with -gcworkers N marking and evacuation both run on N
+// workers (the engines carry the identity table the replayer reads), and the
+// report is the sequential one.
 //
 // synth composes traces: splice concatenates, interleave merges K traces as
 // independent sessions of one corpus, amplify self-interleaves N salted

@@ -78,3 +78,51 @@ func TestDocPointersResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsNameNothingDeleted keeps prose from outliving the mechanism it
+// describes: identifiers deleted from the tree (ISSUE 24: the heap's hook on
+// object moves, the trace package's identity table, the per-space age
+// tables), and the hook by its plain name, may not be named
+// by README.md, DESIGN.md or EXPERIMENTS.md — outside a section whose heading
+// dates it to a PR or an issue, which is history and stays as written — nor
+// by any Go file, where only a comment could still do it.
+func TestDocsNameNothingDeleted(t *testing.T) {
+	deleted := regexp.MustCompile(`\b(SetMoveHook|idTable|EnsureAgeTable|AgeAt|SetAgeAt|[Mm]ove[- ]hook)\b`)
+	heading := regexp.MustCompile(`^#+ `)
+	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)
+	check := func(path string, history func(line string) bool) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			if m := deleted.FindString(line); !history(line) && m != "" {
+				t.Errorf("%s:%d names %s, which no longer exists", path, i+1, m)
+			}
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		inHistory := false
+		check(doc, func(line string) bool {
+			if heading.MatchString(line) {
+				inHistory = dated.MatchString(line)
+			}
+			return inHistory
+		})
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") && path != "docs_test.go" {
+			check(path, func(string) bool { return false })
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

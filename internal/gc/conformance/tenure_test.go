@@ -1,5 +1,6 @@
 // Conformance tests for age-based tenuring (heap/tenure.go): the age
-// oracle pins the side age tables to a move-hook shadow model, and
+// oracle pins the header ages to a shadow model read off the heap's identity
+// table, and
 // threshold ∞ (heap.TenureNever) must never promote out of the nursery nor
 // remember nursery-to-nursery pointers. The other end of the spectrum —
 // the tenured arm of the young step at threshold 1 is word for word the
@@ -42,8 +43,8 @@ func tenureAt(threshold int) func(c *heap.Config) {
 }
 
 // runWithAgeOracle drives the randomized workload at the given threshold
-// (0 = adaptive) with the move-hook age oracle attached, checking the side tables against the oracle after every
-// collection and at the end. It returns the peak number of nonzero-age
+// (0 = adaptive) with the age oracle attached, checking the header ages
+// against the oracle after every collection and at the end. It returns the peak number of nonzero-age
 // objects observed, so callers can assert retention actually happened.
 func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, threshold int, seed int64, census bool, nOps int) int {
 	t.Helper()
@@ -55,8 +56,10 @@ func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, thresh
 	}
 	o := gctest.InstallAgeOracle(h, ten)
 	var gcErr error
+	peak := 0
 	h.SetAfterGC(func() {
 		o.AfterGC()
+		peak = max(peak, len(o.Ages())) // the model only changes here
 		if gcErr == nil {
 			gcErr = heap.VerifyCollector(h, c)
 		}
@@ -68,14 +71,10 @@ func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, thresh
 
 	src := rand.New(rand.NewSource(seed))
 	m := gctest.NewMutator(h, src)
-	peak := 0
 	for op := 0; op < nOps; op++ {
 		m.Op(src.Intn(10))
 		if gcErr != nil {
 			t.Fatalf("op %d: %v", op, gcErr)
-		}
-		if n, _ := o.Tracked(); n > peak {
-			peak = n
 		}
 	}
 	c.Collect()
@@ -94,8 +93,8 @@ func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, thresh
 	return peak
 }
 
-// TestAgeOracle holds every tenuring collector's side age tables to the
-// move-hook shadow model across thresholds (including never-promote and
+// TestAgeOracle holds every tenuring collector's header ages to the
+// identity-table shadow model across thresholds (including never-promote and
 // the adaptive controller), seeds, and census instrumentation.
 func TestAgeOracle(t *testing.T) {
 	const oracleOps = 2500
@@ -117,36 +116,40 @@ func TestAgeOracle(t *testing.T) {
 }
 
 // TestAgeOracleDetectsCorruption is the regression guard for the oracle
-// itself: corrupting one live object's side-table age must fail Check.
+// itself: corrupting one live object's header age must fail Check.
 func TestAgeOracleDetectsCorruption(t *testing.T) {
 	h := heap.New(heap.WithConfig(heap.Config{Tenure: heap.TenureNever}))
 	c := generational.New(h, 1024, 16384)
 	o := gctest.InstallAgeOracle(h, c)
+	h.SetAfterGC(o.AfterGC)
+	defer h.SetAfterGC(nil)
 
 	sc := h.Scope()
 	defer sc.Close()
 	live := gctest.BuildList(h, 20)
 	gctest.Churn(h, 2000) // force several retaining minor collections
 	gctest.CheckList(t, h, live, 20)
-	o.AfterGC()
 	if err := o.Check(); err != nil {
 		t.Fatalf("oracle failed before corruption: %v", err)
 	}
 
 	var victim heap.Word
 	var victimAge int
-	for w, age := range o.Ages() {
-		if age >= 1 {
-			victim, victimAge = w, age
-			break
-		}
+	for id, age := range o.Ages() {
+		victim, _ = h.AddrOf(id)
+		victimAge = age
+		break
 	}
 	if victimAge == 0 {
 		t.Fatal("no retained object to corrupt")
 	}
-	h.SpaceOf(victim).SetAgeAt(heap.PtrOff(victim), victimAge+1)
+	hdr := &h.SpaceOf(victim).Mem[heap.PtrOff(victim)]
+	if got := heap.HeaderAge(*hdr); got != victimAge {
+		t.Fatalf("the victim's header says age %d, the oracle %d", got, victimAge)
+	}
+	*hdr = heap.WithHeaderAge(*hdr, victimAge+1)
 	if err := o.Check(); err == nil {
-		t.Fatal("oracle did not detect a corrupted side-table age")
+		t.Fatal("oracle did not detect a corrupted header age")
 	}
 }
 

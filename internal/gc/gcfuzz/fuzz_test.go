@@ -139,7 +139,7 @@ func filepathSeedName(i int) string {
 }
 
 // ageCorrupter hijacks the program's first collect op once an aged object
-// exists: instead of collecting, it bumps one live object's side-table age
+// exists: instead of collecting, it bumps one live object's header age
 // by one and swallows this and every later collect op, so only allocation-
 // triggered minor collections follow — the next of which must trip the age
 // oracle on the corrupted entry.
@@ -156,8 +156,8 @@ func (a *ageCorrupter) Collect() {
 	}
 	for _, s := range a.ten.YoungSpaces() {
 		heap.WalkSpace(s, func(off int, hdr heap.Word) bool {
-			if age := s.AgeAt(off); age > 0 && age < heap.MaxObjectAge {
-				s.SetAgeAt(off, age+1)
+			if age := heap.HeaderAge(hdr); age > 0 && age < heap.MaxObjectAge {
+				s.Mem[off] = heap.WithHeaderAge(hdr, age+1)
 				a.done = true
 				return false
 			}
@@ -171,8 +171,8 @@ func (a *ageCorrupter) Collect() {
 }
 
 // TestTenuredRunDetectsBadAge is the regression guard for the tenured fuzz
-// harness: a single corrupted age entry in a side table must surface as a
-// run failure through the age oracle.
+// harness: a single corrupted age in a header must surface as a run failure
+// through the age oracle.
 func TestTenuredRunDetectsBadAge(t *testing.T) {
 	prog := seedPrograms()[6] // seed-tenure-churn: minors retain and age survivors
 	corr := &ageCorrupter{}
@@ -189,7 +189,7 @@ func TestTenuredRunDetectsBadAge(t *testing.T) {
 		t.Fatal("the program never retained an aged object to corrupt")
 	}
 	if err == nil {
-		t.Fatal("a corrupted side-table age went undetected")
+		t.Fatal("a corrupted header age went undetected")
 	}
 	t.Logf("detected as: %v", err)
 }

@@ -177,9 +177,10 @@ type fullCollector interface{ FullCollect() }
 // granularity) and tenuring all leave them as they are.
 //
 // When cfg tenures or adapts and the collector implements heap.Tenurer, the
-// gctest age oracle is attached: every retained object's side-table age must
-// match a move-hook shadow count throughout the run. (A heap has one move
-// hook, so a wrap that installs its own needs a cfg that does neither.)
+// gctest age oracle is attached: every retained object's header age must
+// match a shadow count kept from the heap's identity table throughout the
+// run. The oracle only reads that table, so it runs beside whatever wrap
+// attaches.
 //
 // When wrap is non-nil, the freshly constructed collector is passed through
 // it and the returned wrapper receives the program's collect operations
@@ -201,8 +202,8 @@ func Run(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, cfg hea
 		drive = wrap(h, c)
 	}
 
-	// Tenured runs carry the age oracle: the collector's side age tables
-	// are held to a move-hook shadow count for the whole program.
+	// Tenured runs carry the age oracle: the collector's header ages are
+	// held to an identity-table shadow count for the whole program.
 	var oracle *gctest.AgeOracle
 	if ten, ok := c.(heap.Tenurer); ok && (cfg.Tenure > 1 || cfg.Adaptive) {
 		oracle = gctest.InstallAgeOracle(h, ten)

@@ -6,121 +6,104 @@ import (
 	"rdgc/internal/heap"
 )
 
-// AgeOracle is a shadow model for the side age tables of heap/tenure.go:
-// it counts, per live object, the nursery collections the object has
-// survived, using only the heap's move hook — never the collector's own
-// age metadata — and then demands that the collector's side tables agree
-// exactly. Any divergence (an age not incremented on retention, not
-// cleared on reuse, or attached to the wrong object) is reported.
+// AgeOracle is a shadow model for the header ages of heap/tenure.go: it
+// counts, per live object, the nursery collections the object has survived,
+// reading only the heap's identity table — never the collector's own age
+// metadata — and then demands that the headers agree exactly. Any
+// divergence (an age not incremented on retention, not cleared on reuse, or
+// attached to the wrong object) is reported.
 //
-// Model: an object absent from the table is fresh (age 0). When the
-// collector moves an object into one of the Tenurer's young spaces, that
-// is a retention and the object's age advances by one (saturating at
-// heap.MaxObjectAge); a move anywhere else is a promotion and the object
-// leaves the model. Dead objects never move; their stale entries are
-// pruned when their address falls outside the owning space's live prefix.
+// Model: after every collection the oracle looks up where each object in
+// the Tenurer's young spaces was when it last looked. An ordinal whose
+// address changed into a young space was retained, and its age advances by
+// one (saturating at heap.MaxObjectAge); one seen for the first time was
+// born in the nursery of the last look, so finding it in the other young
+// space is a retention too. An ordinal no longer found in a young space was
+// promoted or died, and leaves the model. One collection moves a survivor
+// at most once, which is why AfterGC must run after every one of them.
 type AgeOracle struct {
-	h    *heap.Heap
-	ten  heap.Tenurer
-	ages map[heap.Word]int
-	err  error
+	h       *heap.Heap
+	ten     heap.Tenurer
+	nursery *heap.Space // where objects were being born at the last look
+	seen    map[uint64]aged
 }
 
-// InstallAgeOracle attaches an oracle to h, whose collector must implement
-// heap.Tenurer. It claims the heap's move hook (which also forces
-// sequential drains, so ages are observed deterministically).
+// aged is one young object as the oracle last saw it.
+type aged struct {
+	addr heap.Word
+	age  int
+}
+
+// InstallAgeOracle attaches an oracle to the pristine heap h, whose
+// collector must implement heap.Tenurer, and switches the heap's identity
+// table on. The oracle is a reader: it shares the table with a trace
+// recorder or replayer, and the collectors run on as many workers as the
+// heap is configured for.
 func InstallAgeOracle(h *heap.Heap, ten heap.Tenurer) *AgeOracle {
-	o := &AgeOracle{h: h, ten: ten, ages: make(map[heap.Word]int)}
-	h.SetMoveHook(o.moved)
-	return o
+	h.TrackIdentity()
+	return &AgeOracle{h: h, ten: ten, nursery: ten.YoungSpaces()[0], seen: map[uint64]aged{}}
 }
 
-func (o *AgeOracle) notef(format string, args ...any) {
-	if o.err == nil {
-		o.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (o *AgeOracle) isYoung(w heap.Word) bool {
-	id := heap.PtrSpace(w)
+// eachYoung calls f for every identified object of the young spaces (an
+// allocation-buffer filler has no identity) until f returns false.
+func (o *AgeOracle) eachYoung(f func(s *heap.Space, w, hdr heap.Word, id uint64) bool) {
 	for _, s := range o.ten.YoungSpaces() {
-		if s.ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-func (o *AgeOracle) moved(old, new heap.Word) {
-	age := o.ages[old] // absent = fresh, age 0
-	delete(o.ages, old)
-	if !o.isYoung(new) {
-		// Promoted (or moved by a wholesale collection): the object leaves
-		// the age-tracked world. Its destination carries no age table, or
-		// a zeroed one.
-		return
-	}
-	want := age + 1
-	if want > heap.MaxObjectAge {
-		want = heap.MaxObjectAge
-	}
-	s := o.h.SpaceOf(new)
-	if got := s.AgeAt(heap.PtrOff(new)); got != want {
-		o.notef("age oracle: object retained at %q+%d has side-table age %d, oracle says %d",
-			s.Name, heap.PtrOff(new), got, want)
-	}
-	o.ages[new] = want
-}
-
-// AfterGC prunes entries for objects that died (their address is no longer
-// inside the owning space's live prefix, so the slot may be reused by a
-// later collection). Call it from the heap's AfterGC hook.
-func (o *AgeOracle) AfterGC() {
-	for w := range o.ages {
-		if heap.PtrOff(w) >= o.h.SpaceOf(w).Top || !o.isYoung(w) {
-			delete(o.ages, w)
-		}
-	}
-}
-
-// Check walks every young space and compares each live object's side-table
-// age against the oracle (absent = 0), also surfacing any divergence a
-// move reported earlier.
-func (o *AgeOracle) Check() error {
-	if o.err != nil {
-		return o.err
-	}
-	for _, s := range o.ten.YoungSpaces() {
-		var err error
+		more := true
 		heap.WalkSpace(s, func(off int, hdr heap.Word) bool {
 			w := heap.PtrWord(s.ID, off)
-			if got, want := s.AgeAt(off), o.ages[w]; got != want {
-				err = fmt.Errorf("age oracle: object at %q+%d has side-table age %d, oracle says %d",
-					s.Name, off, got, want)
-				return false
+			if id, ok := o.h.IDOf(w); ok {
+				more = f(s, w, hdr, id)
 			}
-			return true
+			return more
 		})
-		if err != nil {
-			return err
+		if !more {
+			return
 		}
 	}
-	return nil
 }
 
-// Tracked returns the number of objects the oracle currently models with a
-// nonzero age, and the maximum such age — handy for asserting a workload
-// actually exercised retention.
-func (o *AgeOracle) Tracked() (n, maxAge int) {
-	for _, age := range o.ages {
-		n++
-		if age > maxAge {
-			maxAge = age
+// AfterGC brings the model up to date with the collection that has just
+// finished. Call it from the heap's AfterGC hook, after every collection.
+func (o *AgeOracle) AfterGC() {
+	next := make(map[uint64]aged, len(o.seen))
+	o.eachYoung(func(s *heap.Space, w, _ heap.Word, id uint64) bool {
+		was, known := o.seen[id]
+		moved := was.addr != w
+		if !known {
+			moved = s != o.nursery
+		}
+		if moved {
+			was.age = min(was.age+1, heap.MaxObjectAge)
+		}
+		next[id] = aged{addr: w, age: was.age}
+		return true
+	})
+	o.seen = next
+	o.nursery = o.ten.YoungSpaces()[0]
+}
+
+// Check compares the header age of every object of the young spaces against
+// the model (an object born since the last collection is absent, age 0).
+func (o *AgeOracle) Check() (err error) {
+	o.eachYoung(func(s *heap.Space, w, hdr heap.Word, id uint64) bool {
+		if got, want := heap.HeaderAge(hdr), o.seen[id].age; got != want {
+			err = fmt.Errorf("age oracle: object #%d at %q+%d has header age %d, oracle says %d",
+				id, s.Name, heap.PtrOff(w), got, want)
+		}
+		return err == nil
+	})
+	return err
+}
+
+// Ages exposes the oracle's model (object ID -> survived collections, for
+// the objects it has seen retained): tests assert from it that a workload
+// exercised retention at all, and pick entries to corrupt.
+func (o *AgeOracle) Ages() map[uint64]int {
+	ages := make(map[uint64]int)
+	for id, a := range o.seen {
+		if a.age > 0 {
+			ages[id] = a.age
 		}
 	}
-	return n, maxAge
+	return ages
 }
-
-// Ages exposes the oracle's model (current address -> survived
-// collections) for tests that need to corrupt or inspect specific entries.
-func (o *AgeOracle) Ages() map[heap.Word]int { return o.ages }

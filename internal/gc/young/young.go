@@ -65,8 +65,8 @@ type Gen struct {
 // Init prepares g as the nursery `space` of a collector on h that evacuates
 // with e, records pointers into the nursery from outside it in rs, and
 // counts into stats. The heap's Config decides the policy: Tenure >= 2 or
-// Adaptive creates the survivor shadow (named after the nursery) and the
-// age tables; otherwise g stays wholesale and creates nothing.
+// Adaptive creates the survivor shadow (named after the nursery); otherwise
+// g stays wholesale and creates nothing.
 func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset.Set, stats *heap.GCStats) {
 	*g = Gen{h: h, evac: e, rs: rs, stats: stats, space: space}
 	g.threshold = h.Config().Tenure
@@ -81,8 +81,6 @@ func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset
 	// adaptive harness arms it even at threshold 1 so the survival counters
 	// flow from the first collection.
 	g.shadow = h.NewSpace(space.Name+"-to", space.Cap())
-	g.space.EnsureAgeTable()
-	g.shadow.EnsureAgeTable()
 	g.shadowBuf = []*heap.Space{g.shadow}
 	// The heap.PointsInto predicate of both scans: into the live nursery.
 	inNursery := func(w heap.Word) bool { return heap.PtrSpace(w) == g.space.ID }
@@ -133,7 +131,7 @@ func (g *Gen) Adaptive() bool { return g.ctrl != nil }
 // Begin arms the evacuator for a collection of the nursery alone whose
 // promoted objects land in old, which the caller has checked can hold the
 // worst case. With a shadow, survivors younger than the threshold are
-// evacuated into it instead (their age incremented in its side table).
+// evacuated into it instead (their age incremented in the copy's header).
 func (g *Gen) Begin(old ...*heap.Space) {
 	g.evac.SetFrom(g.space)
 	if g.shadow == nil {

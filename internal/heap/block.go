@@ -414,60 +414,3 @@ func (s *Space) MarksClear() bool {
 	}
 	return true
 }
-
-// --- per-object age table ---
-//
-// The age table is the third piece of side metadata a space can carry,
-// next to the mark bitmap and the dirty summary: one byte per word,
-// indexed by object header offset, holding the number of nursery
-// collections the object has survived. Ages never live in headers — the
-// header stays a tag/type/size word (or a forwarding pointer mid-copy) —
-// so tracing and the fused evacuation drains are unaffected by whether a
-// space tracks ages. Only nursery-side spaces of tenuring collectors
-// allocate the table (EnsureAgeTable); everywhere else AgeAt reads 0 and
-// the space pays nothing.
-
-// MaxObjectAge is the saturation point of the one-byte side age table.
-// Ages cap here instead of wrapping, so any promotion threshold above it
-// (TenureNever in particular) means "never promote".
-const MaxObjectAge = 255
-
-// EnsureAgeTable allocates the space's side age table if it does not exist
-// yet. Idempotent; fresh entries read age 0.
-func (s *Space) EnsureAgeTable() {
-	if s.ages == nil {
-		s.ages = make([]uint8, len(s.Mem))
-	}
-}
-
-// HasAgeTable reports whether the space carries a side age table.
-func (s *Space) HasAgeTable() bool { return s.ages != nil }
-
-// AgeAt returns the age recorded for the object whose header sits at off:
-// the number of nursery collections it has survived. Spaces without an age
-// table report 0 for every object.
-func (s *Space) AgeAt(off int) int {
-	if s.ages == nil {
-		return 0
-	}
-	return int(s.ages[off])
-}
-
-// SetAgeAt records age for the object whose header sits at off, saturating
-// at MaxObjectAge. The table must exist (EnsureAgeTable); writing ages into
-// a space that never tenures is a bug, so this panics on a nil table.
-func (s *Space) SetAgeAt(off, age int) {
-	if age > MaxObjectAge {
-		age = MaxObjectAge
-	}
-	s.ages[off] = uint8(age)
-}
-
-// clearAges zeroes the age entries below Top, so a Reset space hands out
-// age-0 storage to the next cycle's allocations. O(Top), like the copy work
-// that filled the entries.
-func (s *Space) clearAges() {
-	if s.ages != nil {
-		clear(s.ages[:s.Top])
-	}
-}

@@ -40,9 +40,10 @@ type Config struct {
 	SliceBudget int
 	// Tenure is the promotion threshold of the tenuring collectors
 	// (generational, multigen, hybrid): a nursery survivor is evacuated
-	// within the nursery until the side age table says it has survived
+	// within the nursery until its header age says it has survived
 	// Tenure collections. Values below 1 mean 1, wholesale promotion;
-	// TenureNever (and anything above it) never promotes.
+	// anything above MaxObjectAge (TenureNever is the name for it) never
+	// promotes.
 	Tenure int
 	// Adaptive hands the threshold, the nursery's effective size and its
 	// collection trigger to the feedback controller in internal/policy.
@@ -56,8 +57,8 @@ type Config struct {
 // itself.
 const DefaultSliceBudget = 4 * BlockWords
 
-// TenureNever is a promotion threshold no survivor can reach: the side age
-// table saturates at MaxObjectAge, far below it, so collectors configured
+// TenureNever is a promotion threshold no survivor can reach: the header
+// age saturates at MaxObjectAge, far below it, so collectors configured
 // with it never promote out of the nursery (survivors overflow to the old
 // area only when the survivor shadow runs out of room).
 const TenureNever = 1 << 20
@@ -120,7 +121,7 @@ func ConfigFlags(fs *flag.FlagSet) func() Config {
 	fs.BoolVar(&c.LAB, "gclab", c.LAB, "per-worker allocation buffers during parallel evacuation (env RDGC_GC_LAB)")
 	fs.BoolVar(&c.Incremental, "gcincr", c.Incremental, "incremental collection (mark slices + lazy sweep) on the collectors that support it (env RDGC_GC_INCR)")
 	fs.IntVar(&c.SliceBudget, "gcslice", c.SliceBudget, "incremental mark slice budget in `words` (env RDGC_GC_SLICE)")
-	fs.IntVar(&c.Tenure, "gctenure", c.Tenure, "promotion threshold of the tenuring collectors, in collections survived; 1 = wholesale promotion (env RDGC_GC_TENURE, which also takes \"never\")")
+	fs.IntVar(&c.Tenure, "gctenure", c.Tenure, "promotion threshold of the tenuring collectors, in collections survived; 1 = wholesale promotion, ages saturate at 127 so anything above means never (env RDGC_GC_TENURE, which also takes \"never\")")
 	fs.BoolVar(&c.Adaptive, "gcadapt", c.Adaptive, "adapt nursery trigger and promotion threshold online from survival statistics (env RDGC_GC_ADAPT)")
 	return func() Config { return c.normalized() }
 }

@@ -44,10 +44,6 @@ type Evacuator struct {
 	// census word without a per-object heap dereference.
 	extra int
 
-	// moved caches the heap's move hook for the duration of a run, so the
-	// uninstrumented forward path pays one nil check per copied object.
-	moved func(old, new Word)
-
 	// scanBase[i] is the offset in Targets[i] where this run's copies began.
 	scanBase []int
 	// scan[i] is the per-target scan cursor for the gray region.
@@ -62,7 +58,7 @@ type Evacuator struct {
 	evacSlot func(slot *Word)
 
 	// tenured is set by BeginTenured and cleared by Begin: while it is on,
-	// forward reserves by side-table age (tenure.go) and Drain also scans
+	// forward reserves by header age (tenure.go) and Drain also scans
 	// the survivor targets in ten. ten is created on the first BeginTenured
 	// and reused, so steady-state tenured collections allocate nothing;
 	// wholesale runs never read it.
@@ -125,7 +121,6 @@ func (e *Evacuator) Begin(targets ...*Space) {
 	}
 	e.spaces = e.H.Spaces
 	e.extra = e.H.extraWords
-	e.moved = e.H.moved
 	e.WordsCopied = 0
 	e.ObjectsCopied = 0
 	e.WordsPromoted = 0
@@ -164,7 +159,7 @@ func (e *Evacuator) forward(w Word) Word {
 	var toSpace *Space
 	var toOff int
 	if e.tenured {
-		toSpace, toOff = e.reserveByAge(s, off, n)
+		toSpace, toOff = e.reserveByAge(s, off, hdr, n)
 	} else if ts := e.Targets; len(ts) > 0 && ts[0].Free() >= n {
 		// reserve's first iteration, without the call: nearly every copy of
 		// nearly every collection lands in the first target. (A run may begin
@@ -186,8 +181,8 @@ func (e *Evacuator) forward(w Word) Word {
 	s.Mem[off] = fwd
 	e.WordsCopied += uint64(n)
 	e.ObjectsCopied++
-	if e.moved != nil {
-		e.moved(w, fwd)
+	if s.ids != nil {
+		e.H.carryIdentity(s, off, toSpace, toOff, fwd)
 	}
 	return fwd
 }
@@ -234,11 +229,10 @@ func (e *Evacuator) Drain() {
 		e.drainReference()
 		return
 	}
-	// The parallel engine cannot run per-object move hooks (they would fire
-	// concurrently and out of allocation order) or age routing (it orders
-	// copies by age, which the workers' schedule would not preserve), so
-	// instrumented and tenured runs drain sequentially at any worker count.
-	if w := e.H.cfg.Workers; w > 1 && e.moved == nil && !e.tenured {
+	// The parallel engine cannot run age routing (it orders copies by age,
+	// which the workers' schedule would not preserve), so tenured runs drain
+	// sequentially at any worker count.
+	if w := e.H.cfg.Workers; w > 1 && !e.tenured {
 		e.drainParallel(w)
 		return
 	}

@@ -10,8 +10,8 @@ package heap
 
 // EventSink observes mutator-level heap events. All callbacks receive the
 // heap's current words: pointer words are the object's address at event
-// time, and a recorder that needs stable identities must also install a
-// move hook (SetMoveHook) to track relocations.
+// time, and a recorder that needs stable identities switches the heap's
+// identity table on (TrackIdentity) and asks it (IDOf).
 //
 // The callback set is complete for the public mutator API: every payload
 // word and every root slot a collector can observe is established by some
@@ -47,14 +47,10 @@ type EventSink interface {
 // SetEventSink installs the mutator-event observer; nil removes it. The
 // sink sees events from the moment it is installed, so a recorder that
 // needs a complete history must attach to a pristine heap.
-func (h *Heap) SetEventSink(s EventSink) { h.sink = s }
-
-// SetMoveHook installs f to run every time a collector relocates an
-// object, with the object's old and new pointer words; nil removes it.
-// Every move in the repository goes through the shared Evacuator, so this
-// is the single point where object identity can be tracked across
-// collections.
-func (h *Heap) SetMoveHook(f func(old, new Word)) { h.moved = f }
+func (h *Heap) SetEventSink(s EventSink) {
+	h.sink = s
+	h.rearm()
+}
 
 // GlobalRoots returns the number of permanent root slots, exposed for
 // tests and the trace recorder's pristine-heap check.

@@ -163,30 +163,3 @@ func TestReplaySupportMethods(t *testing.T) {
 		h.TruncateRefs(99)
 	}()
 }
-
-func TestMoveHookSeesEveryEvacuation(t *testing.T) {
-	h := New()
-	a := &movingAlloc{h: h, from: h.NewSpace("A", 4096), to: h.NewSpace("B", 4096)}
-	h.SetAllocator(a)
-
-	moves := make(map[Word]Word)
-	h.SetMoveHook(func(old, new Word) { moves[old] = new })
-	defer h.SetMoveHook(nil)
-
-	s := h.Scope()
-	defer s.Close()
-	p := h.Cons(h.Fix(1), h.Null())
-	q := h.Cons(h.Fix(2), p)
-	before := []Word{h.Get(p), h.Get(q)}
-
-	a.flip()
-
-	for _, old := range before {
-		if _, ok := moves[old]; !ok {
-			t.Errorf("no move recorded for %#x", uint64(old))
-		}
-	}
-	if got := moves[before[0]]; got != h.Get(p) {
-		t.Errorf("move hook new address %#x, Ref sees %#x", uint64(got), uint64(h.Get(p)))
-	}
-}

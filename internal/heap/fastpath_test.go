@@ -162,7 +162,7 @@ func (e *Evacuator) forwardReference(w Word) Word {
 	var toSpace *Space
 	var toOff int
 	if e.tenured {
-		toSpace, toOff = e.reserveByAge(s, off, n)
+		toSpace, toOff = e.reserveByAge(s, off, hdr, n)
 	} else {
 		toSpace, toOff = e.reserve(n)
 	}
@@ -171,8 +171,11 @@ func (e *Evacuator) forwardReference(w Word) Word {
 	s.Mem[off] = fwd
 	e.WordsCopied += uint64(n)
 	e.ObjectsCopied++
-	if e.moved != nil {
-		e.moved(w, fwd)
+	if id, ok := e.H.IDOf(w); ok {
+		s.ids[off], toSpace.ids[toOff] = 0, uint32(id)+1
+		if e.H.addrs != nil {
+			e.H.addrs[id] = fwd
+		}
 	}
 	return fwd
 }
@@ -183,7 +186,8 @@ func (e *Evacuator) forwardReference(w Word) Word {
 // forward and under forwardReference — with room in the first target, with
 // the first target full, filled exactly by the first copies, and absent
 // with Overflow supplying every space; census on and off; wholesale and
-// age-routed, where every other object is old enough to be promoted.
+// age-routed, where every other object is old enough to be promoted; and
+// with the identity table on, where both halves of it must match too.
 func TestForwardMatchesReference(t *testing.T) {
 	sizes := []int{3, 1, 2, 3, 4, 300, 3, 2, 300, 4, 1, 3}
 	type rig struct {
@@ -205,12 +209,23 @@ func TestForwardMatchesReference(t *testing.T) {
 			}
 		}
 		for _, targets := range []string{"room", "first full", "first exactly filled", "overflow only"} {
-			for _, tenured := range []bool{false, true} {
+			// identity: 0 off, 1 the address -> ordinal half alone (a recording
+			// heap's), 2 both halves (a replaying heap's).
+			for _, mode := range []struct {
+				tenured  bool
+				identity int
+			}{{false, 0}, {true, 0}, {false, 1}, {true, 1}, {false, 2}, {true, 2}} {
+				tenured := mode.tenured
 				build := func() *rig {
 					h := New(append(opts, WithConfig(Config{}))...)
 					r := &rig{h: h}
 					from := h.NewSpace("from", total)
-					from.EnsureAgeTable()
+					if mode.identity > 0 {
+						h.TrackIdentity()
+					}
+					if mode.identity > 1 {
+						h.AddrOf(0)
+					}
 					for i, n := range objs {
 						off, _ := from.Bump(n)
 						payload := n - 1 - h.ExtraWords()
@@ -218,7 +233,7 @@ func TestForwardMatchesReference(t *testing.T) {
 						for j := range h.Payload(r.slots[i]) {
 							h.Payload(r.slots[i])[j] = FixnumWord(int64(1000*i + j))
 						}
-						from.SetAgeAt(off, i%2)
+						from.Mem[off] = WithHeaderAge(from.Mem[off], i%2)
 					}
 					first := h.NewSpace("first", total)
 					second := h.NewSpace("second", total)
@@ -245,7 +260,7 @@ func TestForwardMatchesReference(t *testing.T) {
 					}
 					return r
 				}
-				name := fmt.Sprintf("census=%v/%s/tenured=%v", census, targets, tenured)
+				name := fmt.Sprintf("census=%v/%s/tenured=%v/identity=%v", census, targets, tenured, mode.identity)
 				fast, ref := build(), build()
 				for round := 0; round < 2; round++ {
 					for i, w := range fast.slots {
@@ -271,8 +286,22 @@ func TestForwardMatchesReference(t *testing.T) {
 					o := ref.h.Spaces[i]
 					// Whole arenas, not just the words below Top: a copy must
 					// not write past its object either.
-					if s.Top != o.Top || !slices.Equal(s.Mem, o.Mem) || !slices.Equal(s.ages, o.ages) {
+					if s.Top != o.Top || !slices.Equal(s.Mem, o.Mem) || !slices.Equal(s.ids, o.ids) || (s.ids != nil) != (mode.identity > 0) {
 						t.Errorf("%s: %v differs from the reference's %v", name, s, o)
+					}
+				}
+				if !slices.Equal(fast.h.addrs, ref.h.addrs) || len(fast.h.addrs) != []int{0, 0, len(objs)}[mode.identity] {
+					t.Errorf("%s: ordinal -> address halves differ, or hold %d entries for %d objects", name, len(fast.h.addrs), len(objs))
+				}
+				for i, w := range fast.slots {
+					// The slots still hold the from-addresses: what each object's
+					// forwarding word says is where its identity must now be.
+					fwd := fast.h.Header(w)
+					if id, ok := fast.h.IDOf(fwd); ok != (mode.identity > 0) || (ok && id != uint64(i)) {
+						t.Errorf("%s: object %d at %#x resolves to #%d, %v", name, i, uint64(fwd), id, ok)
+					}
+					if _, ok := fast.h.IDOf(w); ok {
+						t.Errorf("%s: the address object %d moved away from still resolves", name, i)
 					}
 				}
 			}

@@ -157,6 +157,12 @@ type Heap struct {
 	hook     func()
 	hookNext uint64
 
+	// observeAt is the allocation clock from which InitObject leaves its
+	// fast path for observeAlloc: 0 while a sink or the identity table must
+	// see every allocation, else hookNext (never, with no hook). rearm
+	// keeps it.
+	observeAt uint64
+
 	// afterGC, when non-nil, runs every time a collector finishes a
 	// collection (the verifier's hook). Collectors fire it via AfterGC at
 	// the end of every collection routine, once the heap, remembered sets,
@@ -164,10 +170,13 @@ type Heap struct {
 	afterGC func()
 
 	// sink, when non-nil, observes every mutator-level heap event (the
-	// trace recorder's hook; see events.go). moved, when non-nil, observes
-	// every object relocation performed by the shared Evacuator.
-	sink  EventSink
-	moved func(old, new Word)
+	// trace recorder's hook; see events.go).
+	sink EventSink
+
+	// identity is set by TrackIdentity; addrs is the identity table's
+	// ordinal → current address half (identity.go), nil until first asked.
+	identity bool
+	addrs    []Word
 }
 
 // Option configures a Heap at creation.
@@ -184,6 +193,8 @@ func New(opts ...Option) *Heap {
 		barrier: nopBarrier{},
 		symtab:  make(map[string]int),
 		cfg:     DefaultConfig(),
+
+		hookNext: ^uint64(0), observeAt: ^uint64(0),
 	}
 	for _, o := range opts {
 		o(h)
@@ -385,17 +396,40 @@ func (h *Heap) InitObject(s *Space, off int, t Type, payload int) Word {
 	h.Stats.WordsAllocated += uint64(1 + size)
 	h.Stats.ObjectsAllocated++
 	w := PtrWord(s.ID, off)
+	if h.Stats.WordsAllocated >= h.observeAt {
+		h.observeAlloc(s, off, w, t, payload)
+	}
+	return w
+}
+
+// observeAlloc is InitObject off its fast path: the new object enters the
+// identity table, the sink hears of it, and the allocation hook fires if its
+// time has come — in that order, so a sink can already resolve the object.
+func (h *Heap) observeAlloc(s *Space, off int, w Word, t Type, payload int) {
+	if h.identity {
+		h.identify(s, off, w)
+	}
 	if h.sink != nil {
 		h.sink.EvAlloc(w, t, payload)
 	}
 	if h.hook != nil && h.Stats.WordsAllocated >= h.hookNext {
 		h.hookNext = ^uint64(0) // the hook reschedules itself
+		h.rearm()
 		h.hook()
 	}
-	return w
 }
 
-// SetAllocHook installs f to run when the allocation clock next reaches at.
+// rearm recomputes observeAt after a change to the sink, the hook's
+// schedule or the identity table.
+func (h *Heap) rearm() {
+	h.observeAt = h.hookNext
+	if h.sink != nil || h.identity {
+		h.observeAt = 0
+	}
+}
+
+// SetAllocHook installs f to run when the allocation clock next reaches at
+// (removing it is a nil f at ^uint64(0), the clock value never reached).
 // The hook must call SetAllocHook again (or ScheduleHook) to keep firing.
 // The freshly allocated object is fully initialized but not yet rooted when
 // the hook runs, so whole-heap traces from inside the hook are safe but may
@@ -403,10 +437,11 @@ func (h *Heap) InitObject(s *Space, off int, t Type, payload int) Word {
 func (h *Heap) SetAllocHook(at uint64, f func()) {
 	h.hook = f
 	h.hookNext = at
+	h.rearm()
 }
 
 // ScheduleHook moves the next firing time of the installed hook.
-func (h *Heap) ScheduleHook(at uint64) { h.hookNext = at }
+func (h *Heap) ScheduleHook(at uint64) { h.SetAllocHook(at, h.hook) }
 
 // BirthStamp returns the allocation time (in words) of the object w points
 // to. It panics unless census tracking is enabled.

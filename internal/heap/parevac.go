@@ -10,8 +10,8 @@ import (
 )
 
 // Parallel copying: Evacuator.Drain dispatches here when the heap is
-// configured with GCWorkers >= 2 (and neither a move hook nor age routing is
-// armed). Reservation has two modes:
+// configured with GCWorkers >= 2 (and age routing is not armed). Reservation
+// has two modes:
 //
 //   - Exact-fit (the default): workers carve copy space per object directly
 //     out of the shared targets with an atomic CAS bump on a per-target
@@ -39,7 +39,9 @@ import (
 // CAS header -> busyHeader, copy, then atomically publish the forwarding
 // pointer. Losers spin (yielding, so single-CPU schedules make progress)
 // until the pointer appears. Exactly one worker copies each object, which
-// is what keeps every word counter bit-identical to sequential.
+// is what keeps every word counter bit-identical to sequential — and what
+// lets the winner carry the object's identity entry (identity.go) with plain
+// stores: the from-offset, the to-offset and the ordinal are its alone.
 //
 // What is NOT preserved (in either mode) is the distribution of copies
 // across multiple targets near capacity boundaries: first-fit packing
@@ -297,6 +299,9 @@ func (e *Evacuator) parForward(w Word, ws *evacWorker, t *evacTargets) (Word, bo
 		dmem[0] = hdr
 		copy(dmem[1:], s.Mem[off+1:off+n])
 		fwd := PtrWord(dst.ID, doff)
+		if s.ids != nil {
+			e.H.carryIdentity(s, off, dst, doff, fwd)
+		}
 		storeWord(addr, fwd)
 		ws.words += uint64(n)
 		ws.objs++

@@ -28,11 +28,11 @@ type Space struct {
 	marks []uint64
 	dirty []uint64
 
-	// ages is the optional per-object age table (one byte per word,
-	// indexed by header offset), allocated on demand by EnsureAgeTable;
-	// see the age-tenuring section of block.go. Nil on spaces whose
-	// collector never tenures by age.
-	ages []uint8
+	// ids is the space's share of the heap's identity table (identity.go):
+	// indexed by header offset, the object's allocation ordinal plus one,
+	// zero where no identified object has its header. Nil unless the heap
+	// tracks identity.
+	ids []uint32
 }
 
 // Cap returns the capacity of the space in words.
@@ -47,11 +47,14 @@ func (s *Space) Used() int { return s.Top - s.Waste }
 
 // Reset empties the space for reuse. The contents are not zeroed; all
 // allocation paths initialize every word they hand out. Any mark bits are
-// dropped (in O(dirty blocks)) so a recycled space starts unmarked. A blocked
-// space comes out in bump form, every free list empty, until FreeFrom returns
-// it to free-list form.
+// dropped (in O(dirty blocks)) so a recycled space starts unmarked, and the
+// identity entries of the objects left behind (in O(Top)) so a recycled
+// address names nobody. A blocked space comes out in bump form, every free
+// list empty, until FreeFrom returns it to free-list form.
 func (s *Space) Reset() {
-	s.clearAges()
+	if s.ids != nil {
+		clear(s.ids[:s.Top])
+	}
 	s.Top = 0
 	s.Waste = 0
 	s.ClearMarkBits()
@@ -76,9 +79,10 @@ func (s *Space) Bump(n int) (int, bool) {
 }
 
 // Resize replaces the space's storage with a fresh arena of the given size,
-// discarding the old contents, and sizes the side bitmaps to match. It is
-// how collectors grow scratch spaces (to-spaces between collections);
-// reassigning Mem directly would orphan the bitmaps.
+// discarding the old contents, and sizes the side bitmaps (and the identity
+// entries, when the heap tracks identity) to match. It is how collectors grow
+// scratch spaces (to-spaces between collections); reassigning Mem directly
+// would orphan the side tables.
 func (s *Space) Resize(words int) {
 	if words <= 0 {
 		panic("heap: Resize to non-positive size")
@@ -86,8 +90,8 @@ func (s *Space) Resize(words int) {
 	s.Mem = make([]Word, words)
 	s.marks = make([]uint64, (words+63)/64)
 	s.dirty = make([]uint64, ((words+BlockMask)>>BlockShift+63)/64)
-	if s.ages != nil {
-		s.ages = make([]uint8, words)
+	if s.ids != nil {
+		s.ids = make([]uint32, words)
 	}
 	s.Top = 0
 	s.Waste = 0
@@ -112,6 +116,9 @@ func (h *Heap) NewSpace(name string, words int) *Space {
 		Name:  name,
 		marks: make([]uint64, (words+63)/64),
 		dirty: make([]uint64, ((words+BlockMask)>>BlockShift+63)/64),
+	}
+	if h.identity {
+		s.ids = make([]uint32, words)
 	}
 	h.Spaces = append(h.Spaces, s)
 	return s

@@ -19,7 +19,7 @@ type Tenurer interface {
 	// (1 = wholesale promotion; it can move between collections under the
 	// adaptive controller).
 	TenureThreshold() int
-	// YoungSpaces returns the spaces whose objects carry side-table ages:
+	// YoungSpaces returns the spaces whose objects' header ages count:
 	// the active nursery first, then the survivor shadow (absent under
 	// wholesale promotion).
 	YoungSpaces() []*Space
@@ -35,8 +35,8 @@ type tenureState struct {
 	threshold int
 
 	// young are the survivor targets: copies that stay below the threshold
-	// land here, oldest-reserved first, with their advanced age written
-	// into the target's side table. youngScan are their Cheney cursors.
+	// land here, oldest-reserved first, their advanced age in their
+	// headers. youngScan are their Cheney cursors.
 	young     []*Space
 	youngScan []int
 
@@ -51,7 +51,7 @@ type tenureState struct {
 
 // BeginTenured re-arms the evacuator for an age-aware nursery collection:
 // survivors whose incremented age stays below threshold are copied into
-// the young targets (age advanced in the side table), everyone else — and
+// the young targets (age advanced in the copy's header), everyone else — and
 // any survivor the full young targets cannot hold — is promoted into the
 // old targets. The run then goes through the ordinary Slot / EvacuateRoots
 // / Drain entry points, which route by age until the next Begin.
@@ -61,8 +61,7 @@ type tenureState struct {
 // order and images are identical either way, since every survivor takes
 // the old-target reserve path).
 //
-// A tenured run drains sequentially at any worker count; it honors the
-// heap's move hook.
+// A tenured run drains sequentially at any worker count.
 func (e *Evacuator) BeginTenured(threshold int, young []*Space, old ...*Space) {
 	e.Begin(old...)
 	if e.ten == nil {
@@ -74,7 +73,6 @@ func (e *Evacuator) BeginTenured(threshold int, young []*Space, old ...*Space) {
 	t.young = append(t.young[:0], young...)
 	t.youngScan = t.youngScan[:0]
 	for _, y := range young {
-		y.EnsureAgeTable()
 		t.youngScan = append(t.youngScan, y.Top)
 	}
 	t.survByAge = [TenureAgeClasses]uint64{}
@@ -89,21 +87,21 @@ func (e *Evacuator) SurvivorsByAge() (surv, retained *[TenureAgeClasses]uint64) 
 }
 
 // reserveByAge is a tenured run's reserve: the survivor's age is read from
-// the from-space side table, incremented, and compared against the
-// threshold to pick the survivor shadow or the promotion targets for the
-// n-word object at s[off].
-func (e *Evacuator) reserveByAge(s *Space, off, n int) (*Space, int) {
+// hdr, the header forward has loaded from s[off], incremented, and compared
+// against the threshold to pick the survivor shadow or the promotion targets
+// for the n-word object. The header the copy is to carry — the advanced age
+// for a retained survivor, age 0 for a promoted one — is written back to
+// s[off], which forward copies from and then overwrites with the forwarding
+// pointer: the age travels in the copy and costs the wholesale path nothing.
+func (e *Evacuator) reserveByAge(s *Space, off int, hdr Word, n int) (*Space, int) {
 	t := e.ten
-	age := s.AgeAt(off)
-	newAge := age + 1
-	if newAge > MaxObjectAge {
-		newAge = MaxObjectAge
-	}
+	age := HeaderAge(hdr)
+	newAge := min(age+1, MaxObjectAge)
 	t.survByAge[ageClass(age)] += uint64(n)
 	if newAge < t.threshold {
 		for _, y := range t.young {
 			if toOff, ok := y.Bump(n); ok {
-				y.SetAgeAt(toOff, newAge)
+				s.Mem[off] = WithHeaderAge(hdr, newAge)
 				e.WordsRetained += uint64(n)
 				t.retainedByAge[ageClass(newAge)] += uint64(n)
 				return y, toOff
@@ -113,6 +111,7 @@ func (e *Evacuator) reserveByAge(s *Space, off, n int) (*Space, int) {
 	// At or past the threshold — or the survivor shadow is full, in which
 	// case the survivor is promoted prematurely (the standard
 	// overflow-tenuring safety valve).
+	s.Mem[off] = WithHeaderAge(hdr, 0)
 	e.WordsPromoted += uint64(n)
 	return e.reserve(n)
 }

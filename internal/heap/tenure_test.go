@@ -4,56 +4,46 @@ import (
 	"testing"
 )
 
-func TestAgeTableBasics(t *testing.T) {
-	h := New()
-	s := h.NewSpace("aged", 64)
-	if s.HasAgeTable() {
-		t.Fatal("fresh space has an age table")
-	}
-	if got := s.AgeAt(0); got != 0 {
-		t.Fatalf("AgeAt on nil table = %d, want 0", got)
-	}
-	s.EnsureAgeTable()
-	if !s.HasAgeTable() {
-		t.Fatal("EnsureAgeTable did not install a table")
-	}
-	s.EnsureAgeTable() // idempotent
-	s.SetAgeAt(3, 7)
-	if got := s.AgeAt(3); got != 7 {
-		t.Fatalf("AgeAt = %d, want 7", got)
-	}
-	s.SetAgeAt(4, MaxObjectAge+10)
-	if got := s.AgeAt(4); got != MaxObjectAge {
-		t.Fatalf("age did not saturate: %d, want %d", got, MaxObjectAge)
-	}
-
-	// Reset clears the used prefix of the table.
-	s.Top = 8
-	s.Reset()
-	if got := s.AgeAt(3); got != 0 {
-		t.Fatalf("age survived Reset: %d", got)
-	}
-
-	// Resize keeps an age table, sized to the new capacity.
-	s.Resize(128)
-	if !s.HasAgeTable() {
-		t.Fatal("Resize dropped the age table")
-	}
-	s.SetAgeAt(100, 1)
-	if got := s.AgeAt(100); got != 1 {
-		t.Fatalf("post-Resize AgeAt = %d, want 1", got)
-	}
-}
-
-func TestSetAgeAtWithoutTablePanics(t *testing.T) {
-	h := New()
-	s := h.NewSpace("bare", 16)
-	defer func() {
-		if recover() == nil {
-			t.Error("SetAgeAt on a table-less space did not panic")
+// TestHeaderAgeRoundTrip: the age occupies bits 9-15 and nothing else. For
+// every type, a spread of sizes, the ages at both ends of the range and the
+// mark bit set and clear, WithHeaderAge/HeaderAge round-trip and HeaderType,
+// HeaderSize, ObjWords and Marked read what they read without an age.
+func TestHeaderAgeRoundTrip(t *testing.T) {
+	for typ := Type(0); typ < numTypes; typ++ {
+		for _, size := range []int{0, 1, 2, 300, 1<<48 - 1} {
+			for _, age := range []int{0, 1, 126, 127} {
+				for _, marked := range []bool{false, true} {
+					base := HeaderWord(typ, size)
+					if marked {
+						base = SetMark(base)
+					}
+					h := WithHeaderAge(base, age)
+					if !IsHeader(h) {
+						t.Fatalf("%v/%d/age %d: not a header: %#x", typ, size, age, uint64(h))
+					}
+					if got := HeaderAge(h); got != age {
+						t.Errorf("%v/%d: HeaderAge = %d, want %d", typ, size, got, age)
+					}
+					if HeaderType(h) != typ || HeaderSize(h) != size || ObjWords(h) != 1+size || Marked(h) != marked {
+						t.Errorf("%v/%d/age %d/marked %v reads back as %v/%d/%d words/marked %v",
+							typ, size, age, marked, HeaderType(h), HeaderSize(h), ObjWords(h), Marked(h))
+					}
+					if WithHeaderAge(h, 0) != base {
+						t.Errorf("%v/%d/age %d: clearing the age does not restore the header", typ, size, age)
+					}
+					if ClearMark(SetMark(h)) != ClearMark(h) || HeaderAge(SetMark(h)) != age {
+						t.Errorf("%v/%d/age %d: the mark bit disturbs the age", typ, size, age)
+					}
+				}
+			}
 		}
-	}()
-	s.SetAgeAt(0, 1)
+	}
+	if got := HeaderAge(HeaderWord(TPair, 2)); got != 0 {
+		t.Errorf("a fresh header has age %d", got)
+	}
+	if got := HeaderAge(WithHeaderAge(HeaderWord(TPair, 2), MaxObjectAge+10)); got != MaxObjectAge {
+		t.Errorf("age did not saturate: %d, want %d", got, MaxObjectAge)
+	}
 }
 
 // tenureRig is a nursery + survivor shadow + old target with a bump
@@ -77,12 +67,13 @@ func newTenureRig(t *testing.T, nurseryWords, shadowWords, oldWords int) *tenure
 		shadow:  h.NewSpace("shadow", shadowWords),
 		old:     h.NewSpace("old", oldWords),
 	}
-	r.nursery.EnsureAgeTable()
-	r.shadow.EnsureAgeTable()
 	r.evac = NewEvacuator(h, nil)
 	h.SetAllocator(r)
 	return r
 }
+
+// ageOf reads the header age of the object w points to.
+func (r *tenureRig) ageOf(w Word) int { return HeaderAge(r.h.Header(w)) }
 
 func (r *tenureRig) AllocRaw(t Type, payload int) Word {
 	total := 1 + payload + r.h.ExtraWords()
@@ -125,9 +116,9 @@ func TestTenuredEvacuatorRetainsUnderThreshold(t *testing.T) {
 	// side is reachable only from a slot visited through Slot(): it must be
 	// age-routed exactly like a heap root.
 	e := r.collect(2, &side)
-	if PtrSpace(side) != r.nursery.ID || r.nursery.AgeAt(PtrOff(side)) != 1 {
+	if PtrSpace(side) != r.nursery.ID || r.ageOf(side) != 1 {
 		t.Fatalf("Slot() root landed in space %d at age %d, want the flipped nursery at age 1",
-			PtrSpace(side), r.nursery.AgeAt(PtrOff(side)))
+			PtrSpace(side), r.ageOf(side))
 	}
 	if e.WordsPromoted != 0 {
 		t.Fatalf("first collection promoted %d words, want 0", e.WordsPromoted)
@@ -145,7 +136,7 @@ func TestTenuredEvacuatorRetainsUnderThreshold(t *testing.T) {
 	if PtrSpace(w) != r.nursery.ID {
 		t.Fatal("survivor did not land in the (flipped) nursery")
 	}
-	if got := r.nursery.AgeAt(PtrOff(w)); got != 1 {
+	if got := r.ageOf(w); got != 1 {
 		t.Fatalf("survivor age = %d, want 1", got)
 	}
 	if got := h.FixVal(h.Car(live)); got != 1 {
@@ -167,6 +158,11 @@ func TestTenuredEvacuatorRetainsUnderThreshold(t *testing.T) {
 	w = h.Get(live)
 	if PtrSpace(w) != r.old.ID {
 		t.Fatal("aged survivor was not promoted to the old space")
+	}
+	// Promotion clears the age: the copy in the old space reads 0, and so
+	// does the rest of the promoted list.
+	if a, b := r.ageOf(w), r.ageOf(h.Get(h.Cdr(live))); a != 0 || b != 0 {
+		t.Fatalf("promoted copies carry ages %d and %d, want 0", a, b)
 	}
 	surv, _ = e.SurvivorsByAge()
 	if surv[1] != 6 {
@@ -211,7 +207,7 @@ func TestTenuredEvacuatorNeverPromotes(t *testing.T) {
 	if PtrSpace(w) != r.nursery.ID {
 		t.Fatal("TenureNever survivor left the young region")
 	}
-	if got := r.nursery.AgeAt(PtrOff(w)); got != 5 {
+	if got := r.ageOf(w); got != 5 {
 		t.Fatalf("age after 5 rounds = %d, want 5", got)
 	}
 
@@ -260,6 +256,11 @@ func TestTenuredEvacuatorShadowOverflowPromotes(t *testing.T) {
 	if !spaces[r.shadow.ID] || !spaces[r.old.ID] {
 		t.Fatalf("survivors in %v, want one in shadow and one in old", spaces)
 	}
+	for _, w := range []Word{h.Get(a), h.Get(b)} {
+		if want := map[SpaceID]int{r.shadow.ID: 1, r.old.ID: 0}[PtrSpace(w)]; r.ageOf(w) != want {
+			t.Errorf("survivor in space %d has age %d, want %d", PtrSpace(w), r.ageOf(w), want)
+		}
+	}
 }
 
 func TestTenuredEvacuatorAgeSaturates(t *testing.T) {
@@ -273,7 +274,7 @@ func TestTenuredEvacuatorAgeSaturates(t *testing.T) {
 		r.collect(TenureNever)
 	}
 	w := h.Get(live)
-	if got := r.nursery.AgeAt(PtrOff(w)); got != MaxObjectAge {
+	if got := r.ageOf(w); got != MaxObjectAge {
 		t.Fatalf("age = %d, want saturation at %d", got, MaxObjectAge)
 	}
 }

@@ -143,14 +143,24 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// Header layout: tag(2) | type(6) | mark(1) | unused(7) | size(48).
+// Header layout: tag(2) | type(6) | mark(1) | age(7) | size(48).
 // size counts the payload words that follow the header (including the
-// hidden birth-stamp word when the heap has census tracking enabled).
+// hidden birth-stamp word when the heap has census tracking enabled). age is
+// the number of nursery collections the object has survived: only the
+// tenured evacuation (tenure.go) writes it, only into a copy it keeps in a
+// young space, and nothing reads it anywhere else.
 const (
 	hdrTypeShift = 2
 	hdrMarkBit   = Word(1) << 8
+	hdrAgeShift  = 9
+	hdrAgeMask   = Word(MaxObjectAge) << hdrAgeShift
 	hdrSizeShift = 16
 )
+
+// MaxObjectAge is the saturation point of the header's seven age bits. Ages
+// cap here instead of wrapping, so any promotion threshold above it
+// (TenureNever in particular) means "never promote".
+const MaxObjectAge = 127
 
 // HeaderWord builds an unmarked header for an object of type t whose payload
 // occupies size words.
@@ -163,6 +173,19 @@ func HeaderType(h Word) Type { return Type(h >> hdrTypeShift & 0x3f) }
 
 // HeaderSize extracts the payload size in words from a header word.
 func HeaderSize(h Word) int { return int(h >> hdrSizeShift) }
+
+// HeaderAge extracts the age from a header word: the nursery collections
+// the object has survived, 0 for every object no tenured run has retained.
+func HeaderAge(h Word) int { return int(h & hdrAgeMask >> hdrAgeShift) }
+
+// WithHeaderAge returns h with its age set to age, saturating at
+// MaxObjectAge. Type, size and mark bit are untouched.
+func WithHeaderAge(h Word, age int) Word {
+	if age > MaxObjectAge {
+		age = MaxObjectAge
+	}
+	return h&^hdrAgeMask | Word(age)<<hdrAgeShift
+}
 
 // Marked reports whether the header's mark bit is set.
 func Marked(h Word) bool { return h&hdrMarkBit != 0 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // TestIdentityTablesFollowTheHeap records and replays under the heap shapes
-// an address-indexed table has to follow and a map never noticed: semispaces
+// the heap's address-indexed identity table has to follow: semispaces
 // that Resize mid-run (started far too small for the workload), a step heap
 // that adds spaces, and mark/sweep, where nothing moves and a swept address
 // is handed out again — each with census off and on. The trace recorded
@@ -93,10 +94,11 @@ func TestIdentityTablesFollowTheHeap(t *testing.T) {
 }
 
 // TestRecorderNamesUnknownPointers pins the recorder's refusals, text
-// included, for the three ways a pointer can fail to resolve in a table:
-// an address inside a tabled space that no recorded object occupies, an
-// address in a space the table has never seen, and the address an object
-// moved away from.
+// included, for the ways a pointer can fail to name a recorded object: an
+// allocation the recorder was not attached for, named as a value or as a
+// target (never named, it leaves the trailer's object count one ahead of the
+// trace's allocation events, which replay reports as drift), an address in a
+// space no object has lived in, and the address an object moved away from.
 func TestRecorderNamesUnknownPointers(t *testing.T) {
 	start := func() (*heap.Heap, *semispace.Collector, *trace.Recorder) {
 		h := heap.New()
@@ -119,21 +121,23 @@ func TestRecorderNamesUnknownPointers(t *testing.T) {
 		}
 	}
 
-	// An allocation the recorder never saw, used as a value and as a target.
+	// An allocation the recorder never saw has an ordinal of the heap's but
+	// no allocation event: used as a value or as a target, it is a reference
+	// to an object the trace has not allocated.
 	h, _, rec := start()
 	h.Cons(h.Fix(1), h.Null())
 	h.SetEventSink(nil)
 	hidden := h.Cons(h.Fix(2), h.Null())
 	h.SetEventSink(rec)
 	h.RefOf(h.Get(hidden))
-	wantErr(rec, fmt.Sprintf("pointer %#x does not resolve to a recorded object", uint64(h.Get(hidden))))
+	wantErr(rec, "reference to unallocated object #1")
 
 	h, _, rec = start()
 	h.SetEventSink(nil)
 	hidden = h.Cons(h.Fix(2), h.Null())
 	h.SetEventSink(rec)
 	h.SetCar(hidden, h.Fix(3))
-	wantErr(rec, fmt.Sprintf("event target %#x does not resolve to a recorded object", uint64(h.Get(hidden))))
+	wantErr(rec, "reference to unallocated object #0")
 
 	// A space no recorded object has ever lived in.
 	h, _, rec = start()
@@ -152,4 +156,54 @@ func TestRecorderNamesUnknownPointers(t *testing.T) {
 	}
 	h.RefOf(before)
 	wantErr(rec, fmt.Sprintf("pointer %#x does not resolve to a recorded object", uint64(before)))
+}
+
+// TestRecorderBesideTheAgeOracle: gcfuzz.Run attaches the age oracle to a
+// tenuring collector and, through wrap, this package's recorder; both read
+// the one identity table the heap keeps. Every tenuring collector, tenured,
+// never-promoting, adaptive and tenured on two workers, runs the corpus
+// program clean — oracle, verifier and shadow model — while the recorder
+// writes the bytes the zero Config writes.
+func TestRecorderBesideTheAgeOracle(t *testing.T) {
+	data, err := os.ReadFile("../gc/gcfuzz/testdata/fuzz/FuzzCollectors/seed-tenure-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := gcfuzz.UnmarshalCorpus(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(nc gcfuzz.NamedCollector, cfg heap.Config) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		var rec *trace.Recorder
+		_, err := gcfuzz.Run(prog, nc.New, false, cfg, func(h *heap.Heap, c heap.Collector) heap.Collector {
+			w, err := trace.NewWriter(&buf, trace.Header{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec, err = trace.NewRecorder(h, w); err != nil {
+				t.Fatal(err)
+			}
+			return rec.Collector(c)
+		})
+		if err != nil {
+			t.Fatalf("%s under %+v: %v", nc.Name, cfg, err)
+		}
+		if err := rec.Finish(); err != nil {
+			t.Fatalf("%s under %+v: %v", nc.Name, cfg, err)
+		}
+		return buf.Bytes()
+	}
+	want := record(gcfuzz.Collectors()[0], heap.Config{})
+	for _, nc := range gcfuzz.Collectors() {
+		if _, ok := nc.New(heap.New()).(heap.Tenurer); !ok {
+			continue
+		}
+		for _, cfg := range []heap.Config{{Tenure: 3}, {Tenure: heap.TenureNever}, {Adaptive: true}, {Tenure: 3, Workers: 2}} {
+			if got := record(nc, cfg); !bytes.Equal(got, want) {
+				t.Errorf("%s under %+v recorded %d bytes that differ from the zero Config's %d", nc.Name, cfg, len(got), len(want))
+			}
+		}
+	}
 }

@@ -35,10 +35,11 @@ func Record(out io.Writer, census bool, meta []MetaEntry, mk func(*heap.Heap) he
 }
 
 // Recorder captures a heap's mutator events into a trace. It installs
-// itself as the heap's event sink and move hook; the move hook keeps a
-// current-address → allocation-order-ID table (idTable: one 32-bit entry
-// per heap word of every space an object has lived in), so recorded traces
-// are independent of where any collector happens to place objects.
+// itself as the heap's event sink and switches on the heap's identity table
+// (heap.TrackIdentity), which the collectors carry with every object they
+// move; the recorder only reads it (IDOf) to name objects by allocation
+// ordinal, so recorded traces are independent of where — and on how many
+// workers — any collector happens to place objects.
 //
 // Recording never perturbs the simulated run: the heap's words, roots,
 // statistics, and collection schedule are identical with and without a
@@ -47,9 +48,8 @@ func Record(out io.Writer, census bool, meta []MetaEntry, mk func(*heap.Heap) he
 type Recorder struct {
 	h        *heap.Heap
 	w        *Writer
-	ids      idTable // live object address -> allocation ID
-	ev       Event   // scratch, re-encoded by every callback
-	err      error   // sticky first failure
+	ev       Event // scratch, re-encoded by every callback
+	err      error // sticky first failure
 	finished bool
 }
 
@@ -68,9 +68,9 @@ func NewRecorder(h *heap.Heap, w *Writer) (*Recorder, error) {
 		return nil, fmt.Errorf("%w: heap census=%v but trace header census=%v",
 			ErrInvalid, h.CensusEnabled(), w.Header().Census)
 	}
-	r := &Recorder{h: h, w: w, ids: idTable{h: h}}
+	r := &Recorder{h: h, w: w}
+	h.TrackIdentity()
 	h.SetEventSink(r)
-	h.SetMoveHook(r.moved)
 	return r, nil
 }
 
@@ -85,7 +85,6 @@ func (r *Recorder) Finish() error {
 	}
 	r.finished = true
 	r.h.SetEventSink(nil)
-	r.h.SetMoveHook(nil)
 	if r.err != nil {
 		return r.err
 	}
@@ -103,29 +102,21 @@ func (r *Recorder) failf(format string, args ...any) {
 	}
 }
 
-// moved is the heap move hook: collectors relocating an object carry its
-// ID to the new address.
-func (r *Recorder) moved(old, new heap.Word) { r.ids.move(old, new) }
-
 // value translates a heap word into a trace operand: pointers become
 // allocation IDs, everything else travels as immediate bits.
 func (r *Recorder) value(w heap.Word) Value {
 	if !heap.IsPtr(w) {
 		return Imm(w)
 	}
-	id, ok := r.ids.lookup(w)
-	if !ok {
-		r.failf("pointer %#x does not resolve to a recorded object", uint64(w))
-		return Imm(0)
-	}
+	id, _ := r.objID(w) // a failure poisons the recording; callers check
 	return Obj(id)
 }
 
-// objID resolves the event's target object.
+// objID resolves a pointer — an operand, or the event's target object.
 func (r *Recorder) objID(w heap.Word) (uint64, bool) {
-	id, ok := r.ids.lookup(w)
+	id, ok := r.h.IDOf(w)
 	if !ok {
-		r.failf("event target %#x does not resolve to a recorded object", uint64(w))
+		r.failf("pointer %#x does not resolve to a recorded object", uint64(w))
 	}
 	return id, ok
 }
@@ -143,10 +134,9 @@ func (r *Recorder) EvAlloc(w heap.Word, t heap.Type, payload int) {
 	}
 	r.ev = Event{Kind: KindAlloc, Type: t, Size: payload}
 	r.append()
-	// Append assigned the allocation its ID; a dead object whose address is
-	// being reused is overwritten here.
-	if err := r.ids.set(w, r.ev.Obj); err != nil && r.err == nil {
-		r.err = err
+	// Append assigned the allocation its ID, the heap its ordinal.
+	if r.ev.Obj > heap.MaxIdentity {
+		r.failf("allocation ID %d exceeds the identity table's %d", r.ev.Obj, uint64(heap.MaxIdentity))
 	}
 }
 

@@ -9,44 +9,36 @@ import (
 
 // Replayer applies trace events to a heap, driving any collector through
 // the identical allocation/store/root schedule the recording mutator
-// produced. Object identity is two tables kept fresh by the heap's move
-// hook: words resolves an event's object ID to the object's current
-// address (one address per allocation ID, never reclaimed), and ids — the
-// recorder's table — tells the hook which ID just moved (one 32-bit entry
-// per heap word of every space an object has lived in).
+// produced. An event names an object by allocation ordinal, which on a
+// pristine heap is the ID the heap's identity table (heap.TrackIdentity)
+// gives it; the collectors carry that table with every object they move,
+// at any worker count, and the replayer only reads it (AddrOf).
 type Replayer struct {
-	h     *heap.Heap
-	c     heap.Collector
-	words []heap.Word // allocation ID -> current address
-	ids   idTable     // current address -> allocation ID
+	h *heap.Heap
+	c heap.Collector
 }
 
 // NewReplayer attaches a replayer to a pristine heap whose collector c is
-// already installed. Call Close when done to detach the move hook.
+// already installed.
 func NewReplayer(h *heap.Heap, c heap.Collector) (*Replayer, error) {
 	if h.Stats.ObjectsAllocated != 0 || h.LiveRefs() != 0 || h.GlobalRoots() != 0 {
 		return nil, fmt.Errorf("%w: replayer needs a pristine heap", ErrInvalid)
 	}
-	rp := &Replayer{h: h, c: c, ids: idTable{h: h}}
-	h.SetMoveHook(rp.moved)
-	return rp, nil
+	h.TrackIdentity()
+	return &Replayer{h: h, c: c}, nil
 }
 
-// Close detaches the replayer from its heap.
-func (rp *Replayer) Close() { rp.h.SetMoveHook(nil) }
-
-func (rp *Replayer) moved(old, new heap.Word) {
-	if id, ok := rp.ids.move(old, new); ok {
-		rp.words[id] = new
-	}
-}
+// Close ends the replay. The replayer holds nothing of the heap's to give
+// back (the identity table stays on); callers pair it with NewReplayer.
+func (rp *Replayer) Close() {}
 
 // word resolves an allocation ID to the object's current address.
 func (rp *Replayer) word(id uint64) (heap.Word, error) {
-	if id >= uint64(len(rp.words)) {
+	w, ok := rp.h.AddrOf(id)
+	if !ok {
 		return 0, fmt.Errorf("%w: object #%d not yet allocated", ErrInvalid, id)
 	}
-	return rp.words[id], nil
+	return w, nil
 }
 
 func (rp *Replayer) value(v Value) (heap.Word, error) {
@@ -60,13 +52,12 @@ func (rp *Replayer) value(v Value) (heap.Word, error) {
 func (rp *Replayer) Apply(ev *Event) error {
 	switch ev.Kind {
 	case KindAlloc:
-		// The allocation may trigger a collection; the move hook keeps the
-		// tables fresh while it runs.
-		w := rp.h.AllocObject(ev.Type, ev.Size)
-		if err := rp.ids.set(w, uint64(len(rp.words))); err != nil {
-			return err
+		// The allocation may trigger a collection, which carries the identity
+		// table along; the heap enters the new object under the next ordinal.
+		if n := rp.h.Stats.ObjectsAllocated; n > heap.MaxIdentity {
+			return fmt.Errorf("%w: allocation ID %d exceeds the identity table's %d", ErrInvalid, n, uint64(heap.MaxIdentity))
 		}
-		rp.words = append(rp.words, w)
+		rp.h.AllocObject(ev.Type, ev.Size)
 	case KindStore:
 		obj, err := rp.word(ev.Obj)
 		if err != nil {
@@ -166,7 +157,6 @@ func Replay(rd *Reader, h *heap.Heap, c heap.Collector, opt ReplayOptions) (res 
 	if err != nil {
 		return res, err
 	}
-	defer rp.Close()
 
 	var verifyErr error
 	if opt.Verify {
