@@ -418,6 +418,41 @@ func BenchmarkHeapAllocation(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessors measures the mutator's typed accessors without
+// allocation: each iteration walks a 64-pair list with IsPair/Car/Cdr and a
+// 64-slot vector of flonums with VectorRef/FlonumVal inside one handle
+// scope, and the time is reported per access (each call counts one).
+func BenchmarkAccessors(b *testing.B) {
+	const n = 64
+	h := heap.New()
+	semispace.New(h, 1<<16)
+	s := h.Scope()
+	defer s.Close()
+	list := h.Null()
+	vec := h.MakeVector(n, list)
+	for i := 0; i < n; i++ {
+		list = h.Cons(h.Fix(int64(i)), list)
+		h.VectorSet(vec, i, h.Flonum(float64(i)))
+	}
+	const accesses = 3*n + 1 + 2*n // IsPair n+1 times, Car and Cdr n times; VectorRef and FlonumVal n times
+	var sum float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := h.Scope()
+		for cur := list; h.IsPair(cur); cur = h.Cdr(cur) {
+			h.Car(cur)
+		}
+		for j := 0; j < n; j++ {
+			sum += h.FlonumVal(h.VectorRef(vec, j))
+		}
+		g.Close()
+	}
+	if sum != float64(b.N)*n*(n-1)/2 {
+		b.Fatalf("the vector walk summed %g", sum)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accesses), "ns/access")
+}
+
 // BenchmarkDecayStep measures one step of the decay mutator at equilibrium —
 // expire the deaths due, allocate a pair, draw its lifetime, schedule it —
 // at the central experiment's h = 1024 on a stop-and-copy heap of inverse

@@ -11,6 +11,31 @@ go test -race ./...
 # bit-rot in the perf harness without paying for a real measurement.
 go test -run '^$' -bench . -benchtime 1x ./...
 
+# Inlining guard. The mutator's entry points in internal/heap check, resolve
+# and load in a straight line and leave their cold paths (a type fault's
+# message, FixnumVal's message, push's and GlobalWord's sink calls) to
+# out-of-line helpers, which is what keeps the handle stack, the fixnum decode
+# and the type predicates inside the compiler's inline budget, and Car/Cdr one
+# call deep.
+# A change that pushes one of them over the budget fails here by name, as
+# does one that stops the young generation's allocation trigger inlining
+# into any of the three collectors built on it.
+inl=$(go build -gcflags=-m ./internal/heap ./internal/gc/... 2>&1)
+for fn in '(*Heap).push' '(*Heap).Get' 'FixnumVal' '(*Heap).isType' \
+    '(*Heap).IsPair' '(*Heap).IsVector' '(*Heap).IsSymbol' '(*Heap).IsFlonum' \
+    '(*Heap).Car' '(*Heap).Cdr' '(*Heap).Scope' 'Scope.Close'; do
+    if ! printf '%s\n' "$inl" | sed -n 's/^internal\/heap\/[^ ]*: can inline //p' | grep -qxF "$fn"; then
+        echo "ci: heap $fn is no longer inlinable (go build -gcflags=-m=2 ./internal/heap says why)" >&2
+        exit 1
+    fi
+done
+for c in generational multigen hybrid; do
+    if ! printf '%s\n' "$inl" | grep -q "^internal/gc/$c/.*inlining call to young\.(\*Gen)\.Full$"; then
+        echo "ci: young.(*Gen).Full no longer inlines into $c" >&2
+        exit 1
+    fi
+done
+
 # Coverage floors for the invariant-critical packages, set just under the
 # coverage measured when the verifier landed; dipping below one means tests
 # were deleted or a new code path shipped untested.

@@ -66,9 +66,12 @@ func (h *Heap) AllocObject(t Type, payloadWords int) Word {
 
 // StoreField stores val into payload slot i of the object w points to,
 // through the write barrier. It is the word-level form of the typed
-// mutators (SetCar, VectorSet, ...), which all funnel through it.
-func (h *Heap) StoreField(w Word, i int, val Word) {
-	h.Payload(w)[i] = val
+// mutators (SetCar, VectorSet, ...).
+func (h *Heap) StoreField(w Word, i int, val Word) { h.store(w, h.Payload(w), i, val) }
+
+// store is StoreField on the payload p of w, already resolved.
+func (h *Heap) store(w Word, p []Word, i int, val Word) {
+	p[i] = val
 	h.barrier.RecordWrite(w, val)
 	if h.sink != nil {
 		h.sink.EvStore(w, i, val)
@@ -78,8 +81,10 @@ func (h *Heap) StoreField(w Word, i int, val Word) {
 // FillFields stores val into every payload slot of the object w points to,
 // with a single write-barrier record — MakeVector's initializing fill, in
 // replayable form.
-func (h *Heap) FillFields(w Word, val Word) {
-	p := h.Payload(w)
+func (h *Heap) FillFields(w Word, val Word) { h.fill(w, h.Payload(w), val) }
+
+// fill is FillFields on the payload p of w, already resolved.
+func (h *Heap) fill(w Word, p []Word, val Word) {
 	for i := range p {
 		p[i] = val
 	}
@@ -93,8 +98,11 @@ func (h *Heap) FillFields(w Word, val Word) {
 
 // StoreRaw stores raw non-pointer bits into payload slot i of w without a
 // write barrier — Flonum's data word, in replayable form.
-func (h *Heap) StoreRaw(w Word, i int, bits uint64) {
-	h.Payload(w)[i] = Word(bits)
+func (h *Heap) StoreRaw(w Word, i int, bits uint64) { h.raw(w, h.Payload(w), i, bits) }
+
+// raw is StoreRaw on the payload p of w, already resolved.
+func (h *Heap) raw(w Word, p []Word, i int, bits uint64) {
+	p[i] = Word(bits)
 	if h.sink != nil {
 		h.sink.EvRaw(w, i, bits)
 	}
@@ -121,7 +129,9 @@ func (h *Heap) AdoptSymbol(w Word, name string) Ref {
 	if _, ok := h.symtab[name]; ok {
 		panic("heap: AdoptSymbol of an already interned name")
 	}
-	h.checkType(w, TSymbol)
+	if _, _, ok := h.object(w, TSymbol); !ok {
+		panic(h.typeFault(w, TSymbol))
+	}
 	id := len(h.symNames)
 	h.symNames = append(h.symNames, name)
 	h.Payload(w)[0] = FixnumWord(int64(id))
@@ -133,3 +143,17 @@ func (h *Heap) AdoptSymbol(w Word, name string) Ref {
 	}
 	return Ref(-gi - 2)
 }
+
+// The sink's calls from push and GlobalWord, out of line: a direct call is
+// cheaper in the inliner's count than an interface call, which is the
+// margin that lets both inline (push 81 → 79, GlobalWord 82 → 80). With no
+// sink installed, what is left of the event at the call site is one nil
+// check. Set, Scope.pop and TruncateRefs are over the budget either way, so
+// they keep the interface call: a helper there would only add a call to
+// every event a recording sees.
+
+//go:noinline
+func (h *Heap) evRootPush(w Word) { h.sink.EvRootPush(w) }
+
+//go:noinline
+func (h *Heap) evGlobal(w Word) { h.sink.EvGlobal(w) }

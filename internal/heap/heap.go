@@ -266,13 +266,13 @@ type Ref int32
 const InvalidRef Ref = -1
 
 func (h *Heap) slot(r Ref) *Word {
-	if r >= 0 {
-		return &h.refs[r]
+	if r < 0 {
+		if r == InvalidRef {
+			panic("heap: use of InvalidRef")
+		}
+		return &h.globals[-2-r]
 	}
-	if r == InvalidRef {
-		panic("heap: use of InvalidRef")
-	}
-	return &h.globals[-int(r)-2]
+	return &h.refs[r]
 }
 
 // Get returns the word currently held by r.
@@ -291,7 +291,7 @@ func (h *Heap) Set(r Ref, w Word) {
 func (h *Heap) push(w Word) Ref {
 	h.refs = append(h.refs, w)
 	if h.sink != nil {
-		h.sink.EvRootPush(w)
+		h.evRootPush(w)
 	}
 	return Ref(len(h.refs) - 1)
 }
@@ -305,7 +305,7 @@ func (h *Heap) Global(r Ref) Ref {
 func (h *Heap) GlobalWord(w Word) Ref {
 	h.globals = append(h.globals, w)
 	if h.sink != nil {
-		h.sink.EvGlobal(w)
+		h.evGlobal(w)
 	}
 	return Ref(-len(h.globals) - 1)
 }

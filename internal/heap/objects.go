@@ -25,11 +25,7 @@ func (h *Heap) Bool(b bool) Ref { return h.push(BoolWord(b)) }
 func (h *Heap) Cons(car, cdr Ref) Ref {
 	w := h.allocObject(TPair, 2)
 	a, d := h.Get(car), h.Get(cdr)
-	// The two fields follow the header (and the census word): one space
-	// lookup and no Payload slice, whose bounds come from re-reading the
-	// header just written.
-	i := PtrOff(w) + 1 + h.extraWords
-	f := h.SpaceOf(w).Mem[i : i+2]
+	f := h.fields(w, 2)
 	f[0], f[1] = a, d
 	h.barrier.RecordWrite(w, a)
 	h.barrier.RecordWrite(w, d)
@@ -41,15 +37,18 @@ func (h *Heap) Cons(car, cdr Ref) Ref {
 }
 
 // Car pushes a handle to the car of pair r.
-func (h *Heap) Car(r Ref) Ref { return h.push(h.pairField(r, 0)) }
+func (h *Heap) Car(r Ref) Ref { return h.pairRef(r, 0) }
 
 // Cdr pushes a handle to the cdr of pair r.
-func (h *Heap) Cdr(r Ref) Ref { return h.push(h.pairField(r, 1)) }
+func (h *Heap) Cdr(r Ref) Ref { return h.pairRef(r, 1) }
 
-func (h *Heap) pairField(r Ref, i int) Word {
+func (h *Heap) pairRef(r Ref, i int) Ref {
 	w := h.Get(r)
-	h.checkType(w, TPair)
-	return h.Payload(w)[i]
+	m, off, ok := h.object(w, TPair)
+	if !ok {
+		panic(h.typeFault(w, TPair))
+	}
+	return h.push(m[off+1+h.extraWords+i])
 }
 
 // SetCar stores v into the car of pair r, through the write barrier.
@@ -60,29 +59,38 @@ func (h *Heap) SetCdr(r, v Ref) { h.setField(r, TPair, 1, v) }
 
 func (h *Heap) setField(r Ref, t Type, i int, v Ref) {
 	w := h.Get(r)
-	h.checkType(w, t)
-	h.StoreField(w, i, h.Get(v))
+	m, off, ok := h.object(w, t)
+	if !ok {
+		panic(h.typeFault(w, t))
+	}
+	h.store(w, h.payload(m, off), i, h.Get(v))
 }
 
 // MakeVector allocates a vector of n slots, each initialized to fill.
 func (h *Heap) MakeVector(n int, fill Ref) Ref {
 	w := h.allocObject(TVector, n)
-	h.FillFields(w, h.Get(fill))
+	h.fill(w, h.fields(w, n), h.Get(fill))
 	return h.push(w)
 }
 
 // VectorLen returns the slot count of vector r.
 func (h *Heap) VectorLen(r Ref) int {
 	w := h.Get(r)
-	h.checkType(w, TVector)
-	return len(h.Payload(w))
+	m, off, ok := h.object(w, TVector)
+	if !ok {
+		panic(h.typeFault(w, TVector))
+	}
+	return HeaderSize(m[off]) - h.extraWords
 }
 
 // VectorRef pushes a handle to slot i of vector r.
 func (h *Heap) VectorRef(r Ref, i int) Ref {
 	w := h.Get(r)
-	h.checkType(w, TVector)
-	return h.push(h.Payload(w)[i])
+	m, off, ok := h.object(w, TVector)
+	if !ok {
+		panic(h.typeFault(w, TVector))
+	}
+	return h.push(h.payload(m, off)[i])
 }
 
 // VectorSet stores v into slot i of vector r, through the write barrier.
@@ -91,15 +99,18 @@ func (h *Heap) VectorSet(r Ref, i int, v Ref) { h.setField(r, TVector, i, v) }
 // Box allocates a one-slot mutable cell.
 func (h *Heap) Box(v Ref) Ref {
 	w := h.allocObject(TBox, 1)
-	h.StoreField(w, 0, h.Get(v))
+	h.store(w, h.fields(w, 1), 0, h.Get(v))
 	return h.push(w)
 }
 
 // Unbox pushes a handle to the contents of box r.
 func (h *Heap) Unbox(r Ref) Ref {
 	w := h.Get(r)
-	h.checkType(w, TBox)
-	return h.push(h.Payload(w)[0])
+	m, off, ok := h.object(w, TBox)
+	if !ok {
+		panic(h.typeFault(w, TBox))
+	}
+	return h.push(m[off+1+h.extraWords])
 }
 
 // SetBox stores v into box r, through the write barrier.
@@ -110,15 +121,18 @@ func (h *Heap) SetBox(r, v Ref) { h.setField(r, TBox, 0, v) }
 // of these: a header plus one raw data word (plus the census word).
 func (h *Heap) Flonum(x float64) Ref {
 	w := h.allocObject(TFlonum, 1)
-	h.StoreRaw(w, 0, math.Float64bits(x))
+	h.raw(w, h.fields(w, 1), 0, math.Float64bits(x))
 	return h.push(w)
 }
 
 // FlonumVal returns the float64 held by flonum r.
 func (h *Heap) FlonumVal(r Ref) float64 {
 	w := h.Get(r)
-	h.checkType(w, TFlonum)
-	return math.Float64frombits(uint64(h.Payload(w)[0]))
+	m, off, ok := h.object(w, TFlonum)
+	if !ok {
+		panic(h.typeFault(w, TFlonum))
+	}
+	return math.Float64frombits(uint64(m[off+1+h.extraWords]))
 }
 
 // Bytevector allocates a raw byte buffer of n bytes (rounded up to words).
@@ -144,8 +158,11 @@ func (h *Heap) Intern(name string) Ref {
 // SymbolName returns the print name of symbol r.
 func (h *Heap) SymbolName(r Ref) string {
 	w := h.Get(r)
-	h.checkType(w, TSymbol)
-	return h.symNames[FixnumVal(h.Payload(w)[0])]
+	m, off, ok := h.object(w, TSymbol)
+	if !ok {
+		panic(h.typeFault(w, TSymbol))
+	}
+	return h.symNames[FixnumVal(m[off+1+h.extraWords])]
 }
 
 // Type predicates and structural helpers.
@@ -174,21 +191,53 @@ func (h *Heap) IsFix(r Ref) bool { return IsFixnum(h.Get(r)) }
 // FixVal returns the integer held by fixnum r.
 func (h *Heap) FixVal(r Ref) int64 { return FixnumVal(h.Get(r)) }
 
+// isType is object's check with the pointer decoded by hand rather than by
+// PtrSpace and PtrOff, which keeps it, and the predicates with it, within
+// the inliner's budget.
 func (h *Heap) isType(r Ref, t Type) bool {
 	w := h.Get(r)
-	return IsPtr(w) && HeaderType(h.Header(w)) == t
+	return IsPtr(w) && HeaderType(h.Spaces[w>>ptrSpaceShift].Mem[uint32(w>>ptrOffShift)]) == t
 }
 
 // Eq reports pointer/immediate identity of two handles (Scheme eq?).
 func (h *Heap) Eq(a, b Ref) bool { return h.Get(a) == h.Get(b) }
 
-func (h *Heap) checkType(w Word, t Type) {
+// object resolves w, when it points to an object of type t, to the memory
+// of the object's space and the offset of its header: one space lookup and
+// one header load, which is every typed accessor's check and all it needs
+// to reach the payload. ok is false for a non-pointer or another type, and
+// the accessor then panics with typeFault's message.
+func (h *Heap) object(w Word, t Type) (m []Word, off int, ok bool) {
 	if !IsPtr(w) {
-		panic(fmt.Sprintf("heap: expected %v, got non-pointer %#x", t, uint64(w)))
+		return nil, 0, false
 	}
-	if got := HeaderType(h.Header(w)); got != t {
-		panic(fmt.Sprintf("heap: expected %v, got %v", t, got))
+	m, off = h.Spaces[PtrSpace(w)].Mem, PtrOff(w)
+	return m, off, HeaderType(m[off]) == t
+}
+
+// payload is Payload for an object that object has already resolved.
+func (h *Heap) payload(m []Word, off int) []Word {
+	return m[off+1+h.extraWords : off+1+HeaderSize(m[off])]
+}
+
+// fields returns the n payload words of the object allocObject just
+// returned as w: one space lookup, and a constructor knows its payload
+// length, so it need not re-read the header it has just written.
+func (h *Heap) fields(w Word, n int) []Word {
+	i := PtrOff(w) + 1 + h.extraWords
+	return h.SpaceOf(w).Mem[i : i+n]
+}
+
+// typeFault is the panic message of a typed accessor whose argument w is
+// not an object of type t. It is out of line, so what an accessor inlines
+// of its check is a compare and a branch.
+//
+//go:noinline
+func (h *Heap) typeFault(w Word, t Type) string {
+	if !IsPtr(w) {
+		return fmt.Sprintf("heap: expected %v, got non-pointer %#x", t, uint64(w))
 	}
+	return fmt.Sprintf("heap: expected %v, got %v", t, HeaderType(h.Header(w)))
 }
 
 // List builds a proper list from the given elements.
@@ -209,7 +258,7 @@ func (h *Heap) ListLen(r Ref) int {
 	cur := h.Dup(r)
 	for h.IsPair(cur) {
 		n++
-		h.Set(cur, h.pairField(cur, 1))
+		h.Set(cur, h.Payload(h.Get(cur))[1])
 	}
 	return n
 }

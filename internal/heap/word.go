@@ -51,9 +51,17 @@ func FixnumWord(n int64) Word { return Word(uint64(n) << 2) }
 // FixnumVal decodes a fixnum word. It panics if w is not a fixnum.
 func FixnumVal(w Word) int64 {
 	if !IsFixnum(w) {
-		panic(fmt.Sprintf("heap: FixnumVal of non-fixnum %#x", uint64(w)))
+		panic(fixnumFault(w))
 	}
 	return int64(w) >> 2
+}
+
+// fixnumFault is FixnumVal's panic message, formatted out of line so the
+// decode inlines.
+//
+//go:noinline
+func fixnumFault(w Word) string {
+	return fmt.Sprintf("heap: FixnumVal of non-fixnum %#x", uint64(w))
 }
 
 // Immediate constants. The immediate subtype lives in bits 2..7 and any
