@@ -186,10 +186,10 @@ mkdir "$trace_tmp/t1" "$trace_tmp/t6" # the header names the output file
 go run ./cmd/gcfuzz -emit-trace "$trace_tmp/t1/f.trace" "$fuzz_seed" > /dev/null
 go run ./cmd/gcfuzz -gctenure 6 -emit-trace "$trace_tmp/t6/f.trace" "$fuzz_seed" > /dev/null
 cmp "$trace_tmp/t1/f.trace" "$trace_tmp/t6/f.trace"
-# The trace package's own benchmarks — decode, replay and record over an
-# amplified decay session, ns/event — one iteration each beside the smoke,
-# so the numbers EXPERIMENTS.md quotes stay regenerable.
-go test -run '^$' -bench 'ReaderNext|Replay|Recorder' -benchtime 1x ./internal/trace
+# The trace package's own benchmarks — decode, replay, record and amplify
+# over a decay session, ns/event — one iteration each beside the smoke, so
+# the numbers EXPERIMENTS.md quotes stay regenerable.
+go test -run '^$' -bench 'ReaderNext|Replay|Recorder|Amplify' -benchtime 1x ./internal/trace
 
 # Synth smoke: amplify the recording into an interleaved multi-session
 # corpus, raw and block-compressed, and drive the whole synth -> compress ->
@@ -237,5 +237,9 @@ RDGC_GC_TENURE=6 go test -race -run '^TestEnvReachesHeaps$' -fuzz '^FuzzCollecto
 # Wire-format fuzz smoke: arbitrary bytes against the trace reader, seeded
 # with both wire versions, compressed blocks, and the checked-in synthesized
 # corpus. The reader must decode or fail with a package sentinel — never
-# panic — no matter what the block decompressor is fed.
+# panic — no matter what the block decompressor is fed. Then arbitrary
+# events against the writer: each must be refused with ErrInvalid or read
+# back identically. (Minimizing a new input costs that fuzzer most of a
+# 10-second budget, so minimization is capped.)
 go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s ./internal/trace
+go test -run '^$' -fuzz '^FuzzWriterReaderAgree$' -fuzztime 10s -fuzzminimizetime 100x ./internal/trace

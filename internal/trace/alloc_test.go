@@ -2,8 +2,11 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
+	"rdgc/internal/decay"
+	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
 )
@@ -69,6 +72,37 @@ func TestReplayAllocatesPerSpaceNotPerObject(t *testing.T) {
 		t.Logf("%s: %.0f Go objects per replay", tc.collector, allocs)
 		if allocs > tc.ceiling {
 			t.Errorf("%s: a replay allocates %.0f Go objects, ceiling %.0f", tc.collector, allocs, tc.ceiling)
+		}
+	}
+}
+
+// TestRecorderSteadyStateZeroAllocs guards the recording path: once a
+// recorder is warm — its writer's block buffers sized by the first sealed
+// blocks — recording decay steps, which intern nothing, allocates no Go
+// objects, raw or compressed. The heap, the collector, the event sink and
+// the encoders all run in space they already hold.
+func TestRecorderSteadyStateZeroAllocs(t *testing.T) {
+	const warm, batch, runs = 20000, 2000, 10
+	for _, form := range writeForms {
+		words := decayHeapWords(warm + batch*(runs+1))
+		h := heap.New()
+		semispace.New(h, words)
+		tw, err := trace.NewWriter(io.Discard, trace.Header{}, form.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := trace.NewRecorder(h, tw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := decay.NewWorkload(h, decayHalfLife, 1)
+		w.Warmup(10)
+		w.Run(warm)
+		if allocs := testing.AllocsPerRun(runs, func() { w.Run(batch) }); allocs != 0 {
+			t.Errorf("%s: recording %d decay steps allocates %.1f objects, want 0", form.name, batch, allocs)
+		}
+		if err := rec.Finish(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -56,16 +56,32 @@ func recordDecay(tb testing.TB, out io.Writer, steps int, wopts ...trace.WriterO
 	return tw.Events()
 }
 
-var decayCorpusOnce struct {
+// decayCorpusData is the shared corpus: the recorded base session and its
+// amplification, raw and compressed.
+type decayCorpusData struct {
 	sync.Once
-	raw, comp []byte
-	events    uint64
-	err       error
+	base, raw, comp []byte
+	events          uint64
+	err             error
 }
+
+var decayCorpusOnce decayCorpusData
 
 // decayCorpus returns the amplified corpus, raw and compressed, and its
 // event count.
 func decayCorpus(tb testing.TB) (raw, comp []byte, events uint64) {
+	tb.Helper()
+	c := decayCorpusBuilt(tb)
+	return c.raw, c.comp, c.events
+}
+
+// decayBase returns the recorded session the corpus amplifies.
+func decayBase(tb testing.TB) []byte {
+	tb.Helper()
+	return decayCorpusBuilt(tb).base
+}
+
+func decayCorpusBuilt(tb testing.TB) *decayCorpusData {
 	tb.Helper()
 	c := &decayCorpusOnce
 	c.Do(func() {
@@ -76,12 +92,12 @@ func decayCorpus(tb testing.TB) (raw, comp []byte, events uint64) {
 			return
 		}
 		_, c.err = trace.Amplify(&z, base.Bytes(), decaySessions, trace.SynthOptions{Seed: 1, Compress: true})
-		c.raw, c.comp, c.events = plain.Bytes(), z.Bytes(), tr.Events
+		c.base, c.raw, c.comp, c.events = base.Bytes(), plain.Bytes(), z.Bytes(), tr.Events
 	})
 	if c.err != nil {
 		tb.Fatal(c.err)
 	}
-	return c.raw, c.comp, c.events
+	return c
 }
 
 // decayCollector picks one of the growing collectors the harness replays
@@ -142,10 +158,46 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
+// writeForms are the two forms the write benchmarks produce.
+var writeForms = []struct {
+	name string
+	opts []trace.WriterOption
+	syn  trace.SynthOptions
+}{
+	{"raw", nil, trace.SynthOptions{Seed: 1}},
+	{"compressed", []trace.WriterOption{trace.WithCompression()}, trace.SynthOptions{Seed: 1, Compress: true}},
+}
+
+// BenchmarkRecorder records a decay session as long as the amplified
+// corpus, through the heap's event sink into a discarding writer.
 func BenchmarkRecorder(b *testing.B) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		events = recordDecay(b, io.Discard, decayBaseSteps*decaySessions, trace.WithCompression())
+	for _, form := range writeForms {
+		b.Run(form.name, func(b *testing.B) {
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				events = recordDecay(b, io.Discard, decayBaseSteps*decaySessions, form.opts...)
+			}
+			reportPerEvent(b, events)
+		})
 	}
-	reportPerEvent(b, events)
+}
+
+// BenchmarkAmplify synthesizes the amplified corpus from its base session
+// into a discarding writer: decode, merge, encode and, in the compressed
+// form, compress.
+func BenchmarkAmplify(b *testing.B) {
+	base := decayBase(b)
+	for _, form := range writeForms {
+		b.Run(form.name, func(b *testing.B) {
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				tr, err := trace.Amplify(io.Discard, base, decaySessions, form.syn)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = tr.Events
+			}
+			reportPerEvent(b, events)
+		})
+	}
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
@@ -245,35 +247,113 @@ func TestBitFlipEveryBit(t *testing.T) {
 	}
 }
 
-// TestWriterRejectsInvalidEvents pins the writer-side ErrInvalid contract.
+// TestWriterRejectsInvalidEvents pins the writer-side ErrInvalid contract:
+// every event the reader would reject (or a replay would trip over) is
+// refused when it is appended, nothing of it is written, and the refusal is
+// sticky.
 func TestWriterRejectsInvalidEvents(t *testing.T) {
+	const maxBlock = 1 << 24 // the reader's bound on sizes and session indices
+	pair := trace.Event{Kind: trace.KindAlloc, Type: heap.TPair, Size: 2}
+	cases := []struct {
+		name    string
+		version uint64 // 0: the current format
+		prior   []trace.Event
+		bad     trace.Event
+	}{
+		{"store before any alloc", 0, nil, trace.Event{Kind: trace.KindStore, Obj: 0, Val: trace.Imm(0)}},
+		{"push of a future object", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindPush, Val: trace.Obj(5)}},
+		{"fill of a future object", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindFill, Obj: 1}},
+		{"set to a future object", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindSet, Ref: 1, Val: trace.Obj(1)}},
+		{"intern of a future object", 0, nil, trace.Event{Kind: trace.KindIntern, Obj: 0, Name: "x"}},
+		{"alloc of a free block", 0, nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TFree, Size: 2}},
+		{"alloc of type 255", 0, nil, trace.Event{Kind: trace.KindAlloc, Type: 255}},
+		{"alloc of 1<<24+1 words", 0, nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TVector, Size: maxBlock + 1}},
+		{"alloc of -1 words", 0, nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TVector, Size: -1}},
+		{"store to slot -1", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindStore, Obj: 0, Slot: -1, Val: trace.Imm(0)}},
+		{"raw store to slot -1", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindRaw, Obj: 0, Slot: -1}},
+		{"pop to depth -3", 0, nil, trace.Event{Kind: trace.KindPopTo, Size: -3}},
+		{"session 1<<24+1", 0, nil, trace.Event{Kind: trace.KindSession, Size: maxBlock + 1}},
+		{"session -1", 0, nil, trace.Event{Kind: trace.KindSession, Size: -1}},
+		{"session in version 1", 1, nil, trace.Event{Kind: trace.KindSession, Size: 0}},
+		{"symbol name longer than a block", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindIntern, Obj: 0, Name: strings.Repeat("x", maxBlock)}},
+		{"kind 0", 0, nil, trace.Event{}},
+		{"kind 12", 0, nil, trace.Event{Kind: 12}},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		version := tc.version
+		if version == 0 {
+			version = trace.FormatVersion
+		}
+		w, err := trace.NewWriterVersion(&buf, trace.Header{}, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tc.prior {
+			ev := tc.prior[i]
+			if err := w.Append(&ev); err != nil {
+				t.Fatalf("%s: prior event %v: %v", tc.name, &ev, err)
+			}
+		}
+		bad := tc.bad
+		if err := w.Append(&bad); !errors.Is(err, trace.ErrInvalid) {
+			t.Errorf("%s: got %v, want ErrInvalid", tc.name, err)
+			continue
+		}
+		if bad.Obj != tc.bad.Obj {
+			t.Errorf("%s: a refused event was assigned object #%d", tc.name, bad.Obj)
+		}
+		if w.Events() != uint64(len(tc.prior)) {
+			t.Errorf("%s: %d events counted after the refusal, want %d", tc.name, w.Events(), len(tc.prior))
+		}
+		ok := trace.Event{Kind: trace.KindCollect}
+		if err := w.Append(&ok); !errors.Is(err, trace.ErrInvalid) {
+			t.Errorf("%s: the refusal is not sticky: a valid event then got %v", tc.name, err)
+		}
+	}
+
+	// The edges of the ranges are in range: they are written and read back.
+	edges := []trace.Event{
+		{Kind: trace.KindAlloc, Type: heap.TFree - 1, Size: maxBlock, Obj: 0},
+		{Kind: trace.KindSession, Size: maxBlock},
+		{Kind: trace.KindPopTo},
+		{Kind: trace.KindStore, Obj: 0, Slot: 1 << 40, Val: trace.Obj(0)},
+	}
+	if _, got, _ := decode(t, encode(t, trace.Header{}, edges)); len(got) != len(edges) {
+		t.Fatalf("read back %d edge events, want %d", len(got), len(edges))
+	} else {
+		for i := range got {
+			if got[i] != edges[i] {
+				t.Errorf("edge event %d: read back %v, want %v", i, &got[i], &edges[i])
+			}
+		}
+	}
+
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, trace.Header{})
-	if err != nil {
+	w, _ := trace.NewWriter(&buf, trace.Header{})
+	a := pair
+	if err := w.Append(&a); err != nil {
 		t.Fatal(err)
 	}
-	ev := trace.Event{Kind: trace.KindStore, Obj: 0, Val: trace.Imm(0)}
-	if err := w.Append(&ev); !errors.Is(err, trace.ErrInvalid) {
-		t.Fatalf("store before any alloc: got %v, want ErrInvalid", err)
-	}
-
-	w2, _ := trace.NewWriter(&buf, trace.Header{})
-	a := trace.Event{Kind: trace.KindAlloc, Type: heap.TPair, Size: 2}
-	if err := w2.Append(&a); err != nil {
-		t.Fatal(err)
-	}
-	bad := trace.Event{Kind: trace.KindPush, Val: trace.Obj(5)}
-	if err := w2.Append(&bad); !errors.Is(err, trace.ErrInvalid) {
-		t.Fatalf("reference to future object: got %v, want ErrInvalid", err)
-	}
-
-	w3, _ := trace.NewWriter(&buf, trace.Header{})
-	a = trace.Event{Kind: trace.KindAlloc, Type: heap.TPair, Size: 2}
-	if err := w3.Append(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := w3.Close(trace.Trailer{Events: 7}); !errors.Is(err, trace.ErrInvalid) {
+	if err := w.Close(trace.Trailer{Events: 7}); !errors.Is(err, trace.ErrInvalid) {
 		t.Fatalf("trailer event-count mismatch: got %v, want ErrInvalid", err)
+	}
+
+	w, _ = trace.NewWriter(&buf, trace.Header{})
+	if err := w.Close(trace.Trailer{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&a); !errors.Is(err, trace.ErrInvalid) {
+		t.Fatalf("append after Close: got %v, want ErrInvalid", err)
+	}
+}
+
+// TestEventIsOneCacheLine pins Event's layout: the one-byte fields and Ref
+// share a word, so every Event zeroed by Next or copied by a caller is 64
+// bytes.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(trace.Event{}); size != 64 {
+		t.Fatalf("trace.Event is %d bytes, want 64", size)
 	}
 }
 

@@ -1,5 +1,10 @@
 package trace
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // An LZ77 block codec in the LZ4 token format, hand-rolled so the trace
 // package stays dependency-free and the decoder stays allocation-free.
 // compress/flate would cost a Reader allocation per stream and a slower
@@ -50,37 +55,7 @@ func lzAppendLen(dst []byte, v int) []byte {
 // output is deterministic (greedy parse, fixed table size) so identical
 // traces compress to identical bytes on every platform.
 func lzAppend(dst, src []byte, tab *lzTable) []byte {
-	for i := range tab {
-		tab[i] = 0
-	}
-	emit := func(lit []byte, offset, mlen int) {
-		ll, ml := len(lit), mlen-lzMinMatch
-		tok := byte(0)
-		if ll < 15 {
-			tok = byte(ll) << 4
-		} else {
-			tok = 15 << 4
-		}
-		if mlen > 0 {
-			if ml < 15 {
-				tok |= byte(ml)
-			} else {
-				tok |= 15
-			}
-		}
-		dst = append(dst, tok)
-		if ll >= 15 {
-			dst = lzAppendLen(dst, ll-15)
-		}
-		dst = append(dst, lit...)
-		if mlen == 0 {
-			return // final literal-only sequence: no offset follows
-		}
-		dst = append(dst, byte(offset), byte(offset>>8))
-		if ml >= 15 {
-			dst = lzAppendLen(dst, ml-15)
-		}
-	}
+	*tab = lzTable{}
 	anchor, i, n := 0, 0, len(src)
 	for i+lzMinMatch <= n {
 		h := lzHash(lzLoad32(src, i))
@@ -90,15 +65,52 @@ func lzAppend(dst, src []byte, tab *lzTable) []byte {
 			i++
 			continue
 		}
-		mlen := lzMinMatch
-		for i+mlen < n && src[cand+mlen] == src[i+mlen] {
-			mlen++
-		}
-		emit(src[anchor:i], i-cand, mlen)
+		mlen := lzMatchLen(src, cand, i)
+		dst = lzEmit(dst, src[anchor:i], i-cand, mlen)
 		i += mlen
 		anchor = i
 	}
-	emit(src[anchor:], 0, 0)
+	return lzEmit(dst, src[anchor:], 0, 0)
+}
+
+// lzMatchLen extends the 4-byte match of src[cand:] at src[i:] (cand < i)
+// as far as the source allows, eight bytes per step: the first differing
+// byte of a step is the lowest set byte of the XOR of the two words.
+func lzMatchLen(src []byte, cand, i int) int {
+	mlen, n := lzMinMatch, len(src)
+	for i+mlen+8 <= n {
+		if x := binary.LittleEndian.Uint64(src[i+mlen:]) ^ binary.LittleEndian.Uint64(src[cand+mlen:]); x != 0 {
+			return mlen + bits.TrailingZeros64(x)>>3
+		}
+		mlen += 8
+	}
+	for i+mlen < n && src[cand+mlen] == src[i+mlen] {
+		mlen++
+	}
+	return mlen
+}
+
+// lzEmit appends one sequence: the literals lit, then a match of mlen bytes
+// at the given offset, or nothing after the literals when mlen is 0 (the
+// final, literal-only sequence).
+func lzEmit(dst, lit []byte, offset, mlen int) []byte {
+	ll, ml := len(lit), mlen-lzMinMatch
+	tok := byte(min(ll, 15)) << 4
+	if mlen > 0 {
+		tok |= byte(min(ml, 15))
+	}
+	dst = append(dst, tok)
+	if ll >= 15 {
+		dst = lzAppendLen(dst, ll-15)
+	}
+	dst = append(dst, lit...)
+	if mlen == 0 {
+		return dst
+	}
+	dst = append(dst, byte(offset), byte(offset>>8))
+	if ml >= 15 {
+		dst = lzAppendLen(dst, ml-15)
+	}
 	return dst
 }
 

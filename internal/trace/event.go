@@ -81,15 +81,18 @@ func Obj(id uint64) Value { return Value{IsObj: true, Bits: id} }
 // Event is one decoded trace event. The zero Event is invalid; Next fills
 // all fields relevant to Kind and zeroes the rest, so Events compare with
 // ==, except Name which only KindIntern uses.
+//
+// The one-byte fields and Ref share the first word, so an Event is 64
+// bytes: one cache line to zero per Next and to copy per assignment.
 type Event struct {
 	Kind Kind
 	Type heap.Type // KindAlloc: object type
-	Size int       // KindAlloc: payload words; KindPopTo: target depth
+	Full bool      // KindCollect: whole-heap collection requested
+	Ref  int32     // KindSet: the heap.Ref written
+	Size int       // KindAlloc: payload words; KindPopTo: target depth; KindSession: session index
 	Slot int       // KindStore/KindRaw: payload slot index
 	Obj  uint64    // target object ID; KindAlloc: the ID assigned
-	Ref  int32     // KindSet: the heap.Ref written
 	Val  Value     // operand value (see Kind docs)
-	Full bool      // KindCollect: whole-heap collection requested
 	Name string    // KindIntern: symbol name
 }
 

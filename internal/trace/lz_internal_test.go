@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -166,10 +167,10 @@ func traceBlocks(t *testing.T, data []byte) [][]byte {
 	}
 }
 
-// TestLZCorpusBlocksRoundTrip compresses every block of the checked-in
-// corpus and of a multi-block decay recording and decodes it with both
-// decoders: each must reproduce the block, byte for byte.
-func TestLZCorpusBlocksRoundTrip(t *testing.T) {
+// lzCorpusBlocks returns every event block of the checked-in corpus and of
+// a multi-block decay recording.
+func lzCorpusBlocks(t *testing.T) [][]byte {
+	t.Helper()
 	var traces [][]byte
 	files, err := filepath.Glob("testdata/traces/*.trace")
 	if err != nil || len(files) == 0 {
@@ -198,26 +199,157 @@ func TestLZCorpusBlocksRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces = append(traces, rec.Bytes())
+	var blocks [][]byte
+	for _, data := range traces {
+		blocks = append(blocks, traceBlocks(t, data)...)
+	}
+	return blocks
+}
 
+// TestLZCorpusBlocksRoundTrip compresses every block of the checked-in
+// corpus and of a multi-block decay recording and decodes it with both
+// decoders: each must reproduce the block, byte for byte.
+func TestLZCorpusBlocksRoundTrip(t *testing.T) {
 	var tab lzTable
 	blocks, matched := 0, 0
-	for _, data := range traces {
-		for _, blk := range traceBlocks(t, data) {
-			comp := lzAppend(nil, blk, &tab)
-			got, ref := make([]byte, len(blk)), make([]byte, len(blk))
-			if !lzDecode(got, comp) || !lzDecodeByteLoop(ref, comp) {
-				t.Fatalf("block %d (%d bytes): decode failed", blocks, len(blk))
-			}
-			if !bytes.Equal(got, blk) || !bytes.Equal(ref, blk) {
-				t.Fatalf("block %d (%d bytes): round trip mangled the block", blocks, len(blk))
-			}
-			blocks++
-			if len(comp) < len(blk) {
-				matched++
-			}
+	for _, blk := range lzCorpusBlocks(t) {
+		comp := lzAppend(nil, blk, &tab)
+		got, ref := make([]byte, len(blk)), make([]byte, len(blk))
+		if !lzDecode(got, comp) || !lzDecodeByteLoop(ref, comp) {
+			t.Fatalf("block %d (%d bytes): decode failed", blocks, len(blk))
+		}
+		if !bytes.Equal(got, blk) || !bytes.Equal(ref, blk) {
+			t.Fatalf("block %d (%d bytes): round trip mangled the block", blocks, len(blk))
+		}
+		blocks++
+		if len(comp) < len(blk) {
+			matched++
 		}
 	}
 	if blocks < 8 || matched == 0 {
 		t.Fatalf("only %d blocks (%d with matches): the round trip is not exercising the decoder", blocks, matched)
 	}
+}
+
+// lzAppendReference is lzAppend as it stood before matches were extended
+// eight bytes at a time and sequences were emitted without a closure, body
+// verbatim: the specification TestLZAppendMatchesReference holds lzAppend
+// to, byte for byte.
+func lzAppendReference(dst, src []byte, tab *lzTable) []byte {
+	for i := range tab {
+		tab[i] = 0
+	}
+	emit := func(lit []byte, offset, mlen int) {
+		ll, ml := len(lit), mlen-lzMinMatch
+		tok := byte(0)
+		if ll < 15 {
+			tok = byte(ll) << 4
+		} else {
+			tok = 15 << 4
+		}
+		if mlen > 0 {
+			if ml < 15 {
+				tok |= byte(ml)
+			} else {
+				tok |= 15
+			}
+		}
+		dst = append(dst, tok)
+		if ll >= 15 {
+			dst = lzAppendLen(dst, ll-15)
+		}
+		dst = append(dst, lit...)
+		if mlen == 0 {
+			return // final literal-only sequence: no offset follows
+		}
+		dst = append(dst, byte(offset), byte(offset>>8))
+		if ml >= 15 {
+			dst = lzAppendLen(dst, ml-15)
+		}
+	}
+	anchor, i, n := 0, 0, len(src)
+	for i+lzMinMatch <= n {
+		h := lzHash(lzLoad32(src, i))
+		cand := int(tab[h]) - 1
+		tab[h] = uint32(i + 1)
+		if cand < 0 || i-cand >= lzMaxOffset || lzLoad32(src, cand) != lzLoad32(src, i) {
+			i++
+			continue
+		}
+		mlen := lzMinMatch
+		for i+mlen < n && src[cand+mlen] == src[i+mlen] {
+			mlen++
+		}
+		emit(src[anchor:i], i-cand, mlen)
+		i += mlen
+		anchor = i
+	}
+	emit(src[anchor:], 0, 0)
+	return dst
+}
+
+// TestLZAppendMatchesReference holds lzAppend to the reference encoder,
+// byte for byte, over every corpus block, random inputs, and the match
+// ends the eight-byte extension turns on: a match that runs to the end of
+// the source or stops 1..7 bytes short of it, and matches of every length
+// from 4 to 40 bytes, so their last word straddles an 8-byte boundary at
+// every residue.
+func TestLZAppendMatchesReference(t *testing.T) {
+	var inputs [][]byte
+	inputs = append(inputs, lzCorpusBlocks(t)...)
+
+	rng := rand.New(rand.NewSource(33))
+	random := func(n, alphabet int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Intn(alphabet))
+		}
+		return b
+	}
+	for i := 0; i < 300; i++ {
+		inputs = append(inputs, random(rng.Intn(2048), 1+rng.Intn(8)))
+	}
+	inputs = append(inputs, random(blockTarget, 4), random(blockTarget, 256))
+
+	// A random head, then a copy of its first m bytes, then a tail of
+	// length end whose first byte breaks the match: the second copy's match
+	// is m bytes long and stops end bytes before the end of the source.
+	for m := lzMinMatch; m <= 40; m++ {
+		for end := 0; end <= 8; end++ {
+			for _, lead := range []int{0, 3, 8, 13} {
+				head := random(lead+64, 256)
+				src := append(append([]byte(nil), head...), head[:m]...)
+				if end > 0 {
+					src = append(src, head[m]+1)
+					src = append(src, random(end-1, 256)...)
+				}
+				inputs = append(inputs, src)
+			}
+		}
+	}
+	// Long runs: offset-1 and short-period matches overlapping their
+	// own output, of every length mod 8, ending at or near the source end.
+	for n := 0; n <= 300; n++ {
+		inputs = append(inputs, bytes.Repeat([]byte{0}, n), bytes.Repeat([]byte("abc"), n/3+1)[:n])
+	}
+
+	var tab, refTab lzTable
+	for k, src := range inputs {
+		dst := []byte{0xAA} // both must append, not overwrite
+		got := lzAppend(dst, src, &tab)
+		want := lzAppendReference(dst[:1:1], src, &refTab)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("input %d (%d bytes): lzAppend wrote %d bytes, the reference %d; first difference at %d",
+				k, len(src), len(got), len(want), firstDiff(got, want))
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

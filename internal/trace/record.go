@@ -48,7 +48,6 @@ func Record(out io.Writer, census bool, meta []MetaEntry, mk func(*heap.Heap) he
 type Recorder struct {
 	h        *heap.Heap
 	w        *Writer
-	ev       Event // scratch, re-encoded by every callback
 	err      error // sticky first failure
 	finished bool
 }
@@ -121,22 +120,30 @@ func (r *Recorder) objID(w heap.Word) (uint64, bool) {
 	return id, ok
 }
 
-func (r *Recorder) append() {
-	if err := r.w.Append(&r.ev); err != nil && r.err == nil {
+// note keeps err as the recording's first failure. Every callback returns
+// early once one is recorded, so err is the first when it lands.
+func (r *Recorder) note(err error) {
+	if err != nil {
 		r.err = err
 	}
 }
+
+// The sink callbacks hand each event straight to its encoder in the
+// writer: no Event is built, and the writer makes no second dispatch.
 
 // EvAlloc implements heap.EventSink.
 func (r *Recorder) EvAlloc(w heap.Word, t heap.Type, payload int) {
 	if r.err != nil {
 		return
 	}
-	r.ev = Event{Kind: KindAlloc, Type: t, Size: payload}
-	r.append()
-	// Append assigned the allocation its ID, the heap its ordinal.
-	if r.ev.Obj > heap.MaxIdentity {
-		r.failf("allocation ID %d exceeds the identity table's %d", r.ev.Obj, uint64(heap.MaxIdentity))
+	id, err := r.w.alloc(t, payload)
+	if err != nil {
+		r.err = err
+		return
+	}
+	// The writer assigned the allocation its ID, the heap its ordinal.
+	if id > heap.MaxIdentity {
+		r.failf("allocation ID %d exceeds the identity table's %d", id, uint64(heap.MaxIdentity))
 	}
 }
 
@@ -149,9 +156,9 @@ func (r *Recorder) EvStore(w heap.Word, i int, val heap.Word) {
 	if !ok {
 		return
 	}
-	r.ev = Event{Kind: KindStore, Obj: id, Slot: i, Val: r.value(val)}
+	v := r.value(val)
 	if r.err == nil {
-		r.append()
+		r.note(r.w.store(id, i, v))
 	}
 }
 
@@ -164,9 +171,9 @@ func (r *Recorder) EvFill(w heap.Word, val heap.Word) {
 	if !ok {
 		return
 	}
-	r.ev = Event{Kind: KindFill, Obj: id, Val: r.value(val)}
+	v := r.value(val)
 	if r.err == nil {
-		r.append()
+		r.note(r.w.fill(id, v))
 	}
 }
 
@@ -175,12 +182,9 @@ func (r *Recorder) EvRaw(w heap.Word, i int, bits uint64) {
 	if r.err != nil {
 		return
 	}
-	id, ok := r.objID(w)
-	if !ok {
-		return
+	if id, ok := r.objID(w); ok {
+		r.note(r.w.raw(id, i, bits))
 	}
-	r.ev = Event{Kind: KindRaw, Obj: id, Slot: i, Val: Value{Bits: bits}}
-	r.append()
 }
 
 // EvIntern implements heap.EventSink.
@@ -188,32 +192,21 @@ func (r *Recorder) EvIntern(w heap.Word, name string) {
 	if r.err != nil {
 		return
 	}
-	id, ok := r.objID(w)
-	if !ok {
-		return
+	if id, ok := r.objID(w); ok {
+		r.note(r.w.intern(id, name))
 	}
-	r.ev = Event{Kind: KindIntern, Obj: id, Name: name}
-	r.append()
 }
 
 // EvRootPush implements heap.EventSink.
 func (r *Recorder) EvRootPush(w heap.Word) {
-	if r.err != nil {
-		return
-	}
-	r.ev = Event{Kind: KindPush, Val: r.value(w)}
-	if r.err == nil {
-		r.append()
-	}
+	r.root(KindPush, w)
 }
 
 // EvRootPopTo implements heap.EventSink.
 func (r *Recorder) EvRootPopTo(depth int) {
-	if r.err != nil {
-		return
+	if r.err == nil {
+		r.note(r.w.popTo(depth))
 	}
-	r.ev = Event{Kind: KindPopTo, Size: depth}
-	r.append()
 }
 
 // EvRootSet implements heap.EventSink.
@@ -221,30 +214,33 @@ func (r *Recorder) EvRootSet(ref heap.Ref, w heap.Word) {
 	if r.err != nil {
 		return
 	}
-	r.ev = Event{Kind: KindSet, Ref: int32(ref), Val: r.value(w)}
+	v := r.value(w)
 	if r.err == nil {
-		r.append()
+		r.note(r.w.set(int32(ref), v))
 	}
 }
 
 // EvGlobal implements heap.EventSink.
 func (r *Recorder) EvGlobal(w heap.Word) {
+	r.root(KindGlobal, w)
+}
+
+// root records a handle push or a new global root.
+func (r *Recorder) root(k Kind, w heap.Word) {
 	if r.err != nil {
 		return
 	}
-	r.ev = Event{Kind: KindGlobal, Val: r.value(w)}
+	v := r.value(w)
 	if r.err == nil {
-		r.append()
+		r.note(r.w.root(k, v))
 	}
 }
 
 // collect records a collection boundary.
 func (r *Recorder) collect(full bool) {
-	if r.err != nil {
-		return
+	if r.err == nil {
+		r.note(r.w.collect(full))
 	}
-	r.ev = Event{Kind: KindCollect, Full: full}
-	r.append()
 }
 
 // fullCollector is the optional whole-heap collection the non-predictive

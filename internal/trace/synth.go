@@ -80,7 +80,7 @@ type synthSource struct {
 	gmap     []int    // local global index -> merged global index
 	depth    int      // local handle-stack depth after the last event
 	atSafe   bool     // the last event ended a quiescent window (see turn)
-	ev       Event    // lookahead event, valid while !eof
+	ev       Event    // lookahead event, valid while !eof; emit rewrites it in place
 	eof      bool
 }
 
@@ -115,70 +115,123 @@ func (m *merger) marker(sess int) error {
 	if m.lastSess == sess {
 		return nil
 	}
-	ev := Event{Kind: KindSession, Size: sess}
-	if err := m.w.Append(&ev); err != nil {
+	if err := m.w.session(sess); err != nil {
 		return err
 	}
 	m.lastSess = sess
 	return nil
 }
 
-// emit rewrites one event of s into the merged namespace and appends it.
-func (m *merger) emit(s *synthSource, ev *Event) error {
-	out := *ev
-	switch ev.Kind {
-	case KindStore, KindFill, KindRaw, KindIntern:
-		if out.Obj >= uint64(len(s.idMap)) {
-			return fmt.Errorf("%w: synth: reference to unallocated object #%d", ErrInvalid, out.Obj)
-		}
-		out.Obj = s.idMap[out.Obj]
+// remap rewrites a session-local object ID into the merged namespace, in
+// place. It is false, and leaves the ID alone, for an object the session
+// has not allocated.
+func (s *synthSource) remap(id *uint64) bool {
+	if *id >= uint64(len(s.idMap)) {
+		return false
 	}
-	if out.Val.IsObj {
-		if out.Val.Bits >= uint64(len(s.idMap)) {
-			return fmt.Errorf("%w: synth: value references unallocated object #%d", ErrInvalid, out.Val.Bits)
-		}
-		out.Val.Bits = s.idMap[out.Val.Bits]
-	}
+	*id = s.idMap[*id]
+	return true
+}
+
+// remapVal is remap for an operand, which may not name an object at all.
+func (s *synthSource) remapVal(v *Value) bool {
+	return !v.IsObj || s.remap(&v.Bits)
+}
+
+//go:noinline
+func errUnallocated(id uint64) error {
+	return fmt.Errorf("%w: synth: reference to unallocated object #%d", ErrInvalid, id)
+}
+
+// emit rewrites s's lookahead event into the merged namespace and hands it
+// to its kind's encoder. The rewrite is in place — the next advance
+// overwrites the lookahead anyway — so no Event is copied, and the kind is
+// dispatched on once.
+func (m *merger) emit(s *synthSource) error {
+	ev, w := &s.ev, m.w
+	var err error
 	switch ev.Kind {
 	case KindAlloc:
-		m.objects++
-		m.words += 1 + uint64(ev.Size) + m.extra
+		var id uint64
+		if id, err = w.alloc(ev.Type, ev.Size); err == nil {
+			s.idMap = append(s.idMap, id)
+			m.objects++
+			m.words += 1 + uint64(ev.Size) + m.extra
+		}
+	case KindStore:
+		if !s.remap(&ev.Obj) {
+			return errUnallocated(ev.Obj)
+		}
+		if !s.remapVal(&ev.Val) {
+			return errUnallocated(ev.Val.Bits)
+		}
+		err = w.store(ev.Obj, ev.Slot, ev.Val)
+	case KindFill:
+		if !s.remap(&ev.Obj) {
+			return errUnallocated(ev.Obj)
+		}
+		if !s.remapVal(&ev.Val) {
+			return errUnallocated(ev.Val.Bits)
+		}
+		err = w.fill(ev.Obj, ev.Val)
+	case KindRaw:
+		if !s.remap(&ev.Obj) {
+			return errUnallocated(ev.Obj)
+		}
+		err = w.raw(ev.Obj, ev.Slot, ev.Val.Bits)
 	case KindIntern:
+		if !s.remap(&ev.Obj) {
+			return errUnallocated(ev.Obj)
+		}
 		s.gmap = append(s.gmap, m.globals)
 		m.globals++
 		if m.salt {
-			out.Name = saltPrefix(s.cursess) + ev.Name
+			ev.Name = saltPrefix(s.cursess) + ev.Name
 		}
-	case KindGlobal:
-		s.gmap = append(s.gmap, m.globals)
-		m.globals++
+		err = w.intern(ev.Obj, ev.Name)
 	case KindPush:
+		if !s.remapVal(&ev.Val) {
+			return errUnallocated(ev.Val.Bits)
+		}
 		s.depth++
 		m.depth++
+		err = w.root(KindPush, ev.Val)
+	case KindGlobal:
+		if !s.remapVal(&ev.Val) {
+			return errUnallocated(ev.Val.Bits)
+		}
+		s.gmap = append(s.gmap, m.globals)
+		m.globals++
+		err = w.root(KindGlobal, ev.Val)
 	case KindPopTo:
 		s.depth = ev.Size
-		out.Size = ev.Size + s.refBase
-		m.depth = out.Size
+		m.depth = ev.Size + s.refBase
+		err = w.popTo(m.depth)
 	case KindSet:
 		if ev.Ref <= -2 {
 			g := int(-ev.Ref) - 2
 			if g >= len(s.gmap) {
 				return fmt.Errorf("%w: synth: global ref g%d before its creation", ErrInvalid, g)
 			}
-			out.Ref = int32(-s.gmap[g] - 2)
+			ev.Ref = int32(-s.gmap[g] - 2)
 		} else if ev.Ref >= 0 {
-			out.Ref = ev.Ref + int32(s.refBase)
+			ev.Ref += int32(s.refBase)
 		}
+		if !s.remapVal(&ev.Val) {
+			return errUnallocated(ev.Val.Bits)
+		}
+		err = w.set(ev.Ref, ev.Val)
+	case KindCollect:
+		err = w.collect(ev.Full)
 	case KindSession:
-		out.Size = ev.Size + s.base
-		s.cursess = out.Size
-		m.lastSess = out.Size
+		s.cursess = ev.Size + s.base
+		m.lastSess = s.cursess
+		err = w.session(s.cursess)
+	default:
+		err = w.Append(ev) // refuses the unknown kind
 	}
-	if err := m.w.Append(&out); err != nil {
+	if err != nil {
 		return err
-	}
-	if out.Kind == KindAlloc {
-		s.idMap = append(s.idMap, out.Obj)
 	}
 	// A quiescent point is where everything the session can still name is
 	// reachable from its global roots: right after a scope close back to
@@ -213,7 +266,7 @@ func (m *merger) turn(s *synthSource, chunk int) error {
 				break
 			}
 		}
-		if err := m.emit(s, &s.ev); err != nil {
+		if err := m.emit(s); err != nil {
 			return err
 		}
 		count++
@@ -357,7 +410,7 @@ func Splice(out io.Writer, inputs []*Reader, opt SynthOptions) (Trailer, error) 
 	for _, s := range srcs {
 		s.refBase = m.depth
 		for !s.eof {
-			if err := m.emit(s, &s.ev); err != nil {
+			if err := m.emit(s); err != nil {
 				return Trailer{}, err
 			}
 			if err := s.advance(); err != nil {
@@ -478,8 +531,7 @@ func TimeScale(out io.Writer, in *Reader, num, den int, opt SynthOptions) (Trail
 		}
 		if ev.Kind == KindCollect {
 			for acc += num; acc >= den; acc -= den {
-				cp := ev
-				if err := w.Append(&cp); err != nil {
+				if err := w.collect(ev.Full); err != nil {
 					return Trailer{}, err
 				}
 			}
@@ -561,13 +613,11 @@ func demux(in *Reader, groups int, groupOf func(sess int) int,
 			if !keepMarks {
 				continue
 			}
-			cp := ev
-			if err := cur.w.Append(&cp); err != nil {
+			if err := cur.w.session(ev.Size); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		out := ev
 		group := int32(groupOf(cursess))
 		remapObj := func(id uint64) (uint64, error) {
 			if id >= uint64(len(localID)) {
@@ -578,15 +628,16 @@ func demux(in *Reader, groups int, groupOf func(sess int) int,
 			}
 			return localID[id], nil
 		}
+		// ev is rewritten in place: the next Next overwrites it anyway.
 		var err error
 		switch ev.Kind {
 		case KindStore, KindFill, KindRaw, KindIntern:
-			if out.Obj, err = remapObj(ev.Obj); err != nil {
+			if ev.Obj, err = remapObj(ev.Obj); err != nil {
 				return nil, err
 			}
 		}
-		if out.Val.IsObj {
-			if out.Val.Bits, err = remapObj(ev.Val.Bits); err != nil {
+		if ev.Val.IsObj {
+			if ev.Val.Bits, err = remapObj(ev.Val.Bits); err != nil {
 				return nil, err
 			}
 		}
@@ -601,7 +652,7 @@ func demux(in *Reader, groups int, groupOf func(sess int) int,
 			globalOwner = append(globalOwner, group)
 			cur.globals++
 			if unsalt {
-				out.Name = strings.TrimPrefix(ev.Name, saltPrefix(cursess))
+				ev.Name = strings.TrimPrefix(ev.Name, saltPrefix(cursess))
 			}
 		case KindGlobal:
 			localGlobal = append(localGlobal, cur.globals)
@@ -616,13 +667,13 @@ func demux(in *Reader, groups int, groupOf func(sess int) int,
 				if globalOwner[g] != group {
 					return nil, fmt.Errorf("%w: cross-session reference to global g%d", ErrInvalid, g)
 				}
-				out.Ref = int32(-localGlobal[g] - 2)
+				ev.Ref = int32(-localGlobal[g] - 2)
 			}
 			// Positive refs are handle-stack depths; segments start and
 			// end at depth zero in both the merged and demuxed streams,
 			// so they need no rewrite.
 		}
-		if err := cur.w.Append(&out); err != nil {
+		if err := cur.w.Append(&ev); err != nil {
 			return nil, err
 		}
 	}

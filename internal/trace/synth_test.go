@@ -2,6 +2,8 @@ package trace_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -309,14 +311,21 @@ const synthGoldenPath = "testdata/synth-golden.json"
 
 // synthGolden is the aggregate fingerprint of the synthesized corpus.
 type synthGolden struct {
-	Sessions        uint64 `json:"sessions"`
-	Events          uint64 `json:"events"`
-	Words           uint64 `json:"words"`
-	Objects         uint64 `json:"objects"`
-	Collections     uint64 `json:"collections"`
-	FullCollections uint64 `json:"full_collections"`
-	RawBytes        uint64 `json:"raw_bytes"`
-	CompressedBytes uint64 `json:"compressed_bytes"`
+	Sessions         uint64 `json:"sessions"`
+	Events           uint64 `json:"events"`
+	Words            uint64 `json:"words"`
+	Objects          uint64 `json:"objects"`
+	Collections      uint64 `json:"collections"`
+	FullCollections  uint64 `json:"full_collections"`
+	RawBytes         uint64 `json:"raw_bytes"`
+	CompressedBytes  uint64 `json:"compressed_bytes"`
+	RawSHA256        string `json:"raw_sha256"`
+	CompressedSHA256 string `json:"compressed_sha256"`
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // build1kCorpus synthesizes the standard 1000-session interleaved corpus
@@ -336,8 +345,8 @@ func build1kCorpus(t *testing.T) (raw, compressed []byte) {
 }
 
 // TestSynthGolden1kSessions drift-guards the synthesized corpus (the
-// recipe must keep producing the same aggregate, byte sizes included —
-// regenerate with `make synth`) and proves the acceptance property: the
+// recipe must keep producing the same aggregate, byte sizes and the
+// sha256 of both forms included — regenerate with `make synth`) and proves the acceptance property: the
 // 1k-session corpus replays verifier-clean and stats-deterministically
 // under all seven collectors, and compression at least halves it.
 func TestSynthGolden1kSessions(t *testing.T) {
@@ -347,14 +356,16 @@ func TestSynthGolden1kSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := synthGolden{
-		Sessions:        sum.Sessions,
-		Events:          sum.Trailer.Events,
-		Words:           sum.Trailer.WordsAllocated,
-		Objects:         sum.Trailer.ObjectsAllocated,
-		Collections:     sum.Collections,
-		FullCollections: sum.FullCollections,
-		RawBytes:        uint64(len(raw)),
-		CompressedBytes: uint64(len(z)),
+		Sessions:         sum.Sessions,
+		Events:           sum.Trailer.Events,
+		Words:            sum.Trailer.WordsAllocated,
+		Objects:          sum.Trailer.ObjectsAllocated,
+		Collections:      sum.Collections,
+		FullCollections:  sum.FullCollections,
+		RawBytes:         uint64(len(raw)),
+		CompressedBytes:  uint64(len(z)),
+		RawSHA256:        sha256Hex(raw),
+		CompressedSHA256: sha256Hex(z),
 	}
 	if os.Getenv("RDGC_WRITE_TRACES") == "1" {
 		data, err := json.MarshalIndent(got, "", "  ")

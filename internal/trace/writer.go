@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"rdgc/internal/heap"
 )
 
 // Writer streams events into the trace format. It buffers at most one
@@ -119,95 +121,245 @@ func (w *Writer) Events() uint64 { return w.events }
 func (w *Writer) Header() Header { return w.hdr }
 
 // Append encodes one event. For KindAlloc it assigns the object its
-// allocation-order ID and stores it in ev.Obj. Events referencing objects
-// validate against the IDs allocated so far and fail with ErrInvalid.
+// allocation-order ID and stores it in ev.Obj. Events the reader would
+// reject — an unallocated object reference, a free-block type, a size,
+// slot, depth or session index out of range — fail with ErrInvalid.
+//
+// Append only dispatches: each kind has one encoder, which validates the
+// event and appends its bytes, and the recorder and the synthesis merger
+// call those encoders directly, with no Event in between.
 func (w *Writer) Append(ev *Event) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		w.err = fmt.Errorf("%w: append after Close", ErrInvalid)
-		return w.err
-	}
-	b := append(w.buf, byte(ev.Kind))
-	var err error
 	switch ev.Kind {
 	case KindAlloc:
-		b = append(b, byte(ev.Type))
-		b = binary.AppendUvarint(b, uint64(ev.Size))
-		ev.Obj = w.nextID
-		w.nextID++
+		id, err := w.alloc(ev.Type, ev.Size)
+		if err == nil {
+			ev.Obj = id
+		}
+		return err
 	case KindStore:
-		if b, err = w.appendObj(b, ev.Obj); err == nil {
-			b = binary.AppendUvarint(b, uint64(ev.Slot))
-			b, err = w.appendValue(b, ev.Val)
-		}
+		return w.store(ev.Obj, ev.Slot, ev.Val)
 	case KindFill:
-		if b, err = w.appendObj(b, ev.Obj); err == nil {
-			b, err = w.appendValue(b, ev.Val)
-		}
+		return w.fill(ev.Obj, ev.Val)
 	case KindRaw:
-		if b, err = w.appendObj(b, ev.Obj); err == nil {
-			b = binary.AppendUvarint(b, uint64(ev.Slot))
-			b = binary.LittleEndian.AppendUint64(b, ev.Val.Bits)
-		}
+		return w.raw(ev.Obj, ev.Slot, ev.Val.Bits)
 	case KindIntern:
-		if b, err = w.appendObj(b, ev.Obj); err == nil {
-			b = appendString(b, ev.Name)
-		}
+		return w.intern(ev.Obj, ev.Name)
 	case KindPush, KindGlobal:
-		b, err = w.appendValue(b, ev.Val)
+		return w.root(ev.Kind, ev.Val)
 	case KindPopTo:
-		b = binary.AppendUvarint(b, uint64(ev.Size))
+		return w.popTo(ev.Size)
 	case KindSet:
-		b = binary.AppendUvarint(b, zenc(int64(ev.Ref)))
-		b, err = w.appendValue(b, ev.Val)
+		return w.set(ev.Ref, ev.Val)
 	case KindCollect:
-		full := byte(0)
-		if ev.Full {
-			full = 1
-		}
-		b = append(b, full)
+		return w.collect(ev.Full)
 	case KindSession:
-		if w.version < 2 {
-			err = fmt.Errorf("%w: version %d has no session events", ErrInvalid, w.version)
-		} else if ev.Size < 0 {
-			err = fmt.Errorf("%w: negative session index %d", ErrInvalid, ev.Size)
-		} else {
-			b = binary.AppendUvarint(b, uint64(ev.Size))
-		}
-	default:
-		err = fmt.Errorf("%w: unknown kind %d", ErrInvalid, ev.Kind)
+		return w.session(ev.Size)
 	}
-	if err != nil {
-		w.err = err
+	if err := w.usable(); err != nil {
 		return err
 	}
+	return w.invalid("unknown kind %d", ev.Kind)
+}
+
+// The encoders, one per kind. Each checks that the writer is open, then
+// every operand against what the reader accepts, then appends the opcode
+// and the operands and commits the event; nothing is written for an event
+// that fails a check. An encoder that allocates returns the ID it assigned.
+
+func (w *Writer) alloc(t heap.Type, size int) (uint64, error) {
+	if err := w.usable(); err != nil {
+		return 0, err
+	}
+	if t >= heap.TFree {
+		return 0, w.invalid("allocation of type %d", t)
+	}
+	if uint(size) > maxBlock {
+		return 0, w.invalid("allocation size %d outside [0, %d]", size, maxBlock)
+	}
+	id := w.nextID
+	w.nextID++
+	return id, w.commit(binary.AppendUvarint(append(w.buf, byte(KindAlloc), byte(t)), uint64(size)))
+}
+
+func (w *Writer) store(obj uint64, slot int, v Value) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if obj >= w.nextID {
+		return w.unallocated(obj)
+	}
+	if slot < 0 {
+		return w.invalid("negative slot %d", slot)
+	}
+	if v.IsObj && v.Bits >= w.nextID {
+		return w.unallocated(v.Bits)
+	}
+	b := w.appendObj(append(w.buf, byte(KindStore)), obj)
+	b = binary.AppendUvarint(b, uint64(slot))
+	return w.commit(w.appendValue(b, v))
+}
+
+func (w *Writer) fill(obj uint64, v Value) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if obj >= w.nextID {
+		return w.unallocated(obj)
+	}
+	if v.IsObj && v.Bits >= w.nextID {
+		return w.unallocated(v.Bits)
+	}
+	return w.commit(w.appendValue(w.appendObj(append(w.buf, byte(KindFill)), obj), v))
+}
+
+func (w *Writer) raw(obj uint64, slot int, bits uint64) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if obj >= w.nextID {
+		return w.unallocated(obj)
+	}
+	if slot < 0 {
+		return w.invalid("negative slot %d", slot)
+	}
+	b := w.appendObj(append(w.buf, byte(KindRaw)), obj)
+	b = binary.AppendUvarint(b, uint64(slot))
+	return w.commit(binary.LittleEndian.AppendUint64(b, bits))
+}
+
+// maxName bounds a symbol name so that the block holding it stays within
+// maxBlock: a block is sealed once it reaches blockTarget, and the name's
+// opcode, object delta and length take at most 21 bytes.
+const maxName = maxBlock - blockTarget - 2*binary.MaxVarintLen64
+
+func (w *Writer) intern(obj uint64, name string) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if obj >= w.nextID {
+		return w.unallocated(obj)
+	}
+	if len(name) > maxName {
+		return w.invalid("symbol name of %d bytes exceeds %d", len(name), maxName)
+	}
+	return w.commit(appendString(w.appendObj(append(w.buf, byte(KindIntern)), obj), name))
+}
+
+// root encodes KindPush and KindGlobal, which differ only in the opcode.
+func (w *Writer) root(k Kind, v Value) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if v.IsObj && v.Bits >= w.nextID {
+		return w.unallocated(v.Bits)
+	}
+	return w.commit(w.appendValue(append(w.buf, byte(k)), v))
+}
+
+func (w *Writer) popTo(depth int) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if depth < 0 {
+		return w.invalid("negative handle-stack depth %d", depth)
+	}
+	return w.commit(binary.AppendUvarint(append(w.buf, byte(KindPopTo)), uint64(depth)))
+}
+
+func (w *Writer) set(ref int32, v Value) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if v.IsObj && v.Bits >= w.nextID {
+		return w.unallocated(v.Bits)
+	}
+	b := binary.AppendUvarint(append(w.buf, byte(KindSet)), zenc(int64(ref)))
+	return w.commit(w.appendValue(b, v))
+}
+
+func (w *Writer) collect(full bool) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	f := byte(0)
+	if full {
+		f = 1
+	}
+	return w.commit(append(w.buf, byte(KindCollect), f))
+}
+
+func (w *Writer) session(sess int) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if w.version < 2 {
+		return w.invalid("version %d has no session events", w.version)
+	}
+	if uint(sess) > maxBlock {
+		return w.invalid("session index %d outside [0, %d]", sess, maxBlock)
+	}
+	return w.commit(binary.AppendUvarint(append(w.buf, byte(KindSession)), uint64(sess)))
+}
+
+// commit adopts b, the block with one more event appended, and seals the
+// block once it reaches blockTarget.
+func (w *Writer) commit(b []byte) error {
 	w.buf = b
 	w.events++
-	if len(w.buf) >= blockTarget {
+	if len(b) >= blockTarget {
 		return w.flushBlock()
 	}
 	return nil
 }
 
-// appendObj delta-encodes a target object ID against the most recently
-// allocated object.
-func (w *Writer) appendObj(b []byte, id uint64) ([]byte, error) {
-	if id >= w.nextID {
-		return b, fmt.Errorf("%w: reference to unallocated object #%d", ErrInvalid, id)
+// usable returns the writer's sticky error, and refuses any append after
+// Close.
+func (w *Writer) usable() error {
+	if w.err != nil || w.closed {
+		return w.unusable()
 	}
-	return binary.AppendUvarint(b, w.nextID-1-id), nil
+	return nil
 }
 
-func (w *Writer) appendValue(b []byte, v Value) ([]byte, error) {
-	if v.IsObj {
-		b = append(b, 1)
-		return w.appendObj(b, v.Bits)
+//go:noinline
+func (w *Writer) unusable() error {
+	if w.err == nil {
+		w.err = fmt.Errorf("%w: append after Close", ErrInvalid)
 	}
-	b = append(b, 0)
-	// Zigzag keeps negative fixnums (sign-extended word bits) short.
-	return binary.AppendUvarint(b, zenc(int64(v.Bits))), nil
+	return w.err
+}
+
+// invalid makes an ErrInvalid the writer's sticky error. It is every
+// encoder's failure exit, kept out of line so none of them carries error
+// formatting.
+//
+//go:noinline
+func (w *Writer) invalid(format string, args ...any) error {
+	w.err = fmt.Errorf("%w: %s", ErrInvalid, fmt.Sprintf(format, args...))
+	return w.err
+}
+
+//go:noinline
+func (w *Writer) unallocated(id uint64) error {
+	return w.invalid("reference to unallocated object #%d", id)
+}
+
+// appendObj delta-encodes a target object ID, already checked to be
+// allocated, against the most recently allocated object.
+func (w *Writer) appendObj(b []byte, id uint64) []byte {
+	return binary.AppendUvarint(b, w.nextID-1-id)
+}
+
+// appendValue encodes an operand, already checked to reference an
+// allocated object if it references one at all: a discriminator byte, then
+// the object's delta (1) or the immediate, zigzagged (0) so that negative
+// fixnums — sign-extended word bits — stay short.
+func (w *Writer) appendValue(b []byte, v Value) []byte {
+	d, u := byte(0), zenc(int64(v.Bits))
+	if v.IsObj {
+		d, u = 1, w.nextID-1-v.Bits
+	}
+	return binary.AppendUvarint(append(b, d), u)
 }
 
 // Close seals the final block and writes the terminator and trailer. The
