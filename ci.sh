@@ -35,6 +35,15 @@ for c in generational multigen hybrid; do
         exit 1
     fi
 done
+# The trace reader's varint helper decodes one- to three-byte varints in
+# line at every one of (*Reader).Next's decode sites (it is called nowhere
+# else); a change that pushes it over the budget turns each into a call.
+calls=$(grep -c 'uvarint1(blk, pos)' internal/trace/reader.go || true)
+inlined=$(go build -gcflags=-m ./internal/trace 2>&1 | grep -c '^internal/trace/reader\.go:.*inlining call to uvarint1$' || true)
+if [ "$calls" -eq 0 ] || [ "$inlined" -ne "$calls" ]; then
+    echo "ci: uvarint1 inlines at $inlined of (*Reader).Next's $calls decode sites (go build -gcflags=-m=2 ./internal/trace says why)" >&2
+    exit 1
+fi
 
 # Coverage floors for the invariant-critical packages, set just under the
 # coverage measured when the verifier landed; dipping below one means tests
@@ -187,9 +196,10 @@ go run ./cmd/gcfuzz -emit-trace "$trace_tmp/t1/f.trace" "$fuzz_seed" > /dev/null
 go run ./cmd/gcfuzz -gctenure 6 -emit-trace "$trace_tmp/t6/f.trace" "$fuzz_seed" > /dev/null
 cmp "$trace_tmp/t1/f.trace" "$trace_tmp/t6/f.trace"
 # The trace package's own benchmarks — decode, replay, record and amplify
-# over a decay session, ns/event — one iteration each beside the smoke, so
-# the numbers EXPERIMENTS.md quotes stay regenerable.
-go test -run '^$' -bench 'ReaderNext|Replay|Recorder|Amplify' -benchtime 1x ./internal/trace
+# over a decay session, ns/event, and block decompression, ns/byte — one
+# iteration each beside the smoke, so the numbers EXPERIMENTS.md quotes stay
+# regenerable.
+go test -run '^$' -bench 'ReaderNext|Replay|Recorder|Amplify|LZDecode' -benchtime 1x ./internal/trace
 
 # Synth smoke: amplify the recording into an interleaved multi-session
 # corpus, raw and block-compressed, and drive the whole synth -> compress ->
@@ -240,6 +250,9 @@ RDGC_GC_TENURE=6 go test -race -run '^TestEnvReachesHeaps$' -fuzz '^FuzzCollecto
 # panic — no matter what the block decompressor is fed. Then arbitrary
 # events against the writer: each must be refused with ErrInvalid or read
 # back identically. (Minimizing a new input costs that fuzzer most of a
-# 10-second budget, so minimization is capped.)
+# 10-second budget, so minimization is capped.) Last, arbitrary compressed
+# blocks and lengths against the block decompressor: its word copies must
+# accept, refuse and write exactly what the byte-at-a-time loop does.
 go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWriterReaderAgree$' -fuzztime 10s -fuzzminimizetime 100x ./internal/trace
+go test -run '^$' -fuzz '^FuzzLZDecode$' -fuzztime 10s ./internal/trace

@@ -138,23 +138,30 @@ func BenchmarkReaderNext(b *testing.B) {
 	}
 }
 
+// BenchmarkReplay replays the corpus raw, where decode is the whole read
+// side, and compressed, where decompression joins it.
 func BenchmarkReplay(b *testing.B) {
-	_, comp, events := decayCorpus(b)
-	for _, name := range []string{"semispace", "generational"} {
-		nc := decayCollector(b, name)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rd, err := trace.NewReader(bytes.NewReader(comp))
-				if err != nil {
-					b.Fatal(err)
+	raw, comp, events := decayCorpus(b)
+	for _, form := range []struct {
+		name string
+		data []byte
+	}{{"raw", raw}, {"compressed", comp}} {
+		for _, name := range []string{"semispace", "generational"} {
+			nc := decayCollector(b, name)
+			b.Run(form.name+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					rd, err := trace.NewReader(bytes.NewReader(form.data))
+					if err != nil {
+						b.Fatal(err)
+					}
+					h := heap.New()
+					if _, err := trace.Replay(rd, h, nc.New(h), trace.ReplayOptions{}); err != nil {
+						b.Fatal(err)
+					}
 				}
-				h := heap.New()
-				if _, err := trace.Replay(rd, h, nc.New(h), trace.ReplayOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportPerEvent(b, events)
-		})
+				reportPerEvent(b, events)
+			})
+		}
 	}
 }
 

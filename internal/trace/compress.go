@@ -144,10 +144,17 @@ func lzDecode(dst, src []byte) bool {
 				return false
 			}
 		}
-		if ll > len(src)-si || ll > len(dst)-di {
-			return false
+		if ll <= 16 && len(src)-si >= 16 && len(dst)-di >= 16 {
+			// A short run with room behind it in both buffers goes as two
+			// words; the bytes past ll are overwritten by what follows.
+			binary.LittleEndian.PutUint64(dst[di:], binary.LittleEndian.Uint64(src[si:]))
+			binary.LittleEndian.PutUint64(dst[di+8:], binary.LittleEndian.Uint64(src[si+8:]))
+		} else {
+			if ll > len(src)-si || ll > len(dst)-di {
+				return false
+			}
+			copy(dst[di:], src[si:si+ll])
 		}
-		copy(dst[di:], src[si:si+ll])
 		di += ll
 		si += ll
 		if si == len(src) {
@@ -172,18 +179,29 @@ func lzDecode(dst, src []byte) bool {
 		if ml > len(dst)-di {
 			return false
 		}
-		if off >= ml {
-			// Source and destination do not overlap.
-			copy(dst[di:di+ml], dst[di-off:])
-			di += ml
-			continue
+		// Eight bytes a step where a word fits: each word is read from at
+		// least eight bytes back, so it was written before it is read, even
+		// where the match overlaps its own output, and the last step may
+		// run up to seven bytes past the match, into bytes the next
+		// sequence overwrites.
+		switch {
+		case off >= 8 && ml <= 16 && len(dst)-di >= 16:
+			// Nearly every match in a trace block: two steps, no loop.
+			binary.LittleEndian.PutUint64(dst[di:], binary.LittleEndian.Uint64(dst[di-off:]))
+			binary.LittleEndian.PutUint64(dst[di+8:], binary.LittleEndian.Uint64(dst[di+8-off:]))
+		case off >= 8 && len(dst)-di >= ml+7:
+			for k := 0; k < ml; k += 8 {
+				binary.LittleEndian.PutUint64(dst[di+k:], binary.LittleEndian.Uint64(dst[di+k-off:]))
+			}
+		default:
+			// Byte at a time: an offset under eight replicates a run
+			// shorter than a word, and the last bytes of a block have no
+			// room for one.
+			for k := di; k < di+ml; k++ {
+				dst[k] = dst[k-off]
+			}
 		}
-		// Byte-at-a-time: an offset shorter than the match length
-		// replicates the just-written run, which copy() would get wrong.
-		for k := 0; k < ml; k++ {
-			dst[di] = dst[di-off]
-			di++
-		}
+		di += ml
 	}
 	return di == len(dst)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -274,6 +275,30 @@ func TestNextRejectsMalformedEvents(t *testing.T) {
 			case tc.want != "" && (!errors.Is(err, trace.ErrCorrupt) || !strings.Contains(err.Error(), tc.want)):
 				t.Errorf("%s (v%d): got %v, want ErrCorrupt with %q", tc.name, version, err, tc.want)
 			}
+		}
+	}
+
+	// The trailer ends a trace: bytes after it, garbage or a second whole
+	// trace, fail the stream once every event has been read, raw or
+	// compressed.
+	raw := craftTrace(2, cat(alloc, []byte{kPush, 0, 5}), 2)
+	comp := encodeZ(t, trace.Header{}, genEvents(rand.New(rand.NewSource(4)), 3000))
+	garbage := []byte("garbage after the trailer")
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		events int
+		want   string
+	}{
+		{"garbage after the trailer", cat(raw, garbage), 2, "25 bytes after trailer"},
+		{"one byte after the trailer", cat(raw, []byte{0}), 2, "1 bytes after trailer"},
+		{"two traces back to back", cat(raw, raw), 2, fmt.Sprintf("%d bytes after trailer", len(raw))},
+		{"garbage after a compressed trailer", cat(comp, garbage), 3000, "25 bytes after trailer"},
+		{"two compressed traces back to back", cat(comp, comp), 3000, fmt.Sprintf("%d bytes after trailer", len(comp))},
+	} {
+		n, err := diffDecoders(t, tc.data)
+		if int(n) != tc.events || !errors.Is(err, trace.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ended after %d events with %v, want %d events and ErrCorrupt with %q", tc.name, n, err, tc.events, tc.want)
 		}
 	}
 }

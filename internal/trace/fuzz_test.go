@@ -20,7 +20,8 @@ import (
 // the reference decoder (diffDecoders) on every event, on the sentinel
 // that ends the stream and on the event index where it ends. Seeds cover
 // both wire versions, compressed and uncompressed blocks, synthesized
-// session streams (via the checked-in corpus), and truncations.
+// session streams (via the checked-in corpus), truncations, and bytes after
+// the trailer.
 func FuzzTraceReader(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	small := func(compress bool) []byte {
@@ -48,6 +49,8 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(raw)
 	f.Add(comp)
 	f.Add(raw[:len(raw)/2])
+	f.Add(bytes.Join([][]byte{comp, []byte("garbage after the trailer")}, nil))
+	f.Add(bytes.Join([][]byte{raw, raw}, nil))
 	f.Add(comp[:len(comp)/3])
 	f.Add([]byte{})
 	f.Add([]byte("rdgctrc\x00"))

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -13,9 +14,10 @@ import (
 	"rdgc/internal/heap"
 )
 
-// lzDecodeByteLoop is lzDecode as it stood before non-overlapping matches
-// went through copy: every match replicated byte by byte. It is the
-// reference the edge table and the corpus round trip hold lzDecode to.
+// lzDecodeByteLoop is lzDecode as it stood before matches and short literal
+// runs were copied a word at a time: every match replicated byte by byte.
+// It is the reference the edge table, the corpus round trip and
+// FuzzLZDecode hold lzDecode to.
 func lzDecodeByteLoop(dst, src []byte) bool {
 	di, si := 0, 0
 	readLen := func(base int) (int, bool) {
@@ -100,16 +102,100 @@ func lzSeq(lit string, off, ml int) []byte {
 	return b
 }
 
-// TestLZDecodeMatchEdges walks the offset/length boundary the copy branch
-// turns on, and the destination bound on both sides, against the byte loop.
+// lzEdgeCase is one row of TestLZDecodeMatchEdges.
+type lzEdgeCase struct {
+	name string
+	src  []byte
+	n    int    // len(dst)
+	want string // decoded bytes; "" = must return false
+}
+
+// lzReplicate appends a match of ml bytes at offset off to out, a byte at
+// a time: the format's definition of a match.
+func lzReplicate(out string, off, ml int) string {
+	b := []byte(out)
+	for k := 0; k < ml; k++ {
+		b = append(b, b[len(b)-off])
+	}
+	return string(b)
+}
+
+// lzSlackCases walks the eight-byte copies across their slack rules. A
+// literal run of 0..17 bytes (the two-word copy takes up to 16) ends 0..16
+// bytes before the end of the source and, separately, of the destination:
+// the two-word copy needs sixteen bytes left in both. A match at offset
+// 1..9 (word copies need eight), 4..20 bytes long (the two-word copy takes
+// up to 16, the word loop the rest, every length mod 8), ends 0..17 bytes
+// before the end of the destination (the two-word copy needs sixteen bytes
+// left, the loop the match length plus seven), with the destination one
+// byte short and one byte long beside each.
+func lzSlackCases() []lzEdgeCase {
+	const pre, lit = "0123456789abcdef", "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+	var cases []lzEdgeCase
+	for ll := 0; ll <= 17; ll++ {
+		for s := 0; s <= 16; s++ {
+			for d := 0; d <= 16; d++ {
+				// A preamble sequence gives the match after the run
+				// something to read. After the run come s bytes: nothing (the
+				// run ends the block), a cut-short offset, or an offset-5
+				// match and a final run of s-3 literals, the match as long as
+				// puts the run's end d bytes before the end of the output —
+				// or the minimum, which overruns or underfills the
+				// destination.
+				src := lzSeq(pre, 16, 4)
+				out := lzReplicate(pre, 16, 4) + lit[:ll]
+				valid := d == 0
+				switch {
+				case s == 0:
+					src = append(src, lzSeq(lit[:ll], 0, 0)...)
+				case s == 1:
+					src = append(append(src, lzSeq(lit[:ll], 0, 0)...), 0)
+					valid = false
+				default:
+					tail := lit[:max(s-3, 0)]
+					ml := d - len(tail)
+					if valid = ml >= lzMinMatch && ml <= lzMinMatch+14; !valid {
+						ml = lzMinMatch
+					}
+					src = append(src, lzSeq(lit[:ll], 5, ml)...)
+					if s >= 3 {
+						src = append(src, lzSeq(tail, 0, 0)...)
+					}
+					out = lzReplicate(out, 5, ml) + tail
+				}
+				c := lzEdgeCase{fmt.Sprintf("%d-byte run, %d bytes before the end of src and %d of dst", ll, s, d), src, len(pre) + 4 + ll + d, ""}
+				if valid {
+					c.want = out
+				}
+				cases = append(cases, c)
+			}
+		}
+	}
+	for off := 1; off <= 9; off++ {
+		for ml := lzMinMatch; ml <= 20; ml++ {
+			for e := 0; e <= 17; e++ {
+				src := lzSeq(pre, off, ml)
+				if e > 0 {
+					src = append(src, lzSeq(lit[:e], 0, 0)...)
+				}
+				out := lzReplicate(pre, off, ml) + lit[:e]
+				name := fmt.Sprintf("%d-byte match at offset %d ending %d bytes before the end of dst", ml, off, e)
+				cases = append(cases,
+					lzEdgeCase{name, src, len(out), out},
+					lzEdgeCase{name + ", dst one byte short", src, len(out) - 1, ""},
+					lzEdgeCase{name + ", dst one byte long", src, len(out) + 1, ""})
+			}
+		}
+	}
+	return cases
+}
+
+// TestLZDecodeMatchEdges walks the offset/length boundary the byte loop and
+// the word loop part at, the destination bound on both sides, and the
+// slack rules of both eight-byte copies, against the byte loop.
 func TestLZDecodeMatchEdges(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	cases := []struct {
-		name string
-		src  []byte
-		n    int    // len(dst)
-		want string // decoded bytes; "" = must return false
-	}{
+	cases := []lzEdgeCase{
 		{"off 1 replicates a run", lzSeq("a", 1, 9), 10, "aaaaaaaaaa"},
 		{"off < ml replicates a period", lzSeq("abc", 3, 7), 10, "abcabcabca"},
 		{"off == ml-1", lzSeq("abcd", 4, 5), 9, "abcdabcda"},
@@ -131,6 +217,7 @@ func TestLZDecodeMatchEdges(t *testing.T) {
 		{"offset cut short", lzSeq("abcd", 4, 4)[:6], 8, ""},
 		{"literals overrun dst", lzSeq("abcdefgh", 0, 0), 7, ""},
 	}
+	cases = append(cases, lzSlackCases()...)
 	for _, tc := range cases {
 		got, ref := make([]byte, tc.n), make([]byte, tc.n)
 		ok, refOK := lzDecode(got, tc.src), lzDecodeByteLoop(ref, tc.src)
@@ -144,8 +231,39 @@ func TestLZDecodeMatchEdges(t *testing.T) {
 	}
 }
 
+// FuzzLZDecode holds lzDecode to the byte loop on arbitrary input and
+// destination lengths: both must accept or both refuse, and an accepted
+// block must decode to the same bytes. Seeds are the edge table's streams
+// and compressed corpus blocks.
+func FuzzLZDecode(f *testing.F) {
+	for i, c := range lzSlackCases() {
+		if i%7 == 0 {
+			f.Add(c.src, c.n)
+		}
+	}
+	var tab lzTable
+	for i, blk := range lzCorpusBlocks(f) {
+		if i%4 == 0 {
+			f.Add(lzAppend(nil, blk, &tab), len(blk))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src []byte, n int) {
+		if n < 0 || n > 1<<17 {
+			return
+		}
+		got, ref := make([]byte, n), make([]byte, n)
+		ok, refOK := lzDecode(got, src), lzDecodeByteLoop(ref, src)
+		if ok != refOK {
+			t.Fatalf("lzDecode returned %v, byte loop %v", ok, refOK)
+		}
+		if ok && !bytes.Equal(got, ref) {
+			t.Fatalf("lzDecode and the byte loop differ at byte %d", firstDiff(got, ref))
+		}
+	})
+}
+
 // traceBlocks returns a copy of every event block's raw payload.
-func traceBlocks(t *testing.T, data []byte) [][]byte {
+func traceBlocks(t testing.TB, data []byte) [][]byte {
 	t.Helper()
 	rd, err := NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -169,7 +287,7 @@ func traceBlocks(t *testing.T, data []byte) [][]byte {
 
 // lzCorpusBlocks returns every event block of the checked-in corpus and of
 // a multi-block decay recording.
-func lzCorpusBlocks(t *testing.T) [][]byte {
+func lzCorpusBlocks(t testing.TB) [][]byte {
 	t.Helper()
 	var traces [][]byte
 	files, err := filepath.Glob("testdata/traces/*.trace")
@@ -352,4 +470,26 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return min(len(a), len(b))
+}
+
+// BenchmarkLZDecode decodes every compressed corpus block once per
+// iteration and reports the time per decompressed byte.
+func BenchmarkLZDecode(b *testing.B) {
+	var tab lzTable
+	var comp, dst [][]byte
+	raw := 0
+	for _, blk := range lzCorpusBlocks(b) {
+		comp = append(comp, lzAppend(nil, blk, &tab))
+		dst = append(dst, make([]byte, len(blk)))
+		raw += len(blk)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range comp {
+			if !lzDecode(dst[k], c) {
+				b.Fatal("decode failed")
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*raw), "ns/byte")
 }

@@ -181,6 +181,12 @@ func (r *Reader) readTrailer() error {
 	if r.tr.Events != r.events {
 		return r.fail(ErrCorrupt, "trailer says %d events, stream had %d", r.tr.Events, r.events)
 	}
+	// The trailer ends the trace: a byte after it would go unchecked.
+	if extra, err := io.Copy(io.Discard, r.br); err != nil {
+		return r.fail(ErrTruncated, "reading past trailer: %v", err)
+	} else if extra > 0 {
+		return r.fail(ErrCorrupt, "%d bytes after trailer", extra)
+	}
 	r.done = true
 	return nil
 }
@@ -287,13 +293,24 @@ func (r *Reader) corrupt(f fault, arg uint64) error {
 	return r.fail(ErrCorrupt, "unknown event opcode %d", arg)
 }
 
-// uvarint1 decodes the varint at blk[pos:] when it is a single byte (three
-// in four are, in a recorded decay session) and is small enough to inline
-// into Next; n is 0 when the varint is longer or the block has ended, and
+// uvarint1 decodes the varint at blk[pos:] when it is one, two or three
+// bytes long and the block has three bytes left, and is small enough to
+// inline into Next. That covers every varint of a recorded or amplified
+// decay session (set refs and value immediates run to three). n is 0 when the
+// varint is longer or lies within two bytes of the block's end, and
 // uvarintLong must decide.
 func uvarint1(blk []byte, pos int) (v uint64, n int) {
-	if pos < len(blk) && blk[pos] < 0x80 {
-		return uint64(blk[pos]), 1
+	if pos+2 < len(blk) {
+		b0, b1, b2 := blk[pos], blk[pos+1], blk[pos+2]
+		if b0 < 0x80 {
+			return uint64(b0), 1
+		}
+		if b1 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1)<<7, 2
+		}
+		if b2 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14, 3
+		}
 	}
 	return 0, 0
 }
