@@ -10,6 +10,7 @@ package rdgc
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"rdgc/internal/analytic"
@@ -23,7 +24,10 @@ import (
 	"rdgc/internal/decay"
 	"rdgc/internal/experiments"
 	"rdgc/internal/gc/gctest"
+	"rdgc/internal/gc/generational"
+	"rdgc/internal/gc/hybrid"
 	"rdgc/internal/gc/marksweep"
+	"rdgc/internal/gc/multigen"
 	"rdgc/internal/gc/npms"
 	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
@@ -515,6 +519,77 @@ func BenchmarkMinorCollection(b *testing.B) {
 		b.Fatalf("the last collection copied %d pairs of %d", e.ObjectsCopied, pairs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/collection")
+}
+
+// BenchmarkFullCollect measures one explicit collection of each collector
+// at gc-stress's shape: a spine vector of 256 lists of 512 pairs (393 Ki live
+// words) on a heap of three times that, sized as the benchmark harness sizes
+// its fixed-heap grids (g = 0.25, 16 steps, a 1/8 nursery, three multigen
+// generations). An op is one of the workload's rounds — a fresh list stored
+// into the spine through the barrier, 32 scratch vectors of 127 words — and
+// the collection that ends it, so ns/op is per collection, and ns/word is
+// per word marked or copied.
+func BenchmarkFullCollect(b *testing.B) {
+	const spine, list, scratch, vector = 256, 512, 32, 127
+	const total, g, k = 3 * spine * list * 3, 0.25, 16
+	nursery := total / 8
+	collectors := []struct {
+		name string
+		mk   func(h *heap.Heap) heap.Collector
+	}{
+		{"semispace", func(h *heap.Heap) heap.Collector { return semispace.New(h, total) }},
+		{"marksweep", func(h *heap.Heap) heap.Collector { return marksweep.New(h, total) }},
+		{"generational", func(h *heap.Heap) heap.Collector { return generational.New(h, nursery, total-nursery) }},
+		{"nonpredictive", func(h *heap.Heap) heap.Collector {
+			return core.New(h, k, total/k, core.WithPolicy(core.FractionJ(g)))
+		}},
+		{"hybrid", func(h *heap.Heap) heap.Collector {
+			hk := min(k, 2*(total-nursery)/nursery) // a step holds at least half a nursery
+			return hybrid.New(h, nursery, hk, (total-nursery)/hk, hybrid.WithPolicy(core.FractionJ(g)))
+		}},
+		{"multigen", func(h *heap.Heap) heap.Collector {
+			return multigen.New(h, []int{total >> 3, total >> 2, total - total>>3 - total>>2})
+		}},
+		{"npms", func(h *heap.Heap) heap.Collector { return npms.New(h, k, total/k, npms.WithG(g)) }},
+	}
+	for _, nc := range collectors {
+		b.Run(nc.name, func(b *testing.B) {
+			h := heap.New(heap.WithConfig(heap.Config{}))
+			c := nc.mk(h)
+			root := h.Scope()
+			defer root.Close()
+			sp := h.Global(h.MakeVector(spine, h.Null()))
+			buildList := func() heap.Ref {
+				s := h.Scope()
+				l := h.Null()
+				for i := 0; i < list; i++ {
+					l = h.Cons(h.Fix(int64(i)), l)
+				}
+				return s.Return(l)
+			}
+			for i := 0; i < spine; i++ {
+				s := h.Scope()
+				h.VectorSet(sp, i, buildList())
+				s.Close()
+			}
+			c.Collect() // settle the graph where the collector keeps old data
+			rng := rand.New(rand.NewSource(1))
+			gc0 := *c.GCStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := h.Scope()
+				h.VectorSet(sp, rng.Intn(spine), buildList())
+				for j := 0; j < scratch; j++ {
+					h.MakeVector(vector, h.Null())
+				}
+				s.Close()
+				c.Collect()
+			}
+			gc1 := c.GCStats()
+			traced := (gc1.WordsCopied - gc0.WordsCopied) + (gc1.WordsMarked - gc0.WordsMarked)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(traced), "ns/word")
+		})
+	}
 }
 
 // BenchmarkMarkSweepAllocFragmented measures mark/sweep's first-fit search

@@ -1,6 +1,9 @@
 package heap
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // buildChain hand-allocates a chain of n pairs in s (car = fixnum,
 // cdr = previous pair) and returns the head pointer word. It bypasses the
@@ -137,4 +140,57 @@ func BenchmarkEvacuatorSteadyState(b *testing.B) {
 		from.Reset()
 		from, to = to, from
 	}
+}
+
+// BenchmarkEvacuatorMultiTarget reports the per-word cost of a collection
+// whose survivors fill a dozen targets in turn, as a non-predictive
+// collection fills its shadow steps: a chain of 12000 pairs and vectors of
+// four and eight payload words, each holding the next, flipped between two
+// sets of 16 spaces of a twelfth of the chain each.
+func BenchmarkEvacuatorMultiTarget(b *testing.B) {
+	const objects, steps = 12000, 16
+	h := New(WithConfig(Config{})) // the sequential engine, whatever the environment pins
+	seed := h.NewSpace("seed", 1<<16)
+	prev := NullWord
+	for i := 0; i < objects; i++ {
+		typ, payload := TPair, 2
+		if i%4 == 3 {
+			typ, payload = TVector, 1+i%8
+		}
+		off, ok := seed.Bump(1 + payload)
+		if !ok {
+			b.Fatal("seed space too small")
+		}
+		w := h.InitObject(seed, off, typ, payload)
+		seed.Mem[off+1] = prev
+		prev = w
+	}
+	h.GlobalWord(prev)
+	set := func(name string) []*Space {
+		var out []*Space
+		for i := 0; i < steps; i++ {
+			out = append(out, h.NewSpace(fmt.Sprintf("%s-%d", name, i), seed.Top/12+1))
+		}
+		return out
+	}
+	from, to := set("A"), set("B")
+	e := NewEvacuator(h, nil)
+	e.SetFrom(seed)
+	e.Begin(from...)
+	e.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.SetFrom(from...)
+		e.Begin(to...)
+		e.Run()
+		for _, s := range from {
+			s.Reset()
+		}
+		from, to = to, from
+	}
+	if e.ObjectsCopied != objects {
+		b.Fatalf("the last collection copied %d objects of %d", e.ObjectsCopied, objects)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(e.WordsCopied)), "ns/word")
 }

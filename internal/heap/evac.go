@@ -27,6 +27,14 @@ type Evacuator struct {
 	// worst case (all of from-region live) or set Overflow.
 	Targets []*Space
 
+	// cur is the first target that has not refused a request this run, and
+	// prefixFree bounds the free words of Targets[:cur] from above. A
+	// target's free words only shrink during a run, so a request larger
+	// than prefixFree fits no earlier target and first-fit placement starts
+	// at cur; only a request of at most prefixFree words scans from 0.
+	cur        int
+	prefixFree int
+
 	// Overflow, when non-nil, is called with the failing request size when
 	// every target is full; it must return a fresh space with room for the
 	// request, which is appended to Targets. When nil, overflow panics.
@@ -119,6 +127,7 @@ func (e *Evacuator) Begin(targets ...*Space) {
 		e.scanBase = append(e.scanBase, t.Top)
 		e.scan = append(e.scan, t.Top)
 	}
+	e.cur, e.prefixFree = 0, 0
 	e.spaces = e.H.Spaces
 	e.extra = e.H.extraWords
 	e.WordsCopied = 0
@@ -160,14 +169,17 @@ func (e *Evacuator) forward(w Word) Word {
 	var toOff int
 	if e.tenured {
 		toSpace, toOff = e.reserveByAge(s, off, hdr, n)
-	} else if ts := e.Targets; len(ts) > 0 && ts[0].Free() >= n {
-		// reserve's first iteration, without the call: nearly every copy of
-		// nearly every collection lands in the first target. (A run may begin
-		// with no target at all and take every space from Overflow.)
-		toSpace, toOff = ts[0], ts[0].Top
-		toSpace.Top += n
-	} else {
-		toSpace, toOff = e.reserve(n)
+	}
+	if toSpace == nil { // wholesale, or promoted
+		if ts := e.Targets; n > e.prefixFree && e.cur < len(ts) && ts[e.cur].Free() >= n {
+			// reserve's answer, without the call: nearly every copy lands in
+			// the cursor's target. (A run may begin with no target at all and
+			// take every space from Overflow.)
+			toSpace, toOff = ts[e.cur], ts[e.cur].Top
+			toSpace.Top += n
+		} else {
+			toSpace, toOff = e.reserve(n)
+		}
 	}
 	if n == 3 {
 		// A pair, the commonest object by far: three stores, where copy would
@@ -188,12 +200,29 @@ func (e *Evacuator) forward(w Word) Word {
 }
 
 // reserve bumps n words in the first target with room, asking Overflow for a
-// new one when none has.
+// new one when none has. The search starts at the cursor unless an earlier
+// target may fit n (n <= prefixFree); a target at the cursor that refuses
+// joins the prefix, and an Overflow space, appended once every target has
+// refused, becomes the cursor.
 func (e *Evacuator) reserve(n int) (*Space, int) {
-	for _, t := range e.Targets {
+	if n <= e.prefixFree {
+		// Every earlier target is tried in order, as plain first-fit would;
+		// when all refuse, the bound is re-measured, which can only lower it.
+		most := 0
+		for _, t := range e.Targets[:e.cur] {
+			if off, ok := t.Bump(n); ok {
+				return t, off
+			}
+			most = max(most, t.Free())
+		}
+		e.prefixFree = most
+	}
+	for ; e.cur < len(e.Targets); e.cur++ {
+		t := e.Targets[e.cur]
 		if off, ok := t.Bump(n); ok {
 			return t, off
 		}
+		e.prefixFree = max(e.prefixFree, t.Free())
 	}
 	if e.Overflow != nil {
 		t := e.Overflow(n)
@@ -272,10 +301,18 @@ func (e *Evacuator) Drain() {
 // is fused with evacuation: payload words are iterated directly over the
 // target's Mem slice — no per-object visitor call, no per-slot closure —
 // with raw-payload objects and the hidden census word skipped by header
-// inspection.
+// inspection. A wholesale copy that fits the cursor's target and no earlier
+// one — forward's own fast branch — is made here without a call, with the
+// cursor, the prefix bound, the space cache and the work counts held in
+// locals; everything else (a refusal, Overflow, age routing) goes through
+// forward, after which the locals are read again.
 func (e *Evacuator) cheney(t *Space, scan int) int {
 	mem := t.Mem
 	extra := e.extra
+	spaces := e.spaces
+	to, prefixFree := e.cursor()
+	var words uint64
+	var objects int
 	for scan < t.Top {
 		hdr := mem[scan]
 		n := ObjWords(hdr)
@@ -285,12 +322,52 @@ func (e *Evacuator) cheney(t *Space, scan int) int {
 				if !IsPtr(w) || !e.from.Has(PtrSpace(w)) {
 					continue
 				}
-				mem[si] = e.forward(w)
+				s, off := spaces[PtrSpace(w)], PtrOff(w)
+				fh := s.Mem[off]
+				if IsPtr(fh) { // already forwarded
+					mem[si] = fh
+					continue
+				}
+				fn := ObjWords(fh)
+				if to == nil || fn <= prefixFree || to.Top+fn > len(to.Mem) {
+					mem[si] = e.forward(w)
+					to, prefixFree = e.cursor()
+					spaces = e.spaces
+					continue
+				}
+				toOff := to.Top
+				to.Top = toOff + fn
+				if fn == 3 {
+					dst, src := to.Mem[toOff:toOff+3], s.Mem[off:off+3]
+					dst[0], dst[1], dst[2] = src[0], src[1], src[2]
+				} else {
+					copy(to.Mem[toOff:toOff+fn], s.Mem[off:off+fn])
+				}
+				fwd := PtrWord(to.ID, toOff)
+				s.Mem[off] = fwd
+				words += uint64(fn)
+				objects++
+				if s.ids != nil {
+					e.H.carryIdentity(s, off, to, toOff, fwd)
+				}
+				mem[si] = fwd
 			}
 		}
 		scan += n
 	}
+	e.WordsCopied += words
+	e.ObjectsCopied += objects
 	return scan
+}
+
+// cursor returns the target cheney copies into without calling forward and
+// the prefix bound a copy must exceed to go there: nil on a tenured run,
+// where every copy is routed by age, and when no target is left to try.
+func (e *Evacuator) cursor() (*Space, int) {
+	if e.tenured || e.cur >= len(e.Targets) {
+		return nil, 0
+	}
+	return e.Targets[e.cur], e.prefixFree
 }
 
 // drainReference is the retained callback-per-slot tracer: one ScanObject

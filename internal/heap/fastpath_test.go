@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -148,9 +149,37 @@ func TestRootLoopsAllocateNothing(t *testing.T) {
 	}
 }
 
-// forwardReference is forward as it stood before it bumped the first target
-// itself and copied pairs with three stores: every reservation through
-// reserve's loop, every copy through copy.
+// reserveReference is reserve as it stood before the first-fit cursor:
+// every request tries the targets from the first, and Overflow is asked only
+// when all of them refuse.
+func (e *Evacuator) reserveReference(n int) (*Space, int) {
+	for _, t := range e.Targets {
+		if off, ok := t.Bump(n); ok {
+			return t, off
+		}
+	}
+	if e.Overflow != nil {
+		t := e.Overflow(n)
+		if t == nil {
+			panic(fmt.Sprintf("heap: evacuation overflow: Overflow returned nil for a %d-word request", n))
+		}
+		if t.Free() < n {
+			panic(fmt.Sprintf("heap: evacuation overflow: Overflow returned space %q with %d free words, too small for %d",
+				t.Name, t.Free(), n))
+		}
+		e.Targets = append(e.Targets, t)
+		e.scanBase = append(e.scanBase, t.Top)
+		e.scan = append(e.scan, t.Top)
+		e.spaces = e.H.Spaces
+		off, _ := t.Bump(n)
+		return t, off
+	}
+	panic(fmt.Sprintf("heap: evacuation overflow: no target space has %d free words", n))
+}
+
+// forwardReference is forward as it stood before it bumped a target itself
+// and copied pairs with three stores: every reservation through
+// reserveReference's linear first-fit, every copy through copy.
 func (e *Evacuator) forwardReference(w Word) Word {
 	s := e.spaces[PtrSpace(w)]
 	off := PtrOff(w)
@@ -163,8 +192,9 @@ func (e *Evacuator) forwardReference(w Word) Word {
 	var toOff int
 	if e.tenured {
 		toSpace, toOff = e.reserveByAge(s, off, hdr, n)
-	} else {
-		toSpace, toOff = e.reserve(n)
+	}
+	if toSpace == nil {
+		toSpace, toOff = e.reserveReference(n)
 	}
 	copy(toSpace.Mem[toOff:toOff+n], s.Mem[off:off+n])
 	fwd := PtrWord(toSpace.ID, toOff)
@@ -185,9 +215,13 @@ func (e *Evacuator) forwardReference(w Word) Word {
 // twin heaps, land at the same addresses holding the same words under
 // forward and under forwardReference — with room in the first target, with
 // the first target full, filled exactly by the first copies, and absent
-// with Overflow supplying every space; census on and off; wholesale and
-// age-routed, where every other object is old enough to be promoted; and
-// with the identity table on, where both halves of it must match too.
+// with Overflow supplying every space; with a hole in the first target that
+// refuses the first object and takes the second exactly, after the cursor
+// has moved on; over five targets whose holes later copies go back to; and
+// over two small targets that Overflow extends mid-run once both have
+// refused; census on and off; wholesale and age-routed, where every other
+// object is old enough to be promoted; and with the identity table on, where
+// both halves of it must match too.
 func TestForwardMatchesReference(t *testing.T) {
 	sizes := []int{3, 1, 2, 3, 4, 300, 3, 2, 300, 4, 1, 3}
 	type rig struct {
@@ -208,7 +242,8 @@ func TestForwardMatchesReference(t *testing.T) {
 				total += n
 			}
 		}
-		for _, targets := range []string{"room", "first full", "first exactly filled", "overflow only"} {
+		for _, targets := range []string{"room", "first full", "first exactly filled", "overflow only",
+			"hole in the first", "holes in many", "overflow mid-run"} {
 			// identity: 0 off, 1 the address -> ordinal half alone (a recording
 			// heap's), 2 both halves (a replaying heap's).
 			for _, mode := range []struct {
@@ -242,15 +277,30 @@ func TestForwardMatchesReference(t *testing.T) {
 						first.Top = first.Cap()
 					case "first exactly filled":
 						first.Top = first.Cap() - objs[0] - objs[1]
+					case "hole in the first":
+						// objs[0] is larger than objs[1]: the hole refuses the
+						// first copy, which moves the cursor to second, and
+						// takes the next one exactly.
+						first.Top = first.Cap() - objs[1]
 					}
 					r.e = NewEvacuator(h, nil)
 					r.e.SetFrom(from)
 					old := []*Space{first, second}
-					if targets == "overflow only" {
+					overflow := func(need int) *Space {
+						return h.NewSpace(fmt.Sprintf("overflow-%d", len(h.Spaces)), max(need, 16))
+					}
+					switch targets {
+					case "overflow only":
 						old = nil
-						r.e.Overflow = func(need int) *Space {
-							return h.NewSpace(fmt.Sprintf("overflow-%d", len(h.Spaces)), max(need, 16))
-						}
+						r.e.Overflow = overflow
+					case "holes in many":
+						// The cursor passes each of the first four, each
+						// leaving a hole some later, smaller object goes back to.
+						old = []*Space{h.NewSpace("t0", objs[1]), h.NewSpace("t1", 5), h.NewSpace("t2", 4),
+							h.NewSpace("t3", 301), second}
+					case "overflow mid-run":
+						old = []*Space{h.NewSpace("small-0", 4), h.NewSpace("small-1", 5)}
+						r.e.Overflow = overflow
 					}
 					if tenured {
 						shadow := h.NewSpace("shadow", 2*objs[0])
@@ -306,6 +356,209 @@ func TestForwardMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// drainWithForwardReference runs a whole evacuation the way the engine did
+// before cheney copied in line: the roots through VisitRoots, every gray
+// object through ScanObject, every slot through forwardReference — so every
+// reservation through linear first-fit and every identity entry through
+// IDOf — in Drain's pass order (the targets a pass began with, then on a
+// tenured run the survivor targets).
+func (e *Evacuator) drainWithForwardReference() {
+	visit := func(slot *Word) {
+		if w := *slot; IsPtr(w) && e.from.HasPtr(w) {
+			*slot = e.forwardReference(w)
+		}
+	}
+	e.H.VisitRoots(visit)
+	for {
+		progress := false
+		for i, nT := 0, len(e.Targets); i < nT; i++ {
+			t := e.Targets[i]
+			for e.scan[i] < t.Top {
+				progress = true
+				off := e.scan[i]
+				ScanObject(t, off, visit)
+				e.scan[i] = off + ObjWords(t.Mem[off])
+			}
+		}
+		if e.tenured {
+			ten := e.ten
+			for i, y := range ten.young {
+				for ten.youngScan[i] < y.Top {
+					progress = true
+					off := ten.youngScan[i]
+					ScanObject(y, off, visit)
+					ten.youngScan[i] = off + ObjWords(y.Mem[off])
+				}
+			}
+		}
+		if !progress {
+			return
+		}
+	}
+}
+
+// newDrainRig builds a heap whose from-space holds a random graph of 400
+// objects of mixed sizes — pairs, vectors of one to forty words and one of
+// 200, flonums and bytevectors whose raw words look like pointers — reached
+// from the handle stack and the globals, and an evacuator armed with
+// targets none of which can hold the survivors alone: five of uneven size
+// (one of two words), or three that Overflow extends with spaces of a sixth
+// of the from-space; on a tenured run, two survivor targets as well, and
+// headers aged 0 to 2 under threshold 2. The evacuator has run once
+// before. identity is as in TestForwardMatchesReference.
+func newDrainRig(t *testing.T, seed int64, census bool, identity int, spill string, tenured bool) *Evacuator {
+	var opts []Option
+	if census {
+		opts = append(opts, WithCensus())
+	}
+	h := New(append(opts, WithConfig(Config{}))...)
+	rng := rand.New(rand.NewSource(seed))
+	from := h.NewSpace("from", 1<<14)
+	outside := h.NewSpace("outside", 64)
+	if identity > 0 {
+		h.TrackIdentity()
+	}
+	if identity > 1 {
+		h.AddrOf(0)
+	}
+	out := buildChain(t, h, outside, 4)
+	var objs []Word
+	for i := 0; i < 400; i++ {
+		typ, payload := TPair, 2
+		switch r := rng.Intn(10); {
+		case i == 200:
+			typ, payload = TVector, 200
+		case r < 5:
+		case r < 7:
+			typ, payload = TVector, 1+rng.Intn(40)
+		case r == 7:
+			typ, payload = TFlonum, 1
+		case r == 8:
+			typ, payload = TBytevec, 1+rng.Intn(4)
+		default:
+			typ, payload = TVector, 1+rng.Intn(6)
+		}
+		off, ok := from.Bump(1 + h.ExtraWords() + payload)
+		if !ok {
+			t.Fatal("rig: from-space too small")
+		}
+		objs = append(objs, h.InitObject(from, off, typ, payload))
+		if tenured {
+			from.Mem[off] = WithHeaderAge(from.Mem[off], rng.Intn(3))
+		}
+	}
+	for _, w := range objs {
+		p := h.Payload(w)
+		for j := range p {
+			switch r := rng.Intn(10); {
+			case RawPayload(HeaderType(h.Header(w))) || r < 6:
+				p[j] = objs[rng.Intn(len(objs))]
+			case r < 8:
+				p[j] = FixnumWord(int64(r))
+			case r == 8:
+				p[j] = NullWord
+			default:
+				p[j] = out
+			}
+		}
+	}
+	h.Scope()
+	for i := 0; i < 12; i++ {
+		h.push(objs[rng.Intn(len(objs))])
+		h.GlobalWord(objs[rng.Intn(len(objs))])
+	}
+	h.push(FixnumWord(7))
+	h.GlobalWord(out)
+
+	e := NewEvacuator(h, nil)
+	// An earlier run leaves the cursor past its first target: Begin must
+	// reset it.
+	e.Begin(h.NewSpace("earlier-0", 1), h.NewSpace("earlier-1", 8))
+	e.reserve(4)
+	e.SetFrom(from)
+	var old []*Space
+	sixth := from.Top / 6
+	switch spill {
+	case "targets":
+		old = []*Space{h.NewSpace("t0", from.Top/4), h.NewSpace("t1", 2), h.NewSpace("t2", from.Top/5),
+			h.NewSpace("t3", 7), h.NewSpace("t4", from.Top)}
+	case "overflow":
+		old = []*Space{h.NewSpace("t0", from.Top/4), h.NewSpace("t1", 2), h.NewSpace("t2", from.Top/5)}
+		e.Overflow = func(need int) *Space {
+			return h.NewSpace(fmt.Sprintf("overflow-%d", len(h.Spaces)), max(need, sixth))
+		}
+	}
+	if tenured {
+		e.BeginTenured(2, []*Space{h.NewSpace("shadow-0", sixth), h.NewSpace("shadow-1", 5)}, old...)
+	} else {
+		e.Begin(old...)
+	}
+	return e
+}
+
+// TestDrainMatchesReference: a whole evacuation — root loops, the Cheney
+// scan with its in-line copy, the first-fit cursor, Overflow spill, age
+// routing — leaves, on twin heaps, what drainWithForwardReference leaves:
+// every space's words and identity entries, the ordinal -> address half, the
+// roots, the counters. The rig spreads the survivors over at least three
+// targets, census on and off, identity off, recording and replaying, and
+// wholesale and tenured.
+func TestDrainMatchesReference(t *testing.T) {
+	for _, census := range []bool{false, true} {
+		for identity := 0; identity <= 2; identity++ {
+			for _, spill := range []string{"targets", "overflow"} {
+				for _, tenured := range []bool{false, true} {
+					for seed := int64(1); seed <= 2; seed++ {
+						name := fmt.Sprintf("census=%v/identity=%d/%s/tenured=%v/seed%d", census, identity, spill, tenured, seed)
+						fast, ref := newDrainRig(t, seed, census, identity, spill, tenured), newDrainRig(t, seed, census, identity, spill, tenured)
+						targets := len(fast.Targets)
+						fast.EvacuateRoots()
+						fast.Drain()
+						ref.drainWithForwardReference()
+						compareDrains(t, name, fast, ref)
+
+						filled := 0
+						fast.CopiedRegions(func(*Space, int, int) { filled++ })
+						if filled < 3 || (spill == "overflow") != (len(fast.Targets) > targets) {
+							t.Errorf("%s: copies filled %d targets, %d of them from Overflow: the rig must spread them", name, filled, len(fast.Targets)-targets)
+						}
+						if tenured && (fast.WordsRetained == 0 || fast.WordsPromoted == 0) {
+							t.Errorf("%s: retained %d words and promoted %d: the rig must do both", name, fast.WordsRetained, fast.WordsPromoted)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func compareDrains(t *testing.T, name string, fast, ref *Evacuator) {
+	t.Helper()
+	if fast.ObjectsCopied != ref.ObjectsCopied || fast.WordsCopied != ref.WordsCopied ||
+		fast.WordsPromoted != ref.WordsPromoted || fast.WordsRetained != ref.WordsRetained {
+		t.Errorf("%s: copied %d objects, %d words (%d promoted, %d retained); the reference %d, %d (%d, %d)", name,
+			fast.ObjectsCopied, fast.WordsCopied, fast.WordsPromoted, fast.WordsRetained,
+			ref.ObjectsCopied, ref.WordsCopied, ref.WordsPromoted, ref.WordsRetained)
+	}
+	fh, rh := fast.H, ref.H
+	if len(fh.Spaces) != len(rh.Spaces) || len(fast.Targets) != len(ref.Targets) {
+		t.Fatalf("%s: %d spaces and %d targets, the reference %d and %d", name,
+			len(fh.Spaces), len(fast.Targets), len(rh.Spaces), len(ref.Targets))
+	}
+	for i, s := range fh.Spaces {
+		o := rh.Spaces[i]
+		if s.Top != o.Top || !slices.Equal(s.Mem, o.Mem) || !slices.Equal(s.ids, o.ids) {
+			t.Errorf("%s: %v differs from the reference's %v", name, s, o)
+		}
+	}
+	if !slices.Equal(fh.addrs, rh.addrs) || !slices.Equal(fh.refs, rh.refs) || !slices.Equal(fh.globals, rh.globals) {
+		t.Errorf("%s: the ordinal -> address half or the roots differ from the reference's", name)
+	}
+	if fast.tenured && (fast.ten.survByAge != ref.ten.survByAge || fast.ten.retainedByAge != ref.ten.retainedByAge) {
+		t.Errorf("%s: survival counters differ from the reference's", name)
 	}
 }
 

@@ -89,10 +89,13 @@ func (e *Evacuator) SurvivorsByAge() (surv, retained *[TenureAgeClasses]uint64) 
 // reserveByAge is a tenured run's reserve: the survivor's age is read from
 // hdr, the header forward has loaded from s[off], incremented, and compared
 // against the threshold to pick the survivor shadow or the promotion targets
-// for the n-word object. The header the copy is to carry — the advanced age
-// for a retained survivor, age 0 for a promoted one — is written back to
-// s[off], which forward copies from and then overwrites with the forwarding
-// pointer: the age travels in the copy and costs the wholesale path nothing.
+// for the n-word object. A retained survivor's reservation is returned; a
+// promoted one returns a nil space, and forward reserves it in the
+// promotion targets as it does a wholesale copy. The header the copy is to
+// carry — the advanced age for a retained survivor, age 0 for a promoted
+// one — is written back to s[off], which forward copies from and then
+// overwrites with the forwarding pointer: the age travels in the copy and
+// costs the wholesale path nothing.
 func (e *Evacuator) reserveByAge(s *Space, off int, hdr Word, n int) (*Space, int) {
 	t := e.ten
 	age := HeaderAge(hdr)
@@ -113,7 +116,7 @@ func (e *Evacuator) reserveByAge(s *Space, off int, hdr Word, n int) (*Space, in
 	// overflow-tenuring safety valve).
 	s.Mem[off] = WithHeaderAge(hdr, 0)
 	e.WordsPromoted += uint64(n)
-	return e.reserve(n)
+	return nil, 0
 }
 
 // ageClass pools ages beyond the resolved classes into the last one.

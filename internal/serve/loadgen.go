@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Simulated time is measured in ticks; the words-per-tick clock
@@ -252,15 +253,16 @@ func Generate(cfg LoadConfig) (*Schedule, error) {
 		}
 		s.Sessions = append(s.Sessions, plan)
 	}
-	sort.SliceStable(s.Requests, func(i, j int) bool {
-		a, b := s.Requests[i], s.Requests[j]
-		if a.Arrival != b.Arrival {
-			return a.Arrival < b.Arrival
+	// (Arrival, Session, Seq) names one request, so an unstable sort gives
+	// the one order a stable sort would.
+	slices.SortFunc(s.Requests, func(a, b Request) int {
+		if c := cmp.Compare(a.Arrival, b.Arrival); c != 0 {
+			return c
 		}
-		if a.Session != b.Session {
-			return a.Session < b.Session
+		if c := cmp.Compare(a.Session, b.Session); c != 0 {
+			return c
 		}
-		return a.Seq < b.Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return s, nil
 }

@@ -111,6 +111,41 @@ func TestShardInvariance(t *testing.T) {
 	}
 }
 
+// TestGenerateOrderIsStableSorts: Generate's unstable sort leaves the
+// schedule the stable sort by (Arrival, Session, Seq) leaves, under both
+// arrival processes and several seeds: the requests in the order Generate
+// draws them (session by session, each in sequence), stably sorted, are the
+// schedule, and no two requests share the key.
+func TestGenerateOrderIsStableSort(t *testing.T) {
+	for _, arrival := range []string{ArrivalPoisson, ArrivalMMPP} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			s, err := Generate(LoadConfig{Seed: seed, HorizonTicks: 20000, Arrival: arrival})
+			if err != nil {
+				t.Fatal(err)
+			}
+			drawn := append([]Request(nil), s.Requests...)
+			sort.Slice(drawn, func(a, b int) bool {
+				if drawn[a].Session != drawn[b].Session {
+					return drawn[a].Session < drawn[b].Session
+				}
+				return drawn[a].Seq < drawn[b].Seq
+			})
+			sort.SliceStable(drawn, func(a, b int) bool { return requestLess(drawn[a], drawn[b]) })
+			if !reflect.DeepEqual(drawn, s.Requests) {
+				t.Errorf("%s seed %d: schedule differs from the stable sort's", arrival, seed)
+			}
+			for i := 1; i < len(s.Requests); i++ {
+				if !requestLess(s.Requests[i-1], s.Requests[i]) {
+					t.Fatalf("%s seed %d: requests %d and %d share a key or are out of order", arrival, seed, i-1, i)
+				}
+			}
+			if len(s.Requests) < 100 {
+				t.Fatalf("%s seed %d: %d requests, too few to order", arrival, seed, len(s.Requests))
+			}
+		}
+	}
+}
+
 func requestLess(a, b Request) bool {
 	if a.Arrival != b.Arrival {
 		return a.Arrival < b.Arrival
