@@ -3,6 +3,15 @@
 # pass that guards the parallel experiment runner's across-heaps contract.
 set -eu
 
+# Formatting gate: every Go file in the tree, benchmark/ included, is
+# gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "ci: not gofmt-clean (run gofmt -w):" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 go build ./...
 go vet ./...
 go test ./...

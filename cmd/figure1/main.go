@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"strconv"
@@ -61,8 +60,7 @@ func main() {
 	simPoints := flag.Int("simpoints", 10, "g samples for simulation")
 	halfLife := flag.Float64("h", 1024, "half-life for simulation, in objects")
 	steps := flag.Int("steps", 150000, "measured allocations for simulation")
-	parallel := flag.Int("parallel", 0, "simulation worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	progress := flag.Bool("progress", false, "report per-cell completion to stderr")
+	runOpts := runner.Flags(flag.CommandLine)
 	flag.Parse()
 
 	ls, err := checkFlags(*lsFlag, *points, *simPoints, *steps, *halfLife)
@@ -110,11 +108,7 @@ func main() {
 			})
 		}
 	}
-	var pw io.Writer
-	if *progress {
-		pw = os.Stderr
-	}
-	results := runner.Run(specs, runner.Options{Workers: *parallel, Progress: pw})
+	results := runner.Run(specs, runOpts())
 	for _, r := range results {
 		if r.Err != nil {
 			fmt.Fprintln(os.Stderr, "figure1:", r.Err)

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,10 +43,9 @@ func main() {
 	table2 := flag.Bool("table2", false, "print the benchmark inventory and exit")
 	quick := flag.Bool("quick", false, "use reduced-scale benchmark instances")
 	withHybrid := flag.Bool("hybrid", false, "also measure the hybrid (non-predictive) collector")
-	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
+	runOpts := runner.Flags(flag.CommandLine)
 	gcConfig := heap.ConfigFlags(flag.CommandLine)
 	pauselog := flag.String("pauselog", "", "run each benchmark under the incremental-capable collectors and dump every mutator-visible pause as CSV to `file` (- for stdout); honors -gcincr/-gcslice")
-	progress := flag.Bool("progress", false, "report per-cell completion and wall-clock to stderr")
 	jsonOut := flag.Bool("json", false, "emit per-cell measurements as JSON instead of the table")
 	record := flag.String("record", "", "also record each benchmark as an allocation-event trace into `dir` (see cmd/gctrace)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
@@ -69,7 +67,7 @@ func main() {
 	heap.SetDefaultConfig(gc)
 	// run holds the early-returning body so the profile teardown below
 	// covers every exit path.
-	run(*table2, *quick, *withHybrid, *parallel, *progress, *jsonOut, *record)
+	run(*table2, *quick, *withHybrid, runOpts(), *jsonOut, *record)
 	if *pauselog != "" {
 		if err := dumpPauseLog(*pauselog, *quick, gc.Incremental, gc.SliceBudget); err != nil {
 			fmt.Fprintln(os.Stderr, "gcbench:", err)
@@ -94,7 +92,7 @@ func main() {
 	}
 }
 
-func run(table2Only, quick, withHybrid bool, parallel int, progress, jsonOut bool, recordDir string) {
+func run(table2Only, quick, withHybrid bool, opts runner.Options, jsonOut bool, recordDir string) {
 	if table2Only {
 		fmt.Println("Table 2: benchmark inventory (Go reimplementation)")
 		for _, i := range bench.Table2() {
@@ -145,11 +143,7 @@ func run(table2Only, quick, withHybrid bool, parallel int, progress, jsonOut boo
 			},
 		}
 	}
-	var pw io.Writer
-	if progress {
-		pw = os.Stderr
-	}
-	results := runner.Run(specs, runner.Options{Workers: parallel, Progress: pw})
+	results := runner.Run(specs, opts)
 
 	if jsonOut {
 		emitJSON(results, withHybrid)

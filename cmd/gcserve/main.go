@@ -13,11 +13,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"rdgc/internal/heap"
+	"rdgc/internal/runner"
 	"rdgc/internal/serve"
 )
 
@@ -43,9 +43,8 @@ func main() {
 	burstEvery := flag.Float64("burst-every", 20000, "mmpp: mean quiet dwell, ticks")
 	burstTicks := flag.Float64("burst-ticks", 2500, "mmpp: mean burst dwell, ticks")
 
-	parallel := flag.Int("parallel", 0, "worker goroutines for shard execution (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
+	runOpts := runner.Flags(flag.CommandLine)
 	gcConfig := heap.ConfigFlags(flag.CommandLine)
-	progress := flag.Bool("progress", false, "report per-shard completion and wall-clock to stderr")
 	jsonOut := flag.Bool("json", false, "emit the full result as JSON instead of the table")
 	flag.Parse()
 
@@ -65,11 +64,7 @@ func main() {
 	if *profiles != "" {
 		profileNames = strings.Split(*profiles, ",")
 	}
-	var prog io.Writer
-	if *progress {
-		prog = os.Stderr
-	}
-	gc := gcConfig()
+	gc, opts := gcConfig(), runOpts()
 	cfg := serve.Config{
 		Load: serve.LoadConfig{
 			Seed:            *seed,
@@ -95,8 +90,8 @@ func main() {
 		SliceBudget:  gc.SliceBudget,
 		Tenure:       gc.Tenure,
 		Adaptive:     gc.Adaptive,
-		Parallel:     *parallel,
-		Progress:     prog,
+		Parallel:     opts.Workers,
+		Progress:     opts.Progress,
 	}
 	res, err := serve.Run(cfg)
 	if err != nil {

@@ -335,11 +335,10 @@ func cmdReplay(args []string) error {
 	collector := fs.String("collector", "all", "replay under one named collector, or all seven")
 	verify := fs.Bool("verify", false, "run the deep heap-invariant verifier after every collection")
 	shards := fs.Int("shards", 0, "split a multi-session corpus into N per-collector replay cells (session s -> shard s mod N)")
-	parallel := fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
+	runOpts := runner.Flags(fs)
 	gcConfig := heap.ConfigFlags(fs)
-	progress := fs.Bool("progress", false, "report per-cell completion and wall-clock to stderr")
 	fs.Parse(args)
-	gc := gcConfig()
+	gc, opts := gcConfig(), runOpts()
 	heap.SetDefaultConfig(gc)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay needs exactly one trace file")
@@ -371,13 +370,8 @@ func cmdReplay(args []string) error {
 	workload, _ := hdr.Lookup("workload")
 	fmt.Printf("%s: workload %q, census=%v, %d collectors\n", path, workload, hdr.Census, len(grid))
 
-	var pw io.Writer
-	if *progress {
-		pw = os.Stderr
-	}
 	if *shards > 1 {
-		return replaySharded(path, grid, *shards, *verify,
-			runner.Options{Workers: *parallel, Progress: pw})
+		return replaySharded(path, grid, *shards, *verify, opts)
 	}
 
 	specs := make([]runner.Spec[replayCell], len(grid))
@@ -391,7 +385,7 @@ func cmdReplay(args []string) error {
 			},
 		}
 	}
-	results := runner.Run(specs, runner.Options{Workers: *parallel, Progress: pw})
+	results := runner.Run(specs, opts)
 
 	exit := error(nil)
 	for _, r := range results {

@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -65,8 +64,7 @@ func main() {
 	all := flag.Bool("all", false, "also measure the hybrid, multigen, and np-mark/sweep collectors")
 	infant := flag.Float64("infant", 0, "infant-mortality probability (0 = pure decay)")
 	infantH := flag.Float64("infanth", 0, "infant half-life (default h/64)")
-	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	progress := flag.Bool("progress", false, "report per-cell completion to stderr")
+	runOpts := runner.Flags(flag.CommandLine)
 	flag.Parse()
 
 	if *infant > 0 && *infantH == 0 {
@@ -114,11 +112,7 @@ func main() {
 			mk("np-mark/sweep", experiments.RunNonPredictiveMS),
 		)
 	}
-	var pw io.Writer
-	if *progress {
-		pw = os.Stderr
-	}
-	for _, r := range runner.Run(specs, runner.Options{Workers: *parallel, Progress: pw}) {
+	for _, r := range runner.Run(specs, runOpts()) {
 		if r.Err != nil {
 			fmt.Fprintln(os.Stderr, r.Err)
 			os.Exit(1)

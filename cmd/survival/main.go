@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"rdgc/internal/experiments"
@@ -32,8 +31,7 @@ func main() {
 	id := flag.String("id", "all", "experiment: table4..table7, figure2..figure4, or all")
 	ascii := flag.Bool("ascii", false, "render figures as a terminal skyline instead of CSV")
 	width := flag.Int("width", 72, "skyline width for -ascii")
-	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $RDGC_PARALLEL)")
-	progress := flag.Bool("progress", false, "report per-cell completion to stderr")
+	runOpts := runner.Flags(flag.CommandLine)
 	flag.Parse()
 
 	if *ascii && *width < 1 {
@@ -82,11 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var pw io.Writer
-	if *progress {
-		pw = os.Stderr
-	}
-	for _, r := range runner.Run(specs, runner.Options{Workers: *parallel, Progress: pw}) {
+	for _, r := range runner.Run(specs, runOpts()) {
 		fmt.Println(r.Value.header)
 		if r.Err != nil {
 			fmt.Fprintln(os.Stderr, r.Err)

@@ -82,8 +82,9 @@ func TestDocPointersResolve(t *testing.T) {
 // TestDocsNameNothingDeleted keeps prose from outliving the mechanism it
 // describes: identifiers deleted from the tree (the heap's hook on object
 // moves, the trace package's identity table, the per-space age tables; the
-// parallel engines with their worker-count and allocation-buffer knobs), and
-// the hook by its plain name, may not be named
+// parallel engines with their worker-count and allocation-buffer knobs; the
+// hybrid's static area and the exports no non-test code reached), and the
+// hook by its plain name, may not be named
 // by README.md, DESIGN.md or EXPERIMENTS.md — outside a section whose heading
 // dates it to a PR or an issue, which is history and stays as written — nor
 // by any Go file, where only a comment could still do it. The one exception
@@ -91,7 +92,10 @@ func TestDocPointersResolve(t *testing.T) {
 // a string literal, to pin that it configures nothing any more.
 func TestDocsNameNothingDeleted(t *testing.T) {
 	deleted := regexp.MustCompile(`\b(SetMoveHook|idTable|EnsureAgeTable|AgeAt|SetAgeAt|[Mm]ove[- ]hook|` +
-		`gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB|GCWorkersPerCell|ClampedWorkers|TryMarkAtomic|Space\.Waste|parevac|parmark)\b`)
+		`gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB|GCWorkersPerCell|ClampedWorkers|TryMarkAtomic|Space\.Waste|parevac|parmark|` +
+		`PromoteAllToStatic|StaticWords|inStatic|staticKeep|staticBuf|ResetAll|ScheduleHook|Return2|SetConfig|IsFalse|IsImm|` +
+		`CharWord|CharVal|UnspecWord|EOFWord|ClearMarkAt|SpaceSet\.Empty|SeedSurvival|SurvivalFractions|SurvivalProbability|` +
+		`AvgObjectWords|CompareAll)\b`)
 	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB)\b[^"]*"`)
 	heading := regexp.MustCompile(`^#+ `)
 	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)

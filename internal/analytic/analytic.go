@@ -139,10 +139,6 @@ func BestG(L float64) (g, ratio float64) {
 // equilibrium for half-life h: n = 1/(1−r) ≈ h/ln 2 ≈ 1.4427·h.
 func EquilibriumLive(h float64) float64 { return h / math.Ln2 }
 
-// SurvivalProbability returns 2^(−t/h): the probability that an object
-// alive now is still alive after t more allocations.
-func SurvivalProbability(t, h float64) float64 { return math.Exp2(-t / h) }
-
 // Figure1Point is one sample of Figure 1.
 type Figure1Point struct {
 	G     float64 // generation fraction g = j/k

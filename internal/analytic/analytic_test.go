@@ -192,12 +192,3 @@ func TestFigure1Series(t *testing.T) {
 		t.Error("smallest-g point should be in the exact (Theorem 4) region")
 	}
 }
-
-func TestSurvivalProbability(t *testing.T) {
-	if got := SurvivalProbability(1024, 1024); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("one half-life survival = %g, want 0.5", got)
-	}
-	if got := SurvivalProbability(2048, 1024); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("two half-lives survival = %g, want 0.25", got)
-	}
-}

@@ -18,8 +18,6 @@ import (
 type Program interface {
 	// Name is the paper's benchmark name (e.g. "nboyer2").
 	Name() string
-	// Description matches Table 2's brief description.
-	Description() string
 	// Run executes the benchmark, allocating on h, and returns an error if
 	// the computed result is wrong.
 	Run(h *heap.Heap) error

@@ -11,9 +11,8 @@ import (
 // tiny is a minimal Program for testing the harness itself.
 type tiny struct{ fail bool }
 
-func (t *tiny) Name() string        { return "tiny" }
-func (t *tiny) Description() string { return "harness self-test program" }
-func (t *tiny) HeapWords() int      { return 4096 }
+func (t *tiny) Name() string   { return "tiny" }
+func (t *tiny) HeapWords() int { return 4096 }
 func (t *tiny) Run(h *heap.Heap) error {
 	s := h.Scope()
 	defer s.Close()
@@ -84,7 +83,7 @@ func TestRegistries(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, p := range append(std, quick...) {
-		if p.Name() == "" || p.Description() == "" || p.HeapWords() <= 0 {
+		if p.Name() == "" || p.HeapWords() <= 0 {
 			t.Errorf("malformed program %q", p.Name())
 		}
 		if seen[p.Name()] {

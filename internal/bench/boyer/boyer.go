@@ -51,14 +51,6 @@ func (p *Prog) Name() string {
 	return fmt.Sprintf("nboyer%d", p.N)
 }
 
-// Description implements bench.Program.
-func (p *Prog) Description() string {
-	if p.Shared {
-		return "term rewriting and tautology checking with shared consing"
-	}
-	return "term rewriting and tautology checking"
-}
-
 // HeapWords implements bench.Program.
 func (p *Prog) HeapWords() int { return 1 << (17 + p.N) }
 

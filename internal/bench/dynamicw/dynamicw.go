@@ -61,11 +61,6 @@ func (p *Prog) Name() string {
 	return fmt.Sprintf("%ddynamic", p.Phases)
 }
 
-// Description implements bench.Program.
-func (p *Prog) Description() string {
-	return "iterated phase computation with mass extinctions (10dynamic substitute)"
-}
-
 // HeapWords implements bench.Program.
 func (p *Prog) HeapWords() int { return p.PhaseWords }
 

@@ -46,11 +46,6 @@ func New(iterations int) *Prog { return &Prog{Iterations: iterations} }
 // Name implements bench.Program.
 func (p *Prog) Name() string { return fmt.Sprintf("%ddyninfer", p.Iterations) }
 
-// Description implements bench.Program.
-func (p *Prog) Description() string {
-	return "Henglein-style dynamic type inference, iterated"
-}
-
 // HeapWords implements bench.Program.
 func (p *Prog) HeapWords() int { return 1 << 17 }
 

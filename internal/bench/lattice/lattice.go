@@ -111,9 +111,6 @@ func New(k, m int) *Prog { return &Prog{K: k, M: m, Repeat: 1} }
 // Name implements bench.Program.
 func (p *Prog) Name() string { return "lattice" }
 
-// Description implements bench.Program.
-func (p *Prog) Description() string { return "enumeration of maps between lattices" }
-
 // HeapWords implements bench.Program.
 func (p *Prog) HeapWords() int { return 1 << 16 }
 

@@ -46,9 +46,6 @@ func New(bodies, steps int) *Prog {
 // Name implements bench.Program.
 func (p *Prog) Name() string { return fmt.Sprintf("nbody-%d", p.Bodies) }
 
-// Description implements bench.Program.
-func (p *Prog) Description() string { return "inverse-square law simulation (boxed flonums)" }
-
 // HeapWords implements bench.Program.
 func (p *Prog) HeapWords() int { return 1 << 16 }
 

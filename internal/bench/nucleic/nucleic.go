@@ -44,11 +44,6 @@ func New(residues, conformations int) *Prog {
 // Name implements bench.Program.
 func (p *Prog) Name() string { return "nucleic2" }
 
-// Description implements bench.Program.
-func (p *Prog) Description() string {
-	return "determination of spatial structure by constraint search (boxed flonums)"
-}
-
 // HeapWords implements bench.Program.
 func (p *Prog) HeapWords() int { return 1 << 16 }
 

@@ -311,15 +311,6 @@ func (st *Steps) Collect(alsoFrom *heap.Space, extraRoots func(evac func(slot *h
 	return e.WordsCopied
 }
 
-// ResetAll empties every step (the hybrid's full collection promotes all
-// live storage to the static area, leaving the dynamic area blank).
-func (st *Steps) ResetAll() {
-	for _, s := range st.steps {
-		s.Reset()
-	}
-	st.allocIdx = st.K() - 1
-}
-
 // AddSteps inserts n empty steps at the young end, growing the heap without
 // disturbing the renaming invariants (new empty young steps are exactly the
 // post-collection state).

@@ -273,15 +273,6 @@ func WithInfantMortality(p, infantH float64) Option {
 	return func(w *Workload) { w.infantProb, w.infantH = p, infantH }
 }
 
-// AvgObjectWords returns the expected heap footprint of one object under
-// the configured size distribution (census tracking off).
-func (w *Workload) AvgObjectWords() float64 {
-	if w.sizeMax == 0 {
-		return ObjectWords
-	}
-	return 1 + float64(w.sizeMin+w.sizeMax)/2
-}
-
 // ExpectedLive returns the equilibrium live population (objects) under the
 // configured lifetime mixture, by Little's law: the mean lifetime.
 func (w *Workload) ExpectedLive() float64 {

@@ -237,13 +237,3 @@ func RunConventionalGenerational(cfg DecayConfig) Result {
 	w := decay.NewWorkload(h, cfg.HalfLife, cfg.Seed, cfg.workloadOpts()...)
 	return measure(cfg, h, c, w)
 }
-
-// CompareAll runs all four collectors on identical workloads.
-func CompareAll(cfg DecayConfig) []Result {
-	return []Result{
-		RunMarkSweep(cfg),
-		RunSemispace(cfg),
-		RunConventionalGenerational(cfg),
-		RunNonPredictive(cfg),
-	}
-}

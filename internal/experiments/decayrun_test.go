@@ -98,14 +98,15 @@ func TestFigure1ShapeSimulated(t *testing.T) {
 	}
 }
 
-func TestCompareAllRuns(t *testing.T) {
+func TestFourCollectorsRun(t *testing.T) {
 	cfg := base
 	cfg.Steps = 40000
-	results := CompareAll(cfg)
-	if len(results) != 4 {
-		t.Fatalf("CompareAll returned %d results", len(results))
-	}
-	for _, r := range results {
+	for _, r := range []Result{
+		RunMarkSweep(cfg),
+		RunSemispace(cfg),
+		RunConventionalGenerational(cfg),
+		RunNonPredictive(cfg),
+	} {
 		if r.MarkCons <= 0 || math.IsNaN(r.MarkCons) {
 			t.Errorf("%s: bad mark/cons %v", r.Collector, r.MarkCons)
 		}

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"rdgc/internal/bench"
@@ -67,20 +71,53 @@ func TestTable3Shape(t *testing.T) {
 	}
 }
 
+// TestTable2Inventory: each Table 2 row's line count is the number of lines
+// in the non-test .go files of the package that implements it.
 func TestTable2Inventory(t *testing.T) {
+	pkgOf := map[string]string{
+		"nbody":     "nbody",
+		"nucleic2":  "nucleic",
+		"lattice":   "lattice",
+		"10dynamic": "dynamicw",
+		"nboyer":    "boyer",
+		"sboyer":    "boyer",
+	}
 	infos := bench.Table2()
-	if len(infos) != 6 {
-		t.Fatalf("Table 2 has %d rows, want 6", len(infos))
+	if len(infos) != len(pkgOf) {
+		t.Fatalf("Table 2 has %d rows, want %d", len(infos), len(pkgOf))
 	}
 	seen := map[string]bool{}
 	for _, i := range infos {
-		if i.Name == "" || i.Description == "" || i.Lines <= 0 {
+		if i.Name == "" || i.Description == "" {
 			t.Errorf("malformed row %+v", i)
 		}
 		if seen[i.Name] {
 			t.Errorf("duplicate row %s", i.Name)
 		}
 		seen[i.Name] = true
+		pkg, ok := pkgOf[i.Name]
+		if !ok {
+			t.Errorf("row %s names no known package", i.Name)
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join("..", "bench", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no sources for package %s (%v)", i.Name, pkg, err)
+		}
+		lines := 0
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines += bytes.Count(b, []byte("\n"))
+		}
+		if i.Lines != lines {
+			t.Errorf("%s: Table 2 says %d lines, internal/bench/%s has %d", i.Name, i.Lines, pkg, lines)
+		}
 	}
 }
 

@@ -43,8 +43,9 @@ func InstallAgeOracle(h *heap.Heap, ten heap.Tenurer) *AgeOracle {
 	return &AgeOracle{h: h, ten: ten, nursery: ten.YoungSpaces()[0], seen: map[uint64]aged{}}
 }
 
-// eachYoung calls f for every identified object of the young spaces (an
-// allocation-buffer filler has no identity) until f returns false.
+// eachYoung calls f for every object of the young spaces that the identity
+// table knows (one allocated before the oracle was installed has no
+// identity) until f returns false.
 func (o *AgeOracle) eachYoung(f func(s *heap.Space, w, hdr heap.Word, id uint64) bool) {
 	for _, s := range o.ten.YoungSpaces() {
 		more := true

@@ -35,13 +35,8 @@ type Collector struct {
 	tenurer
 	st *core.Steps
 
-	rsA remset.Set // dynamic/static objects pointing into the nursery
-	rsB remset.Set // steps-1..j or static objects pointing into the steps
-
-	// statics are the never-collected spaces that explicit full
-	// collections (§8.4) promote all live storage into.
-	statics  []*heap.Space
-	inStatic map[heap.SpaceID]bool
+	rsA remset.Set // dynamic objects pointing into the nursery
+	rsB remset.Set // steps-1..j objects pointing into steps j+1..k
 
 	policy    core.JPolicy
 	allowGrow bool
@@ -58,9 +53,7 @@ type Collector struct {
 	npEvac      func(slot *heap.Word)
 	rememberB   func(obj heap.Word)
 	rsAPromoted func(obj heap.Word)
-	staticKeep  func(obj heap.Word)
 	targetsBuf  []*heap.Space
-	staticBuf   []heap.Word
 
 	stats heap.GCStats
 }
@@ -88,12 +81,11 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 	}
 	nursery := h.NewSpace("nursery", nurseryWords)
 	c := &Collector{
-		h:        h,
-		st:       core.NewSteps(h, k, stepWords),
-		rsA:      remset.NewHashSet(),
-		rsB:      remset.NewHashSet(),
-		inStatic: make(map[heap.SpaceID]bool),
-		policy:   core.Recommended{},
+		h:      h,
+		st:     core.NewSteps(h, k, stepWords),
+		rsA:    remset.NewHashSet(),
+		rsB:    remset.NewHashSet(),
+		policy: core.Recommended{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -104,13 +96,7 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.Slot())
 	}
 	inOld := c.st.InOld
-	inAnyStep := func(w heap.Word) bool { return c.st.PosOf(w) >= 0 }
-	pointsInto := func(obj heap.Word, in func(heap.Word) bool) bool {
-		return heap.PointsInto(c.h.SpaceOf(obj), heap.PtrOff(obj), in)
-	}
 	c.promoRegion = func(s *heap.Space, from, to int) {
-		// Allocation-buffer fillers left by a parallel copy are dead space:
-		// PointsInto finds nothing to remember in a free block.
 		for off := from; off < to; off += heap.ObjWords(s.Mem[off]) {
 			if heap.PointsInto(s, off, inOld) {
 				c.rsB.Remember(heap.PtrWord(s.ID, off))
@@ -138,24 +124,12 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 	c.rememberB = c.rsB.Remember
 	c.rsAPromoted = func(obj heap.Word) {
 		// A promoting collection moves every nursery referent into the
-		// steps, so a set-A entry may now hold pointers that set B must
-		// track: young-step objects pointing into steps j+1..k, and static
-		// objects pointing into any step. The entry itself never moves (set
-		// A records objects *outside* the nursery), so its updated slots can
-		// be rescanned in place.
-		if c.st.InYoung(obj) {
-			if pointsInto(obj, inOld) {
-				c.rsB.Remember(obj)
-			}
-			return
-		}
-		if c.inStatic[heap.PtrSpace(obj)] && pointsInto(obj, inAnyStep) {
+		// steps, so a set-A entry in the young steps may now point into
+		// steps j+1..k, which set B must track. The entry itself never moves
+		// (set A records objects *outside* the nursery), so its updated
+		// slots can be rescanned in place.
+		if c.st.InYoung(obj) && heap.PointsInto(c.h.SpaceOf(obj), heap.PtrOff(obj), inOld) {
 			c.rsB.Remember(obj)
-		}
-	}
-	c.staticKeep = func(obj heap.Word) {
-		if c.inStatic[heap.PtrSpace(obj)] && pointsInto(obj, inAnyStep) {
-			c.staticBuf = append(c.staticBuf, obj)
 		}
 	}
 	c.st.SetJ(c.policy.ChooseJ(k, k))
@@ -175,25 +149,23 @@ func (c *Collector) GCStats() *heap.GCStats { return &c.stats }
 // Steps exposes the dynamic-area machinery for tests and experiments.
 func (c *Collector) Steps() *core.Steps { return c.st }
 
-// Live returns the words in use in the nursery, dynamic area, and static
-// area.
+// Live returns the words in use in the nursery and the dynamic area.
 func (c *Collector) Live() int {
-	return c.young.Space().Used() + c.st.LiveStepWords() + c.StaticWords()
+	return c.young.Space().Used() + c.st.LiveStepWords()
 }
 
 // RemsetLens returns the current sizes of remembered sets A and B.
 func (c *Collector) RemsetLens() (a, b int) { return c.rsA.Len(), c.rsB.Len() }
 
-// VerifySpec implements heap.Verifiable: the nursery, the k steps, and the
-// static spaces are live (shadows are scratch), and the two remembered sets
-// must cover the §8.4 situations the write barrier records — set A for
-// pointers into the nursery from outside it, set B for young-step pointers
-// into the collected steps and static pointers into any step.
+// VerifySpec implements heap.Verifiable: the nursery and the k steps are
+// live (shadows are scratch), and the two remembered sets must cover the
+// §8.4 situations the write barrier records — set A for pointers into the
+// nursery from outside it, set B for young-step pointers into the collected
+// steps.
 func (c *Collector) VerifySpec() heap.VerifySpec {
 	nursery := c.young.Space()
-	live := append(append([]*heap.Space{nursery}, c.st.All()...), c.statics...)
 	return heap.VerifySpec{
-		Live: live,
+		Live: append([]*heap.Space{nursery}, c.st.All()...),
 		Remsets: []heap.RemsetRule{{
 			Name: "A: outside->nursery",
 			Needs: func(obj, val heap.Word) bool {
@@ -201,12 +173,9 @@ func (c *Collector) VerifySpec() heap.VerifySpec {
 			},
 			Has: c.rsA.Contains,
 		}, {
-			Name: "B: young->old, static->step",
+			Name: "B: young->old",
 			Needs: func(obj, val heap.Word) bool {
-				if c.st.InYoung(obj) && c.st.InOld(val) {
-					return true
-				}
-				return c.inStatic[heap.PtrSpace(obj)] && c.st.PosOf(val) >= 0
+				return c.st.InYoung(obj) && c.st.InOld(val)
 			},
 			Has: c.rsB.Contains,
 		}},
@@ -215,9 +184,7 @@ func (c *Collector) VerifySpec() heap.VerifySpec {
 
 // RecordWrite implements heap.Barrier. Set A records pointers into the
 // nursery from anywhere outside it; set B records pointers into the
-// collected steps from the uncollected young steps (situations 5 and 6)
-// and pointers into *any* step from the static area, which explicit full
-// collections also need as roots.
+// collected steps from the uncollected young steps (situations 5 and 6).
 func (c *Collector) RecordWrite(obj, val heap.Word) {
 	if !heap.IsPtr(val) {
 		return
@@ -229,10 +196,6 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 		return
 	}
 	if c.st.InYoung(obj) && c.st.InOld(val) {
-		c.rsB.Remember(obj)
-		return
-	}
-	if c.inStatic[heap.PtrSpace(obj)] && c.st.PosOf(val) >= 0 {
 		c.rsB.Remember(obj)
 	}
 }
@@ -361,16 +324,7 @@ func (c *Collector) npCollect() {
 
 	c.young.Space().Reset()
 	c.rsA.Clear()
-	// ScanYoungForOldPointers below rebuilds only the young-step half of
-	// set B; static-area entries must survive the clear, since statics are
-	// never rescanned wholesale and their step pointers (updated in place
-	// by the collection) stay live across the renaming.
-	c.staticBuf = c.staticBuf[:0]
-	c.rsB.ForEach(c.staticKeep)
-	c.rsB.Clear()
-	for _, obj := range c.staticBuf {
-		c.rsB.Remember(obj)
-	}
+	c.rsB.Clear() // rebuilt by ScanYoungForOldPointers below
 	if c.allowGrow {
 		// Keep the dynamic area's load factor sane: a collection that
 		// frees less than a third of the steps (or less than two nursery
@@ -401,61 +355,6 @@ func (c *Collector) Collect() { c.npCollect() }
 func (c *Collector) FullCollect() {
 	c.st.SetJ(0)
 	c.npCollect()
-}
-
-// StaticWords returns the words occupied by the static area.
-func (c *Collector) StaticWords() int {
-	n := 0
-	for _, s := range c.statics {
-		n += s.Used()
-	}
-	return n
-}
-
-// PromoteAllToStatic performs the paper's explicit full collection (§8.4):
-// every live object in the nursery and the dynamic area moves into a fresh
-// static space that is never collected again, and the remembered sets
-// empty. Only the mutator requests this.
-func (c *Collector) PromoteAllToStatic() {
-	worst := c.young.Space().Used() + c.st.LiveStepWords()
-	if worst == 0 {
-		worst = 1
-	}
-	static := c.h.NewSpace(fmt.Sprintf("static-%d", len(c.statics)), worst)
-	c.statics = append(c.statics, static)
-	c.inStatic[static.ID] = true
-
-	e := heap.NewEvacuator(c.h, nil, static)
-	e.SetFrom(c.young.Space())
-	from := e.From()
-	for p := 0; p < c.st.K(); p++ {
-		from.AddSpace(c.st.Step(p))
-	}
-	e.EvacuateRoots()
-	scan := func(obj heap.Word) {
-		if from.HasPtr(obj) {
-			return // collected with the region; old headers may be forwarded
-		}
-		c.stats.RemsetScanned++
-		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), e.Evacuate)
-	}
-	c.rsA.ForEach(scan)
-	c.rsB.ForEach(scan)
-	e.Drain()
-
-	c.young.Space().Reset()
-	c.st.ResetAll()
-	c.st.SetJ(c.policy.ChooseJ(c.st.K(), c.st.K()))
-	c.rsA.Clear()
-	c.rsB.Clear()
-
-	c.stats.Collections++
-	c.stats.MajorCollections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.notePeaks()
-	c.young.Emptied()
-	c.h.AfterGC()
 }
 
 func (c *Collector) notePeaks() {

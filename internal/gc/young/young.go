@@ -91,8 +91,6 @@ func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset
 	}
 	g.scanRegion = func(s *heap.Space, lo, hi int) {
 		for off := lo; off < hi; off += heap.ObjWords(s.Mem[off]) {
-			// Allocation-buffer fillers are dead space, not promoted
-			// objects: PointsInto finds no pointer in a free block.
 			if heap.PointsInto(s, off, inNursery) {
 				g.rs.Remember(heap.PtrWord(s.ID, off))
 			}

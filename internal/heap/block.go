@@ -245,12 +245,6 @@ func (s *Space) SetMarkAt(off int) {
 	s.dirty[b>>6] |= 1 << (uint(b) & 63)
 }
 
-// ClearMarkAt clears the mark bit for the object headed at off. The dirty
-// summary is left set; ClearMarks resolves it.
-func (s *Space) ClearMarkAt(off int) {
-	s.marks[off>>6] &^= 1 << (uint(off) & 63)
-}
-
 // ClearMarkBits clears the space's mark bitmap in O(dirty blocks): the
 // dirty summary names exactly the blocks that received marks, and each
 // costs markWordsPerBlock stores. Blocks never marked cost nothing — this

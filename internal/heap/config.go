@@ -136,7 +136,3 @@ func WithConfig(c Config) Option { return func(h *Heap) { h.cfg = c.normalized()
 
 // Config reports the heap's configuration, normalized.
 func (h *Heap) Config() Config { return h.cfg }
-
-// SetConfig replaces the heap's configuration. Fields collectors read at
-// construction (see Config) take effect only on collectors built afterwards.
-func (h *Heap) SetConfig(c Config) { h.cfg = c.normalized() }

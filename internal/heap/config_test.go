@@ -103,8 +103,8 @@ func TestConfigFromEnv(t *testing.T) {
 }
 
 // TestConfigNormalizedEverywhere pins the one normalization against every
-// way a Config reaches a heap: the process default a bare New inherits,
-// WithConfig, and SetConfig.
+// way a Config reaches a heap: the process default a bare New inherits, and
+// WithConfig.
 func TestConfigNormalizedEverywhere(t *testing.T) {
 	prev := DefaultConfig()
 	t.Cleanup(func() { SetDefaultConfig(prev) })
@@ -134,11 +134,6 @@ func TestConfigNormalizedEverywhere(t *testing.T) {
 			h := New(WithConfig(tc.in))
 			if got := h.Config(); got != tc.want {
 				t.Errorf("New(WithConfig(%+v)) = %+v, want %+v with nothing inherited", tc.in, got, tc.want)
-			}
-			h.SetConfig(Config{SliceBudget: 5, Incremental: true})
-			h.SetConfig(tc.in)
-			if got := h.Config(); got != tc.want {
-				t.Errorf("SetConfig(%+v) left %+v, want %+v", tc.in, got, tc.want)
 			}
 		})
 	}

@@ -140,7 +140,7 @@ type Heap struct {
 	extraWords int
 
 	// cfg is the collector configuration, normalized: New takes it from
-	// WithConfig or the process default, SetConfig replaces it.
+	// WithConfig or the process default, and it is fixed from then on.
 	cfg Config
 
 	// pauseLog, when non-nil, receives the raw words-of-work of every pause
@@ -342,13 +342,6 @@ func (s Scope) Return(r Ref) Ref {
 	return s.h.push(w)
 }
 
-// Return2 closes the scope while preserving two values, in order.
-func (s Scope) Return2(a, b Ref) (Ref, Ref) {
-	wa, wb := s.h.Get(a), s.h.Get(b)
-	s.pop()
-	return s.h.push(wa), s.h.push(wb)
-}
-
 // RefOf pushes an arbitrary word (usually an immediate) into the current
 // scope and returns its handle.
 func (h *Heap) RefOf(w Word) Ref { return h.push(w) }
@@ -421,7 +414,7 @@ func (h *Heap) rearm() {
 
 // SetAllocHook installs f to run when the allocation clock next reaches at
 // (removing it is a nil f at ^uint64(0), the clock value never reached).
-// The hook must call SetAllocHook again (or ScheduleHook) to keep firing.
+// The hook must call SetAllocHook again to keep firing.
 // The freshly allocated object is fully initialized but not yet rooted when
 // the hook runs, so whole-heap traces from inside the hook are safe but may
 // miss that single object.
@@ -430,9 +423,6 @@ func (h *Heap) SetAllocHook(at uint64, f func()) {
 	h.hookNext = at
 	h.rearm()
 }
-
-// ScheduleHook moves the next firing time of the installed hook.
-func (h *Heap) ScheduleHook(at uint64) { h.SetAllocHook(at, h.hook) }
 
 // BirthStamp returns the allocation time (in words) of the object w points
 // to. It panics unless census tracking is enabled.

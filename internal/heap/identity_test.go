@@ -320,7 +320,7 @@ func TestObservedAllocations(t *testing.T) {
 		var fired []uint64
 		h.SetAllocHook(10, func() {
 			fired = append(fired, h.Now())
-			h.ScheduleHook(h.Now() + 10)
+			h.SetAllocHook(h.Now()+10, h.hook)
 		})
 		alloc(10) // clock 20: fires at 10 and 20
 		sink := &countingSink{}

@@ -31,8 +31,8 @@ type IncrMarker struct {
 	// window in which the insertion barrier must shade.
 	Active bool
 
-	// Budget is the words-per-slice mark budget, captured from the heap at
-	// StartRoots so a mid-cycle SetConfig cannot starve termination.
+	// Budget is the words-per-slice mark budget, read from the heap's
+	// Config at StartRoots.
 	Budget int
 
 	// debt is the mutator allocation (in words) not yet paid for with

@@ -170,9 +170,6 @@ func (h *Heap) SymbolName(r Ref) string {
 // IsNull reports whether r holds the empty list.
 func (h *Heap) IsNull(r Ref) bool { return h.Get(r) == NullWord }
 
-// IsFalse reports whether r holds #f. Everything else is truthy.
-func (h *Heap) IsFalse(r Ref) bool { return h.Get(r) == FalseWord }
-
 // IsPair reports whether r holds a pair.
 func (h *Heap) IsPair(r Ref) bool { return h.isType(r, TPair) }
 

@@ -40,24 +40,6 @@ func TestBytevector(t *testing.T) {
 	}
 }
 
-func TestReturn2(t *testing.T) {
-	h, _ := newBumpHeap(t, 1024)
-	outer := h.Scope()
-	defer outer.Close()
-	base := h.LiveRefs()
-	s := h.Scope()
-	a := h.Cons(h.Fix(1), h.Null())
-	h.Fix(99) // filler that must be released
-	b := h.Cons(h.Fix(2), h.Null())
-	a2, b2 := s.Return2(a, b)
-	if h.LiveRefs() != base+2 {
-		t.Fatalf("refs = %d, want %d", h.LiveRefs(), base+2)
-	}
-	if h.FixVal(h.Car(a2)) != 1 || h.FixVal(h.Car(b2)) != 2 {
-		t.Error("Return2 lost values")
-	}
-}
-
 func TestRefOfAndDup(t *testing.T) {
 	h, _ := newBumpHeap(t, 1024)
 	s := h.Scope()
@@ -212,7 +194,7 @@ func TestAllocHookFires(t *testing.T) {
 	fired := 0
 	h.SetAllocHook(10, func() {
 		fired++
-		h.ScheduleHook(h.Now() + 10)
+		h.SetAllocHook(h.Now()+10, h.hook)
 	})
 	for i := 0; i < 30; i++ {
 		h.Cons(h.Fix(int64(i)), h.Null()) // 3 words each

@@ -51,16 +51,6 @@ func (ss *SpaceSet) Has(id SpaceID) bool {
 // pointer; callers test IsPtr first.
 func (ss *SpaceSet) HasPtr(w Word) bool { return ss.Has(PtrSpace(w)) }
 
-// Empty reports whether the set has no members.
-func (ss *SpaceSet) Empty() bool {
-	for _, b := range ss.bits {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Len returns the number of member spaces.
 func (ss *SpaceSet) Len() int {
 	n := 0

@@ -4,14 +4,14 @@ import "testing"
 
 func TestSpaceSetBasics(t *testing.T) {
 	var ss SpaceSet
-	if !ss.Empty() || ss.Len() != 0 || ss.Has(0) {
+	if ss.Len() != 0 || ss.Has(0) {
 		t.Fatal("zero value is not an empty set")
 	}
 
 	ss.Add(3)
 	ss.Add(64) // second backing word
 	ss.Add(200)
-	if ss.Empty() || ss.Len() != 3 {
+	if ss.Len() != 3 {
 		t.Fatalf("Len = %d after 3 adds, want 3", ss.Len())
 	}
 	for _, id := range []SpaceID{3, 64, 200} {
@@ -41,7 +41,7 @@ func TestSpaceSetBasics(t *testing.T) {
 	}
 
 	ss.Clear()
-	if !ss.Empty() || ss.Has(3) || ss.Has(200) {
+	if ss.Len() != 0 || ss.Has(3) || ss.Has(200) {
 		t.Error("Clear left members behind")
 	}
 }

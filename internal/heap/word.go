@@ -37,9 +37,6 @@ func IsFixnum(w Word) bool { return w&tagMask == TagFixnum }
 // IsPtr reports whether w is a heap pointer.
 func IsPtr(w Word) bool { return w&tagMask == TagPtr }
 
-// IsImm reports whether w is a non-pointer immediate constant.
-func IsImm(w Word) bool { return w&tagMask == TagImm }
-
 // IsHeader reports whether w is an object header word.
 func IsHeader(w Word) bool { return w&tagMask == TagHeader }
 
@@ -64,36 +61,19 @@ func fixnumFault(w Word) string {
 	return fmt.Sprintf("heap: FixnumVal of non-fixnum %#x", uint64(w))
 }
 
-// Immediate constants. The immediate subtype lives in bits 2..7 and any
-// payload (e.g. a character code) in bits 8 and up.
+// Immediate constants. The immediate subtype lives in bits 2..7.
 const (
-	immNull   Word = 0
-	immFalse  Word = 1
-	immTrue   Word = 2
-	immUnspec Word = 3
-	immEOF    Word = 4
-	immChar   Word = 5
+	immNull  Word = 0
+	immFalse Word = 1
+	immTrue  Word = 2
 )
 
 // The canonical immediate words.
 var (
-	NullWord   = TagImm | immNull<<2
-	FalseWord  = TagImm | immFalse<<2
-	TrueWord   = TagImm | immTrue<<2
-	UnspecWord = TagImm | immUnspec<<2
-	EOFWord    = TagImm | immEOF<<2
+	NullWord  = TagImm | immNull<<2
+	FalseWord = TagImm | immFalse<<2
+	TrueWord  = TagImm | immTrue<<2
 )
-
-// CharWord encodes a character immediate.
-func CharWord(r rune) Word { return TagImm | immChar<<2 | Word(r)<<8 }
-
-// CharVal decodes a character immediate; ok is false if w is not a character.
-func CharVal(w Word) (rune, bool) {
-	if !IsImm(w) || (w>>2)&0x3f != immChar {
-		return 0, false
-	}
-	return rune(w >> 8), true
-}
 
 // BoolWord converts a Go bool to the Scheme-style immediate.
 func BoolWord(b bool) Word {

@@ -12,7 +12,6 @@ package lifetime
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"rdgc/internal/heap"
@@ -246,22 +245,4 @@ func (p Profile) RenderASCII(w io.Writer, width int) error {
 		}
 	}
 	return nil
-}
-
-// SurvivalFractions flattens a survival table into the per-age-class
-// fraction vector the adaptive tenuring controller consumes
-// (policy.Controller.SeedSurvival): fractions[k] is the fraction of
-// class-k words that survive one more epoch. Rows with no observed words
-// yield NaN so the consumer can tell "no evidence" from "nothing
-// survives".
-func SurvivalFractions(rows []SurvivalRow) []float64 {
-	out := make([]float64, len(rows))
-	for i, r := range rows {
-		if r.Live == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = r.Rate()
-	}
-	return out
 }

@@ -173,25 +173,6 @@ func (c *Controller) Adaptations() int { return c.adaptations }
 // reports.
 func (c *Controller) OldCopyCost() float64 { return c.k }
 
-// SeedSurvival pre-loads the survival EWMAs from an offline survival
-// curve — fractions[a] being the fraction of class-a words that survive
-// one nursery collection, as lifetime.SurvivalFractions derives from a
-// census — so a controller can start near the right policy instead of at
-// wholesale. Classes beyond len(fractions) stay unseen.
-func (c *Controller) SeedSurvival(fractions []float64) {
-	for a := 0; a < len(fractions) && a < heap.TenureAgeClasses; a++ {
-		v := fractions[a]
-		if v < 0 || v > 1 || math.IsNaN(v) {
-			continue
-		}
-		c.f[a] = v
-		c.seen[a] = true
-	}
-	// A census is a whole run's evidence, not one round's, so the seeded
-	// controller may jump straight to the argmin instead of climbing.
-	c.decide(0, true)
-}
-
 // ObserveMajor feeds the controller one major (old-area) collection: the
 // words it copied, against the words promoted into the old area since the
 // previous major, refresh the K estimate.
@@ -240,7 +221,7 @@ func (c *Controller) Observe(o Observation) Decision {
 	c.pop = o.RetainedByAge
 	c.promotedSinceMajor += o.PromotedWords
 
-	changed := c.decide(o.NurseryCap, false)
+	changed := c.decide(o.NurseryCap)
 	return Decision{Threshold: c.threshold, TriggerWords: c.trigger, Changed: changed}
 }
 
@@ -297,13 +278,12 @@ func (c *Controller) fhat(a int) float64 {
 const promotionEpsilon = 1.0 / 128
 
 // decide recomputes both knobs; it reports whether anything changed.
-// nurseryCap <= 0 leaves the trigger untouched. jump permits moving the
-// threshold straight to the argmin; otherwise upward moves climb one age
-// class per call, because raising the threshold by k conjectures about k
-// age classes the current policy has never let exist — each step should
-// earn the next from measurements, and stopping a policy that is wasting
-// copies (moving down) must not wait for any such evidence.
-func (c *Controller) decide(nurseryCap int, jump bool) bool {
+// nurseryCap <= 0 leaves the trigger untouched. Upward threshold moves
+// climb one age class per call, because raising the threshold by k
+// conjectures about k age classes the current policy has never let exist —
+// each step should earn the next from measurements, and stopping a policy
+// that is wasting copies (moving down) must not wait for any such evidence.
+func (c *Controller) decide(nurseryCap int) bool {
 	changed := false
 
 	// No age class ever measured: hold the status quo. The fallback prior
@@ -348,7 +328,7 @@ func (c *Controller) decide(nurseryCap int, jump bool) bool {
 	}
 	if bestT != c.threshold && bestCost < curCost*(1-c.cfg.Hysteresis) {
 		newT := bestT
-		if !jump && bestT > c.threshold && c.threshold < c.cfg.MaxThreshold {
+		if bestT > c.threshold && c.threshold < c.cfg.MaxThreshold {
 			newT = c.threshold + 1
 		}
 		if newT >= c.cfg.MaxThreshold {

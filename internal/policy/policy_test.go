@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rdgc/internal/heap"
-	"rdgc/internal/lifetime"
 )
 
 // simulator drives a controller with synthetic steady-state workloads: each
@@ -160,53 +159,6 @@ func TestObserveIsAllocationFree(t *testing.T) {
 		c.ObserveMajor(5000)
 	}); avg != 0 {
 		t.Fatalf("ObserveMajor allocates %.1f times per call, want 0", avg)
-	}
-}
-
-// TestSeedSurvival: pre-loading the EWMAs from an offline survival curve
-// (the lifetime census shape) must move the policy before any online
-// evidence arrives — decay curves to TenureNever, bimodal curves to a
-// finite threshold — while NaN ("no evidence") rows are ignored.
-func TestSeedSurvival(t *testing.T) {
-	decay := New(Config{})
-	decay.SeedSurvival([]float64{0.2, 0.2, 0.2})
-	if got := decay.Threshold(); got != heap.TenureNever {
-		t.Fatalf("decay seed: threshold = %d, want TenureNever", got)
-	}
-
-	bimodal := New(Config{})
-	bimodal.SeedSurvival([]float64{0.6, 0.1, 0.99, 0.99})
-	if got := bimodal.Threshold(); got != 2 {
-		t.Fatalf("bimodal seed: threshold = %d, want 2", got)
-	}
-
-	// NaN and out-of-range entries teach nothing; an all-invalid seed
-	// leaves the controller at wholesale.
-	c := New(Config{})
-	c.SeedSurvival([]float64{math.NaN(), -0.5, 1.5})
-	if got := c.Threshold(); got != 1 {
-		t.Fatalf("invalid seed moved the threshold to %d", got)
-	}
-}
-
-// TestSeedSurvivalFromLifetimeTable closes the loop with the offline
-// census: lifetime.SurvivalFractions on a synthetic age-invariant survival
-// table feeds SeedSurvival, and the controller draws the decay-model
-// conclusion (never promote), NaN rows and all.
-func TestSeedSurvivalFromLifetimeTable(t *testing.T) {
-	rows := []lifetime.SurvivalRow{
-		{AgeLo: 0, AgeHi: 1, Live: 10000, Survived: 2000},
-		{AgeLo: 1, AgeHi: 2, Live: 2000, Survived: 400},
-		{AgeLo: 2, AgeHi: -1, Live: 0, Survived: 0}, // no evidence -> NaN
-	}
-	fr := lifetime.SurvivalFractions(rows)
-	if !math.IsNaN(fr[2]) {
-		t.Fatalf("SurvivalFractions empty row = %g, want NaN", fr[2])
-	}
-	c := New(Config{})
-	c.SeedSurvival(fr)
-	if got := c.Threshold(); got != heap.TenureNever {
-		t.Fatalf("census-seeded threshold = %d, want TenureNever", got)
 	}
 }
 

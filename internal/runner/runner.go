@@ -20,6 +20,7 @@ package runner
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -71,6 +72,22 @@ type Options struct {
 	// ("[3/12] name  42ms"). Drivers pass os.Stderr so stdout stays
 	// byte-identical across worker counts.
 	Progress io.Writer
+}
+
+// Flags registers the drivers' two runner flags on fs: -parallel, the pool
+// size (0 defers to DefaultWorkers), and -progress, which sends one line per
+// finished cell to stderr. The returned function yields the parsed Options;
+// call it after fs.Parse.
+func Flags(fs *flag.FlagSet) func() Options {
+	workers := fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, or $"+EnvParallel+")")
+	progress := fs.Bool("progress", false, "report per-cell completion and wall-clock to stderr")
+	return func() Options {
+		o := Options{Workers: *workers}
+		if *progress {
+			o.Progress = os.Stderr
+		}
+		return o
+	}
 }
 
 // DefaultWorkers returns GOMAXPROCS, overridden by the RDGC_PARALLEL

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -178,6 +180,29 @@ func TestRunClampsOversubscription(t *testing.T) {
 		Run(specs, Options{Workers: workers})
 		if peak > workers {
 			t.Errorf("Workers=%d: peak concurrent cells = %d", workers, peak)
+		}
+	}
+}
+
+// TestFlags: -parallel and -progress parse into Options, and their absence
+// leaves the pool size to DefaultWorkers and progress off.
+func TestFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want Options
+	}{
+		{nil, Options{}},
+		{[]string{"-parallel", "3"}, Options{Workers: 3}},
+		{[]string{"-progress"}, Options{Progress: os.Stderr}},
+		{[]string{"-progress", "-parallel", "1"}, Options{Workers: 1, Progress: os.Stderr}},
+	} {
+		fs := flag.NewFlagSet("driver", flag.ContinueOnError)
+		opts := Flags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if got := opts(); got != tc.want {
+			t.Errorf("%q: Options = %+v, want %+v", tc.args, got, tc.want)
 		}
 	}
 }
