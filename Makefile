@@ -1,5 +1,5 @@
 # Tier-1 is the gate every change must pass; race adds the concurrency
-# conformance pass that backs the parallel experiment runner.
+# pass, whose TestHeapsShareNothing backs the parallel experiment runner.
 
 GO ?= go
 FUZZTIME ?= 30s

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository check suite: tier-1 (build + test), vet, and the race-detector
-# pass that guards the parallel experiment runner's across-heaps contract.
+# pass that guards the across-heaps contract (TestHeapsShareNothing: heaps
+# on different goroutines share no state).
 set -eu
 
 # Formatting gate: every Go file in the tree, benchmark/ included, is

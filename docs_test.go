@@ -82,7 +82,8 @@ func TestDocPointersResolve(t *testing.T) {
 // TestDocsNameNothingDeleted keeps prose from outliving the mechanism it
 // describes: identifiers deleted from the tree (the heap's hook on object
 // moves, the trace package's identity table, the per-space age tables; the
-// parallel engines with their worker-count and allocation-buffer knobs; the
+// parallel engines with their worker-count and allocation-buffer knobs, and
+// the tests that replayed workloads on several heaps in their place; the
 // hybrid's static area and the exports no non-test code reached), and the
 // hook by its plain name, may not be named
 // by README.md, DESIGN.md or EXPERIMENTS.md — outside a section whose heading
@@ -95,7 +96,9 @@ func TestDocsNameNothingDeleted(t *testing.T) {
 		`gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB|GCWorkersPerCell|ClampedWorkers|TryMarkAtomic|Space\.Waste|parevac|parmark|` +
 		`PromoteAllToStatic|StaticWords|inStatic|staticKeep|staticBuf|ResetAll|ScheduleHook|Return2|SetConfig|IsFalse|IsImm|` +
 		`CharWord|CharVal|UnspecWord|EOFWord|ClearMarkAt|SpaceSet\.Empty|SeedSurvival|SurvivalFractions|SurvivalProbability|` +
-		`AvgObjectWords|CompareAll)\b`)
+		`AvgObjectWords|CompareAll|ReadAllocMix|AllocMixClass|TestReadAllocMix\w*|parallelWorkerCounts|onHeaps|` +
+		`TestParallel(Mark|Evac|Sweep|Shadow|Collection|SingleTarget)\w*|TestLAB\w*|TestCollectorsConcurrently|` +
+		`TestDecayDeterministicUnderConcurrency|TestRecordReplayAtNWorkers|TestSpaceSetConcurrentReaders)\b`)
 	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB)\b[^"]*"`)
 	heading := regexp.MustCompile(`^#+ `)
 	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)

@@ -1,30 +1,131 @@
-// Cross-heap tests. The mark, copy and sweep engines are sequential and a
-// Heap is single-threaded; the parallelism the drivers exploit is across
-// heaps, one per goroutine (runner's -parallel pool, gcserve's shards). Each
-// "workers=N" subtest here plays the same workload on N heaps at once
-// (onHeaps) and holds every one of them to the lone run: whole-run heap
-// images, statistics, the live census and the verifiers, for all twelve
-// configurations.
+// The cross-heap contract. The mark, copy and sweep engines are sequential
+// and a Heap is single-threaded; the parallelism the drivers exploit is
+// across heaps, one per goroutine (the runner's -parallel pool, gcserve's
+// shards). TestHeapsShareNothing is the one test of that contract.
 package conformance
 
 import (
 	"fmt"
-	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"rdgc/internal/experiments"
+	"rdgc/internal/gc/gcfuzz"
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 )
 
-// captureAt plays the seeded workload on a heap under the process default
-// (so CI's RDGC_GC_* passes flow through), ends on a forced collection and
-// snapshots the final state.
-func captureAt(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, census bool) heapImage {
-	t.Helper()
-	h := gctest.NewHeap(func(*heap.Config) {}, censusOpts(census)...)
-	return capture(t, h, mk(h), seed)
+// copies is how many copies of every cell run in the concurrent batch.
+const copies = 2
+
+// cell is one workload of TestHeapsShareNothing: run builds a heap of its
+// own, drives it, and returns the result every copy is held to.
+type cell struct {
+	name string
+	run  func(t *testing.T) any
 }
 
+// TestHeapsShareNothing runs every cell alone, then copies of every cell
+// whose lone run passed, all at once as parallel subtests — one batch, so
+// different collectors overlap too — and requires each copy to equal its
+// cell's lone result: whole-run heap images, ordinal graphs, trace bytes,
+// replay statistics and decay measurements. Under -race the batch also fails if anything a heap reaches
+// (engines, remembered sets, step machinery, the trace codec, the experiment
+// runner) is shared between goroutines.
+func TestHeapsShareNothing(t *testing.T) {
+	cells := heapCells(t)
+	lone := make([]any, len(cells))
+	passed := make([]bool, len(cells))
+	for i, c := range cells {
+		passed[i] = t.Run(c.name+"/lone", func(t *testing.T) { lone[i] = c.run(t) })
+	}
+	for i, c := range cells {
+		if !passed[i] {
+			continue
+		}
+		for n := range copies {
+			t.Run(fmt.Sprintf("%s/copy%d", c.name, n), func(t *testing.T) {
+				t.Parallel()
+				if got := c.run(t); !reflect.DeepEqual(got, lone[i]) {
+					t.Error(divergence(got, lone[i]))
+				}
+			})
+		}
+	}
+}
+
+// heapCells is the table TestHeapsShareNothing runs: every mode a heap can
+// be driven in, as far as the conformance workloads reach it.
+func heapCells(t *testing.T) []cell {
+	all := collectors()
+	names := make([]string, 0, len(all))
+	for name := range all {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var cells []cell
+	for _, name := range names {
+		mk := all[name]
+		// Under the process default, so CI's RDGC_GC_* passes flow through.
+		for _, census := range []bool{false, true} {
+			cells = append(cells, cell{fmt.Sprintf("%s/census=%v", name, census), func(t *testing.T) any {
+				h := gctest.NewHeap(func(*heap.Config) {}, censusOpts(census)...)
+				c := mk(h)
+				img := capture(t, h, c, 11)
+				checkPacked(t, h, c)
+				return img
+			}})
+		}
+		cells = append(cells, cell{name + "/identity", func(t *testing.T) any {
+			return runIdentified(t, mk, true, 1)
+		}})
+	}
+	for _, name := range []string{"marksweep", "npms", "npms-nocompact"} {
+		mk := all[name]
+		cells = append(cells, cell{name + "/incremental", func(t *testing.T) any {
+			h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = true })
+			return capture(t, h, mk(h), 23)
+		}})
+	}
+	tenuring := tenuringCollectors()
+	for _, name := range []string{"generational", "hybrid", "multigen"} {
+		mk := tenuring[name]
+		for _, tenure := range []int{3, heap.TenureNever} {
+			cells = append(cells, cell{fmt.Sprintf("%s/tenure=%d", name, tenure), func(t *testing.T) any {
+				h := gctest.NewHeap(tenureAt(tenure))
+				return capture(t, h, mk(h), 29)
+			}})
+		}
+	}
+	decay := decaySession()
+	grid := gcfuzz.CollectorsSized(decay.heapWords)
+	data := recordOn(t, decay, grid[0])
+	for _, nc := range grid {
+		if traced[nc.Name] {
+			cells = append(cells,
+				cell{"decay/record/" + nc.Name, func(t *testing.T) any { return recordOn(t, decay, nc) }},
+				cell{"decay/replay/" + nc.Name, func(t *testing.T) any { return replayOn(t, data, nc) }})
+		}
+	}
+	cfg := experiments.DecayConfig{HalfLife: 256, L: 3, G: 0.25, Steps: 20000}
+	return append(cells, cell{"decay/experiment", func(*testing.T) any { return experiments.RunNonPredictive(cfg) }})
+}
+
+// divergence shows where a copy's result and the lone one first differ,
+// in their printed forms.
+func divergence(got, lone any) string {
+	g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", lone)
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	from := max(0, i-40)
+	return fmt.Sprintf("diverges from the lone run at byte %d of its printed form:\n  copy …%.120s\n  lone …%.120s", i, g[from:], w[from:])
+}
+
+// capture plays the seeded workload on h under c, ends on a forced
+// collection and snapshots the final state.
 func capture(t *testing.T, h *heap.Heap, c heap.Collector, seed int64) heapImage {
 	t.Helper()
 	gctest.RandomOps(t, h, c, ops, seed)
@@ -38,174 +139,6 @@ func capture(t *testing.T, h *heap.Heap, c heap.Collector, seed int64) heapImage
 		})
 	}
 	return img
-}
-
-// TestParallelMarkImagesIdentical is the strictest tier: bit-identical
-// whole-run heap images against the lone run. The mark-only collectors are
-// held to it at every heap count, every other configuration on one heap
-// (TestParallelSingleTargetStatsIdentical and TestParallelCollectionIdentity
-// run the copying collectors on several).
-func TestParallelMarkImagesIdentical(t *testing.T) {
-	markOnly := map[string]bool{"marksweep": true, "npms-nocompact": true}
-	for name, mk := range collectors() {
-		counts := []int{1}
-		if markOnly[name] {
-			counts = parallelWorkerCounts
-		}
-		for _, census := range []bool{false, true} {
-			seq := captureAt(t, mk, 11, census)
-			for _, workers := range counts {
-				t.Run(fmt.Sprintf("%s/census=%v/workers=%d", name, census, workers), func(t *testing.T) {
-					onHeaps(t, workers, func(t *testing.T) {
-						compareImages(t, captureAt(t, mk, 11, census), seq)
-					})
-				})
-			}
-		}
-	}
-}
-
-// TestParallelSingleTargetStatsIdentical covers the copying collectors
-// whose every collection has a single target: on every heap of several
-// running at once, whole-run Stats, GCStats, and every space's occupancy
-// are the lone run's.
-func TestParallelSingleTargetStatsIdentical(t *testing.T) {
-	all := collectors()
-	for _, name := range []string{"semispace", "generational", "generational-ssb"} {
-		mk := all[name]
-		for _, census := range []bool{false, true} {
-			seq := captureAt(t, mk, 17, census)
-			for _, workers := range parallelWorkerCounts {
-				t.Run(fmt.Sprintf("%s/census=%v/workers=%d", name, census, workers), func(t *testing.T) {
-					onHeaps(t, workers, func(t *testing.T) {
-						par := captureAt(t, mk, 17, census)
-						if par.stats != seq.stats {
-							t.Errorf("mutator stats diverge: concurrent %+v, lone %+v", par.stats, seq.stats)
-						}
-						if par.gc != seq.gc {
-							t.Errorf("GCStats diverge:\n  concurrent %+v\n  lone       %+v", par.gc, seq.gc)
-						}
-						if len(par.spaces) != len(seq.spaces) {
-							t.Fatalf("space count diverges: concurrent %d, lone %d", len(par.spaces), len(seq.spaces))
-						}
-						for i := range par.spaces {
-							if par.spaces[i].name != seq.spaces[i].name || par.spaces[i].top != seq.spaces[i].top {
-								t.Errorf("space %d occupancy diverges: concurrent %s top=%d, lone %s top=%d",
-									i, par.spaces[i].name, par.spaces[i].top, seq.spaces[i].name, seq.spaces[i].top)
-							}
-						}
-					})
-				})
-			}
-		}
-	}
-}
-
-// TestParallelShadowModel runs every collector configuration through the
-// full randomized workload on several heaps at once: on each, the shadow
-// model, the per-collection deep verifier (installed by RandomOps), and the
-// final heap.Check must all stay clean.
-func TestParallelShadowModel(t *testing.T) {
-	for name, mk := range collectors() {
-		for _, workers := range parallelWorkerCounts {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				onHeaps(t, workers, func(t *testing.T) {
-					h := gctest.NewHeap(func(*heap.Config) {})
-					gctest.RandomOps(t, h, mk(h), ops, 7)
-				})
-			})
-		}
-	}
-}
-
-// forcedCollection drives a heap through identityOps random mutator
-// operations and then forces one collection: the history of the identity
-// tests below.
-func forcedCollection(mk func(h *heap.Heap) heap.Collector, census bool, seed int64) (*heap.Heap, heap.Collector, *gctest.Mutator) {
-	const identityOps = 2000
-	h := gctest.NewHeap(func(*heap.Config) {}, censusOpts(census)...)
-	c := mk(h)
-	src := rand.New(rand.NewSource(seed))
-	m := gctest.NewMutator(h, src)
-	for i := 0; i < identityOps; i++ {
-		m.Op(src.Intn(10))
-	}
-	c.Collect()
-	return h, c, m
-}
-
-// collected is what forcedCollection leaves behind, as far as the tests
-// below compare it. The concurrent heaps are held to a lone heap's, taken
-// before they start: the verifiable collectors' VerifySpec is not safe to
-// call from two goroutines at once.
-type collected struct {
-	gc     heap.GCStats
-	stats  heap.Stats
-	census []string
-	spaces []string // name, Top and Used() of every space
-}
-
-func collectedOf(h *heap.Heap, c heap.Collector) collected {
-	r := collected{gc: *c.GCStats(), stats: h.Stats, census: liveCensus(h, c)}
-	for _, s := range h.Spaces {
-		r.spaces = append(r.spaces, fmt.Sprintf("%s top=%d used=%d", s.Name, s.Top, s.Used()))
-	}
-	return r
-}
-
-// sameCollection holds a heap (hp, cp, mp) to the lone one after
-// forcedCollection: identical GCStats and mutator Stats, an identical live
-// census, a verifier-clean heap and shadow-model agreement.
-func sameCollection(t *testing.T, lone collected, hp *heap.Heap, cp heap.Collector, mp *gctest.Mutator) {
-	t.Helper()
-	if lone.gc != *cp.GCStats() {
-		t.Errorf("GCStats diverge after the forced collection:\n  lone       %+v\n  concurrent %+v",
-			lone.gc, *cp.GCStats())
-	}
-	if lone.stats != hp.Stats {
-		t.Errorf("mutator stats diverge: lone %+v, concurrent %+v", lone.stats, hp.Stats)
-	}
-	seqCensus, parCensus := lone.census, liveCensus(hp, cp)
-	if len(seqCensus) != len(parCensus) {
-		t.Fatalf("live census size diverges: lone %d objects, concurrent %d", len(seqCensus), len(parCensus))
-	}
-	for i := range seqCensus {
-		if seqCensus[i] != parCensus[i] {
-			t.Errorf("live census diverges at object %d:\n  lone       %s\n  concurrent %s",
-				i, seqCensus[i], parCensus[i])
-			break
-		}
-	}
-	if err := heap.VerifyCollector(hp, cp); err != nil {
-		t.Errorf("heap fails verification: %v", err)
-	}
-	if err := mp.Verify(); err != nil {
-		t.Errorf("heap fails shadow verification: %v", err)
-	}
-}
-
-// TestParallelCollectionIdentity drives heaps through one seeded history and
-// one forced collection, alone and several at once: every concurrent heap's
-// collection yields the lone heap's GCStats and live census, a
-// verifier-clean heap, and shadow-model agreement.
-func TestParallelCollectionIdentity(t *testing.T) {
-	for name, mk := range collectors() {
-		for _, census := range []bool{false, true} {
-			hs, cs, ms := forcedCollection(mk, census, 31)
-			if err := ms.Verify(); err != nil {
-				t.Fatalf("%s/census=%v: the lone heap fails shadow verification: %v", name, census, err)
-			}
-			lone := collectedOf(hs, cs)
-			for _, workers := range parallelWorkerCounts {
-				t.Run(fmt.Sprintf("%s/census=%v/workers=%d", name, census, workers), func(t *testing.T) {
-					onHeaps(t, workers, func(t *testing.T) {
-						hp, cp, mp := forcedCollection(mk, census, 31)
-						sameCollection(t, lone, hp, cp, mp)
-					})
-				})
-			}
-		}
-	}
 }
 
 // checkPacked fails t if a live unblocked space holds TFree filler: the copy
@@ -228,75 +161,6 @@ func checkPacked(t *testing.T, h *heap.Heap, c heap.Collector) {
 				return false
 			}
 			return true
-		})
-	}
-}
-
-// TestLABCollectionIdentity holds occupancy, not just the census, after one
-// forced collection on several heaps at once: every space of every
-// configuration — the multi-target collectors' too — has the lone heap's
-// name, Top and Used(), and the copying collectors' targets hold no filler.
-func TestLABCollectionIdentity(t *testing.T) {
-	for name, mk := range collectors() {
-		hs, cs, _ := forcedCollection(mk, false, 53)
-		lone := collectedOf(hs, cs)
-		for _, workers := range parallelWorkerCounts {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				onHeaps(t, workers, func(t *testing.T) {
-					hp, cp, mp := forcedCollection(mk, false, 53)
-					sameCollection(t, lone, hp, cp, mp)
-					if got := collectedOf(hp, cp).spaces; fmt.Sprint(got) != fmt.Sprint(lone.spaces) {
-						t.Errorf("spaces diverge:\n  lone       %v\n  concurrent %v", lone.spaces, got)
-					}
-					checkPacked(t, hp, cp)
-				})
-			})
-		}
-	}
-}
-
-// TestLABShadowModel runs every collector through the full randomized
-// workload on several heaps at once, on a second seed: the shadow model, the
-// per-collection verifier and the final heap.Check stay clean, every heap
-// ends with the lone run's statistics, and no evacuation target holds
-// filler.
-func TestLABShadowModel(t *testing.T) {
-	for name, mk := range collectors() {
-		seq := captureAt(t, mk, 19, false)
-		for _, workers := range parallelWorkerCounts {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				onHeaps(t, workers, func(t *testing.T) {
-					h := gctest.NewHeap(func(*heap.Config) {})
-					c := mk(h)
-					par := capture(t, h, c, 19)
-					if par.stats != seq.stats || par.gc != seq.gc {
-						t.Errorf("statistics diverge:\n  concurrent %+v %+v\n  lone       %+v %+v",
-							par.stats, par.gc, seq.stats, seq.gc)
-					}
-					checkPacked(t, h, c)
-				})
-			})
-		}
-	}
-}
-
-// TestLABInertBelowTwoWorkers: an environment that still sets the deleted
-// worker-count and allocation-buffer variables configures a heap exactly as
-// one that does not, so whole-run images match the baseline bit for bit.
-func TestLABInertBelowTwoWorkers(t *testing.T) {
-	for _, name := range []string{"semispace", "marksweep", "generational"} {
-		mk := collectors()[name]
-		t.Run(name, func(t *testing.T) {
-			base := captureAt(t, mk, 23, false)
-			want := heap.ConfigFromEnv()
-			t.Setenv("RDGC_GC_WORKERS", "1")
-			t.Setenv("RDGC_GC_LAB", "1")
-			cfg := heap.ConfigFromEnv()
-			if cfg != want {
-				t.Fatalf("the deleted variables configure %+v, want %+v", cfg, want)
-			}
-			h := heap.New(heap.WithConfig(cfg))
-			compareImages(t, capture(t, h, mk(h), 23), base)
 		})
 	}
 }

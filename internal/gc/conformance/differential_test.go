@@ -44,17 +44,8 @@ func captureRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, 
 	s := h.Scope()
 	defer s.Close()
 	held := gctest.BuildList(h, 16)
-	gctest.RandomOps(t, h, c, ops, seed)
-	c.Collect() // end on a forced collection so the last trace is compared too
+	img := capture(t, h, c, seed) // ends on a forced collection, so the last trace is compared too
 	gctest.CheckList(t, h, held, 16)
-	img := heapImage{stats: h.Stats, gc: *c.GCStats()}
-	for _, s := range h.Spaces {
-		img.spaces = append(img.spaces, spaceImage{
-			name: s.Name,
-			top:  s.Top,
-			mem:  append([]heap.Word(nil), s.Mem[:s.Top]...),
-		})
-	}
 	return img
 }
 

@@ -178,11 +178,11 @@ func runIdentified(t *testing.T, mk func(h *heap.Heap) heap.Collector, census bo
 	return graphs
 }
 
-// TestIdentityCarried: every collector × census × wholesale/tenured, on
-// 1, 2 and 4 heaps at once. After every collection the table passes
-// checkTable; at five points of the run the heap named by ordinals is, line
-// for line, the one a lone stop-and-copy run names — whose ordinals the
-// birth stamps vouch for, as they do in every census run here.
+// TestIdentityCarried: every collector × census × wholesale/tenured. After
+// every collection the table passes checkTable; at five points of the run
+// the heap named by ordinals is, line for line, the one a stop-and-copy run
+// names — whose ordinals the birth stamps vouch for, as they do in every
+// census run here.
 func TestIdentityCarried(t *testing.T) {
 	all := collectors()
 	want := runIdentified(t, all["semispace"], true, 1)
@@ -192,19 +192,15 @@ func TestIdentityCarried(t *testing.T) {
 	for name, mk := range all {
 		for _, census := range []bool{false, true} {
 			for _, tenure := range []int{1, 3} {
-				for _, workers := range []int{1, 2, 4} {
-					t.Run(fmt.Sprintf("%s/census=%v/tenure=%d/workers=%d", name, census, tenure, workers), func(t *testing.T) {
-						onHeaps(t, workers, func(t *testing.T) {
-							got := runIdentified(t, mk, census, tenure)
-							for i := range want {
-								if got[i] != want[i] {
-									t.Fatalf("at quarter %d the heap named by ordinals differs from the reference run's:\n%s",
-										i+1, firstDifference(got[i], want[i]))
-								}
-							}
-						})
-					})
-				}
+				t.Run(fmt.Sprintf("%s/census=%v/tenure=%d", name, census, tenure), func(t *testing.T) {
+					got := runIdentified(t, mk, census, tenure)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("at quarter %d the heap named by ordinals differs from the reference run's:\n%s",
+								i+1, firstDifference(got[i], want[i]))
+						}
+					}
+				})
 			}
 		}
 	}

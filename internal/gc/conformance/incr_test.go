@@ -72,42 +72,37 @@ func TestIncrementalShadowModel(t *testing.T) {
 // incremental mode's semantics: same seeded workload, same collector, with
 // and without incremental collection — the mutator statistics must be
 // identical and the surviving object multiset after a final synchronizing
-// collection must be identical — on one heap, and on four heaps running the
-// incremental workload at once.
+// collection must be identical.
 func TestIncrementalMatchesStopTheWorld(t *testing.T) {
 	for name, mk := range collectors() {
 		for _, census := range []bool{false, true} {
-			hs := gctest.NewHeap(func(c *heap.Config) { c.Incremental = false }, censusOpts(census)...)
-			cs := mk(hs)
-			gctest.RandomOps(t, hs, cs, ops, 23)
-			synchronize(cs)
-			stwCensus := liveCensus(hs, cs)
+			t.Run(fmt.Sprintf("%s/census=%v", name, census), func(t *testing.T) {
+				hs := gctest.NewHeap(func(c *heap.Config) { c.Incremental = false }, censusOpts(census)...)
+				cs := mk(hs)
+				gctest.RandomOps(t, hs, cs, ops, 23)
+				synchronize(cs)
+				stwCensus := liveCensus(hs, cs)
 
-			for _, workers := range []int{0, 4} {
-				t.Run(fmt.Sprintf("%s/census=%v/workers=%d", name, census, workers), func(t *testing.T) {
-					onHeaps(t, workers, func(t *testing.T) {
-						hi, ci := incrementalRun(t, mk, 23, census)
-						if hi.Stats != hs.Stats {
-							t.Errorf("mutator stats diverge:\n  incremental    %+v\n  stop-the-world %+v", hi.Stats, hs.Stats)
-						}
-						incrCensus := liveCensus(hi, ci)
-						if len(incrCensus) != len(stwCensus) {
-							t.Fatalf("live census size diverges: incremental %d objects, stop-the-world %d",
-								len(incrCensus), len(stwCensus))
-						}
-						for i := range stwCensus {
-							if incrCensus[i] != stwCensus[i] {
-								t.Errorf("live census diverges at object %d:\n  incremental    %s\n  stop-the-world %s",
-									i, incrCensus[i], stwCensus[i])
-								break
-							}
-						}
-						if err := heap.VerifyCollector(hi, ci); err != nil {
-							t.Errorf("incremental heap fails verification: %v", err)
-						}
-					})
-				})
-			}
+				hi, ci := incrementalRun(t, mk, 23, census)
+				if hi.Stats != hs.Stats {
+					t.Errorf("mutator stats diverge:\n  incremental    %+v\n  stop-the-world %+v", hi.Stats, hs.Stats)
+				}
+				incrCensus := liveCensus(hi, ci)
+				if len(incrCensus) != len(stwCensus) {
+					t.Fatalf("live census size diverges: incremental %d objects, stop-the-world %d",
+						len(incrCensus), len(stwCensus))
+				}
+				for i := range stwCensus {
+					if incrCensus[i] != stwCensus[i] {
+						t.Errorf("live census diverges at object %d:\n  incremental    %s\n  stop-the-world %s",
+							i, incrCensus[i], stwCensus[i])
+						break
+					}
+				}
+				if err := heap.VerifyCollector(hi, ci); err != nil {
+					t.Errorf("incremental heap fails verification: %v", err)
+				}
+			})
 		}
 	}
 }

@@ -157,42 +157,33 @@ func TestAgeOracleDetectsCorruption(t *testing.T) {
 // heap.TenureNever, minor collections retain every survivor in the young
 // region — no words promoted, no major collections provoked, and (because
 // nothing old ever points at the nursery) an empty remembered set even
-// with nursery-to-nursery pointer writes flowing through the barrier — on
-// one heap, and on four at once.
+// with nursery-to-nursery pointer writes flowing through the barrier.
 func TestTenureNeverPromotesNothing(t *testing.T) {
 	never := func(c *heap.Config) { c.Tenure, c.Adaptive = heap.TenureNever, false }
-	for _, workers := range []int{0, 4} {
-		t.Run(fmt.Sprintf("generational/workers=%d", workers), func(t *testing.T) {
-			onHeaps(t, workers, func(t *testing.T) {
-				h := gctest.NewHeap(never)
-				c := generational.New(h, 1024, 16384, generational.WithExpansion(2))
-				exerciseTenureNever(t, h, c)
-				if n := c.RemsetLen(); n != 0 {
-					t.Errorf("remembered set has %d entries, want 0", n)
-				}
-			})
-		})
-		t.Run(fmt.Sprintf("multigen/workers=%d", workers), func(t *testing.T) {
-			onHeaps(t, workers, func(t *testing.T) {
-				h := gctest.NewHeap(never)
-				c := multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
-				exerciseTenureNever(t, h, c)
-				if n := c.RemsetLen(); n != 0 {
-					t.Errorf("remembered set has %d entries, want 0", n)
-				}
-			})
-		})
-		t.Run(fmt.Sprintf("hybrid/workers=%d", workers), func(t *testing.T) {
-			onHeaps(t, workers, func(t *testing.T) {
-				h := gctest.NewHeap(never)
-				c := hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth())
-				exerciseTenureNever(t, h, c)
-				if a, b := c.RemsetLens(); a != 0 || b != 0 {
-					t.Errorf("remembered sets have %d+%d entries, want 0", a, b)
-				}
-			})
-		})
-	}
+	t.Run("generational", func(t *testing.T) {
+		h := gctest.NewHeap(never)
+		c := generational.New(h, 1024, 16384, generational.WithExpansion(2))
+		exerciseTenureNever(t, h, c)
+		if n := c.RemsetLen(); n != 0 {
+			t.Errorf("remembered set has %d entries, want 0", n)
+		}
+	})
+	t.Run("multigen", func(t *testing.T) {
+		h := gctest.NewHeap(never)
+		c := multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
+		exerciseTenureNever(t, h, c)
+		if n := c.RemsetLen(); n != 0 {
+			t.Errorf("remembered set has %d entries, want 0", n)
+		}
+	})
+	t.Run("hybrid", func(t *testing.T) {
+		h := gctest.NewHeap(never)
+		c := hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth())
+		exerciseTenureNever(t, h, c)
+		if a, b := c.RemsetLens(); a != 0 || b != 0 {
+			t.Errorf("remembered sets have %d+%d entries, want 0", a, b)
+		}
+	})
 }
 
 // exerciseTenureNever churns garbage under a small pinned structure with

@@ -1,8 +1,7 @@
-// Record and replay on N heaps at once. A trace names allocation ordinals,
-// never addresses, and the engines carry the identity table the recorder and
-// the replayer read, so neither end of the pipeline cares what else runs
-// beside it: a recording made while other heaps record is the lone one byte
-// for byte, and a replay made while other heaps replay is the lone replay.
+// Record and replay. A trace names allocation ordinals, never addresses, and
+// the engines carry the identity table the recorder and the replayer read,
+// so a recording is the same bytes under every collector, and its replay
+// reproduces the trailer's statistics with the verifier clean throughout.
 package conformance
 
 import (
@@ -45,20 +44,28 @@ func tracedWorkloads(t *testing.T) []tracedWorkload {
 			}})
 		}
 	}
+	ws = append(ws, decaySession())
+	if len(ws) < 2 {
+		t.Fatal("the quick registry no longer has lattice")
+	}
+	return ws
+}
+
+// decaySession is a 20 k-step decay-model session.
+func decaySession() tracedWorkload {
 	const halfLife, steps = 768, 20000
-	ws = append(ws, tracedWorkload{"decay", experiments.DecayConfig{HalfLife: halfLife, L: 3.5, Steps: steps}.HeapWords(),
+	return tracedWorkload{"decay", experiments.DecayConfig{HalfLife: halfLife, L: 3.5, Steps: steps}.HeapWords(),
 		func(h *heap.Heap, c heap.Collector) error {
 			w := decay.NewWorkload(h, halfLife, 1)
 			w.Warmup(10)
 			w.Run(steps)
 			c.Collect()
 			return nil
-		}})
-	if len(ws) < 2 {
-		t.Fatal("the quick registry no longer has lattice")
-	}
-	return ws
+		}}
 }
+
+// traced names the collectors the trace tests record and replay under.
+var traced = map[string]bool{"semispace": true, "generational": true, "nonpredictive": true, "hybrid": true}
 
 // quickProgram returns a fresh instance of the quick-registry program name.
 func quickProgram(name string) bench.Program {
@@ -122,42 +129,26 @@ func replayOn(t *testing.T, data []byte, nc gcfuzz.NamedCollector) replayed {
 	return r
 }
 
-// TestRecordReplayAtNWorkers: for stop-and-copy, generational,
-// non-predictive and hybrid, over the quick lattice and nboyer1 programs and
-// a 20 k-step decay session, recordings made on 2 and 4 heaps at once are
-// the lone recording's bytes, and replays made on 2 and 4 heaps at once
-// equal the lone replay: the trailer-checked mutator statistics, GCStats,
-// every space's Top and Used(), and a verifier-clean heap after every
-// collection.
-func TestRecordReplayAtNWorkers(t *testing.T) {
+// TestRecordReplay: for stop-and-copy, generational, non-predictive and
+// hybrid, over the quick lattice and nboyer1 programs and a 20 k-step decay
+// session, a recording is the stop-and-copy recording's bytes, and its replay
+// matches the trailer's mutator statistics with a verifier-clean heap after
+// every collection.
+func TestRecordReplay(t *testing.T) {
 	for _, w := range tracedWorkloads(t) {
 		grid := gcfuzz.CollectorsSized(w.heapWords)
 		want := recordOn(t, w, grid[0])
 		for _, nc := range grid {
-			if nc.Name != "semispace" && nc.Name != "generational" && nc.Name != "nonpredictive" && nc.Name != "hybrid" {
+			if !traced[nc.Name] {
 				continue
 			}
 			t.Run(w.name+"/"+nc.Name, func(t *testing.T) {
-				seq := replayOn(t, want, nc)
-				for _, workers := range []int{2, 4} {
-					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-						onHeaps(t, workers, func(t *testing.T) {
-							if got := recordOn(t, w, nc); !bytes.Equal(got, want) {
-								t.Errorf("recorded %d bytes that differ from the lone recording's %d", len(got), len(want))
-							}
-							par := replayOn(t, want, nc)
-							if par.stats != seq.stats {
-								t.Errorf("mutator stats %+v, lone %+v", par.stats, seq.stats)
-							}
-							if par.gc != seq.gc {
-								t.Errorf("GCStats diverge:\n  concurrent %+v\n  lone       %+v", par.gc, seq.gc)
-							}
-							if fmt.Sprint(par.spaces) != fmt.Sprint(seq.spaces) {
-								t.Errorf("spaces %v, lone %v", par.spaces, seq.spaces)
-							}
-						})
-					})
+				if nc.Name != grid[0].Name {
+					if got := recordOn(t, w, nc); !bytes.Equal(got, want) {
+						t.Errorf("recorded %d bytes that differ from the stop-and-copy recording's %d", len(got), len(want))
+					}
 				}
+				replayOn(t, want, nc)
 			})
 		}
 	}

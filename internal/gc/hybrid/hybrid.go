@@ -289,6 +289,7 @@ func (c *Collector) minor() {
 		// and the paper notes the marginal cost of this test is small.
 		e.CopiedRegions(c.promoRegion)
 	}
+	c.stats.NoteLive(c.Live())
 	c.notePeaks()
 	c.h.AfterGC()
 }

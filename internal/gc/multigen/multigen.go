@@ -270,6 +270,7 @@ func (c *Collector) collectUpTo(m int) {
 	c.stats.WordsCopied += e.WordsCopied
 	c.stats.WordsPromoted += e.WordsCopied
 	c.h.AddPause(&c.stats, e.WordsCopied)
+	c.stats.NoteLive(c.Live())
 	c.notePeak()
 	// The window included the nursery and promoted it wholesale.
 	c.young.Emptied()
@@ -296,6 +297,7 @@ func (c *Collector) minor() {
 	// set keeps this collector's older-to-younger rule, not the nursery's.
 	c.refilterRemset()
 	c.young.Finish()
+	c.stats.NoteLive(c.Live())
 	c.notePeak()
 	c.h.AfterGC()
 }

@@ -147,31 +147,20 @@ func TestIdentityBasics(t *testing.T) {
 // target, and into targets so small that Overflow supplies most of them —
 // and after every flip the table is whole, every chain is reachable through
 // AddrOf alone, and the ordinals of the live objects are exactly the ones
-// the forest was built with. With lab the primary targets are blocked
+// the forest was built with. With blocked, the primary targets are blocked
 // spaces, as npms compacts into: reset to bump form, filled exactly, and
-// handed back to free-list form by FreeFrom after every flip. A row of N
-// workers flips N heaps at once, one parallel subtest each.
+// handed back to free-list form by FreeFrom after every flip.
 func TestIdentityFollowsEvacuation(t *testing.T) {
-	for _, tc := range []struct {
-		workers       int
-		lab, overflow bool
-	}{{0, false, false}, {2, false, false}, {4, false, false}, {4, true, false}, {0, false, true}, {4, false, true}, {4, true, true}} {
-		t.Run(fmt.Sprintf("workers=%d/lab=%v/overflow=%v", tc.workers, tc.lab, tc.overflow), func(t *testing.T) {
-			if tc.workers < 2 {
-				followEvacuation(t, tc.lab, tc.overflow)
-				return
-			}
-			for i := range tc.workers {
-				t.Run(fmt.Sprintf("heap%d", i), func(t *testing.T) {
-					t.Parallel()
-					followEvacuation(t, tc.lab, tc.overflow)
-				})
-			}
-		})
+	for _, blocked := range []bool{false, true} {
+		for _, overflow := range []bool{false, true} {
+			t.Run(fmt.Sprintf("blocked=%v/overflow=%v", blocked, overflow), func(t *testing.T) {
+				followEvacuation(t, blocked, overflow)
+			})
+		}
 	}
 }
 
-func followEvacuation(t *testing.T, lab, overflow bool) {
+func followEvacuation(t *testing.T, blocked, overflow bool) {
 	const chains, chainLen = 16, 64
 	h := New()
 	h.TrackIdentity()
@@ -185,7 +174,7 @@ func followEvacuation(t *testing.T, lab, overflow bool) {
 		heads = append(heads, id)
 	}
 	target := func(name string, words int) *Space {
-		if !lab {
+		if !blocked {
 			return h.NewSpace(name, words)
 		}
 		s := h.NewBlockedSpace(name, words)

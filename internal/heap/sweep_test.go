@@ -1,7 +1,6 @@
 package heap
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -97,70 +96,6 @@ func TestSweepCoalesces(t *testing.T) {
 		t.Errorf("block 1 free list = %v, want one maximal block", fl)
 	}
 	WalkSpace(s, func(int, Word) bool { return true }) // panics if unparsable
-}
-
-// TestParallelSweepBitIdentical: 1, 2, 4 and 8 heaps built from the same
-// fixture and swept at once each come out word for word as a lone sweep
-// leaves its heap — memory, free-list heads, max runs, WordsSwept — with
-// every mark cleared.
-func TestParallelSweepBitIdentical(t *testing.T) {
-	type result struct {
-		mem    [][]Word
-		free   [][]int32
-		maxrun [][]int32
-		swept  uint64
-		stale  bool
-	}
-	sweep := func(h *Heap, spaces []*Space) result {
-		r := result{swept: NewSweeper(h).Sweep(spaces...)}
-		for _, s := range spaces {
-			r.mem = append(r.mem, append([]Word(nil), s.Mem...))
-			r.free = append(r.free, append([]int32(nil), s.Blocks.FreeHead...))
-			r.maxrun = append(r.maxrun, append([]int32(nil), s.Blocks.MaxRun...))
-			r.stale = r.stale || !s.MarksClear()
-		}
-		return r
-	}
-	seq := sweep(buildSweepFixture(43))
-	if seq.stale {
-		t.Fatal("a lone sweep leaves stale marks")
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			heaps := make([]*Heap, workers)
-			spaces := make([][]*Space, workers)
-			for i := range heaps {
-				heaps[i], spaces[i] = buildSweepFixture(43)
-			}
-			got := make([]result, workers)
-			onHeaps(workers, func(i int) { got[i] = sweep(heaps[i], spaces[i]) })
-			for h, par := range got {
-				if par.stale {
-					t.Errorf("heap %d has stale marks after sweep", h)
-				}
-				if par.swept != seq.swept {
-					t.Errorf("heap %d: WordsSwept = %d, a lone sweep %d", h, par.swept, seq.swept)
-				}
-				for i := range seq.mem {
-					if off := firstDiff(par.mem[i], seq.mem[i]); off >= 0 {
-						t.Fatalf("heap %d: space %d diverges at %d", h, i, off)
-					}
-					for b, fh := range seq.free[i] {
-						if par.free[i][b] != fh {
-							t.Fatalf("heap %d: space %d block %d free head diverges: %d != %d",
-								h, i, b, par.free[i][b], fh)
-						}
-					}
-					for b, mr := range seq.maxrun[i] {
-						if par.maxrun[i][b] != mr {
-							t.Fatalf("heap %d: space %d block %d max run diverges: %d != %d",
-								h, i, b, par.maxrun[i][b], mr)
-						}
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestSweepSteadyStateZeroAllocs guards the sweep path: a reused Sweeper

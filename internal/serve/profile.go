@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -53,8 +55,9 @@ func (p *Profile) pick(r *rng) bench.AllocClass {
 }
 
 // ProfileFromTrace builds an allocation profile from a recorded trace file
-// (cmd/gctrace format). The whole trace is read, so the profile also
-// CRC-verifies it.
+// (cmd/gctrace format): one class per (type, payload size) of its
+// allocation events. The whole trace is read, trailer included, so the
+// profile also CRC-verifies it.
 func ProfileFromTrace(path string) (bench.AllocProfile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -65,13 +68,19 @@ func ProfileFromTrace(path string) (bench.AllocProfile, error) {
 	if err != nil {
 		return bench.AllocProfile{}, fmt.Errorf("serve: %s: %w", path, err)
 	}
-	mix, err := trace.ReadAllocMix(r)
-	if err != nil {
-		return bench.AllocProfile{}, fmt.Errorf("serve: %s: %w", path, err)
-	}
-	counts := make(map[bench.AllocClass]uint64, len(mix))
-	for _, cls := range mix {
-		counts[bench.AllocClass{Type: cls.Type, PayloadWords: cls.PayloadWords}] = cls.Count
+	counts := make(map[bench.AllocClass]uint64)
+	var ev trace.Event
+	for {
+		err := r.Next(&ev)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return bench.AllocProfile{}, fmt.Errorf("serve: %s: %w", path, err)
+		}
+		if ev.Kind == trace.KindAlloc {
+			counts[bench.AllocClass{Type: ev.Type, PayloadWords: ev.Size}]++
+		}
 	}
 	return bench.BuildProfile(TracePrefix+path, counts), nil
 }

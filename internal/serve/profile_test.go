@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,8 +64,9 @@ func TestPickDistribution(t *testing.T) {
 	}
 }
 
-// TestProfileFromTrace builds a profile from a synthesized recorded trace
-// and runs the server on it, closing the trace->profile->load loop.
+// TestProfileFromTrace builds a profile from a synthesized recorded trace —
+// exact per-class counts, non-allocation events ignored — and runs the
+// server on it, closing the trace->profile->load loop.
 func TestProfileFromTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "synthetic.trace")
 	f, err := os.Create(path)
@@ -87,7 +89,12 @@ func TestProfileFromTrace(t *testing.T) {
 		words += uint64(1 + ev.Size)
 		objects++
 	}
-	if err := w.Close(trace.Trailer{WordsAllocated: words, ObjectsAllocated: objects, Events: objects}); err != nil {
+	for _, ev := range []trace.Event{{Kind: trace.KindPush, Val: trace.Imm(heap.NullWord)}, {Kind: trace.KindCollect}} {
+		if err := w.Append(&ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(trace.Trailer{WordsAllocated: words, ObjectsAllocated: objects, Events: w.Events()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -98,8 +105,9 @@ func TestProfileFromTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Objects != 40 || len(prof.Classes) != 2 {
-		t.Fatalf("census wrong: %+v", prof)
+	want := []bench.AllocClass{{Type: heap.TPair, PayloadWords: 2, Count: 30}, {Type: heap.TVector, PayloadWords: 6, Count: 10}}
+	if prof.Objects != 40 || !slices.Equal(prof.Classes, want) {
+		t.Fatalf("census %d objects in %+v, want 40 in %+v", prof.Objects, prof.Classes, want)
 	}
 	if !strings.HasPrefix(prof.Source, TracePrefix) {
 		t.Fatalf("trace profile source %q lacks the %q prefix", prof.Source, TracePrefix)
@@ -113,6 +121,31 @@ func TestProfileFromTrace(t *testing.T) {
 	}
 	if res.Agg.Requests == 0 || res.Agg.WordsAlloc == 0 {
 		t.Fatalf("trace-profiled run did no work: %+v", res.Agg)
+	}
+}
+
+// TestProfileFromTruncatedTrace: a trace cut off mid-stream is an error,
+// not a silently partial census.
+func TestProfileFromTruncatedTrace(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, trace.Header{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := w.Append(&trace.Event{Kind: trace.KindAlloc, Type: heap.TPair, Size: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(trace.Trailer{WordsAllocated: 6000, ObjectsAllocated: 2000, Events: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.trace")
+	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-7], 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if prof, err := ProfileFromTrace(path); err == nil {
+		t.Fatalf("truncated trace produced a census of %d objects without error", prof.Objects)
 	}
 }
 
