@@ -34,6 +34,10 @@ type Marker struct {
 	// it to VisitRoots/ScanObject never allocates.
 	markSlot func(slot *Word)
 
+	// WordsMarked is the footprint of the objects scanned since Begin,
+	// counted at pop, where the scan loads the header anyway; after a full
+	// drain it is the footprint of every object marked. ObjectsMarked is
+	// counted at push, so it is current mid-drain (Shade reads it there).
 	WordsMarked   uint64
 	ObjectsMarked int
 }
@@ -102,7 +106,6 @@ func (m *Marker) mark(w Word) {
 		return
 	}
 	s.SetMarkAt(off)
-	m.WordsMarked += uint64(ObjWords(s.Mem[off]))
 	m.ObjectsMarked++
 	m.stack = append(m.stack, w)
 }
@@ -122,9 +125,9 @@ func (m *Marker) Drain() {
 // DrainBudget scans queued objects until at least budget words have been
 // scanned this call or the stack empties, and returns the words scanned. The
 // count charges each popped object its full footprint (ObjWords, raw
-// payloads included), so summing every slice's return value over a cycle —
-// plus the termination drain — reproduces WordsMarked exactly: each marked
-// object is pushed once and popped once.
+// payloads included), and WordsMarked grows by the same count: each marked
+// object is pushed once and popped once, so after the termination drain the
+// slices' return values sum to WordsMarked exactly.
 //
 // This is the mark engine's one loop, for stop-the-world and incremental
 // marking alike. The scan is fused with marking: payload words are iterated
@@ -186,11 +189,11 @@ func (m *Marker) DrainBudget(budget int) int {
 				continue
 			}
 			vs.SetMarkAt(voff)
-			m.WordsMarked += uint64(ObjWords(vs.Mem[voff]))
 			m.ObjectsMarked++
 			m.stack = append(m.stack, v)
 		}
 	}
+	m.WordsMarked += uint64(scanned)
 	return scanned
 }
 
@@ -206,6 +209,7 @@ func (m *Marker) drainReference() {
 		w := m.stack[len(m.stack)-1]
 		m.stack = m.stack[:len(m.stack)-1]
 		s := m.H.SpaceOf(w)
+		m.WordsMarked += uint64(ObjWords(s.Mem[PtrOff(w)]))
 		ScanObject(s, PtrOff(w), m.markSlot)
 	}
 }

@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // This file implements the deep heap-invariant verifier. Where Check is a
@@ -12,7 +13,10 @@ import (
 //   1. Every live space parses as a sequence of well-formed blocks ending
 //      exactly at its bump pointer.
 //   2. No block header is a forwarding pointer (stale forwarding) or carries
-//      a mark bit (stale mark) after a collection has finished.
+//      a mark bit (stale mark) after a collection has finished, and no bit
+//      of the mark bitmap is set then either; while a mark is in progress,
+//      or in a block awaiting its lazy sweep, every set bit heads a non-free
+//      object (the sweep reads each one as a survivor's header).
 //   3. Every pointer — in a root slot or a live object's payload — targets a
 //      live space, lands exactly on an object start, and that object is not
 //      a free block.
@@ -69,16 +73,18 @@ type VerifySpec struct {
 
 	// MarkingActive declares that an incremental mark is in progress: mark
 	// bits are legitimately set on a prefix of the live graph, so the
-	// stale-mark bitmap check is skipped. Unmarked objects may still be
-	// live (not yet traced), so no reachability conclusions are drawn.
+	// stale-mark bitmap check only asks that each set bit head a non-free
+	// object. Unmarked objects may still be live (not yet traced), so no
+	// reachability conclusions are drawn.
 	//
 	// The other incremental phase needs no declaration: a block whose lazy
 	// sweep is pending says so in its table (BlockTable.UnsweptAt). There the
 	// completed mark is authoritative — an unmarked object is dead storage
 	// awaiting its sweep — so the verifier skips such objects' payloads and
 	// census words (dead storage, like free-block interiors), treats
-	// pointers to them as dangling, and skips the stale-mark check on the
-	// space (survivors keep their marks until their block is swept).
+	// pointers to them as dangling, and lets set bits stand in the pending
+	// blocks (survivors keep their marks until their block is swept), as
+	// long as each heads a non-free object.
 	MarkingActive bool
 }
 
@@ -169,7 +175,8 @@ func (v *verifier) parseSpaces() {
 		}
 		starts := make(map[int]Word)
 		v.starts[s.ID] = starts
-		for off := 0; off < s.Top; {
+		off := 0
+		for off < s.Top {
 			hdr := s.Mem[off]
 			if !IsHeader(hdr) {
 				if IsPtr(hdr) {
@@ -201,7 +208,33 @@ func (v *verifier) parseSpaces() {
 			starts[off] = hdr
 			off += n
 		}
+		if off == s.Top && (v.spec.MarkingActive || s.sweepPending()) && !v.checkMarkBits(s, starts) {
+			return
+		}
 	}
+}
+
+// checkMarkBits diagnoses the mark bits of a space whose bitmap may hold
+// some: every bit set while a mark is in progress, or in a block awaiting
+// its lazy sweep, must head a non-free object of the walk (the sweep takes
+// each one for a survivor's header), and every bit in a block already swept
+// is stale. It reports the first bad bit of the space, and false once the
+// error cap is reached.
+func (v *verifier) checkMarkBits(s *Space, starts map[int]Word) bool {
+	for i, w := range s.marks {
+		for w != 0 {
+			off := i<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			pending := s.Blocks != nil && off < s.Cap() && s.Blocks.UnsweptAt(off/s.Blocks.Span)
+			if !v.spec.MarkingActive && !pending {
+				return v.errorf(ErrStaleMark, "%v: mark bit at %d in a swept block", s, off)
+			}
+			if hdr, ok := starts[off]; !ok || HeaderType(hdr) == TFree {
+				return v.errorf(ErrStaleMark, "%v: mark bit at %d is not on the header of a non-free object", s, off)
+			}
+		}
+	}
+	return true
 }
 
 // checkPtr validates one pointer: it must target a live space, land on an

@@ -260,6 +260,42 @@ func TestVerifyBadBlockTable(t *testing.T) {
 	}
 }
 
+// TestVerifyStrayMarkBit: the sweep reads every set bit of a block awaiting
+// it as a survivor's header, and a mark in progress leaves bits the next
+// sweep will read, so there a bit anywhere else is a diagnosis of its own —
+// one inside a live pair, one on a free block, one past the survivors — and
+// in a block already swept any bit at all is stale.
+func TestVerifyStrayMarkBit(t *testing.T) {
+	for _, tc := range []struct {
+		name, fragment string
+		marking        bool
+		bit            func(end int) int
+	}{
+		{"inside a live pair, sweep pending", "not on the header", false, func(int) int { return 7 }},
+		{"on a free block, sweep pending", "not on the header", false, func(int) int { return 3 }},
+		{"inside a free run, sweep pending", "not on the header", false, func(int) int { return 20 }},
+		{"inside a live pair, marking", "not on the header", true, func(int) int { return 1 }},
+		{"in a swept block", "swept block", false, func(end int) int { return end + 5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := blockTableFixture(t, 2*BlockWords, BlockWords)
+			if tc.marking {
+				f.spec.MarkingActive = true
+			} else {
+				f.live.Blocks.setUnswept(0)
+			}
+			for _, off := range []int{0, 6, 12} {
+				f.live.SetMarkAt(off)
+			}
+			if err := Verify(f.h, f.spec); err != nil {
+				t.Fatalf("survivors' marks rejected: %v", err)
+			}
+			f.live.SetMarkAt(tc.bit(BlockWords))
+			f.expect(t, ErrStaleMark, tc.fragment)
+		})
+	}
+}
+
 // TestVerifyEmptyLiveMeansAllSpaces: the default spec treats every space as
 // live, so a pointer into any registered space is fine.
 func TestVerifyEmptyLiveMeansAllSpaces(t *testing.T) {
