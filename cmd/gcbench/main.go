@@ -192,7 +192,7 @@ type jsonCell struct {
 	Pauses        uint64  `json:"pauses"`
 	PauseP50Words uint64  `json:"pause_p50_words"`
 	PauseP99Words uint64  `json:"pause_p99_words"`
-	MaxPauseWords uint64  `json:"max_pause_words"`
+	MaxPause      uint64  `json:"max_pause_words"`
 	TotalPause    uint64  `json:"total_pause_words"`
 	RemsetPeak    int     `json:"remset_peak"`
 	PeakWords     int     `json:"peak_words"`
@@ -221,11 +221,11 @@ func emitJSON(results []runner.Result[rowResult], withHybrid bool) {
 				GCWorkWords:    res.GCWorkWords,
 				MarkCons:       res.GCMutatorRatio(),
 				Collections:    res.Collections,
-				Pauses:         res.Pauses,
-				PauseP50Words:  res.PauseP50Words,
-				PauseP99Words:  res.PauseP99Words,
-				MaxPauseWords:  res.MaxPauseWords,
-				TotalPause:     res.TotalPauseWords,
+				Pauses:         res.Pauses.Count,
+				PauseP50Words:  res.Pauses.P50(),
+				PauseP99Words:  res.Pauses.P99(),
+				MaxPause:       res.Pauses.MaxWords,
+				TotalPause:     res.Pauses.TotalWords,
 				RemsetPeak:     res.RemsetPeak,
 				PeakWords:      row.PeakWords,
 				SemiWords:      row.SemiWords,

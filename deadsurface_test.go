@@ -83,10 +83,11 @@ func TestDeadSurface(t *testing.T) {
 	}
 }
 
-// goPackage is one directory's non-test files.
+// goPackage is one directory's non-test files, positioned in fset.
 type goPackage struct {
 	name  string
 	files []*ast.File
+	fset  *token.FileSet
 }
 
 // parseNonTestPackages parses the non-test .go files under each root,
@@ -118,7 +119,7 @@ func parseNonTestPackages(t *testing.T, roots ...string) map[string]*goPackage {
 			dir := filepath.ToSlash(filepath.Dir(path))
 			p := pkgs[dir]
 			if p == nil {
-				p = &goPackage{name: f.Name.Name}
+				p = &goPackage{name: f.Name.Name, fset: fset}
 				pkgs[dir] = p
 			}
 			p.files = append(p.files, f)
@@ -338,4 +339,53 @@ func readDeadSurfaceFile(t *testing.T) map[string]bool {
 		t.Fatal(err)
 	}
 	return listed
+}
+
+// TestCollectionsEndInOnePlace keeps the collection-end contract (DESIGN.md,
+// "Measurement conventions") closed: heap.Heap.EndCollection is the one
+// place a collection is counted, its live words noted and the
+// after-collection hook fired, so no non-test file under internal/gc/ or
+// internal/core/ may increment or assign Collections or MajorCollections,
+// or call a method named NoteLive or AfterGC. A collector that writes its
+// own epilogue again fails here by file and line.
+func TestCollectionsEndInOnePlace(t *testing.T) {
+	counters := map[string]bool{"Collections": true, "MajorCollections": true}
+	calls := map[string]bool{"NoteLive": true, "AfterGC": true}
+	selName := func(e ast.Expr) string {
+		if s, ok := e.(*ast.SelectorExpr); ok {
+			return s.Sel.Name
+		}
+		return ""
+	}
+	pkgs := parseNonTestPackages(t, "internal/gc", "internal/core")
+	if len(pkgs) < 8 {
+		t.Fatalf("parsed %d packages under internal/gc and internal/core, want the collectors'", len(pkgs))
+	}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var what string
+				switch n := n.(type) {
+				case *ast.IncDecStmt:
+					if name := selName(n.X); counters[name] {
+						what = "counts " + name
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if name := selName(lhs); counters[name] {
+							what = "assigns " + name
+						}
+					}
+				case *ast.CallExpr:
+					if name := selName(n.Fun); calls[name] {
+						what = "calls " + name
+					}
+				}
+				if what != "" {
+					t.Errorf("%s %s itself: a collection ends in heap.Heap.EndCollection", p.fset.Position(n.Pos()), what)
+				}
+				return true
+			})
+		}
+	}
 }

@@ -48,16 +48,12 @@ type RunResult struct {
 	FootprintWords int
 	GCWorkWords    uint64
 	Collections    int
-	// Pause distribution over every mutator-visible pause the run recorded
-	// (whole collections when stop-the-world; slices, on-demand sweeps, and
-	// termination when incremental), in words of collector work.
-	Pauses          uint64
-	PauseP50Words   uint64
-	PauseP99Words   uint64
-	MaxPauseWords   uint64
-	TotalPauseWords uint64
-	RemsetPeak      int
-	Err             error
+	// Pauses is the distribution of every mutator-visible pause the run
+	// recorded (whole collections when stop-the-world; slices, on-demand
+	// sweeps, and termination when incremental), in words of collector work.
+	Pauses     heap.PauseHist
+	RemsetPeak int
+	Err        error
 }
 
 // GCMutatorRatio is the Table 3 column (gc time)/(mutator time), using
@@ -93,19 +89,15 @@ func Measure(p Program, h *heap.Heap, c heap.Collector) RunResult {
 		peak = live
 	}
 	return RunResult{
-		Program:         p.Name(),
-		Collector:       c.Name(),
-		WordsAllocated:  h.Stats.WordsAllocated,
-		PeakLiveWords:   peak,
-		FootprintWords:  h.FootprintWords(),
-		GCWorkWords:     g.WordsCopied + g.WordsMarked + uint64(SweepDiscount*float64(g.WordsSwept)),
-		Collections:     g.Collections,
-		Pauses:          g.Pauses.Count,
-		PauseP50Words:   g.Pauses.P50(),
-		PauseP99Words:   g.Pauses.P99(),
-		MaxPauseWords:   g.MaxPauseWords,
-		TotalPauseWords: g.TotalPauseWords,
-		RemsetPeak:      g.RemsetPeak,
-		Err:             err,
+		Program:        p.Name(),
+		Collector:      c.Name(),
+		WordsAllocated: h.Stats.WordsAllocated,
+		PeakLiveWords:  peak,
+		FootprintWords: h.FootprintWords(),
+		GCWorkWords:    g.WordsCopied + g.WordsMarked + uint64(SweepDiscount*float64(g.WordsSwept)),
+		Collections:    g.Collections,
+		Pauses:         g.Pauses,
+		RemsetPeak:     g.RemsetPeak,
+		Err:            err,
 	}
 }

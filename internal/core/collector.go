@@ -166,15 +166,8 @@ func (c *Collector) Collect() {
 	// the recommended policy steps 1..j are empty and this scans nothing.
 	c.st.ScanYoungForOldPointers(c.rememberFn)
 
-	c.stats.Collections++
-	c.stats.MajorCollections++
 	c.stats.WordsCopied += copied
-	c.h.AddPause(&c.stats, copied)
-	c.stats.NoteLive(c.st.LiveStepWords())
-	if p := c.rs.Peak(); p > c.stats.RemsetPeak {
-		c.stats.RemsetPeak = p
-	}
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, true, copied, c.st.LiveStepWords(), c.rs.Peak())
 }
 
 // FullCollect collects every step (j = 0 for one cycle), then restores the

@@ -129,7 +129,7 @@ func measure(cfg DecayConfig, h *heap.Heap, c heap.Collector, w *decay.Workload)
 		Collector:   c.Name(),
 		MarkCons:    float64(work) / float64(allocated),
 		Collections: g1.Collections - g0.Collections,
-		MaxPause:    g1.MaxPauseWords,
+		MaxPause:    g1.Pauses.MaxWords,
 		RemsetPeak:  g1.RemsetPeak,
 		LiveAvg:     liveSum / float64(samples),
 		HeapWords:   cfg.HeapWords(),

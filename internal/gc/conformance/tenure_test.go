@@ -58,7 +58,7 @@ func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, thresh
 	var gcErr error
 	peak := 0
 	h.SetAfterGC(func() {
-		o.AfterGC()
+		o.Collected()
 		peak = max(peak, len(o.Ages())) // the model only changes here
 		if gcErr == nil {
 			gcErr = heap.VerifyCollector(h, c)
@@ -121,7 +121,7 @@ func TestAgeOracleDetectsCorruption(t *testing.T) {
 	h := heap.New(heap.WithConfig(heap.Config{Tenure: heap.TenureNever}))
 	c := generational.New(h, 1024, 16384)
 	o := gctest.InstallAgeOracle(h, c)
-	h.SetAfterGC(o.AfterGC)
+	h.SetAfterGC(o.Collected)
 	defer h.SetAfterGC(nil)
 
 	sc := h.Scope()

@@ -214,7 +214,7 @@ func Run(prog []byte, mk func(h *heap.Heap) heap.Collector, census bool, cfg hea
 	var gcErr error
 	h.SetAfterGC(func() {
 		if oracle != nil {
-			oracle.AfterGC()
+			oracle.Collected()
 		}
 		if gcErr == nil {
 			gcErr = heap.VerifyCollector(h, c)

@@ -20,7 +20,7 @@ import (
 // born in the nursery of the last look, so finding it in the other young
 // space is a retention too. An ordinal no longer found in a young space was
 // promoted or died, and leaves the model. One collection moves a survivor
-// at most once, which is why AfterGC must run after every one of them.
+// at most once, which is why Collected must run after every one of them.
 type AgeOracle struct {
 	h       *heap.Heap
 	ten     heap.Tenurer
@@ -62,9 +62,9 @@ func (o *AgeOracle) eachYoung(f func(s *heap.Space, w, hdr heap.Word, id uint64)
 	}
 }
 
-// AfterGC brings the model up to date with the collection that has just
-// finished. Call it from the heap's AfterGC hook, after every collection.
-func (o *AgeOracle) AfterGC() {
+// Collected brings the model up to date with the collection that has just
+// finished. Call it from the heap's SetAfterGC hook, after every collection.
+func (o *AgeOracle) Collected() {
 	next := make(map[uint64]aged, len(o.seen))
 	o.eachYoung(func(s *heap.Space, w, _ heap.Word, id uint64) bool {
 		was, known := o.seen[id]

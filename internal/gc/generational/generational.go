@@ -182,10 +182,7 @@ func (c *Collector) minor() {
 	c.young.Flip()
 	c.young.Refilter()
 	c.young.Finish()
-
-	c.stats.NoteLive(c.oldFrom.Used() + c.young.Space().Used())
-	c.notePeak()
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, false, e.WordsCopied, c.Live(), c.rs.Peak())
 }
 
 // scanRemset treats every remembered object's fields as roots for a minor
@@ -213,14 +210,9 @@ func (c *Collector) major(need int) {
 	c.oldFrom, c.oldTo = c.oldTo, c.oldFrom
 	c.rs.Clear()
 
-	c.stats.Collections++
-	c.stats.MajorCollections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.stats.NoteLive(c.oldFrom.Used())
-	c.notePeak()
-
-	c.young.AfterMajor(e.WordsCopied)
+	copied := e.WordsCopied
+	c.stats.WordsCopied += copied
+	c.young.AfterMajor(copied)
 
 	if c.expand > 0 {
 		live := c.oldFrom.Used()
@@ -239,14 +231,8 @@ func (c *Collector) major(need int) {
 			c.oldFrom, c.oldTo = c.oldTo, c.oldFrom
 		}
 	}
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, true, copied, c.oldFrom.Used(), c.rs.Peak())
 }
 
 // Collect implements heap.Collector with a full (major) collection.
 func (c *Collector) Collect() { c.major(0) }
-
-func (c *Collector) notePeak() {
-	if p := c.rs.Peak(); p > c.stats.RemsetPeak {
-		c.stats.RemsetPeak = p
-	}
-}

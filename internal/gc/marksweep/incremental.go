@@ -108,9 +108,6 @@ func (c *Collector) finishMark() {
 	m := c.marker
 	pause := c.incr.FinishDrain()
 	c.stats.WordsMarked += m.WordsMarked
-	c.stats.Collections++
-	c.stats.MajorCollections++
-	c.stats.NoteLive(int(m.WordsMarked))
 	losSwept := c.los.Sweep()
 	c.stats.WordsSwept += losSwept
 	c.sweeper.BeginLazy(c.spaces...)
@@ -123,8 +120,7 @@ func (c *Collector) finishMark() {
 	// already re-consumed part of the freed storage, and scheduling from
 	// that point would overshoot exhaustion.
 	c.scheduleNext()
-	c.h.AddPause(&c.stats, pause+losSwept)
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, true, pause+losSwept, int(m.WordsMarked), 0)
 }
 
 // finishCycle closes the sweep phase; the next trigger was already set at

@@ -272,17 +272,13 @@ func (c *Collector) Collect() {
 	m.Begin()
 	m.Run()
 	c.stats.WordsMarked += m.WordsMarked
-	c.stats.Collections++
-	c.stats.MajorCollections++
-	c.stats.NoteLive(int(m.WordsMarked))
 	swept := c.sweeper.Sweep(c.spaces...)
 	swept += c.los.Sweep()
 	c.stats.WordsSwept += swept
-	c.h.AddPause(&c.stats, pause+m.WordsMarked+swept)
 	c.resetHints()
 	if c.incr != nil {
 		c.lastLive = m.WordsMarked
 		c.scheduleNext()
 	}
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, true, pause+m.WordsMarked+swept, int(m.WordsMarked), 0)
 }

@@ -266,15 +266,11 @@ func (c *Collector) collectUpTo(m int) {
 	}
 	c.refilterRemset()
 
-	c.stats.Collections++
 	c.stats.WordsCopied += e.WordsCopied
 	c.stats.WordsPromoted += e.WordsCopied
-	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.stats.NoteLive(c.Live())
-	c.notePeak()
 	// The window included the nursery and promoted it wholesale.
 	c.young.Emptied()
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, false, e.WordsCopied, c.Live(), c.rs.Peak())
 }
 
 // minor collects the nursery alone through the shared young step:
@@ -297,9 +293,7 @@ func (c *Collector) minor() {
 	// set keeps this collector's older-to-younger rule, not the nursery's.
 	c.refilterRemset()
 	c.young.Finish()
-	c.stats.NoteLive(c.Live())
-	c.notePeak()
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, false, e.WordsCopied, c.Live(), c.rs.Peak())
 }
 
 // major collects every generation into the old to-space and flips.
@@ -325,14 +319,9 @@ func (c *Collector) major() {
 	c.rebuildGenOf()
 	c.rs.Clear()
 
-	c.stats.Collections++
-	c.stats.MajorCollections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.stats.NoteLive(c.gens[last].Used())
-	c.notePeak()
-
-	c.young.AfterMajor(e.WordsCopied)
+	copied := e.WordsCopied
+	c.stats.WordsCopied += copied
+	c.young.AfterMajor(copied)
 
 	if c.expand > 0 {
 		live := c.gens[last].Used()
@@ -350,7 +339,7 @@ func (c *Collector) major() {
 			c.rebuildGenOf()
 		}
 	}
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, true, copied, c.gens[last].Used(), c.rs.Peak())
 }
 
 // refilterRemset rescans every surviving entry and keeps only those that
@@ -386,9 +375,3 @@ func (c *Collector) keepIfStillOlder(w heap.Word) {
 
 // Collect implements heap.Collector with a full collection.
 func (c *Collector) Collect() { c.major() }
-
-func (c *Collector) notePeak() {
-	if p := c.rs.Peak(); p > c.stats.RemsetPeak {
-		c.stats.RemsetPeak = p
-	}
-}

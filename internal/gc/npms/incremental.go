@@ -135,17 +135,12 @@ func (c *Collector) finishMark() {
 	c.st.RenameOldBy((*heap.Space).MarkedLiveWords)
 	c.sweeper.BeginLazy(c.renamed()...)
 
-	c.stats.Collections++
-	c.stats.MajorCollections++
 	c.stats.WordsMarked += m.WordsMarked
-	// The collected steps still hold their dead storage until the lazy
-	// sweep reaches them; what is live in them is what the cycle marked.
-	c.noteLive(m.WordsMarked)
 	c.phase = npSweeping
 	c.sweepDebt = 0
-	c.finishCollection()
-	c.h.AddPause(&c.stats, pause)
-	c.h.AfterGC()
+	// The collected steps still hold their dead storage until the lazy
+	// sweep reaches them; what is live in them is what the cycle marked.
+	c.finishCollection(pause, m.WordsMarked)
 }
 
 // stwReset returns the collector to the between-cycles state a

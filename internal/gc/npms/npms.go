@@ -251,26 +251,21 @@ func (c *Collector) markSweepCollect() {
 	c.st.RenameOldBy((*heap.Space).MarkedLiveWords)
 	swept := c.sweeper.Sweep(c.renamed()...)
 
-	c.stats.Collections++
-	c.stats.MajorCollections++
 	c.stats.WordsMarked += m.WordsMarked
 	c.stats.WordsSwept += swept
-	c.h.AddPause(&c.stats, reset+m.WordsMarked+swept)
-	c.noteLive(m.WordsMarked)
-	c.finishCollection()
-	c.h.AfterGC()
+	c.finishCollection(reset+m.WordsMarked+swept, m.WordsMarked)
 }
 
-// noteLive records the occupancy a collection leaves behind, once it has
-// renamed the steps: the collected steps, now 1..k-j, hold exactly the words
-// it traced into them, so only steps it did not trace are walked. Live is
-// the whole walk, and what this must equal.
-func (c *Collector) noteLive(traced uint64) {
+// liveAfter is the occupancy a collection leaves behind, once it has renamed
+// the steps: the collected steps, now 1..k-j, hold exactly the words it
+// traced into them, so only steps it did not trace are walked. Live is the
+// whole walk, and what this must equal.
+func (c *Collector) liveAfter(traced uint64) int {
 	live := int(traced)
 	for _, s := range c.st.All()[c.st.K()-c.st.J():] {
 		live += heap.LiveWords(s)
 	}
-	c.stats.NoteLive(live)
+	return live
 }
 
 // old returns the collected generation, steps j+1..k; once a collection has
@@ -290,23 +285,17 @@ func (c *Collector) compact() {
 		t.FreeFrom(t.Top)
 	}
 
-	c.stats.Collections++
-	c.stats.MajorCollections++
 	c.stats.WordsCopied += copied
-	c.h.AddPause(&c.stats, reset+copied)
-	c.noteLive(copied)
-	c.finishCollection()
-	c.h.AfterGC()
+	c.finishCollection(reset+copied, copied)
 }
 
-// finishCollection puts the allocation cursor back on step k and rebuilds
-// the remembered set (situation 4: surviving objects now in steps 1..j may
-// point into steps j+1..k).
-func (c *Collector) finishCollection() {
+// finishCollection puts the allocation cursor back on step k, rebuilds the
+// remembered set (situation 4: surviving objects now in steps 1..j may point
+// into steps j+1..k) and ends the collection, whose pause was pause words
+// and which traced traced words into the collected steps.
+func (c *Collector) finishCollection(pause, traced uint64) {
 	c.st.SetAllocIdx(c.st.K() - 1)
 	c.rs.Clear()
 	c.st.ScanYoungForOldPointers(c.remember)
-	if p := c.rs.Peak(); p > c.stats.RemsetPeak {
-		c.stats.RemsetPeak = p
-	}
+	c.h.EndCollection(&c.stats, true, pause, c.liveAfter(traced), c.rs.Peak())
 }

@@ -100,11 +100,8 @@ func (c *Collector) collect(need int) {
 	c.from.Reset()
 	c.from, c.to = c.to, c.from
 
-	c.stats.Collections++
-	c.stats.MajorCollections++
-	c.stats.WordsCopied += e.WordsCopied
-	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.stats.NoteLive(c.from.Used())
+	copied := e.WordsCopied
+	c.stats.WordsCopied += copied
 
 	if c.expand > 0 {
 		live := c.from.Used()
@@ -123,5 +120,5 @@ func (c *Collector) collect(need int) {
 			c.from, c.to = c.to, c.from
 		}
 	}
-	c.h.AfterGC()
+	c.h.EndCollection(&c.stats, true, copied, c.from.Used(), 0)
 }

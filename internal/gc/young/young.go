@@ -174,12 +174,13 @@ func (g *Gen) Refilter() {
 // set rule. The objects this run promoted are scanned: any that reference a
 // retained survivor are pointers into the nursery the barrier never saw
 // (both ends moved during the collection), so they enter the remembered set
-// here. Then the run is counted and the adaptive controller consulted.
+// here. Then the run's copied, promoted and tenured words are counted and
+// the adaptive controller consulted; the collector ends the collection
+// itself, through heap.EndCollection, with the evacuator's WordsCopied as
+// its pause.
 func (g *Gen) Finish() {
 	e, st := g.evac, g.stats
-	st.Collections++
 	st.WordsCopied += e.WordsCopied
-	g.h.AddPause(st, e.WordsCopied)
 	if g.shadow == nil {
 		st.WordsPromoted += e.WordsCopied
 		return

@@ -53,8 +53,6 @@ type GCStats struct {
 	WordsMarked      uint64 // words marked in place by mark/sweep collections
 	WordsSwept       uint64 // words examined by sweep phases
 	WordsPromoted    uint64 // words moved from a young to an old generation
-	TotalPauseWords  uint64 // sum over collections of words traced
-	MaxPauseWords    uint64
 	RemsetPeak       int    // largest remembered set observed
 	RemsetScanned    uint64 // remembered-set entries traced as roots
 	PeakLive         int    // largest post-collection occupancy observed
@@ -69,16 +67,8 @@ type GCStats struct {
 
 	// Pauses is the histogram of every mutator-visible pause: one entry per
 	// stop-the-world collection, and in incremental mode one entry per mark
-	// slice, termination phase, and on-demand sweep. Its TotalWords/MaxWords
-	// mirror TotalPauseWords/MaxPauseWords.
+	// slice, termination phase, and on-demand sweep.
 	Pauses PauseHist
-}
-
-// NoteLive records a post-collection occupancy measurement.
-func (g *GCStats) NoteLive(words int) {
-	if words > g.PeakLive {
-		g.PeakLive = words
-	}
 }
 
 // MarkCons returns the cumulative mark/cons ratio against the given
@@ -90,23 +80,35 @@ func (g *GCStats) MarkCons(s *Stats) float64 {
 	return float64(g.WordsCopied+g.WordsMarked) / float64(s.WordsAllocated)
 }
 
-// AddPause records the size of one collection pause.
-func (g *GCStats) AddPause(words uint64) {
-	g.TotalPauseWords += words
-	if words > g.MaxPauseWords {
-		g.MaxPauseWords = words
-	}
-	g.Pauses.Record(words)
-}
-
-// AddPause records one mutator-visible pause into g and, when a pause log is
-// installed on the heap, streams the raw value to it. Collectors route every
-// pause through here so `gcbench -pauselog` sees slices, termination phases,
-// and on-demand sweeps exactly as the histogram does.
+// AddPause records one mutator-visible pause into g's histogram and, when a
+// pause log is installed on the heap, streams the raw value to it. Collectors
+// route every pause through here so `gcbench -pauselog` sees slices,
+// termination phases, and on-demand sweeps exactly as the histogram does.
 func (h *Heap) AddPause(g *GCStats, words uint64) {
-	g.AddPause(words)
+	g.Pauses.Record(words)
 	if h.pauseLog != nil {
 		h.pauseLog(words)
+	}
+}
+
+// EndCollection closes one collection: every collector ends each of its
+// collections here and nowhere else, once the heap, the remembered sets and
+// any renaming or expansion re-copy are back in their between-collections
+// state. In this order it counts the collection in g (as major too when
+// major is set), records pause words of collector work through AddPause,
+// raises g.PeakLive to live and g.RemsetPeak to remsetPeak, and last fires
+// the after-collection hook. The counters that differ by algorithm — words
+// copied, marked, swept, promoted and tenured — stay with the collector.
+func (h *Heap) EndCollection(g *GCStats, major bool, pause uint64, live, remsetPeak int) {
+	g.Collections++
+	if major {
+		g.MajorCollections++
+	}
+	h.AddPause(g, pause)
+	g.PeakLive = max(g.PeakLive, live)
+	g.RemsetPeak = max(g.RemsetPeak, remsetPeak)
+	if h.afterGC != nil {
+		h.afterGC()
 	}
 }
 
@@ -160,9 +162,7 @@ type Heap struct {
 	observeAt uint64
 
 	// afterGC, when non-nil, runs every time a collector finishes a
-	// collection (the verifier's hook). Collectors fire it via AfterGC at
-	// the end of every collection routine, once the heap, remembered sets,
-	// and renaming are back in their between-collections state.
+	// collection (the verifier's hook); EndCollection fires it last.
 	afterGC func()
 
 	// sink, when non-nil, observes every mutator-level heap event (the
@@ -216,20 +216,11 @@ func (h *Heap) SetBarrier(b Barrier) {
 	h.barrier = b
 }
 
-// SetAfterGC installs f to run at the end of every collection; nil removes
-// it. Tests and the fuzz harness install a verifying callback here, so the
-// default cost is one nil check per collection.
+// SetAfterGC installs f to run at the end of every collection, from
+// EndCollection; nil removes it. Tests and the fuzz harness install a
+// verifying callback here, so the default cost is one nil check per
+// collection.
 func (h *Heap) SetAfterGC(f func()) { h.afterGC = f }
-
-// AfterGC fires the after-collection hook. Every collector calls this
-// exactly when a collection's bookkeeping (renaming, remembered-set
-// rebuilds, statistics) is complete and the heap satisfies its
-// between-collections invariants.
-func (h *Heap) AfterGC() {
-	if h.afterGC != nil {
-		h.afterGC()
-	}
-}
 
 // VisitRoots applies visit to every root slot: the handle stack and the
 // global table. Collectors call this at the start of every trace; whatever

@@ -229,7 +229,7 @@ func TestLazySweepMatchesEager(t *testing.T) {
 }
 
 // TestHeapAddPause checks the pause plumbing every collector routes through:
-// the histogram, the max/total counters, and the optional raw log.
+// the histogram, its max/total counters, and the optional raw log.
 func TestHeapAddPause(t *testing.T) {
 	h := New()
 	var logged []uint64
@@ -239,9 +239,9 @@ func TestHeapAddPause(t *testing.T) {
 	for _, w := range []uint64{5, 900, 17} {
 		h.AddPause(&g, w)
 	}
-	if g.Pauses.Count != 3 || g.TotalPauseWords != 922 || g.MaxPauseWords != 900 {
+	if g.Pauses.Count != 3 || g.Pauses.TotalWords != 922 || g.Pauses.MaxWords != 900 {
 		t.Fatalf("pause counters = (%d, %d, %d), want (3, 922, 900)",
-			g.Pauses.Count, g.TotalPauseWords, g.MaxPauseWords)
+			g.Pauses.Count, g.Pauses.TotalWords, g.Pauses.MaxWords)
 	}
 	if len(logged) != 3 || logged[0] != 5 || logged[1] != 900 || logged[2] != 17 {
 		t.Fatalf("pause log saw %v, want [5 900 17]", logged)

@@ -69,16 +69,39 @@ func TestGCStatsHelpers(t *testing.T) {
 	if got := g.MarkCons(&s); got != 0.5 {
 		t.Errorf("MarkCons = %v, want 0.5", got)
 	}
-	g.AddPause(10)
-	g.AddPause(30)
-	g.AddPause(20)
-	if g.MaxPauseWords != 30 || g.TotalPauseWords != 60 {
-		t.Errorf("pauses: max %d total %d", g.MaxPauseWords, g.TotalPauseWords)
+}
+
+// TestEndCollection pins the one epilogue every collection ends with: the
+// counts, the pause (histogram and log), the live and remembered-set peaks
+// as running maxima, and the after-collection hook last, seeing all of it.
+func TestEndCollection(t *testing.T) {
+	h := New()
+	var logged []uint64
+	h.SetPauseLog(func(words uint64) { logged = append(logged, words) })
+	var g GCStats
+	var seen []GCStats
+	h.SetAfterGC(func() { seen = append(seen, g) })
+
+	h.EndCollection(&g, false, 10, 500, 7)
+	h.EndCollection(&g, true, 30, 200, 3)
+	h.EndCollection(&g, false, 20, 600, 9)
+
+	if g.Collections != 3 || g.MajorCollections != 1 {
+		t.Errorf("collections %d, major %d; want 3, 1", g.Collections, g.MajorCollections)
 	}
-	g.NoteLive(500)
-	g.NoteLive(200)
-	if g.PeakLive != 500 {
-		t.Errorf("PeakLive = %d", g.PeakLive)
+	if g.Pauses.Count != 3 || g.Pauses.TotalWords != 60 || g.Pauses.MaxWords != 30 {
+		t.Errorf("pauses: count %d total %d max %d; want 3, 60, 30",
+			g.Pauses.Count, g.Pauses.TotalWords, g.Pauses.MaxWords)
+	}
+	if len(logged) != 3 || logged[0] != 10 || logged[1] != 30 || logged[2] != 20 {
+		t.Errorf("pause log saw %v, want [10 30 20]", logged)
+	}
+	if g.PeakLive != 600 || g.RemsetPeak != 9 {
+		t.Errorf("PeakLive %d, RemsetPeak %d; want 600, 9", g.PeakLive, g.RemsetPeak)
+	}
+	if len(seen) != 3 || seen[1].Collections != 2 || seen[1].Pauses.Count != 2 ||
+		seen[1].PeakLive != 500 || seen[1].RemsetPeak != 7 {
+		t.Errorf("the hook did not fire last, after the second collection's bookkeeping: %+v", seen)
 	}
 }
 

@@ -31,9 +31,9 @@ import (
 //      a mark/sweep space's BlockWords blocks and a non-predictive
 //      mark/sweep step's single block alike.
 //
-// Verification is opt-in: collectors fire Heap.AfterGC at the end of every
-// collection, and the hook is nil unless a test (or the fuzz harness)
-// installs a verifying callback, so benchmarks pay one nil check per
+// Verification is opt-in: Heap.EndCollection fires the SetAfterGC hook at the
+// end of every collection, and the hook is nil unless a test (or the fuzz
+// harness) installs a verifying callback, so benchmarks pay one nil check per
 // collection and nothing per slot.
 
 // Error kinds reported by Verify, one per invariant class, so tests can
