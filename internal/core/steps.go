@@ -225,8 +225,8 @@ func (st *Steps) Bump(total int) (*heap.Space, int, bool) {
 	return nil, 0, false
 }
 
-// Collect performs one non-predictive collection: steps j+1..k (plus
-// alsoFrom, if non-nil — e.g. the hybrid's nursery) are evacuated as a
+// Collect performs one non-predictive collection: steps j+1..k (plus the
+// spaces in alsoFrom — e.g. the hybrid's nursery) are evacuated as a
 // single generation into shadow spaces, and the steps are renamed per
 // Section 4. extraRoots, if non-nil, is called with the evacuation function
 // so callers can treat remembered-set entries as roots. When the survivors
@@ -237,7 +237,7 @@ func (st *Steps) Bump(total int) (*heap.Space, int, bool) {
 // On return the collected spaces have become the new shadows, steps have
 // been renamed, and the allocation cursor is recomputed. The caller is
 // responsible for choosing a new j and rebuilding remembered sets.
-func (st *Steps) Collect(alsoFrom *heap.Space, extraRoots func(evac func(slot *heap.Word)), allowGrow bool) uint64 {
+func (st *Steps) Collect(alsoFrom []*heap.Space, extraRoots func(evac func(slot *heap.Word)), allowGrow bool) uint64 {
 	k, j := st.K(), st.j
 	nNew := k - j
 	primary := st.shadows[:nNew] // primary[i] becomes the new step at position i
@@ -254,8 +254,8 @@ func (st *Steps) Collect(alsoFrom *heap.Space, extraRoots func(evac func(slot *h
 
 	e := st.evac
 	e.SetFrom(st.steps[j:]...)
-	if alsoFrom != nil {
-		e.From().AddSpace(alsoFrom)
+	for _, s := range alsoFrom {
+		e.From().AddSpace(s)
 	}
 	e.Begin(targets...)
 	if allowGrow {

@@ -123,7 +123,7 @@ func TestCollectSpillGrowsStepCount(t *testing.T) {
 	}
 
 	kBefore := c.Steps().K()
-	copied := c.Steps().Collect(side, nil, true)
+	copied := c.Steps().Collect([]*heap.Space{side}, nil, true)
 	if copied == 0 {
 		t.Fatal("nothing copied")
 	}
