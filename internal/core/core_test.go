@@ -239,6 +239,35 @@ func TestGrowth(t *testing.T) {
 	}
 }
 
+// TestGrowthRungAfterFragmentedCollection reaches AllocRaw's growth rung:
+// three live 51-word vectors in three 100-word steps leave 49 words in
+// each after a whole-heap collection. That is over the third of the heap
+// the collection's own growth keeps free, but a fourth vector fits no
+// step, so the allocation must add one.
+func TestGrowthRungAfterFragmentedCollection(t *testing.T) {
+	h := heap.New()
+	c := New(h, 3, 100, WithGrowth(), WithPolicy(ZeroJ{}))
+	s := h.Scope()
+	defer s.Close()
+	for i := range 3 {
+		h.MakeVector(50, h.Fix(int64(i)))
+	}
+	collections := c.GCStats().Collections
+	v := h.MakeVector(50, h.Fix(3))
+	if got := c.GCStats().Collections - collections; got != 1 {
+		t.Fatalf("the fourth vector ran %d collections, want 1", got)
+	}
+	if k := c.Steps().K(); k != 4 {
+		t.Fatalf("k = %d after the fourth vector, want 4: one step added by the rung", k)
+	}
+	if pos := c.Steps().PosOf(h.Get(v)); pos != 0 {
+		t.Errorf("the fourth vector landed at position %d, want the added step 0", pos)
+	}
+	if err := heap.Check(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOOMPanicsWithoutGrowth(t *testing.T) {
 	h := heap.New()
 	New(h, 4, 256)
