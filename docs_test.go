@@ -84,8 +84,10 @@ func TestDocPointersResolve(t *testing.T) {
 // moves, the trace package's identity table, the per-space age tables; the
 // parallel engines with their worker-count and allocation-buffer knobs, and
 // the tests that replayed workloads on several heaps in their place; the
-// hybrid's static area and the exports no non-test code reached), and the
-// hook by its plain name, may not be named
+// hybrid's static area and the exports no non-test code reached; the
+// per-collector collection epilogues that Heap.EndCollection replaced, with
+// the pause mirrors and the adaptive controller's six unset parameters),
+// and the hook by its plain name, may not be named
 // by README.md, DESIGN.md or EXPERIMENTS.md — outside a section whose heading
 // dates it to a PR or an issue, which is history and stays as written — nor
 // by any Go file, where only a comment could still do it. The one exception
@@ -98,7 +100,9 @@ func TestDocsNameNothingDeleted(t *testing.T) {
 		`CharWord|CharVal|UnspecWord|EOFWord|ClearMarkAt|SpaceSet\.Empty|SeedSurvival|SurvivalFractions|SurvivalProbability|` +
 		`AvgObjectWords|CompareAll|ReadAllocMix|AllocMixClass|TestReadAllocMix\w*|parallelWorkerCounts|onHeaps|` +
 		`TestParallel(Mark|Evac|Sweep|Shadow|Collection|SingleTarget)\w*|TestLAB\w*|TestCollectorsConcurrently|` +
-		`TestDecayDeterministicUnderConcurrency|TestRecordReplayAtNWorkers|TestSpaceSetConcurrentReaders)\b`)
+		`TestDecayDeterministicUnderConcurrency|TestRecordReplayAtNWorkers|TestSpaceSetConcurrentReaders|` +
+		`TotalPauseWords|MaxPauseWords|GCStats\.(AddPause|NoteLive)|notePeaks?|Heap\.AfterGC|` +
+		`Alpha|MaxThreshold|TargetSurvival|MinSampleWords|Hysteresis|OldCopyCost|TestConfigDefaults)\b`)
 	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB)\b[^"]*"`)
 	heading := regexp.MustCompile(`^#+ `)
 	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)
