@@ -30,7 +30,9 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # The Cheney scan reads the evacuator's first-fit cursor through a helper
 # it calls after every out-of-line copy, which must stay in line too; so
 # must the free-block split both free-list carves share, which sits under
-# nearly every mark/sweep and npms allocation.
+# nearly every mark/sweep and npms allocation, and the bump every copying
+# collector's allocation makes: a reservation (a space without memory) needs
+# no test of its own there, since Bump refuses it by its length alone.
 # A change that pushes one of them over the budget fails here by name, as
 # does one that stops the young generation's allocation trigger inlining
 # into any of the three collectors built on it.
@@ -38,7 +40,7 @@ inl=$(go build -gcflags=-m ./internal/heap ./internal/gc/... 2>&1)
 for fn in '(*Heap).push' '(*Heap).Get' 'FixnumVal' '(*Heap).isType' \
     '(*Heap).IsPair' '(*Heap).IsVector' '(*Heap).IsSymbol' '(*Heap).IsFlonum' \
     '(*Heap).Car' '(*Heap).Cdr' '(*Heap).Scope' 'Scope.Close' '(*Evacuator).cursor' \
-    '(*Space).carve'; do
+    '(*Space).carve' '(*Space).Bump'; do
     if ! printf '%s\n' "$inl" | sed -n 's/^internal\/heap\/[^ ]*: can inline //p' | grep -qxF "$fn"; then
         echo "ci: heap $fn is no longer inlinable (go build -gcflags=-m=2 ./internal/heap says why)" >&2
         exit 1

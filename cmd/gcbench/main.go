@@ -198,7 +198,8 @@ type jsonCell struct {
 	PeakWords     int     `json:"peak_words"`
 	SemiWords     int     `json:"semi_words"`
 	// FootprintWords is the run's maximum reserved footprint: blocks
-	// reserved across every space times heap.BlockWords.
+	// reserved across every space times heap.BlockWords, counting a
+	// to-space or shadow that has not received memory yet.
 	FootprintWords int     `json:"footprint_words"`
 	WallNS         int64   `json:"wall_ns"`
 	WordsPerSec    float64 `json:"words_per_sec"`

@@ -28,11 +28,14 @@ type Steps struct {
 	H         *heap.Heap
 	StepWords int
 
-	// prefix names the spaces (prefix-step-0, prefix-shadow-0, ...) and
-	// newSpace makes one: a bump space for the copying collectors, a
-	// one-block free-list space for npms.
+	// prefix names the spaces (prefix-step-0, prefix-shadow-0, ...);
+	// newSpace makes a step — a bump space for the copying collectors, a
+	// one-block free-list space for npms — and reserve the same kind of
+	// space as a reservation, which a shadow stays until a collection
+	// first evacuates into it.
 	prefix   string
 	newSpace func(name string, words int) *heap.Space
+	reserve  func(name string, words int) *heap.Space
 
 	// steps in logical order: index 0 is step 1 (youngest), index k-1 is
 	// step k (oldest).
@@ -60,17 +63,19 @@ type Steps struct {
 // NewSteps creates k steps (and k shadow spaces) of stepWords words each:
 // bump spaces named np-step-i and np-shadow-i.
 func NewSteps(h *heap.Heap, k, stepWords int) *Steps {
-	return NewStepsOf(h, k, stepWords, "np", h.NewSpace)
+	return NewStepsOf(h, k, stepWords, "np", h.NewSpace, h.ReserveSpace)
 }
 
-// NewStepsOf is NewSteps over spaces that newSpace makes, named after
-// prefix. The k steps are created first, as newSpace returns them, then the
-// k shadows, each emptied into the bump form an evacuation fills.
-func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, newSpace func(name string, words int) *heap.Space) *Steps {
+// NewStepsOf is NewSteps over steps that newSpace makes and shadows that
+// reserve makes, named after prefix. The k steps are created first, as
+// newSpace returns them, then the k shadows: reservations in the bump form
+// an evacuation fills, which get their memory from the collection that
+// first evacuates into them.
+func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, newSpace, reserve func(name string, words int) *heap.Space) *Steps {
 	if k < 2 {
 		panic("core: need at least 2 steps")
 	}
-	st := &Steps{H: h, StepWords: stepWords, prefix: prefix, newSpace: newSpace}
+	st := &Steps{H: h, StepWords: stepWords, prefix: prefix, newSpace: newSpace, reserve: reserve}
 	for i := 0; i < k; i++ {
 		st.steps = append(st.steps, st.space("step", i))
 	}
@@ -93,11 +98,9 @@ func (st *Steps) space(kind string, n int) *heap.Space {
 	return st.newSpace(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
 }
 
-// shadow makes an evacuation target: a step space, emptied.
+// shadow makes an evacuation target prefix-kind-n: an empty step, reserved.
 func (st *Steps) shadow(kind string, n int) *heap.Space {
-	s := st.space(kind, n)
-	s.Reset()
-	return s
+	return st.reserve(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
 }
 
 // K returns the number of steps.

@@ -154,6 +154,8 @@ func TestCollectSpillGrowsStepCount(t *testing.T) {
 func blockedSteps(h *heap.Heap, k, stepWords int) *Steps {
 	return NewStepsOf(h, k, stepWords, "npms", func(name string, words int) *heap.Space {
 		return h.NewBlockedSpaceSpan(name, words, words)
+	}, func(name string, words int) *heap.Space {
+		return h.ReserveBlockedSpaceSpan(name, words, words)
 	})
 }
 

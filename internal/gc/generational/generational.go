@@ -68,7 +68,7 @@ func New(h *heap.Heap, nurseryWords, oldWords int, opts ...Option) *Collector {
 	c := &Collector{
 		h:       h,
 		oldFrom: h.NewSpace("old-A", oldWords),
-		oldTo:   h.NewSpace("old-B", oldWords),
+		oldTo:   h.ReserveSpace("old-B", oldWords),
 		rs:      remset.NewHashSet(),
 	}
 	c.evac = heap.NewEvacuator(h, nil)

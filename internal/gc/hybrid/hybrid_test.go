@@ -332,3 +332,58 @@ func TestMinorSpillsIntoFullCollection(t *testing.T) {
 		})
 	}
 }
+
+// TestTenuredMinorSpillsIntoFullCollection builds the spill under a tenuring
+// nursery (threshold 3) directly rather than from seeds, which at this
+// threshold never spilled: a tenuring minor promotes only objects that have
+// survived two minors before, and retains the rest in a survivor shadow as
+// large as the nursery, so what it promotes is small and random heaps leave
+// it room. Here the collected region, steps 3..8, is filled with rooted
+// 57-word vectors (too large for the 32-word nursery, so allocated straight
+// into the steps) down to a 7-word tail each: 42 free words, as many as the
+// nursery holds, but none in a run of more than 7. A 10-word vector in the
+// nursery is retained by the first two minors and promoted by the third,
+// fits no tail, goes to a spill space and ends the minor in a full
+// collection; everything is then intact.
+func TestTenuredMinorSpillsIntoFullCollection(t *testing.T) {
+	h := heap.New(heap.WithConfig(heap.Config{Tenure: 3}))
+	c := New(h, 32, 8, 64, WithGrowth(), WithPolicy(core.FixedJ(2)))
+	s := h.Scope()
+	defer s.Close()
+	var fills []heap.Ref
+	for i := 0; i < 6; i++ {
+		fills = append(fills, h.MakeVector(56, h.Fix(int64(i))))
+	}
+	for p := 2; p < 8; p++ {
+		if free := c.st.Step(p).Free(); free != 7 {
+			t.Fatalf("step %d has %d free words, want 7", p+1, free)
+		}
+	}
+	survivor := h.MakeVector(9, h.Fix(99))
+	for minors := 0; c.stats.Collections < 3; minors++ {
+		if minors == 1000 {
+			t.Fatal("no third collection")
+		}
+		gctest.Churn(h, 1)
+		if n := c.stats.Collections; n < 3 && len(c.spills) != 0 {
+			t.Fatalf("collection %d spilled; only the third should", n)
+		}
+	}
+	if len(c.spills) == 0 || c.stats.WordsTenured == 0 {
+		t.Fatalf("the third minor did not spill (%d spill spaces, %d words tenured)", len(c.spills), c.stats.WordsTenured)
+	}
+	if c.stats.MajorCollections != 1 {
+		t.Errorf("%d major collections; the spill should end the minor in one full collection", c.stats.MajorCollections)
+	}
+	if err := heap.VerifyCollector(h, c); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range fills {
+		if h.VectorLen(v) != 56 || h.FixVal(h.VectorRef(v, 55)) != int64(i) {
+			t.Fatalf("fill vector %d did not survive intact", i)
+		}
+	}
+	if h.VectorLen(survivor) != 9 || h.FixVal(h.VectorRef(survivor, 8)) != 99 {
+		t.Fatal("the promoted survivor did not survive intact")
+	}
+}

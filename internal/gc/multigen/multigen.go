@@ -96,7 +96,7 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 	for i, words := range sizes {
 		c.gens = append(c.gens, h.NewSpace(fmt.Sprintf("gen-%d", i), words))
 	}
-	c.oldTo = h.NewSpace("gen-old-B", sizes[len(sizes)-1])
+	c.oldTo = h.ReserveSpace("gen-old-B", sizes[len(sizes)-1])
 	c.evac = heap.NewEvacuator(h, nil)
 	c.windowRoot = func(obj heap.Word) {
 		// Remembered objects in generations > window may hold the only

@@ -33,7 +33,8 @@ type Collector struct {
 	h *heap.Heap
 	// st is the step machinery. Steps and shadows trade places at every
 	// compaction, so both are one-block free-list spaces; a shadow's table
-	// is empty (bump form) until evacuation has filled it.
+	// is empty (bump form) until evacuation has filled it, and a shadow no
+	// compaction has entered yet is a reservation, without memory.
 	st *core.Steps
 	g  float64 // generation fraction: j = floor(g*k)
 
@@ -93,6 +94,8 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 	}
 	c.st = core.NewStepsOf(h, k, stepWords, "npms", func(name string, words int) *heap.Space {
 		return h.NewBlockedSpaceSpan(name, words, words)
+	}, func(name string, words int) *heap.Space {
+		return h.ReserveBlockedSpaceSpan(name, words, words)
 	})
 	c.st.SetJ(int(c.g * float64(k)))
 	c.marker = heap.NewMarker(h, nil)

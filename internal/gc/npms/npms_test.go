@@ -1,6 +1,7 @@
 package npms
 
 import (
+	"runtime"
 	"testing"
 
 	"rdgc/internal/gc/gctest"
@@ -252,5 +253,27 @@ func TestCollectionsAllocateNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestNewReservesShadows is the construction-bytes guard: New allocates the
+// memory of its k steps and not that of their k shadows, which stay
+// reservations until the first compaction evacuates into them. Shadows
+// made with memory again would double what New allocates.
+func TestNewReservesShadows(t *testing.T) {
+	const k, stepWords = 8, 1 << 16
+	h := heap.New(heap.WithConfig(heap.Config{}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(h, k, stepWords)
+	runtime.ReadMemStats(&after)
+	steps := uint64(k * stepWords * 8) // the steps' arenas, in bytes
+	if got := after.TotalAlloc - before.TotalAlloc; got < steps || got >= steps*5/4 {
+		t.Errorf("New allocated %d bytes; the steps' arenas are %d, and the shadows' memory would be as much again", got, steps)
+	}
+	for _, s := range h.Spaces {
+		if c.st.PosOf(heap.PtrWord(s.ID, 0)) < 0 && s.Mem != nil {
+			t.Errorf("shadow %v has memory", s)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func New(h *heap.Heap, semiWords int, opts ...Option) *Collector {
 	c := &Collector{
 		h:    h,
 		from: h.NewSpace("semispace-A", semiWords),
-		to:   h.NewSpace("semispace-B", semiWords),
+		to:   h.ReserveSpace("semispace-B", semiWords),
 	}
 	c.evac = heap.NewEvacuator(h, nil)
 	for _, o := range opts {

@@ -80,7 +80,7 @@ func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset
 	// Tenuring needs a survivor shadow for within-nursery evacuation; the
 	// adaptive harness arms it even at threshold 1 so the survival counters
 	// flow from the first collection.
-	g.shadow = h.NewSpace(space.Name+"-to", space.Cap())
+	g.shadow = h.ReserveSpace(space.Name+"-to", space.Cap())
 	g.shadowBuf = []*heap.Space{g.shadow}
 	// The heap.PointsInto predicate of both scans: into the live nursery.
 	inNursery := func(w heap.Word) bool { return heap.PtrSpace(w) == g.space.ID }

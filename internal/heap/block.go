@@ -99,17 +99,19 @@ func (bt *BlockTable) clearUnswept(b int) {
 }
 
 // NumBlocks returns the number of blocks the space's capacity spans.
-func (s *Space) NumBlocks() int { return (len(s.Mem) + BlockMask) >> BlockShift }
+func (s *Space) NumBlocks() int { return (s.Cap() + BlockMask) >> BlockShift }
 
 // BlocksReserved returns the blocks of address space the space pins down,
-// rounding its capacity up to whole blocks. Footprint reporting multiplies
-// this by BlockWords.
+// rounding its capacity up to whole blocks, whether or not the space has its
+// memory yet. Footprint reporting multiplies this by BlockWords.
 func (s *Space) BlocksReserved() int { return s.NumBlocks() }
 
 // FootprintWords returns the heap's total reserved footprint: blocks
 // reserved across all spaces times the block size. Unlike occupancy (Used),
 // this counts to-spaces, free-list slack, and pooled large-object spaces —
-// the memory a real process would hold from the OS.
+// the memory a real process would hold from the OS. A reservation's words
+// count from its creation, before it has memory: the footprint is what the
+// collector has claimed, not what the simulation has touched.
 func (h *Heap) FootprintWords() int {
 	n := 0
 	for _, s := range h.Spaces {
@@ -133,13 +135,24 @@ func (h *Heap) NewBlockedSpace(name string, words int) *Space {
 // that no two blocks share a word of the mark bitmap; one block spanning the
 // space (span >= words) may have any length.
 func (h *Heap) NewBlockedSpaceSpan(name string, words, span int) *Space {
+	s := h.ReserveBlockedSpaceSpan(name, words, span)
+	s.allocate(words)
+	s.FreeFrom(0)
+	return s
+}
+
+// ReserveBlockedSpaceSpan is a reservation (ReserveSpace) that carries the
+// block table of NewBlockedSpaceSpan, in the bump form Reset leaves: every
+// free list empty, Top 0. An evacuation fills it like any target, and
+// FreeFrom then turns it into a free-list space.
+func (h *Heap) ReserveBlockedSpaceSpan(name string, words, span int) *Space {
 	if words <= 0 {
 		panic("heap: NewBlockedSpace with non-positive size")
 	}
 	if span < words && (span < BlockWords || span%BlockWords != 0) {
 		panic("heap: block span must be a multiple of BlockWords or cover the space")
 	}
-	s := h.NewSpace(name, words)
+	s := h.ReserveSpace(name, words)
 	n := (words + span - 1) / span
 	s.Blocks = &BlockTable{
 		Span:     span,
@@ -147,7 +160,7 @@ func (h *Heap) NewBlockedSpaceSpan(name string, words, span int) *Space {
 		MaxRun:   make([]int32, n),
 		Unswept:  make([]uint64, (n+63)/64),
 	}
-	s.FreeFrom(0)
+	s.Reset()
 	return s
 }
 

@@ -36,8 +36,9 @@ type Evacuator struct {
 	prefixFree int
 
 	// Overflow, when non-nil, is called with the failing request size when
-	// every target is full; it must return a fresh space with room for the
-	// request, which is appended to Targets. When nil, overflow panics.
+	// every target is full; it must return a fresh space (a reservation will
+	// do) with room for the request, which is appended to Targets. When nil,
+	// overflow panics.
 	Overflow func(need int) *Space
 
 	// from is the from-region: a bitset of SpaceIDs.
@@ -111,15 +112,17 @@ func (e *Evacuator) SetFrom(spaces ...*Space) {
 func (e *Evacuator) From() *SpaceSet { return &e.from }
 
 // Begin re-arms the evacuator for a new collection whose copies land in
-// targets: the work counters reset, the current target tops are recorded as
-// scan bases, the space cache refreshes, and all internal slices reuse
-// their backing arrays. The from-region and Overflow are left as
-// configured; age routing is switched off (BeginTenured switches it on).
+// targets: a target that is still a reservation gets its memory, the work
+// counters reset, the current target tops are recorded as scan bases, the
+// space cache refreshes, and all internal slices reuse their backing arrays.
+// The from-region and Overflow are left as configured; age routing is
+// switched off (BeginTenured switches it on).
 func (e *Evacuator) Begin(targets ...*Space) {
 	e.Targets = append(e.Targets[:0], targets...)
 	e.scanBase = e.scanBase[:0]
 	e.scan = e.scan[:0]
 	for _, t := range e.Targets {
+		t.back()
 		e.scanBase = append(e.scanBase, t.Top)
 		e.scan = append(e.scan, t.Top)
 	}
@@ -167,7 +170,7 @@ func (e *Evacuator) forward(w Word) Word {
 		toSpace, toOff = e.reserveByAge(s, off, hdr, n)
 	}
 	if toSpace == nil { // wholesale, or promoted
-		if ts := e.Targets; n > e.prefixFree && e.cur < len(ts) && ts[e.cur].Free() >= n {
+		if ts := e.Targets; n > e.prefixFree && e.cur < len(ts) && ts[e.cur].Top+n <= len(ts[e.cur].Mem) {
 			// reserve's answer, without the call: nearly every copy lands in
 			// the cursor's target. (A run may begin with no target at all and
 			// take every space from Overflow.)
@@ -232,6 +235,7 @@ func (e *Evacuator) reserve(n int) (*Space, int) {
 			panic(fmt.Sprintf("heap: evacuation overflow: Overflow returned space %q with %d free words, too small for %d",
 				t.Name, t.Free(), n))
 		}
+		t.back()
 		e.Targets = append(e.Targets, t)
 		e.scanBase = append(e.scanBase, t.Top)
 		e.scan = append(e.scan, t.Top)

@@ -45,30 +45,32 @@ type Stats struct {
 }
 
 // GCStats counts collector-side work. The mark/cons ratio of a run is
-// (WordsCopied+WordsMarked)/WordsAllocated.
+// (WordsCopied+WordsMarked)/WordsAllocated. gcserve -json writes it as it
+// stands; the json tags spell the field names, so a renamed field keeps its
+// key until the tag is changed too.
 type GCStats struct {
-	Collections      int
-	MajorCollections int
-	WordsCopied      uint64 // words moved by copying collections
-	WordsMarked      uint64 // words marked in place by mark/sweep collections
-	WordsSwept       uint64 // words examined by sweep phases
-	WordsPromoted    uint64 // words moved from a young to an old generation
-	RemsetPeak       int    // largest remembered set observed
-	RemsetScanned    uint64 // remembered-set entries traced as roots
-	PeakLive         int    // largest post-collection occupancy observed
-	BarrierShades    uint64 // objects shaded gray by the incremental write barrier
+	Collections      int    `json:"Collections"`
+	MajorCollections int    `json:"MajorCollections"`
+	WordsCopied      uint64 `json:"WordsCopied"`   // words moved by copying collections
+	WordsMarked      uint64 `json:"WordsMarked"`   // words marked in place by mark/sweep collections
+	WordsSwept       uint64 `json:"WordsSwept"`    // words examined by sweep phases
+	WordsPromoted    uint64 `json:"WordsPromoted"` // words moved from a young to an old generation
+	RemsetPeak       int    `json:"RemsetPeak"`    // largest remembered set observed
+	RemsetScanned    uint64 `json:"RemsetScanned"` // remembered-set entries traced as roots
+	PeakLive         int    `json:"PeakLive"`      // largest post-collection occupancy observed
+	BarrierShades    uint64 `json:"BarrierShades"` // objects shaded gray by the incremental write barrier
 
 	// Age-based tenuring and adaptive-policy accounting (tenure.go,
 	// internal/policy). All three stay zero under wholesale promotion, so
 	// threshold-1 runs report GCStats bit-identical to pre-tenuring ones.
-	WordsTenured      uint64 // survivor words retained in the nursery by age routing
-	TenureThreshold   int    // threshold in effect after the last tenured collection (0 = wholesale)
-	PolicyAdaptations int    // knob changes applied by the adaptive controller
+	WordsTenured      uint64 `json:"WordsTenured"`      // survivor words retained in the nursery by age routing
+	TenureThreshold   int    `json:"TenureThreshold"`   // threshold in effect after the last tenured collection (0 = wholesale)
+	PolicyAdaptations int    `json:"PolicyAdaptations"` // knob changes applied by the adaptive controller
 
 	// Pauses is the histogram of every mutator-visible pause: one entry per
 	// stop-the-world collection, and in incremental mode one entry per mark
 	// slice, termination phase, and on-demand sweep.
-	Pauses PauseHist
+	Pauses PauseHist `json:"Pauses"`
 }
 
 // MarkCons returns the cumulative mark/cons ratio against the given

@@ -37,7 +37,7 @@ func (h *Heap) TrackIdentity() {
 	}
 	h.identity = true
 	for _, s := range h.Spaces {
-		s.ids = make([]uint32, len(s.Mem))
+		s.ids = make([]uint32, len(s.Mem)) // empty, not nil, on a reservation
 	}
 	h.rearm()
 }

@@ -17,10 +17,10 @@ import (
 // record path does no allocation and no division, so it is cheap enough to
 // sit on every pause, including the sub-block pauses of incremental mode.
 type PauseHist struct {
-	Count      uint64
-	TotalWords uint64
-	MaxWords   uint64
-	Buckets    [65]uint64
+	Count      uint64     `json:"Count"`
+	TotalWords uint64     `json:"TotalWords"`
+	MaxWords   uint64     `json:"MaxWords"`
+	Buckets    [65]uint64 `json:"Buckets"`
 }
 
 // Record adds one pause of the given size.

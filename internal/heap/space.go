@@ -7,10 +7,24 @@ import "fmt"
 // and so on. Allocation within a space is a bump of Top; mark/sweep
 // collectors instead thread a free list through the space and keep Top at
 // the high-water mark so the space stays linearly parsable.
+//
+// A space that only evacuation enters (a to-space, a shadow step) starts as
+// a reservation (ReserveSpace): it has its ID, name and capacity, and no
+// memory. Everything but the memory reads it as an empty space of full
+// capacity — Cap, Free, NumBlocks, the footprint and String all count the
+// reserved words — and the evacuator gives it memory, at exactly that
+// capacity, when a collection first names it as a target (back). Resize
+// gives any space fresh memory; Reset keeps what a space has.
 type Space struct {
-	ID   SpaceID
-	Mem  []Word
-	Top  int // next free word index for bump allocation
+	ID  SpaceID
+	Mem []Word
+	Top int // next free word index for bump allocation
+
+	// reserved is the capacity of a reservation, which has no memory yet
+	// (Mem, marks and dirty are nil), and 0 once the space has memory. It
+	// sits beside Mem and Top, which Cap and Free read with it.
+	reserved int
+
 	Name string
 
 	// Blocks, when non-nil, is the per-block metadata of a mark/sweep-
@@ -25,15 +39,18 @@ type Space struct {
 	// ids is the space's share of the heap's identity table (identity.go):
 	// indexed by header offset, the object's allocation ordinal plus one,
 	// zero where no identified object has its header. Nil unless the heap
-	// tracks identity.
+	// tracks identity; empty, not nil, on a tracked reservation, so that
+	// back knows to size it.
 	ids []uint32
 }
 
-// Cap returns the capacity of the space in words.
-func (s *Space) Cap() int { return len(s.Mem) }
+// Cap returns the capacity of the space in words, reserved words included.
+func (s *Space) Cap() int { return len(s.Mem) + s.reserved }
 
-// Free returns the number of unallocated words remaining for bump allocation.
-func (s *Space) Free() int { return len(s.Mem) - s.Top }
+// Free returns the number of unallocated words remaining for bump
+// allocation, counting a reservation's words as free. (Bump itself refuses
+// every request until the space has memory.)
+func (s *Space) Free() int { return s.Cap() - s.Top }
 
 // Used returns the occupancy of the space: words below the bump pointer.
 func (s *Space) Used() int { return s.Top }
@@ -74,11 +91,27 @@ func (s *Space) Bump(n int) (int, bool) {
 // discarding the old contents, and sizes the side bitmaps (and the identity
 // entries, when the heap tracks identity) to match. It is how collectors grow
 // scratch spaces (to-spaces between collections); reassigning Mem directly
-// would orphan the side tables.
+// would orphan the side tables. A reservation gets its memory here too.
 func (s *Space) Resize(words int) {
 	if words <= 0 {
 		panic("heap: Resize to non-positive size")
 	}
+	s.allocate(words)
+}
+
+// back gives a reservation its memory, at its reserved capacity; a space
+// that has memory is left as it is. The evacuator calls it on each target
+// of a run before copying into any.
+func (s *Space) back() {
+	if s.Mem == nil {
+		s.allocate(s.reserved)
+	}
+}
+
+// allocate is the one place a space's memory is made: a zeroed arena of
+// words words, the side bitmaps to match, and the identity entries when the
+// heap tracks identity. The space comes out empty and no longer reserved.
+func (s *Space) allocate(words int) {
 	s.Mem = make([]Word, words)
 	s.marks = make([]uint64, (words+63)/64)
 	s.dirty = make([]uint64, ((words+BlockMask)>>BlockShift+63)/64)
@@ -86,10 +119,11 @@ func (s *Space) Resize(words int) {
 		s.ids = make([]uint32, words)
 	}
 	s.Top = 0
+	s.reserved = 0
 }
 
 func (s *Space) String() string {
-	return fmt.Sprintf("space %d %q: %d/%d words", s.ID, s.Name, s.Top, len(s.Mem))
+	return fmt.Sprintf("space %d %q: %d/%d words", s.ID, s.Name, s.Top, s.Cap())
 }
 
 // NewSpace creates a space of the given size in words and registers it with
@@ -98,18 +132,26 @@ func (h *Heap) NewSpace(name string, words int) *Space {
 	if words <= 0 {
 		panic("heap: NewSpace with non-positive size")
 	}
+	s := h.ReserveSpace(name, words)
+	s.allocate(words)
+	return s
+}
+
+// ReserveSpace creates a reservation of the given size in words: a space
+// with its ID, name and capacity registered, and no memory until an
+// evacuation first targets it (or Resize gives it some). It is how
+// collectors create the spaces that only evacuation enters, so that a run
+// which never collects into one never pays for it.
+func (h *Heap) ReserveSpace(name string, words int) *Space {
+	if words <= 0 {
+		panic("heap: ReserveSpace with non-positive size")
+	}
 	if len(h.Spaces) >= 1<<16 {
 		panic("heap: too many spaces")
 	}
-	s := &Space{
-		ID:    SpaceID(len(h.Spaces)),
-		Mem:   make([]Word, words),
-		Name:  name,
-		marks: make([]uint64, (words+63)/64),
-		dirty: make([]uint64, ((words+BlockMask)>>BlockShift+63)/64),
-	}
+	s := &Space{ID: SpaceID(len(h.Spaces)), Name: name, reserved: words}
 	if h.identity {
-		s.ids = make([]uint32, words)
+		s.ids = []uint32{}
 	}
 	h.Spaces = append(h.Spaces, s)
 	return s

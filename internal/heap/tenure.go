@@ -53,8 +53,10 @@ type tenureState struct {
 // survivors whose incremented age stays below threshold are copied into
 // the young targets (age advanced in the copy's header), everyone else — and
 // any survivor the full young targets cannot hold — is promoted into the
-// old targets. The run then goes through the ordinary Slot / EvacuateRoots
-// / Drain entry points, which route by age until the next Begin.
+// old targets. A young target that is still a reservation gets its memory
+// here, as Begin's targets do. The run then goes through the ordinary Slot /
+// EvacuateRoots / Drain entry points, which route by age until the next
+// Begin.
 // threshold should be >= 2: threshold 1 is wholesale promotion, which
 // collectors run through plain Begin (the adaptive harness may still drive
 // threshold 1 through here to keep its survival counters flowing; the copy
@@ -71,6 +73,7 @@ func (e *Evacuator) BeginTenured(threshold int, young []*Space, old ...*Space) {
 	t.young = append(t.young[:0], young...)
 	t.youngScan = t.youngScan[:0]
 	for _, y := range young {
+		y.back()
 		t.youngScan = append(t.youngScan, y.Top)
 	}
 	t.survByAge = [TenureAgeClasses]uint64{}

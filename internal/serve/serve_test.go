@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"rdgc/internal/heap"
 )
 
 // smallConfig is a grid cell small enough for unit tests but busy enough
@@ -232,5 +234,39 @@ func TestRunRejectsNegativeSizing(t *testing.T) {
 	}
 	if res.Cfg.Shards != 4 || res.Cfg.WordsPerTick != 64 {
 		t.Errorf("zero sizing ran as shards=%d wpt=%d, want the defaults 4 and 64", res.Cfg.Shards, res.Cfg.WordsPerTick)
+	}
+}
+
+// TestShardLeavesOldToSpaceReserved: a multigen shard at the default sizes
+// runs minor collections only, so its old to-space, which only a major
+// collection evacuates into, stays a reservation for the whole run — no
+// memory, and still its full capacity in the footprint.
+func TestShardLeavesOldToSpaceReserved(t *testing.T) {
+	cfg := Config{Collector: "multigen", Load: LoadConfig{Seed: 1, HorizonTicks: 20000}}.withDefaults()
+	sched, err := Generate(cfg.Load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles, err := ResolveProfiles(sched.Cfg.Profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newShard(cfg, 0, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.run(sched.ShardRequests(0, cfg.Shards))
+	if res.GC.Collections == 0 || res.GC.MajorCollections != 0 {
+		t.Fatalf("%d collections, %d major; the test wants minors only", res.GC.Collections, res.GC.MajorCollections)
+	}
+	var footprint int
+	for _, sp := range s.h.Spaces {
+		if sp.Name == "gen-old-B" && sp.Mem != nil {
+			t.Errorf("%v has memory, and no collection evacuated into it", sp)
+		}
+		footprint += sp.BlocksReserved() * heap.BlockWords
+	}
+	if res.Footprint != footprint {
+		t.Errorf("footprint %d words, the spaces reserve %d", res.Footprint, footprint)
 	}
 }

@@ -10,17 +10,21 @@ import (
 
 // ShardResult is one shard's measurement. Every field is fixed-size, so the
 // struct is comparable with == — the conformance tests pin shard results
-// bit-identical across runs and runner worker counts.
+// bit-identical across runs and runner worker counts. The json tags spell
+// the field names (and heap.GCStats's and heap.PauseHist's do the same), so
+// renaming a field in Go does not rename a key of gcserve -json.
 type ShardResult struct {
-	Shard      int
-	Sessions   uint64 // sessions that issued at least one request here
-	Requests   uint64
-	WordsAlloc uint64 // mutator words allocated by the shard's handlers
-	WordsPause uint64 // collector words the shard's requests waited for
-	FinalTick  uint64 // completion tick of the last request
-	Footprint  int    // heap footprint words at end of run
-	Latency    heap.PauseHist
-	GC         heap.GCStats
+	Shard      int    `json:"Shard"`
+	Sessions   uint64 `json:"Sessions"` // sessions that issued at least one request here
+	Requests   uint64 `json:"Requests"`
+	WordsAlloc uint64 `json:"WordsAlloc"` // mutator words allocated by the shard's handlers
+	WordsPause uint64 `json:"WordsPause"` // collector words the shard's requests waited for
+	FinalTick  uint64 `json:"FinalTick"`  // completion tick of the last request
+	// Footprint is heap.FootprintWords at the end of the run: every space's
+	// reserved words, whether or not the space has been given memory yet.
+	Footprint int            `json:"Footprint"`
+	Latency   heap.PauseHist `json:"Latency"`
+	GC        heap.GCStats   `json:"GC"`
 }
 
 // session is the shard-local state of one live tenant: the root slot that
@@ -51,6 +55,15 @@ type shard struct {
 // times. It is the unit the runner parallelizes; everything it touches is
 // shard-local, so shards share no mutable state.
 func runShard(cfg Config, idx int, reqs []Request, profiles []*Profile) (ShardResult, error) {
+	s, err := newShard(cfg, idx, profiles)
+	if err != nil {
+		return ShardResult{}, err
+	}
+	return s.run(reqs), nil
+}
+
+// newShard builds shard idx: its heap under cfg's collector and modes.
+func newShard(cfg Config, idx int, profiles []*Profile) (*shard, error) {
 	h := heap.New(heap.WithConfig(heap.Config{
 		Incremental: cfg.Incremental,
 		SliceBudget: cfg.SliceBudget,
@@ -59,19 +72,25 @@ func runShard(cfg Config, idx int, reqs []Request, profiles []*Profile) (ShardRe
 	}))
 	col, err := collectorByName(h, cfg.Collector, cfg.HeapWords)
 	if err != nil {
-		return ShardResult{}, err
+		return nil, err
 	}
-	s := &shard{
+	return &shard{
 		h:        h,
 		col:      col,
 		cfg:      cfg,
 		profiles: profiles,
 		live:     make(map[uint64]session),
 		res:      ShardResult{Shard: idx},
-	}
+	}, nil
+}
+
+// run serves reqs, the shard's slice of the request stream, in order and
+// returns the shard's measurement.
+func (s *shard) run(reqs []Request) ShardResult {
 	// Every allocation happens while some request is in flight, so the raw
 	// pause stream attributes each collection (or incremental slice) to the
 	// request that triggered it.
+	h := s.h
 	h.SetPauseLog(func(words uint64) { s.pausew += words })
 	defer h.SetPauseLog(nil)
 
@@ -81,9 +100,9 @@ func runShard(cfg Config, idx int, reqs []Request, profiles []*Profile) (ShardRe
 		s.serve(req)
 	}
 	s.res.Footprint = h.FootprintWords()
-	s.res.GC = *col.GCStats()
+	s.res.GC = *s.col.GCStats()
 	s.res.WordsAlloc = h.Stats.WordsAllocated
-	return s.res, nil
+	return s.res
 }
 
 // serve processes one request through the shard's FIFO queue: expire dead
