@@ -34,9 +34,11 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # collector's allocation makes: a reservation (a space without memory) needs
 # no test of its own there, since Bump refuses it by its length alone.
 # A change that pushes one of them over the budget fails here by name, as
-# does one that stops the young generation's allocation trigger inlining
-# into any of the three collectors built on it.
-inl=$(go build -gcflags=-m ./internal/heap ./internal/gc/... 2>&1)
+# does one that stops an allocation ladder's fast path running in line: the
+# nursery trigger and the bump in young.(*Gen).AllocRaw (the heap's
+# allocator under the three youngest-first collectors), and the step bump
+# in core.(*Collector).AllocRaw.
+inl=$(go build -gcflags=-m ./internal/heap ./internal/core ./internal/gc/... 2>&1)
 for fn in '(*Heap).push' '(*Heap).Get' 'FixnumVal' '(*Heap).isType' \
     '(*Heap).IsPair' '(*Heap).IsVector' '(*Heap).IsSymbol' '(*Heap).IsFlonum' \
     '(*Heap).Car' '(*Heap).Cdr' '(*Heap).Scope' 'Scope.Close' '(*Evacuator).cursor' \
@@ -46,12 +48,21 @@ for fn in '(*Heap).push' '(*Heap).Get' 'FixnumVal' '(*Heap).isType' \
         exit 1
     fi
 done
-for c in generational multigen hybrid; do
-    if ! printf '%s\n' "$inl" | grep -q "^internal/gc/$c/.*inlining call to young\.(\*Gen)\.Full$"; then
-        echo "ci: young.(*Gen).Full no longer inlines into $c" >&2
+# inlines_into FILE FUNC CALLEE: some call to CALLEE inside the body of
+# FUNC (its header line begins "func FUNC(") in FILE is inlined.
+inlines_into() {
+    lo=$(grep -nF "func $2(" "$1" | head -n 1 | cut -d: -f1)
+    hi=$(awk -v lo="${lo:-0}" 'NR > lo && /^}/ { print NR; exit }' "$1")
+    if [ -z "$lo" ] || ! printf '%s\n' "$inl" | awk -F: -v f="$1" -v lo="$lo" -v hi="$hi" -v want="inlining call to $3" '
+        $1 == f && $2 > lo && $2 < hi && substr($0, length($0) - length(want) + 1) == want { found = 1 }
+        END { exit !found }'; then
+        echo "ci: $3 no longer inlines into $2 in $1 (go build -gcflags=-m=2 says why)" >&2
         exit 1
     fi
-done
+}
+inlines_into internal/gc/young/young.go '(g *Gen) AllocRaw' '(*Gen).full'
+inlines_into internal/gc/young/young.go '(g *Gen) AllocRaw' 'heap.(*Space).Bump'
+inlines_into internal/core/collector.go '(c *Collector) AllocRaw' '(*Steps).Bump'
 # The trace reader's varint helper decodes one- to three-byte varints in
 # line at every one of (*Reader).Next's decode sites (it is called nowhere
 # else); a change that pushes it over the budget turns each into a call.
@@ -109,8 +120,9 @@ check_cover ./internal/core 91
 check_cover ./internal/decay 95
 # The shared young-generation step and the three collectors built on it:
 # the step's own tests are the wholesale-vs-tenured differential, the carry
-# bookkeeping and the allocation guards; each collector's floor covers what
-# is left to it (promotion targets, remembered-set rules, majors).
+# bookkeeping, the allocation ladder's rungs and the allocation guards; each
+# collector's floor covers what is left to it (promotion targets,
+# remembered-set rules, majors).
 check_cover ./internal/gc/young 90
 check_cover ./internal/gc/generational 90
 check_cover ./internal/gc/multigen 85

@@ -6,7 +6,7 @@
 //
 //	gctrace record [-quick] [-census] [-collector NAME] [-o FILE] WORKLOAD
 //	gctrace replay [-collector NAME|all] [-verify] [-shards N] [-parallel N] [-progress] [-gc*] FILE
-//	gctrace synth -op OP [-o FILE] [-compress] [-seed N] [-chunk N] [-n N] [-scale NUM/DEN] FILE...
+//	gctrace synth -op OP [-o FILE] [-compress] [-seed N] [-chunk N] [-n N] FILE...
 //	gctrace stat FILE...
 //	gctrace cat [-n N] FILE
 //
@@ -26,11 +26,10 @@
 // -parallel count. The four -gc* flags (heap.ConfigFlags) configure every
 // replay heap.
 //
-// synth composes traces: splice concatenates, interleave merges K traces as
-// independent sessions of one corpus, amplify self-interleaves N salted
-// copies of one trace, and timescale stretches or compresses the
-// collect-boundary density by NUM/DEN. All operators re-base object and
-// root namespaces so the output replays exactly like its inputs.
+// synth composes traces: interleave merges K traces as independent sessions
+// of one corpus, and amplify self-interleaves N salted copies of one trace.
+// Both operators re-base object and root namespaces so the output replays
+// exactly like its inputs.
 //
 // stat aggregates a trace without replaying it: event and allocation
 // profiles, plus an upper-bound lifetime histogram in allocated words.
@@ -45,7 +44,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"rdgc/internal/bench"
 	"rdgc/internal/experiments"
@@ -90,7 +88,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   gctrace record [-quick] [-census] [-collector NAME] [-o FILE] WORKLOAD
   gctrace replay [-collector NAME|all] [-verify] [-shards N] [-parallel N] [-progress] FILE
-  gctrace synth -op splice|interleave|amplify|timescale [-o FILE] [-compress] [-seed N] [-chunk N] [-n N] [-scale NUM/DEN] FILE...
+  gctrace synth -op interleave|amplify [-o FILE] [-compress] [-seed N] [-chunk N] [-n N] FILE...
   gctrace stat FILE...
   gctrace cat [-n N] FILE
 
@@ -186,13 +184,12 @@ func openTraces(paths []string) ([]*trace.Reader, func(), error) {
 
 func cmdSynth(args []string) error {
 	fs := flag.NewFlagSet("gctrace synth", flag.ExitOnError)
-	op := fs.String("op", "", "composition operator: splice, interleave, amplify, or timescale")
+	op := fs.String("op", "", "composition operator: interleave or amplify")
 	out := fs.String("o", "synth.trace", "output trace file")
 	compress := fs.Bool("compress", false, "write the output with per-block compression")
 	seed := fs.Uint64("seed", 0, "seeded pseudo-random interleave schedule (0 = strict round-robin)")
 	chunk := fs.Int("chunk", 0, "minimum events per scheduling turn (0 = default)")
 	n := fs.Int("n", 0, "amplify: number of salted copies to self-interleave")
-	scale := fs.String("scale", "", "timescale: collect-density ratio NUM/DEN (e.g. 2/1 doubles, 1/2 halves)")
 	fs.Parse(args)
 	opt := trace.SynthOptions{Compress: *compress, Seed: *seed, Chunk: *chunk}
 
@@ -205,21 +202,16 @@ func cmdSynth(args []string) error {
 
 	var tr trace.Trailer
 	switch *op {
-	case "splice", "interleave":
+	case "interleave":
 		if fs.NArg() < 1 {
-			return fmt.Errorf("%s needs at least one input trace", *op)
+			return fmt.Errorf("interleave needs at least one input trace")
 		}
 		rds, closeAll, err := openTraces(fs.Args())
 		if err != nil {
 			return err
 		}
 		defer closeAll()
-		if *op == "splice" {
-			tr, err = trace.Splice(bw, rds, opt)
-		} else {
-			tr, err = trace.Interleave(bw, rds, opt)
-		}
-		if err != nil {
+		if tr, err = trace.Interleave(bw, rds, opt); err != nil {
 			return err
 		}
 	case "amplify":
@@ -236,24 +228,8 @@ func cmdSynth(args []string) error {
 		if tr, err = trace.Amplify(bw, data, *n, opt); err != nil {
 			return err
 		}
-	case "timescale":
-		if fs.NArg() != 1 {
-			return fmt.Errorf("timescale needs exactly one input trace")
-		}
-		num, den, err := parseScale(*scale)
-		if err != nil {
-			return err
-		}
-		rds, closeAll, err := openTraces(fs.Args())
-		if err != nil {
-			return err
-		}
-		defer closeAll()
-		if tr, err = trace.TimeScale(bw, rds[0], num, den, opt); err != nil {
-			return err
-		}
 	case "":
-		return fmt.Errorf("synth needs -op (splice, interleave, amplify, or timescale)")
+		return fmt.Errorf("synth needs -op (interleave or amplify)")
 	default:
 		return fmt.Errorf("unknown synth op %q", *op)
 	}
@@ -266,24 +242,6 @@ func cmdSynth(args []string) error {
 	fmt.Printf("%s: %s of %d input(s): %d events, %d words, %d objects\n",
 		*out, *op, fs.NArg(), tr.Events, tr.WordsAllocated, tr.ObjectsAllocated)
 	return nil
-}
-
-// parseScale parses a NUM/DEN collect-density ratio.
-func parseScale(s string) (num, den int, err error) {
-	a, b, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("timescale needs -scale NUM/DEN (e.g. 2/1)")
-	}
-	if num, err = strconv.Atoi(a); err != nil {
-		return 0, 0, fmt.Errorf("bad -scale numerator %q", a)
-	}
-	if den, err = strconv.Atoi(b); err != nil {
-		return 0, 0, fmt.Errorf("bad -scale denominator %q", b)
-	}
-	if num < 0 || den <= 0 {
-		return 0, 0, fmt.Errorf("-scale needs NUM >= 0 and DEN > 0")
-	}
-	return num, den, nil
 }
 
 // replayGrid reconstructs the collector grid a trace should replay under,

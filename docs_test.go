@@ -86,7 +86,10 @@ func TestDocPointersResolve(t *testing.T) {
 // the tests that replayed workloads on several heaps in their place; the
 // hybrid's static area and the exports no non-test code reached; the
 // per-collector collection epilogues that Heap.EndCollection replaced, with
-// the pause mirrors and the adaptive controller's six unset parameters),
+// the pause mirrors and the adaptive controller's six unset parameters; the
+// collectors' copies of the allocation ladders and remembered-set root
+// closures that young.Gen and core.Steps replaced; the trace splice and
+// time-scale operators with their tests),
 // and the hook by its plain name, may not be named
 // by README.md, DESIGN.md or EXPERIMENTS.md — outside a section whose heading
 // dates it to a PR or an issue, which is history and stays as written — nor
@@ -102,7 +105,8 @@ func TestDocsNameNothingDeleted(t *testing.T) {
 		`TestParallel(Mark|Evac|Sweep|Shadow|Collection|SingleTarget)\w*|TestLAB\w*|TestCollectorsConcurrently|` +
 		`TestDecayDeterministicUnderConcurrency|TestRecordReplayAtNWorkers|TestSpaceSetConcurrentReaders|` +
 		`TotalPauseWords|MaxPauseWords|GCStats\.(AddPause|NoteLive)|notePeaks?|Heap\.AfterGC|` +
-		`Alpha|MaxThreshold|TargetSurvival|MinSampleWords|Hysteresis|OldCopyCost|TestConfigDefaults)\b`)
+		`Alpha|MaxThreshold|TargetSurvival|MinSampleWords|Hysteresis|OldCopyCost|TestConfigDefaults|` +
+		`allocDynamic|allocOld|npExtra|npScan|evacRoots|TimeScale|TestSpliceSelf|TestTimeScale)\b`)
 	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB)\b[^"]*"`)
 	heading := regexp.MustCompile(`^#+ `)
 	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)

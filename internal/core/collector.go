@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"rdgc/internal/heap"
 	"rdgc/internal/remset"
 )
@@ -20,13 +18,8 @@ type Collector struct {
 	policy    JPolicy
 	allowGrow bool
 
-	// Persistent closures for the collection hot path, created once in New
-	// so steady-state collections allocate nothing. extraRoots scans the
-	// remembered set as roots; scanEvac holds the evacuation function for
-	// the duration of one collection; rememberFn caches rs.Remember.
-	extraRoots func(evac func(slot *heap.Word))
-	scanObj    func(obj heap.Word)
-	scanEvac   func(slot *heap.Word)
+	// rememberFn caches rs.Remember, so steady-state collections allocate
+	// nothing.
 	rememberFn func(obj heap.Word)
 
 	stats heap.GCStats
@@ -56,22 +49,6 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	c.scanObj = func(obj heap.Word) {
-		// Entries lie in steps 1..j and their fields are roots — except under
-		// FullCollect, whose j = 0 puts every one of them inside the collected
-		// region: those are scanned when copied, and their old headers may
-		// already hold forwarding pointers.
-		if c.st.InOld(obj) {
-			return
-		}
-		c.stats.RemsetScanned++
-		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.scanEvac)
-	}
-	c.extraRoots = func(evac func(slot *heap.Word)) {
-		c.scanEvac = evac
-		c.rs.ForEach(c.scanObj)
-		c.scanEvac = nil
 	}
 	c.rememberFn = c.rs.Remember
 	c.st.SetJ(c.policy.ChooseJ(k, k)) // all steps start empty
@@ -127,44 +104,30 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 }
 
 // AllocRaw implements heap.Allocator: allocate in the highest-numbered step
-// with free space; when all steps are full, collect steps j+1..k.
+// with free space; when all steps are full, collect steps j+1..k (the
+// ladder of Steps.Alloc).
 func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 	total := 1 + payload + c.h.ExtraWords()
-	if total > c.st.StepWords {
-		panic(fmt.Sprintf("core: object of %d words exceeds the step size %d", total, c.st.StepWords))
+	s, off, ok := c.st.Bump(total)
+	if !ok {
+		s, off = c.st.Alloc(total, c.Collect, c.allowGrow)
 	}
-	for attempt := 0; ; attempt++ {
-		if s, off, ok := c.st.Bump(total); ok {
-			return c.h.InitObject(s, off, t, payload)
-		}
-		if attempt > 0 {
-			if !c.allowGrow {
-				panic("core: out of memory: steps full immediately after collection")
-			}
-			c.st.AddSteps(1)
-			continue
-		}
-		c.Collect()
-	}
+	return c.h.InitObject(s, off, t, payload)
 }
 
 // Collect implements heap.Collector: one non-predictive collection of
 // steps j+1..k, followed by renaming and the choice of a new j.
 func (c *Collector) Collect() {
-	copied := c.st.Collect(nil, c.extraRoots, c.allowGrow)
+	// Remembered entries lie in steps 1..j and their fields are roots —
+	// except under FullCollect, whose j = 0 puts every one of them inside
+	// the collected region, where Steps.Collect skips them.
+	copied := c.st.Collect(nil, []remset.Set{c.rs}, &c.stats.RemsetScanned, c.allowGrow)
 
 	c.rs.Clear()
-	if c.allowGrow {
-		// Keep the load factor sane after growth-mode collections.
-		for c.st.FreeWords() < c.st.K()*c.st.StepWords/3 {
-			c.st.AddSteps(1)
-		}
-	}
-	c.st.SetJ(c.policy.ChooseJ(c.st.EmptyYoungest(), c.st.K()))
 	// Situation 4 (§8.4): survivors that landed in the new steps 1..j must
 	// re-enter the remembered set if they point into steps j+1..k. Under
 	// the recommended policy steps 1..j are empty and this scans nothing.
-	c.st.ScanYoungForOldPointers(c.rememberFn)
+	c.st.Renew(c.policy, c.allowGrow, 0, c.rememberFn)
 
 	c.stats.WordsCopied += copied
 	c.h.EndCollection(&c.stats, true, copied, c.st.LiveStepWords(), c.rs.Peak())

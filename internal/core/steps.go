@@ -17,13 +17,15 @@ import (
 	"fmt"
 
 	"rdgc/internal/heap"
+	"rdgc/internal/remset"
 )
 
 // Steps is the step machinery shared by the standalone non-predictive
 // collector, the Larceny-style hybrid collector and the mark/sweep variant
 // of internal/gc/npms: the ordered step list, the shadow spaces that copying
 // collections evacuate into, the logical renaming, the allocation cursor
-// and the j bookkeeping.
+// and the j bookkeeping — and, for the two copying collectors, the
+// allocation ladder (Alloc) and the tail of a collection (Renew).
 type Steps struct {
 	H         *heap.Heap
 	StepWords int
@@ -48,10 +50,14 @@ type Steps struct {
 	allocIdx int // highest position with free space, or -1 when all full
 
 	// evac is the persistent Cheney engine, re-armed per collection with
-	// the from-set steps j+1..k (plus the caller's extra space). The
-	// remaining slices are reusable scratch for the target list and the
-	// renamings, so steady-state collections allocate nothing.
+	// the from-set steps j+1..k (plus the caller's extra space). remsetRoot
+	// scans a remembered-set entry as roots, counting into scanned for the
+	// collection in progress. The remaining slices are reusable scratch for
+	// the target list and the renamings, so steady-state collections
+	// allocate nothing.
 	evac       *heap.Evacuator
+	remsetRoot func(obj heap.Word)
+	scanned    *uint64
 	overflow   func(int) *heap.Space
 	spares     []*heap.Space
 	targetsBuf []*heap.Space
@@ -83,6 +89,15 @@ func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, newSpace, reserve
 		st.shadows = append(st.shadows, st.shadow("shadow", i))
 	}
 	st.evac = heap.NewEvacuator(h, nil)
+	st.remsetRoot = func(obj heap.Word) {
+		// An entry inside the collected region is scanned when it is
+		// copied, and its old header may already hold a forwarding pointer.
+		if st.evac.From().HasPtr(obj) {
+			return
+		}
+		*st.scanned++
+		heap.ScanObject(st.H.SpaceOf(obj), heap.PtrOff(obj), st.evac.Slot())
+	}
 	st.overflow = func(int) *heap.Space {
 		sp := st.shadow("spill", len(st.H.Spaces))
 		st.spares = append(st.spares, sp)
@@ -228,19 +243,43 @@ func (st *Steps) Bump(total int) (*heap.Space, int, bool) {
 	return nil, 0, false
 }
 
+// Alloc is the allocation ladder over the steps, for an allocation of
+// total words: an object larger than a step is a bug and panics; when no
+// step holds it, collect runs, and when none holds it after the collection
+// either, a step is added if grow permits, otherwise the heap is out of
+// memory. It returns the space and offset Bump found.
+func (st *Steps) Alloc(total int, collect func(), grow bool) (*heap.Space, int) {
+	if total > st.StepWords {
+		panic(fmt.Sprintf("core: object of %d words exceeds the step size %d", total, st.StepWords))
+	}
+	for attempt := 0; ; attempt++ {
+		if s, off, ok := st.Bump(total); ok {
+			return s, off
+		}
+		if attempt > 0 {
+			if !grow {
+				panic("core: out of memory: steps full immediately after collection")
+			}
+			st.AddSteps(1)
+			continue
+		}
+		collect()
+	}
+}
+
 // Collect performs one non-predictive collection: steps j+1..k (plus the
 // spaces in alsoFrom — e.g. the hybrid's nursery) are evacuated as a
 // single generation into shadow spaces, and the steps are renamed per
-// Section 4. extraRoots, if non-nil, is called with the evacuation function
-// so callers can treat remembered-set entries as roots. When the survivors
+// Section 4. The entries of sets are roots, each entry counted into
+// *scanned, except entries inside the collected region. When the survivors
 // (plus promoted storage) overflow the k-j primary target steps, spare
 // shadows absorb them and the step count grows — permitted only with
 // allowGrow, otherwise the collection panics as a heap overflow.
 //
 // On return the collected spaces have become the new shadows, steps have
 // been renamed, and the allocation cursor is recomputed. The caller is
-// responsible for choosing a new j and rebuilding remembered sets.
-func (st *Steps) Collect(alsoFrom []*heap.Space, extraRoots func(evac func(slot *heap.Word)), allowGrow bool) uint64 {
+// responsible for choosing a new j and rebuilding remembered sets (Renew).
+func (st *Steps) Collect(alsoFrom []*heap.Space, sets []remset.Set, scanned *uint64, allowGrow bool) uint64 {
 	k, j := st.K(), st.j
 	nNew := k - j
 	primary := st.shadows[:nNew] // primary[i] becomes the new step at position i
@@ -267,8 +306,9 @@ func (st *Steps) Collect(alsoFrom []*heap.Space, extraRoots func(evac func(slot 
 		e.Overflow = nil
 	}
 	e.EvacuateRoots()
-	if extraRoots != nil {
-		extraRoots(e.Slot())
+	st.scanned = scanned
+	for _, rs := range sets {
+		rs.ForEach(st.remsetRoot)
 	}
 	e.Drain()
 
@@ -312,6 +352,22 @@ func (st *Steps) Collect(alsoFrom []*heap.Space, extraRoots func(evac func(slot 
 		st.j = st.K() - 1
 	}
 	return e.WordsCopied
+}
+
+// Renew is the tail of a copying collection, once the caller has cleared
+// its remembered sets. With grow, steps are added until a third of the step
+// heap is free, and at least floor words, so the next collection does not
+// follow at once; then j is chosen by policy, and the situation-4 rescan
+// (ScanYoungForOldPointers) hands remember the young-step objects that
+// point into steps j+1..k.
+func (st *Steps) Renew(policy JPolicy, grow bool, floor int, remember func(obj heap.Word)) {
+	if grow {
+		for st.FreeWords() < st.K()*st.StepWords/3 || st.FreeWords() < floor {
+			st.AddSteps(1)
+		}
+	}
+	st.SetJ(policy.ChooseJ(st.EmptyYoungest(), st.K()))
+	st.ScanYoungForOldPointers(remember)
 }
 
 // AddSteps inserts n empty steps at the young end, growing the heap without

@@ -123,7 +123,7 @@ func TestCollectSpillGrowsStepCount(t *testing.T) {
 	}
 
 	kBefore := c.Steps().K()
-	copied := c.Steps().Collect([]*heap.Space{side}, nil, true)
+	copied := c.Steps().Collect([]*heap.Space{side}, nil, nil, true)
 	if copied == 0 {
 		t.Fatal("nothing copied")
 	}
@@ -316,7 +316,7 @@ func TestCollectIntoBlockedShadows(t *testing.T) {
 		}
 	}
 
-	copied := st.Collect(nil, nil, false)
+	copied := st.Collect(nil, nil, nil, false)
 	if want := uint64((k - j) * perStep / 2 * 3); copied != want {
 		t.Errorf("copied %d words, want %d", copied, want)
 	}

@@ -82,7 +82,7 @@ func censusOpts(census bool) []heap.Option {
 // heaps shrunk by shortDiv. At full size a short run collects little more
 // than the four times RandomOps forces; shrunk, it collects tens of times
 // (seed 1000: generational 28, hybrid 54). Two mutations of multigen's
-// remembered-set refilter, skipping it after collectUpTo and keeping the
+// remembered-set refilter, skipping it after a window collection and keeping the
 // stale entries, fail none of the long seeds and 9 and 29 of seeds
 // 1000-1599; shortRuns is the count that catches the rarer with 90% odds.
 const (

@@ -34,7 +34,7 @@ func TestMinorSteadyStateZeroAllocs(t *testing.T) {
 	// One permanently live old object whose car will point into the nursery,
 	// giving every minor collection a remembered-set entry to scan.
 	h.GlobalWord(fillNursery(t, c, h, 1))
-	c.minor() // promotes it to the old area; warms up the evacuator + remset
+	c.Minor(0) // promotes it to the old area; warms up the evacuator + remset
 	var oldObj heap.Word
 	h.VisitRoots(func(slot *heap.Word) {
 		if heap.IsPtr(*slot) {
@@ -49,7 +49,7 @@ func TestMinorSteadyStateZeroAllocs(t *testing.T) {
 		head := fillNursery(t, c, h, 100)
 		h.SpaceOf(oldObj).Mem[heap.PtrOff(oldObj)+1] = head
 		c.RecordWrite(oldObj, head)
-		c.minor()
+		c.Minor(0)
 	}
 	cycle() // warmup: hash-set table and pause histogram size themselves
 

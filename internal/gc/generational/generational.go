@@ -79,9 +79,9 @@ func New(h *heap.Heap, nurseryWords, oldWords int, opts ...Option) *Collector {
 	for _, o := range opts {
 		o(c)
 	}
-	c.young.Init(h, nursery, c.evac, c.rs, &c.stats)
+	c.young.Init(h, nursery, c.evac, c.rs, &c.stats, c)
 	c.tenurer = &c.young
-	h.SetAllocator(c)
+	h.SetAllocator(&c.young)
 	h.SetBarrier(c)
 	return c
 }
@@ -130,33 +130,15 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 	c.rs.Remember(obj)
 }
 
-// AllocRaw implements heap.Allocator. Objects too large for the nursery go
-// directly to the old area, as real generational systems do.
-func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
-	total := 1 + payload + c.h.ExtraWords()
-	if total > c.young.Space().Cap()/2 {
-		return c.allocOld(t, payload, total)
-	}
-	if c.young.Full(total) {
-		c.minor()
-	}
-	off, ok := c.young.Space().Bump(total)
-	if !ok && c.young.Tenured() {
-		// Retained survivors can leave too little room even after a minor;
-		// a major empties the nursery wholesale and guarantees progress.
-		c.major(total)
-		off, ok = c.young.Space().Bump(total)
-	}
-	if !ok {
-		panic(fmt.Sprintf("generational: nursery cannot hold %d words", total))
-	}
-	return c.h.InitObject(c.young.Space(), off, t, payload)
-}
+// AllocRaw implements heap.Allocator with the nursery's ladder (young.Gen).
+func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word { return c.young.AllocRaw(t, payload) }
 
-func (c *Collector) allocOld(t heap.Type, payload, total int) heap.Word {
+// AllocOld implements young.Old: objects too large for the nursery go
+// directly to the old area, as real generational systems do.
+func (c *Collector) AllocOld(t heap.Type, payload, total int) heap.Word {
 	off, ok := c.oldFrom.Bump(total)
 	if !ok {
-		c.major(total)
+		c.Major(total)
 		off, ok = c.oldFrom.Bump(total)
 		if !ok {
 			panic(fmt.Sprintf("generational: old area cannot hold %d words", total))
@@ -165,13 +147,14 @@ func (c *Collector) allocOld(t heap.Type, payload, total int) heap.Word {
 	return c.h.InitObject(c.oldFrom, off, t, payload)
 }
 
-// minor collects the nursery through the shared young step: survivors are
-// promoted to the old area, except those a tenuring nursery retains.
-func (c *Collector) minor() {
+// Minor implements young.Old: it collects the nursery through the shared
+// young step, promoting survivors to the old area except those a tenuring
+// nursery retains.
+func (c *Collector) Minor(int) {
 	nursery := c.young.Space()
 	if c.oldFrom.Free() < nursery.Used() {
 		// Not enough headroom to promote the worst case: collect everything.
-		c.major(nursery.Used())
+		c.Major(nursery.Used())
 		return
 	}
 	e := c.evac
@@ -192,8 +175,10 @@ func (c *Collector) scanRemset() {
 	c.rs.ForEach(c.remsetRoot)
 }
 
-// major collects both generations into the old to-space and flips.
-func (c *Collector) major(need int) {
+// Major implements young.Old: it collects both generations into the old
+// to-space and flips, leaving need words of headroom when the old area
+// may expand.
+func (c *Collector) Major(need int) {
 	if c.expand > 0 {
 		// Worst case: everything currently allocated survives.
 		worst := c.oldFrom.Used() + c.young.Space().Used() + need
@@ -235,4 +220,4 @@ func (c *Collector) major(need int) {
 }
 
 // Collect implements heap.Collector with a full (major) collection.
-func (c *Collector) Collect() { c.major(0) }
+func (c *Collector) Collect() { c.Major(0) }

@@ -44,13 +44,10 @@ type Collector struct {
 	// Persistent machinery for the collection hot paths, created once in New
 	// so steady-state promoting collections allocate nothing: the Cheney
 	// engine (re-armed with SetFrom per collection), the remembered-set
-	// root visitors, and a reusable target-list buffer.
+	// visitors, and a reusable target-list buffer.
 	evac        *heap.Evacuator
 	rsARoot     func(obj heap.Word)
 	promoRegion func(s *heap.Space, from, to int)
-	npScan      func(obj heap.Word)
-	npExtra     func(evac func(slot *heap.Word))
-	npEvac      func(slot *heap.Word)
 	rememberB   func(obj heap.Word)
 	rsAPromoted func(obj heap.Word)
 	targetsBuf  []*heap.Space
@@ -111,24 +108,6 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 			}
 		}
 	}
-	c.npScan = func(obj heap.Word) {
-		// Remembered objects in the uncollected steps 1..j may hold the only
-		// pointers into the nursery (set A) or into steps j+1..k (set B);
-		// their fields are roots. Entries located inside the collected region
-		// must be skipped: they are scanned when copied, and their old
-		// headers may already hold forwarding pointers.
-		if c.st.InOld(obj) || heap.PtrSpace(obj) == c.young.Space().ID {
-			return
-		}
-		c.stats.RemsetScanned++
-		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.npEvac)
-	}
-	c.npExtra = func(evac func(slot *heap.Word)) {
-		c.npEvac = evac
-		c.rsA.ForEach(c.npScan)
-		c.rsB.ForEach(c.npScan)
-		c.npEvac = nil
-	}
 	c.rememberB = c.rsB.Remember
 	c.rsAPromoted = func(obj heap.Word) {
 		// A promoting collection moves every nursery referent into the
@@ -141,9 +120,9 @@ func New(h *heap.Heap, nurseryWords, k, stepWords int, opts ...Option) *Collecto
 		}
 	}
 	c.st.SetJ(c.policy.ChooseJ(k, k))
-	c.young.Init(h, nursery, c.evac, c.rsA, &c.stats)
+	c.young.Init(h, nursery, c.evac, c.rsA, &c.stats, c)
 	c.tenurer = &c.young
-	h.SetAllocator(c)
+	h.SetAllocator(&c.young)
 	h.SetBarrier(c)
 	return c
 }
@@ -208,51 +187,18 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 	}
 }
 
-// AllocRaw implements heap.Allocator. Objects too large for the nursery are
-// allocated directly in the dynamic area.
-func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
-	total := 1 + payload + c.h.ExtraWords()
-	if total > c.young.Space().Cap()/2 {
-		return c.allocDynamic(t, payload, total)
-	}
-	if c.young.Full(total) {
-		c.minor()
-	}
-	off, ok := c.young.Space().Bump(total)
-	if !ok && c.young.Tenured() {
-		// Retained survivors can leave too little room even after a
-		// promoting collection; a non-predictive collection empties the
-		// nursery wholesale and guarantees progress.
-		c.npCollect()
-		off, ok = c.young.Space().Bump(total)
-	}
-	if !ok {
-		panic(fmt.Sprintf("hybrid: nursery cannot hold %d words", total))
-	}
-	return c.h.InitObject(c.young.Space(), off, t, payload)
+// AllocRaw implements heap.Allocator with the nursery's ladder (young.Gen).
+func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word { return c.young.AllocRaw(t, payload) }
+
+// AllocOld implements young.Old: objects too large for the nursery are
+// allocated directly in the dynamic area, on the ladder of Steps.Alloc.
+func (c *Collector) AllocOld(t heap.Type, payload, total int) heap.Word {
+	s, off := c.st.Alloc(total, c.Collect, c.allowGrow)
+	return c.h.InitObject(s, off, t, payload)
 }
 
-func (c *Collector) allocDynamic(t heap.Type, payload, total int) heap.Word {
-	if total > c.st.StepWords {
-		panic(fmt.Sprintf("hybrid: object of %d words exceeds the step size %d", total, c.st.StepWords))
-	}
-	for attempt := 0; ; attempt++ {
-		if s, off, ok := c.st.Bump(total); ok {
-			w := c.h.InitObject(s, off, t, payload)
-			return w
-		}
-		if attempt > 0 {
-			if !c.allowGrow {
-				panic("hybrid: dynamic area full immediately after collection")
-			}
-			c.st.AddSteps(1)
-			continue
-		}
-		c.npCollect()
-	}
-}
-
-// minor runs a promoting collection through the shared young step.
+// Minor implements young.Old with a promoting collection through the
+// shared young step.
 // Following §8.4, Larceny decides up front whether *all* promoted survivors
 // go into the generation comprising steps j+1..k or all into steps 1..j —
 // never some into each. The old region is preferred; when it lacks
@@ -261,7 +207,7 @@ func (c *Collector) allocDynamic(t heap.Type, payload, total int) heap.Word {
 // a non-predictive collection (which itself empties the nursery) runs
 // instead. A tenuring nursery retains its under-threshold survivors and
 // promotes the rest under the same decision.
-func (c *Collector) minor() {
+func (c *Collector) Minor(int) {
 	var targets []*heap.Space
 	intoYoung := false
 	worst := c.young.Space().Used()
@@ -271,7 +217,7 @@ func (c *Collector) minor() {
 		targets = c.regionTargets(0, c.st.J())
 		intoYoung = true
 	} else {
-		c.npCollect()
+		c.Major(0)
 		return
 	}
 	e := c.evac
@@ -346,11 +292,14 @@ func (c *Collector) regionTargets(lo, hi int) []*heap.Space {
 	return out
 }
 
-// npCollect runs one non-predictive collection of steps j+1..k, evacuating
-// the nursery along with it ("a non-predictive collection always promotes
-// all live objects out of the ephemeral area", §8.4), and the spill spaces
-// of a minor that ends in it, whose copying is then part of its pause.
-func (c *Collector) npCollect() {
+// Major implements young.Old with one non-predictive collection of steps
+// j+1..k, evacuating the nursery along with it ("a non-predictive
+// collection always promotes all live objects out of the ephemeral area",
+// §8.4), and the spill spaces of a minor that ends in it, whose copying is
+// then part of its pause. Remembered objects in the uncollected steps 1..j
+// may hold the only pointers into the nursery (set A) or into steps j+1..k
+// (set B), so both sets are its roots.
+func (c *Collector) Major(int) {
 	from := append(c.fromBuf[:0], c.young.Space())
 	var minor uint64
 	if c.spilled > 0 {
@@ -359,24 +308,16 @@ func (c *Collector) npCollect() {
 		c.spilled = 0
 	}
 	c.fromBuf = from
-	copied := c.st.Collect(from, c.npExtra, c.allowGrow)
+	copied := c.st.Collect(from, []remset.Set{c.rsA, c.rsB}, &c.stats.RemsetScanned, c.allowGrow)
 
 	for _, s := range from {
 		s.Reset()
 	}
 	c.rsA.Clear()
-	c.rsB.Clear() // rebuilt by ScanYoungForOldPointers below
-	if c.allowGrow {
-		// Keep the dynamic area's load factor sane: a collection that
-		// frees less than a third of the steps (or less than two nursery
-		// loads) would otherwise run again almost immediately.
-		for c.st.FreeWords() < c.st.K()*c.st.StepWords/3 ||
-			c.st.FreeWords() < 2*c.young.Space().Cap() {
-			c.st.AddSteps(1)
-		}
-	}
-	c.st.SetJ(c.policy.ChooseJ(c.st.EmptyYoungest(), c.st.K()))
-	c.st.ScanYoungForOldPointers(c.rememberB)
+	c.rsB.Clear() // rebuilt by Renew's situation-4 rescan
+	// A dynamic area with less than two nursery loads free would collect
+	// again almost at once.
+	c.st.Renew(c.policy, c.allowGrow, 2*c.young.Space().Cap(), c.rememberB)
 
 	c.stats.WordsCopied += copied
 	c.young.AfterMajor(copied)
@@ -384,13 +325,13 @@ func (c *Collector) npCollect() {
 }
 
 // Collect implements heap.Collector with a non-predictive collection.
-func (c *Collector) Collect() { c.npCollect() }
+func (c *Collector) Collect() { c.Major(0) }
 
 // FullCollect collects the entire dynamic area and nursery (j = 0 for one
 // cycle), reclaiming all garbage including cross-step cycles.
 func (c *Collector) FullCollect() {
 	c.st.SetJ(0)
-	c.npCollect()
+	c.Major(0)
 }
 
 // remsetPeak is the two sets' peaks together, the figure GCStats.RemsetPeak

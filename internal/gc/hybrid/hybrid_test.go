@@ -199,7 +199,7 @@ func TestLargeObjectGoesToDynamicArea(t *testing.T) {
 	}
 }
 
-// TestGrowthRungAfterFragmentedCollection reaches allocDynamic's growth
+// TestGrowthRungAfterFragmentedCollection reaches AllocOld's growth
 // rung: three live 51-word vectors in three 100-word steps leave 49 words in
 // each after a whole-heap collection, over what the collection's own growth
 // keeps free, but a fourth vector fits no step, so the allocation adds one.
@@ -237,6 +237,29 @@ func TestGrowthUnderLiveLoad(t *testing.T) {
 	if c.st.K() <= 4 {
 		t.Errorf("dynamic area did not grow: k = %d", c.st.K())
 	}
+}
+
+// TestGrowthKeepsTwoNurseryLoadsFree pins the growth floor of the hybrid's
+// non-predictive collection. With steps half the nursery's size, the
+// smallest New accepts, a third of the step heap is less than two nursery
+// loads, so a growth-mode collection that leaves a third free must still
+// add steps until two nursery loads are: the promotions that follow would
+// otherwise run it again almost at once.
+func TestGrowthKeepsTwoNurseryLoadsFree(t *testing.T) {
+	const nursery, n = 4096, 3400 // n pairs: about 10k live words
+	h := heap.New()
+	c := New(h, nursery, 8, nursery/2, WithGrowth())
+	s := h.Scope()
+	defer s.Close()
+	list := gctest.BuildList(h, n)
+	c.Collect()
+	if third := c.st.K() * c.st.StepWords / 3; third >= 2*nursery {
+		t.Fatalf("setup: k = %d, so a third of the step heap (%d words) is two nursery loads by itself", c.st.K(), third)
+	}
+	if free := c.st.FreeWords(); free < 2*nursery {
+		t.Errorf("%d words free after a growth-mode collection, want at least two nursery loads (%d)", free, 2*nursery)
+	}
+	gctest.CheckList(t, h, list, n)
 }
 
 // youngStepHolder builds the set-A situation on a fresh fixed-j hybrid: a
@@ -292,7 +315,7 @@ func checkYoungStepHolder(t *testing.T, h *heap.Heap, vec heap.Ref) {
 // cover, or the next non-predictive collection leaves their slots dangling.
 func TestPromotionIntoOldStepsMigratesSetAToSetB(t *testing.T) {
 	h, c, vec := youngStepHolder(t)
-	c.minor() // promotes the cons into the old region
+	c.Minor(0) // promotes the cons into the old region
 	if _, b := c.RemsetLens(); b == 0 {
 		t.Fatal("promotion into the old region did not migrate the set-A entry to set B")
 	}

@@ -112,10 +112,10 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		return gv >= 0 && gv < c.refilterGen
 	}
 	c.keepEntry = c.keepIfStillOlder
-	c.young.Init(h, c.gens[0], c.evac, c.rs, &c.stats)
+	c.young.Init(h, c.gens[0], c.evac, c.rs, &c.stats, c)
 	c.tenurer = &c.young
 	c.rebuildGenOf()
-	h.SetAllocator(c)
+	h.SetAllocator(&c.young)
 	h.SetBarrier(c)
 	return c
 }
@@ -189,34 +189,16 @@ func (c *Collector) RecordWrite(obj, val heap.Word) {
 	}
 }
 
-// AllocRaw implements heap.Allocator. Objects too large for the nursery go
-// directly to the old area.
-func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
-	total := 1 + payload + c.h.ExtraWords()
-	if total > c.gens[0].Cap()/2 {
-		return c.allocOld(t, payload, total)
-	}
-	if c.young.Full(total) {
-		c.collectUpTo(c.chooseWindow(total))
-	}
-	off, ok := c.gens[0].Bump(total)
-	if !ok && c.young.Tenured() {
-		// Retained survivors can leave too little room even after a
-		// nursery collection; a major empties every generation.
-		c.major()
-		off, ok = c.gens[0].Bump(total)
-	}
-	if !ok {
-		panic(fmt.Sprintf("multigen: nursery cannot hold %d words", total))
-	}
-	return c.h.InitObject(c.gens[0], off, t, payload)
-}
+// AllocRaw implements heap.Allocator with the nursery's ladder (young.Gen).
+func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word { return c.young.AllocRaw(t, payload) }
 
-func (c *Collector) allocOld(t heap.Type, payload, total int) heap.Word {
+// AllocOld implements young.Old: objects too large for the nursery go
+// directly to the old area.
+func (c *Collector) AllocOld(t heap.Type, payload, total int) heap.Word {
 	old := c.gens[len(c.gens)-1]
 	off, ok := old.Bump(total)
 	if !ok {
-		c.collectUpTo(len(c.gens) - 1)
+		c.Major(total)
 		old = c.gens[len(c.gens)-1]
 		off, ok = old.Bump(total)
 		if !ok {
@@ -240,17 +222,18 @@ func (c *Collector) chooseWindow(need int) int {
 	return len(c.gens) - 1
 }
 
-// collectUpTo collects generations 0..m, promoting every survivor into
-// generation m+1. m = len(gens)-1 is a full collection into the old
+// Minor implements young.Old: it collects generations 0..m, the window
+// chooseWindow picks for a total-word allocation, promoting every survivor
+// into generation m+1. m = len(gens)-1 is a full collection into the old
 // to-space; m = 0 is the nursery alone, which may tenure.
-func (c *Collector) collectUpTo(m int) {
-	last := len(c.gens) - 1
-	if m >= last {
-		c.major()
+func (c *Collector) Minor(total int) {
+	m := c.chooseWindow(total)
+	if m >= len(c.gens)-1 {
+		c.Major(total)
 		return
 	}
 	if m == 0 {
-		c.minor()
+		c.collectNursery()
 		return
 	}
 	target := c.gens[m+1]
@@ -273,11 +256,11 @@ func (c *Collector) collectUpTo(m int) {
 	c.h.EndCollection(&c.stats, false, e.WordsCopied, c.Live(), c.rs.Peak())
 }
 
-// minor collects the nursery alone through the shared young step:
+// collectNursery collects the nursery alone through the shared young step:
 // survivors are promoted to generation 1, except those a tenuring nursery
 // retains. Only reached when chooseWindow picked m == 0, which guarantees
 // generation 1 has headroom for the worst case.
-func (c *Collector) minor() {
+func (c *Collector) collectNursery() {
 	e := c.evac
 	c.young.Begin(c.gens[1])
 	e.EvacuateRoots()
@@ -296,8 +279,9 @@ func (c *Collector) minor() {
 	c.h.EndCollection(&c.stats, false, e.WordsCopied, c.Live(), c.rs.Peak())
 }
 
-// major collects every generation into the old to-space and flips.
-func (c *Collector) major() {
+// Major implements young.Old: it collects every generation into the old
+// to-space and flips.
+func (c *Collector) Major(int) {
 	last := len(c.gens) - 1
 	if c.expand > 0 {
 		worst := 0
@@ -374,4 +358,4 @@ func (c *Collector) keepIfStillOlder(w heap.Word) {
 }
 
 // Collect implements heap.Collector with a full collection.
-func (c *Collector) Collect() { c.major() }
+func (c *Collector) Collect() { c.Major(0) }

@@ -128,7 +128,7 @@ func TestRemsetRefilterDropsStaleEntries(t *testing.T) {
 	}
 	// A minor collection promotes `young` into the same generation as
 	// holder; the refilter must drop the entry.
-	c.collectUpTo(0)
+	c.collectNursery()
 	if c.RemsetLen() != 0 {
 		t.Errorf("remset = %d after refilter, want 0", c.RemsetLen())
 	}

@@ -45,15 +45,11 @@ type Collector struct {
 	compactEvery int
 
 	// marker and sweeper are the persistent engines, re-armed per
-	// collection; the remembered-set root visitors and the rebuild callback
-	// are bound once, so steady-state collections allocate nothing. evacSlot is the compaction's evacuation function while its
-	// remembered-set roots are scanned.
+	// collection; the remembered-set root visitor and the rebuild callback
+	// are bound once, so steady-state collections allocate nothing.
 	marker     *heap.Marker
 	sweeper    *heap.Sweeper
 	markRemset func(obj heap.Word)
-	evacRemset func(obj heap.Word)
-	evacRoots  func(evac func(slot *heap.Word))
-	evacSlot   func(slot *heap.Word)
 	remember   func(obj heap.Word)
 
 	stats heap.GCStats
@@ -103,14 +99,6 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 	c.markRemset = func(obj heap.Word) {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.marker.Slot())
-	}
-	c.evacRemset = func(obj heap.Word) {
-		c.stats.RemsetScanned++
-		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evacSlot)
-	}
-	c.evacRoots = func(evac func(slot *heap.Word)) {
-		c.evacSlot = evac
-		c.rs.ForEach(c.evacRemset)
 	}
 	c.remember = func(obj heap.Word) {
 		// Dead storage in a step whose sweep is still pending stays out:
@@ -283,7 +271,7 @@ func (c *Collector) renamed() []*heap.Space { return c.st.All()[:c.st.K()-c.st.J
 // switch to free-list form: one run from the bump pointer to the end.
 func (c *Collector) compact() {
 	reset := c.stwReset()
-	copied := c.st.Collect(nil, c.evacRoots, false)
+	copied := c.st.Collect(nil, []remset.Set{c.rs}, &c.stats.RemsetScanned, false)
 	for _, t := range c.renamed() {
 		t.FreeFrom(t.Top)
 	}

@@ -21,7 +21,7 @@ func TestCarryAndFreshFollowTheNursery(t *testing.T) {
 	e := heap.NewEvacuator(h, nil)
 	var st heap.GCStats
 	var g Gen
-	g.Init(h, nursery, e, remset.NewHashSet(), &st)
+	g.Init(h, nursery, e, remset.NewHashSet(), &st, nil)
 
 	const pair = 3
 	born := func(n int) { // n rooted pairs, never dropped

@@ -7,6 +7,13 @@
 // adaptive controller, the post-drain flip and the rescans that flip forces
 // — is the same in all three and lives here.
 //
+// The allocation ladder is written here too, in Gen.AllocRaw, which each
+// collector installs as its heap's allocator: an object over half the
+// nursery goes to the old area; a full nursery runs a minor collection;
+// then the nursery bumps; a tenuring nursery that still has no room runs a
+// major collection; anything else is a bug and panics. The collector
+// supplies the three rungs that differ as an Old.
+//
 // A collector's minor collection reads
 //
 //	young.Begin(targets...) → roots → its remembered-set roots → Drain
@@ -19,6 +26,8 @@
 package young
 
 import (
+	"fmt"
+
 	"rdgc/internal/heap"
 	"rdgc/internal/policy"
 	"rdgc/internal/remset"
@@ -30,14 +39,26 @@ import (
 // Nothing outside those tests sets it.
 var shadowAtOne bool
 
+// Old is what a nursery's allocation ladder needs of the collector around
+// it: a minor collection before a total-word allocation that found the
+// nursery full, a major collection that empties the nursery wholesale, and
+// allocation of an object too large for the nursery in the old area.
+type Old interface {
+	Minor(total int)
+	Major(total int)
+	AllocOld(t heap.Type, payload, total int) heap.Word
+}
+
 // Gen is a nursery with age-based tenuring (heap/tenure.go). Collectors
 // hold one by value and prepare it with Init; it answers heap.Tenurer for
-// them. A collection calls Begin, Flip, the set rule and Finish in exactly
-// that order (the package comment has the whole sequence): Flip and Finish
-// are separate calls only so that multigen can run its generation-indexed
-// refilter between them, where the others call Refilter.
+// them and is their heap's allocator. A collection calls Begin, Flip, the
+// set rule and Finish in exactly that order (the package comment has the
+// whole sequence): Flip and Finish are separate calls only so that multigen
+// can run its generation-indexed refilter between them, where the others
+// call Refilter.
 type Gen struct {
 	h     *heap.Heap
+	old   Old
 	evac  *heap.Evacuator
 	rs    remset.Set
 	stats *heap.GCStats
@@ -63,12 +84,13 @@ type Gen struct {
 }
 
 // Init prepares g as the nursery `space` of a collector on h that evacuates
-// with e, records pointers into the nursery from outside it in rs, and
-// counts into stats. The heap's Config decides the policy: Tenure >= 2 or
-// Adaptive creates the survivor shadow (named after the nursery); otherwise
-// g stays wholesale and creates nothing.
-func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset.Set, stats *heap.GCStats) {
-	*g = Gen{h: h, evac: e, rs: rs, stats: stats, space: space}
+// with e, records pointers into the nursery from outside it in rs, counts
+// into stats and runs the ladder's other rungs as old. The heap's Config
+// decides the policy: Tenure >= 2 or Adaptive creates the survivor shadow
+// (named after the nursery); otherwise g stays wholesale and creates
+// nothing.
+func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset.Set, stats *heap.GCStats, old Old) {
+	*g = Gen{h: h, old: old, evac: e, rs: rs, stats: stats, space: space}
 	g.threshold = h.Config().Tenure
 	g.trigger = space.Cap()
 	if h.Config().Adaptive {
@@ -102,14 +124,33 @@ func (g *Gen) Init(h *heap.Heap, space *heap.Space, e *heap.Evacuator, rs remset
 // from-space of the next collection.
 func (g *Gen) Space() *heap.Space { return g.space }
 
-// Full reports whether a total-word allocation must collect first. With the
+// AllocRaw implements heap.Allocator with the nursery's allocation ladder.
+func (g *Gen) AllocRaw(t heap.Type, payload int) heap.Word {
+	total := 1 + payload + g.h.ExtraWords()
+	if total > g.space.Cap()/2 {
+		return g.old.AllocOld(t, payload, total)
+	}
+	if g.full(total) {
+		g.old.Minor(total)
+	}
+	off, ok := g.space.Bump(total)
+	if !ok && g.shadow != nil {
+		// A tenuring minor retains survivors and so can finish without
+		// having made room; a major empties the nursery and guarantees
+		// progress.
+		g.old.Major(total)
+		off, ok = g.space.Bump(total)
+	}
+	if !ok {
+		panic(fmt.Sprintf("young: nursery cannot hold %d words", total))
+	}
+	return g.h.InitObject(g.space, off, t, payload)
+}
+
+// full reports whether a total-word allocation must collect first. With the
 // trigger at the nursery cap (the wholesale default) this is a failed Bump;
 // the adaptive controller may pull the trigger lower.
-func (g *Gen) Full(total int) bool { return g.space.Top+total > g.trigger }
-
-// Tenured reports whether collections run the age-routing engine and so may
-// keep survivors in the nursery — and finish without having made room.
-func (g *Gen) Tenured() bool { return g.shadow != nil }
+func (g *Gen) full(total int) bool { return g.space.Top+total > g.trigger }
 
 // TenureThreshold implements heap.Tenurer.
 func (g *Gen) TenureThreshold() int { return g.threshold }

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -208,63 +207,6 @@ func TestAmplify(t *testing.T) {
 		t.Fatalf("amplified corpus reports %d sessions, want %d", sum.Sessions, n)
 	}
 	replayTrace(t, buf.Bytes(), mk, true)
-}
-
-// TestSpliceSelf splices a symbol-interning trace with itself: ID
-// re-basing plus per-input symbol salting must keep the concatenation
-// replayable (interning is globally unique, so without salting the
-// second copy would collide).
-func TestSpliceSelf(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join(corpusDir, "gcfuzz-prog.trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt, err := openTrace(t, raw).Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tr, err := trace.Splice(&buf, []*trace.Reader{openTrace(t, raw), openTrace(t, raw)}, trace.SynthOptions{})
-	if err != nil {
-		t.Fatalf("splice: %v", err)
-	}
-	if tr.WordsAllocated != 2*bt.WordsAllocated || tr.ObjectsAllocated != 2*bt.ObjectsAllocated {
-		t.Fatalf("self-splice trailer %+v, base %+v", tr, bt)
-	}
-	replayTrace(t, buf.Bytes(), gcfuzz.Collectors()[0].New, true)
-}
-
-// TestTimeScale pins the collect-density rewrite: num/den multiplies the
-// number of collect boundaries (with integer accumulation) and leaves
-// the allocation schedule untouched.
-func TestTimeScale(t *testing.T) {
-	mk := gcfuzz.Collectors()[0].New
-	base, _, _ := recordMutator(t, mk, false, 4, 400)
-	bs, err := trace.Stat(openTrace(t, base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	collects := bs.Collections + bs.FullCollections
-	for _, tc := range []struct{ num, den int }{{3, 1}, {1, 2}, {1, 1}} {
-		var buf bytes.Buffer
-		tr, err := trace.TimeScale(&buf, openTrace(t, base), tc.num, tc.den, trace.SynthOptions{})
-		if err != nil {
-			t.Fatalf("timescale %d/%d: %v", tc.num, tc.den, err)
-		}
-		if tr.WordsAllocated != bs.Trailer.WordsAllocated || tr.ObjectsAllocated != bs.Trailer.ObjectsAllocated {
-			t.Fatalf("timescale %d/%d changed the allocation schedule: %+v", tc.num, tc.den, tr)
-		}
-		ss, err := trace.Stat(openTrace(t, buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := ss.Collections + ss.FullCollections
-		want := collects * uint64(tc.num) / uint64(tc.den)
-		if got != want {
-			t.Fatalf("timescale %d/%d: %d collects, want %d (base %d)", tc.num, tc.den, got, want, collects)
-		}
-		replayTrace(t, buf.Bytes(), mk, true)
-	}
 }
 
 // recordBase records one small mutator session carrying heap_words
