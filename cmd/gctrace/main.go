@@ -193,14 +193,10 @@ func cmdSynth(args []string) error {
 	fs.Parse(args)
 	opt := trace.SynthOptions{Compress: *compress, Seed: *seed, Chunk: *chunk}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-
-	var tr trace.Trailer
+	// Everything that can refuse the command is checked, and the inputs
+	// opened, before -o is created: a refused command leaves an existing
+	// output as it was.
+	var synth func(io.Writer) (trace.Trailer, error)
 	switch *op {
 	case "interleave":
 		if fs.NArg() < 1 {
@@ -211,9 +207,7 @@ func cmdSynth(args []string) error {
 			return err
 		}
 		defer closeAll()
-		if tr, err = trace.Interleave(bw, rds, opt); err != nil {
-			return err
-		}
+		synth = func(w io.Writer) (trace.Trailer, error) { return trace.Interleave(w, rds, opt) }
 	case "amplify":
 		if fs.NArg() != 1 {
 			return fmt.Errorf("amplify needs exactly one input trace")
@@ -225,18 +219,34 @@ func cmdSynth(args []string) error {
 		if err != nil {
 			return err
 		}
-		if tr, err = trace.Amplify(bw, data, *n, opt); err != nil {
-			return err
-		}
+		synth = func(w io.Writer) (trace.Trailer, error) { return trace.Amplify(w, data, *n, opt) }
 	case "":
 		return fmt.Errorf("synth needs -op (interleave or amplify)")
 	default:
 		return fmt.Errorf("unknown synth op %q", *op)
 	}
-	if err := bw.Flush(); err != nil {
+	if outInfo, err := os.Stat(*out); err == nil {
+		for _, path := range fs.Args() {
+			if inInfo, err := os.Stat(path); err == nil && os.SameFile(outInfo, inInfo) {
+				return fmt.Errorf("-o %s names input %s", *out, path)
+			}
+		}
+	}
+
+	f, err := os.Create(*out)
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
+	bw := bufio.NewWriter(f)
+	tr, err := synth(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(*out) // a partial trace is no trace; the error is what to report
 		return err
 	}
 	fmt.Printf("%s: %s of %d input(s): %d events, %d words, %d objects\n",

@@ -189,22 +189,34 @@ func BenchmarkRecorder(b *testing.B) {
 	}
 }
 
-// BenchmarkAmplify synthesizes the amplified corpus from its base session
-// into a discarding writer: decode, merge, encode and, in the compressed
-// form, compress.
+// BenchmarkAmplify synthesizes amplified corpora into a discarding writer:
+// decode, merge, encode and, in the compressed form, compress. n4 is the
+// shared corpus, n16 the benchmark harness's trace-write shape over the
+// same base, and n1000 the 1000-session golden recipe, where the base is
+// short and the sessions many.
 func BenchmarkAmplify(b *testing.B) {
-	base := decayBase(b)
-	for _, form := range writeForms {
-		b.Run(form.name, func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				tr, err := trace.Amplify(io.Discard, base, decaySessions, form.syn)
-				if err != nil {
-					b.Fatal(err)
+	decay := decayBase(b)
+	for _, c := range []struct {
+		name     string
+		base     []byte
+		sessions int
+	}{
+		{"n4", decay, decaySessions},
+		{"n16", decay, 16},
+		{"n1000", base1k(b), sessions1k},
+	} {
+		for _, form := range writeForms {
+			b.Run(c.name+"/"+form.name, func(b *testing.B) {
+				var events uint64
+				for i := 0; i < b.N; i++ {
+					tr, err := trace.Amplify(io.Discard, c.base, c.sessions, form.syn)
+					if err != nil {
+						b.Fatal(err)
+					}
+					events = tr.Events
 				}
-				events = tr.Events
-			}
-			reportPerEvent(b, events)
-		})
+				reportPerEvent(b, events)
+			})
+		}
 	}
 }

@@ -3,11 +3,14 @@ package trace_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -212,7 +215,7 @@ func TestAmplify(t *testing.T) {
 // recordBase records one small mutator session carrying heap_words
 // sizing metadata, so amplified corpora size their replay grid the way
 // `gctrace record` traces do (Amplify sums heap_words across copies).
-func recordBase(t *testing.T, seed int64, steps, heapWords int) []byte {
+func recordBase(t testing.TB, seed int64, steps, heapWords int) []byte {
 	t.Helper()
 	h := heap.New()
 	c := gcfuzz.Collectors()[0].New(h)
@@ -270,17 +273,23 @@ func sha256Hex(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// sessions1k is the session count of the standard synthesized corpus.
+const sessions1k = 1000
+
+// base1k records the one small session the standard corpus amplifies.
+func base1k(tb testing.TB) []byte { return recordBase(tb, 9, 40, 2048) }
+
 // build1kCorpus synthesizes the standard 1000-session interleaved corpus
 // from one small recorded session (the same recipe `gctrace synth` and
 // `make synth` document), compressed and uncompressed.
 func build1kCorpus(t *testing.T) (raw, compressed []byte) {
 	t.Helper()
-	base := recordBase(t, 9, 40, 2048)
+	base := base1k(t)
 	var plain, z bytes.Buffer
-	if _, err := trace.Amplify(&plain, base, 1000, trace.SynthOptions{Seed: 1000}); err != nil {
+	if _, err := trace.Amplify(&plain, base, sessions1k, trace.SynthOptions{Seed: 1000}); err != nil {
 		t.Fatalf("amplify: %v", err)
 	}
-	if _, err := trace.Amplify(&z, base, 1000, trace.SynthOptions{Seed: 1000, Compress: true}); err != nil {
+	if _, err := trace.Amplify(&z, base, sessions1k, trace.SynthOptions{Seed: 1000, Compress: true}); err != nil {
 		t.Fatalf("amplify compressed: %v", err)
 	}
 	return plain.Bytes(), z.Bytes()
@@ -342,19 +351,129 @@ func TestSynthGolden1kSessions(t *testing.T) {
 
 	// Replays verifier-clean and stats-deterministic under all seven
 	// collectors — from the compressed form, which must decode to the
-	// identical stream.
+	// identical stream. The replay heaps share nothing, so the seven run as
+	// parallel subtests; each is then held to the first.
 	grid := sizedGrid(t, z)
-	var first trace.ReplayResult
-	for i, nc := range grid {
-		st := replayTrace(t, z, nc.New, true)
-		if i == 0 {
-			first = st
-		} else if st != first {
+	results := make([]trace.ReplayResult, len(grid))
+	t.Run("replay", func(t *testing.T) {
+		for i, nc := range grid {
+			t.Run(nc.Name, func(t *testing.T) {
+				t.Parallel()
+				results[i] = replayTrace(t, z, nc.New, true)
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	first := results[0]
+	for i, st := range results[1:] {
+		if st != first {
 			t.Fatalf("%s replay stats %+v diverge from %s's %+v",
-				nc.Name, st, grid[0].Name, first)
+				grid[i+1].Name, st, grid[0].Name, first)
 		}
 	}
 	if first.Stats.WordsAllocated != got.Words || first.Stats.ObjectsAllocated != got.Objects {
 		t.Fatalf("replay stats %+v disagree with corpus trailer %+v", first, got)
+	}
+}
+
+// TestAmplifyDecodesOnce is the allocation guard of Amplify's shared
+// decode: the base is decoded once for all its sessions, so the 1000-session
+// recipe allocates a few megabytes. A Reader per session — a 64 KiB read
+// buffer and a block buffer each — allocated about 71 MB.
+func TestAmplifyDecodesOnce(t *testing.T) {
+	const bound = 16 << 20
+	base := base1k(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := trace.Amplify(io.Discard, base, sessions1k, trace.SynthOptions{Seed: 1000})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+		t.Errorf("Amplify of %d sessions allocated %d bytes, want under %d", sessions1k, got, bound)
+	}
+}
+
+// frameStarts returns the offset of every block frame of a version-2 trace,
+// the header block's first and the terminator's last.
+func frameStarts(t *testing.T, data []byte) []int {
+	t.Helper()
+	_, n := binary.Uvarint(data[8:]) // the format version, after the magic
+	pos := 8 + n
+	var starts []int
+	for {
+		starts = append(starts, pos)
+		u, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			t.Fatalf("bad frame length at offset %d", pos)
+		}
+		if u>>1 == 0 {
+			return starts
+		}
+		pos += n + 4 + int(u>>1) // length, checksum, payload
+	}
+}
+
+// TestAmplifyCorruptBase: the sessions of an Amplify share one decode, and
+// a decode error reaches them only where the base fails. Cut at every
+// block boundary, or with one bit flipped in any block, the base must fail
+// Amplify with the error NewReader and Drain report for it, never a panic.
+func TestAmplifyCorruptBase(t *testing.T) {
+	for _, form := range writeForms {
+		var buf bytes.Buffer
+		recordDecay(t, &buf, 1500, form.opts...)
+		base := buf.Bytes()
+		starts := frameStarts(t, base)
+		if len(starts) < 5 {
+			t.Fatalf("%s base has %d frames, want several event blocks", form.name, len(starts))
+		}
+		check := func(what string, data []byte) {
+			t.Helper()
+			rd, want := trace.NewReader(bytes.NewReader(data))
+			if want == nil {
+				_, want = rd.Drain()
+			}
+			if !errors.Is(want, trace.ErrCorrupt) && !errors.Is(want, trace.ErrTruncated) {
+				t.Fatalf("%s %s: reader reports %v, want a corrupt or truncated sentinel", form.name, what, want)
+			}
+			_, got := trace.Amplify(io.Discard, data, 4, form.syn)
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("%s %s: Amplify returned %v, the reader %v", form.name, what, got, want)
+			}
+		}
+		for _, at := range starts {
+			check(fmt.Sprintf("cut at %d", at), base[:at])
+		}
+		for i, at := range starts[:len(starts)-1] {
+			u, n := binary.Uvarint(base[at:])
+			mut := bytes.Clone(base)
+			mut[at+n+4+int(u>>1)/2] ^= 0x10
+			check(fmt.Sprintf("bit flipped in block %d", i), mut)
+		}
+	}
+}
+
+// TestInterleaveRefusesReadInputs: a feed decodes ahead of its sessions, and
+// Interleave must still refuse an input already read from, or the same
+// Reader passed twice.
+func TestInterleaveRefusesReadInputs(t *testing.T) {
+	raw, _, _ := recordMutator(t, gcfuzz.Collectors()[0].New, false, 1, 100)
+	read := openTrace(t, raw)
+	var ev trace.Event
+	if err := read.Next(&ev); err != nil {
+		t.Fatal(err)
+	}
+	a, b := openTrace(t, raw), openTrace(t, raw)
+	for name, inputs := range map[string][]*trace.Reader{
+		"read":         {openTrace(t, raw), read},
+		"twice":        {a, a},
+		"twice-around": {b, openTrace(t, raw), b},
+	} {
+		if _, err := trace.Interleave(io.Discard, inputs, trace.SynthOptions{}); !errors.Is(err, trace.ErrInvalid) {
+			t.Errorf("%s: got %v, want ErrInvalid", name, err)
+		}
 	}
 }
