@@ -89,7 +89,9 @@ func TestDocPointersResolve(t *testing.T) {
 // the pause mirrors and the adaptive controller's six unset parameters; the
 // collectors' copies of the allocation ladders and remembered-set root
 // closures that young.Gen and core.Steps replaced; the trace splice and
-// time-scale operators with their tests),
+// time-scale operators with their tests; the heap checker's second parser and
+// its tests, now that Check is the whole-heap Verify, and the verifier's
+// separate remembered-set pass),
 // and the hook by its plain name, may not be named
 // by README.md, DESIGN.md or EXPERIMENTS.md — outside a section whose heading
 // dates it to a PR or an issue, which is history and stays as written — nor
@@ -106,7 +108,9 @@ func TestDocsNameNothingDeleted(t *testing.T) {
 		`TestDecayDeterministicUnderConcurrency|TestRecordReplayAtNWorkers|TestSpaceSetConcurrentReaders|` +
 		`TotalPauseWords|MaxPauseWords|GCStats\.(AddPause|NoteLive)|notePeaks?|Heap\.AfterGC|` +
 		`Alpha|MaxThreshold|TargetSurvival|MinSampleWords|Hysteresis|OldCopyCost|TestConfigDefaults|` +
-		`allocDynamic|allocOld|npExtra|npScan|evacRoots|TimeScale|TestSpliceSelf|TestTimeScale)\b`)
+		`allocDynamic|allocOld|npExtra|npScan|evacRoots|TimeScale|TestSpliceSelf|TestTimeScale|checkRemsets|checkFixture|` +
+		`wantCheckError|TestCheck(MalformedHeader|StaleMark|BlockOverrun|DanglingPointerPastTop|PointerToNonHeader|` +
+		`ReachableFreeBlock|UnknownSpace|IgnoresUnreachableGarbage))\b`)
 	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB)\b[^"]*"`)
 	heading := regexp.MustCompile(`^#+ `)
 	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)

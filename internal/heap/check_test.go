@@ -1,89 +1,50 @@
 package heap
 
 import (
-	"strings"
+	"errors"
 	"testing"
 )
 
-// Check is the quick structural pass (Verify is the deep catalog); these
-// tests pin down that each corruption class it covers yields a distinct,
-// descriptive diagnosis.
-
-func checkFixture(t *testing.T) (*Heap, *Space) {
-	t.Helper()
-	h := New()
-	s := h.NewSpace("arena", 128)
-	h.GlobalWord(buildChain(t, h, s, 4))
-	if err := Check(h); err != nil {
-		t.Fatalf("fixture not clean: %v", err)
-	}
-	return h, s
-}
-
-func wantCheckError(t *testing.T, h *Heap, fragment string) {
-	t.Helper()
-	err := Check(h)
-	if err == nil {
-		t.Fatalf("corruption not detected, want error mentioning %q", fragment)
-	}
-	if !strings.Contains(err.Error(), fragment) {
-		t.Errorf("diagnosis %q does not mention %q", err, fragment)
-	}
-}
-
-func TestCheckMalformedHeader(t *testing.T) {
-	h, s := checkFixture(t)
-	s.Mem[0] = FixnumWord(5)
-	wantCheckError(t, h, "not a header")
-}
-
-func TestCheckStaleMark(t *testing.T) {
-	h, s := checkFixture(t)
-	s.Mem[0] = SetMark(s.Mem[0])
-	wantCheckError(t, h, "stale mark")
-}
-
-func TestCheckBlockOverrun(t *testing.T) {
-	h, s := checkFixture(t)
-	s.Mem[0] = HeaderWord(TVector, 1000)
-	wantCheckError(t, h, "overruns")
-}
-
-func TestCheckDanglingPointerPastTop(t *testing.T) {
-	h, s := checkFixture(t)
-	s.Mem[2] = PtrWord(s.ID, s.Top+6) // cdr of pair 0
-	wantCheckError(t, h, "past bump pointer")
-}
-
-func TestCheckPointerToNonHeader(t *testing.T) {
-	h, s := checkFixture(t)
-	s.Mem[2] = PtrWord(s.ID, 1) // into pair 0's payload
-	wantCheckError(t, h, "non-header")
-}
-
-func TestCheckReachableFreeBlock(t *testing.T) {
-	h, s := checkFixture(t)
-	s.Mem[3] = HeaderWord(TFree, 2) // kill pair 1, still referenced by pair 2
-	s.Mem[5] = NullWord
-	wantCheckError(t, h, "free block")
-}
-
-func TestCheckUnknownSpace(t *testing.T) {
-	h, s := checkFixture(t)
-	s.Mem[2] = PtrWord(77, 0)
-	wantCheckError(t, h, "unknown space")
-}
-
-// TestCheckIgnoresUnreachableGarbage: Check traces from roots, so a
-// dangling pointer inside a dead object is not its business (Verify's space
-// scan is the pass that would catch it when the space is declared live).
-func TestCheckIgnoresUnreachableGarbage(t *testing.T) {
-	h := New()
-	s := h.NewSpace("arena", 128)
-	off, _ := s.Bump(3)
-	h.InitObject(s, off, TPair, 2)
-	s.Mem[off+1] = PtrWord(77, 0) // dangling, but unrooted
-	if err := Check(h); err != nil {
-		t.Fatalf("Check rejected unreachable garbage: %v", err)
+// TestCheckIsWholeHeapVerify: Check is Verify with every space live, so each
+// corruption of a rooted chain gets the same diagnosis from both — and a
+// dangling pointer inside unreachable garbage is diagnosed like any other,
+// because the object walk covers every object of a live space.
+func TestCheckIsWholeHeapVerify(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		kind    error
+		corrupt func(h *Heap, s *Space)
+	}{
+		{"malformed header", ErrMalformedHeader, func(_ *Heap, s *Space) { s.Mem[0] = FixnumWord(5) }},
+		{"stale mark", ErrStaleMark, func(_ *Heap, s *Space) { s.Mem[0] = SetMark(s.Mem[0]) }},
+		{"block overrun", ErrBlockOverrun, func(_ *Heap, s *Space) { s.Mem[0] = HeaderWord(TVector, 1000) }},
+		{"pointer past top", ErrDanglingPointer, func(_ *Heap, s *Space) { s.Mem[2] = PtrWord(s.ID, s.Top+6) }},
+		{"pointer to non-header", ErrDanglingPointer, func(_ *Heap, s *Space) { s.Mem[2] = PtrWord(s.ID, 1) }},
+		{"reachable free block", ErrDanglingPointer, func(_ *Heap, s *Space) {
+			s.Mem[3] = HeaderWord(TFree, 2) // kill pair 1, still referenced by pair 2
+			s.Mem[5] = NullWord
+		}},
+		{"unknown space", ErrDanglingPointer, func(_ *Heap, s *Space) { s.Mem[2] = PtrWord(77, 0) }},
+		{"unreachable garbage", ErrDanglingPointer, func(h *Heap, s *Space) {
+			off, _ := s.Bump(3)
+			h.InitObject(s, off, TPair, 2)
+			s.Mem[off+1] = PtrWord(77, 0) // dangling, and unrooted
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := New()
+			s := h.NewSpace("arena", 128)
+			h.GlobalWord(buildChain(t, h, s, 4))
+			if err := Check(h); err != nil {
+				t.Fatalf("fixture not clean: %v", err)
+			}
+			tc.corrupt(h, s)
+			if err := Check(h); !errors.Is(err, tc.kind) {
+				t.Errorf("Check diagnosed %v, want %v", err, tc.kind)
+			}
+			if err := Verify(h, VerifySpec{}); !errors.Is(err, tc.kind) {
+				t.Errorf("Verify diagnosed %v, want %v", err, tc.kind)
+			}
+		})
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"math/bits"
 )
 
-// This file implements the deep heap-invariant verifier. Where Check is a
-// quick structural sanity pass (parse + reachability), Verify validates the
-// full invariant catalog a collector promises between collections:
+// This file implements the repository's one heap checker. Verify validates
+// the full invariant catalog a collector promises between collections, over
+// the spaces a VerifySpec declares live; Check is the same catalog with every
+// space live, so it also parses the scratch spaces a collector's spec leaves
+// out:
 //
 //   1. Every live space parses as a sequence of well-formed blocks ending
 //      exactly at its bump pointer.
@@ -30,6 +32,12 @@ import (
 //      block's free runs of two or more words, none longer than MaxRun —
 //      a mark/sweep space's BlockWords blocks and a non-predictive
 //      mark/sweep step's single block alike.
+//
+// The parse records each live space's block starts in a bitmap, one bit per
+// word below the bump pointer; the pointer checks test a bit and read the
+// header from the space. One address-ordered walk per live space then checks
+// every object (invariants 3-5), then the roots, then the block tables, so
+// the diagnoses come out in the same order on every call.
 //
 // Verification is opt-in: Heap.EndCollection fires the SetAfterGC hook at the
 // end of every collection, and the hook is nil unless a test (or the fuzz
@@ -104,6 +112,12 @@ func VerifyCollector(h *Heap, c Collector) error {
 	return Verify(h, VerifySpec{})
 }
 
+// Check verifies the whole heap: every space live, no remembered-set rules.
+// Under a collector's spec a scratch space is only a place no pointer may
+// reach; Check parses it too, so callers run it beside VerifyCollector.
+// Tests call it after collections; it is too slow for production paths.
+func Check(h *Heap) error { return Verify(h, VerifySpec{}) }
+
 // maxVerifyErrors caps the diagnoses collected per Verify call; one is
 // usually enough to localize a bug and corrupt heaps can fail everywhere.
 const maxVerifyErrors = 8
@@ -114,9 +128,9 @@ type verifier struct {
 	spec VerifySpec
 	// live[id] reports whether space id may hold reachable objects.
 	live []bool
-	// starts[id] maps block offsets in live space id to that block's header
-	// word, for the pointer-target checks.
-	starts []map[int]Word
+	// starts[id] has bit off set when a block of live space id starts at
+	// off, for the pointer-target and mark-bit checks.
+	starts [][]uint64
 	errs   []error
 }
 
@@ -140,22 +154,27 @@ func Verify(h *Heap, spec VerifySpec) error {
 			v.live[s.ID] = true
 		}
 	}
-	v.starts = make([]map[int]Word, len(h.Spaces))
+	v.starts = make([][]uint64, len(h.Spaces))
 
 	v.parseSpaces()
 	if len(v.errs) == 0 {
-		// Pointer checks index the block-start tables; skip them when the
-		// parse already failed, as the tables may be incomplete.
+		// Pointer checks read the block-start bitmaps; skip them when the
+		// parse already failed, as the bitmaps may be incomplete.
 		v.scanObjects()
 		v.scanRoots()
-		v.checkRemsets()
 		v.checkBlockTables()
 	}
 	return errors.Join(v.errs...)
 }
 
+// isStart reports whether a block of live space s starts at off, which must
+// lie below the space's bump pointer.
+func (v *verifier) isStart(s *Space, off int) bool {
+	return v.starts[s.ID][off>>6]&(1<<(off&63)) != 0
+}
+
 // parseSpaces walks every live space below its bump pointer and builds the
-// block-start tables, diagnosing malformed headers, stale forwarding
+// block-start bitmaps, diagnosing malformed headers, stale forwarding
 // pointers, stale marks, bad types, and size overruns.
 func (v *verifier) parseSpaces() {
 	for _, s := range v.h.Spaces {
@@ -173,7 +192,7 @@ func (v *verifier) parseSpaces() {
 				return
 			}
 		}
-		starts := make(map[int]Word)
+		starts := make([]uint64, (s.Top+63)/64)
 		v.starts[s.ID] = starts
 		off := 0
 		for off < s.Top {
@@ -205,10 +224,10 @@ func (v *verifier) parseSpaces() {
 				}
 				break
 			}
-			starts[off] = hdr
+			starts[off>>6] |= 1 << (off & 63)
 			off += n
 		}
-		if off == s.Top && (v.spec.MarkingActive || s.sweepPending()) && !v.checkMarkBits(s, starts) {
+		if off == s.Top && (v.spec.MarkingActive || s.sweepPending()) && !v.checkMarkBits(s) {
 			return
 		}
 	}
@@ -220,7 +239,7 @@ func (v *verifier) parseSpaces() {
 // each one for a survivor's header), and every bit in a block already swept
 // is stale. It reports the first bad bit of the space, and false once the
 // error cap is reached.
-func (v *verifier) checkMarkBits(s *Space, starts map[int]Word) bool {
+func (v *verifier) checkMarkBits(s *Space) bool {
 	for i, w := range s.marks {
 		for w != 0 {
 			off := i<<6 + bits.TrailingZeros64(w)
@@ -229,7 +248,7 @@ func (v *verifier) checkMarkBits(s *Space, starts map[int]Word) bool {
 			if !v.spec.MarkingActive && !pending {
 				return v.errorf(ErrStaleMark, "%v: mark bit at %d in a swept block", s, off)
 			}
-			if hdr, ok := starts[off]; !ok || HeaderType(hdr) == TFree {
+			if off >= s.Top || !v.isStart(s, off) || HeaderType(s.Mem[off]) == TFree {
 				return v.errorf(ErrStaleMark, "%v: mark bit at %d is not on the header of a non-free object", s, off)
 			}
 		}
@@ -254,11 +273,10 @@ func (v *verifier) checkPtr(w Word, what func() string) bool {
 	if off >= s.Top {
 		return v.errorf(ErrDanglingPointer, "%s points past the bump pointer of %v (off %d)", what(), s, off)
 	}
-	hdr, ok := v.starts[id][off]
-	if !ok {
+	if !v.isStart(s, off) {
 		return v.errorf(ErrDanglingPointer, "%s points into the middle of an object (%v off %d)", what(), s, off)
 	}
-	if HeaderType(hdr) == TFree {
+	if HeaderType(s.Mem[off]) == TFree {
 		return v.errorf(ErrDanglingPointer, "%s points into a free block (%v off %d)", what(), s, off)
 	}
 	if v.deadPending(s, off) {
@@ -287,10 +305,12 @@ func (s *Space) sweepPending() bool {
 	return false
 }
 
-// scanObjects validates the payloads of every non-free block in every live
-// space: census words are in-range fixnums and pointer slots pass checkPtr.
-// Free blocks are skipped entirely — their payloads are dead storage (the
-// free-list link plus whatever the dead object left behind).
+// scanObjects walks every live space's objects in address order and checks
+// each non-free one: its census word is an in-range fixnum, every pointer
+// slot passes checkPtr, and for each declared remembered-set rule the first
+// slot that demands an entry finds the object in the set. Free blocks are
+// skipped entirely — their payloads are dead storage (the free-list link
+// plus whatever the dead object left behind).
 func (v *verifier) scanObjects() {
 	extra := v.h.ExtraWords()
 	now := v.h.Now()
@@ -298,7 +318,8 @@ func (v *verifier) scanObjects() {
 		if !v.live[s.ID] {
 			continue
 		}
-		for off, hdr := range v.starts[s.ID] {
+		for off := 0; off < s.Top; off += ObjWords(s.Mem[off]) {
+			hdr := s.Mem[off]
 			t := HeaderType(hdr)
 			if t == TFree || v.deadPending(s, off) {
 				continue
@@ -318,15 +339,27 @@ func (v *verifier) scanObjects() {
 			if RawPayload(t) {
 				continue
 			}
-			for i := off + 1 + extra; i <= off+HeaderSize(hdr); i++ {
+			first, last := off+1+extra, off+HeaderSize(hdr)
+			for i := first; i <= last; i++ {
 				w := s.Mem[i]
-				if !IsPtr(w) {
-					continue
-				}
-				if !v.checkPtr(w, func() string {
+				if IsPtr(w) && !v.checkPtr(w, func() string {
 					return fmt.Sprintf("slot %d of %v object at %v off %d", i-off-1, t, s, off)
 				}) {
 					return
+				}
+			}
+			obj := PtrWord(s.ID, off)
+			for _, rule := range v.spec.Remsets {
+				for i := first; i <= last; i++ {
+					w := s.Mem[i]
+					if !IsPtr(w) || !rule.Needs(obj, w) {
+						continue
+					}
+					if !rule.Has(obj) && !v.errorf(ErrRemsetMissing, "rule %q: object at %v off %d points to space %d off %d but is not remembered",
+						rule.Name, s, off, PtrSpace(w), PtrOff(w)) {
+						return
+					}
+					break // one demanding slot settles this object for this rule
 				}
 			}
 		}
@@ -343,39 +376,6 @@ func (v *verifier) scanRoots() {
 		}
 		i++
 	})
-}
-
-// checkRemsets enforces every declared completeness rule over every live
-// non-free object.
-func (v *verifier) checkRemsets() {
-	extra := v.h.ExtraWords()
-	for _, rule := range v.spec.Remsets {
-		for _, s := range v.h.Spaces {
-			if !v.live[s.ID] {
-				continue
-			}
-			for off, hdr := range v.starts[s.ID] {
-				t := HeaderType(hdr)
-				if t == TFree || RawPayload(t) || v.deadPending(s, off) {
-					continue
-				}
-				obj := PtrWord(s.ID, off)
-				for i := off + 1 + extra; i <= off+HeaderSize(hdr); i++ {
-					w := s.Mem[i]
-					if !IsPtr(w) || !rule.Needs(obj, w) {
-						continue
-					}
-					if !rule.Has(obj) {
-						if !v.errorf(ErrRemsetMissing, "rule %q: object at %v off %d points to space %d off %d but is not remembered",
-							rule.Name, s, off, PtrSpace(w), PtrOff(w)) {
-							return
-						}
-					}
-					break // one demanding slot settles this object for this rule
-				}
-			}
-		}
-	}
 }
 
 // checkBlockTables enforces invariant 6 over every live blocked space,

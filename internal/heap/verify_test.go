@@ -2,6 +2,7 @@ package heap
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -307,7 +308,8 @@ func TestVerifyEmptyLiveMeansAllSpaces(t *testing.T) {
 }
 
 // TestVerifyErrorCap: a heap corrupted in many places reports at most
-// maxVerifyErrors diagnoses rather than flooding the failure output.
+// maxVerifyErrors diagnoses rather than flooding the failure output, and
+// reports the same ones on every call: the first objects in address order.
 func TestVerifyErrorCap(t *testing.T) {
 	h := New()
 	live := h.NewSpace("live", 512)
@@ -326,8 +328,51 @@ func TestVerifyErrorCap(t *testing.T) {
 	if !ok {
 		t.Fatalf("Verify did not return a joined error: %T", err)
 	}
-	if n := len(joined.Unwrap()); n > maxVerifyErrors {
+	errs := joined.Unwrap()
+	if n := len(errs); n > maxVerifyErrors {
 		t.Errorf("%d diagnoses reported, cap is %d", n, maxVerifyErrors)
+	}
+	for i, e := range errs {
+		if want := fmt.Sprintf("object at %v off %d points", live, 3*i); !strings.Contains(e.Error(), want) {
+			t.Errorf("diagnosis %d is %q, want the object at off %d", i, e, 3*i)
+		}
+	}
+	if again := Verify(h, VerifySpec{}); again.Error() != err.Error() {
+		t.Errorf("second call diagnosed differently:\n%v\nthen\n%v", err, again)
+	}
+}
+
+// TestVerifyAllocsIndependentOfHeapSize: the verifier's own state is a
+// fixed number of slices per space, so a heap a hundred times larger costs
+// it no more Go allocations.
+func TestVerifyAllocsIndependentOfHeapSize(t *testing.T) {
+	allocs := func(pairs int) (verify, check float64) {
+		h := New()
+		var spaces []*Space
+		for i := 0; i < 3; i++ {
+			s := h.NewSpace("live", 3*pairs)
+			h.GlobalWord(buildChain(t, h, s, pairs))
+			spaces = append(spaces, s)
+		}
+		spec := VerifySpec{Live: spaces, Remsets: []RemsetRule{{Name: "all-ptrs",
+			Needs: func(obj, val Word) bool { return IsPtr(val) },
+			Has:   func(Word) bool { return true }}}}
+		verify = testing.AllocsPerRun(5, func() {
+			if err := Verify(h, spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		check = testing.AllocsPerRun(5, func() {
+			if err := Check(h); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return verify, check
+	}
+	smallV, smallC := allocs(100)
+	bigV, bigC := allocs(10000)
+	if bigV > smallV || bigC > smallC {
+		t.Errorf("allocations grew with the heap: Verify %.0f -> %.0f, Check %.0f -> %.0f", smallV, bigV, smallC, bigC)
 	}
 }
 

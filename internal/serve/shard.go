@@ -42,7 +42,6 @@ type shard struct {
 	cfg       Config
 	profiles  []*Profile
 	clock     uint64 // tick at which the server becomes idle
-	pausew    uint64 // pause words charged to the request in flight
 	slotRefs  []heap.Ref
 	freeSlots []int
 	live      map[uint64]session
@@ -87,13 +86,7 @@ func newShard(cfg Config, idx int, profiles []*Profile) (*shard, error) {
 // run serves reqs, the shard's slice of the request stream, in order and
 // returns the shard's measurement.
 func (s *shard) run(reqs []Request) ShardResult {
-	// Every allocation happens while some request is in flight, so the raw
-	// pause stream attributes each collection (or incremental slice) to the
-	// request that triggered it.
 	h := s.h
-	h.SetPauseLog(func(words uint64) { s.pausew += words })
-	defer h.SetPauseLog(nil)
-
 	root := h.Scope()
 	defer root.Close()
 	for _, req := range reqs {
@@ -114,13 +107,17 @@ func (s *shard) serve(req Request) {
 	if s.clock > start {
 		start = s.clock
 	}
+	// Every allocation happens while some request is in flight, so the
+	// pause words recorded meanwhile are the collections (or incremental
+	// slices) that request triggered.
 	allocBefore := s.h.Stats.WordsAllocated
-	s.pausew = 0
+	pauseBefore := s.col.GCStats().Pauses.TotalWords
 	s.handle(req)
-	work := (s.h.Stats.WordsAllocated - allocBefore) + s.pausew
+	pausew := s.col.GCStats().Pauses.TotalWords - pauseBefore
+	work := (s.h.Stats.WordsAllocated - allocBefore) + pausew
 	ticks := (work + uint64(s.cfg.WordsPerTick) - 1) / uint64(s.cfg.WordsPerTick)
 	s.clock = start + ticks
-	s.res.WordsPause += s.pausew
+	s.res.WordsPause += pausew
 	s.res.Requests++
 	s.res.FinalTick = s.clock
 	s.res.Latency.Record(s.clock - req.Arrival)
