@@ -128,29 +128,12 @@ check_cover ./internal/gc/generational 90
 check_cover ./internal/gc/multigen 85
 check_cover ./internal/gc/hybrid 82
 
-# Env-pinned passes. Every package named on a line below seeds its process
-# default with heap.SetDefaultConfig(heap.ConfigFromEnv()) in TestMain and
-# carries a TestEnvReachesHeaps guard that fails if a bare heap.New() does not
-# report the configuration the line's variables name, so none of these runs
-# can measure the defaults in silence. Tests that assert a property of one
-# mode pin it with heap.WithConfig; everything else inherits the line's mode.
-#
-# Incremental collection: the heap engines, both mark/sweep collectors, and
-# the conformance suite (whose incremental tests pin the surviving object
-# set to the stop-the-world one) with RDGC_GC_INCR on, so the barrier, the
-# mark slices, and the lazy sweep run under every test that does not pin a
-# mode.
-RDGC_GC_INCR=1 go test -race -count=1 ./internal/heap ./internal/gc/marksweep ./internal/gc/npms ./internal/gc/conformance
-
-# Tenuring and the adaptive policy controller: the heap engines, the shared
-# young-generation step, the three tenuring collectors and the conformance
-# suite (age oracle, never-promote) with RDGC_GC_ADAPT on, so every heap a
-# test builds without pinning a mode routes survivors through the tenured
-# evacuation path with the feedback controller live — then the step, the
-# collectors and the suite again at a fixed mid-grid threshold, where
-# survivors age through six flips with no controller to move the knobs.
-RDGC_GC_ADAPT=1 go test -race -count=1 ./internal/heap ./internal/gc/young ./internal/gc/generational ./internal/gc/multigen ./internal/gc/hybrid ./internal/gc/conformance
-RDGC_GC_TENURE=6 go test -race -count=1 ./internal/gc/young ./internal/gc/generational ./internal/gc/multigen ./internal/gc/hybrid ./internal/gc/conformance
+# Collector modes take no pass of their own: tier-1 above runs the mode
+# matrix (gcfuzz.Modes — default, incremental, tenured, adaptive, and
+# incremental at a 64-word slice), which the conformance suite's
+# TestShadowModel and TestHeapsShareNothing and the fuzz seed corpus
+# iterate, and the race pass runs it again. Nothing reads the environment
+# into a heap's configuration.
 
 # The benchmark is a module of its own (benchmark/go.mod), so the root
 # ./... passes above neither build nor test it: vet and test it here, which
@@ -252,21 +235,15 @@ cmp "$trace_tmp/s-a.txt" "$trace_tmp/s-c.txt"
 
 # Fuzz smoke: a bounded mutation run of the cross-collector byte-program
 # harness (the seed corpus replays first) under the race detector. Every
-# input is replayed under each entry of gcfuzz.Modes — the process default,
-# then incremental, tenured and adaptive, one knob turned at a time — and the
-# environment below seeds that default (-run selects the package's
-# TestEnvReachesHeaps guard, which holds it to that before the fuzzing
-# starts), so each run pins one more knob in every mode: a 64-word slice
-# budget, so mark slices and lazy sweeps interleave as finely as possible;
-# and promotion threshold 6, so the age-routing evacuation and the age oracle
-# see every input at a mid-grid threshold (unpinned runs derive the threshold
-# from the program's bytes). Real campaigns: make fuzz.
-RDGC_GC_SLICE=64 go test -race -run '^TestEnvReachesHeaps$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
-RDGC_GC_TENURE=6 go test -race -run '^TestEnvReachesHeaps$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
+# input is replayed under each row of the mode matrix, gcfuzz.Modes, from the
+# zero Config — default, incremental, tenured (threshold from the program's
+# bytes, 6 and never among them), adaptive, and incremental at a 64-word
+# slice, so mark slices and lazy sweeps interleave as finely as possible.
+# Real campaigns: make fuzz.
+go test -race -run '^$' -fuzz '^FuzzCollectors$' -fuzztime 10s ./internal/gc/gcfuzz
 
 # Wire-format fuzz smoke: arbitrary bytes against the trace reader, seeded
-# with both wire versions, compressed blocks, and the checked-in synthesized
-# corpus. The reader must decode or fail with a package sentinel — never
+# with raw and compressed blocks and the checked-in synthesized corpus. The reader must decode or fail with a package sentinel — never
 # panic — no matter what the block decompressor is fed. Then arbitrary
 # events against the writer: each must be refused with ErrInvalid or read
 # back identically. (Minimizing a new input costs that fuzzer most of a

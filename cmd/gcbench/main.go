@@ -64,12 +64,11 @@ func main() {
 		}
 	}
 	gc := gcConfig()
-	heap.SetDefaultConfig(gc)
 	// run holds the early-returning body so the profile teardown below
 	// covers every exit path.
-	run(*table2, *quick, *withHybrid, runOpts(), *jsonOut, *record)
+	run(*table2, *quick, *withHybrid, gc, runOpts(), *jsonOut, *record)
 	if *pauselog != "" {
-		if err := dumpPauseLog(*pauselog, *quick, gc.Incremental, gc.SliceBudget); err != nil {
+		if err := dumpPauseLog(*pauselog, *quick, gc); err != nil {
 			fmt.Fprintln(os.Stderr, "gcbench:", err)
 			os.Exit(1)
 		}
@@ -92,7 +91,7 @@ func main() {
 	}
 }
 
-func run(table2Only, quick, withHybrid bool, opts runner.Options, jsonOut bool, recordDir string) {
+func run(table2Only, quick, withHybrid bool, gc heap.Config, opts runner.Options, jsonOut bool, recordDir string) {
 	if table2Only {
 		fmt.Println("Table 2: benchmark inventory (Go reimplementation)")
 		for _, i := range bench.Table2() {
@@ -106,6 +105,7 @@ func run(table2Only, quick, withHybrid bool, opts runner.Options, jsonOut bool, 
 		progs = bench.Quick()
 	}
 	cfg := experiments.DefaultTable3Config()
+	cfg.GC = gc
 
 	if recordDir != "" {
 		if err := os.MkdirAll(recordDir, 0o777); err != nil {
@@ -126,12 +126,12 @@ func run(table2Only, quick, withHybrid bool, opts runner.Options, jsonOut bool, 
 				}
 				rr := rowResult{row: row}
 				if withHybrid {
-					rr.hres, rr.remA, rr.remB = runHybrid(p, row)
+					rr.hres, rr.remA, rr.remB = runHybrid(p, row, gc)
 				}
 				if recordDir != "" {
 					path := filepath.Join(recordDir, p.Name()+".trace")
 					nc := gcfuzz.CollectorsSized(p.HeapWords())[0]
-					if _, err := experiments.RecordBenchTrace(path, p, nc, false); err != nil {
+					if _, err := experiments.RecordBenchTrace(path, p, nc, heap.WithConfig(gc)); err != nil {
 						return rr, err
 					}
 				}
@@ -256,9 +256,9 @@ func emitJSON(results []runner.Result[rowResult], withHybrid bool) {
 // dumpPauseLog reruns every benchmark under each incremental-capable
 // collector, streaming every mutator-visible pause (in words of collector
 // work, in the order recorded) as one CSV row. Runs are sequential — the
-// row order is deterministic — and honor -gcincr/-gcslice, so the same
-// file can capture a stop-the-world baseline or any slice budget.
-func dumpPauseLog(path string, quick, incremental bool, sliceBudget int) error {
+// row order is deterministic — and run under gc, so the same file can
+// capture a stop-the-world baseline or any slice budget.
+func dumpPauseLog(path string, quick bool, gc heap.Config) error {
 	out := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
@@ -277,10 +277,10 @@ func dumpPauseLog(path string, quick, incremental bool, sliceBudget int) error {
 	for _, p := range progs {
 		for _, collector := range []string{"marksweep", "npms"} {
 			seq := 0
-			err := experiments.RunBenchPausesLogged(p, collector, incremental, sliceBudget,
+			err := experiments.RunBenchPausesLogged(p, collector, gc,
 				func(words uint64) {
 					fmt.Fprintf(w, "%s,%s,%v,%d,%d,%d\n",
-						p.Name(), collector, incremental, sliceBudget, seq, words)
+						p.Name(), collector, gc.Incremental, gc.SliceBudget, seq, words)
 					seq++
 				})
 			if err != nil {
@@ -291,10 +291,11 @@ func dumpPauseLog(path string, quick, incremental bool, sliceBudget int) error {
 	return w.Flush()
 }
 
-// runHybrid measures the hybrid collector sized like the generational one.
-// Any benchmark error is left in the result for the caller to report.
-func runHybrid(p bench.Program, row experiments.Table3Row) (bench.RunResult, int, int) {
-	h := heap.New()
+// runHybrid measures the hybrid collector, on a heap under gc, sized like
+// the generational one. Any benchmark error is left in the result for the
+// caller to report.
+func runHybrid(p bench.Program, row experiments.Table3Row, gc heap.Config) (bench.RunResult, int, int) {
+	h := heap.New(heap.WithConfig(gc))
 	nursery := row.SemiWords / 8
 	if nursery < 2048 {
 		nursery = 2048

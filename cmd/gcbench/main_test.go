@@ -12,17 +12,27 @@ import (
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
-// TestGCModeSpellings: each collector mode reaches the benchmark heaps the
-// same way whether it is spelled as flags or as environment. The table's
-// collectors are the copying ones and the pause log's the mark/sweep ones, so
-// tenuring moves the first and -gcincr the second: every mode moves the
-// report.
+// TestGCModeSpellings: each collector mode's flags reach the benchmark
+// heaps. The table's collectors are the copying ones and the pause log's the
+// mark/sweep ones, so tenuring moves the first and -gcincr the second: every
+// mode moves the report.
 func TestGCModeSpellings(t *testing.T) {
 	outs := cmdtest.CheckGCSpellings(t, nil, []string{"-quick", "-pauselog", "-"})
 	for i, out := range outs[1:] {
 		if out == outs[0] {
-			t.Errorf("%v: the report did not move:\n%s", cmdtest.GCModes[i].Flags, out)
+			t.Errorf("%v: the report did not move:\n%s", cmdtest.GCModes[i], out)
 		}
+	}
+}
+
+// TestEnvironmentIsInert: the -gc* flags are the only way into the heaps'
+// configuration, so the environment variables the flags used to default to
+// leave the report as it is.
+func TestEnvironmentIsInert(t *testing.T) {
+	args := []string{"-quick", "-pauselog", "-"}
+	plain := cmdtest.Run(t, nil, args...)
+	if env := cmdtest.Run(t, []string{"RDGC_GC_INCR=1", "RDGC_GC_TENURE=3"}, args...); env != plain {
+		t.Errorf("RDGC_GC_INCR=1 RDGC_GC_TENURE=3 moved the report:\n%s\n--- vs ---\n%s", env, plain)
 	}
 }
 

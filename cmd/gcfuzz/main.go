@@ -6,12 +6,11 @@
 //
 //	gcfuzz [-census=auto|on|off] [-collector NAME] [-gc*] [-minimize] [-emit-trace FILE] [-compress] FILE...
 //
-// The four -gc* flags (heap.ConfigFlags, defaulting to the RDGC_GC_*
-// environment) set the configuration the statistics table is run under, and
-// the properties are then checked under every entry of gcfuzz.Modes, exactly
-// as the fuzz target does: a crasher CI found under RDGC_GC_INCR=1
-// RDGC_GC_TENURE=3 replays with the same environment or with -gcincr
-// -gctenure 3.
+// The four -gc* flags (heap.ConfigFlags) set the configuration the
+// statistics table is run under, and the properties are then checked under
+// every row of gcfuzz.Modes built from it, as the fuzz target checks them
+// from the zero Config: a crasher the fuzzer reports under a mode replays
+// with that mode's flags (-gcincr, -gctenure 3, ...).
 //
 // With -minimize, a failing program is shrunk to a minimal reproducer
 // (printed as a go-fuzz corpus file, ready to check in as a regression
@@ -40,7 +39,7 @@ func main() {
 	emitTrace := flag.String("emit-trace", "", "export the (single) program as an allocation-event trace to `file`")
 	compress := flag.Bool("compress", false, "write the -emit-trace output with per-block compression")
 	flag.Parse()
-	heap.SetDefaultConfig(gcConfig())
+	gc := gcConfig()
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
@@ -52,7 +51,7 @@ func main() {
 
 	exit := 0
 	for _, path := range flag.Args() {
-		if err := replay(path, *censusMode, *collector, *minimize, *emitTrace, *compress); err != nil {
+		if err := replay(path, gc, *censusMode, *collector, *minimize, *emitTrace, *compress); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			exit = 1
 		}
@@ -66,7 +65,7 @@ func main() {
 // grid's first collector drives the run under the flags' configuration like
 // every other run here. The trace carries no heap_words metadata, which
 // tells gctrace replay to use the same fuzz-sized grid.
-func emit(path string, prog []byte, census, compress bool) error {
+func emit(path string, prog []byte, gc heap.Config, census, compress bool) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -81,7 +80,7 @@ func emit(path string, prog []byte, census, compress bool) error {
 	}
 	var rec *trace.Recorder
 	var wrapErr error
-	_, runErr := gcfuzz.Run(prog, gcfuzz.Collectors()[0].New, census, heap.DefaultConfig(),
+	_, runErr := gcfuzz.Run(prog, gcfuzz.Collectors()[0].New, census, gc,
 		func(h *heap.Heap, c heap.Collector) heap.Collector {
 			w, err := trace.NewWriter(f, trace.Header{Census: census, Meta: meta}, wopts...)
 			if err != nil {
@@ -113,7 +112,7 @@ func emit(path string, prog []byte, census, compress bool) error {
 	return nil
 }
 
-func replay(path, censusMode, collector string, minimize bool, emitTrace string, compress bool) error {
+func replay(path string, gc heap.Config, censusMode, collector string, minimize bool, emitTrace string, compress bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -135,7 +134,7 @@ func replay(path, censusMode, collector string, minimize bool, emitTrace string,
 	fmt.Printf("%s: %d program bytes, census=%v\n", path, len(prog), census)
 
 	if emitTrace != "" {
-		if err := emit(emitTrace, prog, census, compress); err != nil {
+		if err := emit(emitTrace, prog, gc, census, compress); err != nil {
 			return err
 		}
 	}
@@ -156,7 +155,7 @@ func replay(path, censusMode, collector string, minimize bool, emitTrace string,
 	// run checks p the way the fuzz target does, under every mode: all
 	// collectors with the cross-collector statistics check, or the named one.
 	run := func(p []byte) error {
-		for _, m := range gcfuzz.Modes(p) {
+		for _, m := range gcfuzz.Modes(gc, p) {
 			var err error
 			if collector == "" {
 				err = gcfuzz.RunAll(p, census, m.Config)
@@ -172,7 +171,7 @@ func replay(path, censusMode, collector string, minimize bool, emitTrace string,
 
 	var firstStats heap.Stats
 	for i, nc := range grid {
-		stats, err := gcfuzz.Run(prog, nc.New, census, heap.DefaultConfig(), nil)
+		stats, err := gcfuzz.Run(prog, nc.New, census, gc, nil)
 		status := "ok"
 		if err != nil {
 			status = err.Error()

@@ -10,6 +10,7 @@ import (
 
 	"rdgc/internal/cmdtest"
 	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/heap"
 )
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
@@ -35,7 +36,7 @@ func TestReplaysUnderEveryMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range gcfuzz.Modes(prog) {
+	for _, m := range gcfuzz.Modes(heap.Config{}, prog) {
 		c := m.Config
 		out := cmdtest.Run(t, nil,
 			fmt.Sprintf("-gcincr=%v", c.Incremental), "-gcslice", fmt.Sprint(c.SliceBudget),

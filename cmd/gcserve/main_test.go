@@ -11,9 +11,8 @@ import (
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
-// TestGCModeSpellings: each collector mode reaches the shard heaps the same
-// way whether it is spelled as flags or as environment, and the report
-// header names it.
+// TestGCModeSpellings: each collector mode's flags reach the shard heaps,
+// and the report header names the mode.
 func TestGCModeSpellings(t *testing.T) {
 	outs := cmdtest.CheckGCSpellings(t, []string{
 		"-collector", "generational", "-shards", "2", "-horizon", "6000", "-heap", "8192", "-seed", "7",

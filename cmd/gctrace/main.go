@@ -148,7 +148,11 @@ func cmdRecord(args []string) error {
 	if path == "" {
 		path = p.Name() + ".trace"
 	}
-	stats, err := experiments.RecordBenchTrace(path, p, nc, *census)
+	var opts []heap.Option
+	if *census {
+		opts = append(opts, heap.WithCensus())
+	}
+	stats, err := experiments.RecordBenchTrace(path, p, nc, opts...)
 	if err != nil {
 		return err
 	}
@@ -273,22 +277,23 @@ type replayCell struct {
 }
 
 // replayOne opens the trace fresh and drives one collector from it.
-func replayOne(path string, nc gcfuzz.NamedCollector, verify bool) (replayCell, error) {
+func replayOne(path string, nc gcfuzz.NamedCollector, gc heap.Config, verify bool) (replayCell, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return replayCell{}, err
 	}
 	defer f.Close()
-	return replayReader(f, nc, verify)
+	return replayReader(f, nc, gc, verify)
 }
 
-// replayReader drives one collector from a trace stream on a fresh heap.
-func replayReader(r io.Reader, nc gcfuzz.NamedCollector, verify bool) (replayCell, error) {
+// replayReader drives one collector from a trace stream on a fresh heap
+// under gc.
+func replayReader(r io.Reader, nc gcfuzz.NamedCollector, gc heap.Config, verify bool) (replayCell, error) {
 	rd, err := trace.NewReader(r)
 	if err != nil {
 		return replayCell{}, err
 	}
-	var opts []heap.Option
+	opts := []heap.Option{heap.WithConfig(gc)}
 	if rd.Header().Census {
 		opts = append(opts, heap.WithCensus())
 	}
@@ -307,7 +312,6 @@ func cmdReplay(args []string) error {
 	gcConfig := heap.ConfigFlags(fs)
 	fs.Parse(args)
 	gc, opts := gcConfig(), runOpts()
-	heap.SetDefaultConfig(gc)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay needs exactly one trace file")
 	}
@@ -339,7 +343,7 @@ func cmdReplay(args []string) error {
 	fmt.Printf("%s: workload %q, census=%v, %d collectors\n", path, workload, hdr.Census, len(grid))
 
 	if *shards > 1 {
-		return replaySharded(path, grid, *shards, *verify, opts)
+		return replaySharded(path, grid, *shards, gc, *verify, opts)
 	}
 
 	specs := make([]runner.Spec[replayCell], len(grid))
@@ -347,7 +351,7 @@ func cmdReplay(args []string) error {
 		nc := nc
 		specs[i] = runner.Spec[replayCell]{
 			Name: nc.Name,
-			Run:  func() (replayCell, error) { return replayOne(path, nc, *verify) },
+			Run:  func() (replayCell, error) { return replayOne(path, nc, gc, *verify) },
 			Words: func(v replayCell) uint64 {
 				return v.res.Stats.WordsAllocated + v.gc.WordsCopied + v.gc.WordsMarked
 			},
@@ -377,7 +381,7 @@ func cmdReplay(args []string) error {
 // cell with its own proportionally sized heap, and reports per-collector
 // aggregates. Shard contents and the summed statistics depend only on the
 // corpus and n — never on -parallel or completion order.
-func replaySharded(path string, grid []gcfuzz.NamedCollector, n int, verify bool, ropt runner.Options) error {
+func replaySharded(path string, grid []gcfuzz.NamedCollector, n int, gc heap.Config, verify bool, ropt runner.Options) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -411,7 +415,7 @@ func replaySharded(path string, grid []gcfuzz.NamedCollector, n int, verify bool
 					if err != nil {
 						return replayCell{}, err
 					}
-					return replayReader(bytes.NewReader(raw), snc, verify)
+					return replayReader(bytes.NewReader(raw), snc, gc, verify)
 				},
 				Words: func(v replayCell) uint64 {
 					return v.res.Stats.WordsAllocated + v.gc.WordsCopied + v.gc.WordsMarked

@@ -14,9 +14,8 @@ import (
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
-// TestReplayGCModeSpellings: each collector mode reaches the replay heaps
-// the same way whether it is spelled as flags or as environment, and the
-// checked-in trace replays verifier-clean under every collector in each.
+// TestReplayGCModeSpellings: the checked-in trace replays verifier-clean
+// under every collector with no -gc* flag and with each mode's flags.
 func TestReplayGCModeSpellings(t *testing.T) {
 	outs := cmdtest.CheckGCSpellings(t,
 		[]string{"replay", "-verify"},

@@ -91,7 +91,10 @@ func TestDocPointersResolve(t *testing.T) {
 // closures that young.Gen and core.Steps replaced; the trace splice and
 // time-scale operators with their tests; the heap checker's second parser and
 // its tests, now that Check is the whole-heap Verify, and the verifier's
-// separate remembered-set pass),
+// separate remembered-set pass; the process-wide default Config, the
+// environment it was read from and the per-package guards that held test
+// heaps to it; trace format version 1's writer and the reader's window
+// onto it),
 // and the hook by its plain name, may not be named
 // by README.md, DESIGN.md or EXPERIMENTS.md — outside a section whose heading
 // dates it to a PR or an issue, which is history and stays as written — nor
@@ -110,8 +113,9 @@ func TestDocsNameNothingDeleted(t *testing.T) {
 		`Alpha|MaxThreshold|TargetSurvival|MinSampleWords|Hysteresis|OldCopyCost|TestConfigDefaults|` +
 		`allocDynamic|allocOld|npExtra|npScan|evacRoots|TimeScale|TestSpliceSelf|TestTimeScale|checkRemsets|checkFixture|` +
 		`wantCheckError|TestCheck(MalformedHeader|StaleMark|BlockOverrun|DanglingPointerPastTop|PointerToNonHeader|` +
-		`ReachableFreeBlock|UnknownSpace|IgnoresUnreachableGarbage))\b`)
-	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_WORKERS|RDGC_GC_LAB)\b[^"]*"`)
+		`ReachableFreeBlock|UnknownSpace|IgnoresUnreachableGarbage)|SetDefaultConfig|DefaultConfig|ConfigFromEnv|` +
+		`CheckEnvReachesHeaps|TestEnvReachesHeaps|RDGC_GC_(INCR|SLICE|TENURE|ADAPT)|[nN]ewWriterVersion|minReadVersion)\b`)
+	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_(WORKERS|LAB|INCR|SLICE|TENURE|ADAPT))\b[^"]*"`)
 	heading := regexp.MustCompile(`^#+ `)
 	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)
 	check := func(path string, history func(line string) bool) {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -25,9 +24,9 @@ func Main(m *testing.M, main func()) {
 	os.Exit(m.Run())
 }
 
-// Run runs the command with args, under the test's environment less every
-// RDGC_GC_* variable plus env, and returns its stdout. A non-zero exit
-// fails the test with the command's stderr.
+// Run runs the command with args, under the test's environment plus env,
+// and returns its stdout. A non-zero exit fails the test with the command's
+// stderr.
 func Run(t *testing.T, env []string, args ...string) string {
 	t.Helper()
 	stdout, stderr, status := Exit(t, env, args...)
@@ -43,12 +42,7 @@ func Run(t *testing.T, env []string, args ...string) string {
 func Exit(t *testing.T, env []string, args ...string) (stdout, stderr string, status int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	for _, kv := range os.Environ() {
-		if !strings.HasPrefix(kv, "RDGC_GC_") {
-			cmd.Env = append(cmd.Env, kv)
-		}
-	}
-	cmd.Env = append(append(cmd.Env, reexec+"=1"), env...)
+	cmd.Env = append(append(os.Environ(), reexec+"=1"), env...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
@@ -60,28 +54,19 @@ func Exit(t *testing.T, env []string, args ...string) (stdout, stderr string, st
 	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
 }
 
-// GCModes spells each collector mode both ways a driver takes it: as -gc*
-// flags and as RDGC_GC_* variables.
-var GCModes = []struct{ Flags, Env []string }{
-	{[]string{"-gcincr"}, []string{"RDGC_GC_INCR=1"}},
-	{[]string{"-gctenure", "3"}, []string{"RDGC_GC_TENURE=3"}},
-	{[]string{"-gcadapt"}, []string{"RDGC_GC_ADAPT=1"}},
-}
+// GCModes are the -gc* flag spellings of the collector modes a driver's
+// tests run it under.
+var GCModes = [][]string{{"-gcincr"}, {"-gctenure", "3"}, {"-gcadapt"}}
 
-// CheckGCSpellings runs the command once per entry of GCModes in each
-// spelling — the flags go between pre and post — and fails unless the two
-// print the same bytes. It returns the default run's output followed by one
+// CheckGCSpellings runs the command once with no -gc* flag and once per
+// entry of GCModes — the flags go between pre and post — failing the test
+// on a non-zero exit. It returns the default run's output followed by one
 // output per mode.
 func CheckGCSpellings(t *testing.T, pre, post []string) []string {
 	t.Helper()
 	outs := []string{Run(t, nil, slices.Concat(pre, post)...)}
-	for _, m := range GCModes {
-		byFlag := Run(t, nil, slices.Concat(pre, m.Flags, post)...)
-		byEnv := Run(t, m.Env, slices.Concat(pre, post)...)
-		if byFlag != byEnv {
-			t.Errorf("%v and %v print different reports:\n%s\n--- vs ---\n%s", m.Flags, m.Env, byFlag, byEnv)
-		}
-		outs = append(outs, byFlag)
+	for _, flags := range GCModes {
+		outs = append(outs, Run(t, nil, slices.Concat(pre, flags, post)...))
 	}
 	return outs
 }

@@ -10,18 +10,12 @@ import (
 )
 
 // RunBenchPausesLogged runs one registry benchmark on the named collector —
-// "marksweep" or "npms", the two with an incremental mode — stop-the-world
-// or incremental (sliceBudget 0 keeps the process default's budget), handing
-// log every mutator-visible pause — in words of collector work: whole
-// collections in stop-the-world mode; root scans, mark slices, lazy sweeps
-// and termination in incremental mode — in order, as it is recorded. It is
-// the stream behind gcbench -pauselog.
-func RunBenchPausesLogged(p bench.Program, collector string, incremental bool, sliceBudget int, log func(words uint64)) error {
-	cfg := heap.DefaultConfig()
-	cfg.Incremental = incremental
-	if sliceBudget > 0 {
-		cfg.SliceBudget = sliceBudget
-	}
+// "marksweep" or "npms", the two with an incremental mode — on a heap under
+// cfg, handing log every mutator-visible pause — in words of collector work:
+// whole collections in stop-the-world mode; root scans, mark slices, lazy
+// sweeps and termination in incremental mode — in order, as it is
+// recorded. It is the stream behind gcbench -pauselog.
+func RunBenchPausesLogged(p bench.Program, collector string, cfg heap.Config, log func(words uint64)) error {
 	h := heap.New(heap.WithConfig(cfg))
 	h.SetPauseLog(log)
 	var c heap.Collector

@@ -59,7 +59,7 @@ func TestBenchTraceGoldenReplay(t *testing.T) {
 		grid := gcfuzz.CollectorsSized(p.HeapWords())
 
 		path := filepath.Join(dir, p.Name()+".trace")
-		stats, err := RecordBenchTrace(path, p, grid[0], false)
+		stats, err := RecordBenchTrace(path, p, grid[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestBenchTraceGoldenReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		path2 := filepath.Join(dir, p.Name()+"-gen.trace")
-		if _, err := RecordBenchTrace(path2, p, grid[2], false); err != nil {
+		if _, err := RecordBenchTrace(path2, p, grid[2]); err != nil {
 			t.Fatal(err)
 		}
 		raw2, err := os.ReadFile(path2)

@@ -48,6 +48,9 @@ type Table3Config struct {
 	NurseryDivisor uint64
 	// MinNurseryWords and MaxNurseryWords clamp the nursery.
 	MinNurseryWords, MaxNurseryWords int
+	// GC is the collector configuration every heap of the row is built
+	// under.
+	GC heap.Config
 }
 
 // DefaultTable3Config mirrors the paper's setup at this repository's scale.
@@ -65,7 +68,7 @@ func DefaultTable3Config() Table3Config {
 // the peak live estimate — the calibration pass behind the paper's "peak
 // storage (estimated)" column.
 func MeasurePeak(p bench.Program, cfg Table3Config) (peak int, alloc uint64, err error) {
-	h := heap.New()
+	h := heap.New(heap.WithConfig(cfg.GC))
 	c := semispace.New(h, 4096, semispace.WithExpansion(2))
 	res := bench.Measure(p, h, c)
 	return res.PeakLiveWords, res.WordsAllocated, res.Err
@@ -82,7 +85,7 @@ func RunTable3Row(mk func() bench.Program, cfg Table3Config) (Table3Row, error) 
 	semi := maxInt(int(cfg.SemiFactor*float64(peak)), 5*nursery/2)
 
 	// Stop-and-copy at the calibrated size.
-	hSC := heap.New()
+	hSC := heap.New(heap.WithConfig(cfg.GC))
 	cSC := semispace.New(hSC, semi, semispace.WithExpansion(cfg.SemiFactor))
 	scRes := bench.Measure(mk(), hSC, cSC)
 	if scRes.Err != nil {
@@ -91,7 +94,7 @@ func RunTable3Row(mk func() bench.Program, cfg Table3Config) (Table3Row, error) 
 
 	// Conventional generational: nursery plus an old area sized to touch a
 	// little less storage than the stop-and-copy collector.
-	hG := heap.New()
+	hG := heap.New(heap.WithConfig(cfg.GC))
 	old := maxInt(semi-nursery, 2*peak+2*nursery)
 	cG := generational.New(hG, nursery, old, generational.WithExpansion(2))
 	genRes := bench.Measure(mk(), hG, cG)

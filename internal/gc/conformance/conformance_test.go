@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rdgc/internal/core"
+	"rdgc/internal/gc/gcfuzz"
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/gc/generational"
 	"rdgc/internal/gc/hybrid"
@@ -70,12 +71,12 @@ func shrunkCollectors(div int) map[string]func(h *heap.Heap) heap.Collector {
 	}
 }
 
-// censusOpts is the heap options of a run with or without birth stamps.
-func censusOpts(census bool) []heap.Option {
+// newHeap builds a heap under cfg, with birth stamps when census is set.
+func newHeap(cfg heap.Config, census bool) *heap.Heap {
 	if census {
-		return []heap.Option{heap.WithCensus()}
+		return heap.New(heap.WithConfig(cfg), heap.WithCensus())
 	}
-	return nil
+	return heap.New(heap.WithConfig(cfg))
 }
 
 // TestShadowModel's short runs: shortRuns seeds of shortOps operations on
@@ -92,21 +93,39 @@ const (
 )
 
 // TestShadowModel plays each seeded workload on every collector under the
-// process default, so CI's RDGC_GC_* passes flow through.
+// mode matrix (gcfuzz.Modes from the zero Config): each long seed under
+// every mode, short seed s under mode s mod len(matrix). The tenured row's
+// threshold is picked by the byte s + s/len(matrix), as a fuzz program's
+// byte 2 picks it, so the long seeds run at thresholds 3, 6 and 15 and the
+// short seeds that land on the row walk through all five. A long seed's run
+// outside the default row carries the row's name after the seed.
 func TestShadowModel(t *testing.T) {
 	type run struct {
 		seed     int64
 		ops, div int
+		mode     gcfuzz.Mode
+		suffix   string
 	}
-	runs := []run{{1, ops, 1}, {2, ops, 1}, {3, ops, 1}}
+	var runs []run
+	n := int64(len(gcfuzz.Modes(heap.Config{}, nil)))
+	modes := func(seed int64) []gcfuzz.Mode { return gcfuzz.Modes(heap.Config{}, []byte{2: byte(seed + seed/n)}) }
+	for seed := int64(1); seed <= 3; seed++ {
+		for i, m := range modes(seed) {
+			suffix := ""
+			if i > 0 {
+				suffix = "/" + m.Name
+			}
+			runs = append(runs, run{seed, ops, 1, m, suffix})
+		}
+	}
 	for seed := int64(1000); seed < 1000+shortRuns; seed++ {
-		runs = append(runs, run{seed, shortOps, shortDiv})
+		runs = append(runs, run{seed, shortOps, shortDiv, modes(seed)[seed%n], ""})
 	}
 	for _, r := range runs {
 		for name, mk := range shrunkCollectors(r.div) {
-			t.Run(fmt.Sprintf("%s/seed%d", name, r.seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed%d%s", name, r.seed, r.suffix), func(t *testing.T) {
 				t.Parallel()
-				h := heap.New()
+				h := heap.New(heap.WithConfig(r.mode.Config))
 				gctest.RandomOps(t, h, mk(h), r.ops, r.seed)
 			})
 		}
@@ -130,7 +149,7 @@ func TestShadowModelWithCensus(t *testing.T) {
 func TestPeakLiveBoundsLive(t *testing.T) {
 	for name, mk := range collectors() {
 		t.Run(name, func(t *testing.T) {
-			h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = false })
+			h := heap.New()
 			c := mk(h)
 			var gcs, short int
 			var first string

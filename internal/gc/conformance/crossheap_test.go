@@ -67,10 +67,9 @@ func heapCells(t *testing.T) []cell {
 	var cells []cell
 	for _, name := range names {
 		mk := all[name]
-		// Under the process default, so CI's RDGC_GC_* passes flow through.
 		for _, census := range []bool{false, true} {
 			cells = append(cells, cell{fmt.Sprintf("%s/census=%v", name, census), func(t *testing.T) any {
-				h := gctest.NewHeap(func(*heap.Config) {}, censusOpts(census)...)
+				h := newHeap(heap.Config{}, census)
 				c := mk(h)
 				img := capture(t, h, c, 11)
 				checkPacked(t, h, c)
@@ -84,16 +83,20 @@ func heapCells(t *testing.T) []cell {
 	for _, name := range []string{"marksweep", "npms", "npms-nocompact"} {
 		mk := all[name]
 		cells = append(cells, cell{name + "/incremental", func(t *testing.T) any {
-			h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = true })
+			h := heap.New(heap.WithConfig(heap.Config{Incremental: true}))
 			return capture(t, h, mk(h), 23)
 		}})
 	}
 	tenuring := tenuringCollectors()
 	for _, name := range []string{"generational", "hybrid", "multigen"} {
 		mk := tenuring[name]
-		for _, tenure := range []int{3, heap.TenureNever} {
-			cells = append(cells, cell{fmt.Sprintf("%s/tenure=%d", name, tenure), func(t *testing.T) any {
-				h := gctest.NewHeap(tenureAt(tenure))
+		for _, tenure := range []int{3, heap.TenureNever, 0} {
+			label := fmt.Sprintf("tenure=%d", tenure)
+			if tenure == 0 {
+				label = "adaptive"
+			}
+			cells = append(cells, cell{name + "/" + label, func(t *testing.T) any {
+				h := heap.New(heap.WithConfig(tenureAt(tenure)))
 				return capture(t, h, mk(h), 29)
 			}})
 		}

@@ -31,11 +31,10 @@ type heapImage struct {
 // currently selected tracer and snapshots the final state.
 func captureRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, census bool) heapImage {
 	t.Helper()
-	// Pin the zero Config regardless of the RDGC_GC_* environment: the
-	// reference tracer serves wholesale runs only, so a word-for-word image
-	// comparison is only meaningful with both runs stop-the-world and
-	// wholesale.
-	h := heap.New(append(censusOpts(census), heap.WithConfig(heap.Config{}))...)
+	// The zero Config: the reference tracer serves wholesale runs only, so a
+	// word-for-word image comparison is only meaningful with both runs
+	// stop-the-world and wholesale.
+	h := newHeap(heap.Config{}, census)
 	c := mk(h)
 	// The workload's own roots are globals and its handles are short-lived,
 	// so hold one structure from the handle stack throughout: the order the

@@ -135,9 +135,7 @@ func ordinalGraph(t *testing.T, h *heap.Heap, witness *stampWitness) string {
 // quarter mark (after a forced collection) and at the end.
 func runIdentified(t *testing.T, mk func(h *heap.Heap) heap.Collector, census bool, tenure int) []string {
 	t.Helper()
-	h := gctest.NewHeap(func(c *heap.Config) {
-		c.Tenure, c.Adaptive = tenure, false
-	}, censusOpts(census)...)
+	h := newHeap(heap.Config{Tenure: tenure}, census)
 	c := mk(h)
 	h.TrackIdentity()
 	var witness *stampWitness

@@ -10,7 +10,6 @@ package conformance
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -19,23 +18,12 @@ import (
 	"rdgc/internal/heap"
 )
 
-// TestMain seeds the process default from the environment, the way the
-// drivers do, so CI can replay the whole conformance suite under any
-// RDGC_GC_* setting (RDGC_GC_SLICE shrinking the slice budget sharpens
-// interleavings).
-func TestMain(m *testing.M) {
-	heap.SetDefaultConfig(heap.ConfigFromEnv())
-	os.Exit(m.Run())
-}
-
-func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
-
 // incrementalRun plays the seeded workload with incremental collection
 // enabled, ending on a forced collection so the heap is fully swept and
 // quiescent.
 func incrementalRun(t *testing.T, mk func(h *heap.Heap) heap.Collector, seed int64, census bool) (*heap.Heap, heap.Collector) {
 	t.Helper()
-	h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = true }, censusOpts(census)...)
+	h := newHeap(heap.Config{Incremental: true}, census)
 	c := mk(h)
 	gctest.RandomOps(t, h, c, ops, seed)
 	synchronize(c)
@@ -61,7 +49,7 @@ func synchronize(c heap.Collector) {
 func TestIncrementalShadowModel(t *testing.T) {
 	for name, mk := range collectors() {
 		t.Run(name, func(t *testing.T) {
-			h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = true })
+			h := heap.New(heap.WithConfig(heap.Config{Incremental: true}))
 			c := mk(h)
 			gctest.RandomOps(t, h, c, ops, 23)
 		})
@@ -77,7 +65,7 @@ func TestIncrementalMatchesStopTheWorld(t *testing.T) {
 	for name, mk := range collectors() {
 		for _, census := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/census=%v", name, census), func(t *testing.T) {
-				hs := gctest.NewHeap(func(c *heap.Config) { c.Incremental = false }, censusOpts(census)...)
+				hs := newHeap(heap.Config{}, census)
 				cs := mk(hs)
 				gctest.RandomOps(t, hs, cs, ops, 23)
 				synchronize(cs)

@@ -36,10 +36,10 @@ func tenuringCollectors() map[string]func(h *heap.Heap) heap.Collector {
 	}
 }
 
-// tenureAt pins the tenuring policy of a Config: a fixed promotion
-// threshold, or the adaptive controller for threshold 0.
-func tenureAt(threshold int) func(c *heap.Config) {
-	return func(c *heap.Config) { c.Tenure, c.Adaptive = threshold, threshold == 0 }
+// tenureAt is the Config of a tenuring policy: a fixed promotion threshold,
+// or the adaptive controller for threshold 0.
+func tenureAt(threshold int) heap.Config {
+	return heap.Config{Tenure: threshold, Adaptive: threshold == 0}
 }
 
 // runWithAgeOracle drives the randomized workload at the given threshold
@@ -48,7 +48,7 @@ func tenureAt(threshold int) func(c *heap.Config) {
 // objects observed, so callers can assert retention actually happened.
 func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, threshold int, seed int64, census bool, nOps int) int {
 	t.Helper()
-	h := gctest.NewHeap(tenureAt(threshold), censusOpts(census)...)
+	h := newHeap(tenureAt(threshold), census)
 	c := mk(h)
 	ten, ok := c.(heap.Tenurer)
 	if !ok {
@@ -159,9 +159,9 @@ func TestAgeOracleDetectsCorruption(t *testing.T) {
 // nothing old ever points at the nursery) an empty remembered set even
 // with nursery-to-nursery pointer writes flowing through the barrier.
 func TestTenureNeverPromotesNothing(t *testing.T) {
-	never := func(c *heap.Config) { c.Tenure, c.Adaptive = heap.TenureNever, false }
+	never := heap.WithConfig(heap.Config{Tenure: heap.TenureNever})
 	t.Run("generational", func(t *testing.T) {
-		h := gctest.NewHeap(never)
+		h := heap.New(never)
 		c := generational.New(h, 1024, 16384, generational.WithExpansion(2))
 		exerciseTenureNever(t, h, c)
 		if n := c.RemsetLen(); n != 0 {
@@ -169,7 +169,7 @@ func TestTenureNeverPromotesNothing(t *testing.T) {
 		}
 	})
 	t.Run("multigen", func(t *testing.T) {
-		h := gctest.NewHeap(never)
+		h := heap.New(never)
 		c := multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
 		exerciseTenureNever(t, h, c)
 		if n := c.RemsetLen(); n != 0 {
@@ -177,7 +177,7 @@ func TestTenureNeverPromotesNothing(t *testing.T) {
 		}
 	})
 	t.Run("hybrid", func(t *testing.T) {
-		h := gctest.NewHeap(never)
+		h := heap.New(never)
 		c := hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth())
 		exerciseTenureNever(t, h, c)
 		if a, b := c.RemsetLens(); a != 0 || b != 0 {

@@ -26,13 +26,9 @@ type tracedWorkload struct {
 }
 
 func tracedWorkloads(t *testing.T) []tracedWorkload {
-	// Every heap below is built from a Config literal, so CI's RDGC_GC_*
-	// passes over this package would only repeat the plain run: they leave
-	// out nboyer1, whose 4.5 M events are most of the test's time.
-	pinned := heap.DefaultConfig() != heap.New(heap.WithConfig(heap.Config{})).Config()
 	var ws []tracedWorkload
 	for _, p := range bench.Quick() {
-		if name := p.Name(); name == "lattice" || (name == "nboyer1" && !pinned) {
+		if name := p.Name(); name == "lattice" || name == "nboyer1" {
 			ws = append(ws, tracedWorkload{name, p.HeapWords(), func(h *heap.Heap, c heap.Collector) error {
 				// A program keeps the state of its run, so each heap runs
 				// an instance of its own.

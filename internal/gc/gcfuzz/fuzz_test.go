@@ -6,20 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"rdgc/internal/gc/gctest"
 	"rdgc/internal/gc/generational"
 	"rdgc/internal/heap"
 )
-
-// TestMain seeds the process default from the environment, the way the
-// drivers do, so each of CI's RDGC_GC_* fuzz passes reaches every heap the
-// harness builds (through Modes, which starts from that default).
-func TestMain(m *testing.M) {
-	heap.SetDefaultConfig(heap.ConfigFromEnv())
-	os.Exit(m.Run())
-}
-
-func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 // seedPrograms are the hand-written corpus: each stresses a different slice
 // of the op space. The same programs are checked in under
@@ -65,7 +54,7 @@ func FuzzCollectors(f *testing.F) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		for _, m := range Modes(prog) {
+		for _, m := range Modes(heap.Config{}, prog) {
 			if err := RunAll(prog, censusFor(prog), m.Config); err != nil {
 				t.Fatalf("%s: %v", m.Name, err)
 			}
@@ -94,7 +83,7 @@ func TestSeedCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
 		for _, census := range []bool{false, true} {
-			for _, m := range Modes(prog) {
+			for _, m := range Modes(heap.Config{}, prog) {
 				if err := RunAll(prog, census, m.Config); err != nil {
 					t.Errorf("%s (census=%v, %s): %v", e.Name(), census, m.Name, err)
 				}
@@ -197,11 +186,11 @@ func TestTenuredRunDetectsBadAge(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	prog := seedPrograms()[5]
 	for _, nc := range Collectors() {
-		a, err := Run(prog, nc.New, true, heap.DefaultConfig(), nil)
+		a, err := Run(prog, nc.New, true, heap.Config{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", nc.Name, err)
 		}
-		b, err := Run(prog, nc.New, true, heap.DefaultConfig(), nil)
+		b, err := Run(prog, nc.New, true, heap.Config{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", nc.Name, err)
 		}

@@ -308,31 +308,33 @@ type Mode struct {
 	Config heap.Config
 }
 
-// Modes lists the configurations the fuzz target, the seed-corpus test and
-// cmd/gcfuzz replay prog under: the process default (so an RDGC_GC_*
-// environment or a -gc* flag flows through every entry) and, starting from
-// it, one knob turned at a time. The promotion threshold comes from the
-// program's bytes, so the fuzzer explores it (including never-promote),
-// unless the process default already pins one.
-// Entries that come out equal to an earlier one are dropped.
-func Modes(prog []byte) []Mode {
+// Modes is the mode matrix: the configurations the fuzz target, the
+// seed-corpus test, cmd/gcfuzz and the conformance suite run a program
+// under. The first row is base; each of the others turns one knob from it:
+// incremental collection, a fixed promotion threshold, the adaptive
+// controller, and incremental collection at a 64-word mark slice, so slices
+// and lazy sweeps interleave as finely as they can. The threshold comes from
+// the program's bytes, so the fuzzer explores it (including never-promote),
+// unless base already pins one. Rows that come out equal to an earlier one
+// are dropped.
+func Modes(base heap.Config, prog []byte) []Mode {
 	at := func(i int) byte {
 		if i < len(prog) {
 			return prog[i]
 		}
 		return 0
 	}
-	base := heap.DefaultConfig()
-	incr, ten, adapt := base, base, base
+	incr, ten, adapt, slice := base, base, base, base
 	incr.Incremental = true
-	if ten.Tenure == 1 {
+	if ten.Tenure <= 1 {
 		ten.Tenure = [5]int{2, 3, 6, 15, heap.TenureNever}[at(2)%5]
 	}
 	ten.Adaptive = false
 	adapt.Adaptive = true
+	slice.Incremental, slice.SliceBudget = true, 64
 	var modes []Mode
 next:
-	for _, m := range []Mode{{"default", base}, {"incremental", incr}, {"tenured", ten}, {"adaptive", adapt}} {
+	for _, m := range []Mode{{"default", base}, {"incremental", incr}, {"tenured", ten}, {"adaptive", adapt}, {"incremental-slice64", slice}} {
 		for _, seen := range modes {
 			if seen.Config == m.Config {
 				continue next

@@ -142,26 +142,3 @@ func StressCollector(t *testing.T, h *heap.Heap, c heap.Collector) {
 		t.Error("stress run never collected")
 	}
 }
-
-// NewHeap builds a heap under the process default with edit applied: how a
-// test overrides the knobs it is about and lets CI's RDGC_GC_* passes flow
-// through the rest. (A test asserting a property of one mode pins all four
-// with heap.WithConfig of a literal instead.)
-func NewHeap(edit func(c *heap.Config), opts ...heap.Option) *heap.Heap {
-	cfg := heap.DefaultConfig()
-	edit(&cfg)
-	return heap.New(append(opts, heap.WithConfig(cfg))...)
-}
-
-// CheckEnvReachesHeaps is the guard behind CI's env-pinned passes: a heap
-// built with no options must carry exactly the configuration the RDGC_GC_*
-// environment names. It fails in a package whose TestMain does not seed the
-// process default with heap.SetDefaultConfig(heap.ConfigFromEnv()) whenever
-// such a variable is set, which is when the pass would otherwise measure the
-// defaults in silence.
-func CheckEnvReachesHeaps(t *testing.T) {
-	t.Helper()
-	if got, want := heap.New().Config(), heap.ConfigFromEnv(); got != want {
-		t.Fatalf("heap.New() is configured %+v, the environment names %+v", got, want)
-	}
-}

@@ -1,23 +1,12 @@
 package generational
 
 import (
-	"os"
 	"testing"
 
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 	"rdgc/internal/remset"
 )
-
-// TestMain seeds the process default from the environment, the way the
-// drivers do, so CI's RDGC_GC_ADAPT=1 pass reaches every heap these tests
-// build with a bare heap.New.
-func TestMain(m *testing.M) {
-	heap.SetDefaultConfig(heap.ConfigFromEnv())
-	os.Exit(m.Run())
-}
-
-func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 func TestStress(t *testing.T) {
 	h := heap.New()

@@ -193,11 +193,11 @@ func TestCursorPlacementMatchesPlainFirstFit(t *testing.T) {
 	modes := []struct {
 		name string
 		seed int64
-		edit func(*heap.Config)
+		cfg  heap.Config
 	}{
-		{"stop-the-world", 1, func(c *heap.Config) { c.Incremental = false }},
-		{"incremental", 2, func(c *heap.Config) { c.Incremental = true; c.SliceBudget = heap.DefaultSliceBudget }},
-		{"incremental-slice64", 3, func(c *heap.Config) { c.Incremental = true; c.SliceBudget = 64 }},
+		{"stop-the-world", 1, heap.Config{}},
+		{"incremental", 2, heap.Config{Incremental: true}},
+		{"incremental-slice64", 3, heap.Config{Incremental: true, SliceBudget: 64}},
 	}
 	const (
 		initial = 4 * heap.BlockWords
@@ -206,7 +206,7 @@ func TestCursorPlacementMatchesPlainFirstFit(t *testing.T) {
 	)
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			h, rh := gctest.NewHeap(mode.edit), gctest.NewHeap(mode.edit)
+			h, rh := heap.New(heap.WithConfig(mode.cfg)), heap.New(heap.WithConfig(mode.cfg))
 			c := New(h, initial, WithExpansion(2))
 			ref := newRef(rh, initial, WithExpansion(2))
 			table, rtable := h.Global(h.MakeVector(slots, h.Null())), rh.Global(rh.MakeVector(slots, rh.Null()))
@@ -271,7 +271,7 @@ func firstBlock(t *testing.T, c *Collector, w heap.Word) int {
 // list, so the cursors a mutator phase advanced must all rewind — the next
 // request of an advanced size lands back in block 0.
 func TestCursorResetAfterCollect(t *testing.T) {
-	h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = false })
+	h := heap.New()
 	c := New(h, 8*heap.BlockWords)
 	for i := 0; i < 3*heap.BlockWords/3; i++ { // three blocks of dead pairs
 		c.AllocRaw(heap.TPair, 2)
@@ -315,7 +315,7 @@ func TestCursorResetAfterFinishMark(t *testing.T) {
 // cursors of the exhausted spaces stay where they are, and the next
 // collection rewinds them all.
 func TestCursorsAfterGrow(t *testing.T) {
-	h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = false })
+	h := heap.New()
 	c := New(h, heap.BlockWords, WithExpansion(2))
 	s := h.Scope()
 	list := gctest.BuildList(h, 2*heap.BlockWords/3) // two blocks of live pairs into a one-block heap
@@ -380,9 +380,7 @@ func TestCursorBoundsBlocksVisited(t *testing.T) {
 		A    = 600
 		tail = A*3/heap.BlockWords + 2
 	)
-	stw := func(c *heap.Config) { c.Incremental = false }
-
-	h := gctest.NewHeap(stw)
+	h := heap.New()
 	c := New(h, (B+tail)*heap.BlockWords)
 	gctest.FragmentBlocks(h, B)
 	c.Collect()
@@ -402,7 +400,7 @@ func TestCursorBoundsBlocksVisited(t *testing.T) {
 		t.Errorf("%d allocations over %d fragmented blocks visited %d blocks, want at most 2B+A = %d", A, B, got, 2*B+A)
 	}
 
-	rh := gctest.NewHeap(stw)
+	rh := heap.New()
 	ref := newRef(rh, (B+tail)*heap.BlockWords)
 	gctest.FragmentBlocks(rh, B)
 	ref.c.Collect()
@@ -419,7 +417,7 @@ func TestCursorBoundsBlocksVisited(t *testing.T) {
 // included, runs without touching the Go heap.
 func TestAllocRawDoesNotAllocate(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
-		h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = incremental })
+		h := heap.New(heap.WithConfig(heap.Config{Incremental: incremental}))
 		c := New(h, 16*heap.BlockWords)
 		churn := func() {
 			for i := 0; i < 2000; i++ {

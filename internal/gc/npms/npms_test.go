@@ -172,7 +172,7 @@ func TestMarkConsComparableToCopyingVariant(t *testing.T) {
 // inside it; TestCollectionsAllocateNothing measures those.
 func TestAllocRawDoesNotAllocate(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
-		h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = incremental })
+		h := heap.New(heap.WithConfig(heap.Config{Incremental: incremental}))
 		c := New(h, 8, 16384)
 		gctest.Churn(h, 200000)
 		c.Collect()
@@ -210,7 +210,7 @@ func TestCollectionsAllocateNothing(t *testing.T) {
 		{"incremental", true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := gctest.NewHeap(func(c *heap.Config) { c.Incremental = tc.incremental })
+			h := heap.New(heap.WithConfig(heap.Config{Incremental: tc.incremental}))
 			c := New(h, 8, 2048, WithCompactEvery(tc.compactEvery))
 			const slots = 256
 			table := h.Global(h.MakeVector(slots, h.Null()))

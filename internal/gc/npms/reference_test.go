@@ -431,11 +431,11 @@ func (l *lockstep) finish() {
 func substrateModes(t *testing.T, run func(t *testing.T, h *heap.Heap, opts ...Option)) {
 	modes := []struct {
 		name string
-		edit func(*heap.Config)
+		cfg  heap.Config
 	}{
-		{"stop-the-world", func(c *heap.Config) { c.Incremental = false }},
-		{"incremental", func(c *heap.Config) { c.Incremental = true; c.SliceBudget = heap.DefaultSliceBudget }},
-		{"incremental-slice64", func(c *heap.Config) { c.Incremental = true; c.SliceBudget = 64 }},
+		{"stop-the-world", heap.Config{}},
+		{"incremental", heap.Config{Incremental: true}},
+		{"incremental-slice64", heap.Config{Incremental: true, SliceBudget: 64}},
 	}
 	compaction := []struct {
 		name string
@@ -448,7 +448,7 @@ func substrateModes(t *testing.T, run func(t *testing.T, h *heap.Heap, opts ...O
 	for _, mode := range modes {
 		for _, cp := range compaction {
 			t.Run(mode.name+"/"+cp.name, func(t *testing.T) {
-				h := gctest.NewHeap(mode.edit)
+				h := heap.New(heap.WithConfig(mode.cfg))
 				run(t, h, cp.opts...)
 			})
 		}

@@ -6,7 +6,6 @@ package young_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
 	"testing"
 
@@ -17,16 +16,6 @@ import (
 	"rdgc/internal/gc/young"
 	"rdgc/internal/heap"
 )
-
-// TestMain seeds the process default from the environment, the way the
-// drivers do, so CI's RDGC_GC_ADAPT=1 and RDGC_GC_TENURE=6 passes reach
-// every heap these tests build without pinning a mode.
-func TestMain(m *testing.M) {
-	heap.SetDefaultConfig(heap.ConfigFromEnv())
-	os.Exit(m.Run())
-}
-
-func TestEnvReachesHeaps(t *testing.T) { gctest.CheckEnvReachesHeaps(t) }
 
 // collector is what the tests need of a user of the step.
 type collector interface {

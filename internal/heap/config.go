@@ -1,12 +1,6 @@
 package heap
 
-import (
-	"flag"
-	"os"
-	"strconv"
-	"strings"
-	"sync/atomic"
-)
+import "flag"
 
 // Config is the whole collector configuration of a heap. The zero value is
 // the default: stop-the-world collection, wholesale promotion. A heap
@@ -67,71 +61,20 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// ConfigFromEnv returns the configuration the RDGC_GC_* environment
-// variables name: RDGC_GC_SLICE and RDGC_GC_TENURE take integers
-// (RDGC_GC_TENURE also the word "never", for TenureNever); RDGC_GC_INCR and
-// RDGC_GC_ADAPT take a strconv.ParseBool value. An unset or malformed
-// variable leaves its field at the default.
-func ConfigFromEnv() Config {
-	num := func(s string) int {
-		if n, err := strconv.Atoi(s); err == nil {
-			return n
-		}
-		return 0
-	}
-	on := func(s string) bool {
-		b, _ := strconv.ParseBool(s) // false on error
-		return b
-	}
-	tenure := os.Getenv("RDGC_GC_TENURE")
-	c := Config{
-		Incremental: on(os.Getenv("RDGC_GC_INCR")),
-		SliceBudget: num(os.Getenv("RDGC_GC_SLICE")),
-		Tenure:      num(tenure),
-		Adaptive:    on(os.Getenv("RDGC_GC_ADAPT")),
-	}
-	if strings.EqualFold(tenure, "never") {
-		c.Tenure = TenureNever
-	}
-	return c.normalized()
-}
-
-// ConfigFlags registers the four -gc* flags on fs, each defaulting to what
-// ConfigFromEnv reports, so a flag given on the command line beats the
-// environment and the environment beats the built-in default. The returned
-// function yields the parsed Config; call it after fs.Parse.
+// ConfigFlags registers the four -gc* flags on fs, each defaulting to the
+// zero Config's value. The returned function yields the parsed Config,
+// normalized; call it after fs.Parse and hand it to the heaps through
+// WithConfig.
 func ConfigFlags(fs *flag.FlagSet) func() Config {
-	c := ConfigFromEnv()
-	fs.BoolVar(&c.Incremental, "gcincr", c.Incremental, "incremental collection (mark slices + lazy sweep) on the collectors that support it (env RDGC_GC_INCR)")
-	fs.IntVar(&c.SliceBudget, "gcslice", c.SliceBudget, "incremental mark slice budget in `words` (env RDGC_GC_SLICE)")
-	fs.IntVar(&c.Tenure, "gctenure", c.Tenure, "promotion threshold of the tenuring collectors, in collections survived; 1 = wholesale promotion, ages saturate at 127 so anything above means never (env RDGC_GC_TENURE, which also takes \"never\")")
-	fs.BoolVar(&c.Adaptive, "gcadapt", c.Adaptive, "adapt nursery trigger and promotion threshold online from survival statistics (env RDGC_GC_ADAPT)")
+	c := Config{}.normalized()
+	fs.BoolVar(&c.Incremental, "gcincr", c.Incremental, "incremental collection (mark slices + lazy sweep) on the collectors that support it")
+	fs.IntVar(&c.SliceBudget, "gcslice", c.SliceBudget, "incremental mark slice budget in `words`")
+	fs.IntVar(&c.Tenure, "gctenure", c.Tenure, "promotion threshold of the tenuring collectors, in collections survived; 1 = wholesale promotion, ages saturate at 127 so anything above means never")
+	fs.BoolVar(&c.Adaptive, "gcadapt", c.Adaptive, "adapt nursery trigger and promotion threshold online from survival statistics")
 	return func() Config { return c.normalized() }
 }
 
-// defaultConfig is what New gives a heap built without WithConfig; nil
-// means the zero Config. It is process-wide (and atomic) because a driver
-// sets it once, from its flags, before fanning cells out across runner
-// goroutines that each build their heaps deep inside experiment code.
-var defaultConfig atomic.Pointer[Config]
-
-// SetDefaultConfig sets the configuration inherited by heaps subsequently
-// created by New without WithConfig.
-func SetDefaultConfig(c Config) {
-	c = c.normalized()
-	defaultConfig.Store(&c)
-}
-
-// DefaultConfig returns the configuration New currently hands to fresh
-// heaps.
-func DefaultConfig() Config {
-	if c := defaultConfig.Load(); c != nil {
-		return *c
-	}
-	return Config{}.normalized()
-}
-
-// WithConfig builds the heap under c in place of the process default.
+// WithConfig builds the heap under c in place of the zero Config.
 func WithConfig(c Config) Option { return func(h *Heap) { h.cfg = c.normalized() } }
 
 // Config reports the heap's configuration, normalized.

@@ -144,7 +144,7 @@ type Heap struct {
 	extraWords int
 
 	// cfg is the collector configuration, normalized: New takes it from
-	// WithConfig or the process default, and it is fixed from then on.
+	// WithConfig (the zero Config without it), and it is fixed from then on.
 	cfg Config
 
 	// pauseLog, when non-nil, receives the raw words-of-work of every pause
@@ -184,13 +184,14 @@ type Option func(*Heap)
 // (in words) of the object, enabling lifetime censuses.
 func WithCensus() Option { return func(h *Heap) { h.extraWords = 1 } }
 
-// New creates an empty heap. Collectors add spaces and install themselves
-// with SetAllocator.
+// New creates an empty heap under the zero Config, or under the one
+// WithConfig gives. Collectors add spaces and install themselves with
+// SetAllocator.
 func New(opts ...Option) *Heap {
 	h := &Heap{
 		barrier: nopBarrier{},
 		symtab:  make(map[string]int),
-		cfg:     DefaultConfig(),
+		cfg:     Config{}.normalized(),
 
 		hookNext: ^uint64(0), observeAt: ^uint64(0),
 	}

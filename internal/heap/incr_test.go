@@ -165,7 +165,7 @@ func TestIncrMarkerCancel(t *testing.T) {
 
 // TestLazySweepMatchesEager sweeps one fixture lazily — a mix of on-demand,
 // paced, and flush sweeps — and its twin eagerly, and requires bit-identical
-// heap images, free lists, and word totals.
+// heap images, free lists, and word totals; a second flush finds nothing.
 func TestLazySweepMatchesEager(t *testing.T) {
 	hl, lazySpaces := buildSweepFixture(42)
 	he, eagerSpaces := buildSweepFixture(42)
@@ -202,6 +202,9 @@ func TestLazySweepMatchesEager(t *testing.T) {
 	}
 	if _, ok := sw.SweepPendingBlock(); ok {
 		t.Fatal("SweepPendingBlock() found work after FinishLazy")
+	}
+	if w := sw.FinishLazy(); w != 0 {
+		t.Fatalf("a second FinishLazy swept %d words, want 0", w)
 	}
 	if lazy != eager {
 		t.Fatalf("lazy sweep examined %d words, eager %d", lazy, eager)

@@ -255,37 +255,31 @@ func TestWriterRejectsInvalidEvents(t *testing.T) {
 	const maxBlock = 1 << 24 // the reader's bound on sizes and session indices
 	pair := trace.Event{Kind: trace.KindAlloc, Type: heap.TPair, Size: 2}
 	cases := []struct {
-		name    string
-		version uint64 // 0: the current format
-		prior   []trace.Event
-		bad     trace.Event
+		name  string
+		prior []trace.Event
+		bad   trace.Event
 	}{
-		{"store before any alloc", 0, nil, trace.Event{Kind: trace.KindStore, Obj: 0, Val: trace.Imm(0)}},
-		{"push of a future object", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindPush, Val: trace.Obj(5)}},
-		{"fill of a future object", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindFill, Obj: 1}},
-		{"set to a future object", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindSet, Ref: 1, Val: trace.Obj(1)}},
-		{"intern of a future object", 0, nil, trace.Event{Kind: trace.KindIntern, Obj: 0, Name: "x"}},
-		{"alloc of a free block", 0, nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TFree, Size: 2}},
-		{"alloc of type 255", 0, nil, trace.Event{Kind: trace.KindAlloc, Type: 255}},
-		{"alloc of 1<<24+1 words", 0, nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TVector, Size: maxBlock + 1}},
-		{"alloc of -1 words", 0, nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TVector, Size: -1}},
-		{"store to slot -1", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindStore, Obj: 0, Slot: -1, Val: trace.Imm(0)}},
-		{"raw store to slot -1", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindRaw, Obj: 0, Slot: -1}},
-		{"pop to depth -3", 0, nil, trace.Event{Kind: trace.KindPopTo, Size: -3}},
-		{"session 1<<24+1", 0, nil, trace.Event{Kind: trace.KindSession, Size: maxBlock + 1}},
-		{"session -1", 0, nil, trace.Event{Kind: trace.KindSession, Size: -1}},
-		{"session in version 1", 1, nil, trace.Event{Kind: trace.KindSession, Size: 0}},
-		{"symbol name longer than a block", 0, []trace.Event{pair}, trace.Event{Kind: trace.KindIntern, Obj: 0, Name: strings.Repeat("x", maxBlock)}},
-		{"kind 0", 0, nil, trace.Event{}},
-		{"kind 12", 0, nil, trace.Event{Kind: 12}},
+		{"store before any alloc", nil, trace.Event{Kind: trace.KindStore, Obj: 0, Val: trace.Imm(0)}},
+		{"push of a future object", []trace.Event{pair}, trace.Event{Kind: trace.KindPush, Val: trace.Obj(5)}},
+		{"fill of a future object", []trace.Event{pair}, trace.Event{Kind: trace.KindFill, Obj: 1}},
+		{"set to a future object", []trace.Event{pair}, trace.Event{Kind: trace.KindSet, Ref: 1, Val: trace.Obj(1)}},
+		{"intern of a future object", nil, trace.Event{Kind: trace.KindIntern, Obj: 0, Name: "x"}},
+		{"alloc of a free block", nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TFree, Size: 2}},
+		{"alloc of type 255", nil, trace.Event{Kind: trace.KindAlloc, Type: 255}},
+		{"alloc of 1<<24+1 words", nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TVector, Size: maxBlock + 1}},
+		{"alloc of -1 words", nil, trace.Event{Kind: trace.KindAlloc, Type: heap.TVector, Size: -1}},
+		{"store to slot -1", []trace.Event{pair}, trace.Event{Kind: trace.KindStore, Obj: 0, Slot: -1, Val: trace.Imm(0)}},
+		{"raw store to slot -1", []trace.Event{pair}, trace.Event{Kind: trace.KindRaw, Obj: 0, Slot: -1}},
+		{"pop to depth -3", nil, trace.Event{Kind: trace.KindPopTo, Size: -3}},
+		{"session 1<<24+1", nil, trace.Event{Kind: trace.KindSession, Size: maxBlock + 1}},
+		{"session -1", nil, trace.Event{Kind: trace.KindSession, Size: -1}},
+		{"symbol name longer than a block", []trace.Event{pair}, trace.Event{Kind: trace.KindIntern, Obj: 0, Name: strings.Repeat("x", maxBlock)}},
+		{"kind 0", nil, trace.Event{}},
+		{"kind 12", nil, trace.Event{Kind: 12}},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
-		version := tc.version
-		if version == 0 {
-			version = trace.FormatVersion
-		}
-		w, err := trace.NewWriterVersion(&buf, trace.Header{}, version)
+		w, err := trace.NewWriter(&buf, trace.Header{})
 		if err != nil {
 			t.Fatal(err)
 		}

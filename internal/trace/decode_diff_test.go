@@ -87,9 +87,8 @@ func diffDecoders(t testing.TB, data []byte) (uint64, error) {
 }
 
 // reencode decodes a well-formed trace and writes its header and events
-// back out at the given format version and compression. ok is false when
-// the version cannot carry the stream (version 1 has no session events).
-func reencode(t *testing.T, data []byte, version uint64, compress bool) (out []byte, ok bool) {
+// back out, compressed or raw.
+func reencode(t *testing.T, data []byte, compress bool) []byte {
 	t.Helper()
 	hdr, evs, tr := decode(t, data)
 	var opts []trace.WriterOption
@@ -97,14 +96,11 @@ func reencode(t *testing.T, data []byte, version uint64, compress bool) (out []b
 		opts = append(opts, trace.WithCompression())
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewWriterVersion(&buf, hdr, version, opts...)
+	w, err := trace.NewWriter(&buf, hdr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range evs {
-		if version < 2 && evs[i].Kind == trace.KindSession {
-			return nil, false
-		}
 		if err := w.Append(&evs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +108,7 @@ func reencode(t *testing.T, data []byte, version uint64, compress bool) (out []b
 	if err := w.Close(tr); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), true
+	return buf.Bytes()
 }
 
 // TestNextMatchesReference holds the single-pass decoder to the decoder it
@@ -149,36 +145,24 @@ func TestNextMatchesReference(t *testing.T) {
 		}
 		check("as stored", data)
 		if len(data) > 1<<20 {
-			// The amplified corpora are sources in both stored forms already,
-			// and version 1 cannot carry their session events.
+			// The amplified corpora are sources in both stored forms already.
 			continue
 		}
-		for _, f := range []struct {
-			form     string
-			version  uint64
-			compress bool
-		}{{"v2 raw", 2, false}, {"v2 compressed", 2, true}, {"v1", 1, false}} {
-			if re, ok := reencode(t, data, f.version, f.compress); ok {
-				check(f.form, re)
-			}
-		}
+		check("raw", reencode(t, data, false))
+		check("compressed", reencode(t, data, true))
 	}
 }
 
 // craftTrace frames one hand-assembled event block as a complete trace:
 // empty header, the block, terminator, and a trailer claiming the given
 // event count — so a payload reaches the decoder behind a valid checksum.
-func craftTrace(version uint64, payload []byte, events uint64) []byte {
+func craftTrace(payload []byte, events uint64) []byte {
 	frame := func(b, p []byte) []byte {
-		n := uint64(len(p))
-		if version >= 2 {
-			n <<= 1
-		}
-		b = binary.AppendUvarint(b, n)
+		b = binary.AppendUvarint(b, uint64(len(p))<<1)
 		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(p))
 		return append(b, p...)
 	}
-	b := binary.AppendUvarint([]byte("rdgctrc\x00"), version)
+	b := binary.AppendUvarint([]byte("rdgctrc\x00"), trace.FormatVersion)
 	b = frame(b, []byte{0, 0}) // no census, no metadata
 	b = frame(b, payload)
 	b = binary.AppendUvarint(b, 0)
@@ -264,24 +248,22 @@ func TestNextRejectsMalformedEvents(t *testing.T) {
 		{"opcode 255", []byte{255}, 0, "unknown event opcode 255"},
 	}
 	for _, tc := range cases {
-		for _, version := range []uint64{1, 2} {
-			n, err := diffDecoders(t, craftTrace(version, tc.payload, uint64(tc.events)))
-			if int(n) != tc.events {
-				t.Errorf("%s (v%d): stream ended after %d events, want %d (%v)", tc.name, version, n, tc.events, err)
-			}
-			switch {
-			case tc.want == "" && err != io.EOF:
-				t.Errorf("%s (v%d): well-formed payload rejected: %v", tc.name, version, err)
-			case tc.want != "" && (!errors.Is(err, trace.ErrCorrupt) || !strings.Contains(err.Error(), tc.want)):
-				t.Errorf("%s (v%d): got %v, want ErrCorrupt with %q", tc.name, version, err, tc.want)
-			}
+		n, err := diffDecoders(t, craftTrace(tc.payload, uint64(tc.events)))
+		if int(n) != tc.events {
+			t.Errorf("%s: stream ended after %d events, want %d (%v)", tc.name, n, tc.events, err)
+		}
+		switch {
+		case tc.want == "" && err != io.EOF:
+			t.Errorf("%s: well-formed payload rejected: %v", tc.name, err)
+		case tc.want != "" && (!errors.Is(err, trace.ErrCorrupt) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want ErrCorrupt with %q", tc.name, err, tc.want)
 		}
 	}
 
 	// The trailer ends a trace: bytes after it, garbage or a second whole
 	// trace, fail the stream once every event has been read, raw or
 	// compressed.
-	raw := craftTrace(2, cat(alloc, []byte{kPush, 0, 5}), 2)
+	raw := craftTrace(cat(alloc, []byte{kPush, 0, 5}), 2)
 	comp := encodeZ(t, trace.Header{}, genEvents(rand.New(rand.NewSource(4)), 3000))
 	garbage := []byte("garbage after the trailer")
 	for _, tc := range []struct {

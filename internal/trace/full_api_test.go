@@ -48,9 +48,13 @@ func richWorkload(h *heap.Heap, c heap.Collector) error {
 // replay coverage.
 func TestRecordHelperFullAPI(t *testing.T) {
 	for _, census := range []bool{false, true} {
+		var opts []heap.Option
+		if census {
+			opts = append(opts, heap.WithCensus())
+		}
 		var buf bytes.Buffer
 		meta := []trace.MetaEntry{{Key: "workload", Value: "full-api"}}
-		stats, err := trace.Record(&buf, census, meta, gcfuzz.Collectors()[0].New, richWorkload)
+		stats, err := trace.Record(&buf, meta, gcfuzz.Collectors()[0].New, richWorkload, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,10 +74,6 @@ func TestRecordHelperFullAPI(t *testing.T) {
 			}
 			if _, ok := hdr.Lookup("no-such-key"); ok {
 				t.Fatal("Lookup invented a meta entry")
-			}
-			var opts []heap.Option
-			if census {
-				opts = append(opts, heap.WithCensus())
 			}
 			h := heap.New(opts...)
 			c := nc.New(h)
@@ -98,8 +98,8 @@ func TestRecordHelperFullAPI(t *testing.T) {
 // the full-API trace, pinning the pieces cmd/gctrace stat and cat rely on.
 func TestStatAndStrings(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := trace.Record(&buf, true, []trace.MetaEntry{{Key: "workload", Value: "full-api"}},
-		gcfuzz.Collectors()[0].New, richWorkload)
+	_, err := trace.Record(&buf, []trace.MetaEntry{{Key: "workload", Value: "full-api"}},
+		gcfuzz.Collectors()[0].New, richWorkload, heap.WithCensus())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestStringRenderers(t *testing.T) {
 func TestRecordRunError(t *testing.T) {
 	boom := errors.New("workload exploded")
 	var buf bytes.Buffer
-	_, err := trace.Record(&buf, false, nil, gcfuzz.Collectors()[0].New,
+	_, err := trace.Record(&buf, nil, gcfuzz.Collectors()[0].New,
 		func(h *heap.Heap, c heap.Collector) error {
 			h.Cons(h.Fix(1), h.Null())
 			return boom
@@ -298,7 +298,7 @@ func TestRecordRunError(t *testing.T) {
 	}
 
 	// A dead sink fails Record before the workload even runs.
-	if _, err := trace.Record(&failWriter{budget: 0}, false, nil, gcfuzz.Collectors()[0].New,
+	if _, err := trace.Record(&failWriter{budget: 0}, nil, gcfuzz.Collectors()[0].New,
 		func(h *heap.Heap, c heap.Collector) error { return nil }); err == nil {
 		t.Fatal("Record succeeded against a dead sink")
 	}
@@ -315,7 +315,7 @@ func TestReplayerPristineAndTruncated(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, err := trace.Record(&buf, false, nil, gcfuzz.Collectors()[0].New, richWorkload); err != nil {
+	if _, err := trace.Record(&buf, nil, gcfuzz.Collectors()[0].New, richWorkload); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-40]

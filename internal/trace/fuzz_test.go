@@ -19,9 +19,8 @@ import (
 // never panic, never return an unwrapped error — and Next must agree with
 // the reference decoder (diffDecoders) on every event, on the sentinel
 // that ends the stream and on the event index where it ends. Seeds cover
-// both wire versions, compressed and uncompressed blocks, synthesized
-// session streams (via the checked-in corpus), truncations, and bytes after
-// the trailer.
+// compressed and uncompressed blocks, synthesized session streams (via the
+// checked-in corpus), truncations, and bytes after the trailer.
 func FuzzTraceReader(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	small := func(compress bool) []byte {
@@ -71,7 +70,7 @@ func FuzzTraceReader(f *testing.F) {
 		// Once as a whole trace, and once as the payload of an event block
 		// framed behind a valid checksum — the only way mutated bytes reach
 		// the event decoder rather than dying at the CRC.
-		for _, input := range [][]byte{data, craftTrace(trace.FormatVersion, data, 0)} {
+		for _, input := range [][]byte{data, craftTrace(data, 0)} {
 			if _, err := diffDecoders(t, input); err != io.EOF {
 				checkSentinelErr(t, err)
 			}

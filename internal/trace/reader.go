@@ -15,20 +15,19 @@ import (
 // allocate (KindIntern's symbol name is the one exception). Errors are
 // sticky and wrap the package sentinels.
 type Reader struct {
-	br      *bufio.Reader
-	version uint64
-	hdr     Header
-	blk     []byte  // current block payload (buffer reused across blocks)
-	cbuf    []byte  // compressed-block staging buffer, likewise reused
-	crc     [4]byte // checksum staging; a local would escape through io.ReadFull
-	pos     int     // decode cursor within blk
-	nextID  uint64  // mirrors the writer's allocation counter
-	events  uint64
-	stored  uint64 // payload bytes as framed on the wire
-	raw     uint64 // payload bytes after decompression
-	tr      Trailer
-	done    bool
-	err     error
+	br     *bufio.Reader
+	hdr    Header
+	blk    []byte  // current block payload (buffer reused across blocks)
+	cbuf   []byte  // compressed-block staging buffer, likewise reused
+	crc    [4]byte // checksum staging; a local would escape through io.ReadFull
+	pos    int     // decode cursor within blk
+	nextID uint64  // mirrors the writer's allocation counter
+	events uint64
+	stored uint64 // payload bytes as framed on the wire
+	raw    uint64 // payload bytes after decompression
+	tr     Trailer
+	done   bool
+	err    error
 }
 
 // NewReader checks the preamble and decodes the header block. The reader
@@ -46,11 +45,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading version: %v", ErrTruncated, err)
 	}
-	if version < minReadVersion || version > FormatVersion {
-		return nil, fmt.Errorf("%w: got version %d, support %d..%d",
-			ErrVersion, version, minReadVersion, FormatVersion)
+	if version != FormatVersion {
+		return nil, fmt.Errorf("%w: got version %d, support %d", ErrVersion, version, FormatVersion)
 	}
-	tr.version = version
 	if err := tr.readBlock(); err != nil {
 		return nil, err
 	}
@@ -65,9 +62,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // Header returns the trace's decoded header.
 func (r *Reader) Header() Header { return r.hdr }
-
-// Version returns the format version of the trace being read.
-func (r *Reader) Version() uint64 { return r.version }
 
 // Events returns the number of events decoded so far.
 func (r *Reader) Events() uint64 { return r.events }
@@ -97,10 +91,7 @@ func (r *Reader) readBlock() error {
 	if err != nil {
 		return r.fail(ErrTruncated, "reading block length: %v", err)
 	}
-	n, compressed := u, false
-	if r.version >= 2 {
-		n, compressed = u>>1, u&1 == 1
-	}
+	n, compressed := u>>1, u&1 == 1
 	if n == 0 {
 		if compressed {
 			return r.fail(ErrCorrupt, "compressed terminator frame")

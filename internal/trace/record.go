@@ -8,18 +8,15 @@ import (
 )
 
 // Record runs a workload with recording attached, end to end: it builds a
-// fresh heap (census per the flag), installs mk's collector, records every
-// event into out, and hands run the wrapped collector to drive. The
-// workload's own error is returned after the trace is finalized, so a
-// failing workload still leaves a complete, replayable trace.
-func Record(out io.Writer, census bool, meta []MetaEntry, mk func(*heap.Heap) heap.Collector, run func(h *heap.Heap, c heap.Collector) error) (heap.Stats, error) {
-	var opts []heap.Option
-	if census {
-		opts = append(opts, heap.WithCensus())
-	}
+// fresh heap with opts (heap.WithCensus makes a census trace), installs mk's
+// collector, records every event into out, and hands run the wrapped
+// collector to drive. The workload's own error is returned after the trace
+// is finalized, so a failing workload still leaves a complete, replayable
+// trace.
+func Record(out io.Writer, meta []MetaEntry, mk func(*heap.Heap) heap.Collector, run func(h *heap.Heap, c heap.Collector) error, opts ...heap.Option) (heap.Stats, error) {
 	h := heap.New(opts...)
 	c := mk(h)
-	w, err := NewWriter(out, Header{Census: census, Meta: meta})
+	w, err := NewWriter(out, Header{Census: h.CensusEnabled(), Meta: meta})
 	if err != nil {
 		return h.Stats, err
 	}

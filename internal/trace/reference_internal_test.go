@@ -9,13 +9,10 @@ import (
 
 // The reference decoder: the cursor helpers and Next body that Reader.Next
 // replaced, kept for tests only. The external test package reaches it
-// through ReferenceNext, and version-1 framing through NewWriterVersion.
+// through ReferenceNext.
 
 // ReferenceNext exposes referenceNext to package trace_test.
 func (r *Reader) ReferenceNext(ev *Event) error { return r.referenceNext(ev) }
-
-// NewWriterVersion exposes newWriterVersion to package trace_test.
-var NewWriterVersion = newWriterVersion
 
 // byte reads one raw byte from the current block.
 func (r *Reader) byte() (byte, error) {

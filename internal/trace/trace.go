@@ -17,9 +17,8 @@
 // payload itself, so truncation and corruption are detected block by
 // block without buffering the whole trace. A compressed block's stored
 // payload is uvarint(raw length) followed by the LZ-coded raw payload
-// (see compress.go); the CRC always covers the bytes on the wire. Format
-// version 1 framed blocks as a bare uvarint(payload length) with no
-// compression flag; readers still accept it. The header payload carries
+// (see compress.go); the CRC always covers the bytes on the wire. The
+// header payload carries
 // a census flag plus ordered key/value metadata strings; event payloads
 // are back-to-back varint-encoded events with object IDs
 // delta-compressed against the most recently allocated object. The
@@ -30,19 +29,17 @@ package trace
 
 import "errors"
 
-// FormatVersion is the trace format this package writes. Readers accept
-// minReadVersion through FormatVersion and reject anything else with
-// ErrVersion; any change to framing or event encoding must bump it —
-// there are no in-version extensions.
+// FormatVersion is the trace format this package writes and the only one
+// it reads: readers reject any other version with ErrVersion. Any change to
+// framing or event encoding must bump it — there are no in-version
+// extensions.
 //
 // Version history:
 //
-//	1: original framing, uncompressed blocks only
+//	1: original framing (a bare uvarint payload length), uncompressed
+//	   blocks only; no longer read or written
 //	2: per-block compression flag in the frame varint; KindSession events
 const FormatVersion = 2
-
-// minReadVersion is the oldest format version readers still decode.
-const minReadVersion = 1
 
 // magic opens every trace file.
 var magic = [8]byte{'r', 'd', 'g', 'c', 't', 'r', 'c', 0}

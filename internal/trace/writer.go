@@ -15,7 +15,6 @@ import (
 type Writer struct {
 	w        io.Writer
 	hdr      Header
-	version  uint64
 	compress bool
 	buf      []byte   // current block's payload, sealed at blockTarget
 	cbuf     []byte   // scratch for the compressed form of a block
@@ -41,24 +40,15 @@ func WithCompression() WriterOption {
 // NewWriter writes the trace preamble (magic, version, header block) to w
 // and returns a streaming event writer. It does not close w.
 func NewWriter(w io.Writer, hdr Header, opts ...WriterOption) (*Writer, error) {
-	return newWriterVersion(w, hdr, FormatVersion, opts...)
-}
-
-// newWriterVersion is NewWriter with the format version exposed, so tests
-// can emit old-version traces and prove readers still accept them.
-func newWriterVersion(w io.Writer, hdr Header, version uint64, opts ...WriterOption) (*Writer, error) {
-	tw := &Writer{w: w, hdr: hdr, version: version}
+	tw := &Writer{w: w, hdr: hdr}
 	for _, opt := range opts {
 		opt(tw)
 	}
 	if tw.compress {
-		if version < 2 {
-			return nil, fmt.Errorf("%w: version %d has no compression flag", ErrVersion, version)
-		}
 		tw.lz = new(lzTable)
 	}
 	tw.frame = append(tw.frame[:0], magic[:]...)
-	tw.frame = binary.AppendUvarint(tw.frame, version)
+	tw.frame = binary.AppendUvarint(tw.frame, FormatVersion)
 	if _, err := w.Write(tw.frame); err != nil {
 		return nil, err
 	}
@@ -96,11 +86,7 @@ func (w *Writer) flushBlock() error {
 			payload, flag = w.cbuf, 1
 		}
 	}
-	if w.version >= 2 {
-		w.frame = binary.AppendUvarint(w.frame[:0], uint64(len(payload))<<1|flag)
-	} else {
-		w.frame = binary.AppendUvarint(w.frame[:0], uint64(len(payload)))
-	}
+	w.frame = binary.AppendUvarint(w.frame[:0], uint64(len(payload))<<1|flag)
 	w.frame = binary.LittleEndian.AppendUint32(w.frame, crc32.ChecksumIEEE(payload))
 	if _, err := w.w.Write(w.frame); err != nil {
 		w.err = err
@@ -291,9 +277,6 @@ func (w *Writer) collect(full bool) error {
 func (w *Writer) session(sess int) error {
 	if err := w.usable(); err != nil {
 		return err
-	}
-	if w.version < 2 {
-		return w.invalid("version %d has no session events", w.version)
 	}
 	if uint(sess) > maxBlock {
 		return w.invalid("session index %d outside [0, %d]", sess, maxBlock)
