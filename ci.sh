@@ -66,10 +66,22 @@ inlines_into internal/core/collector.go '(c *Collector) AllocRaw' '(*Steps).Bump
 # The trace reader's varint helper decodes one- to three-byte varints in
 # line at every one of (*Reader).Next's decode sites (it is called nowhere
 # else); a change that pushes it over the budget turns each into a call.
+trace_inl=$(go build -gcflags=-m ./internal/trace 2>&1)
 calls=$(grep -c 'uvarint1(blk, pos)' internal/trace/reader.go || true)
-inlined=$(go build -gcflags=-m ./internal/trace 2>&1 | grep -c '^internal/trace/reader\.go:.*inlining call to uvarint1$' || true)
+inlined=$(printf '%s\n' "$trace_inl" | grep -c '^internal/trace/reader\.go:.*inlining call to uvarint1$' || true)
 if [ "$calls" -eq 0 ] || [ "$inlined" -ne "$calls" ]; then
     echo "ci: uvarint1 inlines at $inlined of (*Reader).Next's $calls decode sites (go build -gcflags=-m=2 ./internal/trace says why)" >&2
+    exit 1
+fi
+# The trace writer's commit (adopt the grown block, count the event, seal
+# it at blockTarget) runs in line in every per-kind encoder; the seal itself
+# (flushBlock: write the block before, then write this one or start the
+# goroutine that compresses it) is a call, and a bigger seal path must not
+# push commit over the budget unseen.
+calls=$(grep -c 'w\.commit(' internal/trace/writer.go || true)
+inlined=$(printf '%s\n' "$trace_inl" | grep -c '^internal/trace/writer\.go:.*inlining call to (\*Writer)\.commit$' || true)
+if [ "$calls" -eq 0 ] || [ "$inlined" -ne "$calls" ]; then
+    echo "ci: (*Writer).commit inlines at $inlined of the encoders' $calls call sites (go build -gcflags=-m=2 ./internal/trace says why)" >&2
     exit 1
 fi
 

@@ -144,7 +144,7 @@ type synthSource struct {
 	sessions int        // sessions the input carries (1 unless it is marked)
 	marked   bool       // input already carries KindSession markers
 	cursess  int        // merged session of the events currently streaming
-	idMap    []uint64   // local allocation index -> merged object ID
+	ids      idMap      // local allocation index -> merged object ID
 	gmap     []int      // local global index -> merged global index
 	depth    int        // local handle-stack depth after the last event
 	atSafe   bool       // the last event ended a quiescent window (see turn)
@@ -194,13 +194,37 @@ func (m *merger) marker(sess int) error {
 	return nil
 }
 
+// idPageBits sizes an idMap page: 256 IDs, 2 KiB, so a thousand sessions
+// of a short base hold a few megabytes of maps.
+const (
+	idPageBits = 8
+	idPageLen  = 1 << idPageBits
+)
+
+// idMap maps a session's local allocation indices to merged object IDs. It
+// grows a page at a time and never copies one: the append doubling it
+// replaced copied every ID on each growth and left the old arrays behind,
+// most of what a 16-session Amplify allocated.
+type idMap struct {
+	pages []*[idPageLen]uint64
+	n     uint64 // IDs added
+}
+
+func (m *idMap) add(id uint64) {
+	if m.n%idPageLen == 0 {
+		m.pages = append(m.pages, new([idPageLen]uint64))
+	}
+	m.pages[m.n>>idPageBits][m.n%idPageLen] = id
+	m.n++
+}
+
 // remap maps a session-local object ID into the merged namespace. It is
 // false for an object the session has not allocated.
 func (s *synthSource) remap(id uint64) (uint64, bool) {
-	if id >= uint64(len(s.idMap)) {
+	if id >= s.ids.n {
 		return 0, false
 	}
-	return s.idMap[id], true
+	return s.ids.pages[id>>idPageBits][id%idPageLen], true
 }
 
 // remapVal is remap for an operand, which may not name an object at all.
@@ -229,7 +253,7 @@ func (m *merger) emit(s *synthSource) error {
 	case KindAlloc:
 		var id uint64
 		if id, err = w.alloc(ev.Type, ev.Size); err == nil {
-			s.idMap = append(s.idMap, id)
+			s.ids.add(id)
 			m.objects++
 			m.words += 1 + uint64(ev.Size) + m.extra
 		}

@@ -397,6 +397,26 @@ func TestAmplifyDecodesOnce(t *testing.T) {
 	}
 }
 
+// TestAmplifyPagesIDMaps is the allocation guard of the sessions' ID maps,
+// beside TestAmplifyDecodesOnce's: BenchmarkAmplify/n16's recipe, 16
+// sessions of the decay base, allocates about 5.8 MB now that each map
+// grows a page at a time. Grown by append doubling, the maps took 19 of the
+// 20.6 MB it allocated.
+func TestAmplifyPagesIDMaps(t *testing.T) {
+	const bound = 8 << 20
+	base := decayBase(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := trace.Amplify(io.Discard, base, 16, trace.SynthOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+		t.Errorf("Amplify of 16 sessions allocated %d bytes, want under %d", got, bound)
+	}
+}
+
 // frameStarts returns the offset of every block frame of a version-2 trace,
 // the header block's first and the terminator's last.
 func frameStarts(t *testing.T, data []byte) []int {

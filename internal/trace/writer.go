@@ -9,21 +9,61 @@ import (
 	"rdgc/internal/heap"
 )
 
-// Writer streams events into the trace format. It buffers at most one
-// block (~32 KiB), never the whole trace. The caller must Close with the
+// Writer streams events into the trace format. It buffers at most two
+// blocks (~32 KiB each), never the whole trace: the one being encoded and
+// the one sealed before it. With compression on, a sealed block is
+// compressed and checksummed on a goroutine of its own while the caller
+// encodes the next, and the caller writes it, in block order, at the next
+// seal or at Close; so a write error, sticky as ever, is returned one seal
+// later, by the encoder whose event seals the next block or by Close. Every
+// Write to the underlying io.Writer is made on the caller's goroutine, so
+// it need not be safe for concurrent use. The caller must Close with the
 // final trailer; a trace without a trailer reads back as truncated.
 type Writer struct {
 	w        io.Writer
 	hdr      Header
 	compress bool
-	buf      []byte   // current block's payload, sealed at blockTarget
-	cbuf     []byte   // scratch for the compressed form of a block
-	lz       *lzTable // match table, allocated when compression is on
-	frame    []byte   // scratch for framing (length + crc) and the preamble
-	nextID   uint64   // ID the next KindAlloc event will receive
+	buf      []byte        // the block being encoded, sealed at blockTarget
+	sealed   sealedBlock   // the block sealed before it
+	inFlight bool          // a goroutine is finishing sealed
+	done     chan struct{} // that goroutine is finished with it
+	work     func()        // that goroutine: sealed.finish, then a send on done
+	frame    []byte        // scratch for framing (length + crc) and the preamble
+	nextID   uint64        // ID the next KindAlloc event will receive
 	events   uint64
 	closed   bool
 	err      error // sticky first error
+}
+
+// sealedBlock is a block between its seal and its write. A goroutine
+// finishing it owns it from the seal until it signals done; only then does
+// the caller read payload, flag and crc.
+type sealedBlock struct {
+	raw      []byte   // the payload as encoded
+	compress bool     // the writer's setting at the seal
+	z        []byte   // scratch for the compressed form
+	lz       *lzTable // match table, allocated by the first compressed block
+	payload  []byte   // what is written: raw, or z when that is smaller
+	flag     uint64   // 1 when payload is z
+	crc      uint32   // payload's checksum
+}
+
+// finish picks the block's stored form and checksums it. The compressed
+// form is the raw length, then the LZ sequences, kept only when it is
+// smaller than the raw payload.
+func (b *sealedBlock) finish() {
+	b.payload, b.flag = b.raw, 0
+	if b.compress {
+		if b.lz == nil {
+			b.lz = new(lzTable)
+		}
+		b.z = binary.AppendUvarint(b.z[:0], uint64(len(b.raw)))
+		b.z = lzAppend(b.z, b.raw, b.lz)
+		if len(b.z) < len(b.raw) {
+			b.payload, b.flag = b.z, 1
+		}
+	}
+	b.crc = crc32.ChecksumIEEE(b.payload)
 }
 
 // WriterOption configures a Writer.
@@ -37,15 +77,17 @@ func WithCompression() WriterOption {
 	return func(w *Writer) { w.compress = true }
 }
 
-// NewWriter writes the trace preamble (magic, version, header block) to w
-// and returns a streaming event writer. It does not close w.
+// NewWriter writes the trace preamble (magic, version) to w, seals the
+// header block like any other, and returns a streaming event writer. It
+// does not close w.
 func NewWriter(w io.Writer, hdr Header, opts ...WriterOption) (*Writer, error) {
-	tw := &Writer{w: w, hdr: hdr}
+	tw := &Writer{w: w, hdr: hdr, done: make(chan struct{}, 1)}
+	tw.work = func() {
+		tw.sealed.finish()
+		tw.done <- struct{}{}
+	}
 	for _, opt := range opts {
 		opt(tw)
-	}
-	if tw.compress {
-		tw.lz = new(lzTable)
 	}
 	tw.frame = append(tw.frame[:0], magic[:]...)
 	tw.frame = binary.AppendUvarint(tw.frame, FormatVersion)
@@ -73,30 +115,55 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// flushBlock frames and writes the buffered payload, if any.
+// flushBlock seals the block being encoded, if it holds anything, after
+// writing the block sealed before it. A block to be compressed goes to a
+// goroutine that finishes it while the caller goes on to the next; the
+// goroutine returns once it has signalled done, so an abandoned Writer
+// leaves none behind. A raw block is finished and written at once: its
+// checksum costs less in line than the block's trip to another CPU, which
+// made raw recording a tenth slower.
 func (w *Writer) flushBlock() error {
-	if w.err != nil || len(w.buf) == 0 {
+	if err := w.drain(); err != nil || len(w.buf) == 0 {
+		return err
+	}
+	w.buf, w.sealed.raw = w.sealed.raw[:0], w.buf
+	w.sealed.compress = w.compress
+	if !w.compress {
+		w.sealed.finish()
+		return w.write()
+	}
+	w.inFlight = true
+	go w.work()
+	return nil
+}
+
+// drain waits for the goroutine finishing the sealed block, if one is
+// running, then writes the block.
+func (w *Writer) drain() error {
+	if !w.inFlight {
 		return w.err
 	}
-	payload, flag := w.buf, uint64(0)
-	if w.compress {
-		w.cbuf = binary.AppendUvarint(w.cbuf[:0], uint64(len(w.buf)))
-		w.cbuf = lzAppend(w.cbuf, w.buf, w.lz)
-		if len(w.cbuf) < len(w.buf) {
-			payload, flag = w.cbuf, 1
-		}
+	<-w.done
+	w.inFlight = false
+	return w.write()
+}
+
+// write frames and writes the finished sealed block.
+func (w *Writer) write() error {
+	if w.err != nil {
+		return w.err
 	}
-	w.frame = binary.AppendUvarint(w.frame[:0], uint64(len(payload))<<1|flag)
-	w.frame = binary.LittleEndian.AppendUint32(w.frame, crc32.ChecksumIEEE(payload))
+	b := &w.sealed
+	w.frame = binary.AppendUvarint(w.frame[:0], uint64(len(b.payload))<<1|b.flag)
+	w.frame = binary.LittleEndian.AppendUint32(w.frame, b.crc)
 	if _, err := w.w.Write(w.frame); err != nil {
 		w.err = err
 		return err
 	}
-	if _, err := w.w.Write(payload); err != nil {
+	if _, err := w.w.Write(b.payload); err != nil {
 		w.err = err
 		return err
 	}
-	w.buf = w.buf[:0]
 	return nil
 }
 
@@ -345,8 +412,9 @@ func (w *Writer) appendValue(b []byte, v Value) []byte {
 	return binary.AppendUvarint(append(b, d), u)
 }
 
-// Close seals the final block and writes the terminator and trailer. The
-// trailer's event count must match the number of appended events.
+// Close seals the final block, writes it and any block before it still
+// unwritten, then the terminator and trailer. The trailer's event count
+// must match the number of appended events.
 func (w *Writer) Close(tr Trailer) error {
 	if w.err != nil {
 		return w.err
@@ -359,6 +427,9 @@ func (w *Writer) Close(tr Trailer) error {
 		return w.err
 	}
 	if err := w.flushBlock(); err != nil {
+		return err
+	}
+	if err := w.drain(); err != nil {
 		return err
 	}
 	w.closed = true
