@@ -44,6 +44,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"sync"
 
 	"rdgc/internal/bench"
 	"rdgc/internal/experiments"
@@ -283,21 +284,28 @@ func replayOne(path string, nc gcfuzz.NamedCollector, gc heap.Config, verify boo
 		return replayCell{}, err
 	}
 	defer f.Close()
-	return replayReader(f, nc, gc, verify)
+	return replayReader(f, nc, gc, verify, nil)
 }
 
 // replayReader drives one collector from a trace stream on a fresh heap
-// under gc.
-func replayReader(r io.Reader, nc gcfuzz.NamedCollector, gc heap.Config, verify bool) (replayCell, error) {
+// under gc, built on the recycler share hands it (nil: none), and releases
+// the heap into that recycler once its row is read, if a later cell can
+// still take the arenas.
+func replayReader(r io.Reader, nc gcfuzz.NamedCollector, gc heap.Config, verify bool, share *arenaShare) (replayCell, error) {
 	rd, err := trace.NewReader(r)
 	if err != nil {
 		return replayCell{}, err
 	}
-	opts := []heap.Option{heap.WithConfig(gc)}
+	opts := []heap.Option{heap.WithConfig(gc), heap.WithArenas(share.take())}
 	if rd.Header().Census {
 		opts = append(opts, heap.WithCensus())
 	}
 	h := heap.New(opts...)
+	defer func() {
+		if share.handOn() {
+			h.Release()
+		}
+	}()
 	c := nc.New(h)
 	res, err := trace.Replay(rd, h, c, trace.ReplayOptions{Verify: verify})
 	return replayCell{res: res, gc: *c.GCStats()}, err
@@ -400,6 +408,7 @@ func replaySharded(path string, grid []gcfuzz.NamedCollector, n int, gc heap.Con
 	specs := make([]runner.Spec[replayCell], 0, len(grid)*n)
 	for _, nc := range grid {
 		name := nc.Name
+		share := &arenaShare{waiting: n}
 		for j, raw := range shards {
 			raw := raw
 			// Size each shard cell from its own header: Shard scaled
@@ -415,7 +424,7 @@ func replaySharded(path string, grid []gcfuzz.NamedCollector, n int, gc heap.Con
 					if err != nil {
 						return replayCell{}, err
 					}
-					return replayReader(bytes.NewReader(raw), snc, gc, verify)
+					return replayReader(bytes.NewReader(raw), snc, gc, verify, share)
 				},
 				Words: func(v replayCell) uint64 {
 					return v.res.Stats.WordsAllocated + v.gc.WordsCopied + v.gc.WordsMarked
@@ -460,6 +469,49 @@ func replaySharded(path string, grid []gcfuzz.NamedCollector, n int, gc heap.Con
 			cell.gc.Collections, cell.gc.WordsCopied+cell.gc.WordsMarked, peak)
 	}
 	return exit
+}
+
+// arenaShare is the arena recycler the shard cells of one collector share:
+// a cell that starts after another has released its heap builds on that
+// heap's arenas. A cell hands its arenas on only while a cell of its
+// collector is yet to start, and the last cell to start lets the recycler
+// go. The next collector's spaces have other lengths, so arenas kept past
+// that point would only sit in the free lists, as live memory, while a
+// sibling cell still runs.
+type arenaShare struct {
+	mu      sync.Mutex
+	a       *heap.Arenas
+	waiting int // cells yet to start
+}
+
+// take returns the recycler to a cell that is starting; a nil share has
+// none.
+func (s *arenaShare) take() *heap.Arenas {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a := s.a
+	if a == nil {
+		a = new(heap.Arenas)
+		s.a = a
+	}
+	if s.waiting--; s.waiting == 0 {
+		s.a = nil
+	}
+	return a
+}
+
+// handOn reports whether a finishing cell's arenas can still reach a cell
+// of its collector.
+func (s *arenaShare) handOn() bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.waiting > 0
 }
 
 func cmdStat(args []string) error {

@@ -10,7 +10,7 @@ package bench
 import (
 	"fmt"
 
-	"rdgc/internal/gc/semispace"
+	"rdgc/internal/gc/marksweep"
 	"rdgc/internal/heap"
 )
 
@@ -135,13 +135,15 @@ func classLess(a, b AllocClass) bool {
 	return a.PayloadWords < b.PayloadWords
 }
 
-// SampleProfile runs p once on a private scratch heap (a growing semispace
-// collector, the least opinionated placement policy) and tallies its
+// SampleProfile runs p once on a private scratch heap and tallies its
 // allocation mix. The run is deterministic, so the profile is too; callers
-// cache it and sample it many times.
+// cache it and sample it many times. Allocation is mutator-driven, so any
+// collector yields the same mix (TestSampleProfileIgnoresCollector); a
+// growing mark/sweep heap is the one that holds the least memory, with no
+// to-space beside its live data.
 func SampleProfile(p Program) (AllocProfile, error) {
 	h := heap.New()
-	semispace.New(h, p.HeapWords(), semispace.WithExpansion(2))
+	marksweep.New(h, p.HeapWords(), marksweep.WithExpansion(2))
 	sink := &profileSink{counts: make(map[AllocClass]uint64)}
 	h.SetEventSink(sink)
 	if err := p.Run(h); err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 )
 
@@ -68,6 +69,32 @@ func TestSampleProfileTotals(t *testing.T) {
 	}
 	if !reflect.DeepEqual(prof, again) {
 		t.Fatal("profiling the same program twice gave different mixes")
+	}
+}
+
+// TestSampleProfileIgnoresCollector: every quick program's profile is the
+// one a growing semispace heap measures: the mix does not depend on the
+// collector the sampler runs.
+func TestSampleProfileIgnoresCollector(t *testing.T) {
+	for _, name := range Names(true) {
+		p, err := ByName(name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SampleProfile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := heap.New()
+		semispace.New(h, p.HeapWords(), semispace.WithExpansion(2))
+		sink := &profileSink{counts: make(map[AllocClass]uint64)}
+		h.SetEventSink(sink)
+		if err := p.Run(h); err != nil {
+			t.Fatal(err)
+		}
+		if want := BuildProfile(p.Name(), sink.counts); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the sampler's profile differs from the semispace run's:\n  %+v\n  %+v", name, got, want)
+		}
 	}
 }
 

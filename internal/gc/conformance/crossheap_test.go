@@ -1,7 +1,9 @@
 // The cross-heap contract. The mark, copy and sweep engines are sequential
 // and a Heap is single-threaded; the parallelism the drivers exploit is
 // across heaps, one per goroutine (the runner's -parallel pool, gcserve's
-// shards). TestHeapsShareNothing is the one test of that contract.
+// shards), and those heaps share no live state: at most an arena recycler,
+// which hands memory from a released heap to a new one, cleared.
+// TestHeapsShareNothing is the one test of that contract.
 package conformance
 
 import (
@@ -32,7 +34,9 @@ type cell struct {
 // cell's lone result: whole-run heap images, ordinal graphs, trace bytes,
 // replay statistics and decay measurements. Under -race the batch also fails if anything a heap reaches
 // (engines, remembered sets, step machinery, the trace codec, the experiment
-// runner) is shared between goroutines.
+// runner) is shared between goroutines. The one thing heaps may share is an
+// arena recycler (heap.Arenas): the recycled cells release into one, and
+// their images must not show it.
 func TestHeapsShareNothing(t *testing.T) {
 	cells := heapCells(t)
 	lone := make([]any, len(cells))
@@ -48,7 +52,7 @@ func TestHeapsShareNothing(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/copy%d", c.name, n), func(t *testing.T) {
 				t.Parallel()
 				if got := c.run(t); !reflect.DeepEqual(got, lone[i]) {
-					t.Error(divergence(got, lone[i]))
+					t.Error(divergence(got, lone[i], "copy", "lone run"))
 				}
 			})
 		}
@@ -111,27 +115,52 @@ func heapCells(t *testing.T) []cell {
 				cell{"decay/replay/" + nc.Name, func(t *testing.T) any { return replayOn(t, data, nc) }})
 		}
 	}
+	// Heaps that share a recycler: every copy of these cells, and the lone
+	// runs, take their arenas from one Arenas and release into it, so a
+	// copy runs on memory another heap, of this cell or another, has
+	// written and given up. The short seed on shrunk heaps collects and
+	// grows tens of times.
+	shrunk := shrunkCollectors(shortDiv)
+	for _, name := range names {
+		mk := shrunk[name]
+		cells = append(cells, cell{name + "/recycled", func(t *testing.T) any {
+			h := heap.New(heap.WithArenas(&sharedArenas))
+			defer h.Release()
+			return captureOps(t, h, mk(h), shortOps, 1000)
+		}})
+	}
 	cfg := experiments.DecayConfig{HalfLife: 256, L: 3, G: 0.25, Steps: 20000}
 	return append(cells, cell{"decay/experiment", func(*testing.T) any { return experiments.RunNonPredictive(cfg) }})
 }
 
-// divergence shows where a copy's result and the lone one first differ,
-// in their printed forms.
-func divergence(got, lone any) string {
-	g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", lone)
+// sharedArenas is the recycler of heapCells' recycled cells.
+var sharedArenas heap.Arenas
+
+// divergence shows where a result and the one it is held to (the lone
+// run's, the default row's) first differ, in their printed forms; the
+// names label the two lines.
+func divergence(got, want any, gotName, wantName string) string {
+	g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want)
 	i := 0
 	for i < len(g) && i < len(w) && g[i] == w[i] {
 		i++
 	}
 	from := max(0, i-40)
-	return fmt.Sprintf("diverges from the lone run at byte %d of its printed form:\n  copy …%.120s\n  lone …%.120s", i, g[from:], w[from:])
+	return fmt.Sprintf("diverges from the %s at byte %d of its printed form:\n  %-7s …%.120s\n  %-7s …%.120s",
+		wantName, i, gotName, g[from:], wantName, w[from:])
 }
 
 // capture plays the seeded workload on h under c, ends on a forced
 // collection and snapshots the final state.
 func capture(t *testing.T, h *heap.Heap, c heap.Collector, seed int64) heapImage {
 	t.Helper()
-	gctest.RandomOps(t, h, c, ops, seed)
+	return captureOps(t, h, c, ops, seed)
+}
+
+// captureOps is capture with a workload of n operations.
+func captureOps(t *testing.T, h *heap.Heap, c heap.Collector, n int, seed int64) heapImage {
+	t.Helper()
+	gctest.RandomOps(t, h, c, n, seed)
 	c.Collect()
 	img := heapImage{stats: h.Stats, gc: *c.GCStats()}
 	for _, s := range h.Spaces {

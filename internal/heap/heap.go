@@ -102,6 +102,9 @@ func (h *Heap) AddPause(g *GCStats, words uint64) {
 // the after-collection hook. The counters that differ by algorithm — words
 // copied, marked, swept, promoted and tenured — stay with the collector.
 func (h *Heap) EndCollection(g *GCStats, major bool, pause uint64, live, remsetPeak int) {
+	if h.released() {
+		panic(releasedMsg)
+	}
 	g.Collections++
 	if major {
 		g.MajorCollections++
@@ -175,6 +178,10 @@ type Heap struct {
 	// ordinal → current address half (identity.go), nil until first asked.
 	identity bool
 	addrs    []Word
+
+	// arenas is the recycler the heap's spaces take their memory from and
+	// give it back to (WithArenas); nil makes every arena new.
+	arenas *Arenas
 }
 
 // Option configures a Heap at creation.

@@ -14,7 +14,9 @@ import "fmt"
 // capacity — Cap, Free, NumBlocks, the footprint and String all count the
 // reserved words — and the evacuator gives it memory, at exactly that
 // capacity, when a collection first names it as a target (back). Resize
-// gives any space fresh memory; Reset keeps what a space has.
+// gives any space fresh memory; Reset keeps what a space has. On a heap
+// built WithArenas, fresh memory may be a recycled arena, cleared, and the
+// memory a space gives up goes back to the recycler (see Arenas).
 type Space struct {
 	ID  SpaceID
 	Mem []Word
@@ -42,6 +44,12 @@ type Space struct {
 	// tracks identity; empty, not nil, on a tracked reservation, so that
 	// back knows to size it.
 	ids []uint32
+
+	// arenas is the heap's recycler (WithArenas), nil without one, and
+	// spent once the heap is released; made is the capacity the space was
+	// created with, the one length of arena it gives back (giveBack).
+	arenas *Arenas
+	made   int
 }
 
 // Cap returns the capacity of the space in words, reserved words included.
@@ -88,7 +96,9 @@ func (s *Space) Bump(n int) (int, bool) {
 }
 
 // Resize replaces the space's storage with a fresh arena of the given size,
-// discarding the old contents, and sizes the side bitmaps (and the identity
+// discarding the old contents (the old arena goes back to the heap's
+// recycler, if it has one and the arena has the space's first capacity;
+// see giveBack), and sizes the side bitmaps (and the identity
 // entries, when the heap tracks identity) to match. It is how collectors grow
 // scratch spaces (to-spaces between collections); reassigning Mem directly
 // would orphan the side tables. A reservation gets its memory here too.
@@ -110,9 +120,11 @@ func (s *Space) back() {
 
 // allocate is the one place a space's memory is made: a zeroed arena of
 // words words, the side bitmaps to match, and the identity entries when the
-// heap tracks identity. The space comes out empty and no longer reserved.
+// heap tracks identity. The arena it replaces, if any, goes back to the
+// recycler first. The space comes out empty and no longer reserved.
 func (s *Space) allocate(words int) {
-	s.Mem = make([]Word, words)
+	s.giveBack()
+	s.Mem = s.arenas.take(words)
 	s.marks = make([]uint64, (words+63)/64)
 	s.dirty = make([]uint64, ((words+BlockMask)>>BlockShift+63)/64)
 	if s.ids != nil {
@@ -149,7 +161,7 @@ func (h *Heap) ReserveSpace(name string, words int) *Space {
 	if len(h.Spaces) >= 1<<16 {
 		panic("heap: too many spaces")
 	}
-	s := &Space{ID: SpaceID(len(h.Spaces)), Name: name, reserved: words}
+	s := &Space{ID: SpaceID(len(h.Spaces)), Name: name, reserved: words, arenas: h.arenas, made: words}
 	if h.identity {
 		s.ids = []uint32{}
 	}

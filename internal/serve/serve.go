@@ -130,8 +130,9 @@ type Result struct {
 // Run executes the simulation: generate the schedule, resolve the
 // allocation profiles, then run every shard as an independent cell under
 // the runner. Identical Config (including Seed) yields an identical Result
-// regardless of Parallel, because shards share no state and results come
-// back in submission order.
+// regardless of Parallel, because shards share no live state (only the
+// recycler their heaps take cleared arenas from) and results come back in
+// submission order.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	for _, f := range []struct {
@@ -157,6 +158,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	// The shards' heaps recycle one another's arenas: a shard that starts
+	// after another has finished builds its spaces on the memory that one
+	// released. The recycler lives as long as this run.
+	arenas := new(heap.Arenas)
 	specs := make([]runner.Spec[ShardResult], cfg.Shards)
 	for i := range specs {
 		i := i
@@ -164,7 +169,7 @@ func Run(cfg Config) (*Result, error) {
 		specs[i] = runner.Spec[ShardResult]{
 			Name: fmt.Sprintf("%s/shard%02d", cfg.Collector, i),
 			Run: func() (ShardResult, error) {
-				return runShard(cfg, i, reqs, profiles)
+				return runShard(cfg, i, reqs, profiles, arenas)
 			},
 			Words: func(r ShardResult) uint64 { return r.WordsAlloc + r.WordsPause },
 		}

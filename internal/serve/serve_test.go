@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rdgc/internal/heap"
@@ -268,5 +269,52 @@ func TestShardLeavesOldToSpaceReserved(t *testing.T) {
 	}
 	if res.Footprint != footprint {
 		t.Errorf("footprint %d words, the spaces reserve %d", res.Footprint, footprint)
+	}
+}
+
+// gridCell is one serve-grid cell at its quick scale: four shards of 1<<16
+// words under the default collector, run one after another.
+func gridCell() Config {
+	return Config{
+		Load:         LoadConfig{Seed: 1, HorizonTicks: 8000},
+		Shards:       4,
+		HeapWords:    1 << 16,
+		WordsPerTick: 256,
+		Parallel:     1,
+	}
+}
+
+// TestRunRecyclesArenas: the shards of one run hand their arenas on, so a
+// four-shard run makes the spaces of its first shard and little else. The
+// run allocates 1.6 MB with the recycler and 4.9 MB without it; the bound
+// sits between, so reuse that stops fails here.
+func TestRunRecyclesArenas(t *testing.T) {
+	const bound = 3 << 20
+	cfg := gridCell()
+	// Fill the profile cache first, so that the measured run builds none.
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+		t.Errorf("a %d-shard run allocated %d bytes, want under %d", cfg.Shards, got, bound)
+	}
+}
+
+// BenchmarkRun times one serve-grid cell per iteration: schedule, profiles
+// (cached after the first) and four shards in turn. -benchmem's B/op is
+// where the shards' recycled arenas show.
+func BenchmarkRun(b *testing.B) {
+	cfg := gridCell()
+	for range b.N {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

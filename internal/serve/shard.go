@@ -52,23 +52,27 @@ type shard struct {
 // runShard simulates one shard end to end: its slice of the global request
 // stream against its own heap, with GC pauses folded into request service
 // times. It is the unit the runner parallelizes; everything it touches is
-// shard-local, so shards share no mutable state.
-func runShard(cfg Config, idx int, reqs []Request, profiles []*Profile) (ShardResult, error) {
-	s, err := newShard(cfg, idx, profiles)
+// shard-local but arenas, from which its heap takes cleared memory and to
+// which it releases the heap once the result is read.
+func runShard(cfg Config, idx int, reqs []Request, profiles []*Profile, arenas *heap.Arenas) (ShardResult, error) {
+	s, err := newShard(cfg, idx, profiles, heap.WithArenas(arenas))
 	if err != nil {
 		return ShardResult{}, err
 	}
-	return s.run(reqs), nil
+	res := s.run(reqs)
+	s.h.Release()
+	return res, nil
 }
 
-// newShard builds shard idx: its heap under cfg's collector and modes.
-func newShard(cfg Config, idx int, profiles []*Profile) (*shard, error) {
-	h := heap.New(heap.WithConfig(heap.Config{
+// newShard builds shard idx: its heap under cfg's collector and modes, and
+// opts (runShard's recycler).
+func newShard(cfg Config, idx int, profiles []*Profile, opts ...heap.Option) (*shard, error) {
+	h := heap.New(append(opts, heap.WithConfig(heap.Config{
 		Incremental: cfg.Incremental,
 		SliceBudget: cfg.SliceBudget,
 		Tenure:      cfg.Tenure,
 		Adaptive:    cfg.Adaptive,
-	}))
+	}))...)
 	col, err := collectorByName(h, cfg.Collector, cfg.HeapWords)
 	if err != nil {
 		return nil, err
