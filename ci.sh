@@ -154,22 +154,11 @@ check_cover ./internal/gc/hybrid 82
 
 # Server simulation: the shard loop re-runs under the race detector with the
 # runner forced to four workers, so concurrent shards exercise their
-# no-shared-state contract; then the gcserve CLI determinism smoke — the
-# same seed and config must print byte-identical reports run-to-run and
-# across runner worker counts (the words-as-time clock admits no wall-time).
+# no-shared-state contract. The gcserve CLI determinism smoke (the same seed
+# and config print byte-identical reports run to run and across runner worker
+# counts, under every incremental collector of the table) is tier-1:
+# cmd/gcserve TestIncrementalRunsRepeat.
 RDGC_PARALLEL=4 go test -race -count=1 ./internal/serve
-# Both incremental free-list collectors take the smoke: their lazy sweeps
-# run inside the shard loop.
-serve_tmp=$(mktemp -d)
-for collector in marksweep npms; do
-    serve_flags="-collector $collector -gcincr -shards 4 -horizon 20000 -heap 16384 -seed 42 -arrival mmpp"
-    go run ./cmd/gcserve $serve_flags > "$serve_tmp/a.txt"
-    go run ./cmd/gcserve $serve_flags > "$serve_tmp/b.txt"
-    go run ./cmd/gcserve $serve_flags -parallel 1 > "$serve_tmp/c.txt"
-    cmp "$serve_tmp/a.txt" "$serve_tmp/b.txt"
-    cmp "$serve_tmp/a.txt" "$serve_tmp/c.txt"
-done
-rm -rf "$serve_tmp"
 
 # Decay-grid determinism smoke, through the real driver: the mutator draws
 # its lifetimes a batch ahead, so the same seed must still print the same

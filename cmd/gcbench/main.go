@@ -25,7 +25,7 @@ import (
 
 	"rdgc/internal/bench"
 	"rdgc/internal/experiments"
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/hybrid"
 	"rdgc/internal/heap"
 	"rdgc/internal/runner"
@@ -130,7 +130,7 @@ func run(table2Only, quick, withHybrid bool, gc heap.Config, opts runner.Options
 				}
 				if recordDir != "" {
 					path := filepath.Join(recordDir, p.Name()+".trace")
-					nc := gcfuzz.CollectorsSized(p.HeapWords())[0]
+					nc := collectors.Grid(p.HeapWords())[0]
 					if _, err := experiments.RecordBenchTrace(path, p, nc, heap.WithConfig(gc)); err != nil {
 						return rr, err
 					}
@@ -275,16 +275,16 @@ func dumpPauseLog(path string, quick bool, gc heap.Config) error {
 		progs = bench.Quick()
 	}
 	for _, p := range progs {
-		for _, collector := range []string{"marksweep", "npms"} {
+		for _, e := range collectors.Honouring(collectors.Incremental) {
 			seq := 0
-			err := experiments.RunBenchPausesLogged(p, collector, gc,
+			err := experiments.RunBenchPausesLogged(p, e, gc,
 				func(words uint64) {
 					fmt.Fprintf(w, "%s,%s,%v,%d,%d,%d\n",
-						p.Name(), collector, gc.Incremental, gc.SliceBudget, seq, words)
+						p.Name(), e.Name, gc.Incremental, gc.SliceBudget, seq, words)
 					seq++
 				})
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", p.Name(), collector, err)
+				return fmt.Errorf("%s/%s: %w", p.Name(), e.Name, err)
 			}
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/gcfuzz"
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
@@ -141,15 +142,11 @@ func replay(path string, gc heap.Config, censusMode, collector string, minimize 
 
 	grid := gcfuzz.Collectors()
 	if collector != "" {
-		grid = nil
-		for _, nc := range gcfuzz.Collectors() {
-			if nc.Name == collector {
-				grid = []gcfuzz.NamedCollector{nc}
-			}
+		nc, err := collectors.Pick(grid, collector)
+		if err != nil {
+			return err
 		}
-		if grid == nil {
-			return fmt.Errorf("unknown collector %q", collector)
-		}
+		grid = []gcfuzz.NamedCollector{nc}
 	}
 
 	// run checks p the way the fuzz target does, under every mode: all

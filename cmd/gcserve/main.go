@@ -16,6 +16,7 @@ import (
 	"os"
 	"strings"
 
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/heap"
 	"rdgc/internal/runner"
 	"rdgc/internal/serve"
@@ -23,7 +24,7 @@ import (
 
 func main() {
 	collector := flag.String("collector", "generational",
-		fmt.Sprintf("per-shard collector: %s", strings.Join(serve.CollectorNames(), ", ")))
+		fmt.Sprintf("per-shard collector: %s", strings.Join(collectors.Names(), ", ")))
 	shards := flag.Int("shards", 4, "independent heap shards")
 	heapWords := flag.Int("heap", 1<<17, "per-shard collector sizing in `words`")
 	wpt := flag.Int("wpt", 64, "service clock: words of work per tick")

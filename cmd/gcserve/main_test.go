@@ -7,25 +7,65 @@ import (
 	"testing"
 
 	"rdgc/internal/cmdtest"
+	"rdgc/internal/gc/collectors"
 )
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
 // TestGCModeSpellings: each collector mode's flags reach the shard heaps,
-// and the report header names the mode.
+// and the report header names the mode, or n/a for a knob the collector
+// does not honour.
 func TestGCModeSpellings(t *testing.T) {
 	outs := cmdtest.CheckGCSpellings(t, []string{
 		"-collector", "generational", "-shards", "2", "-horizon", "6000", "-heap", "8192", "-seed", "7",
 	}, nil)
 	for i, want := range []string{
-		"wpt=64 incr=off adapt=off tenure=1",
-		"wpt=64 incr=on adapt=off tenure=1",
-		"wpt=64 incr=off adapt=off tenure=3",
-		"wpt=64 incr=off adapt=on tenure=1",
+		"wpt=64 incr=n/a adapt=off tenure=1",
+		"wpt=64 incr=n/a adapt=off tenure=1",
+		"wpt=64 incr=n/a adapt=off tenure=3",
+		"wpt=64 incr=n/a adapt=on tenure=1",
 	} {
 		if !strings.Contains(outs[i], want) {
 			t.Errorf("run %d: report does not say %q:\n%s", i, want, outs[i])
 		}
+	}
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-collector", "semispace", "-gcincr", "-gctenure", "4", "-gcadapt"}, "wpt=64 incr=n/a adapt=n/a tenure=n/a"},
+		{[]string{"-collector", "marksweep", "-gcincr"}, "wpt=64 incr=on adapt=n/a tenure=n/a"},
+	} {
+		out := cmdtest.Run(t, nil, append(tc.flags, "-shards", "2", "-horizon", "6000", "-heap", "8192", "-seed", "7")...)
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%v: report does not say %q:\n%s", tc.flags, tc.want, out)
+		}
+	}
+}
+
+// TestIncrementalRunsRepeat: under every collector the table lists as
+// incremental, whose lazy sweeps run inside the shard loop, one seed and
+// configuration print the same bytes run to run and on one runner worker:
+// the words-as-time clock admits no wall time.
+func TestIncrementalRunsRepeat(t *testing.T) {
+	incr := collectors.Honouring(collectors.Incremental)
+	if len(incr) == 0 {
+		t.Fatal("the collector table lists no incremental collector")
+	}
+	for _, e := range incr {
+		t.Run(e.Name, func(t *testing.T) {
+			args := []string{"-collector", e.Name, "-gcincr", "-shards", "4", "-horizon", "20000", "-heap", "16384", "-seed", "42", "-arrival", "mmpp"}
+			a := cmdtest.Run(t, nil, args...)
+			if !strings.Contains(a, "incr=on") {
+				t.Fatalf("the report does not say incr=on:\n%s", a)
+			}
+			if b := cmdtest.Run(t, nil, args...); b != a {
+				t.Errorf("a rerun printed other bytes:\n%s\nthen\n%s", a, b)
+			}
+			if c := cmdtest.Run(t, nil, append(args, "-parallel", "1")...); c != a {
+				t.Errorf("-parallel 1 printed other bytes:\n%s\nthen\n%s", a, c)
+			}
+		})
 	}
 }
 

@@ -43,12 +43,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
+	"strings"
 	"sync"
 
 	"rdgc/internal/bench"
 	"rdgc/internal/experiments"
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/heap"
 	"rdgc/internal/runner"
 	"rdgc/internal/trace"
@@ -95,36 +95,8 @@ func usage() {
 
 Workloads are the gcbench registry names (run "gcbench -table2" for the
 inventory); -quick selects the reduced-scale instances. Collector names:
-semispace, marksweep, generational, nonpredictive, hybrid, multigen, npms.
-`)
-}
-
-// findProgram resolves a workload name in the chosen registry.
-func findProgram(name string, quick bool) (bench.Program, error) {
-	progs := bench.Standard()
-	if quick {
-		progs = bench.Quick()
-	}
-	var names []string
-	for _, p := range progs {
-		if p.Name() == name {
-			return p, nil
-		}
-		names = append(names, p.Name())
-	}
-	return nil, fmt.Errorf("unknown workload %q; have %v", name, names)
-}
-
-// findCollector resolves a collector name in a sized grid.
-func findCollector(grid []gcfuzz.NamedCollector, name string) (gcfuzz.NamedCollector, error) {
-	var names []string
-	for _, nc := range grid {
-		if nc.Name == name {
-			return nc, nil
-		}
-		names = append(names, nc.Name)
-	}
-	return gcfuzz.NamedCollector{}, fmt.Errorf("unknown collector %q; have %v", name, names)
+%s.
+`, strings.Join(collectors.Names(), ", "))
 }
 
 func cmdRecord(args []string) error {
@@ -137,11 +109,11 @@ func cmdRecord(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("record needs exactly one workload name")
 	}
-	p, err := findProgram(fs.Arg(0), *quick)
+	p, err := bench.ByName(fs.Arg(0), *quick)
 	if err != nil {
 		return err
 	}
-	nc, err := findCollector(gcfuzz.CollectorsSized(p.HeapWords()), *collector)
+	nc, err := collectors.Pick(collectors.Grid(p.HeapWords()), *collector)
 	if err != nil {
 		return err
 	}
@@ -259,18 +231,6 @@ func cmdSynth(args []string) error {
 	return nil
 }
 
-// replayGrid reconstructs the collector grid a trace should replay under,
-// from the header metadata record/gcfuzz wrote. Traces without sizing
-// metadata get the fuzz harness's fixed-size grid.
-func replayGrid(hdr trace.Header) []gcfuzz.NamedCollector {
-	if s, ok := hdr.Lookup("heap_words"); ok {
-		if n, err := strconv.Atoi(s); err == nil {
-			return gcfuzz.CollectorsSized(n)
-		}
-	}
-	return gcfuzz.Collectors()
-}
-
 // replayCell is one (trace, collector) replay outcome.
 type replayCell struct {
 	res trace.ReplayResult
@@ -278,7 +238,7 @@ type replayCell struct {
 }
 
 // replayOne opens the trace fresh and drives one collector from it.
-func replayOne(path string, nc gcfuzz.NamedCollector, gc heap.Config, verify bool) (replayCell, error) {
+func replayOne(path string, nc collectors.Named, gc heap.Config, verify bool) (replayCell, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return replayCell{}, err
@@ -291,7 +251,7 @@ func replayOne(path string, nc gcfuzz.NamedCollector, gc heap.Config, verify boo
 // under gc, built on the recycler share hands it (nil: none), and releases
 // the heap into that recycler once its row is read, if a later cell can
 // still take the arenas.
-func replayReader(r io.Reader, nc gcfuzz.NamedCollector, gc heap.Config, verify bool, share *arenaShare) (replayCell, error) {
+func replayReader(r io.Reader, nc collectors.Named, gc heap.Config, verify bool, share *arenaShare) (replayCell, error) {
 	rd, err := trace.NewReader(r)
 	if err != nil {
 		return replayCell{}, err
@@ -325,33 +285,32 @@ func cmdReplay(args []string) error {
 	}
 	path := fs.Arg(0)
 
-	// Sniff the header once to size the collector grid and describe the run.
+	// The header sizes the grid; a sharded replay splits the rest of rd.
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
+	defer f.Close()
 	rd, err := trace.NewReader(f)
 	if err != nil {
-		f.Close()
 		return err
 	}
 	hdr := rd.Header()
-	f.Close()
 
-	grid := replayGrid(hdr)
+	grid := collectors.ForTrace(hdr)
 	if *collector != "all" {
-		nc, err := findCollector(grid, *collector)
+		nc, err := collectors.Pick(grid, *collector)
 		if err != nil {
 			return err
 		}
-		grid = []gcfuzz.NamedCollector{nc}
+		grid = []collectors.Named{nc}
 	}
 
 	workload, _ := hdr.Lookup("workload")
 	fmt.Printf("%s: workload %q, census=%v, %d collectors\n", path, workload, hdr.Census, len(grid))
 
 	if *shards > 1 {
-		return replaySharded(path, grid, *shards, gc, *verify, opts)
+		return replaySharded(rd, grid, *shards, gc, *verify, opts)
 	}
 
 	specs := make([]runner.Spec[replayCell], len(grid))
@@ -384,23 +343,13 @@ func cmdReplay(args []string) error {
 	return exit
 }
 
-// replaySharded splits a multi-session corpus by session into n shard
-// traces, replays every (collector, shard) pair as an independent runner
+// replaySharded splits the multi-session corpus rd reads by session into n
+// shard traces, replays every (collector, shard) pair as an independent runner
 // cell with its own proportionally sized heap, and reports per-collector
 // aggregates. Shard contents and the summed statistics depend only on the
 // corpus and n — never on -parallel or completion order.
-func replaySharded(path string, grid []gcfuzz.NamedCollector, n int, gc heap.Config, verify bool, ropt runner.Options) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	rd, err := trace.NewReader(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
+func replaySharded(rd *trace.Reader, grid []collectors.Named, n int, gc heap.Config, verify bool, ropt runner.Options) error {
 	shards, err := trace.Shard(rd, n, trace.SynthOptions{})
-	f.Close()
 	if err != nil {
 		return err
 	}
@@ -420,7 +369,7 @@ func replaySharded(path string, grid []gcfuzz.NamedCollector, n int, gc heap.Con
 					if err != nil {
 						return replayCell{}, err
 					}
-					snc, err := findCollector(replayGrid(srd.Header()), name)
+					snc, err := collectors.Pick(collectors.ForTrace(srd.Header()), name)
 					if err != nil {
 						return replayCell{}, err
 					}

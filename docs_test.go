@@ -94,7 +94,8 @@ func TestDocPointersResolve(t *testing.T) {
 // separate remembered-set pass; the process-wide default Config, the
 // environment it was read from and the per-package guards that held test
 // heaps to it; trace format version 1's writer and the reader's window
-// onto it),
+// onto it; the hand lists of collectors, their sizes and the knobs they
+// read, that the collector table replaced),
 // and the hook by its plain name, may not be named
 // by README.md, DESIGN.md or EXPERIMENTS.md — outside a section whose heading
 // dates it to a PR or an issue, which is history and stays as written — nor
@@ -114,7 +115,9 @@ func TestDocsNameNothingDeleted(t *testing.T) {
 		`allocDynamic|allocOld|npExtra|npScan|evacRoots|TimeScale|TestSpliceSelf|TestTimeScale|checkRemsets|checkFixture|` +
 		`wantCheckError|TestCheck(MalformedHeader|StaleMark|BlockOverrun|DanglingPointerPastTop|PointerToNonHeader|` +
 		`ReachableFreeBlock|UnknownSpace|IgnoresUnreachableGarbage)|SetDefaultConfig|DefaultConfig|ConfigFromEnv|` +
-		`CheckEnvReachesHeaps|TestEnvReachesHeaps|RDGC_GC_(INCR|SLICE|TENURE|ADAPT)|[nN]ewWriterVersion|minReadVersion)\b`)
+		`CheckEnvReachesHeaps|TestEnvReachesHeaps|RDGC_GC_(INCR|SLICE|TENURE|ADAPT)|[nN]ewWriterVersion|minReadVersion|` +
+		`knobsRead|tenuringCollectors|sizedGrid|findCollector|replayGrid|collectorByName|CollectorNames|unknownCollector|` +
+		`incrementalKnobs|tenuringKnobs|allKnobs)\b`)
 	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_(WORKERS|LAB|INCR|SLICE|TENURE|ADAPT))\b[^"]*"`)
 	heading := regexp.MustCompile(`^#+ `)
 	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)

@@ -180,8 +180,8 @@ func RunHybrid(cfg DecayConfig) Result {
 	total := cfg.HeapWords()
 	nursery := int(float64(total) * cfg.NurseryFraction)
 	k := cfg.K
-	if max := 2 * (total - nursery) / maxInt(nursery, 1); k > max && max >= 2 {
-		k = max // the step size must be at least half the nursery size
+	if most := 2 * (total - nursery) / max(nursery, 1); k > most && most >= 2 {
+		k = most // the step size must be at least half the nursery size
 	}
 	stepWords := (total - nursery) / k
 	c := hybrid.New(h, nursery, k, stepWords, hybrid.WithPolicy(core.FractionJ(cfg.G)))

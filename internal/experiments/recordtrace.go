@@ -6,7 +6,7 @@ import (
 	"strconv"
 
 	"rdgc/internal/bench"
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
 )
@@ -18,7 +18,7 @@ import (
 // gctrace replay needs to reconstruct a sized collector grid. The heap is
 // built with opts (heap.WithCensus makes a census trace). On any error the
 // partial file is removed.
-func RecordBenchTrace(path string, p bench.Program, nc gcfuzz.NamedCollector, opts ...heap.Option) (heap.Stats, error) {
+func RecordBenchTrace(path string, p bench.Program, nc collectors.Named, opts ...heap.Option) (heap.Stats, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return heap.Stats{}, err

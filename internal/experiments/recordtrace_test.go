@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"rdgc/internal/bench"
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
 )
@@ -37,7 +37,7 @@ func eventBytes(t *testing.T, raw []byte) []byte {
 }
 
 // liveBenchRun mirrors RecordBenchTrace's run shape without any recording.
-func liveBenchRun(t *testing.T, p bench.Program, nc gcfuzz.NamedCollector) (heap.Stats, heap.GCStats) {
+func liveBenchRun(t *testing.T, p bench.Program, nc collectors.Named) (heap.Stats, heap.GCStats) {
 	t.Helper()
 	h := heap.New()
 	c := nc.New(h)
@@ -56,7 +56,7 @@ func liveBenchRun(t *testing.T, p bench.Program, nc gcfuzz.NamedCollector) (heap
 func TestBenchTraceGoldenReplay(t *testing.T) {
 	dir := t.TempDir()
 	for _, p := range goldenPrograms() {
-		grid := gcfuzz.CollectorsSized(p.HeapWords())
+		grid := collectors.Grid(p.HeapWords())
 
 		path := filepath.Join(dir, p.Name()+".trace")
 		stats, err := RecordBenchTrace(path, p, grid[0])

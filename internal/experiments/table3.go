@@ -81,8 +81,8 @@ func RunTable3Row(mk func() bench.Program, cfg Table3Config) (Table3Row, error) 
 		return Table3Row{}, err
 	}
 	nursery := int(alloc / cfg.NurseryDivisor)
-	nursery = maxInt(cfg.MinNurseryWords, minInt(nursery, cfg.MaxNurseryWords))
-	semi := maxInt(int(cfg.SemiFactor*float64(peak)), 5*nursery/2)
+	nursery = max(cfg.MinNurseryWords, min(nursery, cfg.MaxNurseryWords))
+	semi := max(int(cfg.SemiFactor*float64(peak)), 5*nursery/2)
 
 	// Stop-and-copy at the calibrated size.
 	hSC := heap.New(heap.WithConfig(cfg.GC))
@@ -95,7 +95,7 @@ func RunTable3Row(mk func() bench.Program, cfg Table3Config) (Table3Row, error) 
 	// Conventional generational: nursery plus an old area sized to touch a
 	// little less storage than the stop-and-copy collector.
 	hG := heap.New(heap.WithConfig(cfg.GC))
-	old := maxInt(semi-nursery, 2*peak+2*nursery)
+	old := max(semi-nursery, 2*peak+2*nursery)
 	cG := generational.New(hG, nursery, old, generational.WithExpansion(2))
 	genRes := bench.Measure(mk(), hG, cG)
 	if genRes.Err != nil {
@@ -110,18 +110,4 @@ func RunTable3Row(mk func() bench.Program, cfg Table3Config) (Table3Row, error) 
 		StopAndCopy:  scRes,
 		Generational: genRes,
 	}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

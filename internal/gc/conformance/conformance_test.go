@@ -11,65 +11,73 @@ import (
 	"testing"
 
 	"rdgc/internal/core"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/gcfuzz"
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/gc/generational"
 	"rdgc/internal/gc/hybrid"
-	"rdgc/internal/gc/marksweep"
-	"rdgc/internal/gc/multigen"
 	"rdgc/internal/gc/npms"
-	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 	"rdgc/internal/remset"
 )
 
 const ops = 4000
 
-func collectors() map[string]func(h *heap.Heap) heap.Collector { return shrunkCollectors(1) }
+func allCollectors() map[string]func(h *heap.Heap) heap.Collector { return shrunkCollectors(1) }
 
-// shrunkCollectors is collectors with every space and step size divided by
-// div.
+// shrunkCollectors is every collector the suite runs, with every space and
+// step size divided by div: the table's entries at 8192/div words, npms as
+// 8 steps of 2048/div words (a quarter of the table's step, so that the
+// suite's short runs collect often), and the ablations.
 func shrunkCollectors(div int) map[string]func(h *heap.Heap) heap.Collector {
-	return map[string]func(h *heap.Heap) heap.Collector{
-		"semispace": func(h *heap.Heap) heap.Collector {
-			return semispace.New(h, 8192/div, semispace.WithExpansion(2))
-		},
-		"marksweep": func(h *heap.Heap) heap.Collector {
-			return marksweep.New(h, 8192/div, marksweep.WithExpansion(2))
-		},
-		"generational": func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024/div, 16384/div, generational.WithExpansion(2))
-		},
-		"generational-ssb": func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024/div, 16384/div,
-				generational.WithExpansion(2), generational.WithRemset(remset.NewSSB()))
-		},
-		"nonpredictive": func(h *heap.Heap) heap.Collector {
-			return core.New(h, 8, 1024/div, core.WithGrowth())
-		},
-		"nonpredictive-fixedj": func(h *heap.Heap) heap.Collector {
-			return core.New(h, 8, 1024/div, core.WithGrowth(), core.WithPolicy(core.FixedJ(3)))
-		},
-		"nonpredictive-zeroj": func(h *heap.Heap) heap.Collector {
-			return core.New(h, 4, 2048/div, core.WithGrowth(), core.WithPolicy(core.ZeroJ{}))
-		},
-		"hybrid": func(h *heap.Heap) heap.Collector {
-			return hybrid.New(h, 512/div, 8, 1024/div, hybrid.WithGrowth())
-		},
-		"hybrid-fixedj": func(h *heap.Heap) heap.Collector {
-			return hybrid.New(h, 512/div, 8, 1024/div,
-				hybrid.WithGrowth(), hybrid.WithPolicy(core.FixedJ(2)))
-		},
-		"multigen": func(h *heap.Heap) heap.Collector {
-			return multigen.New(h, []int{1024 / div, 2048 / div, 16384 / div}, multigen.WithExpansion(2))
-		},
-		"npms": func(h *heap.Heap) heap.Collector {
-			return npms.New(h, 8, 2048/div)
-		},
-		"npms-nocompact": func(h *heap.Heap) heap.Collector {
-			return npms.New(h, 8, 2048/div, npms.WithCompactEvery(0))
-		},
+	all := map[string]func(h *heap.Heap) heap.Collector{}
+	for _, e := range collectors.Honouring(0) {
+		all[e.Name] = e.At(8192 / div).New
 	}
+	all["npms"] = func(h *heap.Heap) heap.Collector { return npms.New(h, 8, 2048/div) }
+	for name, a := range ablations {
+		all[name] = func(h *heap.Heap) heap.Collector { return a.mk(h, div) }
+	}
+	return all
+}
+
+// ablations are the suite's variants of table entries, at the sizes
+// shrunkCollectors gives their base entry: a remembered set, a policy or a
+// compaction period no driver picks. Each honours its base entry's knobs.
+var ablations = map[string]struct {
+	base string
+	mk   func(h *heap.Heap, div int) heap.Collector
+}{
+	"generational-ssb": {"generational", func(h *heap.Heap, div int) heap.Collector {
+		return generational.New(h, 1024/div, 16384/div,
+			generational.WithExpansion(2), generational.WithRemset(remset.NewSSB()))
+	}},
+	"nonpredictive-fixedj": {"nonpredictive", func(h *heap.Heap, div int) heap.Collector {
+		return core.New(h, 8, 1024/div, core.WithGrowth(), core.WithPolicy(core.FixedJ(3)))
+	}},
+	"nonpredictive-zeroj": {"nonpredictive", func(h *heap.Heap, div int) heap.Collector {
+		return core.New(h, 4, 2048/div, core.WithGrowth(), core.WithPolicy(core.ZeroJ{}))
+	}},
+	"hybrid-fixedj": {"hybrid", func(h *heap.Heap, div int) heap.Collector {
+		return hybrid.New(h, 512/div, 8, 1024/div,
+			hybrid.WithGrowth(), hybrid.WithPolicy(core.FixedJ(2)))
+	}},
+	"npms-nocompact": {"npms", func(h *heap.Heap, div int) heap.Collector {
+		return npms.New(h, 8, 2048/div, npms.WithCompactEvery(0))
+	}},
+}
+
+// knobsOf is the knobs the named collector of shrunkCollectors honours: its
+// table entry's, or for an ablation its base entry's.
+func knobsOf(name string) collectors.Knobs {
+	if a, ok := ablations[name]; ok {
+		name = a.base
+	}
+	e, err := collectors.Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	return e.Knobs
 }
 
 // newHeap builds a heap under cfg, with birth stamps when census is set.
@@ -100,9 +108,10 @@ const (
 // byte 2 picks it, so the long seeds run at thresholds 3, 6 and 15 and the
 // short seeds that land on the row walk through all five. A long seed's run
 // outside the default row carries the row's name after the seed. Where the
-// row sets only knobs the collector never reads, the long run would repeat
-// the default row's, so that name runs checkInert instead: a collector
-// that starts reading a knob fails there, under its name and the row's.
+// row sets only knobs the collector's table entry does not declare, the long
+// run would repeat the default row's, so that name runs checkInert instead:
+// a collector that starts reading a knob fails there, under its name and
+// the row's.
 func TestShadowModel(t *testing.T) {
 	type run struct {
 		seed     int64
@@ -141,55 +150,32 @@ func TestShadowModel(t *testing.T) {
 	}
 }
 
-// knobs is a set of the Config knobs a mode row can turn, grouped by the
-// code that reads them.
-type knobs uint8
-
-const (
-	incrementalKnobs knobs = 1 << iota // Incremental, SliceBudget: marksweep's and npms's marker
-	tenuringKnobs                      // Tenure, Adaptive: the young step of the youngest-first collectors
-	allKnobs         = incrementalKnobs | tenuringKnobs
-)
-
-// knobsRead is the knobs each collector of shrunkCollectors reads when it
-// is built; absent ones read neither.
-var knobsRead = map[string]knobs{
-	"marksweep":        incrementalKnobs,
-	"npms":             incrementalKnobs,
-	"npms-nocompact":   incrementalKnobs,
-	"generational":     tenuringKnobs,
-	"generational-ssb": tenuringKnobs,
-	"hybrid":           tenuringKnobs,
-	"hybrid-fixedj":    tenuringKnobs,
-	"multigen":         tenuringKnobs,
-}
-
 // knobsSet returns the knobs in which row differs from base; a difference
 // in any field the groups do not name counts as every knob.
-func knobsSet(row, base heap.Config) knobs {
-	var k knobs
+func knobsSet(row, base heap.Config) collectors.Knobs {
+	var k collectors.Knobs
 	if row.Incremental != base.Incremental || row.SliceBudget != base.SliceBudget {
-		k |= incrementalKnobs
+		k |= collectors.Incremental
 	}
 	if row.Tenure != base.Tenure || row.Adaptive != base.Adaptive {
-		k |= tenuringKnobs
+		k |= collectors.Tenuring
 	}
 	rest := row
 	rest.Incremental, rest.SliceBudget, rest.Tenure, rest.Adaptive = base.Incremental, base.SliceBudget, base.Tenure, base.Adaptive
 	if rest != base {
-		k = allKnobs
+		k = ^collectors.Knobs(0)
 	}
 	return k
 }
 
 // inert reports whether the mode row sets no knob the named collector
-// reads, so that a run under it repeats the run under base.
-func inert(name string, row, base heap.Config) bool { return knobsSet(row, base)&knobsRead[name] == 0 }
+// honours, so that a run under it repeats the run under base.
+func inert(name string, row, base heap.Config) bool { return knobsSet(row, base)&knobsOf(name) == 0 }
 
 // checkInert plays seed for shortOps operations on mk's collector under
 // row and under base, and requires the two heap images and GCStats equal:
-// the row's knobs, which the collector is listed as never reading, must
-// change nothing.
+// the row's knobs, which the collector's table entry does not declare,
+// must change nothing.
 func checkInert(t *testing.T, mk func(h *heap.Heap) heap.Collector, row gcfuzz.Mode, base heap.Config, seed int64) {
 	t.Helper()
 	run := func(cfg heap.Config) heapImage {
@@ -201,13 +187,44 @@ func checkInert(t *testing.T, mk func(h *heap.Heap) heap.Collector, row gcfuzz.M
 		t.Fatal("the short run never collected")
 	}
 	if got := run(row.Config); !reflect.DeepEqual(got, want) {
-		t.Errorf("under the %s row, whose knobs the collector is listed as never reading: %s",
+		t.Errorf("under the %s row, whose knobs the table does not declare for the collector: %s",
 			row.Name, divergence(got, want, row.Name, "default row"))
 	}
 }
 
+// TestDeclaredKnobsAct is checkInert's converse, for every table entry:
+// each mode row that turns only knobs the entry declares must change the
+// heap image or GCStats of a short seed on a shrunk heap, so the table
+// cannot claim a knob its collector ignores; and the entry declares
+// tenuring exactly when its collector implements heap.Tenurer.
+func TestDeclaredKnobsAct(t *testing.T) {
+	const seed = 1000
+	base := heap.Config{}
+	shrunk := shrunkCollectors(shortDiv)
+	for _, e := range collectors.Honouring(0) {
+		t.Run(e.Name, func(t *testing.T) {
+			mk := shrunk[e.Name]
+			_, tenurer := mk(heap.New()).(heap.Tenurer)
+			if tenurer != e.Honours(collectors.Tenuring) {
+				t.Errorf("the table declares tenuring %v; the collector implements heap.Tenurer %v",
+					e.Honours(collectors.Tenuring), tenurer)
+			}
+			run := func(cfg heap.Config) heapImage {
+				h := heap.New(heap.WithConfig(cfg))
+				return captureOps(t, h, mk(h), shortOps, seed)
+			}
+			want := run(base)
+			for _, m := range gcfuzz.Modes(base, nil)[1:] {
+				if k := knobsSet(m.Config, base); e.Honours(k) && reflect.DeepEqual(run(m.Config), want) {
+					t.Errorf("under the %s row, whose knobs the table declares, the heap image and GCStats are the default row's", m.Name)
+				}
+			}
+		})
+	}
+}
+
 func TestShadowModelWithCensus(t *testing.T) {
-	for name, mk := range collectors() {
+	for name, mk := range allCollectors() {
 		t.Run(name, func(t *testing.T) {
 			h := heap.New(heap.WithCensus())
 			c := mk(h)
@@ -221,7 +238,7 @@ func TestShadowModelWithCensus(t *testing.T) {
 // least what the collector then holds. Stop-the-world, because an
 // incremental collection hands back to the mutator before its sweep ends.
 func TestPeakLiveBoundsLive(t *testing.T) {
-	for name, mk := range collectors() {
+	for name, mk := range allCollectors() {
 		t.Run(name, func(t *testing.T) {
 			h := heap.New()
 			c := mk(h)

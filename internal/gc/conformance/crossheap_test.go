@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"rdgc/internal/experiments"
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 )
@@ -62,7 +62,7 @@ func TestHeapsShareNothing(t *testing.T) {
 // heapCells is the table TestHeapsShareNothing runs: every mode a heap can
 // be driven in, as far as the conformance workloads reach it.
 func heapCells(t *testing.T) []cell {
-	all := collectors()
+	all := allCollectors()
 	names := make([]string, 0, len(all))
 	for name := range all {
 		names = append(names, name)
@@ -84,16 +84,21 @@ func heapCells(t *testing.T) []cell {
 			return runIdentified(t, mk, true, 1)
 		}})
 	}
-	for _, name := range []string{"marksweep", "npms", "npms-nocompact"} {
+	for _, name := range names {
+		if knobsOf(name)&collectors.Incremental == 0 {
+			continue
+		}
 		mk := all[name]
 		cells = append(cells, cell{name + "/incremental", func(t *testing.T) any {
 			h := heap.New(heap.WithConfig(heap.Config{Incremental: true}))
 			return capture(t, h, mk(h), 23)
 		}})
 	}
-	tenuring := tenuringCollectors()
-	for _, name := range []string{"generational", "hybrid", "multigen"} {
-		mk := tenuring[name]
+	for _, name := range names {
+		if knobsOf(name)&collectors.Tenuring == 0 {
+			continue
+		}
+		mk := all[name]
 		for _, tenure := range []int{3, heap.TenureNever, 0} {
 			label := fmt.Sprintf("tenure=%d", tenure)
 			if tenure == 0 {
@@ -106,7 +111,7 @@ func heapCells(t *testing.T) []cell {
 		}
 	}
 	decay := decaySession()
-	grid := gcfuzz.CollectorsSized(decay.heapWords)
+	grid := collectors.Grid(decay.heapWords)
 	data := recordOn(t, decay, grid[0])
 	for _, nc := range grid {
 		if traced[nc.Name] {

@@ -81,7 +81,7 @@ func TestFastTracerMatchesReference(t *testing.T) {
 		t.Fatal("reference tracer already enabled at test start")
 	}
 	defer heap.SetReferenceTracer(false)
-	for name, mk := range collectors() {
+	for name, mk := range allCollectors() {
 		for _, census := range []bool{false, true} {
 			for seed := int64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("%s/census=%v/seed%d", name, census, seed), func(t *testing.T) {

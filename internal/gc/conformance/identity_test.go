@@ -182,7 +182,7 @@ func runIdentified(t *testing.T, mk func(h *heap.Heap) heap.Collector, census bo
 // names — whose ordinals the birth stamps vouch for, as they do in every
 // census run here.
 func TestIdentityCarried(t *testing.T) {
-	all := collectors()
+	all := allCollectors()
 	want := runIdentified(t, all["semispace"], true, 1)
 	if !strings.Contains(want[len(want)-1], "\n#") {
 		t.Fatal("the reference run ends with nothing reachable")

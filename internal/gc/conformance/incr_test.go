@@ -47,7 +47,7 @@ func synchronize(c heap.Collector) {
 // per-collection deep verifier, and the final heap.Check must all stay
 // clean with collection interleaved into the mutator at slice granularity.
 func TestIncrementalShadowModel(t *testing.T) {
-	for name, mk := range collectors() {
+	for name, mk := range allCollectors() {
 		t.Run(name, func(t *testing.T) {
 			h := heap.New(heap.WithConfig(heap.Config{Incremental: true}))
 			c := mk(h)
@@ -62,7 +62,7 @@ func TestIncrementalShadowModel(t *testing.T) {
 // identical and the surviving object multiset after a final synchronizing
 // collection must be identical.
 func TestIncrementalMatchesStopTheWorld(t *testing.T) {
-	for name, mk := range collectors() {
+	for name, mk := range allCollectors() {
 		for _, census := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/census=%v", name, census), func(t *testing.T) {
 				hs := newHeap(heap.Config{}, census)

@@ -5,7 +5,7 @@ import (
 	"slices"
 	"testing"
 
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 )
@@ -56,7 +56,7 @@ func reservedAtConstruction(name string, tenured bool) []string {
 // and the survivors are checked at the end.
 func TestReservationContract(t *testing.T) {
 	for _, tenure := range []int{1, 3} {
-		for _, nc := range gcfuzz.CollectorsSized(4096) {
+		for _, nc := range collectors.Grid(4096) {
 			t.Run(fmt.Sprintf("%s/tenure=%d", nc.Name, tenure), func(t *testing.T) {
 				h := heap.New(heap.WithConfig(heap.Config{Tenure: tenure}))
 				c := nc.New(h)
@@ -116,7 +116,7 @@ func TestReservationContract(t *testing.T) {
 // stay empty through the minor collections that do not evacuate into them,
 // up to the first major collection.
 func TestUnenteredReservationsStayEmpty(t *testing.T) {
-	for _, nc := range gcfuzz.CollectorsSized(4096) {
+	for _, nc := range collectors.Grid(4096) {
 		t.Run(nc.Name, func(t *testing.T) {
 			h := heap.New(heap.WithConfig(heap.Config{}))
 			c := nc.New(h)

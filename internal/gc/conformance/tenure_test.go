@@ -13,28 +13,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/gc/generational"
 	"rdgc/internal/gc/hybrid"
 	"rdgc/internal/gc/multigen"
 	"rdgc/internal/heap"
 )
-
-// tenuringCollectors builds each tenuring-capable collector; the heap's
-// Config decides how it tenures.
-func tenuringCollectors() map[string]func(h *heap.Heap) heap.Collector {
-	return map[string]func(h *heap.Heap) heap.Collector{
-		"generational": func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024, 16384, generational.WithExpansion(2))
-		},
-		"multigen": func(h *heap.Heap) heap.Collector {
-			return multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
-		},
-		"hybrid": func(h *heap.Heap) heap.Collector {
-			return hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth())
-		},
-	}
-}
 
 // tenureAt is the Config of a tenuring policy: a fixed promotion threshold,
 // or the adaptive controller for threshold 0.
@@ -99,7 +84,8 @@ func runWithAgeOracle(t *testing.T, mk func(h *heap.Heap) heap.Collector, thresh
 func TestAgeOracle(t *testing.T) {
 	const oracleOps = 2500
 	for _, threshold := range []int{2, 3, heap.TenureNever, 0 /* adaptive */} {
-		for name, mk := range tenuringCollectors() {
+		for _, e := range collectors.Honouring(collectors.Tenuring) {
+			name, mk := e.Name, allCollectors()[e.Name]
 			for _, census := range []bool{false, true} {
 				for seed := int64(1); seed <= 2; seed++ {
 					label := fmt.Sprintf("%s/threshold=%d/census=%v/seed%d", name, threshold, census, seed)

@@ -12,7 +12,7 @@ import (
 	"rdgc/internal/bench"
 	"rdgc/internal/decay"
 	"rdgc/internal/experiments"
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
 )
@@ -74,7 +74,7 @@ func quickProgram(name string) bench.Program {
 }
 
 // recordOn records w on a heap of the zero Config under nc's collector.
-func recordOn(t *testing.T, w tracedWorkload, nc gcfuzz.NamedCollector) []byte {
+func recordOn(t *testing.T, w tracedWorkload, nc collectors.Named) []byte {
 	t.Helper()
 	h := heap.New(heap.WithConfig(heap.Config{}))
 	c := nc.New(h)
@@ -106,7 +106,7 @@ type replayed struct {
 // replayOn replays data on a heap of the zero Config under nc's collector, the
 // deep verifier on; Replay itself holds the mutator statistics and the event
 // count to the trace's trailer.
-func replayOn(t *testing.T, data []byte, nc gcfuzz.NamedCollector) replayed {
+func replayOn(t *testing.T, data []byte, nc collectors.Named) replayed {
 	t.Helper()
 	rd, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -132,7 +132,7 @@ func replayOn(t *testing.T, data []byte, nc gcfuzz.NamedCollector) replayed {
 // every collection.
 func TestRecordReplay(t *testing.T) {
 	for _, w := range tracedWorkloads(t) {
-		grid := gcfuzz.CollectorsSized(w.heapWords)
+		grid := collectors.Grid(w.heapWords)
 		want := recordOn(t, w, grid[0])
 		for _, nc := range grid {
 			if !traced[nc.Name] {

@@ -23,14 +23,8 @@ package gcfuzz
 import (
 	"fmt"
 
-	"rdgc/internal/core"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/gctest"
-	"rdgc/internal/gc/generational"
-	"rdgc/internal/gc/hybrid"
-	"rdgc/internal/gc/marksweep"
-	"rdgc/internal/gc/multigen"
-	"rdgc/internal/gc/npms"
-	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 )
 
@@ -92,76 +86,14 @@ func (b *byteSource) Int63n(n int64) int64 {
 	return v % n
 }
 
-// NamedCollector pairs a constructor with its report name.
-type NamedCollector struct {
-	Name string
-	New  func(h *heap.Heap) heap.Collector
-}
+// NamedCollector is collectors.Named, kept for the benchmark module.
+type NamedCollector = collectors.Named
 
-// Collectors returns the constructors the fuzz harness drives, in a fixed
-// order. Sizes are chosen so the worst-case live data of a MaxProgram-byte
-// program fits every fixed-size configuration, and growth is enabled where
-// the collector supports it.
-func Collectors() []NamedCollector {
-	return []NamedCollector{
-		{"semispace", func(h *heap.Heap) heap.Collector {
-			return semispace.New(h, 8192, semispace.WithExpansion(2))
-		}},
-		{"marksweep", func(h *heap.Heap) heap.Collector {
-			return marksweep.New(h, 8192, marksweep.WithExpansion(2))
-		}},
-		{"generational", func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024, 16384, generational.WithExpansion(2))
-		}},
-		{"nonpredictive", func(h *heap.Heap) heap.Collector {
-			return core.New(h, 8, 1024, core.WithGrowth())
-		}},
-		{"hybrid", func(h *heap.Heap) heap.Collector {
-			return hybrid.New(h, 512, 8, 1024, hybrid.WithGrowth())
-		}},
-		{"multigen", func(h *heap.Heap) heap.Collector {
-			return multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
-		}},
-		{"npms", func(h *heap.Heap) heap.Collector {
-			return npms.New(h, 8, 4096)
-		}},
-	}
-}
+// Collectors returns collectors.Fixed, the grid the fuzz harness drives.
+func Collectors() []NamedCollector { return collectors.Fixed() }
 
-// CollectorsSized returns the same seven collectors scaled to a workload
-// whose comfortable heap size is total words — the grid cmd/gctrace uses
-// to replay recorded benchmark traces. Growth/expansion is enabled
-// everywhere it exists, so the sizes are starting points, not ceilings.
-func CollectorsSized(total int) []NamedCollector {
-	if total < 4096 {
-		total = 4096
-	}
-	nursery := total / 8
-	return []NamedCollector{
-		{"semispace", func(h *heap.Heap) heap.Collector {
-			return semispace.New(h, total, semispace.WithExpansion(2))
-		}},
-		{"marksweep", func(h *heap.Heap) heap.Collector {
-			return marksweep.New(h, total, marksweep.WithExpansion(2))
-		}},
-		{"generational", func(h *heap.Heap) heap.Collector {
-			return generational.New(h, nursery, 2*total, generational.WithExpansion(2))
-		}},
-		{"nonpredictive", func(h *heap.Heap) heap.Collector {
-			return core.New(h, 8, nursery, core.WithGrowth())
-		}},
-		{"hybrid", func(h *heap.Heap) heap.Collector {
-			return hybrid.New(h, nursery/2, 8, nursery, hybrid.WithGrowth())
-		}},
-		{"multigen", func(h *heap.Heap) heap.Collector {
-			return multigen.New(h, []int{nursery, 2 * nursery, 2 * total}, multigen.WithExpansion(2))
-		}},
-		{"npms", func(h *heap.Heap) heap.Collector {
-			// npms has no growth option; size its k steps generously.
-			return npms.New(h, 8, total)
-		}},
-	}
-}
+// CollectorsSized is collectors.Grid, kept for the benchmark module.
+func CollectorsSized(total int) []NamedCollector { return collectors.Grid(total) }
 
 // fullCollector is the optional whole-heap collection the non-predictive
 // collectors expose.

@@ -11,23 +11,23 @@ import "flag"
 // constructed on the heap; SliceBudget is read at the start of each
 // incremental cycle.
 type Config struct {
-	// Incremental opts the collectors that support it (marksweep, npms)
-	// into incremental collection: marking proceeds in bounded slices
-	// between mutator operations behind a Dijkstra insertion barrier, and
-	// sweeping happens block by block on the allocation path, so every
-	// mutator-visible pause is a slice, a termination phase, or a
-	// single-block sweep instead of a whole-heap walk. Other collectors
-	// ignore it.
+	// Incremental opts the collectors that support it (the entries of
+	// internal/gc/collectors that declare Incremental) into incremental
+	// collection: marking proceeds in bounded slices between mutator
+	// operations behind a Dijkstra insertion barrier, and sweeping happens
+	// block by block on the allocation path, so every mutator-visible pause
+	// is a slice, a termination phase, or a single-block sweep instead of a
+	// whole-heap walk. Other collectors ignore it.
 	Incremental bool
 	// SliceBudget is the words-per-slice mark budget of incremental
 	// collection; values below 1 mean DefaultSliceBudget.
 	SliceBudget int
-	// Tenure is the promotion threshold of the tenuring collectors
-	// (generational, multigen, hybrid): a nursery survivor is evacuated
-	// within the nursery until its header age says it has survived
-	// Tenure collections. Values below 1 mean 1, wholesale promotion;
-	// anything above MaxObjectAge (TenureNever is the name for it) never
-	// promotes.
+	// Tenure is the promotion threshold of the tenuring collectors (the
+	// entries of internal/gc/collectors that declare Tenuring): a nursery
+	// survivor is evacuated within the nursery until its header age says
+	// it has survived Tenure collections. Values below 1 mean 1, wholesale
+	// promotion; anything above MaxObjectAge (TenureNever is the name for
+	// it) never promotes.
 	Tenure int
 	// Adaptive hands the threshold, the nursery's effective size and its
 	// collection trigger to the feedback controller in internal/policy.

@@ -3,10 +3,10 @@ package serve
 import (
 	"fmt"
 	"io"
-	"slices"
+	"strconv"
 	"strings"
 
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/heap"
 	"rdgc/internal/runner"
 )
@@ -16,15 +16,15 @@ import (
 type Config struct {
 	Load LoadConfig
 
-	// Collector names the per-shard collector (see CollectorNames).
+	// Collector names the per-shard collector (see collectors.Names).
 	// Default "generational".
 	Collector string
 
 	// Shards is the number of independent heap shards (default 4).
 	Shards int
 
-	// HeapWords sizes each shard's collector, as gcfuzz.CollectorsSized
-	// does for trace replay (default 1<<17).
+	// HeapWords sizes each shard's collector, as collectors.Grid does for
+	// trace replay (default 1<<17).
 	HeapWords int
 
 	// WordsPerTick is the service clock: how many words of work — handler
@@ -69,30 +69,6 @@ func (c Config) withDefaults() Config {
 		c.Tenure = 1
 	}
 	return c
-}
-
-// CollectorNames lists the collectors a shard can run, in grid order.
-func CollectorNames() []string {
-	ncs := gcfuzz.CollectorsSized(0)
-	names := make([]string, len(ncs))
-	for i, nc := range ncs {
-		names[i] = nc.Name
-	}
-	return names
-}
-
-func collectorByName(h *heap.Heap, name string, total int) (heap.Collector, error) {
-	for _, nc := range gcfuzz.CollectorsSized(total) {
-		if nc.Name == name {
-			return nc.New(h), nil
-		}
-	}
-	return nil, unknownCollector(name)
-}
-
-func unknownCollector(name string) error {
-	return fmt.Errorf("serve: unknown collector %q (have %s)",
-		name, strings.Join(CollectorNames(), ", "))
 }
 
 // Aggregate is the run-level rollup of the per-shard results. Fixed-size
@@ -148,10 +124,11 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.Load = sched.Cfg
-	// The name alone: building a collector to check it would construct and
-	// zero a whole HeapWords heap that no shard uses.
-	if !slices.Contains(CollectorNames(), cfg.Collector) {
-		return nil, unknownCollector(cfg.Collector)
+	// Every shard builds its own collector from this constructor, so no
+	// heap is made before the name is known to be good.
+	nc, err := collectors.Pick(collectors.Grid(cfg.HeapWords), cfg.Collector)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	profiles, err := ResolveProfiles(cfg.Load.Profiles)
 	if err != nil {
@@ -169,7 +146,7 @@ func Run(cfg Config) (*Result, error) {
 		specs[i] = runner.Spec[ShardResult]{
 			Name: fmt.Sprintf("%s/shard%02d", cfg.Collector, i),
 			Run: func() (ShardResult, error) {
-				return runShard(cfg, i, reqs, profiles, arenas)
+				return runShard(cfg, nc, i, reqs, profiles, arenas), nil
 			},
 			Words: func(r ShardResult) uint64 { return r.WordsAlloc + r.WordsPause },
 		}
@@ -217,14 +194,23 @@ func onoff(b bool) string {
 }
 
 // WriteReport prints the deterministic text report: configuration echo,
-// aggregate line, latency tail, and the per-shard table. Nothing here
-// depends on wall time or worker count, so the bytes are stable for a
+// aggregate line, latency tail, and the per-shard table. A knob the
+// collector does not honour echoes as n/a, whatever it was set to. Nothing
+// here depends on wall time or worker count, so the bytes are stable for a
 // given Config.
 func (r *Result) WriteReport(w io.Writer) {
 	c := r.Cfg
-	fmt.Fprintf(w, "gcserve: collector=%s shards=%d heap=%dw wpt=%d incr=%s adapt=%s tenure=%d\n",
+	e, _ := collectors.Lookup(c.Collector) // Run refused any other name
+	knob := func(k collectors.Knobs, v string) string {
+		if !e.Honours(k) {
+			return "n/a"
+		}
+		return v
+	}
+	fmt.Fprintf(w, "gcserve: collector=%s shards=%d heap=%dw wpt=%d incr=%s adapt=%s tenure=%s\n",
 		c.Collector, c.Shards, c.HeapWords, c.WordsPerTick,
-		onoff(c.Incremental), onoff(c.Adaptive), c.Tenure)
+		knob(collectors.Incremental, onoff(c.Incremental)),
+		knob(collectors.Tenuring, onoff(c.Adaptive)), knob(collectors.Tenuring, strconv.Itoa(c.Tenure)))
 	fmt.Fprintf(w, "load: arrival=%s seed=%d horizon=%d session-every=%g request-every=%g pareto=(%g,%g) profiles=%s\n",
 		c.Load.Arrival, c.Load.Seed, c.Load.HorizonTicks, c.Load.SessionEvery,
 		c.Load.RequestEvery, c.Load.SessionMinTicks, c.Load.SessionAlpha,

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/heap"
 )
 
@@ -70,7 +71,7 @@ func TestRunAllCollectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantReqs := uint64(len(sched.Requests))
-	for _, name := range CollectorNames() {
+	for _, name := range collectors.Names() {
 		cfg := smallConfig()
 		cfg.Collector = name
 		res, err := Run(cfg)
@@ -252,10 +253,11 @@ func TestShardLeavesOldToSpaceReserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newShard(cfg, 0, profiles)
+	nc, err := collectors.Pick(collectors.Grid(cfg.HeapWords), cfg.Collector)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := newShard(cfg, nc, 0, profiles)
 	res := s.run(sched.ShardRequests(0, cfg.Shards))
 	if res.GC.Collections == 0 || res.GC.MajorCollections != 0 {
 		t.Fatalf("%d collections, %d major; the test wants minors only", res.GC.Collections, res.GC.MajorCollections)

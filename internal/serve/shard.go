@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"rdgc/internal/bench"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/heap"
 )
 
@@ -54,37 +55,30 @@ type shard struct {
 // times. It is the unit the runner parallelizes; everything it touches is
 // shard-local but arenas, from which its heap takes cleared memory and to
 // which it releases the heap once the result is read.
-func runShard(cfg Config, idx int, reqs []Request, profiles []*Profile, arenas *heap.Arenas) (ShardResult, error) {
-	s, err := newShard(cfg, idx, profiles, heap.WithArenas(arenas))
-	if err != nil {
-		return ShardResult{}, err
-	}
+func runShard(cfg Config, nc collectors.Named, idx int, reqs []Request, profiles []*Profile, arenas *heap.Arenas) ShardResult {
+	s := newShard(cfg, nc, idx, profiles, heap.WithArenas(arenas))
 	res := s.run(reqs)
 	s.h.Release()
-	return res, nil
+	return res
 }
 
-// newShard builds shard idx: its heap under cfg's collector and modes, and
-// opts (runShard's recycler).
-func newShard(cfg Config, idx int, profiles []*Profile, opts ...heap.Option) (*shard, error) {
+// newShard builds shard idx: its heap under cfg's modes and opts
+// (runShard's recycler), and nc's collector on it.
+func newShard(cfg Config, nc collectors.Named, idx int, profiles []*Profile, opts ...heap.Option) *shard {
 	h := heap.New(append(opts, heap.WithConfig(heap.Config{
 		Incremental: cfg.Incremental,
 		SliceBudget: cfg.SliceBudget,
 		Tenure:      cfg.Tenure,
 		Adaptive:    cfg.Adaptive,
 	}))...)
-	col, err := collectorByName(h, cfg.Collector, cfg.HeapWords)
-	if err != nil {
-		return nil, err
-	}
 	return &shard{
 		h:        h,
-		col:      col,
+		col:      nc.New(h),
 		cfg:      cfg,
 		profiles: profiles,
 		live:     make(map[uint64]session),
 		res:      ShardResult{Shard: idx},
-	}, nil
+	}
 }
 
 // run serves reqs, the shard's slice of the request stream, in order and

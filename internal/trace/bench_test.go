@@ -9,7 +9,7 @@ import (
 
 	"rdgc/internal/decay"
 	"rdgc/internal/experiments"
-	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
@@ -102,15 +102,13 @@ func decayCorpusBuilt(tb testing.TB) *decayCorpusData {
 
 // decayCollector picks one of the growing collectors the harness replays
 // under, sized for the whole corpus.
-func decayCollector(tb testing.TB, name string) gcfuzz.NamedCollector {
+func decayCollector(tb testing.TB, name string) collectors.Named {
 	tb.Helper()
-	for _, nc := range gcfuzz.CollectorsSized(decayHeapWords(decayBaseSteps) * decaySessions) {
-		if nc.Name == name {
-			return nc
-		}
+	nc, err := collectors.Pick(collectors.Grid(decayHeapWords(decayBaseSteps)*decaySessions), name)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	tb.Fatalf("no collector named %q", name)
-	return gcfuzz.NamedCollector{}
+	return nc
 }
 
 func reportPerEvent(b *testing.B, events uint64) {

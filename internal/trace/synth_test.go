@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"testing"
 
+	"rdgc/internal/gc/collectors"
 	"rdgc/internal/gc/gcfuzz"
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
@@ -238,19 +239,6 @@ func recordBase(t testing.TB, seed int64, steps, heapWords int) []byte {
 	return buf.Bytes()
 }
 
-// sizedGrid mirrors gctrace's replay sizing: heap_words metadata picks
-// the collector grid, traces without it get the fuzz-sized grid.
-func sizedGrid(t *testing.T, raw []byte) []gcfuzz.NamedCollector {
-	t.Helper()
-	hdr := openTrace(t, raw).Header()
-	if s, ok := hdr.Lookup("heap_words"); ok {
-		if n, err := strconv.Atoi(s); err == nil {
-			return gcfuzz.CollectorsSized(n)
-		}
-	}
-	return gcfuzz.Collectors()
-}
-
 // synthGoldenPath drift-guards the 1k-session corpus recipe.
 const synthGoldenPath = "testdata/synth-golden.json"
 
@@ -353,7 +341,7 @@ func TestSynthGolden1kSessions(t *testing.T) {
 	// collectors — from the compressed form, which must decode to the
 	// identical stream. The replay heaps share nothing, so the seven run as
 	// parallel subtests; each is then held to the first.
-	grid := sizedGrid(t, z)
+	grid := collectors.ForTrace(openTrace(t, z).Header())
 	results := make([]trace.ReplayResult, len(grid))
 	t.Run("replay", func(t *testing.T) {
 		for i, nc := range grid {
