@@ -31,8 +31,12 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # it calls after every out-of-line copy, which must stay in line too; so
 # must the free-block split both free-list carves share, which sits under
 # nearly every mark/sweep and npms allocation, and the bump every copying
-# collector's allocation makes: a reservation (a space without memory) needs
-# no test of its own there, since Bump refuses it by its length alone.
+# collector's allocation makes. A reservation (a space without memory) adds
+# no test to either: Bump refuses it by its length alone, and an npms step's
+# empty list sends the carve out of line. The step ladder takes the refusal
+# from there: (*Steps).Bump keeps its cursor on the reserved step instead of
+# descending past it, and Steps.Alloc — or, for npms, AllocFromBlock's list
+# walk — gives the step its memory out of line and carves again.
 # A change that pushes one of them over the budget fails here by name, as
 # does one that stops an allocation ladder's fast path running in line: the
 # nursery trigger and the bump in young.(*Gen).AllocRaw (the heap's

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -66,6 +67,18 @@ func TestIncrementalRunsRepeat(t *testing.T) {
 				t.Errorf("-parallel 1 printed other bytes:\n%s\nthen\n%s", a, c)
 			}
 		})
+	}
+}
+
+// TestSmallHeapReportsTheHeapThatRan: a -heap below the grid's floor builds
+// the floor's collectors, and the report says so: the run prints the bytes
+// of the run at the floor, header included.
+func TestSmallHeapReportsTheHeapThatRan(t *testing.T) {
+	args := []string{"-horizon", "3000", "-shards", "1", "-collector", "semispace"}
+	small := cmdtest.Run(t, nil, append(args, "-heap", "1000")...)
+	floor := cmdtest.Run(t, nil, append(args, "-heap", strconv.Itoa(collectors.GridFloor))...)
+	if small != floor {
+		t.Errorf("-heap 1000 printed\n%s\n-heap %d printed\n%s", small, collectors.GridFloor, floor)
 	}
 }
 

@@ -31,13 +31,15 @@ type Steps struct {
 	StepWords int
 
 	// prefix names the spaces (prefix-step-0, prefix-shadow-0, ...);
-	// newSpace makes a step — a bump space for the copying collectors, a
-	// one-block free-list space for npms — and reserve the same kind of
-	// space as a reservation, which a shadow stays until a collection
-	// first evacuates into it.
-	prefix   string
-	newSpace func(name string, words int) *heap.Space
-	reserve  func(name string, words int) *heap.Space
+	// reserveStep reserves a step in the form the collector allocates from
+	// — a bump space for the copying collectors, a one-block free-list
+	// space for npms — which stays a reservation until the allocation
+	// cursor reaches it or an evacuation targets it, and reserveShadow the
+	// same kind of space in the bump form an evacuation fills, which a
+	// shadow stays until a collection first evacuates into it.
+	prefix        string
+	reserveStep   func(name string, words int) *heap.Space
+	reserveShadow func(name string, words int) *heap.Space
 
 	// steps in logical order: index 0 is step 1 (youngest), index k-1 is
 	// step k (oldest).
@@ -69,25 +71,29 @@ type Steps struct {
 // NewSteps creates k steps (and k shadow spaces) of stepWords words each:
 // bump spaces named np-step-i and np-shadow-i.
 func NewSteps(h *heap.Heap, k, stepWords int) *Steps {
-	return NewStepsOf(h, k, stepWords, "np", h.NewSpace, h.ReserveSpace)
+	return NewStepsOf(h, k, stepWords, "np", h.ReserveSpace, h.ReserveSpace)
 }
 
-// NewStepsOf is NewSteps over steps that newSpace makes and shadows that
-// reserve makes, named after prefix. The k steps are created first, as
-// newSpace returns them, then the k shadows: reservations in the bump form
-// an evacuation fills, which get their memory from the collection that
-// first evacuates into them.
-func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, newSpace, reserve func(name string, words int) *heap.Space) *Steps {
+// NewStepsOf is NewSteps over steps that reserveStep reserves and shadows
+// that reserveShadow reserves, named after prefix. The k steps are created
+// first, then the k shadows. Only step k, where the allocation cursor
+// starts, gets its memory here; the steps below it get theirs when the
+// cursor first reaches one (Bump stops there, and Alloc or the caller's own
+// ladder backs it) or an evacuation targets it, and the shadows — in the
+// bump form an evacuation fills — from the collection that first evacuates
+// into them. Each comes out as the fresh space it stood for.
+func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, reserveStep, reserveShadow func(name string, words int) *heap.Space) *Steps {
 	if k < 2 {
 		panic("core: need at least 2 steps")
 	}
-	st := &Steps{H: h, StepWords: stepWords, prefix: prefix, newSpace: newSpace, reserve: reserve}
+	st := &Steps{H: h, StepWords: stepWords, prefix: prefix, reserveStep: reserveStep, reserveShadow: reserveShadow}
 	for i := 0; i < k; i++ {
 		st.steps = append(st.steps, st.space("step", i))
 	}
 	for i := 0; i < k; i++ {
 		st.shadows = append(st.shadows, st.shadow("shadow", i))
 	}
+	st.steps[k-1].Back()
 	st.evac = heap.NewEvacuator(h, nil)
 	st.remsetRoot = func(obj heap.Word) {
 		// An entry inside the collected region is scanned when it is
@@ -108,14 +114,14 @@ func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, newSpace, reserve
 	return st
 }
 
-// space makes the step space prefix-kind-n.
+// space makes the step space prefix-kind-n, reserved.
 func (st *Steps) space(kind string, n int) *heap.Space {
-	return st.newSpace(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
+	return st.reserveStep(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
 }
 
 // shadow makes an evacuation target prefix-kind-n: an empty step, reserved.
 func (st *Steps) shadow(kind string, n int) *heap.Space {
-	return st.reserve(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
+	return st.reserveShadow(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
 }
 
 // K returns the number of steps.
@@ -231,12 +237,17 @@ func (st *Steps) RecomputeAllocIdx() {
 
 // Bump allocates total words in the highest-numbered step that can hold
 // them, descending as steps fill. It reports failure when every step is
-// full, at which point the caller must collect.
+// full, at which point the caller must collect — or when the cursor has
+// reached a step that is still a reservation, which Bump refuses and does
+// not descend past: the cursor stays on it, and Alloc gives it its memory.
 func (st *Steps) Bump(total int) (*heap.Space, int, bool) {
 	for st.allocIdx >= 0 {
 		s := st.steps[st.allocIdx]
 		if off, ok := s.Bump(total); ok {
 			return s, off, true
+		}
+		if s.Reserved() {
+			break
 		}
 		st.allocIdx--
 	}
@@ -244,26 +255,32 @@ func (st *Steps) Bump(total int) (*heap.Space, int, bool) {
 }
 
 // Alloc is the allocation ladder over the steps, for an allocation of
-// total words: an object larger than a step is a bug and panics; when no
-// step holds it, collect runs, and when none holds it after the collection
-// either, a step is added if grow permits, otherwise the heap is out of
-// memory. It returns the space and offset Bump found.
+// total words: an object larger than a step is a bug and panics; a step
+// the cursor has reached without its memory gets it (Back), and the bump
+// is tried again; when no step holds it, collect runs, and when none holds
+// it after the collection either, a step is added if grow permits,
+// otherwise the heap is out of memory. It returns the space and offset Bump
+// found.
 func (st *Steps) Alloc(total int, collect func(), grow bool) (*heap.Space, int) {
 	if total > st.StepWords {
 		panic(fmt.Sprintf("core: object of %d words exceeds the step size %d", total, st.StepWords))
 	}
-	for attempt := 0; ; attempt++ {
+	collected := false
+	for {
 		if s, off, ok := st.Bump(total); ok {
 			return s, off
 		}
-		if attempt > 0 {
-			if !grow {
-				panic("core: out of memory: steps full immediately after collection")
-			}
+		switch {
+		case st.allocIdx >= 0: // Bump stopped at a reservation
+			st.steps[st.allocIdx].Back()
+		case !collected:
+			collect()
+			collected = true
+		case grow:
 			st.AddSteps(1)
-			continue
+		default:
+			panic("core: out of memory: steps full immediately after collection")
 		}
-		collect()
 	}
 }
 
@@ -372,7 +389,8 @@ func (st *Steps) Renew(policy JPolicy, grow bool, floor int, remember func(obj h
 
 // AddSteps inserts n empty steps at the young end, growing the heap without
 // disturbing the renaming invariants (new empty young steps are exactly the
-// post-collection state).
+// post-collection state). They are reservations, like every step the
+// cursor has yet to reach.
 func (st *Steps) AddSteps(n int) {
 	grown := make([]*heap.Space, 0, st.K()+n)
 	for i := 0; i < n; i++ {
@@ -412,6 +430,9 @@ func (st *Steps) RenameOldBy(key func(s *heap.Space) int) {
 func (st *Steps) ScanYoungForOldPointers(remember func(obj heap.Word)) {
 	inOld := st.InOld // bound once per walk; it does not escape, so not on the Go heap
 	for _, s := range st.steps[:st.j] {
+		if s.Reserved() {
+			continue // no object: npms's reservations have Top at capacity
+		}
 		for off := 0; off < s.Top; off += heap.ObjWords(s.Mem[off]) {
 			if heap.PointsInto(s, off, inOld) {
 				remember(heap.PtrWord(s.ID, off))

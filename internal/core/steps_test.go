@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"rdgc/internal/heap"
@@ -33,24 +34,53 @@ func TestBumpDescends(t *testing.T) {
 	h := heap.New()
 	st := NewSteps(h, 3, 8)
 	// Fill step 3 (position 2) with two 4-word blocks, then the next bump
-	// must land in position 1.
+	// must land in position 1. Position 1 is still a reservation: Bump
+	// stops on it rather than descend past it, and the ladder gives it its
+	// memory, at its capacity, and bumps there.
 	s1, _, ok := st.Bump(4)
 	if !ok || st.PosOf(heap.PtrWord(s1.ID, 0)) != 2 {
 		t.Fatal("first bump not in the oldest step")
 	}
 	st.Bump(4)
-	s2, _, ok := st.Bump(4)
-	if !ok || st.PosOf(heap.PtrWord(s2.ID, 0)) != 1 {
-		t.Fatalf("bump after fill went to position %d", st.PosOf(heap.PtrWord(s2.ID, 0)))
+	if _, _, ok := st.Bump(4); ok || st.AllocIdx() != 1 || !st.Step(1).Reserved() {
+		t.Fatalf("Bump into the reserved step 2: ok %v, cursor %d, %v", ok, st.AllocIdx(), st.Step(1))
 	}
-	// Exhaust everything: Bump must fail, not panic.
-	for {
-		if _, _, ok := st.Bump(4); !ok {
-			break
+	collect := func() { t.Fatal("the ladder collected with steps to spare") }
+	s2, _ := st.Alloc(4, collect, false)
+	if st.PosOf(heap.PtrWord(s2.ID, 0)) != 1 || len(s2.Mem) != 8 {
+		t.Fatalf("bump after fill went to position %d, %v with %d words of memory",
+			st.PosOf(heap.PtrWord(s2.ID, 0)), s2, len(s2.Mem))
+	}
+	if !st.Step(0).Reserved() {
+		t.Errorf("%v, which the cursor has not reached, has memory", st.Step(0))
+	}
+	// Exhaust everything: Bump must fail, not panic, and only once the
+	// cursor has passed every step.
+	for st.AllocIdx() >= 0 {
+		if _, _, ok := st.Bump(4); !ok && st.AllocIdx() >= 0 {
+			st.Alloc(4, collect, false)
 		}
 	}
 	if _, _, ok := st.Bump(4); ok {
 		t.Error("Bump succeeded on a full step heap")
+	}
+	for i, s := range st.All() {
+		if s.Reserved() || s.Used() != 8 {
+			t.Errorf("step %d is %v after the heap filled", i+1, s)
+		}
+	}
+}
+
+// bump is Bump with the ladder's answer to a reservation the cursor
+// reaches — its memory (Alloc) — and no collection: how the tests below
+// fill steps.
+func bump(st *Steps, total int) (*heap.Space, int, bool) {
+	for {
+		s, off, ok := st.Bump(total)
+		if ok || st.AllocIdx() < 0 {
+			return s, off, ok
+		}
+		st.Step(st.AllocIdx()).Back()
 	}
 }
 
@@ -153,7 +183,9 @@ func TestCollectSpillGrowsStepCount(t *testing.T) {
 // shadow a free-list space whose table is one block spanning it.
 func blockedSteps(h *heap.Heap, k, stepWords int) *Steps {
 	return NewStepsOf(h, k, stepWords, "npms", func(name string, words int) *heap.Space {
-		return h.NewBlockedSpaceSpan(name, words, words)
+		s := h.ReserveBlockedSpaceSpan(name, words, words)
+		s.FreeFrom(0)
+		return s
 	}, func(name string, words int) *heap.Space {
 		return h.ReserveBlockedSpaceSpan(name, words, words)
 	})
@@ -162,7 +194,10 @@ func blockedSteps(h *heap.Heap, k, stepWords int) *Steps {
 // TestNewStepsOfOrderNamesAndForm: the constructor creates the k steps and
 // then the k shadows, in that order (so SpaceIDs are what each collector's
 // own loop used to hand out), names them after the prefix, leaves a step as
-// newSpace made it and empties a shadow into bump form.
+// reserveStep made it — a reservation, except step k, where the cursor
+// starts, which has its memory at its capacity — and empties a shadow into
+// bump form. A blocked step is one free run, reserved or not; backed, a
+// reservation's words are those of the step given memory at construction.
 func TestNewStepsOfOrderNamesAndForm(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -190,9 +225,25 @@ func TestNewStepsOfOrderNamesAndForm(t *testing.T) {
 				if s != h.Spaces[1+i] || st.Step(i) != s || st.PosOf(heap.PtrWord(s.ID, 0)) != i {
 					t.Errorf("step %d is %v at position %d", i+1, s, st.PosOf(heap.PtrWord(s.ID, 0)))
 				}
-				if tc.blocked && (s.Top != s.Cap() || s.Blocks.FreeHead[0] != 0 || s.Blocks.MaxRun[0] != 64) {
+				if reserved := i < st.K()-1; s.Reserved() != reserved || !reserved && len(s.Mem) != 64 {
+					t.Errorf("step %d is %v with %d words of memory; reserved: %v", i+1, s, len(s.Mem), s.Reserved())
+				}
+				head := 0 // where FreeFrom(0) starts the list; a reservation's stays empty until it is backed
+				if s.Reserved() {
+					head = heap.NoFreeBlock
+				}
+				if tc.blocked && (s.Top != s.Cap() || int(s.Blocks.FreeHead[0]) != head || s.Blocks.MaxRun[0] != 64) {
 					t.Errorf("step %d is not one free run: Top %d, head %d, MaxRun %d", i+1, s.Top, s.Blocks.FreeHead[0], s.Blocks.MaxRun[0])
 				}
+			}
+			if err := heap.Check(h); err != nil {
+				t.Error(err)
+			}
+			first := st.Step(0)
+			first.Back()
+			if k := st.Step(st.K() - 1); len(first.Mem) != 64 || !slices.Equal(first.Mem, k.Mem) || first.Top != k.Top ||
+				first.Blocks != nil && (first.Blocks.FreeHead[0] != k.Blocks.FreeHead[0] || first.Blocks.MaxRun[0] != k.Blocks.MaxRun[0]) {
+				t.Errorf("step 1, backed, is %v; step k, made with its memory, is %v", first, k)
 			}
 			for i, s := range st.shadows {
 				if s != h.Spaces[4+i] || s.Top != 0 || st.PosOf(heap.PtrWord(s.ID, 0)) != -1 {
@@ -367,17 +418,17 @@ func TestAllocationCursor(t *testing.T) {
 	if st.AllocIdx() != 2 {
 		t.Fatalf("fresh cursor at %d, want 2", st.AllocIdx())
 	}
-	st.Bump(8)
-	st.Bump(8) // step 3 was full: the second bump moved down and filled step 2
+	bump(st, 8)
+	bump(st, 8) // step 3 was full: the second bump moved down and filled step 2
 	if st.AllocIdx() != 1 {
 		t.Errorf("cursor at %d after filling steps 3 and 2, want 1", st.AllocIdx())
 	}
 	st.SetAllocIdx(0)
-	if s, _, ok := st.Bump(4); !ok || s != st.Step(0) {
+	if s, _, ok := bump(st, 4); !ok || s != st.Step(0) {
 		t.Errorf("Bump ignored a cursor set to step 1")
 	}
 	st.SetAllocIdx(-1)
-	if _, _, ok := st.Bump(4); ok {
+	if _, _, ok := bump(st, 4); ok {
 		t.Error("Bump succeeded with the cursor past step 1")
 	}
 	st.AddSteps(2) // two empty young steps below the half-full old step 1, now at position 2
@@ -396,7 +447,7 @@ func TestFreeAndLiveStepWords(t *testing.T) {
 		t.Fatalf("fresh steps: free %d, live %d", st.FreeWords(), st.LiveStepWords())
 	}
 	for i := 0; i < 10; i++ { // 80 words: fills position 2, spills into 1
-		if _, _, ok := st.Bump(8); !ok {
+		if _, _, ok := bump(st, 8); !ok {
 			t.Fatalf("bump %d failed", i)
 		}
 	}
@@ -442,6 +493,7 @@ func TestScanYoungForOldPointers(t *testing.T) {
 	st.SetJ(2)
 	pair := func(pos int, car, cdr heap.Word) heap.Word {
 		s := st.Step(pos)
+		s.Back() // placed by hand, past the cursor: back the step as the ladder would
 		off, ok := s.Bump(3 + h.ExtraWords())
 		if !ok {
 			t.Fatalf("position %d full", pos)
@@ -481,7 +533,7 @@ func TestRecomputeAllocIdx(t *testing.T) {
 	h := heap.New()
 	st := NewSteps(h, 3, 8)
 	for {
-		if _, _, ok := st.Bump(8); !ok {
+		if _, _, ok := bump(st, 8); !ok {
 			break
 		}
 	}

@@ -125,12 +125,16 @@ func Pick(grid []Named, name string) (Named, error) {
 	return Named{}, err
 }
 
-// Grid returns the table at total words, raised to 4096 if smaller: the
-// collectors gcbench -record, gctrace and gcserve build.
+// GridFloor is the smallest budget, in words, Grid builds a collector at:
+// a smaller one is raised to it.
+const GridFloor = 4096
+
+// Grid returns the table at total words, raised to GridFloor if smaller:
+// the collectors gcbench -record, gctrace and gcserve build.
 func Grid(total int) []Named {
 	grid := make([]Named, len(table))
 	for i, e := range table {
-		grid[i] = e.At(max(total, 4096))
+		grid[i] = e.At(max(total, GridFloor))
 	}
 	return grid
 }

@@ -10,8 +10,9 @@
 // collection marks steps j+1..k in place and sweeps them onto per-step free
 // lists instead of copying survivors. The free lists are the plain mark/sweep
 // collector's: a step is a blocked space whose table is one block spanning
-// the step (heap.NewBlockedSpaceSpan), carved by heap.Space.AllocFromBlock
-// and rebuilt by heap.Sweeper. Because survivors stay put, the
+// the step (heap.ReserveBlockedSpaceSpan, formatted by FreeFrom(0)), carved
+// by heap.Space.AllocFromBlock and rebuilt by heap.Sweeper. Because
+// survivors stay put, the
 // renaming orders the collected steps by ascending occupancy — the emptiest
 // become the new youngest steps — and the paper's assumption that all
 // unavailable storage in steps 1..j is live holds exactly (a swept step
@@ -34,7 +35,10 @@ type Collector struct {
 	// st is the step machinery. Steps and shadows trade places at every
 	// compaction, so both are one-block free-list spaces; a shadow's table
 	// is empty (bump form) until evacuation has filled it, and a shadow no
-	// compaction has entered yet is a reservation, without memory.
+	// compaction has entered yet is a reservation, without memory. So is a
+	// step the allocation cursor has yet to reach: formatted as one free
+	// run (FreeFrom(0)) but without memory, which AllocFromBlock gives it
+	// when the cursor first allocates there.
 	st *core.Steps
 	g  float64 // generation fraction: j = floor(g*k)
 
@@ -89,7 +93,9 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 		o(c)
 	}
 	c.st = core.NewStepsOf(h, k, stepWords, "npms", func(name string, words int) *heap.Space {
-		return h.NewBlockedSpaceSpan(name, words, words)
+		s := h.ReserveBlockedSpaceSpan(name, words, words)
+		s.FreeFrom(0)
+		return s
 	}, func(name string, words int) *heap.Space {
 		return h.ReserveBlockedSpaceSpan(name, words, words)
 	})

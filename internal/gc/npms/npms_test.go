@@ -257,9 +257,11 @@ func TestCollectionsAllocateNothing(t *testing.T) {
 }
 
 // TestNewReservesShadows is the construction-bytes guard: New allocates the
-// memory of its k steps and not that of their k shadows, which stay
-// reservations until the first compaction evacuates into them. Shadows
-// made with memory again would double what New allocates.
+// memory of step k, where the allocation cursor starts, and not that of the
+// k-1 steps below it or of the k shadows, which stay reservations until the
+// cursor reaches a step or a compaction first evacuates into a shadow.
+// Steps made with memory again would multiply what New allocates by k;
+// shadows, by two.
 func TestNewReservesShadows(t *testing.T) {
 	const k, stepWords = 8, 1 << 16
 	h := heap.New(heap.WithConfig(heap.Config{}))
@@ -267,13 +269,13 @@ func TestNewReservesShadows(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	c := New(h, k, stepWords)
 	runtime.ReadMemStats(&after)
-	steps := uint64(k * stepWords * 8) // the steps' arenas, in bytes
-	if got := after.TotalAlloc - before.TotalAlloc; got < steps || got >= steps*5/4 {
-		t.Errorf("New allocated %d bytes; the steps' arenas are %d, and the shadows' memory would be as much again", got, steps)
+	step := uint64(stepWords * 8) // one step's arena, in bytes
+	if got := after.TotalAlloc - before.TotalAlloc; got < step || got >= step*5/4 {
+		t.Errorf("New allocated %d bytes; step k's arena is %d, and each further step or shadow with memory would add as much", got, step)
 	}
 	for _, s := range h.Spaces {
-		if c.st.PosOf(heap.PtrWord(s.ID, 0)) < 0 && s.Mem != nil {
-			t.Errorf("shadow %v has memory", s)
+		if cursor := s == c.st.Step(k-1); s.Reserved() == cursor {
+			t.Errorf("%v: reserved %v, and the cursor is on it: %v", s, s.Reserved(), cursor)
 		}
 	}
 }

@@ -375,7 +375,9 @@ func (l *lockstep) syncPayloads(s, m *heap.Space) {
 }
 
 // compare requires a swept step and its mirror to be the same words behind
-// the same free-list head (the links are words of the image).
+// the same free-list head (the links are words of the image). A step still
+// reserved stands for a fresh step: its image is the one a step formatted
+// with its memory has, and its list starts where that step's does.
 func (l *lockstep) compare(s *heap.Space) {
 	l.t.Helper()
 	if l.diverged {
@@ -386,14 +388,19 @@ func (l *lockstep) compare(s *heap.Space) {
 	if s.Top != m.Top {
 		l.failf("%v has Top %d, the reference %d", s, s.Top, m.Top)
 	}
-	for i := range s.Mem {
-		if s.Mem[i] != m.Mem[i] {
-			l.failf("%v differs from the reference's image at word %d: %#x, reference %#x", s, i, uint64(s.Mem[i]), uint64(m.Mem[i]))
+	img, head := s.Mem, int(s.Blocks.FreeHead[0])
+	if s.Reserved() {
+		fresh := heap.New().NewBlockedSpaceSpan(s.Name, s.Cap(), s.Cap())
+		img, head = fresh.Mem, int(fresh.Blocks.FreeHead[0])
+	}
+	for i := range img {
+		if img[i] != m.Mem[i] {
+			l.failf("%v differs from the reference's image at word %d: %#x, reference %#x", s, i, uint64(img[i]), uint64(m.Mem[i]))
 			break
 		}
 	}
-	if got, want := int(s.Blocks.FreeHead[0]), l.ref.freeHead[s.ID]; got != want {
-		l.failf("free list of %v starts at %d, the reference's at %d", s, got, want)
+	if want := l.ref.freeHead[s.ID]; head != want {
+		l.failf("free list of %v starts at %d, the reference's at %d", s, head, want)
 	}
 }
 

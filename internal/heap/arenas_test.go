@@ -40,7 +40,7 @@ func TestReleasedArenaComesBackZero(t *testing.T) {
 		fresh.NewSpace("other", words-1),     // no released arena of that length
 		fresh.ReserveSpace("grown", words+1), // the grown arena was not given back
 	} {
-		s.back()
+		s.Back()
 		if name, ok := released[&s.Mem[0]]; ok || &s.Mem[0] == kept {
 			t.Errorf("a %d-word space got a released arena (%q)", s.Cap(), name)
 		}
@@ -50,7 +50,7 @@ func TestReleasedArenaComesBackZero(t *testing.T) {
 		fresh.ReserveBlockedSpaceSpan("blocked", words+BlockWords, BlockWords),
 		fresh.NewSpace("replaced", words/2),
 	} {
-		s.back()
+		s.Back()
 		if got := released[&s.Mem[0]]; got != s.Name {
 			t.Errorf("space %s (%d words) got arena %q, want the released %s arena", s.Name, s.Cap(), got, s.Name)
 		}

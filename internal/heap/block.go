@@ -144,7 +144,9 @@ func (h *Heap) NewBlockedSpaceSpan(name string, words, span int) *Space {
 // ReserveBlockedSpaceSpan is a reservation (ReserveSpace) that carries the
 // block table of NewBlockedSpaceSpan, in the bump form Reset leaves: every
 // free list empty, Top 0. An evacuation fills it like any target, and
-// FreeFrom then turns it into a free-list space.
+// FreeFrom then turns it into a free-list space; FreeFrom(0) on the
+// reservation itself makes it the reservation of NewBlockedSpaceSpan's
+// fresh space, which the first allocation that reaches it backs.
 func (h *Heap) ReserveBlockedSpaceSpan(name string, words, span int) *Space {
 	if words <= 0 {
 		panic("heap: NewBlockedSpace with non-positive size")
@@ -169,8 +171,21 @@ func (h *Heap) ReserveBlockedSpaceSpan(name string, words, span int) *Space {
 // list becomes the one maximal run of its words at or above used (none for a
 // block wholly below). It formats a new space (used = 0) and turns a
 // bump-filled evacuation target back into a free-list space.
+//
+// A reservation can only be formatted whole (used = 0), and keeps no words
+// to write the runs into: Top moves to capacity and each MaxRun becomes its
+// block's run, but every list stays empty, so AllocFromBlock takes its
+// out-of-line walk, which gives the space its memory (Back, which writes
+// the runs) before it carves. Every other reader takes such a reservation
+// for the space FreeFrom(0) formats: the sweep counts its words and leaves
+// it as it is, the walks find no object in it, and Verify holds its table
+// to exactly that form.
 func (s *Space) FreeFrom(used int) {
 	bt := s.Blocks
+	reserved := s.Mem == nil
+	if reserved && used != 0 {
+		panic("heap: FreeFrom above 0 on a reservation")
+	}
 	s.Top = s.Cap()
 	for b := range bt.FreeHead {
 		lo := b * bt.Span
@@ -178,6 +193,10 @@ func (s *Space) FreeFrom(used int) {
 		bt.FreeHead[b], bt.MaxRun[b] = NoFreeBlock, 0
 		if off := max(lo, used); off < hi {
 			n := hi - off
+			if reserved {
+				bt.MaxRun[b] = int32(n)
+				continue
+			}
 			s.Mem[off] = HeaderWord(TFree, n-1)
 			if n > 1 {
 				SetFreeNext(s, off, NoFreeBlock)
@@ -226,10 +245,17 @@ func (s *Space) AllocFromBlock(b, n int) (int, bool) {
 }
 
 // allocFromList is AllocFromBlock's first-fit walk of the whole list,
-// bounded and tightened by MaxRun.
+// bounded and tightened by MaxRun. A reservation in free-list form
+// (FreeFrom) has its runs only in MaxRun: one that fits n gets its memory
+// here, and the carve is made again on the runs Back writes, so the request
+// lands where it would in the space the reservation stands for.
 func (s *Space) allocFromList(b, n int) (int, bool) {
 	if int(s.Blocks.MaxRun[b]) < n {
 		return 0, false
+	}
+	if s.Mem == nil {
+		s.Back()
+		return s.AllocFromBlock(b, n)
 	}
 	fh := s.Blocks.FreeHead
 	prev := NoFreeBlock

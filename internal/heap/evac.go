@@ -122,7 +122,7 @@ func (e *Evacuator) Begin(targets ...*Space) {
 	e.scanBase = e.scanBase[:0]
 	e.scan = e.scan[:0]
 	for _, t := range e.Targets {
-		t.back()
+		t.Back()
 		e.scanBase = append(e.scanBase, t.Top)
 		e.scan = append(e.scan, t.Top)
 	}
@@ -235,7 +235,7 @@ func (e *Evacuator) reserve(n int) (*Space, int) {
 			panic(fmt.Sprintf("heap: evacuation overflow: Overflow returned space %q with %d free words, too small for %d",
 				t.Name, t.Free(), n))
 		}
-		t.back()
+		t.Back()
 		e.Targets = append(e.Targets, t)
 		e.scanBase = append(e.scanBase, t.Top)
 		e.scan = append(e.scan, t.Top)

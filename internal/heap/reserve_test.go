@@ -1,6 +1,10 @@
 package heap
 
-import "testing"
+import (
+	"errors"
+	"slices"
+	"testing"
+)
 
 // TestReservationReadsAsEmptySpace: a reservation has no memory, and every
 // reader but the memory sees an empty space of its capacity — Cap, Free,
@@ -145,4 +149,56 @@ func TestIdentityBeforeBacking(t *testing.T) {
 	if len(late.ids) != 64 {
 		t.Fatalf("a tracked reservation resized to 64 words has %d identity entries", len(late.ids))
 	}
+}
+
+// TestListedReservationReadsAsFreshStep: a blocked reservation formatted by
+// FreeFrom(0) stands for the space NewBlockedSpaceSpan makes, one free run
+// per block, and every reader but the memory sees that space: Top, Free,
+// the table's bounds, the sweep's count, the walks and Check. The sweep
+// leaves it reserved; the verifier holds its table to that form. The first
+// carve that fits gives it its memory, on the tracked identity table too,
+// and lands where it lands in the fresh space; FreeFrom above 0 on a
+// reservation has nothing to keep and panics.
+func TestListedReservationReadsAsFreshStep(t *testing.T) {
+	const words, span = 2*BlockWords + 40, BlockWords
+	made, reserved := New(), New()
+	reserved.TrackIdentity()
+	m := made.NewBlockedSpaceSpan("s", words, span)
+	r := reserved.ReserveBlockedSpaceSpan("s", words, span)
+	r.FreeFrom(0)
+	if !r.Reserved() || r.Mem != nil || r.Top != m.Top || r.Free() != m.Free() || r.String() != m.String() ||
+		!slices.Equal(r.Blocks.MaxRun, m.Blocks.MaxRun) || LiveWords(r) != 0 {
+		t.Fatalf("the reservation reads as %v (Top %d, MaxRun %v), the fresh space as %v (Top %d, MaxRun %v)",
+			r, r.Top, r.Blocks.MaxRun, m, m.Top, m.Blocks.MaxRun)
+	}
+	for _, b := range r.Blocks.FreeHead {
+		if b != NoFreeBlock {
+			t.Fatalf("a reservation's list starts at %d; it has no words to link", b)
+		}
+	}
+	if err := Check(reserved); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := NewSweeper(reserved).Sweep(r), NewSweeper(made).Sweep(m); got != want || !r.Reserved() {
+		t.Fatalf("the sweep counted %d words of the reservation, %d of the fresh space; reserved after: %v", got, want, r.Reserved())
+	}
+	r.Blocks.MaxRun[1]--
+	if err := Check(reserved); !errors.Is(err, ErrBadBlockTable) {
+		t.Fatalf("a reservation whose bound is not its run: Check says %v", err)
+	}
+	r.Blocks.MaxRun[1]++
+
+	got, ok := r.AllocFromBlock(1, 3)
+	want, _ := m.AllocFromBlock(1, 3)
+	if !ok || got != want || r.Reserved() || !slices.Equal(r.Mem, m.Mem) || len(r.ids) != words ||
+		!slices.Equal(r.Blocks.FreeHead, m.Blocks.FreeHead) || !slices.Equal(r.Blocks.MaxRun, m.Blocks.MaxRun) {
+		t.Fatalf("the first carve landed at %d (%v), the fresh space's at %d; backed %v with %d identity entries", got, ok, want, r, len(r.ids))
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("FreeFrom(1) on a reservation did not panic")
+		}
+	}()
+	reserved.ReserveBlockedSpaceSpan("t", words, span).FreeFrom(1)
 }

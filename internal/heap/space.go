@@ -8,15 +8,18 @@ import "fmt"
 // collectors instead thread a free list through the space and keep Top at
 // the high-water mark so the space stays linearly parsable.
 //
-// A space that only evacuation enters (a to-space, a shadow step) starts as
-// a reservation (ReserveSpace): it has its ID, name and capacity, and no
-// memory. Everything but the memory reads it as an empty space of full
-// capacity — Cap, Free, NumBlocks, the footprint and String all count the
-// reserved words — and the evacuator gives it memory, at exactly that
-// capacity, when a collection first names it as a target (back). Resize
-// gives any space fresh memory; Reset keeps what a space has. On a heap
-// built WithArenas, fresh memory may be a recycled arena, cleared, and the
-// memory a space gives up goes back to the recycler (see Arenas).
+// A space that only evacuation enters (a to-space, a shadow step), and a
+// step the allocation cursor has yet to reach, starts as a reservation
+// (ReserveSpace): it has its ID, name and capacity, and no memory.
+// Everything but the memory reads it as the fresh space it stands for — an
+// empty one of full capacity, or, once FreeFrom(0) has formatted it, one
+// free run per block with Top at capacity — and Cap, Free, NumBlocks, the
+// footprint and String all count the reserved words. It gets memory, at
+// exactly that capacity, when a collection first names it as a target or
+// an allocation first reaches it (Back). Resize gives any space fresh
+// memory; Reset keeps what a space has. On a heap built WithArenas, fresh
+// memory may be a recycled arena, cleared, and the memory a space gives up
+// goes back to the recycler (see Arenas).
 type Space struct {
 	ID  SpaceID
 	Mem []Word
@@ -42,7 +45,7 @@ type Space struct {
 	// indexed by header offset, the object's allocation ordinal plus one,
 	// zero where no identified object has its header. Nil unless the heap
 	// tracks identity; empty, not nil, on a tracked reservation, so that
-	// back knows to size it.
+	// Back knows to size it.
 	ids []uint32
 
 	// arenas is the heap's recycler (WithArenas), nil without one, and
@@ -60,6 +63,10 @@ func (s *Space) Cap() int { return len(s.Mem) + s.reserved }
 // every request until the space has memory.)
 func (s *Space) Free() int { return s.Cap() - s.Top }
 
+// Reserved reports whether the space is a reservation, still without its
+// memory (see Back).
+func (s *Space) Reserved() bool { return s.reserved != 0 }
+
 // Used returns the occupancy of the space: words below the bump pointer.
 func (s *Space) Used() int { return s.Top }
 
@@ -68,9 +75,10 @@ func (s *Space) Used() int { return s.Top }
 // dropped (in O(dirty blocks)) so a recycled space starts unmarked, and the
 // identity entries of the objects left behind (in O(Top)) so a recycled
 // address names nobody. A blocked space comes out in bump form, every free
-// list empty, until FreeFrom returns it to free-list form.
+// list empty, until FreeFrom returns it to free-list form. A reservation
+// comes out a reservation, in bump form.
 func (s *Space) Reset() {
-	if s.ids != nil {
+	if len(s.ids) != 0 {
 		clear(s.ids[:s.Top])
 	}
 	s.Top = 0
@@ -109,12 +117,26 @@ func (s *Space) Resize(words int) {
 	s.allocate(words)
 }
 
-// back gives a reservation its memory, at its reserved capacity; a space
+// Back gives a reservation its memory, at its reserved capacity, in the
+// form it was reserved in: empty, or — for a reservation FreeFrom(0) has
+// formatted — one free run per block, as FreeFrom(0) writes them. A space
 // that has memory is left as it is. The evacuator calls it on each target
-// of a run before copying into any.
-func (s *Space) back() {
+// of a run before copying into any; an allocation ladder calls it on the
+// reservation its cursor has reached when Bump (or AllocFromBlock's list
+// walk) refuses it.
+func (s *Space) Back() {
 	if s.Mem == nil {
-		s.allocate(s.reserved)
+		s.backReserved()
+	}
+}
+
+// backReserved is Back's work, kept out of line so that Back, which the
+// evacuator calls on every target of every run, stays in line there.
+func (s *Space) backReserved() {
+	listed := s.Top != 0
+	s.allocate(s.reserved)
+	if listed {
+		s.FreeFrom(0)
 	}
 }
 
@@ -151,9 +173,11 @@ func (h *Heap) NewSpace(name string, words int) *Space {
 
 // ReserveSpace creates a reservation of the given size in words: a space
 // with its ID, name and capacity registered, and no memory until an
-// evacuation first targets it (or Resize gives it some). It is how
-// collectors create the spaces that only evacuation enters, so that a run
-// which never collects into one never pays for it.
+// evacuation first targets it or an allocation first reaches it (Back), or
+// Resize gives it some. It is how collectors create the spaces that only
+// evacuation enters and the steps below the allocation cursor, so that a
+// run which never collects into one, or never allocates that far, never
+// pays for it.
 func (h *Heap) ReserveSpace(name string, words int) *Space {
 	if words <= 0 {
 		panic("heap: ReserveSpace with non-positive size")

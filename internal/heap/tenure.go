@@ -73,7 +73,7 @@ func (e *Evacuator) BeginTenured(threshold int, young []*Space, old ...*Space) {
 	t.young = append(t.young[:0], young...)
 	t.youngScan = t.youngScan[:0]
 	for _, y := range young {
-		y.back()
+		y.Back()
 		t.youngScan = append(t.youngScan, y.Top)
 	}
 	t.survByAge = [TenureAgeClasses]uint64{}

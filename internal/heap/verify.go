@@ -33,6 +33,11 @@ import (
 //      a mark/sweep space's BlockWords blocks and a non-predictive
 //      mark/sweep step's single block alike.
 //
+// A reservation (Space.Back) holds no object: it parses as nothing, a
+// pointer into it is dangling, and its block table must be the form its
+// runs take without memory — no list, each MaxRun its block's run below
+// Top (FreeFrom), which is 0 for a reservation in bump form.
+//
 // The parse records each live space's block starts in a bitmap, one bit per
 // word below the bump pointer; the pointer checks test a bit and read the
 // header from the space. One address-ordered walk per live space then checks
@@ -192,6 +197,9 @@ func (v *verifier) parseSpaces() {
 				return
 			}
 		}
+		if s.Mem == nil {
+			continue // a reservation: nothing to parse
+		}
 		starts := make([]uint64, (s.Top+63)/64)
 		v.starts[s.ID] = starts
 		off := 0
@@ -273,6 +281,9 @@ func (v *verifier) checkPtr(w Word, what func() string) bool {
 	if off >= s.Top {
 		return v.errorf(ErrDanglingPointer, "%s points past the bump pointer of %v (off %d)", what(), s, off)
 	}
+	if s.Mem == nil {
+		return v.errorf(ErrDanglingPointer, "%s points into a free run of reserved %v (off %d)", what(), s, off)
+	}
 	if !v.isStart(s, off) {
 		return v.errorf(ErrDanglingPointer, "%s points into the middle of an object (%v off %d)", what(), s, off)
 	}
@@ -315,7 +326,7 @@ func (v *verifier) scanObjects() {
 	extra := v.h.ExtraWords()
 	now := v.h.Now()
 	for _, s := range v.h.Spaces {
-		if !v.live[s.ID] {
+		if !v.live[s.ID] || s.Mem == nil {
 			continue
 		}
 		for off := 0; off < s.Top; off += ObjWords(s.Mem[off]) {
@@ -418,6 +429,12 @@ func (s *Space) blockFault(b int) string {
 	}
 	lo := b * bt.Span
 	hi := min(lo+bt.Span, s.Top)
+	if s.Mem == nil {
+		if run := max(hi-lo, 0); bt.FreeHead[b] != NoFreeBlock || int(bt.MaxRun[b]) != run {
+			return fmt.Sprintf("a reservation's table is not its %d-word run (head %d, MaxRun %d)", run, bt.FreeHead[b], bt.MaxRun[b])
+		}
+		return ""
+	}
 	// The list is address-ordered, so one walk over the block's objects meets
 	// its entries in order: next is the entry the walk has yet to reach.
 	next := int(bt.FreeHead[b])

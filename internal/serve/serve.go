@@ -24,7 +24,8 @@ type Config struct {
 	Shards int
 
 	// HeapWords sizes each shard's collector, as collectors.Grid does for
-	// trace replay (default 1<<17).
+	// trace replay (default 1<<17). Run raises it to collectors.GridFloor,
+	// the smallest budget the grid builds at, and reports the raised value.
 	HeapWords int
 
 	// WordsPerTick is the service clock: how many words of work — handler
@@ -119,6 +120,9 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("serve: negative %s %d (0 selects the default)", f.name, f.v)
 		}
 	}
+	// The shards run at the budget the grid builds, so the report names
+	// that heap, not a smaller request the grid raised.
+	cfg.HeapWords = max(cfg.HeapWords, collectors.GridFloor)
 	sched, err := Generate(cfg.Load)
 	if err != nil {
 		return nil, err
