@@ -32,11 +32,13 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # must the free-block split both free-list carves share, which sits under
 # nearly every mark/sweep and npms allocation, and the bump every copying
 # collector's allocation makes. A reservation (a space without memory) adds
-# no test to either: Bump refuses it by its length alone, and an npms step's
-# empty list sends the carve out of line. The step ladder takes the refusal
+# no test to either: Bump refuses it by its length alone, and AllocFromBlock
+# by its empty list and its MaxRun of 0. The step ladder takes the refusal
 # from there: (*Steps).Bump keeps its cursor on the reserved step instead of
-# descending past it, and Steps.Alloc — or, for npms, AllocFromBlock's list
-# walk — gives the step its memory out of line and carves again.
+# descending past it, and Steps.Alloc — or, for npms, its own ladder, which
+# also formats the step as one free run — backs a reached step out of line
+# and carves again. Back itself runs in line in the evacuator, which calls
+# it on every target of every run.
 # A change that pushes one of them over the budget fails here by name, as
 # does one that stops an allocation ladder's fast path running in line: the
 # nursery trigger and the bump in young.(*Gen).AllocRaw (the heap's
@@ -46,7 +48,7 @@ inl=$(go build -gcflags=-m ./internal/heap ./internal/core ./internal/gc/... 2>&
 for fn in '(*Heap).push' '(*Heap).Get' 'FixnumVal' '(*Heap).isType' \
     '(*Heap).IsPair' '(*Heap).IsVector' '(*Heap).IsSymbol' '(*Heap).IsFlonum' \
     '(*Heap).Car' '(*Heap).Cdr' '(*Heap).Scope' 'Scope.Close' '(*Evacuator).cursor' \
-    '(*Space).carve' '(*Space).Bump'; do
+    '(*Space).carve' '(*Space).Bump' '(*Space).Back'; do
     if ! printf '%s\n' "$inl" | sed -n 's/^internal\/heap\/[^ ]*: can inline //p' | grep -qxF "$fn"; then
         echo "ci: heap $fn is no longer inlinable (go build -gcflags=-m=2 ./internal/heap says why)" >&2
         exit 1

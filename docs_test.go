@@ -117,7 +117,7 @@ func TestDocsNameNothingDeleted(t *testing.T) {
 		`ReachableFreeBlock|UnknownSpace|IgnoresUnreachableGarbage)|SetDefaultConfig|DefaultConfig|ConfigFromEnv|` +
 		`CheckEnvReachesHeaps|TestEnvReachesHeaps|RDGC_GC_(INCR|SLICE|TENURE|ADAPT)|[nN]ewWriterVersion|minReadVersion|` +
 		`knobsRead|tenuringCollectors|sizedGrid|findCollector|replayGrid|collectorByName|CollectorNames|unknownCollector|` +
-		`incrementalKnobs|tenuringKnobs|allKnobs)\b`)
+		`incrementalKnobs|tenuringKnobs|allKnobs|backReserved|reserveStep|reserveShadow|TestListedReservationReadsAsFreshStep)\b`)
 	knob := regexp.MustCompile(`"-?(gcworkers|gclab|RDGC_GC_(WORKERS|LAB|INCR|SLICE|TENURE|ADAPT))\b[^"]*"`)
 	heading := regexp.MustCompile(`^#+ `)
 	dated := regexp.MustCompile(`\((PR|ISSUE) \d+`)

@@ -30,16 +30,13 @@ type Steps struct {
 	H         *heap.Heap
 	StepWords int
 
-	// prefix names the spaces (prefix-step-0, prefix-shadow-0, ...);
-	// reserveStep reserves a step in the form the collector allocates from
-	// — a bump space for the copying collectors, a one-block free-list
-	// space for npms — which stays a reservation until the allocation
-	// cursor reaches it or an evacuation targets it, and reserveShadow the
-	// same kind of space in the bump form an evacuation fills, which a
-	// shadow stays until a collection first evacuates into it.
-	prefix        string
-	reserveStep   func(name string, words int) *heap.Space
-	reserveShadow func(name string, words int) *heap.Space
+	// prefix names the spaces (prefix-step-0, prefix-shadow-0, ...), and
+	// reserve reserves each of them — a bump space for the copying
+	// collectors, a one-block blocked space for npms — as an empty bump
+	// space without memory, which it stays until the allocation cursor
+	// reaches it or an evacuation targets it.
+	prefix  string
+	reserve func(name string, words int) *heap.Space
 
 	// steps in logical order: index 0 is step 1 (youngest), index k-1 is
 	// step k (oldest).
@@ -71,29 +68,26 @@ type Steps struct {
 // NewSteps creates k steps (and k shadow spaces) of stepWords words each:
 // bump spaces named np-step-i and np-shadow-i.
 func NewSteps(h *heap.Heap, k, stepWords int) *Steps {
-	return NewStepsOf(h, k, stepWords, "np", h.ReserveSpace, h.ReserveSpace)
+	return NewStepsOf(h, k, stepWords, "np", h.ReserveSpace)
 }
 
-// NewStepsOf is NewSteps over steps that reserveStep reserves and shadows
-// that reserveShadow reserves, named after prefix. The k steps are created
-// first, then the k shadows. Only step k, where the allocation cursor
-// starts, gets its memory here; the steps below it get theirs when the
-// cursor first reaches one (Bump stops there, and Alloc or the caller's own
-// ladder backs it) or an evacuation targets it, and the shadows — in the
-// bump form an evacuation fills — from the collection that first evacuates
-// into them. Each comes out as the fresh space it stood for.
-func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, reserveStep, reserveShadow func(name string, words int) *heap.Space) *Steps {
+// NewStepsOf is NewSteps over steps and shadows that reserve reserves,
+// named after prefix. The k steps are created first, then the k shadows,
+// and none gets its memory here: a step gets it when the cursor first
+// reaches it (Bump stops there, and Alloc or the caller's own ladder backs
+// it) or an evacuation targets it, and a shadow from the collection that
+// first evacuates into it.
+func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, reserve func(name string, words int) *heap.Space) *Steps {
 	if k < 2 {
 		panic("core: need at least 2 steps")
 	}
-	st := &Steps{H: h, StepWords: stepWords, prefix: prefix, reserveStep: reserveStep, reserveShadow: reserveShadow}
+	st := &Steps{H: h, StepWords: stepWords, prefix: prefix, reserve: reserve}
 	for i := 0; i < k; i++ {
 		st.steps = append(st.steps, st.space("step", i))
 	}
 	for i := 0; i < k; i++ {
-		st.shadows = append(st.shadows, st.shadow("shadow", i))
+		st.shadows = append(st.shadows, st.space("shadow", i))
 	}
-	st.steps[k-1].Back()
 	st.evac = heap.NewEvacuator(h, nil)
 	st.remsetRoot = func(obj heap.Word) {
 		// An entry inside the collected region is scanned when it is
@@ -105,7 +99,7 @@ func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, reserveStep, rese
 		heap.ScanObject(st.H.SpaceOf(obj), heap.PtrOff(obj), st.evac.Slot())
 	}
 	st.overflow = func(int) *heap.Space {
-		sp := st.shadow("spill", len(st.H.Spaces))
+		sp := st.space("spill", len(st.H.Spaces))
 		st.spares = append(st.spares, sp)
 		return sp
 	}
@@ -114,14 +108,9 @@ func NewStepsOf(h *heap.Heap, k, stepWords int, prefix string, reserveStep, rese
 	return st
 }
 
-// space makes the step space prefix-kind-n, reserved.
+// space makes the step-sized space prefix-kind-n, reserved.
 func (st *Steps) space(kind string, n int) *heap.Space {
-	return st.reserveStep(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
-}
-
-// shadow makes an evacuation target prefix-kind-n: an empty step, reserved.
-func (st *Steps) shadow(kind string, n int) *heap.Space {
-	return st.reserveShadow(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
+	return st.reserve(fmt.Sprintf("%s-%s-%d", st.prefix, kind, n), st.StepWords)
 }
 
 // K returns the number of steps.
@@ -358,7 +347,7 @@ func (st *Steps) Collect(alsoFrom []*heap.Space, sets []remset.Set, scanned *uin
 	}
 	newShadows = append(newShadows, st.spares[used:]...)
 	for len(newShadows) < len(newSteps) {
-		newShadows = append(newShadows, st.shadow("shadow", len(newShadows)))
+		newShadows = append(newShadows, st.space("shadow", len(newShadows)))
 	}
 
 	st.steps, st.stepsBuf = newSteps, st.steps
@@ -395,7 +384,7 @@ func (st *Steps) AddSteps(n int) {
 	grown := make([]*heap.Space, 0, st.K()+n)
 	for i := 0; i < n; i++ {
 		grown = append(grown, st.space("step-grow", len(st.H.Spaces)))
-		st.shadows = append(st.shadows, st.shadow("shadow-grow", len(st.H.Spaces)))
+		st.shadows = append(st.shadows, st.space("shadow-grow", len(st.H.Spaces)))
 	}
 	st.steps = append(grown, st.steps...)
 	st.rebuildPos()
@@ -430,9 +419,6 @@ func (st *Steps) RenameOldBy(key func(s *heap.Space) int) {
 func (st *Steps) ScanYoungForOldPointers(remember func(obj heap.Word)) {
 	inOld := st.InOld // bound once per walk; it does not escape, so not on the Go heap
 	for _, s := range st.steps[:st.j] {
-		if s.Reserved() {
-			continue // no object: npms's reservations have Top at capacity
-		}
 		for off := 0; off < s.Top; off += heap.ObjWords(s.Mem[off]) {
 			if heap.PointsInto(s, off, inOld) {
 				remember(heap.PtrWord(s.ID, off))

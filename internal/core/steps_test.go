@@ -33,19 +33,24 @@ func TestSetJClamps(t *testing.T) {
 func TestBumpDescends(t *testing.T) {
 	h := heap.New()
 	st := NewSteps(h, 3, 8)
-	// Fill step 3 (position 2) with two 4-word blocks, then the next bump
-	// must land in position 1. Position 1 is still a reservation: Bump
-	// stops on it rather than descend past it, and the ladder gives it its
-	// memory, at its capacity, and bumps there.
-	s1, _, ok := st.Bump(4)
-	if !ok || st.PosOf(heap.PtrWord(s1.ID, 0)) != 2 {
-		t.Fatal("first bump not in the oldest step")
+	// Every step starts a reservation, step 3 (position 2), where the
+	// cursor starts, too: Bump stops on it rather than descend past it, and
+	// the ladder gives it its memory, at its capacity, and bumps there.
+	// Fill it with two 4-word blocks; the next bump stops on position 1 in
+	// the same way, and the ladder lands there.
+	collect := func() { t.Fatal("the ladder collected with steps to spare") }
+	if _, _, ok := st.Bump(4); ok || st.AllocIdx() != 2 || !st.Step(2).Reserved() {
+		t.Fatalf("Bump into the reserved step 3: ok %v, cursor %d, %v", ok, st.AllocIdx(), st.Step(2))
+	}
+	s1, _ := st.Alloc(4, collect, false)
+	if st.PosOf(heap.PtrWord(s1.ID, 0)) != 2 || len(s1.Mem) != 8 {
+		t.Fatalf("first bump went to position %d, %v with %d words of memory",
+			st.PosOf(heap.PtrWord(s1.ID, 0)), s1, len(s1.Mem))
 	}
 	st.Bump(4)
 	if _, _, ok := st.Bump(4); ok || st.AllocIdx() != 1 || !st.Step(1).Reserved() {
 		t.Fatalf("Bump into the reserved step 2: ok %v, cursor %d, %v", ok, st.AllocIdx(), st.Step(1))
 	}
-	collect := func() { t.Fatal("the ladder collected with steps to spare") }
 	s2, _ := st.Alloc(4, collect, false)
 	if st.PosOf(heap.PtrWord(s2.ID, 0)) != 1 || len(s2.Mem) != 8 {
 		t.Fatalf("bump after fill went to position %d, %v with %d words of memory",
@@ -90,7 +95,7 @@ func TestEmptyYoungest(t *testing.T) {
 	if got := st.EmptyYoungest(); got != 4 {
 		t.Errorf("EmptyYoungest of fresh steps = %d, want 4", got)
 	}
-	st.Bump(4) // fills part of position 3
+	bump(st, 4) // fills part of position 3
 	if got := st.EmptyYoungest(); got != 3 {
 		t.Errorf("EmptyYoungest = %d, want 3", got)
 	}
@@ -99,7 +104,7 @@ func TestEmptyYoungest(t *testing.T) {
 func TestAddStepsPrepends(t *testing.T) {
 	h := heap.New()
 	st := NewSteps(h, 3, 64)
-	s, _, _ := st.Bump(8) // lands at position 2
+	s, _, _ := bump(st, 8) // lands at position 2
 	st.AddSteps(2)
 	if st.K() != 5 {
 		t.Fatalf("K = %d after AddSteps(2)", st.K())
@@ -180,24 +185,20 @@ func TestCollectSpillGrowsStepCount(t *testing.T) {
 }
 
 // blockedSteps builds the step machine the way npms does: every step and
-// shadow a free-list space whose table is one block spanning it.
+// shadow a blocked space whose table is one block spanning it.
 func blockedSteps(h *heap.Heap, k, stepWords int) *Steps {
 	return NewStepsOf(h, k, stepWords, "npms", func(name string, words int) *heap.Space {
-		s := h.ReserveBlockedSpaceSpan(name, words, words)
-		s.FreeFrom(0)
-		return s
-	}, func(name string, words int) *heap.Space {
 		return h.ReserveBlockedSpaceSpan(name, words, words)
 	})
 }
 
 // TestNewStepsOfOrderNamesAndForm: the constructor creates the k steps and
 // then the k shadows, in that order (so SpaceIDs are what each collector's
-// own loop used to hand out), names them after the prefix, leaves a step as
-// reserveStep made it — a reservation, except step k, where the cursor
-// starts, which has its memory at its capacity — and empties a shadow into
-// bump form. A blocked step is one free run, reserved or not; backed, a
-// reservation's words are those of the step given memory at construction.
+// own loop used to hand out), names them after the prefix, and leaves every
+// one as reserve made it — a reservation in bump form, step k, where the
+// cursor starts, too. Backed, a step is the empty space of its capacity; a
+// blocked one, formatted by FreeFrom(0), is the space NewBlockedSpaceSpan
+// makes.
 func TestNewStepsOfOrderNamesAndForm(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -225,15 +226,11 @@ func TestNewStepsOfOrderNamesAndForm(t *testing.T) {
 				if s != h.Spaces[1+i] || st.Step(i) != s || st.PosOf(heap.PtrWord(s.ID, 0)) != i {
 					t.Errorf("step %d is %v at position %d", i+1, s, st.PosOf(heap.PtrWord(s.ID, 0)))
 				}
-				if reserved := i < st.K()-1; s.Reserved() != reserved || !reserved && len(s.Mem) != 64 {
+				if !s.Reserved() || s.Top != 0 || s.Cap() != 64 {
 					t.Errorf("step %d is %v with %d words of memory; reserved: %v", i+1, s, len(s.Mem), s.Reserved())
 				}
-				head := 0 // where FreeFrom(0) starts the list; a reservation's stays empty until it is backed
-				if s.Reserved() {
-					head = heap.NoFreeBlock
-				}
-				if tc.blocked && (s.Top != s.Cap() || int(s.Blocks.FreeHead[0]) != head || s.Blocks.MaxRun[0] != 64) {
-					t.Errorf("step %d is not one free run: Top %d, head %d, MaxRun %d", i+1, s.Top, s.Blocks.FreeHead[0], s.Blocks.MaxRun[0])
+				if tc.blocked && (s.Blocks.FreeHead[0] != heap.NoFreeBlock || s.Blocks.MaxRun[0] != 0) {
+					t.Errorf("step %d is not in bump form: head %d, MaxRun %d", i+1, s.Blocks.FreeHead[0], s.Blocks.MaxRun[0])
 				}
 			}
 			if err := heap.Check(h); err != nil {
@@ -241,9 +238,14 @@ func TestNewStepsOfOrderNamesAndForm(t *testing.T) {
 			}
 			first := st.Step(0)
 			first.Back()
-			if k := st.Step(st.K() - 1); len(first.Mem) != 64 || !slices.Equal(first.Mem, k.Mem) || first.Top != k.Top ||
-				first.Blocks != nil && (first.Blocks.FreeHead[0] != k.Blocks.FreeHead[0] || first.Blocks.MaxRun[0] != k.Blocks.MaxRun[0]) {
-				t.Errorf("step 1, backed, is %v; step k, made with its memory, is %v", first, k)
+			fresh := heap.New().NewSpace("fresh", 64)
+			if tc.blocked {
+				first.FreeFrom(0)
+				fresh = heap.New().NewBlockedSpaceSpan("fresh", 64, 64)
+			}
+			if !slices.Equal(first.Mem, fresh.Mem) || first.Top != fresh.Top ||
+				first.Blocks != nil && (first.Blocks.FreeHead[0] != fresh.Blocks.FreeHead[0] || first.Blocks.MaxRun[0] != fresh.Blocks.MaxRun[0]) {
+				t.Errorf("step 1, backed, is %v; a space made with its memory is %v", first, fresh)
 			}
 			for i, s := range st.shadows {
 				if s != h.Spaces[4+i] || s.Top != 0 || st.PosOf(heap.PtrWord(s.ID, 0)) != -1 {
@@ -353,6 +355,8 @@ func TestCollectIntoBlockedShadows(t *testing.T) {
 	var roots []heap.Ref
 	n := 0
 	for p := k - 1; p >= 0; p-- { // allocation order: step k first
+		st.Step(p).Back() // as npms's ladder backs a step its cursor reaches
+		st.Step(p).FreeFrom(0)
 		for i := 0; i < perStep; i++ {
 			off, ok := st.Step(p).AllocFromBlock(0, 3)
 			if !ok {

@@ -10,13 +10,13 @@
 // collection marks steps j+1..k in place and sweeps them onto per-step free
 // lists instead of copying survivors. The free lists are the plain mark/sweep
 // collector's: a step is a blocked space whose table is one block spanning
-// the step (heap.ReserveBlockedSpaceSpan, formatted by FreeFrom(0)), carved
-// by heap.Space.AllocFromBlock and rebuilt by heap.Sweeper. Because
-// survivors stay put, the
-// renaming orders the collected steps by ascending occupancy — the emptiest
-// become the new youngest steps — and the paper's assumption that all
-// unavailable storage in steps 1..j is live holds exactly (a swept step
-// contains only live objects and free blocks). Every CompactEvery-th
+// the step (heap.ReserveBlockedSpaceSpan, formatted by FreeFrom(0) once it
+// has its memory), carved by heap.Space.AllocFromBlock and rebuilt by
+// heap.Sweeper. Because survivors stay put, the renaming orders the
+// collected steps by ascending occupancy — the emptiest become the new
+// youngest steps — and the paper's assumption that all unavailable storage
+// in steps 1..j is live holds exactly (a swept step contains only live
+// objects and free blocks). Every CompactEvery-th
 // collection is the copying collector's instead — core.Steps.Collect into
 // the shadows, which then take free-list form — undoing fragmentation.
 package npms
@@ -33,12 +33,11 @@ import (
 type Collector struct {
 	h *heap.Heap
 	// st is the step machinery. Steps and shadows trade places at every
-	// compaction, so both are one-block free-list spaces; a shadow's table
-	// is empty (bump form) until evacuation has filled it, and a shadow no
-	// compaction has entered yet is a reservation, without memory. So is a
-	// step the allocation cursor has yet to reach: formatted as one free
-	// run (FreeFrom(0)) but without memory, which AllocFromBlock gives it
-	// when the cursor first allocates there.
+	// compaction, so both are one-block blocked spaces, reserved alike: an
+	// empty bump space without memory. A shadow's table stays empty (bump
+	// form) until evacuation has filled it; a step the allocation cursor
+	// reaches still reserved is backed and formatted as one free run by
+	// AllocRaw's ladder.
 	st *core.Steps
 	g  float64 // generation fraction: j = floor(g*k)
 
@@ -93,10 +92,6 @@ func New(h *heap.Heap, k, stepWords int, opts ...Option) *Collector {
 		o(c)
 	}
 	c.st = core.NewStepsOf(h, k, stepWords, "npms", func(name string, words int) *heap.Space {
-		s := h.ReserveBlockedSpaceSpan(name, words, words)
-		s.FreeFrom(0)
-		return s
-	}, func(name string, words int) *heap.Space {
 		return h.ReserveBlockedSpaceSpan(name, words, words)
 	})
 	c.st.SetJ(int(c.g * float64(k)))
@@ -201,6 +196,15 @@ func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 			}
 			if off, ok := s.AllocFromBlock(0, total); ok {
 				return c.h.InitObject(s, off, t, payload)
+			}
+			if s.Reserved() {
+				// The cursor has reached a step without its memory: give
+				// it the memory and the one free run of a fresh step.
+				s.Back()
+				s.FreeFrom(0)
+				if off, ok := s.AllocFromBlock(0, total); ok {
+					return c.h.InitObject(s, off, t, payload)
+				}
 			}
 		}
 		if c.incr != nil && c.phase == npMarking {

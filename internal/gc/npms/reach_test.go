@@ -9,17 +9,18 @@ import (
 	"rdgc/internal/heap"
 )
 
-// TestSweepCountsUnreachedSteps: the steps below the allocation cursor are
-// reservations until it reaches them, and a collection that sweeps steps
-// the cursor never reached must count them as the untouched steps they
-// stand for — their whole capacity — and leave them reserved. Counting
-// none of them (a reservation left at Top 0) kept table3-grid's digest but
-// moved serve-grid's and gc-stress's: 16 steps of 73728 words under a
+// TestSweepCountsUnreachedSteps: the steps are reservations until the
+// allocation cursor reaches them, and a collection that sweeps steps the
+// cursor never reached must count them as the untouched steps they stand
+// for — their whole capacity, not their Top of 0 — and leave them
+// reserved. Counting none of them kept table3-grid's digest but moved
+// serve-grid's and gc-stress's: 16 steps of 73728 words under a
 // 50 000-pair list, whose collection sweeps the 12 steps j+1..k, must
 // report 884 736 words swept, not 221 184 for the three the list reached.
 //
 // The run is held to the same run on a collector whose every step was given
-// its memory at construction, as every step once was: equal GCStats (every
+// its memory and formatted as one free run right after New, as every step
+// once was at construction: equal GCStats (every
 // field), Live and footprint after the explicit collection and again after
 // the collections that allocation then triggers — in the incremental rows
 // of gcfuzz.Modes those are cycles whose lazy sweeps reach steps still
@@ -49,8 +50,8 @@ func TestSweepCountsUnreachedSteps(t *testing.T) {
 	}
 }
 
-// How sweepRun builds its steps: reserved below the cursor, as npms.New
-// leaves them; each given its memory at once; or reserved, and beside the
+// How sweepRun builds its steps: reserved, as npms.New leaves them; each
+// given its memory and formatted at once; or reserved, and beside the
 // lock-step reference.
 type build string
 
@@ -73,6 +74,7 @@ func sweepRun(t *testing.T, cfg heap.Config, stepWords, pairs, collections int, 
 	case backAll:
 		for _, s := range npms.StepsOf(c).All() {
 			s.Back()
+			s.FreeFrom(0)
 		}
 	case lockstep:
 		ref = npms.NewLockstep(t, h, c)

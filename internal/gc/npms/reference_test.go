@@ -376,8 +376,8 @@ func (l *lockstep) syncPayloads(s, m *heap.Space) {
 
 // compare requires a swept step and its mirror to be the same words behind
 // the same free-list head (the links are words of the image). A step still
-// reserved stands for a fresh step: its image is the one a step formatted
-// with its memory has, and its list starts where that step's does.
+// reserved stands for a fresh step: its Top and image are the ones a step
+// formatted with its memory has, and its list starts where that step's does.
 func (l *lockstep) compare(s *heap.Space) {
 	l.t.Helper()
 	if l.diverged {
@@ -385,13 +385,13 @@ func (l *lockstep) compare(s *heap.Space) {
 	}
 	m := l.mirror[s.ID]
 	l.syncPayloads(s, m)
-	if s.Top != m.Top {
-		l.failf("%v has Top %d, the reference %d", s, s.Top, m.Top)
-	}
-	img, head := s.Mem, int(s.Blocks.FreeHead[0])
+	top, img, head := s.Top, s.Mem, int(s.Blocks.FreeHead[0])
 	if s.Reserved() {
 		fresh := heap.New().NewBlockedSpaceSpan(s.Name, s.Cap(), s.Cap())
-		img, head = fresh.Mem, int(fresh.Blocks.FreeHead[0])
+		top, img, head = fresh.Top, fresh.Mem, int(fresh.Blocks.FreeHead[0])
+	}
+	if top != m.Top {
+		l.failf("%v has Top %d, the reference %d", s, top, m.Top)
 	}
 	for i := range img {
 		if img[i] != m.Mem[i] {

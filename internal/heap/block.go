@@ -143,13 +143,13 @@ func (h *Heap) NewBlockedSpaceSpan(name string, words, span int) *Space {
 
 // ReserveBlockedSpaceSpan is a reservation (ReserveSpace) that carries the
 // block table of NewBlockedSpaceSpan, in the bump form Reset leaves: every
-// free list empty, Top 0. An evacuation fills it like any target, and
-// FreeFrom then turns it into a free-list space; FreeFrom(0) on the
-// reservation itself makes it the reservation of NewBlockedSpaceSpan's
-// fresh space, which the first allocation that reaches it backs.
+// free list empty, Top 0. Whoever first puts words into it backs it (Back):
+// an evacuation fills it like any target, and FreeFrom then turns it into
+// a free-list space; an allocation ladder backs it and formats it whole
+// with FreeFrom(0), making it the space NewBlockedSpaceSpan makes.
 func (h *Heap) ReserveBlockedSpaceSpan(name string, words, span int) *Space {
 	if words <= 0 {
-		panic("heap: NewBlockedSpace with non-positive size")
+		panic("heap: ReserveBlockedSpaceSpan with non-positive size")
 	}
 	if span < words && (span < BlockWords || span%BlockWords != 0) {
 		panic("heap: block span must be a multiple of BlockWords or cover the space")
@@ -170,22 +170,10 @@ func (h *Heap) ReserveBlockedSpaceSpan(name string, words, span int) *Space {
 // used allocated and the rest free: Top moves to capacity and every block's
 // list becomes the one maximal run of its words at or above used (none for a
 // block wholly below). It formats a new space (used = 0) and turns a
-// bump-filled evacuation target back into a free-list space.
-//
-// A reservation can only be formatted whole (used = 0), and keeps no words
-// to write the runs into: Top moves to capacity and each MaxRun becomes its
-// block's run, but every list stays empty, so AllocFromBlock takes its
-// out-of-line walk, which gives the space its memory (Back, which writes
-// the runs) before it carves. Every other reader takes such a reservation
-// for the space FreeFrom(0) formats: the sweep counts its words and leaves
-// it as it is, the walks find no object in it, and Verify holds its table
-// to exactly that form.
+// bump-filled evacuation target back into a free-list space. The runs are
+// written into the space's words, so a reservation must be backed first.
 func (s *Space) FreeFrom(used int) {
 	bt := s.Blocks
-	reserved := s.Mem == nil
-	if reserved && used != 0 {
-		panic("heap: FreeFrom above 0 on a reservation")
-	}
 	s.Top = s.Cap()
 	for b := range bt.FreeHead {
 		lo := b * bt.Span
@@ -193,10 +181,6 @@ func (s *Space) FreeFrom(used int) {
 		bt.FreeHead[b], bt.MaxRun[b] = NoFreeBlock, 0
 		if off := max(lo, used); off < hi {
 			n := hi - off
-			if reserved {
-				bt.MaxRun[b] = int32(n)
-				continue
-			}
 			s.Mem[off] = HeaderWord(TFree, n-1)
 			if n > 1 {
 				SetFreeNext(s, off, NoFreeBlock)
@@ -245,17 +229,11 @@ func (s *Space) AllocFromBlock(b, n int) (int, bool) {
 }
 
 // allocFromList is AllocFromBlock's first-fit walk of the whole list,
-// bounded and tightened by MaxRun. A reservation in free-list form
-// (FreeFrom) has its runs only in MaxRun: one that fits n gets its memory
-// here, and the carve is made again on the runs Back writes, so the request
-// lands where it would in the space the reservation stands for.
+// bounded and tightened by MaxRun. A reservation's MaxRun is 0, so it
+// refuses every request here, and the caller's ladder backs it.
 func (s *Space) allocFromList(b, n int) (int, bool) {
 	if int(s.Blocks.MaxRun[b]) < n {
 		return 0, false
-	}
-	if s.Mem == nil {
-		s.Back()
-		return s.AllocFromBlock(b, n)
 	}
 	fh := s.Blocks.FreeHead
 	prev := NoFreeBlock

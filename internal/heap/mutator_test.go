@@ -61,6 +61,7 @@ func TestMisuseMessages(t *testing.T) {
 		{"FixVal/pair", func() { h.FixVal(pair) }, fmt.Sprintf("heap: FixnumVal of non-fixnum %#x", uint64(h.Get(pair)))},
 		{"Get/InvalidRef", func() { h.Get(InvalidRef) }, "heap: use of InvalidRef"},
 		{"Car/InvalidRef", func() { h.Car(InvalidRef) }, "heap: use of InvalidRef"},
+		{"ReserveBlockedSpaceSpan/0", func() { h.ReserveBlockedSpaceSpan("s", 0, BlockWords) }, "heap: ReserveBlockedSpaceSpan with non-positive size"},
 		{"Scope.Close/out of order", func() {
 			outer := h.Scope()
 			defer outer.Close() // in order, once the panic is under way

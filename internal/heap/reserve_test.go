@@ -1,26 +1,24 @@
 package heap
 
-import (
-	"errors"
-	"slices"
-	"testing"
-)
+import "testing"
 
 // TestReservationReadsAsEmptySpace: a reservation has no memory, and every
 // reader but the memory sees an empty space of its capacity — Cap, Free,
 // Used, NumBlocks, the footprint, String, Reset, Check and Verify all answer
-// as they do for the same space made with memory and emptied. Bump refuses
-// it: only an evacuation enters a reservation, and that gives it memory
-// first.
+// as they do for the same space made with memory and emptied. Bump and
+// AllocFromBlock refuse it: whoever first puts words into a reservation
+// gives it memory first. The sweep counts a blocked reservation's words up
+// to its capacity, as for the fresh step it stands for, and leaves it
+// reserved.
 func TestReservationReadsAsEmptySpace(t *testing.T) {
 	const words = 3*BlockWords + 17
 	for _, blocked := range []bool{false, true} {
 		made, reserved := New(), New()
 		var m, r *Space
 		if blocked {
-			m = made.NewBlockedSpaceSpan("s", words, words)
+			m = made.NewBlockedSpaceSpan("s", words, BlockWords)
 			m.Reset()
-			r = reserved.ReserveBlockedSpaceSpan("s", words, words)
+			r = reserved.ReserveBlockedSpaceSpan("s", words, BlockWords)
 		} else {
 			m = made.NewSpace("s", words)
 			r = reserved.ReserveSpace("s", words)
@@ -38,6 +36,14 @@ func TestReservationReadsAsEmptySpace(t *testing.T) {
 		}
 		if _, ok := r.Bump(1); ok {
 			t.Errorf("blocked=%v: Bump carved a word out of a reservation", blocked)
+		}
+		if blocked {
+			if _, ok := r.AllocFromBlock(0, 1); ok {
+				t.Error("AllocFromBlock carved a word out of a reservation")
+			}
+			if got := NewSweeper(reserved).Sweep(r); got != words || !r.Reserved() {
+				t.Errorf("the sweep counted %d words of the reservation, want %d; reserved after: %v", got, words, r.Reserved())
+			}
 		}
 		r.Reset()
 		r.ClearMarkBits()
@@ -149,56 +155,4 @@ func TestIdentityBeforeBacking(t *testing.T) {
 	if len(late.ids) != 64 {
 		t.Fatalf("a tracked reservation resized to 64 words has %d identity entries", len(late.ids))
 	}
-}
-
-// TestListedReservationReadsAsFreshStep: a blocked reservation formatted by
-// FreeFrom(0) stands for the space NewBlockedSpaceSpan makes, one free run
-// per block, and every reader but the memory sees that space: Top, Free,
-// the table's bounds, the sweep's count, the walks and Check. The sweep
-// leaves it reserved; the verifier holds its table to that form. The first
-// carve that fits gives it its memory, on the tracked identity table too,
-// and lands where it lands in the fresh space; FreeFrom above 0 on a
-// reservation has nothing to keep and panics.
-func TestListedReservationReadsAsFreshStep(t *testing.T) {
-	const words, span = 2*BlockWords + 40, BlockWords
-	made, reserved := New(), New()
-	reserved.TrackIdentity()
-	m := made.NewBlockedSpaceSpan("s", words, span)
-	r := reserved.ReserveBlockedSpaceSpan("s", words, span)
-	r.FreeFrom(0)
-	if !r.Reserved() || r.Mem != nil || r.Top != m.Top || r.Free() != m.Free() || r.String() != m.String() ||
-		!slices.Equal(r.Blocks.MaxRun, m.Blocks.MaxRun) || LiveWords(r) != 0 {
-		t.Fatalf("the reservation reads as %v (Top %d, MaxRun %v), the fresh space as %v (Top %d, MaxRun %v)",
-			r, r.Top, r.Blocks.MaxRun, m, m.Top, m.Blocks.MaxRun)
-	}
-	for _, b := range r.Blocks.FreeHead {
-		if b != NoFreeBlock {
-			t.Fatalf("a reservation's list starts at %d; it has no words to link", b)
-		}
-	}
-	if err := Check(reserved); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := NewSweeper(reserved).Sweep(r), NewSweeper(made).Sweep(m); got != want || !r.Reserved() {
-		t.Fatalf("the sweep counted %d words of the reservation, %d of the fresh space; reserved after: %v", got, want, r.Reserved())
-	}
-	r.Blocks.MaxRun[1]--
-	if err := Check(reserved); !errors.Is(err, ErrBadBlockTable) {
-		t.Fatalf("a reservation whose bound is not its run: Check says %v", err)
-	}
-	r.Blocks.MaxRun[1]++
-
-	got, ok := r.AllocFromBlock(1, 3)
-	want, _ := m.AllocFromBlock(1, 3)
-	if !ok || got != want || r.Reserved() || !slices.Equal(r.Mem, m.Mem) || len(r.ids) != words ||
-		!slices.Equal(r.Blocks.FreeHead, m.Blocks.FreeHead) || !slices.Equal(r.Blocks.MaxRun, m.Blocks.MaxRun) {
-		t.Fatalf("the first carve landed at %d (%v), the fresh space's at %d; backed %v with %d identity entries", got, ok, want, r, len(r.ids))
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("FreeFrom(1) on a reservation did not panic")
-		}
-	}()
-	reserved.ReserveBlockedSpaceSpan("t", words, span).FreeFrom(1)
 }

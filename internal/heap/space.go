@@ -10,13 +10,13 @@ import "fmt"
 //
 // A space that only evacuation enters (a to-space, a shadow step), and a
 // step the allocation cursor has yet to reach, starts as a reservation
-// (ReserveSpace): it has its ID, name and capacity, and no memory.
-// Everything but the memory reads it as the fresh space it stands for — an
-// empty one of full capacity, or, once FreeFrom(0) has formatted it, one
-// free run per block with Top at capacity — and Cap, Free, NumBlocks, the
-// footprint and String all count the reserved words. It gets memory, at
-// exactly that capacity, when a collection first names it as a target or
-// an allocation first reaches it (Back). Resize gives any space fresh
+// (ReserveSpace): it has its ID, name and capacity, and no memory. It is an
+// empty space in bump form — Top 0, every free list empty, every MaxRun 0 —
+// so every reader but the memory sees an empty space of full capacity, and
+// Cap, Free, NumBlocks, the footprint and String all count the reserved
+// words. The code that first puts words into it gives it its memory, at
+// exactly that capacity (Back): a collection that names it as a target, or
+// an allocation ladder whose cursor reaches it. Resize gives any space fresh
 // memory; Reset keeps what a space has. On a heap built WithArenas, fresh
 // memory may be a recycled arena, cleared, and the memory a space gives up
 // goes back to the recycler (see Arenas).
@@ -117,26 +117,15 @@ func (s *Space) Resize(words int) {
 	s.allocate(words)
 }
 
-// Back gives a reservation its memory, at its reserved capacity, in the
-// form it was reserved in: empty, or — for a reservation FreeFrom(0) has
-// formatted — one free run per block, as FreeFrom(0) writes them. A space
-// that has memory is left as it is. The evacuator calls it on each target
-// of a run before copying into any; an allocation ladder calls it on the
-// reservation its cursor has reached when Bump (or AllocFromBlock's list
-// walk) refuses it.
+// Back gives a reservation its memory, at its reserved capacity: it comes
+// out the empty space it stood for, and a blocked one stays in bump form
+// until FreeFrom formats it. A space that has memory is left as it is. The
+// evacuator calls it on each target of a run before copying into any; an
+// allocation ladder calls it on the reservation its cursor has reached when
+// the reservation refuses a request.
 func (s *Space) Back() {
 	if s.Mem == nil {
-		s.backReserved()
-	}
-}
-
-// backReserved is Back's work, kept out of line so that Back, which the
-// evacuator calls on every target of every run, stays in line there.
-func (s *Space) backReserved() {
-	listed := s.Top != 0
-	s.allocate(s.reserved)
-	if listed {
-		s.FreeFrom(0)
+		s.allocate(s.reserved)
 	}
 }
 

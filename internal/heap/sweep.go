@@ -150,10 +150,10 @@ func (sw *Sweeper) LazyPending() int { return sw.lazyPend }
 // becomes one TFree block, linked onto the block's free list in address
 // order when it has room for a link, and the block's mark bits are cleared.
 // It returns the words examined: always the full block, whatever the sweep
-// actually reads. A reservation holds no object and no mark, so its block
-// is already what the sweep would make of it: the words are counted, as
-// for the untouched block it stands for, and the reservation is left as it
-// is, without memory.
+// actually reads. A reservation holds no object and no mark, and is left as
+// it is, without memory; its block is counted up to its capacity, not up to
+// its Top of 0, as the fresh step it stands for — one free run FreeFrom(0)
+// formatted — would be.
 //
 // It reads the block's span of the mark bitmap, not its headers: every set
 // bit heads a marked, non-free object (the verifier's stale-mark check holds
@@ -164,10 +164,10 @@ func (sw *Sweeper) LazyPending() int { return sw.lazyPend }
 // bitmaps.
 func sweepBlock(s *Space, b int) int {
 	lo := b * s.Blocks.Span
-	hi := min(lo+s.Blocks.Span, s.Top)
 	if s.Mem == nil {
-		return max(hi-lo, 0)
+		return min(lo+s.Blocks.Span, s.Cap()) - lo
 	}
+	hi := min(lo+s.Blocks.Span, s.Top)
 	mem := s.Mem
 	head := int32(NoFreeBlock)
 	tail := NoFreeBlock

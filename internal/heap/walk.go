@@ -4,12 +4,8 @@ package heap
 // order, including TFree blocks in mark/sweep-managed spaces. The callback
 // receives the block's header offset and header word; returning false stops
 // the walk. Spaces stay linearly parsable at all times, which this relies on.
-// A reservation holds no object, and the free runs of one in free-list form
-// (FreeFrom) have no words to visit, so the walk visits nothing.
+// A reservation's Top is 0, so the walk visits nothing in it.
 func WalkSpace(s *Space, f func(off int, hdr Word) bool) {
-	if s.Mem == nil {
-		return
-	}
 	for off := 0; off < s.Top; {
 		hdr := s.Mem[off]
 		if !IsHeader(hdr) {
